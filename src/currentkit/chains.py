@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import factorial
 
 import numpy as np
 

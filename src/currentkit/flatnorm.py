@@ -8,13 +8,14 @@ nonnegative pairs.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Chain, Current, evaluate, mass_chain
+from .chains import Chain, Current, evaluate
 from .complexes import SimplicialComplex
-from .forms import Box, FormField, seminorm_flat, seminorm_sharp
+from .forms import Box, seminorm_flat, seminorm_sharp
 
 __all__ = [
     "LPProblem",
@@ -28,6 +29,7 @@ __all__ = [
 
 _FEAS_TOL = 1e-8
 _PIVOT_TOL = 1e-10
+_BLOCK_ELEMENTS = 1 << 16  # entries per band of a pivot's block update
 
 
 @dataclass
@@ -52,102 +54,118 @@ class LPProblem:
 
 @dataclass
 class LPSolution:
-    status: str  # OPTIMAL | INFEASIBLE | UNBOUNDED
+    status: str  # OPTIMAL | INFEASIBLE | UNBOUNDED | NUMERICAL
     objective: float = np.nan
     x: np.ndarray = None
     basis: list = field(default_factory=list)
     iterations: int = 0
+    residual: float = 0.0  # max |A x - b| of the returned vertex
 
 
-def _simplex_phase(tableau, basis, n_real, max_iter=200_000):
+def _simplex_phase(tableau, basis, max_iter=200_000):
     """Primal simplex on a dense tableau with Bland's anti-cycling rule.
 
     tableau rows: m constraint rows then the objective row (reduced costs,
     negated objective value in the last column).  Returns iteration count
-    or raises on unboundedness.
+    or raises on unboundedness.  Only the nonzeros of the pivot column
+    enter the ratio test, so its cost follows the tableau's sparsity.
     """
     m = tableau.shape[0] - 1
-    it = 0
-    while it < max_iter:
-        costs = tableau[-1, :-1]
-        entering = -1
-        for j in range(len(costs)):
-            if costs[j] < -_PIVOT_TOL:
-                entering = j  # Bland: smallest eligible index
-                break
-        if entering < 0:
+    rhs = tableau[:m, -1]
+    for it in range(max_iter):
+        eligible = np.flatnonzero(tableau[-1, :-1] < -_PIVOT_TOL)
+        if not len(eligible):
             return it
+        entering = int(eligible[0])  # Bland: smallest eligible index
         col = tableau[:m, entering]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
         best_ratio, leaving = np.inf, -1
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = tableau[i, -1] / col[i]
-                if (ratio < best_ratio - 1e-12
-                        or (abs(ratio - best_ratio) <= 1e-12
-                            and (leaving < 0 or basis[i] < basis[leaving]))):
-                    best_ratio, leaving = ratio, i
+        for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
+            if (ratio < best_ratio - 1e-12
+                    or (abs(ratio - best_ratio) <= 1e-12
+                        and (leaving < 0 or basis[i] < basis[leaving]))):
+                best_ratio, leaving = ratio, i
         if leaving < 0:
             raise _Unbounded
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
-        it += 1
-    raise RuntimeError("simplex iteration limit reached")
+    raise RuntimeError(f"simplex iteration limit reached: {max_iter} pivots "
+                       f"on a {m} x {tableau.shape[1] - 1} tableau")
 
 
 class _Unbounded(Exception):
     pass
 
 
+def _zeros(shape):
+    """Zero float array on an anonymous memory map of its own.  Freeing
+    it returns its pages to the system at once, so the peak memory of a
+    sequence of LPs is that of the largest one, not a matter of which
+    freed heap blocks a later, larger tableau happens to fit into."""
+    size = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(8 * size, 1))
+    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
+
+
 def _pivot(tableau, row, col):
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    """Gauss-Jordan step on (row, col).  Only the rows with a nonzero in
+    the pivot column and the columns with a nonzero in the pivot row
+    change, so the update is a block of that size.  It is applied in
+    bands of rows of at most `_BLOCK_ELEMENTS` entries, so its temporaries
+    stay small however much the tableau has filled in."""
+    prow = tableau[row]
+    prow /= prow[col]
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    cols = np.flatnonzero(prow)
+    pcols = prow[cols]
+    step = max(1, _BLOCK_ELEMENTS // max(len(cols), 1))
+    for start in range(0, len(rows), step):
+        band = rows[start:start + step]
+        tableau[np.ix_(band, cols)] -= np.outer(tableau[band, col], pcols)
+
+
+def _price(tableau, c, basis):
+    """Objective row: costs c reduced against the basis rows."""
+    tableau[-1, :len(c)] = c
+    for i, j in enumerate(basis):
+        tableau[-1] -= c[j] * tableau[i]
 
 
 def lp_solve(problem: LPProblem, basis_hint=None) -> LPSolution:
     """Two-phase primal simplex with Bland's rule.
 
     `basis_hint`: optional starting basis (column indices, one per row)
-    that is already primal feasible; skips phase 1.
+    that is already primal feasible; skips phase 1.  A vertex whose
+    residual max |A x - b| exceeds the feasibility tolerance is returned
+    with status NUMERICAL.
     """
-    a = problem.a_eq.copy()
-    b = problem.b_eq.copy()
-    c = problem.c.copy()
-    m, n = a.shape
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
+    c = problem.c
+    m, n = problem.a_eq.shape
+    n_artificial = 0 if basis_hint is not None else m
+    tableau = _zeros((m + 1, n + n_artificial + 1))
+    sign = np.where(problem.b_eq < 0, -1.0, 1.0)  # rows flipped to b >= 0
+    np.multiply(problem.a_eq, sign[:, None], out=tableau[:m, :n])
+    np.multiply(problem.b_eq, sign, out=tableau[:m, -1])
 
     iterations = 0
     if basis_hint is not None:
         basis = list(basis_hint)
-        tableau = np.zeros((m + 1, n + 1))
-        tableau[:m, :n] = a
-        tableau[:m, -1] = b
         # reduce so basis columns are the identity
         for i, j in enumerate(basis):
-            tableau[i] /= tableau[i, j]
-            for k in range(m):
-                if k != i and tableau[k, j] != 0.0:
-                    tableau[k] -= tableau[k, j] * tableau[i]
+            _pivot(tableau, i, j)
         if np.any(tableau[:m, -1] < -_FEAS_TOL):
             return lp_solve(problem)  # hint not feasible; fall back
-        tableau[-1, :n] = c
-        for i, j in enumerate(basis):
-            tableau[-1] -= c[j] * tableau[i]
+        _price(tableau, c, basis)
     else:
         # phase 1 with artificial variables
-        tableau = np.zeros((m + 1, n + m + 1))
-        tableau[:m, :n] = a
-        tableau[:m, n:n + m] = np.eye(m)
-        tableau[:m, -1] = b
         basis = list(range(n, n + m))
+        tableau[np.arange(m), basis] = 1.0
         tableau[-1, n:n + m] = 1.0
         for i in range(m):
             tableau[-1] -= tableau[i]
         try:
-            iterations += _simplex_phase(tableau, basis, n)
+            iterations += _simplex_phase(tableau, basis)
         except _Unbounded:
             raise RuntimeError("phase-1 LP cannot be unbounded")
         if tableau[-1, -1] < -_FEAS_TOL:
@@ -155,35 +173,31 @@ def lp_solve(problem: LPProblem, basis_hint=None) -> LPSolution:
         # drive remaining artificials out of the basis where possible
         for i in range(m):
             if basis[i] >= n:
-                for j in range(n):
-                    if abs(tableau[i, j]) > _PIVOT_TOL:
-                        _pivot(tableau, i, j)
-                        basis[i] = j
-                        break
+                nz = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
+                if len(nz):
+                    _pivot(tableau, i, int(nz[0]))
+                    basis[i] = int(nz[0])
         keep = [i for i in range(m) if basis[i] < n]
-        tableau = np.vstack([
-            np.hstack([tableau[keep][:, :n], tableau[keep][:, -1:]]),
-            np.zeros((1, n + 1)),
-        ])
+        reduced = _zeros((len(keep) + 1, n + 1))
+        np.take(tableau[:, :n], keep, axis=0, out=reduced[:-1, :n])
+        reduced[:-1, -1] = tableau[keep, -1]
+        tableau = reduced
         basis = [basis[i] for i in keep]
-        m = len(basis)
-        tableau[-1, :n] = c
-        for i, j in enumerate(basis):
-            tableau[-1] -= c[j] * tableau[i]
+        _price(tableau, c, basis)
 
     try:
-        iterations += _simplex_phase(tableau, basis, n)
+        iterations += _simplex_phase(tableau, basis)
     except _Unbounded:
         return LPSolution("UNBOUNDED", iterations=iterations)
 
     x = np.zeros(n)
-    for i, j in enumerate(basis):
-        x[j] = tableau[i, -1]
-    residual = np.linalg.norm(problem.a_eq @ x - problem.b_eq, np.inf)
-    obj = float(problem.c @ x)
-    if residual > _FEAS_TOL or not np.isfinite(obj):
-        return LPSolution("INFEASIBLE", iterations=iterations)
-    return LPSolution("OPTIMAL", obj, x, list(basis), iterations)
+    x[basis] = tableau[:len(basis), -1]
+    residual = float(np.linalg.norm(problem.a_eq @ x - problem.b_eq, np.inf))
+    obj = float(c @ x)
+    if not residual <= _FEAS_TOL or not np.isfinite(obj):
+        return LPSolution("NUMERICAL", obj, x, list(basis), iterations,
+                          residual)
+    return LPSolution("OPTIMAL", obj, x, list(basis), iterations, residual)
 
 
 def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
@@ -206,11 +220,21 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
         vol_s = np.zeros(0)
     # variables: [R+, R-, S+, S-]
     c = np.concatenate([vol_r, vol_r, vol_s, vol_s])
-    a = np.hstack([np.eye(n_r), -np.eye(n_r), bmat, -bmat])
+    a = _zeros((n_r, 2 * n_r + 2 * n_s))
+    diag = np.arange(n_r)
+    a[diag, diag] = 1.0
+    a[diag, n_r + diag] = -1.0
+    a[:, 2 * n_r:2 * n_r + n_s] = bmat
+    np.negative(bmat, out=a[:, 2 * n_r + n_s:])
     problem = LPProblem(c, a, t)
     # R = t, S = 0 is feasible: basis of R+ or R- picked by sign of t
     hint = [i if t[i] >= 0 else n_r + i for i in range(n_r)]
     sol = lp_solve(problem, basis_hint=hint)
+    if sol.status == "NUMERICAL":
+        raise RuntimeError(
+            f"flat-norm LP ({n_r} x {len(c)}) lost feasibility: residual "
+            f"max|A x - b| = {sol.residual:.3g} exceeds the tolerance "
+            f"{_FEAS_TOL:g} after {sol.iterations} pivots")
     if sol.status != "OPTIMAL":
         raise RuntimeError(f"flat-norm LP terminated with {sol.status}")
     x = sol.x
@@ -228,8 +252,10 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
 
 
 def dual_flat_lower_bound(T: Current, family, box: Box, **kw) -> float:
-    """max over the test family of T(phi) / F_K(phi); a certified lower
-    bound for the K-flat norm of T."""
+    """max over the test family of T(phi) / F_K(phi): an estimate of a
+    lower bound for the K-flat norm of T, not a certified one.  F_K is a
+    sup sampled on the box grid, which can fall short of the true sup, so
+    the ratio can exceed the bound it estimates."""
     if not family:
         raise ValueError("empty test family")
     best = 0.0
@@ -242,8 +268,9 @@ def dual_flat_lower_bound(T: Current, family, box: Box, **kw) -> float:
 
 
 def sharp_lower_bound(T: Current, family, box: Box, **kw) -> float:
-    """max over the test family of T(phi) / S_K(phi); lower bound for the
-    sharp norm, never exceeding the flat lower bound on the same family."""
+    """max over the test family of T(phi) / S_K(phi): a sampled estimate of
+    a lower bound for the sharp norm, like `dual_flat_lower_bound`; it
+    never exceeds the flat estimate on the same family and grid."""
     if not family:
         raise ValueError("empty test family")
     best = 0.0

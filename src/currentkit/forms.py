@@ -8,8 +8,6 @@ the comass/flat/sharp seminorms.
 
 from __future__ import annotations
 
-import itertools
-import json
 from dataclasses import dataclass
 from math import comb
 

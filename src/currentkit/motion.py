@@ -4,12 +4,12 @@ derivative with its finite-difference oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge, boundary,
-                     evaluate, v_wedge)
+                     evaluate)
 from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, lie_derivative, pullback,
                     seminorm_comass)

@@ -7,7 +7,6 @@ integer-coefficient data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -6,8 +6,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .chains import (Chain, boundary, triangle_chain, unit_interval_chain,
                      unit_square_chain)
 from .forms import Box, TimePolynomialForm

@@ -118,6 +118,13 @@ class TestFlatnorm:
             m = _value(rows, name, "mass")
             assert sharp <= dual + 1e-6 <= flat + 2e-6 <= m + 3e-6
 
+    def test_zero_test_form_is_redrawn(self, tmp_path):
+        # seed 0 draws an identically zero affine test form for the ladder
+        assert main(["flatnorm", "--seed", "0", "--out", str(tmp_path)]) == 0
+        rows = _read(tmp_path / "flatnorm.csv")
+        assert all(r["value"] not in ("", "nan")
+                   for r in rows if r["quantity"].endswith("lower_bound"))
+
 
 class TestConverge:
     def test_fitted_orders(self, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from currentkit.chains import (Chain, boundary, mass_chain,
                                unit_square_chain)
 from currentkit.complexes import SimplicialComplex, freudenthal_complex
-from currentkit.flatnorm import (LPProblem, dual_flat_lower_bound,
+from currentkit import flatnorm
+from currentkit.flatnorm import (LPProblem, LPSolution, dual_flat_lower_bound,
                                  export_lp_text, flat_norm_lp, lp_solve,
                                  sharp_lower_bound)
 from currentkit.forms import Box, FormField
@@ -50,6 +51,23 @@ class TestLPSolver:
         warm = lp_solve(LPProblem(c, a, b), basis_hint=[0, 1])
         assert cold.status == warm.status == "OPTIMAL"
         assert warm.objective == pytest.approx(cold.objective)
+
+    def test_lost_accuracy_is_numerical_not_infeasible(self):
+        # feasible by construction (b = A x0, x0 >= 0), but pivoting on the
+        # 1e-9 entry loses the 1e-4 column: the vertex misses b by 2.5e-5
+        a = np.array([[-1.0, 1e-9, -1e8], [-1e4, 1e-4, -1e-9]])
+        b = a @ np.array([0.5, 0.25, 0.9])
+        sol = lp_solve(LPProblem([1.0, 1.0, 1.0], a, b))
+        assert sol.status == "NUMERICAL"
+        assert sol.residual > 1e-6
+        assert sol.residual == pytest.approx(
+            np.abs(a @ sol.x - b).max())
+
+    def test_iteration_limit_names_the_problem(self):
+        # min x - y  s.t.  x + y = 4, x basic: one pivot is needed
+        tableau = np.array([[1.0, 1.0, 4.0], [0.0, -2.0, -4.0]])
+        with pytest.raises(RuntimeError, match=r"0 pivots on a 1 x 2"):
+            flatnorm._simplex_phase(tableau, [0], max_iter=0)
 
     def test_nonfinite_data_rejected(self):
         with pytest.raises(ValueError):
@@ -151,11 +169,80 @@ class TestFlatNorm:
         assert value == pytest.approx(mass_chain(T), abs=1e-10)
         assert info["mass_S"] == 0.0
 
+    def test_numerical_failure_raises_with_residual(self, monkeypatch):
+        def lost(problem, basis_hint=None):
+            return LPSolution("NUMERICAL", iterations=7, residual=3e-5)
+
+        monkeypatch.setattr(flatnorm, "lp_solve", lost)
+        comp = freudenthal_complex((0, 0), (1, 1), 2)
+        T = boundary(comp.full_chain())
+        with pytest.raises(RuntimeError,
+                           match=r"residual .* = 3e-05 exceeds the "
+                                 r"tolerance 1e-08 after 7 pivots"):
+            flat_norm_lp(T, comp)
+
     def test_zero_chain(self):
         comp = freudenthal_complex((0, 0), (1, 1), 2)
         T = Chain([], 1, 2)
         value, *_ = flat_norm_lp(T, comp)
         assert value == pytest.approx(0.0, abs=1e-12)
+
+
+def _cell_union_boundary(comp, seed):
+    rng = np.random.default_rng(seed)
+    cells = rng.random(comp.n_simplices(2)) < 0.4
+    return boundary(comp.simplex_chain(2, cells.astype(float)))
+
+
+def _signed_edge_chain(comp, seed):
+    rng = np.random.default_rng(seed)
+    return comp.simplex_chain(
+        1, rng.choice([-1.0, 0.0, 1.0], comp.n_simplices(1)))
+
+
+class TestPivotPath:
+    """The simplex follows a fixed pivot sequence: Bland's rule on the
+    resolution-8 Freudenthal square.  Value and pivot count are pinned, so
+    a change to the pivoting that alters the path shows here."""
+
+    CASES = [(_cell_union_boundary, 8, 0.46093750000000017, 390),
+             (_signed_edge_chain, 9, 10.05989132004283, 403)]
+
+    @pytest.mark.parametrize("make, seed, value, pivots", CASES)
+    def test_value_and_pivot_count(self, make, seed, value, pivots):
+        comp = freudenthal_complex((0, 0), (1, 1), 8)
+        got, _, _, info = flat_norm_lp(make(comp, seed), comp)
+        assert info["iterations"] == pivots
+        assert got == pytest.approx(value, rel=1e-13)
+
+    @pytest.mark.parametrize("make, seed, value, pivots", CASES)
+    def test_banded_update_keeps_the_path(self, make, seed, value, pivots,
+                                          monkeypatch):
+        # one row per band against one band for the whole block: the
+        # pivot path and the optimum agree bit for bit
+        comp = freudenthal_complex((0, 0), (1, 1), 8)
+        T = make(comp, seed)
+        monkeypatch.setattr(flatnorm, "_BLOCK_ELEMENTS", 1 << 30)
+        whole, _, _, info_whole = flat_norm_lp(T, comp)
+        monkeypatch.setattr(flatnorm, "_BLOCK_ELEMENTS", 1)
+        banded, _, _, info_banded = flat_norm_lp(T, comp)
+        assert info_banded["iterations"] == info_whole["iterations"] == pivots
+        assert banded == whole
+
+    @pytest.mark.parametrize("make, seed, value, pivots", CASES)
+    def test_pinned_value_matches_highs(self, make, seed, value, pivots):
+        optimize = pytest.importorskip("scipy.optimize")
+        comp = freudenthal_complex((0, 0), (1, 1), 8)
+        t = comp.chain_vector(make(comp, seed))
+        bmat = comp.boundary_matrix(2)
+        eye = np.eye(len(t))
+        vol_r, vol_s = comp.volumes(1), comp.volumes(2)
+        res = optimize.linprog(
+            np.concatenate([vol_r, vol_r, vol_s, vol_s]),
+            A_eq=np.hstack([eye, -eye, bmat, -bmat]), b_eq=t,
+            bounds=(0, None), method="highs")
+        assert res.status == 0
+        assert value == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
 
 
 class TestDualBounds:
