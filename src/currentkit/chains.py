@@ -5,15 +5,16 @@ against forms by quadrature."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exterior import MultiVector, frame_to_multivector, pair
+from .exterior import MultiVector, pair, perm_sign, wedge_rows
 from .forms import (FormField, VectorField, contract, exterior_derivative,
                     time_slice_contract)
-from .quadrature import (integrate_interval, simplex_rule, simplex_volume,
-                         subdivide_barycentric)
+from .quadrature import (grundmann_moller, integrate_interval,
+                         simplex_volume, simplex_volumes, subdivide_simplices)
 
 __all__ = [
     "Simplex",
@@ -54,6 +55,15 @@ class Simplex:
         if self.sign not in (-1, 1):
             raise ValueError("orientation sign must be +1 or -1")
 
+    @classmethod
+    def _trusted(cls, vertices: np.ndarray, sign: int) -> "Simplex":
+        """Simplex on a read-only (r+1, n) float array and a sign of +-1,
+        without the copy and the checks of the constructor."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "vertices", vertices)
+        object.__setattr__(s, "sign", sign)
+        return s
+
     @property
     def degree(self) -> int:
         return self.vertices.shape[0] - 1
@@ -71,12 +81,8 @@ class Simplex:
         r = self.degree
         if r == 0:
             return MultiVector(0, self.ambient, np.array([float(self.sign)]))
-        edges = (self.vertices[1:] - self.vertices[0]).T  # n x r
-        xi = frame_to_multivector(edges)
-        m = xi.norm()
-        if m <= _DEGENERACY_TOL:
-            raise ValueError("degenerate simplex: vertices affinely dependent")
-        return xi * (self.sign / m)
+        coeffs = _unit_tangents(self.vertices[None], np.array([self.sign]))
+        return MultiVector(r, self.ambient, coeffs[0])
 
     def faces(self):
         """Boundary faces with the alternating-sum signs."""
@@ -93,50 +99,43 @@ class Simplex:
 
     def subdivided(self, levels: int = 1):
         """Uniform edgewise subdivision into 2^(r*levels) children."""
-        current = [(self.vertices, self.sign)]
-        for _ in range(levels):
-            nxt = []
-            for verts, sgn in current:
-                for child, csign in subdivide_barycentric(verts):
-                    nxt.append((child, sgn * csign))
-            current = nxt
-        return [Simplex(v, s) for v, s in current]
+        verts, signs = subdivide_simplices(self.vertices[None], [self.sign],
+                                           levels)
+        return [Simplex(v, s) for v, s in zip(verts, signs.tolist())]
 
     def canonical_key(self):
         """Hashable key identifying the unoriented simplex, plus the sign of
         this simplex relative to the vertex-sorted representative."""
         rows = [tuple(np.round(row, _KEY_DECIMALS)) for row in self.vertices]
         order = sorted(range(len(rows)), key=lambda i: rows[i])
-        parity = _sort_parity(order)
-        return tuple(rows[i] for i in order), self.sign * parity
+        return tuple(rows[i] for i in order), self.sign * perm_sign(order)
 
 
-def _sort_parity(order) -> int:
-    seen = [False] * len(order)
-    sign = 1
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
+def _unit_tangents(vertices: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Orienting unit r-vectors of a stack of r-simplices, r >= 1: the
+    normalized wedge of the edges from the first vertex, times the sign.
+    Shape (N, r+1, n) -> (N, C(n, r))."""
+    xi = wedge_rows(vertices[:, 1:] - vertices[:, :1])
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("non-finite simplex: vertices or edge wedge "
+                         "not finite")
+    norms = np.sqrt(np.matmul(xi[:, None, :], xi[:, :, None]))[:, 0, 0]
+    if np.any(norms <= _DEGENERACY_TOL):
+        raise ValueError("degenerate simplex: vertices affinely dependent")
+    return xi * (signs / norms)[:, None]
 
 
 class Chain:
     """Simplicial r-chain with real multiplicities.
 
-    Mass equals the multiplicity-weighted volume; exact under the
-    disjoint-interior convention, otherwise only an upper bound (flagged).
+    Mass equals the multiplicity-weighted volume; exact when the simplices
+    have disjoint interiors, otherwise only an upper bound.
     """
 
-    def __init__(self, terms, degree=None, ambient=None,
-                 disjoint_interiors=True):
+    def __init__(self, terms, degree=None, ambient=None):
         terms = [(s, float(m)) for s, m in terms if m != 0.0]
+        if not all(math.isfinite(m) for _, m in terms):
+            raise ValueError("non-finite chain multiplicity")
         if terms:
             degree = terms[0][0].degree
             ambient = terms[0][0].ambient
@@ -148,7 +147,42 @@ class Chain:
         self.terms = terms
         self.degree = degree
         self.ambient = ambient
-        self.disjoint_interiors = disjoint_interiors
+
+    @classmethod
+    def from_stacked(cls, vertices, signs, multiplicities, degree: int,
+                     ambient: int) -> "Chain":
+        """Chain from the arrays `stacked` returns.  The simplices are rows
+        of one read-only copy of `vertices`; zero multiplicities drop."""
+        vertices = np.array(vertices, dtype=float)
+        signs = np.asarray(signs)
+        mults = np.asarray(multiplicities, dtype=float)
+        if (vertices.ndim != 3
+                or not vertices.shape[0] == len(signs) == len(mults)
+                or vertices.shape[1:] != (degree + 1, ambient)):
+            raise ValueError("stacked chain arrays do not match")
+        if not np.all(np.isfinite(mults)):
+            raise ValueError("non-finite chain multiplicity")
+        if not np.all(np.abs(signs) == 1):
+            raise ValueError("orientation sign must be +1 or -1")
+        vertices.flags.writeable = False
+        keep = mults != 0.0
+        chain = cls.__new__(cls)
+        chain.terms = [(Simplex._trusted(v, s), m) for v, s, m in
+                       zip(vertices[keep], signs[keep].tolist(),
+                           mults[keep].tolist())]
+        chain.degree = degree
+        chain.ambient = ambient
+        return chain
+
+    def stacked(self):
+        """The simplices as arrays: vertices (N, r+1, n), orientation signs
+        (N,) and multiplicities (N,), in chain order."""
+        if not self.terms:
+            return (np.zeros((0, self.degree + 1, self.ambient)),
+                    np.zeros(0, dtype=int), np.zeros(0))
+        return (np.stack([s.vertices for s, _ in self.terms]),
+                np.array([s.sign for s, _ in self.terms]),
+                np.array([m for _, m in self.terms]))
 
     def __iter__(self):
         return iter(self.terms)
@@ -159,12 +193,11 @@ class Chain:
     def __add__(self, other: "Chain") -> "Chain":
         if (self.degree, self.ambient) != (other.degree, other.ambient):
             raise ValueError("chain degree/ambient mismatch")
-        return Chain(self.terms + other.terms, self.degree, self.ambient,
-                     self.disjoint_interiors and other.disjoint_interiors)
+        return Chain(self.terms + other.terms, self.degree, self.ambient)
 
     def __mul__(self, c: float) -> "Chain":
         return Chain([(s, m * c) for s, m in self.terms],
-                     self.degree, self.ambient, self.disjoint_interiors)
+                     self.degree, self.ambient)
 
     __rmul__ = __mul__
 
@@ -184,16 +217,17 @@ class Chain:
             if key not in reps:
                 reps[key] = Simplex(np.array(key), 1)
         terms = [(reps[k], c) for k, c in acc.items() if abs(c) > tol]
-        return Chain(terms, self.degree, self.ambient,
-                     self.disjoint_interiors)
+        return Chain(terms, self.degree, self.ambient)
 
     def subdivided(self, levels: int = 1) -> "Chain":
-        terms = []
-        for s, m in self.terms:
-            for child in s.subdivided(levels):
-                terms.append((child, m))
-        return Chain(terms, self.degree, self.ambient,
-                     self.disjoint_interiors)
+        """Every simplex split by `levels` rounds of edgewise subdivision;
+        the children of a simplex are consecutive and keep its
+        multiplicity."""
+        verts, signs, mults = self.stacked()
+        verts, signs = subdivide_simplices(verts, signs, levels)
+        return Chain.from_stacked(
+            verts, signs, np.repeat(mults, 2 ** (self.degree * levels)),
+            self.degree, self.ambient)
 
     def support_points(self) -> np.ndarray:
         if not self.terms:
@@ -221,6 +255,8 @@ class Chain:
     @classmethod
     def from_json_obj(cls, obj) -> "Chain":
         table = np.asarray(obj["vertex_table"], dtype=float)
+        if not np.all(np.isfinite(table)):
+            raise ValueError("non-finite entry in the chain's vertex_table")
         terms = []
         for rec in obj["simplices"]:
             verts = table[rec["vertices"]]
@@ -310,17 +346,30 @@ def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2,
     if phi.degree != chain.degree or phi.ambient != chain.ambient:
         raise ValueError("form degree/ambient does not match the chain")
     work = chain.subdivided(subdivision) if subdivision else chain
-    total = 0.0
-    for simplex, mult in work:
-        if simplex.degree == 0:
+    if work.degree == 0:
+        total = 0.0
+        for simplex, mult in work:
             total += mult * pair(phi(simplex.vertices[0]),
                                  simplex.unit_tangent())
-            continue
-        tangent = simplex.unit_tangent()
-        pts, wts = simplex_rule(simplex.vertices, s=s_order)
-        coeffs = phi.coefficients_at(pts)
-        total += mult * float(coeffs @ tangent.coefficients @ wts)
-    return total
+        return total
+    if not work.terms:
+        return 0.0
+    # All simplices at once.  Each per-simplex step is a stacked matmul or
+    # an elementwise op, which runs the same kernel per item as the call
+    # on one simplex did, so each simplex's value is bit-identical to it;
+    # the total is summed sequentially in chain order, as before.
+    verts, signs, mults = work.stacked()
+    bary, w = grundmann_moller(work.degree, s_order)
+    tangents = _unit_tangents(verts, signs)
+    pts = np.matmul(bary, verts)
+    wts = w * simplex_volumes(verts)[:, None]
+    coeffs = phi.coefficients_at(pts.reshape(-1, work.ambient))
+    count = len(mults)
+    at_points = np.matmul(coeffs.reshape(count, len(w), -1),
+                          tangents[:, :, None])
+    values = np.matmul(at_points.reshape(count, 1, -1),
+                       wts[:, :, None])[:, 0, 0]
+    return float(np.cumsum(np.concatenate(([0.0], mults * values)))[-1])
 
 
 def evaluate(T: Current, phi: FormField, s_order: int = 2,

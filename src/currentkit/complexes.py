@@ -10,7 +10,8 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .chains import Chain, Simplex, _sort_parity
+from .chains import Chain, Simplex
+from .exterior import perm_sign
 
 __all__ = ["SimplicialComplex", "freudenthal_complex"]
 
@@ -90,7 +91,7 @@ class SimplicialComplex:
             sorted_tuple = tuple(idxs[i] for i in order)
             if sorted_tuple not in self._rank[r]:
                 raise ValueError(f"simplex {sorted_tuple} not in complex")
-            rel = _sort_parity(order) * s.sign
+            rel = perm_sign(order) * s.sign
             vec[self._rank[r][sorted_tuple]] += rel * m
         return vec
 
@@ -130,24 +131,9 @@ def freudenthal_complex(lower, upper, resolution: int) -> SimplicialComplex:
                 ids.append(vid(g))
             # parity of the path permutation gives the simplex orientation;
             # sorted-order reference sign folds in the sorting parity
-            path_sign = _perm_parity(perm)
+            path_sign = perm_sign(perm)
             order = sorted(range(len(ids)), key=lambda i: ids[i])
-            orients.append(path_sign * _sort_parity(order))
+            orients.append(path_sign * perm_sign(order))
             tops.append(tuple(ids))
     return SimplicialComplex(verts, tops, orients)
 
-
-def _perm_parity(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign

@@ -27,6 +27,8 @@ __all__ = [
     "comass",
     "random_simple_unit",
     "frame_to_multivector",
+    "wedge_rows",
+    "perm_sign",
 ]
 
 
@@ -159,6 +161,21 @@ class CoVector(MultiVector):
         return cls(len(index), ambient, c)
 
 
+@lru_cache(maxsize=None)
+def _wedge_terms(p: int, q: int, n: int):
+    """The terms of a p-vector wedge a q-vector over R^n that alternation
+    does not kill, as (index in a, index in b, output rank, sign), in the
+    order of a loop over the indices of a, then of b."""
+    ranks = _rank_table(p + q, n)
+    terms = []
+    for i, la in enumerate(multi_indices(p, n)):
+        for j, lb in enumerate(multi_indices(q, n)):
+            merged, sign = _merge_sign(la, lb)
+            if sign:
+                terms.append((i, j, ranks[merged], sign))
+    return tuple(terms)
+
+
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     """Exterior product; bilinear, associative, graded-anticommutative."""
     if a.ambient != b.ambient:
@@ -167,19 +184,10 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     if p + q > n:
         raise ValueError(f"degree overflow: {p}+{q} > ambient {n}")
     out = np.zeros(comb(n, p + q))
-    idx_a = multi_indices(p, n)
-    idx_b = multi_indices(q, n)
-    ranks = _rank_table(p + q, n)
-    ca, cb = a.coefficients, b.coefficients
-    for i, la in enumerate(idx_a):
-        if ca[i] == 0.0:
-            continue
-        for j, lb in enumerate(idx_b):
-            if cb[j] == 0.0:
-                continue
-            merged, sign = _merge_sign(la, lb)
-            if sign:
-                out[ranks[merged]] += sign * ca[i] * cb[j]
+    ca, cb = a.coefficients.tolist(), b.coefficients.tolist()
+    for i, j, k, sign in _wedge_terms(p, q, n):
+        if ca[i] != 0.0 and cb[j] != 0.0:
+            out[k] += sign * ca[i] * cb[j]
     cls = CoVector if isinstance(a, CoVector) else MultiVector
     return cls(p + q, n, out)
 
@@ -231,6 +239,27 @@ def frame_to_multivector(frame: np.ndarray) -> MultiVector:
     out = MultiVector.from_vector(frame[:, 0])
     for j in range(1, r):
         out = wedge(out, MultiVector.from_vector(frame[:, j]))
+    return out
+
+
+def wedge_rows(rows: np.ndarray) -> np.ndarray:
+    """Wedge of the rows of each matrix in a stack of shape (N, r, n), as
+    coefficients of shape (N, C(n, r)).
+
+    Row i equals frame_to_multivector(rows[i].T).coefficients bit for bit:
+    the same terms are added in the same order, elementwise over N.
+    """
+    rows = np.asarray(rows, dtype=float)
+    count, r, n = rows.shape
+    if r == 0:
+        return np.ones((count, 1))
+    out = rows[:, 0, :].copy()
+    for p in range(1, r):
+        nxt = np.zeros((count, comb(n, p + 1)))
+        col = rows[:, p, :]
+        for i, j, k, sign in _wedge_terms(p, 1, n):
+            nxt[:, k] += sign * out[:, i] * col[:, j]
+        out = nxt
     return out
 
 
@@ -313,3 +342,20 @@ def comass(omega: CoVector, restarts: int = 100, tol: float = 1e-8,
         if val > best_val:
             best_val, best_q = val, q
     return best_val, frame_to_multivector(best_q)
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)): +1 if even, -1 if odd."""
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, cycle = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            cycle += 1
+        if cycle % 2 == 0:
+            sign = -sign
+    return sign

@@ -132,13 +132,24 @@ def _price(tableau, c, basis):
         tableau[-1] -= c[j] * tableau[i]
 
 
+def _feasibility_tolerance(problem: LPProblem, x) -> np.ndarray:
+    """Per-row bound on |A x - b| for a vertex solved to round-off:
+    _FEAS_TOL plus n eps (|A| |x| + |b|).  |A| |x| is summed over the
+    nonzero columns of x one at a time, with no copy of A."""
+    scale = np.abs(problem.b_eq)
+    for j in np.flatnonzero(x).tolist():
+        scale += np.abs(problem.a_eq[:, j]) * abs(x[j])
+    return _FEAS_TOL + x.size * np.finfo(float).eps * scale
+
+
 def lp_solve(problem: LPProblem, basis_hint=None) -> LPSolution:
     """Two-phase primal simplex with Bland's rule.
 
     `basis_hint`: optional starting basis (column indices, one per row)
-    that is already primal feasible; skips phase 1.  A vertex whose
-    residual max |A x - b| exceeds the feasibility tolerance is returned
-    with status NUMERICAL.
+    that is already primal feasible; skips phase 1.  A vertex that misses
+    a row of A x = b by more than the feasibility tolerance, which grows
+    with the row's scale (`_feasibility_tolerance`), is returned with
+    status NUMERICAL.
     """
     c = problem.c
     m, n = problem.a_eq.shape
@@ -192,9 +203,11 @@ def lp_solve(problem: LPProblem, basis_hint=None) -> LPSolution:
 
     x = np.zeros(n)
     x[basis] = tableau[:len(basis), -1]
-    residual = float(np.linalg.norm(problem.a_eq @ x - problem.b_eq, np.inf))
+    miss = np.abs(problem.a_eq @ x - problem.b_eq)
+    residual = float(np.max(miss, initial=0.0))
     obj = float(c @ x)
-    if not residual <= _FEAS_TOL or not np.isfinite(obj):
+    if not np.all(miss <= _feasibility_tolerance(problem, x)) \
+            or not np.isfinite(obj):
         return LPSolution("NUMERICAL", obj, x, list(basis), iterations,
                           residual)
     return LPSolution("OPTIMAL", obj, x, list(basis), iterations, residual)
@@ -234,7 +247,8 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
         raise RuntimeError(
             f"flat-norm LP ({n_r} x {len(c)}) lost feasibility: residual "
             f"max|A x - b| = {sol.residual:.3g} exceeds the tolerance "
-            f"{_FEAS_TOL:g} after {sol.iterations} pivots")
+            f"{_FEAS_TOL:g} after {sol.iterations} pivots (plus n eps "
+            f"times the row's |A||x| + |b|)")
     if sol.status != "OPTIMAL":
         raise RuntimeError(f"flat-norm LP terminated with {sol.status}")
     x = sol.x

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, Simplex
+from .chains import Chain
 from .forms import AffineMap, Box
+from .quadrature import simplex_volumes
 
 __all__ = [
     "LipMap",
@@ -238,15 +239,29 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
             raise ValueError(
                 "map fails injectivity at sampling resolution (c ~ 0)")
     work = T.subdivided(levels) if levels else T
-    terms = []
-    for s, m in work:
-        image = np.stack([f(x) for x in s.vertices])
-        new = Simplex(image, s.sign)
-        if s.degree > 0 and new.volume <= 1e-15 * max(s.volume, 1e-30):
+    if not work.terms:
+        return Chain([], T.degree, T.ambient)
+    verts, signs, mults = work.stacked()
+    points = verts.reshape(-1, T.ambient)
+    points.flags.writeable = False  # as a simplex's own vertices are
+    if isinstance(f.func, AffineMap):
+        # one stacked matrix-vector product: per vertex the same kernel as
+        # the map's own call, so the image is bit-identical to it
+        image = (np.matmul(f.func.mat, points[:, :, None])[:, :, 0]
+                 + f.func.shift)
+    else:
+        image = None
+        for i, x in enumerate(points):
+            y = f(x)
+            if image is None:
+                image = np.empty((len(points), y.size))
+            image[i] = y
+    image = image.reshape(len(verts), T.degree + 1, -1)
+    if T.degree > 0:
+        floor = 1e-15 * np.maximum(simplex_volumes(verts), 1e-30)
+        if np.any(simplex_volumes(image) <= floor):
             raise ValueError("degenerate image simplex in pushforward")
-        terms.append((new, m))
-    return Chain(terms, T.degree, T.ambient,
-                 disjoint_interiors=T.disjoint_interiors)
+    return Chain.from_stacked(image, signs, mults, T.degree, image.shape[2])
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ integer-coefficient data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,8 @@ class Polynomial:
             if any(e < 0 for e in expo):
                 raise ValueError(f"negative exponent in {expo}")
             c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c} of {expo}")
             if c != _DROP:
                 clean[expo] = clean.get(expo, 0.0) + c
         object.__setattr__(self, "terms", clean)

@@ -13,12 +13,17 @@ from math import factorial
 
 import numpy as np
 
+from .exterior import perm_sign
+
 __all__ = [
     "grundmann_moller",
     "simplex_rule",
+    "simplex_volume",
+    "simplex_volumes",
     "integrate_interval",
     "adaptive_interval",
     "subdivide_barycentric",
+    "subdivide_simplices",
 ]
 
 
@@ -57,16 +62,22 @@ def grundmann_moller(dim: int, s: int):
     return pts, wts
 
 
+def simplex_volumes(vertices: np.ndarray) -> np.ndarray:
+    """r-volumes of a stack of simplices, shape (N, r+1, n) -> (N,), by
+    the Gram determinant of each simplex's edges from its first vertex."""
+    v = np.asarray(vertices, dtype=float)
+    r = v.shape[1] - 1
+    if r == 0:
+        return np.ones(v.shape[0])
+    edges = v[:, 1:] - v[:, :1]
+    det = np.linalg.det(np.matmul(edges, edges.transpose(0, 2, 1)))
+    return np.sqrt(np.where(det < 0.0, 0.0, det)) / factorial(r)
+
+
 def simplex_volume(vertices: np.ndarray) -> float:
     """r-volume of a simplex with r+1 vertices in R^n (Gram determinant)."""
     v = np.asarray(vertices, dtype=float)
-    r = v.shape[0] - 1
-    if r == 0:
-        return 1.0
-    edges = v[1:] - v[0]
-    gram = edges @ edges.T
-    det = np.linalg.det(gram)
-    return float(np.sqrt(max(det, 0.0)) / factorial(r))
+    return float(simplex_volumes(v[None])[0])
 
 
 def simplex_rule(vertices: np.ndarray, s: int = 2):
@@ -159,26 +170,10 @@ def _kuhn_children(dim: int, k: int = 2):
             if not ok:
                 continue
             # permutation parity gives the orientation relative to the parent
-            sign = _perm_sign(perm)
+            sign = perm_sign(perm)
             children.append((tuple(map(tuple, arr)), sign))
     assert len(children) == k ** dim
     return tuple(children)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def subdivide_barycentric(vertices: np.ndarray, k: int = 2):
@@ -199,3 +194,37 @@ def subdivide_barycentric(vertices: np.ndarray, k: int = 2):
         y = np.array(yverts)
         child = v[0] + (y / k) @ edges
         yield child, sign
+
+
+@lru_cache(maxsize=None)
+def _halving_children(dim: int):
+    """Children of the k = 2 Kuhn tiling as edge weights, shape
+    (2^dim, dim+1, dim): child vertex j of a simplex v is
+    v[0] + weights[c, j] @ (v[1:] - v[:-1]).  Plus their signs."""
+    kids = _kuhn_children(dim, 2)
+    weights = np.array([yverts for yverts, _ in kids]) / 2
+    weights.flags.writeable = False
+    return weights, np.array([sign for _, sign in kids])
+
+
+def subdivide_simplices(vertices: np.ndarray, signs, levels: int = 1):
+    """`levels` rounds of subdivide_barycentric (k = 2) on a stack of
+    simplices, shape (N, r+1, n), with their orientation signs (N,).
+
+    Returns the children, shape (N 2^(r levels), r+1, n), and their signs
+    (parent sign times child sign).  The children of a parent are
+    consecutive, in subdivide_barycentric's order, and their coordinates
+    equal its output bit for bit.
+    """
+    v = np.asarray(vertices, dtype=float)
+    signs = np.asarray(signs)
+    r, n = v.shape[1] - 1, v.shape[2]
+    if r == 0:
+        return v, signs
+    weights, child_signs = _halving_children(r)
+    for _ in range(levels):
+        edges = v[:, 1:] - v[:, :-1]
+        v = (v[:, None, :1] + np.matmul(weights, edges[:, None])).reshape(
+            -1, r + 1, n)
+        signs = (signs[:, None] * child_signs).ravel()
+    return v, signs

@@ -63,6 +63,15 @@ class TestLPSolver:
         assert sol.residual == pytest.approx(
             np.abs(a @ sol.x - b).max())
 
+    def test_round_off_at_large_scale_is_optimal(self):
+        # feasible by construction, |b| ~ 1.5e8: the vertex found misses b
+        # by one ulp of b (3.0e-8), above the absolute tolerance alone
+        a = np.array([[-1.0, 7.0, 9.0], [-4.0, -7.0, 2.0]])
+        b = a @ (np.array([67.0, 77.0, 64.0]) * 1e6 / 7)
+        sol = lp_solve(LPProblem([1.0, 1.0, 1.0], a, b))
+        assert sol.status == "OPTIMAL"
+        assert flatnorm._FEAS_TOL < sol.residual <= np.spacing(np.abs(b).max())
+
     def test_iteration_limit_names_the_problem(self):
         # min x - y  s.t.  x + y = 4, x basic: one pivot is needed
         tableau = np.array([[1.0, 1.0, 4.0], [0.0, -2.0, -4.0]])

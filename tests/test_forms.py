@@ -57,6 +57,11 @@ class TestPolynomial:
         np.testing.assert_allclose(p.eval_many(pts),
                                    [p(pt) for pt in pts], atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Polynomial(2, {(1, 0): 1.0, (0, 1): bad})
+
 
 class TestExteriorDerivative:
     def test_explicit_one_form(self):
