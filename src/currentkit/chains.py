@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exterior import MultiVector, pair, perm_sign, wedge_rows
+from .exterior import MultiVector, pair, wedge_rows
 from .forms import (FormField, VectorField, contract, exterior_derivative,
                     time_slice_contract)
 from .quadrature import (grundmann_moller, integrate_interval,
@@ -103,13 +103,6 @@ class Simplex:
                                            levels)
         return [Simplex(v, s) for v, s in zip(verts, signs.tolist())]
 
-    def canonical_key(self):
-        """Hashable key identifying the unoriented simplex, plus the sign of
-        this simplex relative to the vertex-sorted representative."""
-        rows = [tuple(np.round(row, _KEY_DECIMALS)) for row in self.vertices]
-        order = sorted(range(len(rows)), key=lambda i: rows[i])
-        return tuple(rows[i] for i in order), self.sign * perm_sign(order)
-
 
 def _unit_tangents(vertices: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Orienting unit r-vectors of a stack of r-simplices, r >= 1: the
@@ -125,15 +118,49 @@ def _unit_tangents(vertices: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return xi * (signs / norms)[:, None]
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def lex_ranks(rows: np.ndarray) -> np.ndarray:
+    """Dense lexicographic rank of each row of an (m, k) array: rows that
+    compare equal, entry by entry, share a rank (for floats, -0.0 == 0.0).
+    Shape (m,)."""
+    if len(rows) == 0:
+        return np.zeros(0, dtype=np.intp)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    step = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ranks = np.empty(len(rows), dtype=np.intp)
+    ranks[order] = np.concatenate(([0], np.cumsum(step)))
+    return ranks
+
+
+def first_occurrences(labels: np.ndarray):
+    """Groups of equal labels (m,), numbered in order of first occurrence:
+    the index of each group's first member, and each label's group."""
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    group = np.empty_like(order)
+    group[order] = np.arange(len(order))
+    return first[order], group[inverse]
+
+
 class Chain:
     """Simplicial r-chain with real multiplicities.
 
-    Mass equals the multiplicity-weighted volume; exact when the simplices
-    have disjoint interiors, otherwise only an upper bound.
+    A chain holds either its terms, `(Simplex, multiplicity)` pairs, or
+    its stacked arrays (see `stacked`), and builds the other form on first
+    use, so chains passed between array operations never build `Simplex`
+    objects.  Mass equals the multiplicity-weighted volume; exact when the
+    simplices have disjoint interiors, otherwise only an upper bound.
     """
 
     def __init__(self, terms, degree=None, ambient=None):
-        terms = [(s, float(m)) for s, m in terms if m != 0.0]
+        terms = tuple((s, float(m)) for s, m in terms if m != 0.0)
         if not all(math.isfinite(m) for _, m in terms):
             raise ValueError("non-finite chain multiplicity")
         if terms:
@@ -144,18 +171,19 @@ class Chain:
                     raise ValueError("mixed degrees/ambients in chain")
         elif degree is None or ambient is None:
             raise ValueError("empty chain needs explicit degree and ambient")
-        self.terms = terms
+        self._terms = terms
+        self._stacked = None
         self.degree = degree
         self.ambient = ambient
 
     @classmethod
     def from_stacked(cls, vertices, signs, multiplicities, degree: int,
                      ambient: int) -> "Chain":
-        """Chain from the arrays `stacked` returns.  The simplices are rows
-        of one read-only copy of `vertices`; zero multiplicities drop."""
+        """Chain from the arrays `stacked` returns, kept as read-only
+        copies; zero multiplicities drop."""
         vertices = np.array(vertices, dtype=float)
         signs = np.asarray(signs)
-        mults = np.asarray(multiplicities, dtype=float)
+        mults = np.array(multiplicities, dtype=float)
         if (vertices.ndim != 3
                 or not vertices.shape[0] == len(signs) == len(mults)
                 or vertices.shape[1:] != (degree + 1, ambient)):
@@ -164,40 +192,63 @@ class Chain:
             raise ValueError("non-finite chain multiplicity")
         if not np.all(np.abs(signs) == 1):
             raise ValueError("orientation sign must be +1 or -1")
-        vertices.flags.writeable = False
+        signs = signs.astype(int)
         keep = mults != 0.0
+        if not keep.all():
+            vertices, signs, mults = vertices[keep], signs[keep], mults[keep]
         chain = cls.__new__(cls)
-        chain.terms = [(Simplex._trusted(v, s), m) for v, s, m in
-                       zip(vertices[keep], signs[keep].tolist(),
-                           mults[keep].tolist())]
+        chain._terms = None
+        chain._stacked = _read_only(vertices, signs, mults)
         chain.degree = degree
         chain.ambient = ambient
         return chain
 
+    @property
+    def terms(self) -> tuple:
+        """The `(Simplex, multiplicity)` pairs, in chain order."""
+        if self._terms is None:
+            verts, signs, mults = self._stacked
+            self._terms = tuple(
+                (Simplex._trusted(v, s), m)
+                for v, s, m in zip(verts, signs.tolist(), mults.tolist()))
+        return self._terms
+
     def stacked(self):
-        """The simplices as arrays: vertices (N, r+1, n), orientation signs
-        (N,) and multiplicities (N,), in chain order."""
-        if not self.terms:
-            return (np.zeros((0, self.degree + 1, self.ambient)),
-                    np.zeros(0, dtype=int), np.zeros(0))
-        return (np.stack([s.vertices for s, _ in self.terms]),
-                np.array([s.sign for s, _ in self.terms]),
-                np.array([m for _, m in self.terms]))
+        """The simplices as read-only arrays: vertices (N, r+1, n),
+        orientation signs (N,) of an integer dtype and multiplicities (N,),
+        in chain order."""
+        if self._stacked is None:
+            if self._terms:
+                arrays = (np.stack([s.vertices for s, _ in self._terms]),
+                          np.array([s.sign for s, _ in self._terms],
+                                   dtype=int),
+                          np.array([m for _, m in self._terms]))
+            else:
+                arrays = (np.zeros((0, self.degree + 1, self.ambient)),
+                          np.zeros(0, dtype=int), np.zeros(0))
+            self._stacked = _read_only(*arrays)
+        return self._stacked
 
     def __iter__(self):
         return iter(self.terms)
 
     def __len__(self):
-        return len(self.terms)
+        if self._stacked is None:
+            return len(self._terms)
+        return len(self._stacked[2])
 
     def __add__(self, other: "Chain") -> "Chain":
         if (self.degree, self.ambient) != (other.degree, other.ambient):
             raise ValueError("chain degree/ambient mismatch")
-        return Chain(self.terms + other.terms, self.degree, self.ambient)
+        return Chain.from_stacked(
+            *(np.concatenate(pair)
+              for pair in zip(self.stacked(), other.stacked())),
+            self.degree, self.ambient)
 
     def __mul__(self, c: float) -> "Chain":
-        return Chain([(s, m * c) for s, m in self.terms],
-                     self.degree, self.ambient)
+        verts, signs, mults = self.stacked()
+        return Chain.from_stacked(verts, signs, mults * float(c),
+                                  self.degree, self.ambient)
 
     __rmul__ = __mul__
 
@@ -208,16 +259,33 @@ class Chain:
         return self + (other * -1.0)
 
     def simplify(self, tol: float = 1e-12) -> "Chain":
-        """Merge simplices equal up to orientation; drop tiny multiplicities."""
-        acc: dict = {}
-        reps: dict = {}
-        for s, m in self.terms:
-            key, rel = s.canonical_key()
-            acc[key] = acc.get(key, 0.0) + rel * m
-            if key not in reps:
-                reps[key] = Simplex(np.array(key), 1)
-        terms = [(reps[k], c) for k, c in acc.items() if abs(c) > tol]
-        return Chain(terms, self.degree, self.ambient)
+        """Merge simplices equal up to orientation; drop tiny multiplicities.
+
+        A vertex is its coordinates rounded to 10 decimals (0.0 and -0.0
+        are one vertex).  Each simplex's rows are sorted lexicographically,
+        ties in place, and the parity of that sort times the simplex's sign
+        gives the sign of its multiplicity.  The merged simplices come in
+        order of first occurrence, each with the first occurrence's
+        rounded, sorted rows, sign +1 and its multiplicities summed in
+        chain order from 0.0; those with |sum| <= tol drop."""
+        verts, signs, mults = self.stacked()
+        count, k = verts.shape[:2]
+        rounded = np.round(verts, _KEY_DECIMALS)
+        ranks = lex_ranks(rounded.reshape(-1, self.ambient)).reshape(count, k)
+        perm = np.argsort(ranks, axis=1, kind="stable")
+        inversions = np.zeros(count, dtype=int)
+        for i in range(k):
+            for j in range(i + 1, k):
+                inversions += perm[:, i] > perm[:, j]
+        rel = signs * (1 - 2 * (inversions % 2))
+        first, group = first_occurrences(
+            lex_ranks(np.take_along_axis(ranks, perm, axis=1)))
+        sums = np.bincount(group, weights=rel * mults, minlength=len(first))
+        reps = np.take_along_axis(rounded[first], perm[first][:, :, None],
+                                  axis=1)
+        keep = np.abs(sums) > tol
+        return Chain.from_stacked(reps[keep], np.ones(keep.sum(), dtype=int),
+                                  sums[keep], self.degree, self.ambient)
 
     def subdivided(self, levels: int = 1) -> "Chain":
         """Every simplex split by `levels` rounds of edgewise subdivision;
@@ -230,9 +298,9 @@ class Chain:
             self.degree, self.ambient)
 
     def support_points(self) -> np.ndarray:
-        if not self.terms:
-            return np.zeros((0, self.ambient))
-        return np.vstack([s.vertices for s, _ in self.terms])
+        """All vertex rows, simplex by simplex: a read-only (N (r+1), n)
+        view of the stacked vertices."""
+        return self.stacked()[0].reshape(-1, self.ambient)
 
     # -- serialization ------------------------------------------------
     def to_json_obj(self):
@@ -352,7 +420,7 @@ def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2,
             total += mult * pair(phi(simplex.vertices[0]),
                                  simplex.unit_tangent())
         return total
-    if not work.terms:
+    if not len(work):
         return 0.0
     # All simplices at once.  Each per-simplex step is a stacked matmul or
     # an elementwise op, which runs the same kernel per item as the call
@@ -408,21 +476,28 @@ def evaluate_with_error(T: Current, phi: FormField, s_order: int = 2,
 
 def boundary(T: Chain) -> Chain:
     """Alternating-sum face chain; interior faces of consistently oriented
-    complexes cancel exactly."""
+    complexes cancel exactly.  The faces are those of each simplex in turn,
+    face i without vertex i and with sign (-1)^i, merged by `simplify`."""
     if isinstance(T, Leaf):
         T = T.chain
     if T.degree < 1:
         raise ValueError("boundary undefined for 0-chains")
-    terms = []
-    for s, m in T.terms:
-        for face in s.faces():
-            terms.append((face, m))
-    return Chain(terms, T.degree - 1, T.ambient).simplify()
+    r, n = T.degree, T.ambient
+    verts, signs, mults = T.stacked()
+    drop = [[j for j in range(r + 1) if j != i] for i in range(r + 1)]
+    faces = Chain.from_stacked(
+        verts[:, drop].reshape(-1, r, n),
+        (signs[:, None] * (-1) ** np.arange(r + 1)).ravel(),
+        np.repeat(mults, r + 1), r - 1, n)
+    return faces.simplify()
 
 
 def mass_chain(T: Chain) -> float:
-    """Multiplicity-weighted volume; dual mass under disjoint interiors."""
-    return sum(abs(m) * s.volume for s, m in T.terms)
+    """Multiplicity-weighted volume, summed in chain order; dual mass under
+    disjoint interiors."""
+    verts, _, mults = T.stacked()
+    terms = np.abs(mults) * simplex_volumes(verts)
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def v_wedge(v: VectorField, T: Current) -> Current:

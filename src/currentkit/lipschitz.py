@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain
+from .chains import Chain, first_occurrences, lex_ranks
 from .forms import AffineMap, Box
 from .quadrature import simplex_volumes
 
@@ -68,46 +68,75 @@ class LipMap:
                       name=f"{self.name}*{other.name}")
 
 
-def _sample_pairs(box: Box, n_pairs: int, rng: np.random.Generator):
-    """Low-discrepancy global pairs plus all grid-neighbor pairs."""
+def _halton(count: int, base: int) -> np.ndarray:
+    """The first `count` points of the van der Corput sequence in `base`,
+    one digit of all points per step: each point's sum takes the same
+    terms in the same order as a scalar digit loop, and a point whose
+    digits have run out adds 0.0, which leaves it as it is."""
+    k = np.arange(1, count + 1)
+    seq = np.zeros(count)
+    f = 1.0
+    while k.any():
+        f /= base
+        seq += f * (k % base)
+        k //= base
+    return seq
+
+
+def _sample_pairs(box: Box, n_pairs: int):
+    """Deterministic pairs: Halton-sequence global pairs plus all
+    grid-neighbor pairs, axis by axis."""
     lo = np.asarray(box.k_lower)
     hi = np.asarray(box.k_upper)
     n = box.dim
-    # Halton-style quasi-random points
-    def halton(count, base):
-        seq = np.zeros(count)
-        for i in range(count):
-            f, r, k = 1.0, 0.0, i + 1
-            while k > 0:
-                f /= base
-                r += f * (k % base)
-                k //= base
-            seq[i] = r
-        return seq
     primes = [2, 3, 5, 7, 11, 13][:n]
     count = n_pairs
-    qr = np.stack([halton(2 * count, p) for p in primes], axis=-1)
+    qr = np.stack([_halton(2 * count, p) for p in primes], axis=-1)
     pts = lo + qr * (hi - lo)
     xs, ys = pts[:count], pts[count:]
     grid = box.grid()
     res = box.resolution
-    # neighbor pairs along the first axis of the raveled grid
-    neigh_x, neigh_y = [], []
-    strides = [res ** k for k in range(n - 1, -1, -1)]
-    for axis, stride in enumerate(strides):
-        for i in range(len(grid) - stride):
-            if (i // stride) % res != res - 1:
-                neigh_x.append(grid[i])
-                neigh_y.append(grid[i + stride])
-    if neigh_x:
-        xs = np.vstack([xs, np.array(neigh_x)])
-        ys = np.vstack([ys, np.array(neigh_y)])
+    # neighbor pairs along each axis of the raveled grid
+    lower, upper = [], []
+    for stride in (res ** k for k in range(n - 1, -1, -1)):
+        i = np.arange(len(grid) - stride)
+        i = i[(i // stride) % res != res - 1]
+        lower.append(i)
+        upper.append(i + stride)
+    lower = np.concatenate(lower)
+    if lower.size:
+        xs = np.vstack([xs, grid[lower]])
+        ys = np.vstack([ys, grid[np.concatenate(upper)]])
     return xs, ys
 
 
+def _map_points(f: LipMap, points: np.ndarray) -> np.ndarray:
+    """Images of the rows of `points` (m, n) under f, bit for bit those of
+    calling f on each row.
+
+    An affine map is one stacked matrix-vector product, per row the same
+    kernel as the map's own call.  Any other map is called once per
+    distinct row, in order of first occurrence; rows with equal bits share
+    the image; f sees read-only rows.  Shape (m, target dimension)."""
+    if isinstance(f.func, AffineMap):
+        return (np.matmul(f.func.mat, points[:, :, None])[:, :, 0]
+                + f.func.shift)
+    bits = np.ascontiguousarray(points).view(np.int64)
+    first, group = first_occurrences(lex_ranks(bits))
+    distinct = points[first]
+    distinct.flags.writeable = False
+    image = None
+    for i, x in enumerate(distinct):
+        y = f(x)
+        if image is None:
+            image = np.empty((len(first), y.size))
+        image[i] = y
+    return image[group]
+
+
 def _pair_ratios(f: LipMap, xs, ys):
-    fx = np.stack([f(x) for x in xs])
-    fy = np.stack([f(y) for y in ys])
+    images = _map_points(f, np.concatenate([xs, ys]))
+    fx, fy = images[:len(xs)], images[len(xs):]
     num = np.linalg.norm(fx - fy, axis=1)
     den = np.linalg.norm(xs - ys, axis=1)
     keep = den > 1e-12
@@ -118,11 +147,12 @@ def lipschitz_constant(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS,
                        seed: int = 0):
     """Sampled estimate of the K-Lipschitz constant.
 
-    Refined by Jacobian spectral norms on the grid when the Jacobian is
-    available.  Returns (estimate, sample_count).
+    The sample is a deterministic Halton set plus the grid-neighbor pairs,
+    so `seed` does not change it.  Refined by Jacobian spectral norms on
+    the grid when the Jacobian is available.  Returns (estimate,
+    sample_count).
     """
-    rng = np.random.default_rng(seed)
-    xs, ys = _sample_pairs(box, n_pairs, rng)
+    xs, ys = _sample_pairs(box, n_pairs)
     best = float(np.max(_pair_ratios(f, xs, ys)))
     if f.jacobian is not None:
         for x in box.grid():
@@ -135,10 +165,11 @@ def bi_lipschitz_constants(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS,
                            seed: int = 0):
     """(c, d): min and max pairwise distortion ratios over samples.
 
-    c near zero signals failure of injectivity at sampling resolution.
+    The sample is a deterministic Halton set plus the grid-neighbor pairs,
+    so `seed` does not change it.  c near zero signals failure of
+    injectivity at sampling resolution.
     """
-    rng = np.random.default_rng(seed)
-    xs, ys = _sample_pairs(box, n_pairs, rng)
+    xs, ys = _sample_pairs(box, n_pairs)
     ratios = _pair_ratios(f, xs, ys)
     return float(np.min(ratios)), float(np.max(ratios))
 
@@ -204,19 +235,6 @@ def mollify(f: LipMap, rho: float, kind: str = "gaussian",
     return LipMap(f.ambient, smoothed, name=f"mollified({f.name},{rho:g})")
 
 
-def mollify_vector(v_func, ambient: int, rho: float, order: int = 7):
-    """Mollified evaluator for a raw vector field callable."""
-    kernel = Mollifier(rho, "gaussian", order)
-    nodes, wts = kernel.nodes_weights(ambient)
-
-    def smoothed(x):
-        x = np.asarray(x, dtype=float)
-        vals = np.stack([np.asarray(v_func(x + dx), float) for dx in nodes])
-        return wts @ vals
-
-    return smoothed
-
-
 def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
                       check_injective: bool = False,
                       box: Box = None) -> Chain:
@@ -239,23 +257,10 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
             raise ValueError(
                 "map fails injectivity at sampling resolution (c ~ 0)")
     work = T.subdivided(levels) if levels else T
-    if not work.terms:
+    if not len(work):
         return Chain([], T.degree, T.ambient)
     verts, signs, mults = work.stacked()
-    points = verts.reshape(-1, T.ambient)
-    points.flags.writeable = False  # as a simplex's own vertices are
-    if isinstance(f.func, AffineMap):
-        # one stacked matrix-vector product: per vertex the same kernel as
-        # the map's own call, so the image is bit-identical to it
-        image = (np.matmul(f.func.mat, points[:, :, None])[:, :, 0]
-                 + f.func.shift)
-    else:
-        image = None
-        for i, x in enumerate(points):
-            y = f(x)
-            if image is None:
-                image = np.empty((len(points), y.size))
-            image[i] = y
+    image = _map_points(f, verts.reshape(-1, T.ambient))
     image = image.reshape(len(verts), T.degree + 1, -1)
     if T.degree > 0:
         floor = 1e-15 * np.maximum(simplex_volumes(verts), 1e-30)

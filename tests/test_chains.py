@@ -12,7 +12,8 @@ from currentkit.chains import (Boundary, Chain, Leaf, Scale, Simplex, Sum,
                                evaluate_with_error, interval_product_evaluate,
                                mass_chain, triangle_chain, unit_interval_chain,
                                unit_square_chain, v_wedge)
-from currentkit.exterior import MultiVector, pair, wedge
+from currentkit.complexes import freudenthal_complex
+from currentkit.exterior import MultiVector, pair, perm_sign, wedge
 from currentkit.forms import (FormField, VectorField, contract,
                               exterior_derivative)
 from currentkit.lipschitz import LipMap, make_map, pushforward_chain
@@ -41,13 +42,15 @@ class TestSimplex:
         assert len(faces) == 3
         assert [f.sign for f in faces] == [1, -1, 1]
 
-    def test_canonical_key_orientation(self):
+    def test_simplify_merges_opposite_orientations(self):
         a = Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         b = Simplex(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
-        ka, sa = a.canonical_key()
-        kb, sb = b.canonical_key()
-        assert ka == kb
-        assert sa == -sb
+        assert len(Chain([(a, 1.0), (b, 1.0)]).simplify()) == 0
+        # the representative lists the vertices sorted, an odd
+        # permutation of a's order, so a's orientation reads -1
+        ((s, m),) = Chain([(a, 1.0), (b, -1.0)]).simplify()
+        np.testing.assert_array_equal(s.vertices, a.vertices[[0, 2, 1]])
+        assert (s.sign, m) == (1, -2.0)
 
 
 class TestEvaluation:
@@ -424,3 +427,210 @@ class TestBatchedKernels:
             for phi in _random_forms(rng, r, 2):
                 assert evaluate(Chain([], r, 2), phi) == 0.0
                 assert evaluate(Chain([], r, 2), phi, subdivision=2) == 0.0
+
+
+def _loop_key(vertices, sign):
+    """The rounded-coordinate key of a simplex and its sign relative to
+    the vertex-sorted representative."""
+    rows = [tuple(np.round(row, 10)) for row in vertices]
+    order = sorted(range(len(rows)), key=lambda i: rows[i])
+    return tuple(rows[i] for i in order), sign * perm_sign(order)
+
+
+def _loop_simplify(simplices, tol=1e-12):
+    """Per-simplex dict merge of (vertices, sign, multiplicity) triples."""
+    acc, reps = {}, {}
+    for verts, sign, mult in simplices:
+        key, rel = _loop_key(verts, sign)
+        acc[key] = acc.get(key, 0.0) + rel * mult
+        if key not in reps:
+            reps[key] = np.array(key)
+    return [(reps[k], 1, c) for k, c in acc.items() if abs(c) > tol]
+
+
+def _loop_boundary(chain):
+    faces = []
+    for s, m in chain:
+        r = s.degree
+        for i in range(r + 1):
+            keep = [j for j in range(r + 1) if j != i]
+            faces.append((s.vertices[keep], s.sign * (-1 if i % 2 else 1), m))
+    return _loop_simplify(faces)
+
+
+def _assert_same_chain(got, want):
+    assert len(got) == len(want)
+    for (s, m), (v, sign, mult) in zip(got, want):
+        assert _bits(s.vertices) == _bits(v)
+        assert s.sign == sign and _bits(m) == _bits(mult)
+
+
+def _skeleton_chain(rng, r, n, scale, resolution=2):
+    """Random signed, fractional multiplicities on the r-simplices of a
+    Freudenthal box in R^n, rotated, scaled by `scale` and shifted."""
+    comp = freudenthal_complex([0.0] * n, [1.0] * n, resolution)
+    coeffs = rng.choice([-1.0, 1.0, 0.5, -2.25, 1.0 / 3.0],
+                        comp.n_simplices(r))
+    T = comp.simplex_chain(r, coeffs)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    verts, signs, mults = T.stacked()
+    moved = (verts @ q.T + rng.normal(size=n)) * scale
+    return Chain.from_stacked(moved, signs, mults, r, n)
+
+
+def _with_permuted_copy(rng, T):
+    """T plus a scaled copy of itself whose simplices list their vertices
+    in a random order, so that simplices merge and cancel."""
+    verts, signs, mults = T.stacked()
+    perm = rng.permutation(T.degree + 1)
+    copy = Chain.from_stacked(verts[:, perm], signs,
+                              mults * rng.choice([-1.0, 0.75]),
+                              T.degree, T.ambient)
+    return T + copy
+
+
+_MERGE_SHAPES = [(r, n) for r in range(1, 4) for n in range(r, 4)]
+_SCALES = [1e-8, 1e-3, 1.0, 1e3, 1e7]
+
+
+class TestArrayChains:
+    """Boundary, simplify and mass on stacked arrays equal the per-face
+    dict merge and the per-simplex sum bit for bit, and a chain keeps its
+    arrays read-only and builds no simplices unless asked."""
+
+    @pytest.mark.parametrize("scale", _SCALES)
+    @pytest.mark.parametrize("r,n", _MERGE_SHAPES)
+    def test_boundary_and_simplify(self, r, n, scale):
+        rng = np.random.default_rng(int(100 * r + 10 * n + np.log10(scale)))
+        T = _skeleton_chain(rng, r, n, scale)
+        _assert_same_chain(boundary(T), _loop_boundary(T))
+        doubled = _with_permuted_copy(rng, T)
+        _assert_same_chain(doubled.simplify(), _loop_simplify(
+            [(s.vertices, s.sign, m) for s, m in doubled]))
+        _assert_same_chain(boundary(doubled), _loop_boundary(doubled))
+
+    @pytest.mark.parametrize("r,n", _MERGE_SHAPES)
+    def test_random_simplices(self, r, n):
+        rng = np.random.default_rng(50 + 10 * r + n)
+        T = _random_chain(rng, r, n, count=20)
+        _assert_same_chain(boundary(T), _loop_boundary(T))
+        _assert_same_chain(T.simplify(1e-3), _loop_simplify(
+            [(s.vertices, s.sign, m) for s, m in T], 1e-3))
+
+    def test_freudenthal_3d(self):
+        comp = freudenthal_complex([0.0] * 3, [1.0] * 3, 3)
+        T = comp.full_chain()
+        bt = boundary(T)
+        _assert_same_chain(bt, _loop_boundary(T))
+        assert len(bt) == 6 * 2 * 3 ** 2
+        assert len(boundary(bt)) == 0
+        assert len(boundary(boundary(bt))) == 0
+
+    def test_negative_zero_is_one_vertex(self):
+        # the shared edge's end reads (-1e-12, 0) in one triangle and
+        # (0, 0) in the other; rounded, -0.0 and 0.0 are one vertex, and
+        # the first occurrence's row, -0.0 included, represents the edge
+        a = np.array([[-1e-12, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        b = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        T = Chain([(Simplex(a), 1.0), (Simplex(b), 1.0)])
+        bt = boundary(T)
+        _assert_same_chain(bt, _loop_boundary(T))
+        assert len(bt) == 4
+        assert any(np.signbit(s.vertices).any() and 0.0 in s.vertices
+                   for s, _ in bt)
+        merged = Chain([(Simplex(a[[0, 1]]), 1.0),
+                        (Simplex(np.array([[1.0, 0.0], [0.0, 0.0]])), 1.0)])
+        assert len(merged.simplify()) == 0
+
+    def test_degenerate_faces_keep_stable_order(self):
+        # equal rows after rounding: the sort keeps them in place
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            base = rng.normal(size=(2, 3))
+            verts = base[rng.integers(0, 2, size=4)]
+            verts = verts + rng.choice([0.0, 1e-12], size=verts.shape)
+            T = Chain.from_stacked(verts[None], [rng.choice([-1, 1])],
+                                   [rng.normal()], 3, 3)
+            _assert_same_chain(T.simplify(-1.0), _loop_simplify(
+                [(s.vertices, s.sign, m) for s, m in T], -1.0))
+            _assert_same_chain(boundary(T), _loop_boundary(T))
+
+    @pytest.mark.parametrize("r,n", _SHAPES)
+    def test_mass(self, r, n):
+        rng = np.random.default_rng(300 + 10 * r + n)
+        for scale in _SCALES:
+            T = _random_chain(rng, r, n, count=30) * scale
+            want = sum(abs(m) * s.volume for s, m in T.terms)
+            assert _bits(mass_chain(T)) == _bits(want)
+        assert mass_chain(Chain([], r, n)) == 0.0
+
+    def test_support_points(self):
+        T = _random_chain(np.random.default_rng(8), 2, 3)
+        want = np.vstack([s.vertices for s, _ in T.terms])
+        assert _bits(T.support_points()) == _bits(want)
+        assert Chain([], 1, 2).support_points().shape == (0, 2)
+
+    def test_stacked_arrays_refuse_writes(self):
+        verts = np.array([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]]])
+        signs = np.array([1.0, -1.0])
+        stacked = Chain.from_stacked(verts, signs, [2.0, 0.5], 1, 2)
+        for T in (stacked, unit_square_chain(), Chain([], 1, 2),
+                  boundary(unit_square_chain()), stacked * 2.0):
+            arrays = T.stacked()
+            assert arrays[1].dtype.kind == "i"
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
+            assert T.stacked()[0] is arrays[0]
+        with pytest.raises(ValueError):
+            stacked.support_points()[0, 0] = 5.0
+        verts[0, 0, 0] = 9.0  # the chain keeps its own copy
+        assert stacked.stacked()[0][0, 0, 0] == 0.0
+        assert stacked.terms[0][0].sign == 1
+        assert isinstance(stacked.terms[0][0].sign, int)
+
+    def test_array_chains_build_no_simplices(self):
+        T = unit_square_chain().subdivided(2)
+        pushed = pushforward_chain(make_map("tent", 2), T, levels=1)
+        area = FormField.from_polynomials(2, 2, {(0, 1): 1.0})
+        evaluate(pushed, area)
+        mass_chain(pushed)
+        bt = boundary(pushed)
+        assert len(pushed) == 2 * 4 ** 3 and len(bt) == 4 * 2 ** 3
+        combined = (pushed - pushed * 0.5).simplify()
+        for chain in (T, pushed, bt, combined):
+            assert chain._terms is None
+        assert len(list(bt)) == len(bt)
+
+    def test_arithmetic_matches_terms(self):
+        rng = np.random.default_rng(9)
+        a, b = _random_chain(rng, 1, 2), _random_chain(rng, 1, 2)
+        summed = a - b * 3
+        want = list(a.terms) + [(s, -m * 3.0) for s, m in b.terms]
+        assert len(summed) == len(want)
+        for (s, m), (t, k) in zip(summed, want):
+            assert _bits(s.vertices) == _bits(t.vertices)
+            assert s.sign == t.sign and _bits(m) == _bits(k)
+        assert len(a * 0.0) == 0
+        with pytest.raises(ValueError):
+            a + _random_chain(rng, 2, 2)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "vertex identity is coordinates rounded to 10 decimals, so at large "
+    "scale two images of one vertex can round apart and interior faces "
+    "survive the boundary; the indexed chain representation removes it"))
+@pytest.mark.parametrize("scale", [1e5, 1e7])
+def test_scale_probe_boundary_of_pushed_square(scale):
+    """Push the unit square by random affine maps of scale s, subdivide 3
+    levels: the boundary has 4 * 2^3 = 32 faces at any scale."""
+    rng = np.random.default_rng(0)
+    faces = []
+    for _ in range(10):
+        f = LipMap.affine(scale * (rng.standard_normal((2, 2))
+                                   + 2.0 * np.eye(2)),
+                          scale * rng.standard_normal(2))
+        pushed = pushforward_chain(f, unit_square_chain()).subdivided(3)
+        faces.append(len(boundary(pushed)))
+    assert faces == [32] * 10

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from currentkit.chains import (boundary, evaluate, mass_chain,
+from currentkit.chains import (Chain, boundary, evaluate, mass_chain,
                                triangle_chain, unit_square_chain)
+from currentkit.complexes import freudenthal_complex
 from currentkit.forms import Box, FormField
-from currentkit.lipschitz import (LipMap, Mollifier, bi_lipschitz_constants,
+from currentkit.lipschitz import (LipMap, Mollifier, _halton, _pair_ratios,
+                                  _sample_pairs, bi_lipschitz_constants,
                                   lipschitz_constant, make_map, mollify,
                                   pushforward_chain, strong_lip_distance)
 
@@ -140,3 +142,133 @@ class TestMapLibrary:
         h = f.compose(g)
         np.testing.assert_allclose(h([1.0, 1.0]), [3.0, 2.0])
         np.testing.assert_allclose(h.jacobian([0.0, 0.0]), 2.0 * np.eye(2))
+
+
+def _loop_halton(count, base):
+    seq = np.zeros(count)
+    for i in range(count):
+        f, r, k = 1.0, 0.0, i + 1
+        while k > 0:
+            f /= base
+            r += f * (k % base)
+            k //= base
+        seq[i] = r
+    return seq
+
+
+def _loop_sample_pairs(box, n_pairs):
+    lo, hi, n = np.asarray(box.k_lower), np.asarray(box.k_upper), box.dim
+    qr = np.stack([_loop_halton(2 * n_pairs, p)
+                   for p in [2, 3, 5, 7, 11, 13][:n]], axis=-1)
+    pts = lo + qr * (hi - lo)
+    xs, ys = pts[:n_pairs], pts[n_pairs:]
+    grid, res = box.grid(), box.resolution
+    neigh_x, neigh_y = [], []
+    for stride in [res ** k for k in range(n - 1, -1, -1)]:
+        for i in range(len(grid) - stride):
+            if (i // stride) % res != res - 1:
+                neigh_x.append(grid[i])
+                neigh_y.append(grid[i + stride])
+    if neigh_x:
+        xs = np.vstack([xs, np.array(neigh_x)])
+        ys = np.vstack([ys, np.array(neigh_y)])
+    return xs, ys
+
+
+def _loop_pair_ratios(f, xs, ys):
+    fx = np.stack([f(x) for x in xs])
+    fy = np.stack([f(y) for y in ys])
+    num = np.linalg.norm(fx - fy, axis=1)
+    den = np.linalg.norm(xs - ys, axis=1)
+    return num[den > 1e-12] / den[den > 1e-12]
+
+
+def _mesh(rng, n, scale=1.0):
+    """The full chain of a jittered Freudenthal box in R^n: neighbouring
+    simplices share vertex rows."""
+    comp = freudenthal_complex([0.0] * n, [1.0] * n, 3)
+    T = comp.full_chain()
+    verts, signs, mults = T.stacked()
+    mults = mults * rng.choice([1.0, -0.5, 2.0 / 3.0], len(mults))
+    return Chain.from_stacked(verts * scale, signs, mults, n, n)
+
+
+def _maps(rng, n):
+    maps = [LipMap.affine(rng.normal(size=(n, n)) + 2.0 * np.eye(n),
+                          rng.normal(size=n)),
+            make_map("radial_stretch", n, strength=0.3),
+            LipMap(n, lambda x: np.sin(x) + 2.0 * x)]
+    if n >= 2:
+        maps.append(make_map("tent", n, center=0.4, width=0.5,
+                             amplitude=0.2))
+    return maps
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
+class TestPointMaps:
+    """Sampling and point mapping equal the scalar loops bit for bit, and
+    a general map is called once per distinct point."""
+
+    @pytest.mark.parametrize("base", [2, 3, 5, 7, 11, 13])
+    def test_halton(self, base):
+        for count in (0, 1, 2, 13, 1000):
+            assert _bits(_halton(count, base)) == _bits(
+                _loop_halton(count, base))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sample_pairs(self, n):
+        for res in (2, 3, 5):
+            box = Box(tuple([-0.5] * n), tuple([1.5] * n), tuple([0.0] * n),
+                      tuple([1.0] * n), res)
+            for n_pairs in (0, 1, 7, 300):
+                got = _sample_pairs(box, n_pairs)
+                want = _loop_sample_pairs(box, n_pairs)
+                assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pair_ratios(self, n):
+        rng = np.random.default_rng(n)
+        box = Box.unit(n, resolution=4)
+        xs, ys = _sample_pairs(box, 200)
+        for f in _maps(rng, n):
+            assert _bits(_pair_ratios(f, xs, ys)) == _bits(
+                _loop_pair_ratios(f, xs, ys))
+
+    @pytest.mark.parametrize("levels", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pushforward_of_meshes(self, n, levels):
+        rng = np.random.default_rng(10 * n + levels)
+        for scale in (1e-3, 1.0, 1e4):
+            T = _mesh(rng, n, scale)
+            work = T.subdivided(levels) if levels else T
+            for f in _maps(rng, n):
+                got = pushforward_chain(f, T, levels=levels)
+                assert len(got) == len(work)
+                for (s, m), (w, k) in zip(got, work):
+                    image = np.stack([f(x) for x in w.vertices])
+                    assert _bits(s.vertices) == _bits(image)
+                    assert (s.sign, m) == (w.sign, k)
+
+    def test_general_map_is_called_once_per_distinct_vertex(self):
+        calls = []
+
+        def record(x):
+            calls.append(x.tobytes())
+            return 2.0 * x + np.array([x[1] ** 2, 0.0])
+
+        T = _mesh(np.random.default_rng(3), 2).subdivided(1)
+        # a vertex written as -0.0 is a different point to call the map on
+        verts, signs, mults = T.stacked()
+        moved = verts - 1.0
+        moved[moved == 0.0] = -0.0
+        T = T + Chain.from_stacked(moved, signs, mults, 2, 2)
+        rows = T.support_points()
+        distinct = {row.tobytes() for row in rows}
+        pushed = pushforward_chain(LipMap(2, record), T)
+        assert len(calls) == len(set(calls)) == len(distinct) < len(rows)
+        assert set(calls) == distinct
+        want = np.stack([record(x) for x in rows])
+        assert _bits(pushed.support_points()) == _bits(want)
