@@ -5,9 +5,9 @@ The public API re-exports the main types and operations from the submodules;
 anything not listed here is internal.
 """
 
-from .exterior import (CoVector, MultiIndex, MultiVector, basis_rank, comass,
+from .exterior import (CoVector, MultiVector, basis_rank, comass,
                        frame_to_multivector, interior_product, mass,
-                       multi_indices, pair, random_simple_unit, wedge)
+                       multi_indices, pair, wedge)
 from .polynomial import Polynomial
 from .forms import (AffineMap, Box, FormField, TimePolynomialForm,
                     VectorField, contract, exterior_derivative,
@@ -29,7 +29,7 @@ from .lipschitz import (LipMap, Mollifier, bi_lipschitz_constants,
                         lipschitz_constant, make_map, mollify,
                         pushforward_chain, strong_lip_distance)
 from .motion import (Cochain, Motion, balance_transport, classical_reynolds,
-                     continuity_modulus, deformation_chain, flow,
+                     continuity_modulus, deformation_chain,
                      homotopy_residual, make_motion, reynolds_operator,
                      transport_derivative, transport_derivative_fd,
                      transport_derivative_lagrangian_fd, velocity_field)

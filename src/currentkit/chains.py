@@ -84,19 +84,6 @@ class Simplex:
         coeffs = _unit_tangents(self.vertices[None], np.array([self.sign]))
         return MultiVector(r, self.ambient, coeffs[0])
 
-    def faces(self):
-        """Boundary faces with the alternating-sum signs."""
-        r = self.degree
-        if r == 0:
-            raise ValueError("a point has no boundary")
-        out = []
-        for i in range(r + 1):
-            keep = [j for j in range(r + 1) if j != i]
-            s = self.sign * (-1 if i % 2 else 1)
-            out.append(Simplex(self.vertices[keep], 1) if s == 1
-                       else Simplex(self.vertices[keep], -1))
-        return out
-
     def subdivided(self, levels: int = 1):
         """Uniform edgewise subdivision into 2^(r*levels) children."""
         verts, signs = subdivide_simplices(self.vertices[None], [self.sign],
@@ -104,16 +91,31 @@ class Simplex:
         return [Simplex(v, s) for v, s in zip(verts, signs.tolist())]
 
 
+def _edge_wedges(vertices: np.ndarray):
+    """Wedges of the edges from the first vertex of a stack of r-simplices,
+    r >= 1, shape (N, r+1, n) -> (N, C(n, r)); their norms (N,); and which
+    simplices are degenerate (N,).
+
+    The degeneracy rule: a wedge norm at most `_DEGENERACY_TOL` times the
+    product of the edge lengths.  That ratio lies in [0, 1] and does not
+    change when the simplex is scaled, so the rule reads the same at any
+    coordinate scale; an exactly flat simplex has ratio 0."""
+    edges = vertices[:, 1:] - vertices[:, :1]
+    xi = wedge_rows(edges)
+    norms = np.sqrt(np.matmul(xi[:, None, :], xi[:, :, None]))[:, 0, 0]
+    lengths = np.prod(np.linalg.norm(edges, axis=2), axis=1)
+    return xi, norms, norms <= _DEGENERACY_TOL * lengths
+
+
 def _unit_tangents(vertices: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Orienting unit r-vectors of a stack of r-simplices, r >= 1: the
     normalized wedge of the edges from the first vertex, times the sign.
     Shape (N, r+1, n) -> (N, C(n, r))."""
-    xi = wedge_rows(vertices[:, 1:] - vertices[:, :1])
+    xi, norms, degenerate = _edge_wedges(vertices)
     if not np.all(np.isfinite(xi)):
         raise ValueError("non-finite simplex: vertices or edge wedge "
                          "not finite")
-    norms = np.sqrt(np.matmul(xi[:, None, :], xi[:, :, None]))[:, 0, 0]
-    if np.any(norms <= _DEGENERACY_TOL):
+    if np.any(degenerate):
         raise ValueError("degenerate simplex: vertices affinely dependent")
     return xi * (signs / norms)[:, None]
 
@@ -147,6 +149,29 @@ def first_occurrences(labels: np.ndarray):
     group = np.empty_like(order)
     group[order] = np.arange(len(order))
     return first[order], group[inverse]
+
+
+def vertex_ranks(points: np.ndarray):
+    """The vertex rule: a vertex is its coordinates rounded to
+    `_KEY_DECIMALS` decimals, and 0.0 and -0.0 are one vertex.  Returns
+    the rounded rows of `points` (m, n), -0.0 kept as it rounds, and their
+    dense lexicographic ranks (m,): rows that are one vertex share a
+    rank."""
+    rounded = np.round(points, _KEY_DECIMALS)
+    return rounded, lex_ranks(rounded)
+
+
+def sort_parity(keys: np.ndarray):
+    """Stable sort of each row of an (N, k) key array: the sorting
+    permutations (N, k), ties kept in place, and their parities (N,), +1
+    for even and -1 for odd."""
+    perm = np.argsort(keys, axis=1, kind="stable")
+    k = keys.shape[1]
+    inversions = np.zeros(len(keys), dtype=int)
+    for i in range(k):
+        for j in range(i + 1, k):
+            inversions += perm[:, i] > perm[:, j]
+    return perm, 1 - 2 * (inversions % 2)
 
 
 class Chain:
@@ -261,26 +286,23 @@ class Chain:
     def simplify(self, tol: float = 1e-12) -> "Chain":
         """Merge simplices equal up to orientation; drop tiny multiplicities.
 
-        A vertex is its coordinates rounded to 10 decimals (0.0 and -0.0
-        are one vertex).  Each simplex's rows are sorted lexicographically,
-        ties in place, and the parity of that sort times the simplex's sign
-        gives the sign of its multiplicity.  The merged simplices come in
-        order of first occurrence, each with the first occurrence's
-        rounded, sorted rows, sign +1 and its multiplicities summed in
-        chain order from 0.0; those with |sum| <= tol drop."""
+        Vertices are identified by `vertex_ranks`.  Each simplex's rows are
+        sorted lexicographically, ties in place (`sort_parity`), and the
+        parity of that sort times the simplex's sign gives the sign of its
+        multiplicity.  The merged simplices come in order of first
+        occurrence, each with the first occurrence's rounded, sorted rows,
+        sign +1 and its multiplicities summed in chain order from 0.0;
+        those with |sum| <= tol drop."""
         verts, signs, mults = self.stacked()
         count, k = verts.shape[:2]
-        rounded = np.round(verts, _KEY_DECIMALS)
-        ranks = lex_ranks(rounded.reshape(-1, self.ambient)).reshape(count, k)
-        perm = np.argsort(ranks, axis=1, kind="stable")
-        inversions = np.zeros(count, dtype=int)
-        for i in range(k):
-            for j in range(i + 1, k):
-                inversions += perm[:, i] > perm[:, j]
-        rel = signs * (1 - 2 * (inversions % 2))
+        rounded, ranks = vertex_ranks(verts.reshape(-1, self.ambient))
+        rounded = rounded.reshape(verts.shape)
+        ranks = ranks.reshape(count, k)
+        perm, parity = sort_parity(ranks)
         first, group = first_occurrences(
             lex_ranks(np.take_along_axis(ranks, perm, axis=1)))
-        sums = np.bincount(group, weights=rel * mults, minlength=len(first))
+        sums = np.bincount(group, weights=signs * parity * mults,
+                           minlength=len(first))
         reps = np.take_along_axis(rounded[first], perm[first][:, :, None],
                                   axis=1)
         keep = np.abs(sums) > tol
@@ -304,21 +326,19 @@ class Chain:
 
     # -- serialization ------------------------------------------------
     def to_json_obj(self):
-        vert_table = []
-        vert_index = {}
-        simplices = []
-        for s, m in self.terms:
-            idxs = []
-            for row in s.vertices:
-                key = tuple(np.round(row, _KEY_DECIMALS))
-                if key not in vert_index:
-                    vert_index[key] = len(vert_table)
-                    vert_table.append([float(x) for x in row])
-                idxs.append(vert_index[key])
-            simplices.append({"vertices": idxs, "multiplicity": m,
-                              "sign": s.sign})
+        """JSON object: a table of the distinct vertices (`vertex_ranks`)
+        in order of first occurrence, each with its first occurrence's
+        unrounded coordinates, and the simplices as indices into it."""
+        verts, signs, mults = self.stacked()
+        points = verts.reshape(-1, self.ambient)
+        first, group = first_occurrences(vertex_ranks(points)[1])
+        indices = group.reshape(verts.shape[:2]).tolist()
         return {"degree": self.degree, "ambient": self.ambient,
-                "vertex_table": vert_table, "simplices": simplices}
+                "vertex_table": points[first].tolist(),
+                "simplices": [
+                    {"vertices": idxs, "multiplicity": m, "sign": sign}
+                    for idxs, m, sign in zip(indices, mults.tolist(),
+                                             signs.tolist())]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "Chain":

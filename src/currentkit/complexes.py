@@ -10,8 +10,9 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .chains import Chain, Simplex
+from .chains import Chain, lex_ranks, sort_parity, vertex_ranks
 from .exterior import perm_sign
+from .quadrature import simplex_volumes
 
 __all__ = ["SimplicialComplex", "freudenthal_complex"]
 
@@ -32,9 +33,6 @@ class SimplicialComplex:
             self.dim: {tuple(sorted(s)): o
                        for s, o in zip(top_simplices, top_orientations)}
         }
-        self._vertex_lookup = {
-            tuple(np.round(v, 10)): i for i, v in enumerate(self.vertices)
-        }
         for r in range(self.dim - 1, -1, -1):
             faces = set()
             for s in self.simplices[r + 1]:
@@ -49,9 +47,14 @@ class SimplicialComplex:
     def n_simplices(self, r: int) -> int:
         return len(self.simplices.get(r, []))
 
+    def _index_array(self, r: int) -> np.ndarray:
+        """The r-simplices as rows of sorted vertex indices, (count, r+1);
+        none above the complex's dimension."""
+        return np.array(self.simplices.get(r, []),
+                        dtype=np.intp).reshape(-1, r + 1)
+
     def volumes(self, r: int) -> np.ndarray:
-        return np.array([Simplex(self.vertices[list(s)]).volume
-                         for s in self.simplices[r]])
+        return simplex_volumes(self.vertices[self._index_array(r)])
 
     def boundary_matrix(self, r: int) -> np.ndarray:
         """Signed incidence of (r-1)-faces (rows) against r-simplices
@@ -65,41 +68,54 @@ class SimplicialComplex:
         return mat
 
     def simplex_chain(self, r: int, coeffs, tol: float = 1e-12) -> Chain:
-        """Chain from a coefficient vector over the r-simplices."""
-        terms = []
-        for k, c in enumerate(coeffs):
-            if abs(c) > tol:
-                verts = self.vertices[list(self.simplices[r][k])]
-                terms.append((Simplex(verts), float(c)))
-        return Chain(terms, r, self.vertices.shape[1])
+        """Chain from a coefficient vector over the r-simplices; the
+        simplices with |coefficient| <= tol drop."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        keep = np.abs(coeffs) > tol
+        verts = self.vertices[self._index_array(r)[keep]]
+        return Chain.from_stacked(verts, np.ones(len(verts), dtype=int),
+                                  coeffs[keep], r, self.vertices.shape[1])
 
     def chain_vector(self, T: Chain) -> np.ndarray:
-        """Coefficients of a chain over the complex's r-skeleton.
+        """Coefficients of a chain over the complex's r-skeleton, summed in
+        chain order.
 
-        Raises if any simplex of the chain is not a face of the complex.
+        Raises if any vertex (by `vertex_ranks`) or simplex of the chain is
+        not one of the complex.
         """
         r = T.degree
-        vec = np.zeros(self.n_simplices(r))
-        for s, m in T.terms:
-            idxs = []
-            for row in s.vertices:
-                key = tuple(np.round(row, 10))
-                if key not in self._vertex_lookup:
-                    raise ValueError(f"vertex {row} not in complex")
-                idxs.append(self._vertex_lookup[key])
-            order = sorted(range(len(idxs)), key=lambda i: idxs[i])
-            sorted_tuple = tuple(idxs[i] for i in order)
-            if sorted_tuple not in self._rank[r]:
-                raise ValueError(f"simplex {sorted_tuple} not in complex")
-            rel = perm_sign(order) * s.sign
-            vec[self._rank[r][sorted_tuple]] += rel * m
-        return vec
+        verts, signs, mults = T.stacked()
+        points = verts.reshape(-1, T.ambient)
+        ranks = vertex_ranks(np.concatenate([self.vertices, points]))[1]
+        idx = _positions(ranks, len(self.vertices))
+        if np.any(idx < 0):
+            row = points[np.argmax(idx < 0)]
+            raise ValueError(f"vertex {row} not in complex")
+        idx = idx.reshape(verts.shape[:2])
+        perm, parity = sort_parity(idx)
+        ordered = np.take_along_axis(idx, perm, axis=1)
+        table = self._index_array(r)
+        rows = _positions(lex_ranks(np.concatenate([table, ordered])),
+                          len(table))
+        if np.any(rows < 0):
+            missing = tuple(ordered[np.argmax(rows < 0)].tolist())
+            raise ValueError(f"simplex {missing} not in complex")
+        return np.bincount(rows, weights=signs * parity * mults,
+                           minlength=len(table))
 
     def full_chain(self) -> Chain:
         """The positively oriented full-dimensional chain of the complex."""
         coeffs = np.array([self.orientation[self.dim][s]
                            for s in self.simplices[self.dim]])
         return self.simplex_chain(self.dim, coeffs)
+
+
+def _positions(ranks: np.ndarray, size: int) -> np.ndarray:
+    """Ranks of `size` table rows followed by query rows: the table
+    position of each query row, -1 where no table row shares its rank."""
+    where = np.full(len(ranks), -1)
+    where[ranks[:size]] = np.arange(size)
+    return where[ranks[size:]]
 
 
 def freudenthal_complex(lower, upper, resolution: int) -> SimplicialComplex:

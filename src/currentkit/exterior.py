@@ -15,7 +15,6 @@ from math import comb
 import numpy as np
 
 __all__ = [
-    "MultiIndex",
     "MultiVector",
     "CoVector",
     "multi_indices",
@@ -25,7 +24,6 @@ __all__ = [
     "pair",
     "mass",
     "comass",
-    "random_simple_unit",
     "frame_to_multivector",
     "wedge_rows",
     "perm_sign",
@@ -48,29 +46,6 @@ def _rank_table(r: int, n: int) -> dict[tuple[int, ...], int]:
 def basis_rank(index: tuple[int, ...], n: int) -> int:
     """Lexicographic rank of a strictly increasing multi-index."""
     return _rank_table(len(index), n)[tuple(index)]
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A strictly increasing multi-index with its ambient dimension."""
-
-    entries: tuple[int, ...]
-    ambient: int
-
-    def __post_init__(self):
-        e = self.entries
-        if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
-            raise ValueError(f"entries not strictly increasing: {e}")
-        if e and (e[0] < 0 or e[-1] >= self.ambient):
-            raise ValueError(f"entries {e} escape ambient {self.ambient}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.entries)
-
-    @property
-    def rank(self) -> int:
-        return basis_rank(self.entries, self.ambient)
 
 
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
@@ -263,12 +238,6 @@ def wedge_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_simple_unit(r: int, n: int, rng: np.random.Generator) -> MultiVector:
-    """Random simple unit r-vector from a Haar-ish orthonormal frame."""
-    q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    return frame_to_multivector(q)
-
-
 def _ascent_from(omega: CoVector, frame: np.ndarray,
                  tol: float, max_iter: int):
     """Projected gradient ascent of <omega, wedge(columns)> on the Stiefel
@@ -324,14 +293,8 @@ def comass(omega: CoVector, restarts: int = 100, tol: float = 1e-8,
         val = float(np.linalg.norm(omega.coefficients))
         if val == 0.0:
             return 0.0, MultiVector.zero(r, n)
-        if r in (0, n):
-            witness = MultiVector(r, n, omega.coefficients / val)
-        elif r == 1:
-            witness = MultiVector(1, n, omega.coefficients / val)
-        else:
-            # every (n-1)-vector in R^n is simple
-            witness = MultiVector(r, n, omega.coefficients / val)
-        return val, witness
+        # every r-vector in R^n is simple for these r
+        return val, MultiVector(r, n, omega.coefficients / val)
     if np.allclose(omega.coefficients, 0.0):
         return 0.0, MultiVector.zero(r, n)
     rng = np.random.default_rng(seed)

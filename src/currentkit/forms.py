@@ -281,11 +281,6 @@ class VectorField:
             return np.array([p(x) for p in self.components])
         return np.asarray(self.func(x), dtype=float)
 
-    def sup_norm(self, box: Box, resolution=None) -> float:
-        pts = box.grid(resolution)
-        vals = np.stack([self(x) for x in pts])
-        return float(np.max(np.linalg.norm(vals, axis=1)))
-
 
 # ----------------------------------------------------------------------
 # exterior derivative
@@ -299,25 +294,34 @@ def _wedge_basis_sign(j: int, lam: tuple):
     return tuple(sorted((j,) + lam)), (-1 if pos % 2 else 1)
 
 
+def _derivative_polys(polys, r: int, n: int, offset: int = 0) -> list:
+    """Coefficient polynomials of d of the r-form on R^n whose
+    coefficients are `polys`; spatial variable j is variable j + offset of
+    the polynomials, which have n + offset variables."""
+    out_indices = multi_indices(r + 1, n)
+    rank = {idx: k for k, idx in enumerate(out_indices)}
+    out = [Polynomial.zero(n + offset) for _ in out_indices]
+    for k, lam in enumerate(multi_indices(r, n)):
+        p = polys[k]
+        if p.is_zero():
+            continue
+        for j in range(n):
+            merged, sign = _wedge_basis_sign(j, lam)
+            if sign:
+                out[rank[merged]] = out[rank[merged]] + sign * p.diff(
+                    j + offset)
+    return out
+
+
 def exterior_derivative(phi: FormField) -> FormField:
     """d(phi); exact for polynomial backends, central differences otherwise."""
     r, n = phi.degree, phi.ambient
     if r >= n:
         raise ValueError("cannot raise degree beyond the ambient dimension")
-    out_indices = multi_indices(r + 1, n)
-    rank = {idx: k for k, idx in enumerate(out_indices)}
     if phi.is_polynomial:
-        polys = [Polynomial.zero(n) for _ in out_indices]
-        for k, lam in enumerate(multi_indices(r, n)):
-            p = phi.polys[k]
-            if p.is_zero():
-                continue
-            for j in range(n):
-                merged, sign = _wedge_basis_sign(j, lam)
-                if sign:
-                    polys[rank[merged]] = polys[rank[merged]] + sign * p.diff(j)
-        return FormField(r + 1, n, polys=polys)
+        return FormField(r + 1, n, polys=_derivative_polys(phi.polys, r, n))
 
+    rank = {idx: k for k, idx in enumerate(multi_indices(r + 1, n))}
     h = phi.h
     in_indices = multi_indices(r, n)
 
@@ -352,42 +356,32 @@ def pullback(phi: FormField, f, *, jacobian=None, source_dim=None,
     """Pullback f^#(phi); exact polynomial result for affine f and
     polynomial phi, sampled backend otherwise."""
     r = phi.degree
-    if isinstance(f, AffineMap):
+    affine = isinstance(f, AffineMap)
+    if affine:
         if f.target_dim != phi.ambient:
             raise ValueError("map image dimension mismatch")
         m = f.source_dim
-        src_idx = multi_indices(r, m)
-        tgt_idx = multi_indices(r, phi.ambient)
-        if phi.is_polynomial:
-            polys = [Polynomial.zero(m) for _ in src_idx]
-            for q, mu in enumerate(src_idx):
-                acc = Polynomial.zero(m)
-                for k, lam in enumerate(tgt_idx):
-                    if phi.polys[k].is_zero():
-                        continue
-                    det = _minor(f.mat, lam, mu)
-                    if det != 0.0:
-                        acc = acc + det * phi.polys[k].compose_affine(
-                            f.mat, f.shift)
-                polys[q] = acc
-            return FormField(r, m, polys=polys)
-        jac = f.mat
-
-        def ev_aff(x, phi=phi, f=f, jac=jac):
-            cov = phi(f(x))
-            coeffs = np.array([
-                sum(cov.coefficients[k] * _minor(jac, lam, mu)
-                    for k, lam in enumerate(tgt_idx))
-                for mu in src_idx])
-            return CoVector(r, m, coeffs)
-
-        return FormField.from_callable(m, r, ev_aff, h=phi.h)
-
-    m = source_dim if source_dim is not None else phi.ambient
+    else:
+        m = source_dim if source_dim is not None else phi.ambient
     src_idx = multi_indices(r, m)
     tgt_idx = multi_indices(r, phi.ambient)
+    if affine and phi.is_polynomial:
+        polys = [Polynomial.zero(m) for _ in src_idx]
+        for q, mu in enumerate(src_idx):
+            acc = Polynomial.zero(m)
+            for k, lam in enumerate(tgt_idx):
+                if phi.polys[k].is_zero():
+                    continue
+                det = _minor(f.mat, lam, mu)
+                if det != 0.0:
+                    acc = acc + det * phi.polys[k].compose_affine(
+                        f.mat, f.shift)
+            polys[q] = acc
+        return FormField(r, m, polys=polys)
 
     def jac_at(x):
+        if affine:
+            return f.mat
         if jacobian is not None:
             return np.asarray(jacobian(x), dtype=float)
         x = np.asarray(x, dtype=float)
@@ -622,21 +616,10 @@ class TimePolynomialForm:
 
     def exterior_derivative(self) -> "TimePolynomialForm":
         """Spatial exterior derivative, keeping the time dependence."""
-        n, r = self.ambient, self.degree
-        out_idx = multi_indices(r + 1, n)
-        rank = {idx: k for k, idx in enumerate(out_idx)}
-        polys = [Polynomial.zero(n + 1) for _ in out_idx]
-        for k, lam in enumerate(multi_indices(r, n)):
-            p = self.polys[k]
-            if p.is_zero():
-                continue
-            for j in range(n):
-                merged, sign = _wedge_basis_sign(j, lam)
-                if sign:
-                    # spatial variable j is slot j+1 of (t, x)
-                    polys[rank[merged]] = polys[rank[merged]] + sign * p.diff(j + 1)
-        out = TimePolynomialForm(n, r + 1, {})
-        out.polys = polys
+        out = TimePolynomialForm(self.ambient, self.degree + 1, {})
+        # spatial variable j is slot j+1 of (t, x)
+        out.polys = _derivative_polys(self.polys, self.degree, self.ambient,
+                                      offset=1)
         return out
 
 

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, first_occurrences, lex_ranks
+from .chains import Chain, _edge_wedges, first_occurrences, lex_ranks
 from .forms import AffineMap, Box
-from .quadrature import simplex_volumes
 
 __all__ = [
     "LipMap",
@@ -28,16 +27,11 @@ _INJECTIVITY_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class LipMap:
-    """Lipschitz map on (a box in) R^n.
-
-    `identity_outside`: optional Box outside which the map is declared to be
-    the identity (a structural property, not inferred).
-    """
+    """Lipschitz map on (a box in) R^n."""
 
     ambient: int
     func: object
     jacobian: object = None  # x -> (n, n) array, exact when available
-    identity_outside: Box = None
     name: str = ""
 
     def __call__(self, x):
@@ -241,8 +235,8 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
     """Vertex-mapped pushforward after `levels` uniform subdivisions.
 
     Exact for affine-per-simplex maps; converges in evaluation as
-    levels grows for curved Lipschitz maps.  Degenerate image simplices
-    are flagged by a ValueError.
+    levels grows for curved Lipschitz maps.  Degenerate image simplices,
+    by the rule of `chains._edge_wedges`, are flagged by a ValueError.
     """
     if check_injective:
         if box is None:
@@ -262,10 +256,8 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
     verts, signs, mults = work.stacked()
     image = _map_points(f, verts.reshape(-1, T.ambient))
     image = image.reshape(len(verts), T.degree + 1, -1)
-    if T.degree > 0:
-        floor = 1e-15 * np.maximum(simplex_volumes(verts), 1e-30)
-        if np.any(simplex_volumes(image) <= floor):
-            raise ValueError("degenerate image simplex in pushforward")
+    if T.degree > 0 and np.any(_edge_wedges(image)[2]):
+        raise ValueError("degenerate image simplex in pushforward")
     return Chain.from_stacked(image, signs, mults, T.degree, image.shape[2])
 
 
@@ -275,6 +267,11 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
 
 def _tent(u: float, center: float, width: float) -> float:
     return max(0.0, 1.0 - abs(u - center) / width)
+
+
+def _planar_rotation(theta: float) -> np.ndarray:
+    return np.array([[np.cos(theta), -np.sin(theta)],
+                     [np.sin(theta), np.cos(theta)]])
 
 
 def make_map(name: str, ambient: int = 2, **params) -> LipMap:
@@ -289,9 +286,7 @@ def make_map(name: str, ambient: int = 2, **params) -> LipMap:
         theta = float(params.get("angle", 0.0))
         if ambient != 2:
             raise ValueError("rotation family is planar")
-        mat = np.array([[np.cos(theta), -np.sin(theta)],
-                        [np.sin(theta), np.cos(theta)]])
-        return LipMap.affine(mat, name="rotation")
+        return LipMap.affine(_planar_rotation(theta), name="rotation")
     if name == "shear":
         s = float(params.get("strength", 0.5))
         mat = np.eye(ambient)

@@ -1,5 +1,5 @@
 """Motions as curves of Lipschitz embeddings: Eulerian velocity fields,
-flows, deformation chains, the Reynolds operator, and the transport
+deformation chains, the Reynolds operator, and the transport
 derivative with its finite-difference oracle."""
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge, boundary,
 from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, lie_derivative, pullback,
                     seminorm_comass)
-from .lipschitz import LipMap, pushforward_chain
+from .lipschitz import LipMap, _planar_rotation, _tent, pushforward_chain
 from .polynomial import Polynomial
 from .quadrature import integrate_interval, simplex_rule
 
@@ -22,7 +22,6 @@ __all__ = [
     "Cochain",
     "make_motion",
     "velocity_field",
-    "flow",
     "reynolds_operator",
     "deformation_chain",
     "homotopy_residual",
@@ -118,32 +117,6 @@ def velocity_field(m: Motion, t: float) -> VectorField:
         return np.asarray(m.kappa_dot(t, x), dtype=float)
 
     return VectorField(m.k_m.dim, func=v)
-
-
-def flow(v, s: float, t: float, x, steps: int = 64) -> np.ndarray:
-    """Flow map J_{s,t}(x) of a time-dependent vector field by fixed-step
-    classical RK4; `v` is a callable tau -> VectorField (or (tau, y) -> vec)."""
-    x = np.array(x, dtype=float)
-    if s == t:
-        return x
-    if callable(v) and not isinstance(v, VectorField):
-        def rhs(tau, y):
-            vf = v(tau)
-            return vf(y) if isinstance(vf, VectorField) else np.asarray(
-                v(tau, y), dtype=float)
-    else:
-        def rhs(tau, y, vf=v):
-            return vf(y)
-    h = (s - t) / steps
-    tau = t
-    for _ in range(steps):
-        k1 = rhs(tau, x)
-        k2 = rhs(tau + h / 2, x + h / 2 * k1)
-        k3 = rhs(tau + h / 2, x + h / 2 * k2)
-        k4 = rhs(tau + h, x + h * k3)
-        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        tau += h
-    return x
 
 
 # ----------------------------------------------------------------------
@@ -260,25 +233,40 @@ def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
 # the transport derivative and its oracles
 # ----------------------------------------------------------------------
 
+def _transport_terms(m: Motion, T: Chain, psi: Cochain, tau: float,
+                     levels: int):
+    """The parts of the transport identity after the rate term: the pushed
+    chain kappa_tau# T; the wedge term psi(bnd(v wedge kappa_tau# T)), or
+    None when T has top degree and it vanishes identically; and the pushed
+    boundary kappa_tau#(bnd T) with psi -| v, the form that
+    v wedge kappa_tau#(bnd T) is evaluated on, or None when bnd T is
+    empty."""
+    m.check_time(tau)
+    pushed = m.push(T, tau, levels)
+    v = velocity_field(m, tau)
+    phi = psi.form_at(tau)
+    wedge = boundary_part = None
+    # bnd(v wedge pushed) acts on phi through d(phi) -| v
+    if T.degree + 1 <= T.ambient:
+        wedge = evaluate(pushed, contract(exterior_derivative(phi), v))
+    if T.degree >= 1:
+        bt = boundary(T)
+        if len(bt):
+            boundary_part = (m.push(bt, tau, levels), contract(phi, v))
+    return pushed, wedge, boundary_part
+
+
 def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
                          levels: int = 0) -> float:
     """d/dt of psi(t)(kappa_t# T) at tau:
     psi_dot(kappa_tau# T) + psi(bnd(v wedge kappa_tau# T)
                                 + v wedge kappa_tau#(bnd T))."""
-    m.check_time(tau)
-    pushed = m.push(T, tau, levels)
+    pushed, wedge, boundary_part = _transport_terms(m, T, psi, tau, levels)
     total = evaluate(pushed, psi.dot_at(tau))
-    v = velocity_field(m, tau)
-    phi = psi.form_at(tau)
-    # bnd(v wedge pushed) acts on phi through d(phi) -| v; the wedge term
-    # vanishes identically when T already has top degree
-    if T.degree + 1 <= T.ambient:
-        total += evaluate(pushed, contract(exterior_derivative(phi), v))
-    if T.degree >= 1:
-        bt = boundary(T)
-        if len(bt):
-            pushed_b = m.push(bt, tau, levels)
-            total += evaluate(pushed_b, contract(phi, v))
+    if wedge is not None:
+        total += wedge
+    if boundary_part is not None:
+        total += evaluate(*boundary_part)
     return total
 
 
@@ -403,19 +391,17 @@ def balance_transport(m: Motion, T: Chain, psi: Cochain, xi: Cochain,
         if resid > balance_tol:
             raise ValueError(f"balance residual {resid:g} exceeds "
                              f"{balance_tol:g}")
-    direct = transport_derivative(m, T, psi, tau, levels)
-    pushed = m.push(T, tau, levels)
-    v = velocity_field(m, tau)
-    phi = psi.form_at(tau)
+    # psi_dot = source - d(xi) moves xi onto the boundary term
+    pushed, wedge, boundary_part = _transport_terms(m, T, psi, tau, levels)
+    direct = evaluate(pushed, psi.dot_at(tau))
     rewritten = evaluate(pushed, source.form_at(tau))
-    if T.degree + 1 <= T.ambient:
-        rewritten += evaluate(pushed, contract(exterior_derivative(phi), v))
-    if T.degree >= 1:
-        bt = boundary(T)
-        if len(bt):
-            pushed_b = m.push(bt, tau, levels)
-            rewritten += evaluate(pushed_b,
-                                  contract(phi, v) - xi.form_at(tau))
+    if wedge is not None:
+        direct += wedge
+        rewritten += wedge
+    if boundary_part is not None:
+        pushed_b, phi_v = boundary_part
+        direct += evaluate(pushed_b, phi_v)
+        rewritten += evaluate(pushed_b, phi_v - xi.form_at(tau))
     return {
         "transport_derivative": direct,
         "balance_form": rewritten,
@@ -426,11 +412,6 @@ def balance_transport(m: Motion, T: Chain, psi: Cochain, xi: Cochain,
 # ----------------------------------------------------------------------
 # built-in motion families
 # ----------------------------------------------------------------------
-
-def _planar_rotation(theta: float) -> np.ndarray:
-    return np.array([[np.cos(theta), -np.sin(theta)],
-                     [np.sin(theta), np.cos(theta)]])
-
 
 def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
                 k_m: Box = None, **params) -> Motion:
@@ -504,16 +485,11 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
             out[0, 1] = s * t
             return out
 
-        def inv_mat(t, s=s, ambient=ambient):
-            out = np.eye(ambient)
-            out[0, 1] = -s * t
-            return out
-
         return Motion(iv, lambda t, x: mat(t) @ np.asarray(x, float),
                       lambda t, x: np.array(
                           [s * np.asarray(x, float)[1]] + [0.0] * (ambient - 1)),
                       k_m,
-                      inverse=lambda t, y: inv_mat(t) @ np.asarray(y, float),
+                      inverse=lambda t, y: mat(-t) @ np.asarray(y, float),
                       velocity_factory=lambda t: vf,
                       map_factory=lambda t: LipMap.affine(mat(t), name="shear"),
                       name="shear")
@@ -526,28 +502,25 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         amp = float(params.get("amplitude", 0.3))
         axis = int(params.get("axis", 1))
 
-        def tent(u, c=c, w=w):
-            return max(0.0, 1.0 - abs(u - c) / w)
-
         def kap(t, x):
             y = np.array(x, dtype=float)
-            y[axis] += t * amp * tent(x[0])
+            y[axis] += t * amp * _tent(x[0], c, w)
             return y
 
         def kap_dot(t, x):
             out = np.zeros(ambient)
-            out[axis] = amp * tent(np.asarray(x, float)[0])
+            out[axis] = amp * _tent(np.asarray(x, float)[0], c, w)
             return out
 
         def inv(t, y):
             x = np.array(y, dtype=float)
-            x[axis] -= t * amp * tent(y[0])  # first axis is unchanged
+            x[axis] -= t * amp * _tent(y[0], c, w)  # first axis is unchanged
             return x
 
         def vfac(t):
             def v(y):
                 out = np.zeros(ambient)
-                out[axis] = amp * tent(np.asarray(y, float)[0])
+                out[axis] = amp * _tent(np.asarray(y, float)[0], c, w)
                 return out
             return VectorField(ambient, func=v, lipschitz=amp / w)
 

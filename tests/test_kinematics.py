@@ -1,4 +1,4 @@
-"""Motions, velocity fields, flows, the Reynolds operator, deformation
+"""Motions, velocity fields, the Reynolds operator, deformation
 chains, and the transport derivative."""
 
 import numpy as np
@@ -9,7 +9,7 @@ from currentkit.forms import (Box, FormField, TimePolynomialForm, VectorField,
                               lie_derivative)
 from currentkit.motion import (Cochain, Motion, balance_transport,
                                classical_reynolds, continuity_modulus,
-                               deformation_chain, flow, homotopy_residual,
+                               deformation_chain, homotopy_residual,
                                make_motion, reynolds_operator,
                                transport_derivative,
                                transport_derivative_betounes,
@@ -72,25 +72,17 @@ class TestMotionFamilies:
         pt = np.array([0.3, 0.7])
         np.testing.assert_allclose(v(pt), ref(pt), atol=1e-8)
 
-
-class TestFlow:
-    def test_flow_matches_lagrangian_map(self):
-        m = make_motion("expansion", interval=(-0.5, 1.0))
-        x = np.array([0.4, 0.8])
-        start = m.kappa(0.0, x)
-        moved = flow(lambda t: velocity_field(m, t), 0.75, 0.0, start,
-                     steps=128)
-        np.testing.assert_allclose(moved, m.kappa(0.75, x), atol=1e-9)
-
-    def test_rotation_flow_preserves_radius(self):
-        m = make_motion("rotation", rate=1.3)
-        out = flow(lambda t: velocity_field(m, t), 1.0, 0.0, [1.0, 0.0])
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
-
-    def test_trivial_flow(self):
-        np.testing.assert_allclose(
-            flow(VectorField.constant([1.0, 0.0]), 0.0, 0.0, [2.0, 3.0]),
-            [2.0, 3.0])
+    @pytest.mark.parametrize("name", ["identity", "translation", "rotation",
+                                      "expansion", "shear", "tent"])
+    def test_velocity_carries_material_points(self, name):
+        # the Eulerian velocity at kappa_t(x) is the material velocity of x
+        m = make_motion(name)
+        rng = np.random.default_rng(3)
+        for t in (-0.5, 0.0, 0.3, 0.75):
+            v = velocity_field(m, t)
+            for x in rng.uniform(0.0, 1.0, size=(5, 2)):
+                np.testing.assert_allclose(v(m.kappa(t, x)),
+                                           m.kappa_dot(t, x), atol=1e-12)
 
 
 class TestReynoldsOperator:
@@ -223,6 +215,8 @@ class TestContinuityAndBalance:
         xi = Cochain(TimePolynomialForm(2, 1, {(0,): t * x, (1,): y * y}))
         report = balance_transport(m, SQ, psi, xi, 0.2)
         assert report["difference"] < 1e-10
+        assert report["transport_derivative"] == transport_derivative(
+            m, SQ, psi, 0.2)
 
     def test_balance_rejects_inconsistent_source(self):
         m = make_motion("rotation", rate=0.7)
