@@ -14,24 +14,21 @@ from .forms import (AffineMap, Box, FormField, TimePolynomialForm,
                     form_lipschitz, lie_derivative,
                     lie_derivative_components, pullback, seminorm_comass,
                     seminorm_flat, seminorm_sharp, time_slice_contract)
-from .quadrature import (adaptive_interval, grundmann_moller,
-                         integrate_interval, simplex_rule,
+from .quadrature import (grundmann_moller, integrate_interval, simplex_rule,
                          subdivide_barycentric)
 from .chains import (Boundary, Chain, Current, Leaf, Scale, Simplex, Sum,
-                     VWedge, boundary, evaluate, interval_product_evaluate,
-                     mass_chain, triangle_chain, unit_interval_chain,
-                     unit_square_chain, v_wedge)
+                     VWedge, boundary, evaluate, mass_chain, triangle_chain,
+                     unit_interval_chain, unit_square_chain)
 from .complexes import SimplicialComplex, freudenthal_complex
 from .flatnorm import (LPProblem, LPSolution, dual_flat_lower_bound,
                        export_lp_text, flat_norm_lp, lp_solve,
                        sharp_lower_bound)
-from .lipschitz import (LipMap, Mollifier, bi_lipschitz_constants,
-                        lipschitz_constant, make_map, mollify,
-                        pushforward_chain, strong_lip_distance)
+from .lipschitz import (LipMap, bi_lipschitz_constants, lipschitz_constant,
+                        make_map, pushforward_chain)
 from .motion import (Cochain, Motion, balance_transport, classical_reynolds,
                      continuity_modulus, deformation_chain,
                      homotopy_residual, make_motion, reynolds_operator,
                      transport_derivative, transport_derivative_fd,
-                     transport_derivative_lagrangian_fd, velocity_field)
+                     velocity_field)
 
 __version__ = "0.1.0"

@@ -5,16 +5,14 @@ against forms by quadrature."""
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import MultiVector, pair, wedge_rows
-from .forms import (FormField, VectorField, contract, exterior_derivative,
-                    time_slice_contract)
-from .quadrature import (grundmann_moller, integrate_interval,
-                         simplex_volume, simplex_volumes, subdivide_simplices)
+from .exterior import MultiVector, wedge_rows
+from .forms import FormField, VectorField, contract, exterior_derivative
+from .quadrature import (_halving_indices, grundmann_moller, simplex_volume,
+                         simplex_volumes)
 
 __all__ = [
     "Simplex",
@@ -28,14 +26,11 @@ __all__ = [
     "evaluate",
     "boundary",
     "mass_chain",
-    "interval_product_evaluate",
-    "v_wedge",
     "unit_square_chain",
     "unit_interval_chain",
     "triangle_chain",
 ]
 
-_KEY_DECIMALS = 10
 _DEGENERACY_TOL = 1e-13
 
 
@@ -55,15 +50,6 @@ class Simplex:
         if self.sign not in (-1, 1):
             raise ValueError("orientation sign must be +1 or -1")
 
-    @classmethod
-    def _trusted(cls, vertices: np.ndarray, sign: int) -> "Simplex":
-        """Simplex on a read-only (r+1, n) float array and a sign of +-1,
-        without the copy and the checks of the constructor."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "vertices", vertices)
-        object.__setattr__(s, "sign", sign)
-        return s
-
     @property
     def degree(self) -> int:
         return self.vertices.shape[0] - 1
@@ -78,28 +64,20 @@ class Simplex:
 
     def unit_tangent(self) -> MultiVector:
         """Orienting unit r-vector: normalized wedge of edge vectors."""
-        r = self.degree
-        if r == 0:
-            return MultiVector(0, self.ambient, np.array([float(self.sign)]))
         coeffs = _unit_tangents(self.vertices[None], np.array([self.sign]))
-        return MultiVector(r, self.ambient, coeffs[0])
-
-    def subdivided(self, levels: int = 1):
-        """Uniform edgewise subdivision into 2^(r*levels) children."""
-        verts, signs = subdivide_simplices(self.vertices[None], [self.sign],
-                                           levels)
-        return [Simplex(v, s) for v, s in zip(verts, signs.tolist())]
+        return MultiVector(self.degree, self.ambient, coeffs[0])
 
 
 def _edge_wedges(vertices: np.ndarray):
     """Wedges of the edges from the first vertex of a stack of r-simplices,
-    r >= 1, shape (N, r+1, n) -> (N, C(n, r)); their norms (N,); and which
+    shape (N, r+1, n) -> (N, C(n, r)); their norms (N,); and which
     simplices are degenerate (N,).
 
     The degeneracy rule: a wedge norm at most `_DEGENERACY_TOL` times the
     product of the edge lengths.  That ratio lies in [0, 1] and does not
     change when the simplex is scaled, so the rule reads the same at any
-    coordinate scale; an exactly flat simplex has ratio 0."""
+    coordinate scale; an exactly flat simplex has ratio 0.  A 0-simplex
+    has the empty wedge 1 and is never degenerate."""
     edges = vertices[:, 1:] - vertices[:, :1]
     xi = wedge_rows(edges)
     norms = np.sqrt(np.matmul(xi[:, None, :], xi[:, :, None]))[:, 0, 0]
@@ -108,9 +86,9 @@ def _edge_wedges(vertices: np.ndarray):
 
 
 def _unit_tangents(vertices: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Orienting unit r-vectors of a stack of r-simplices, r >= 1: the
-    normalized wedge of the edges from the first vertex, times the sign.
-    Shape (N, r+1, n) -> (N, C(n, r))."""
+    """Orienting unit r-vectors of a stack of r-simplices: the normalized
+    wedge of the edges from the first vertex, times the sign (the sign
+    alone at r = 0).  Shape (N, r+1, n) -> (N, C(n, r))."""
     xi, norms, degenerate = _edge_wedges(vertices)
     if not np.all(np.isfinite(xi)):
         raise ValueError("non-finite simplex: vertices or edge wedge "
@@ -126,18 +104,25 @@ def _read_only(*arrays):
     return arrays
 
 
-def lex_ranks(rows: np.ndarray) -> np.ndarray:
-    """Dense lexicographic rank of each row of an (m, k) array: rows that
-    compare equal, entry by entry, share a rank (for floats, -0.0 == 0.0).
-    Shape (m,)."""
+def _lex_groups(rows: np.ndarray):
+    """Dense lexicographic rank of each row of an (m, k) array, (m,): rows
+    that compare equal, entry by entry, share a rank (for floats,
+    -0.0 == 0.0).  And the index of the first row of each rank."""
     if len(rows) == 0:
-        return np.zeros(0, dtype=np.intp)
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
-    step = np.any(ordered[1:] != ordered[:-1], axis=1)
+    new = np.concatenate(([True], np.any(ordered[1:] != ordered[:-1],
+                                         axis=1)))
     ranks = np.empty(len(rows), dtype=np.intp)
-    ranks[order] = np.concatenate(([0], np.cumsum(step)))
-    return ranks
+    ranks[order] = np.cumsum(new) - 1
+    return ranks, order[new]
+
+
+def lex_ranks(rows: np.ndarray) -> np.ndarray:
+    """Dense lexicographic rank of each row of an (m, k) array (see
+    `_lex_groups`).  Shape (m,)."""
+    return _lex_groups(rows)[0]
 
 
 def first_occurrences(labels: np.ndarray):
@@ -151,14 +136,16 @@ def first_occurrences(labels: np.ndarray):
     return first[order], group[inverse]
 
 
-def vertex_ranks(points: np.ndarray):
-    """The vertex rule: a vertex is its coordinates rounded to
-    `_KEY_DECIMALS` decimals, and 0.0 and -0.0 are one vertex.  Returns
-    the rounded rows of `points` (m, n), -0.0 kept as it rounds, and their
-    dense lexicographic ranks (m,): rows that are one vertex share a
-    rank."""
-    rounded = np.round(points, _KEY_DECIMALS)
-    return rounded, lex_ranks(rounded)
+def vertex_table(points: np.ndarray):
+    """The vertex rule: rows of `points` (m, n) are one vertex when their
+    coordinates are equal, exactly (-0.0 == 0.0).  Returns the table of
+    distinct rows, in lexicographic order, each the row of its first
+    occurrence in `points`; and the table index of each row (m,).  Raises
+    ValueError on a non-finite coordinate."""
+    if not np.all(np.isfinite(points)):
+        raise ValueError("non-finite chain vertex")
+    ids, first = _lex_groups(points)
+    return points[first], ids
 
 
 def sort_parity(keys: np.ndarray):
@@ -177,17 +164,19 @@ def sort_parity(keys: np.ndarray):
 class Chain:
     """Simplicial r-chain with real multiplicities.
 
-    A chain holds either its terms, `(Simplex, multiplicity)` pairs, or
-    its stacked arrays (see `stacked`), and builds the other form on first
-    use, so chains passed between array operations never build `Simplex`
-    objects.  Mass equals the multiplicity-weighted volume; exact when the
+    A chain is four read-only arrays: `table`, its distinct vertices
+    (V, n) in lexicographic order of their coordinates; `ids`, each
+    simplex as a row of table indices (N, r+1); `signs`, the orientation
+    signs (N,) of an integer dtype; and `mults`, the multiplicities (N,).
+    Coordinates are compared only where a table is built (`vertex_table`);
+    boundary, simplify and subdivision work on ids, and every other form
+    (`stacked`, the `(Simplex, multiplicity)` terms, JSON) is derived.
+    Mass equals the multiplicity-weighted volume; exact when the
     simplices have disjoint interiors, otherwise only an upper bound.
     """
 
     def __init__(self, terms, degree=None, ambient=None):
-        terms = tuple((s, float(m)) for s, m in terms if m != 0.0)
-        if not all(math.isfinite(m) for _, m in terms):
-            raise ValueError("non-finite chain multiplicity")
+        terms = list(terms)
         if terms:
             degree = terms[0][0].degree
             ambient = terms[0][0].ambient
@@ -196,84 +185,96 @@ class Chain:
                     raise ValueError("mixed degrees/ambients in chain")
         elif degree is None or ambient is None:
             raise ValueError("empty chain needs explicit degree and ambient")
-        self._terms = terms
-        self._stacked = None
-        self.degree = degree
-        self.ambient = ambient
+        self.degree, self.ambient = degree, ambient
+        self._set_points(
+            np.array([s.vertices for s, _ in terms],
+                     dtype=float).reshape(-1, degree + 1, ambient),
+            np.array([s.sign for s, _ in terms], dtype=int),
+            np.array([m for _, m in terms], dtype=float))
 
     @classmethod
     def from_stacked(cls, vertices, signs, multiplicities, degree: int,
                      ambient: int) -> "Chain":
-        """Chain from the arrays `stacked` returns, kept as read-only
-        copies; zero multiplicities drop."""
-        vertices = np.array(vertices, dtype=float)
+        """Chain from the arrays `stacked` returns; zero multiplicities
+        drop."""
+        vertices = np.asarray(vertices, dtype=float)
         signs = np.asarray(signs)
         mults = np.array(multiplicities, dtype=float)
         if (vertices.ndim != 3
                 or not vertices.shape[0] == len(signs) == len(mults)
                 or vertices.shape[1:] != (degree + 1, ambient)):
             raise ValueError("stacked chain arrays do not match")
-        if not np.all(np.isfinite(mults)):
-            raise ValueError("non-finite chain multiplicity")
         if not np.all(np.abs(signs) == 1):
             raise ValueError("orientation sign must be +1 or -1")
-        signs = signs.astype(int)
+        chain = cls.__new__(cls)
+        chain.degree, chain.ambient = degree, ambient
+        chain._set_points(vertices, signs.astype(int), mults)
+        return chain
+
+    @classmethod
+    def _of(cls, table, ids, signs, mults, degree, ambient) -> "Chain":
+        """Chain on a vertex table (distinct rows in lexicographic order)
+        and index rows into it."""
+        chain = cls.__new__(cls)
+        chain.degree, chain.ambient = degree, ambient
+        chain._set(table, ids, signs, mults)
+        return chain
+
+    def _set_points(self, vertices, signs, mults):
+        keep = mults != 0.0
+        table, ids = vertex_table(vertices[keep].reshape(-1, self.ambient))
+        self._set(table, ids.reshape(-1, self.degree + 1), signs[keep],
+                  mults[keep])
+
+    def _set(self, table, ids, signs, mults):
+        """Keep the arrays read-only, without the zero multiplicities and
+        the table rows no simplex uses."""
+        if not np.all(np.isfinite(mults)):
+            raise ValueError("non-finite chain multiplicity")
         keep = mults != 0.0
         if not keep.all():
-            vertices, signs, mults = vertices[keep], signs[keep], mults[keep]
-        chain = cls.__new__(cls)
-        chain._terms = None
-        chain._stacked = _read_only(vertices, signs, mults)
-        chain.degree = degree
-        chain.ambient = ambient
-        return chain
+            ids, signs, mults = ids[keep], signs[keep], mults[keep]
+        used = np.bincount(ids.ravel(), minlength=len(table)) > 0
+        if not used.all():
+            table = table[used]
+            ids = (np.cumsum(used) - 1)[ids]
+        self.table, self.ids, self.signs, self.mults = _read_only(
+            table, ids, signs, mults)
 
     @property
     def terms(self) -> tuple:
         """The `(Simplex, multiplicity)` pairs, in chain order."""
-        if self._terms is None:
-            verts, signs, mults = self._stacked
-            self._terms = tuple(
-                (Simplex._trusted(v, s), m)
-                for v, s, m in zip(verts, signs.tolist(), mults.tolist()))
-        return self._terms
+        verts, signs, mults = self.stacked()
+        return tuple((Simplex(v, s), m) for v, s, m in
+                     zip(verts, signs.tolist(), mults.tolist()))
 
     def stacked(self):
         """The simplices as read-only arrays: vertices (N, r+1, n),
         orientation signs (N,) of an integer dtype and multiplicities (N,),
         in chain order."""
-        if self._stacked is None:
-            if self._terms:
-                arrays = (np.stack([s.vertices for s, _ in self._terms]),
-                          np.array([s.sign for s, _ in self._terms],
-                                   dtype=int),
-                          np.array([m for _, m in self._terms]))
-            else:
-                arrays = (np.zeros((0, self.degree + 1, self.ambient)),
-                          np.zeros(0, dtype=int), np.zeros(0))
-            self._stacked = _read_only(*arrays)
-        return self._stacked
+        return _read_only(self.table[self.ids])[0], self.signs, self.mults
 
     def __iter__(self):
         return iter(self.terms)
 
     def __len__(self):
-        if self._stacked is None:
-            return len(self._terms)
-        return len(self._stacked[2])
+        return len(self.mults)
 
     def __add__(self, other: "Chain") -> "Chain":
         if (self.degree, self.ambient) != (other.degree, other.ambient):
             raise ValueError("chain degree/ambient mismatch")
-        return Chain.from_stacked(
-            *(np.concatenate(pair)
-              for pair in zip(self.stacked(), other.stacked())),
-            self.degree, self.ambient)
+        table, ids = vertex_table(np.concatenate([self.table, other.table]))
+        k = len(self.table)
+        return Chain._of(table,
+                         np.concatenate([ids[:k][self.ids],
+                                         ids[k:][other.ids]]),
+                         np.concatenate([self.signs, other.signs]),
+                         np.concatenate([self.mults, other.mults]),
+                         self.degree, self.ambient)
 
     def __mul__(self, c: float) -> "Chain":
-        verts, signs, mults = self.stacked()
-        return Chain.from_stacked(verts, signs, mults * float(c),
-                                  self.degree, self.ambient)
+        return Chain._of(self.table, self.ids, self.signs,
+                         self.mults * float(c), self.degree, self.ambient)
 
     __rmul__ = __mul__
 
@@ -286,71 +287,80 @@ class Chain:
     def simplify(self, tol: float = 1e-12) -> "Chain":
         """Merge simplices equal up to orientation; drop tiny multiplicities.
 
-        Vertices are identified by `vertex_ranks`.  Each simplex's rows are
-        sorted lexicographically, ties in place (`sort_parity`), and the
-        parity of that sort times the simplex's sign gives the sign of its
-        multiplicity.  The merged simplices come in order of first
-        occurrence, each with the first occurrence's rounded, sorted rows,
-        sign +1 and its multiplicities summed in chain order from 0.0;
-        those with |sum| <= tol drop."""
-        verts, signs, mults = self.stacked()
-        count, k = verts.shape[:2]
-        rounded, ranks = vertex_ranks(verts.reshape(-1, self.ambient))
-        rounded = rounded.reshape(verts.shape)
-        ranks = ranks.reshape(count, k)
-        perm, parity = sort_parity(ranks)
-        first, group = first_occurrences(
-            lex_ranks(np.take_along_axis(ranks, perm, axis=1)))
-        sums = np.bincount(group, weights=signs * parity * mults,
+        Each simplex's ids are sorted, ties in place (`sort_parity`), and
+        the parity of that sort times the simplex's sign gives the sign of
+        its multiplicity.  The merged simplices come in order of first
+        occurrence, each with its sorted ids, sign +1 and its
+        multiplicities summed in chain order from 0.0; those with
+        |sum| <= tol drop."""
+        perm, parity = sort_parity(self.ids)
+        rows = np.take_along_axis(self.ids, perm, axis=1)
+        first, group = first_occurrences(lex_ranks(rows))
+        sums = np.bincount(group, weights=self.signs * parity * self.mults,
                            minlength=len(first))
-        reps = np.take_along_axis(rounded[first], perm[first][:, :, None],
-                                  axis=1)
         keep = np.abs(sums) > tol
-        return Chain.from_stacked(reps[keep], np.ones(keep.sum(), dtype=int),
-                                  sums[keep], self.degree, self.ambient)
+        return Chain._of(self.table, rows[first][keep],
+                         np.ones(keep.sum(), dtype=int), sums[keep],
+                         self.degree, self.ambient)
 
     def subdivided(self, levels: int = 1) -> "Chain":
-        """Every simplex split by `levels` rounds of edgewise subdivision;
-        the children of a simplex are consecutive and keep its
-        multiplicity."""
-        verts, signs, mults = self.stacked()
-        verts, signs = subdivide_simplices(verts, signs, levels)
-        return Chain.from_stacked(
-            verts, signs, np.repeat(mults, 2 ** (self.degree * levels)),
-            self.degree, self.ambient)
-
-    def support_points(self) -> np.ndarray:
-        """All vertex rows, simplex by simplex: a read-only (N (r+1), n)
-        view of the stacked vertices."""
-        return self.stacked()[0].reshape(-1, self.ambient)
+        """Every simplex split by `levels` rounds of edgewise subdivision
+        (`subdivide_barycentric` with k = 2).  Each round gives every edge
+        of the chain one midpoint, (a + b) / 2, shared by all simplices on
+        it; the table is rebuilt once, at the end.  The children of a
+        simplex are consecutive, in `subdivide_barycentric`'s order, and
+        keep its multiplicity."""
+        r = self.degree
+        if r == 0 or levels == 0:
+            return self
+        edges, children, child_signs = _halving_indices(r)
+        table, ids, signs = self.table, self.ids, self.signs
+        for _ in range(levels):
+            size = len(table)
+            ends = ids[:, edges]
+            codes = (np.minimum(ends[..., 0], ends[..., 1]) * size
+                     + np.maximum(ends[..., 0], ends[..., 1]))
+            codes, mids = np.unique(codes.ravel(), return_inverse=True)
+            table = np.concatenate(
+                [table, (table[codes // size] + table[codes % size]) / 2])
+            ids = np.concatenate([ids, size + mids.reshape(-1, len(edges))],
+                                 axis=1)[:, children].reshape(-1, r + 1)
+            signs = (signs[:, None] * child_signs).ravel()
+        table, canonical = vertex_table(table)
+        return Chain._of(table, canonical[ids], signs,
+                         np.repeat(self.mults, 2 ** (r * levels)), r,
+                         self.ambient)
 
     # -- serialization ------------------------------------------------
     def to_json_obj(self):
-        """JSON object: a table of the distinct vertices (`vertex_ranks`)
-        in order of first occurrence, each with its first occurrence's
-        unrounded coordinates, and the simplices as indices into it."""
-        verts, signs, mults = self.stacked()
-        points = verts.reshape(-1, self.ambient)
-        first, group = first_occurrences(vertex_ranks(points)[1])
-        indices = group.reshape(verts.shape[:2]).tolist()
+        """JSON object: the vertices the simplices use, in order of first
+        occurrence, and the simplices as indices into that table."""
+        flat = self.ids.ravel()
+        first, group = first_occurrences(flat)
         return {"degree": self.degree, "ambient": self.ambient,
-                "vertex_table": points[first].tolist(),
+                "vertex_table": self.table[flat[first]].tolist(),
                 "simplices": [
                     {"vertices": idxs, "multiplicity": m, "sign": sign}
-                    for idxs, m, sign in zip(indices, mults.tolist(),
-                                             signs.tolist())]}
+                    for idxs, m, sign in zip(
+                        group.reshape(self.ids.shape).tolist(),
+                        self.mults.tolist(), self.signs.tolist())]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "Chain":
+        degree, ambient = obj["degree"], obj["ambient"]
         table = np.asarray(obj["vertex_table"], dtype=float)
+        if table.size and (table.ndim != 2 or table.shape[1] != ambient):
+            raise ValueError("the chain's vertex_table rows do not have "
+                             "`ambient` coordinates")
         if not np.all(np.isfinite(table)):
             raise ValueError("non-finite entry in the chain's vertex_table")
-        terms = []
-        for rec in obj["simplices"]:
-            verts = table[rec["vertices"]]
-            terms.append((Simplex(verts, rec.get("sign", 1)),
-                          rec["multiplicity"]))
-        return cls(terms, obj["degree"], obj["ambient"])
+        records = obj["simplices"]
+        ids = np.array([rec["vertices"] for rec in records],
+                       dtype=np.intp).reshape(-1, degree + 1)
+        return cls.from_stacked(table.reshape(-1, ambient)[ids],
+                                [rec.get("sign", 1) for rec in records],
+                                [rec["multiplicity"] for rec in records],
+                                degree, ambient)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -434,12 +444,6 @@ def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2,
     if phi.degree != chain.degree or phi.ambient != chain.ambient:
         raise ValueError("form degree/ambient does not match the chain")
     work = chain.subdivided(subdivision) if subdivision else chain
-    if work.degree == 0:
-        total = 0.0
-        for simplex, mult in work:
-            total += mult * pair(phi(simplex.vertices[0]),
-                                 simplex.unit_tangent())
-        return total
     if not len(work):
         return 0.0
     # All simplices at once.  Each per-simplex step is a stacked matmul or
@@ -485,30 +489,20 @@ def evaluate(T: Current, phi: FormField, s_order: int = 2,
     raise TypeError(f"not a current expression: {type(T)}")
 
 
-def evaluate_with_error(T: Current, phi: FormField, s_order: int = 2,
-                        subdivision: int = 1):
-    """Evaluation plus a Richardson-style error estimate from one extra
-    subdivision level."""
-    coarse = evaluate(T, phi, s_order, subdivision)
-    fine = evaluate(T, phi, s_order, subdivision + 1)
-    return fine, abs(fine - coarse)
-
-
 def boundary(T: Chain) -> Chain:
     """Alternating-sum face chain; interior faces of consistently oriented
     complexes cancel exactly.  The faces are those of each simplex in turn,
-    face i without vertex i and with sign (-1)^i, merged by `simplify`."""
+    face i without vertex i and with sign (-1)^i, on the chain's vertex
+    table, merged by `simplify`."""
     if isinstance(T, Leaf):
         T = T.chain
     if T.degree < 1:
         raise ValueError("boundary undefined for 0-chains")
-    r, n = T.degree, T.ambient
-    verts, signs, mults = T.stacked()
+    r = T.degree
     drop = [[j for j in range(r + 1) if j != i] for i in range(r + 1)]
-    faces = Chain.from_stacked(
-        verts[:, drop].reshape(-1, r, n),
-        (signs[:, None] * (-1) ** np.arange(r + 1)).ravel(),
-        np.repeat(mults, r + 1), r - 1, n)
+    faces = Chain._of(T.table, T.ids[:, drop].reshape(-1, r),
+                      (T.signs[:, None] * (-1) ** np.arange(r + 1)).ravel(),
+                      np.repeat(T.mults, r + 1), r - 1, T.ambient)
     return faces.simplify()
 
 
@@ -518,30 +512,6 @@ def mass_chain(T: Chain) -> float:
     verts, _, mults = T.stacked()
     terms = np.abs(mults) * simplex_volumes(verts)
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
-
-
-def v_wedge(v: VectorField, T: Current) -> Current:
-    """Symbolic v wedge T; evaluation only (the result is generally not a
-    simplicial chain)."""
-    if isinstance(T, Chain):
-        T = Leaf(T)
-    return VWedge(v, T)
-
-
-def interval_product_evaluate(interval, T: Chain, omega: FormField,
-                              panels: int = 8, s_order: int = 2) -> float:
-    """Evaluate ([a,b] x T) against a form on R x R^n: the time integral of
-    T applied to the e_t-contraction of the time slice."""
-    a, b = float(interval[0]), float(interval[1])
-    if omega.ambient != T.ambient + 1 or omega.degree != T.degree + 1:
-        raise ValueError("product form must live on R x R^n one degree up")
-    if a == b:
-        return 0.0
-
-    def integrand(t):
-        return _leaf_evaluate(T, time_slice_contract(omega, t), s_order)
-
-    return integrate_interval(integrand, a, b, panels=panels)
 
 
 # ----------------------------------------------------------------------

@@ -87,16 +87,18 @@ def _fit_order(xs, ys):
 # ----------------------------------------------------------------------
 
 def _verify_checks(cfg, tol_scale, timings):
-    """Per-scenario invariant suite; yields (row, passed)."""
+    """Per-scenario invariant suite: a list of (row, passed, (value,
+    oracle, tol, |value - oracle|))."""
     rng = np.random.default_rng(cfg.seed)
     T = cfg.build_chain()
     box = cfg.build_box()
     out = []
 
     def check(quantity, value, oracle, tol, level=None, runtime=None):
-        ok = abs(float(value) - float(oracle)) <= tol * tol_scale
+        error = abs(float(value) - float(oracle))
+        ok = error <= tol * tol_scale
         out.append((_row(cfg.name, quantity, value, oracle, level, runtime),
-                    ok))
+                    ok, (float(value), float(oracle), tol, error)))
 
     n = cfg.ambient
     # exterior identities on random polynomial data
@@ -170,12 +172,17 @@ def cmd_verify(args, scenarios):
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = list(pool.map(run, scenarios))
     for cfg, checks in zip(scenarios, results):
-        for row, ok in checks:
+        for row, ok, (value, oracle, tol, error) in checks:
             row[1] += "" if ok else " [FAIL]"
             rows.append(row)
             if not ok:
                 failures += 1
-                log.warning("FAIL %s / %s", cfg.name, row[1])
+                allowed = tol * args.tolerance_scale
+                log.warning("FAIL %s / %s: value %.6g, oracle %.6g, "
+                            "|value - oracle| %.6g > tol %g x "
+                            "tolerance-scale %g = %.6g, margin %.6g",
+                            cfg.name, row[1], value, oracle, error, tol,
+                            args.tolerance_scale, allowed, allowed - error)
     _write_csv(os.path.join(args.out, "verify.csv"), rows)
     return 1 if failures else 0
 

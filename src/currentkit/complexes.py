@@ -10,11 +10,13 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .chains import Chain, lex_ranks, sort_parity, vertex_ranks
+from .chains import Chain, lex_ranks, sort_parity
 from .exterior import perm_sign
 from .quadrature import simplex_volumes
 
 __all__ = ["SimplicialComplex", "freudenthal_complex"]
+
+_LATTICE_TOL = 1e-6
 
 
 class SimplicialComplex:
@@ -22,11 +24,15 @@ class SimplicialComplex:
 
     Reference orientation of every simplex is its sorted vertex order;
     `orientation` stores, for full-dimensional simplices, the sign of the
-    sorted order relative to a globally positive orientation.
+    sorted order relative to a globally positive orientation.  A complex
+    whose vertices are a box's grid, row-major, carries the grid as
+    `lattice`, (lower corner, cell widths, cells per axis).
     """
 
-    def __init__(self, vertices: np.ndarray, top_simplices, top_orientations):
+    def __init__(self, vertices: np.ndarray, top_simplices, top_orientations,
+                 lattice=None):
         self.vertices = np.asarray(vertices, dtype=float)
+        self.lattice = lattice
         self.dim = len(top_simplices[0]) - 1 if top_simplices else 0
         self.simplices = {self.dim: [tuple(sorted(s)) for s in top_simplices]}
         self.orientation = {
@@ -76,22 +82,39 @@ class SimplicialComplex:
         return Chain.from_stacked(verts, np.ones(len(verts), dtype=int),
                                   coeffs[keep], r, self.vertices.shape[1])
 
+    def _vertex_positions(self, points: np.ndarray) -> np.ndarray:
+        """The complex vertex of each row of `points` (m, n), -1 where
+        there is none.  On a lattice a point is the grid vertex
+        round((x - lower) / h) when it lies within `_LATTICE_TOL` cell
+        widths of it, a rule that reads the same at any scale; otherwise a
+        point is the vertex with exactly its coordinates."""
+        if self.lattice is None:
+            return _positions(lex_ranks(np.concatenate([self.vertices,
+                                                        points])),
+                              len(self.vertices))
+        lower, h, cells = self.lattice
+        steps = (points - lower) / h
+        grid = np.rint(steps)
+        on = np.all((np.abs(steps - grid) <= _LATTICE_TOL) & (grid >= 0)
+                    & (grid <= cells), axis=1)
+        index = np.ravel_multi_index(
+            tuple(np.where(on[:, None], grid, 0).astype(np.intp).T),
+            (cells + 1,) * len(h))
+        return np.where(on, index, -1)
+
     def chain_vector(self, T: Chain) -> np.ndarray:
         """Coefficients of a chain over the complex's r-skeleton, summed in
         chain order.
 
-        Raises if any vertex (by `vertex_ranks`) or simplex of the chain is
-        not one of the complex.
+        Raises if any vertex (by `_vertex_positions`) or simplex of the
+        chain is not one of the complex.
         """
         r = T.degree
-        verts, signs, mults = T.stacked()
-        points = verts.reshape(-1, T.ambient)
-        ranks = vertex_ranks(np.concatenate([self.vertices, points]))[1]
-        idx = _positions(ranks, len(self.vertices))
-        if np.any(idx < 0):
-            row = points[np.argmax(idx < 0)]
+        where = self._vertex_positions(T.table)
+        if np.any(where < 0):
+            row = T.table[np.argmax(where < 0)]
             raise ValueError(f"vertex {row} not in complex")
-        idx = idx.reshape(verts.shape[:2])
+        idx = where[T.ids]
         perm, parity = sort_parity(idx)
         ordered = np.take_along_axis(idx, perm, axis=1)
         table = self._index_array(r)
@@ -100,7 +123,7 @@ class SimplicialComplex:
         if np.any(rows < 0):
             missing = tuple(ordered[np.argmax(rows < 0)].tolist())
             raise ValueError(f"simplex {missing} not in complex")
-        return np.bincount(rows, weights=signs * parity * mults,
+        return np.bincount(rows, weights=T.signs * parity * T.mults,
                            minlength=len(table))
 
     def full_chain(self) -> Chain:
@@ -151,5 +174,6 @@ def freudenthal_complex(lower, upper, resolution: int) -> SimplicialComplex:
             order = sorted(range(len(ids)), key=lambda i: ids[i])
             orients.append(path_sign * perm_sign(order))
             tops.append(tuple(ids))
-    return SimplicialComplex(verts, tops, orients)
+    return SimplicialComplex(verts, tops, orients,
+                             lattice=(lower, (upper - lower) / m, m))
 

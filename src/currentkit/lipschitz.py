@@ -1,5 +1,5 @@
-"""Lipschitz and bi-Lipschitz maps: constant estimation, strong-Lipschitz
-distances, mollification, and pushforward of simplicial chains."""
+"""Lipschitz and bi-Lipschitz maps: constant estimation and pushforward of
+simplicial chains."""
 
 from __future__ import annotations
 
@@ -7,16 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, _edge_wedges, first_occurrences, lex_ranks
+from .chains import (Chain, _edge_wedges, first_occurrences, lex_ranks,
+                     vertex_table)
 from .forms import AffineMap, Box
 
 __all__ = [
     "LipMap",
-    "Mollifier",
     "lipschitz_constant",
     "bi_lipschitz_constants",
-    "strong_lip_distance",
-    "mollify",
     "pushforward_chain",
     "make_map",
 ]
@@ -104,28 +102,35 @@ def _sample_pairs(box: Box, n_pairs: int):
     return xs, ys
 
 
-def _map_points(f: LipMap, points: np.ndarray) -> np.ndarray:
-    """Images of the rows of `points` (m, n) under f, bit for bit those of
+def _map_rows(f: LipMap, rows: np.ndarray) -> np.ndarray:
+    """Images of the rows of `rows` (m, n) under f, bit for bit those of
     calling f on each row.
 
     An affine map is one stacked matrix-vector product, per row the same
-    kernel as the map's own call.  Any other map is called once per
-    distinct row, in order of first occurrence; rows with equal bits share
-    the image; f sees read-only rows.  Shape (m, target dimension)."""
+    kernel as the map's own call.  Any other map is called once per row,
+    in order, on read-only rows.  Shape (m, target dimension)."""
     if isinstance(f.func, AffineMap):
-        return (np.matmul(f.func.mat, points[:, :, None])[:, :, 0]
+        return (np.matmul(f.func.mat, rows[:, :, None])[:, :, 0]
                 + f.func.shift)
-    bits = np.ascontiguousarray(points).view(np.int64)
-    first, group = first_occurrences(lex_ranks(bits))
-    distinct = points[first]
-    distinct.flags.writeable = False
+    rows = rows.view()
+    rows.flags.writeable = False
     image = None
-    for i, x in enumerate(distinct):
+    for i, x in enumerate(rows):
         y = f(x)
         if image is None:
-            image = np.empty((len(first), y.size))
+            image = np.empty((len(rows), y.size))
         image[i] = y
-    return image[group]
+    return image
+
+
+def _map_points(f: LipMap, points: np.ndarray) -> np.ndarray:
+    """`_map_rows` of `points` (m, n), with a non-affine map called once
+    per distinct row: rows with equal bits share the image."""
+    if isinstance(f.func, AffineMap):
+        return _map_rows(f, points)
+    bits = np.ascontiguousarray(points).view(np.int64)
+    first, group = first_occurrences(lex_ranks(bits))
+    return _map_rows(f, points[first])[group]
 
 
 def _pair_ratios(f: LipMap, xs, ys):
@@ -168,79 +173,20 @@ def bi_lipschitz_constants(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS,
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def strong_lip_distance(f: LipMap, g: LipMap, box: Box,
-                        n_pairs: int = 20_000, seed: int = 0) -> float:
-    """Strong-Lipschitz seminorm of f - g on K:
-    max(sup |f-g|, Lip(f-g))."""
-    diff = LipMap(f.ambient, lambda x, a=f, b=g: a(x) - b(x))
-    sup = max(float(np.linalg.norm(diff(x))) for x in box.grid())
-    lip, _ = lipschitz_constant(diff, box, n_pairs, seed)
-    return max(sup, lip)
-
-
-@dataclass(frozen=True)
-class Mollifier:
-    """Unit-mass smoothing kernel of radius rho."""
-
-    rho: float
-    kind: str = "gaussian"
-    order: int = 7
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("kernel radius must be positive")
-        if self.kind not in ("gaussian", "truncated"):
-            raise ValueError(f"unknown kernel {self.kind}")
-
-    def nodes_weights(self, dim: int):
-        """Tensor quadrature for the kernel; weights sum to 1 to 1e-10."""
-        if self.kind == "gaussian":
-            x, w = np.polynomial.hermite_e.hermegauss(self.order)
-            w = w / w.sum()
-            x = x * self.rho
-        else:
-            x, w = np.polynomial.legendre.leggauss(self.order)
-            # bump-free truncated kernel: cosine taper on [-rho, rho]
-            dens = (1.0 + np.cos(np.pi * x)) / 2.0
-            w = w * dens
-            w = w / w.sum()
-            x = x * self.rho
-        nodes = np.stack(np.meshgrid(*([x] * dim), indexing="ij"),
-                         axis=-1).reshape(-1, dim)
-        wts = np.prod(np.stack(np.meshgrid(*([w] * dim), indexing="ij"),
-                               axis=-1).reshape(-1, dim), axis=1)
-        return nodes, wts
-
-
-def mollify(f: LipMap, rho: float, kind: str = "gaussian",
-            order: int = 7) -> LipMap:
-    """Smooth approximation by convolution against a unit-mass kernel.
-
-    Linear (in particular affine) maps are fixed points up to quadrature
-    tolerance; the Lipschitz constant never increases."""
-    kernel = Mollifier(rho, kind, order)
-    nodes, wts = kernel.nodes_weights(f.ambient)
-
-    def smoothed(x, f=f, nodes=nodes, wts=wts):
-        x = np.asarray(x, dtype=float)
-        vals = np.stack([f(x + dx) for dx in nodes])
-        return wts @ vals
-
-    return LipMap(f.ambient, smoothed, name=f"mollified({f.name},{rho:g})")
-
-
 def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
                       check_injective: bool = False,
                       box: Box = None) -> Chain:
     """Vertex-mapped pushforward after `levels` uniform subdivisions.
 
-    Exact for affine-per-simplex maps; converges in evaluation as
-    levels grows for curved Lipschitz maps.  Degenerate image simplices,
-    by the rule of `chains._edge_wedges`, are flagged by a ValueError.
+    Each vertex of the chain's table is mapped once; images that coincide
+    are one vertex of the pushed chain.  Exact for affine-per-simplex
+    maps; converges in evaluation as levels grows for curved Lipschitz
+    maps.  A non-finite image vertex, and a degenerate image simplex by
+    the rule of `chains._edge_wedges`, raise a ValueError.
     """
     if check_injective:
         if box is None:
-            pts = T.support_points()
+            pts = T.table
             pad = 0.1 * (np.ptp(pts, axis=0).max() + 1.0)
             box = Box(tuple(pts.min(axis=0) - pad),
                       tuple(pts.max(axis=0) + pad),
@@ -253,12 +199,12 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
     work = T.subdivided(levels) if levels else T
     if not len(work):
         return Chain([], T.degree, T.ambient)
-    verts, signs, mults = work.stacked()
-    image = _map_points(f, verts.reshape(-1, T.ambient))
-    image = image.reshape(len(verts), T.degree + 1, -1)
-    if T.degree > 0 and np.any(_edge_wedges(image)[2]):
+    table, ids = vertex_table(_map_rows(f, work.table))
+    ids = ids[work.ids]
+    if T.degree > 0 and np.any(_edge_wedges(table[ids])[2]):
         raise ValueError("degenerate image simplex in pushforward")
-    return Chain.from_stacked(image, signs, mults, T.degree, image.shape[2])
+    return Chain._of(table, ids, work.signs, work.mults, T.degree,
+                     table.shape[1])
 
 
 # ----------------------------------------------------------------------

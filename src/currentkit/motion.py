@@ -11,8 +11,7 @@ import numpy as np
 from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge, boundary,
                      evaluate)
 from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
-                    exterior_derivative, lie_derivative, pullback,
-                    seminorm_comass)
+                    exterior_derivative, seminorm_comass)
 from .lipschitz import LipMap, _planar_rotation, _tent, pushforward_chain
 from .polynomial import Polynomial
 from .quadrature import integrate_interval, simplex_rule
@@ -27,7 +26,6 @@ __all__ = [
     "homotopy_residual",
     "transport_derivative",
     "transport_derivative_fd",
-    "transport_derivative_lagrangian_fd",
     "classical_reynolds",
     "continuity_modulus",
     "balance_transport",
@@ -193,9 +191,11 @@ class Deformation(Current):
         a, b = self.interval
         if a == b:
             return 0.0
+        work = (self.chain.subdivided(self.levels) if self.levels
+                else self.chain)
 
         def integrand(tau):
-            pushed = self.motion.push(self.chain, tau, self.levels)
+            pushed = self.motion.push(work, tau)
             v = velocity_field(self.motion, tau)
             return evaluate(pushed, contract(phi, v), s_order, subdivision)
 
@@ -214,8 +214,8 @@ def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
     """Residual of the homotopy formula
     (kappa_b# T - kappa_a# T) = bnd(deformation) + deformation of bnd(T)."""
     a, b = interval
-    lhs = (evaluate(m.push(T, b, levels), phi)
-           - evaluate(m.push(T, a, levels), phi))
+    work = T.subdivided(levels) if levels else T
+    lhs = evaluate(m.push(work, b), phi) - evaluate(m.push(work, a), phi)
     rhs = 0.0
     if T.degree + 1 <= T.ambient:
         deform = deformation_chain(m, interval, T, levels, panels,
@@ -270,42 +270,18 @@ def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
     return total
 
 
-def transport_derivative_betounes(m: Motion, T: Chain, psi: Cochain,
-                                  tau: float, levels: int = 0) -> float:
-    """Equivalent smooth-data form: evaluate(kappa_tau# T,
-    psi_dot + L_v psi); used as an independent pipeline."""
-    pushed = m.push(T, tau, levels)
-    v = velocity_field(m, tau)
-    form = psi.dot_at(tau) + lie_derivative(psi.form_at(tau), v)
-    return evaluate(pushed, form)
-
-
 def transport_derivative_fd(m: Motion, T: Chain, psi: Cochain, tau: float,
                             eps: float, levels: int = 0,
                             one_sided: bool = False) -> float:
     """Finite-difference oracle for the transport derivative."""
+    work = T.subdivided(levels) if levels else T
+
     def total(t):
-        return psi(t, m.push(T, t, levels))
+        return psi(t, m.push(work, t))
 
     if one_sided:
         return (total(tau + eps) - total(tau)) / eps
     return (total(tau + eps) - total(tau - eps)) / (2 * eps)
-
-
-def transport_derivative_lagrangian_fd(m: Motion, T: Chain, psi: Cochain,
-                                       tau: float, eps: float) -> float:
-    """Lagrangian pipeline: FD of t -> T(kappa_t^# psi(t)) using exact
-    affine pullbacks of the representing form."""
-    def pulled(t):
-        lm = m.map_at(t)
-        amap = getattr(lm, "func", None)
-        from .forms import AffineMap
-        if isinstance(amap, AffineMap):
-            return evaluate(T, pullback(psi.form_at(t), amap))
-        return evaluate(T, pullback(psi.form_at(t), lm,
-                                    source_dim=T.ambient))
-
-    return (pulled(tau + eps) - pulled(tau - eps)) / (2 * eps)
 
 
 def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
@@ -356,11 +332,12 @@ def continuity_modulus(m: Motion, T: Chain, t: float, eps_list, family,
                        box: Box, levels: int = 0):
     """Dual M-norm estimates of kappa_{t+eps}# T - kappa_t# T over a test
     family, one per epsilon."""
-    base = m.push(T, t, levels)
+    work = T.subdivided(levels) if levels else T
+    base = m.push(work, t)
     norms = [seminorm_comass(phi, box) for phi in family]
     out = []
     for eps in eps_list:
-        moved = m.push(T, t + eps, levels)
+        moved = m.push(work, t + eps)
         est = max(abs(evaluate(moved, phi) - evaluate(base, phi)) / nn
                   for phi, nn in zip(family, norms) if nn > 0)
         out.append(est)

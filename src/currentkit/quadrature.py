@@ -2,13 +2,13 @@
 
 Simplex rules are Grundmann-Moller symmetric rules of odd polynomial
 exactness degree 2s+1; interval integration uses composite Gauss-Legendre
-panels with adaptive splitting.
+panels.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import numpy as np
@@ -21,9 +21,7 @@ __all__ = [
     "simplex_volume",
     "simplex_volumes",
     "integrate_interval",
-    "adaptive_interval",
     "subdivide_barycentric",
-    "subdivide_simplices",
 ]
 
 
@@ -43,7 +41,10 @@ def grundmann_moller(dim: int, s: int):
 
     Returns (points, weights) in barycentric coordinates (dim+1 columns);
     weights sum to 1 (reference measure normalized to the simplex volume).
+    The 0-simplex is a point: one node of weight 1.
     """
+    if dim == 0:
+        return np.ones((1, 1)), np.ones(1)
     d = 2 * s + 1
     n = dim
     pts, wts = [], []
@@ -87,10 +88,7 @@ def simplex_rule(vertices: np.ndarray, s: int = 2):
     degree <= 2s+1.
     """
     v = np.asarray(vertices, dtype=float)
-    r = v.shape[0] - 1
-    if r == 0:
-        return v.copy(), np.array([1.0])
-    bary, w = grundmann_moller(r, s)
+    bary, w = grundmann_moller(v.shape[0] - 1, s)
     pts = bary @ v
     return pts, w * simplex_volume(v)
 
@@ -116,21 +114,6 @@ def integrate_interval(f, a: float, b: float, panels: int = 4,
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         total += half * sum(w * f(mid + half * x) for x, w in zip(xs, ws))
     return total
-
-
-def adaptive_interval(f, a: float, b: float, tol: float = 1e-9,
-                      order: int = 5, max_panels: int = 256):
-    """Panel-doubling Gauss quadrature; returns (value, error_estimate)."""
-    panels = 2
-    prev = integrate_interval(f, a, b, panels, order)
-    while panels < max_panels:
-        panels *= 2
-        cur = integrate_interval(f, a, b, panels, order)
-        err = abs(cur - prev)
-        if err <= tol * max(1.0, abs(cur)):
-            return cur, err
-        prev = cur
-    return prev, abs(cur - prev) if panels > 2 else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -197,34 +180,21 @@ def subdivide_barycentric(vertices: np.ndarray, k: int = 2):
 
 
 @lru_cache(maxsize=None)
-def _halving_children(dim: int):
-    """Children of the k = 2 Kuhn tiling as edge weights, shape
-    (2^dim, dim+1, dim): child vertex j of a simplex v is
-    v[0] + weights[c, j] @ (v[1:] - v[:-1]).  Plus their signs."""
+def _halving_indices(dim: int):
+    """The k = 2 children of `subdivide_barycentric` on vertex indices.
+
+    A simplex's vertices 0..dim are followed by the midpoints of its edges
+    (p, q), p < q, in lexicographic order: `edges` (C(dim+1, 2), 2).
+    `children` (2^dim, dim+1) lists each child's vertices as positions in
+    that extended list; plus the children's signs (2^dim,)."""
     kids = _kuhn_children(dim, 2)
-    weights = np.array([yverts for yverts, _ in kids]) / 2
-    weights.flags.writeable = False
-    return weights, np.array([sign for _, sign in kids])
-
-
-def subdivide_simplices(vertices: np.ndarray, signs, levels: int = 1):
-    """`levels` rounds of subdivide_barycentric (k = 2) on a stack of
-    simplices, shape (N, r+1, n), with their orientation signs (N,).
-
-    Returns the children, shape (N 2^(r levels), r+1, n), and their signs
-    (parent sign times child sign).  The children of a parent are
-    consecutive, in subdivide_barycentric's order, and their coordinates
-    equal its output bit for bit.
-    """
-    v = np.asarray(vertices, dtype=float)
-    signs = np.asarray(signs)
-    r, n = v.shape[1] - 1, v.shape[2]
-    if r == 0:
-        return v, signs
-    weights, child_signs = _halving_children(r)
-    for _ in range(levels):
-        edges = v[:, 1:] - v[:, :-1]
-        v = (v[:, None, :1] + np.matmul(weights, edges[:, None])).reshape(
-            -1, r + 1, n)
-        signs = (signs[:, None] * child_signs).ravel()
-    return v, signs
+    y = np.array([yverts for yverts, _ in kids])
+    # child vertex y is the midpoint of v[p] and v[q], or v[p] if p == q
+    p, q = (y == 2).sum(axis=2), (y >= 1).sum(axis=2)
+    edges = list(combinations(range(dim + 1), 2))
+    position = {(a, a): a for a in range(dim + 1)}
+    position.update({e: dim + 1 + i for i, e in enumerate(edges)})
+    children = np.array([[position[a, b] for a, b in zip(pa, qa)]
+                         for pa, qa in zip(p.tolist(), q.tolist())])
+    return (np.array(edges).reshape(-1, 2), children,
+            np.array([sign for _, sign in kids]))

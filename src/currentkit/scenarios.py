@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .chains import (Chain, boundary, triangle_chain, unit_interval_chain,
                      unit_square_chain)
 from .forms import Box, TimePolynomialForm
@@ -56,7 +58,18 @@ class ScenarioConfig:
         if "name" not in obj:
             raise ValueError("scenario missing required field 'name'")
         cfg = cls(**{k: obj[k] for k in obj})
+        _finite("tau", cfg.tau)
+        _finite("eps_ladder", cfg.eps_ladder)
         cfg.eps_ladder = tuple(float(e) for e in cfg.eps_ladder)
+        if not all(e > 0.0 for e in cfg.eps_ladder):
+            raise ValueError("scenario field 'eps_ladder' must be > 0")
+        for key, value in cfg.motion.items():
+            if key != "family" and not isinstance(value, str):
+                _finite(f"motion.{key}", value)
+        _finite("chain.multiplier", cfg.chain.get("multiplier", 1.0))
+        for key in ("lower", "upper", "pad"):
+            if cfg.box is not None and key in cfg.box:
+                _finite(f"box.{key}", cfg.box[key])
         return cfg
 
     # -- builders ------------------------------------------------------
@@ -108,6 +121,19 @@ class ScenarioConfig:
         res = int(self.box.get("resolution", self.resolution))
         return Box(tuple(v - pad for v in lo), tuple(v + pad for v in hi),
                    lo, hi, resolution=res)
+
+
+def _finite(name: str, value):
+    """A ValueError naming the field unless `value` is a finite number or
+    a list of finite numbers."""
+    try:
+        numbers = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"scenario field {name!r} must be a number or a "
+                         f"list of numbers, got {value!r}") from None
+    if not np.all(np.isfinite(numbers)):
+        raise ValueError(f"scenario field {name!r} must be finite, got "
+                         f"{value!r}")
 
 
 def load_config(path) -> list:

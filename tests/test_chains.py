@@ -9,18 +9,17 @@ import numpy as np
 import pytest
 
 from currentkit.chains import (Boundary, Chain, Leaf, Scale, Simplex, Sum,
-                               VWedge, boundary, evaluate,
-                               evaluate_with_error, interval_product_evaluate,
-                               mass_chain, triangle_chain, unit_interval_chain,
-                               unit_square_chain, v_wedge)
-from currentkit.complexes import freudenthal_complex
+                               VWedge, boundary, evaluate, mass_chain,
+                               triangle_chain, unit_interval_chain,
+                               unit_square_chain)
+from currentkit.complexes import SimplicialComplex, freudenthal_complex
 from currentkit.exterior import MultiVector, pair, perm_sign, wedge
 from currentkit.forms import (FormField, VectorField, contract,
                               exterior_derivative)
 from currentkit.lipschitz import LipMap, make_map, pushforward_chain
 from currentkit.polynomial import Polynomial
-from currentkit.quadrature import (grundmann_moller, simplex_volume,
-                                   subdivide_barycentric)
+from currentkit.quadrature import grundmann_moller, subdivide_barycentric
+from oracles import evaluate_with_error, interval_product_evaluate
 
 
 def _tet():
@@ -117,16 +116,18 @@ class TestBoundary:
         rhs = evaluate(T, exterior_derivative(phi))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    @pytest.mark.parametrize("scale", [1e-7, 1e-8])
+    @pytest.mark.parametrize("scale", [1e-7, 1e-8, 1e3, 1e5, 1e8])
     def test_stokes_at_small_scale(self, scale):
-        # the square is pushed forward by a contraction, then checked:
-        # neither step may call its simplices degenerate at this scale
+        # the square is pushed forward by a scaling, then checked: neither
+        # step may call its simplices degenerate at this scale, and the
+        # boundary keeps exactly the outer faces
         rng = np.random.default_rng(6)
         shrink = LipMap.affine(scale * np.eye(2), [0.3 * scale, -scale])
         S = pushforward_chain(shrink, unit_square_chain(), levels=1)
         area = FormField.from_polynomials(2, 2, {(0, 1): 1.0})
         assert evaluate(S, area) == pytest.approx(scale ** 2, rel=1e-12)
         phi = FormField.random_polynomial(2, 1, rng, max_degree=3)
+        assert len(boundary(S)) == 8
         lhs = evaluate(boundary(S), phi)
         rhs = evaluate(S, exterior_derivative(phi))
         assert lhs == pytest.approx(rhs, rel=1e-6)
@@ -151,7 +152,7 @@ class TestCurrentAlgebra:
         b = boundary(unit_square_chain())
         v = VectorField.random_polynomial(2, rng)
         phi = FormField.random_polynomial(2, 2, rng)
-        lhs = evaluate(v_wedge(v, Leaf(b)), phi)
+        lhs = evaluate(VWedge(v, Leaf(b)), phi)
         rhs = evaluate(b, contract(phi, v))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -180,6 +181,24 @@ class TestCurrentAlgebra:
 
 
 class TestFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        verts = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+        verts[0, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite chain vertex"):
+            Chain.from_stacked(verts, [1], [1.0], 2, 2)
+        with pytest.raises(ValueError, match="non-finite chain vertex"):
+            Chain([(Simplex(verts[0]), 1.0)])
+
+    def test_pushforward_by_nan_map_raises(self):
+        # the map is NaN on part of the square: the pushforward itself
+        # raises, before anything evaluates, saves or loads the image
+        def f(x):
+            return np.array([np.nan, x[1]]) if x[0] > 0.5 else x
+
+        with pytest.raises(ValueError, match="non-finite chain vertex"):
+            pushforward_chain(LipMap(2, f), unit_square_chain(), levels=1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_multiplicity_rejected(self, bad):
         tri = triangle_chain().terms[0][0]
@@ -275,7 +294,9 @@ def _loop_volume(v):
 
 
 def _loop_subdivided(chain, levels):
-    """(vertices, sign, multiplicity) of every child, parent-major."""
+    """(vertices, sign, multiplicity) of every child, parent-major, by the
+    coordinate kernel `subdivide_barycentric`: each child's vertices from
+    its parent's alone."""
     out = []
     for s, m in chain.terms:
         current = [(s.vertices, s.sign)]
@@ -288,7 +309,8 @@ def _loop_subdivided(chain, levels):
 
 def _loop_evaluate(chain, phi, s_order, subdivision):
     total = 0.0
-    for v, sign, mult in _loop_subdivided(chain, subdivision):
+    for s, mult in chain.subdivided(subdivision):
+        v, sign = s.vertices, s.sign
         if v.shape[0] == 1:
             tangent = MultiVector(0, v.shape[1], np.array([float(sign)]))
             total += mult * pair(phi(v[0]), tangent)
@@ -303,7 +325,8 @@ def _loop_evaluate(chain, phi, s_order, subdivision):
 
 def _loop_pushforward(f, chain, levels):
     out = []
-    for v, sign, mult in _loop_subdivided(chain, levels):
+    for s, mult in chain.subdivided(levels):
+        v, sign = s.vertices, s.sign
         image = np.stack([f(x) for x in v])
         r = v.shape[0] - 1
         edges = image[1:] - image[0]
@@ -312,6 +335,13 @@ def _loop_pushforward(f, chain, levels):
             raise ValueError("degenerate image simplex in pushforward")
         out.append((image, sign, mult))
     return out
+
+
+# largest coordinate error allowed of a midpoint computed as (a + b) / 2
+# against the coordinate kernel's a + sum of half edges, per level, in ulps
+# of the chain's largest coordinate (1 is the worst seen on the random
+# chains of test_subdivision at levels 1-3)
+_SUBDIVISION_ULPS = 2
 
 
 _SHAPES = [(r, n) for r in range(4) for n in range(max(r, 1), 4)]
@@ -356,8 +386,10 @@ def _random_maps(rng, n):
 
 
 class TestBatchedKernels:
-    """Batched evaluation, pushforward and subdivision equal the
-    per-simplex loops bit for bit."""
+    """Batched evaluation and pushforward equal the per-simplex loops bit
+    for bit; subdivision equals the coordinate kernel bit for bit on
+    dyadic coordinates and within `_SUBDIVISION_ULPS` per level
+    otherwise."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_wedge_matches_term_loop(self, n):
@@ -384,17 +416,44 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("levels", [0, 1, 2])
     @pytest.mark.parametrize("r,n", _SHAPES)
     def test_subdivision(self, r, n, levels):
+        # random coordinates are not dyadic: a midpoint (a + b) / 2 can
+        # differ from the coordinate kernel's in the last bits
         rng = np.random.default_rng(100 * r + 10 * n + levels)
         T = _random_chain(rng, r, n)
         want = _loop_subdivided(T, levels)
         got = T.subdivided(levels)
         assert len(got) == len(want) == len(T) * 2 ** (r * levels)
+        ulp = np.spacing(np.abs(T.table).max())
         for (s, m), (v, sign, mult) in zip(got, want):
-            assert _bits(s.vertices) == _bits(v)
+            np.testing.assert_allclose(
+                s.vertices, v, rtol=0, atol=_SUBDIVISION_ULPS * levels * ulp)
             assert (s.sign, m) == (sign, mult)
-        simplex = T.terms[0][0]
-        for child, (v, sign, _) in zip(simplex.subdivided(levels), want):
-            assert _bits(child.vertices) == _bits(v) and child.sign == sign
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dyadic_subdivision_is_bit_exact(self, n, levels):
+        # on dyadic coordinates both ways of computing a midpoint are exact
+        comp = freudenthal_complex([-1.0] * n, [0.5] * n, 2)
+        for r in range(1, n + 1):
+            T = comp.simplex_chain(r, np.linspace(-1.0, 1.0,
+                                                  comp.n_simplices(r)))
+            _assert_same_chain(T.subdivided(levels),
+                               _loop_subdivided(T, levels))
+
+    @pytest.mark.parametrize("levels", [5, 7])
+    def test_unit_square_subdivision_is_bit_exact(self, levels):
+        for T in (unit_square_chain(), boundary(unit_square_chain())):
+            _assert_same_chain(T.subdivided(levels),
+                               _loop_subdivided(T, levels))
+
+    def test_subdivision_shares_midpoints(self):
+        # conforming: one midpoint per edge, whichever simplices share it
+        for levels in range(4):
+            T = unit_square_chain().subdivided(levels)
+            assert len(T.table) == (2 ** levels + 1) ** 2
+            assert len(boundary(T)) == 4 * 2 ** levels
+        tet = _tet().subdivided(2)
+        assert len(tet.table) == 35 and len(boundary(boundary(tet))) == 0
 
     @pytest.mark.parametrize("subdivision", [0, 1, 2])
     @pytest.mark.parametrize("r,n", _SHAPES)
@@ -449,22 +508,25 @@ class TestBatchedKernels:
 
 
 def _loop_key(vertices, sign):
-    """The rounded-coordinate key of a simplex and its sign relative to
-    the vertex-sorted representative."""
-    rows = [tuple(np.round(row, 10)) for row in vertices]
+    """The exact-coordinate key of a simplex (a tuple of Python floats, so
+    -0.0 and 0.0 are one key) and its sign relative to the vertex-sorted
+    representative."""
+    rows = [tuple(row.tolist()) for row in vertices]
     order = sorted(range(len(rows)), key=lambda i: rows[i])
     return tuple(rows[i] for i in order), sign * perm_sign(order)
 
 
 def _loop_simplify(simplices, tol=1e-12):
-    """Per-simplex dict merge of (vertices, sign, multiplicity) triples."""
-    acc, reps = {}, {}
+    """Per-simplex dict merge of (vertices, sign, multiplicity) triples;
+    each vertex is represented by the row of its first occurrence."""
+    acc, first_row = {}, {}
     for verts, sign, mult in simplices:
         key, rel = _loop_key(verts, sign)
         acc[key] = acc.get(key, 0.0) + rel * mult
-        if key not in reps:
-            reps[key] = np.array(key)
-    return [(reps[k], 1, c) for k, c in acc.items() if abs(c) > tol]
+        for row in verts:
+            first_row.setdefault(tuple(row.tolist()), row)
+    return [(np.array([first_row[v] for v in k]), 1, c)
+            for k, c in acc.items() if abs(c) > tol]
 
 
 def _loop_boundary(chain):
@@ -513,9 +575,9 @@ _SCALES = [1e-8, 1e-3, 1.0, 1e3, 1e7]
 
 
 class TestArrayChains:
-    """Boundary, simplify and mass on stacked arrays equal the per-face
-    dict merge and the per-simplex sum bit for bit, and a chain keeps its
-    arrays read-only and builds no simplices unless asked."""
+    """Boundary, simplify and mass on the chain's arrays equal the
+    per-face dict merge and the per-simplex sum bit for bit, and a chain
+    is its read-only arrays alone."""
 
     @pytest.mark.parametrize("scale", _SCALES)
     @pytest.mark.parametrize("r,n", _MERGE_SHAPES)
@@ -546,12 +608,13 @@ class TestArrayChains:
         assert len(boundary(boundary(bt))) == 0
 
     def test_negative_zero_is_one_vertex(self):
-        # the shared edge's end reads (-1e-12, 0) in one triangle and
-        # (0, 0) in the other; rounded, -0.0 and 0.0 are one vertex, and
-        # the first occurrence's row, -0.0 included, represents the edge
-        a = np.array([[-1e-12, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        # the shared edge's end reads (-0.0, 0.0) in one triangle and
+        # (0.0, 0.0) in the other: equal coordinates, one vertex, and the
+        # first occurrence's row, -0.0 included, represents it
+        a = np.array([[-0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         b = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         T = Chain([(Simplex(a), 1.0), (Simplex(b), 1.0)])
+        assert len(T.table) == 4
         bt = boundary(T)
         _assert_same_chain(bt, _loop_boundary(T))
         assert len(bt) == 4
@@ -560,14 +623,18 @@ class TestArrayChains:
         merged = Chain([(Simplex(a[[0, 1]]), 1.0),
                         (Simplex(np.array([[1.0, 0.0], [0.0, 0.0]])), 1.0)])
         assert len(merged.simplify()) == 0
+        # coordinates that agree to 10 decimals only are two vertices: the
+        # edge does not cancel
+        a[0, 0] = -1e-12
+        T = Chain([(Simplex(a), 1.0), (Simplex(b), 1.0)])
+        assert len(T.table) == 5 and len(boundary(T)) == 6
 
     def test_degenerate_faces_keep_stable_order(self):
-        # equal rows after rounding: the sort keeps them in place
+        # equal rows: the sort keeps them in place
         rng = np.random.default_rng(7)
         for _ in range(20):
             base = rng.normal(size=(2, 3))
             verts = base[rng.integers(0, 2, size=4)]
-            verts = verts + rng.choice([0.0, 1e-12], size=verts.shape)
             T = Chain.from_stacked(verts[None], [rng.choice([-1, 1])],
                                    [rng.normal()], 3, 3)
             _assert_same_chain(T.simplify(-1.0), _loop_simplify(
@@ -583,11 +650,18 @@ class TestArrayChains:
             assert _bits(mass_chain(T)) == _bits(want)
         assert mass_chain(Chain([], r, n)) == 0.0
 
-    def test_support_points(self):
+    def test_vertex_table(self):
+        # the table holds each distinct vertex once, in lexicographic
+        # order; the simplices index into it
         T = _random_chain(np.random.default_rng(8), 2, 3)
+        T = T + T.subdivided(1)
         want = np.vstack([s.vertices for s, _ in T.terms])
-        assert _bits(T.support_points()) == _bits(want)
-        assert Chain([], 1, 2).support_points().shape == (0, 2)
+        assert _bits(T.table[T.ids].reshape(-1, 3)) == _bits(want)
+        assert _bits(T.table) == _bits(np.unique(want, axis=0))
+        assert Chain([], 1, 2).table.shape == (0, 2)
+        # rows no simplex uses any more leave the table
+        assert len((T * 0.0).table) == 0
+        assert len(boundary(unit_square_chain().subdivided(2)).table) == 16
 
     def test_stacked_arrays_refuse_writes(self):
         verts = np.array([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]]])
@@ -596,20 +670,18 @@ class TestArrayChains:
         for T in (stacked, unit_square_chain(), Chain([], 1, 2),
                   boundary(unit_square_chain()), stacked * 2.0):
             arrays = T.stacked()
-            assert arrays[1].dtype.kind == "i"
-            for a in arrays:
+            assert arrays[1].dtype.kind == "i" and T.ids.dtype.kind == "i"
+            for a in arrays + (T.table, T.ids):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[...] = 0
-            assert T.stacked()[0] is arrays[0]
-        with pytest.raises(ValueError):
-            stacked.support_points()[0, 0] = 5.0
         verts[0, 0, 0] = 9.0  # the chain keeps its own copy
         assert stacked.stacked()[0][0, 0, 0] == 0.0
         assert stacked.terms[0][0].sign == 1
         assert isinstance(stacked.terms[0][0].sign, int)
 
     def test_array_chains_build_no_simplices(self):
+        # a chain is its four arrays; no operation stores another form
         T = unit_square_chain().subdivided(2)
         pushed = pushforward_chain(make_map("tent", 2), T, levels=1)
         area = FormField.from_polynomials(2, 2, {(0, 1): 1.0})
@@ -619,7 +691,10 @@ class TestArrayChains:
         assert len(pushed) == 2 * 4 ** 3 and len(bt) == 4 * 2 ** 3
         combined = (pushed - pushed * 0.5).simplify()
         for chain in (T, pushed, bt, combined):
-            assert chain._terms is None
+            list(chain)
+            chain.to_json_obj()
+            assert set(vars(chain)) == {"degree", "ambient", "table", "ids",
+                                        "signs", "mults"}
         assert len(list(bt)) == len(bt)
 
     def test_arithmetic_matches_terms(self):
@@ -637,12 +712,13 @@ class TestArrayChains:
 
 
 def _loop_to_json_obj(chain):
-    """The per-row dict loop that wrote a chain's JSON object."""
+    """A per-row dict loop that writes a chain's JSON object: one table row
+    per exact coordinate tuple, in order of first occurrence."""
     vert_table, vert_index, simplices = [], {}, []
     for s, m in chain.terms:
         idxs = []
         for row in s.vertices:
-            key = tuple(np.round(row, 10))
+            key = tuple(row.tolist())
             if key not in vert_index:
                 vert_index[key] = len(vert_table)
                 vert_table.append([float(x) for x in row])
@@ -653,20 +729,37 @@ def _loop_to_json_obj(chain):
             "vertex_table": vert_table, "simplices": simplices}
 
 
+def _loop_vertex(comp, row):
+    """The complex vertex of a point, one coordinate at a time: on a
+    lattice the grid vertex within 1e-6 cell widths, else the vertex with
+    exactly its coordinates; None where there is none."""
+    if comp.lattice is None:
+        lookup = {tuple(v.tolist()): i for i, v in enumerate(comp.vertices)}
+        return lookup.get(tuple(row.tolist()))
+    lower, h, cells = comp.lattice
+    index = 0
+    for x, lo, width in zip(row, lower, h):
+        step = (x - lo) / width
+        g = round(step)
+        if abs(step - g) > 1e-6 or not 0 <= g <= cells:
+            return None
+        index = index * (cells + 1) + g
+    return index
+
+
 def _loop_chain_vector(comp, chain):
-    """The per-row dict loop that gave a chain's coefficients over a
+    """The per-row dict loop that gives a chain's coefficients over a
     complex."""
-    lookup = {tuple(np.round(v, 10)): i for i, v in enumerate(comp.vertices)}
     rank = {s: k for k, s in enumerate(comp.simplices.get(chain.degree,
                                                           []))}
     vec = np.zeros(len(rank))
     for s, m in chain.terms:
         idxs = []
         for row in s.vertices:
-            key = tuple(np.round(row, 10))
-            if key not in lookup:
+            index = _loop_vertex(comp, row)
+            if index is None:
                 raise ValueError(f"vertex {row} not in complex")
-            idxs.append(lookup[key])
+            idxs.append(index)
         order = sorted(range(len(idxs)), key=lambda i: idxs[i])
         sorted_tuple = tuple(idxs[i] for i in order)
         if sorted_tuple not in rank:
@@ -696,7 +789,7 @@ def _complex_chains(rng, comp):
 
 class TestVertexRule:
     """`to_json_obj`, `chain_vector`, `volumes` and `simplex_chain` on
-    arrays equal the per-row loops they replaced, byte for byte."""
+    arrays equal per-row loops, byte for byte."""
 
     @pytest.mark.parametrize("n,res,scale", [(2, 4, 1.0), (2, 3, 1e-3),
                                              (2, 3, 1e3), (3, 2, 1.0),
@@ -705,10 +798,14 @@ class TestVertexRule:
         rng = np.random.default_rng(10 * n + res)
         comp = freudenthal_complex([0.0] * n, [scale] * n, res)
         fine = freudenthal_complex([0.0] * n, [scale] * n, 2 * res)
+        # the same complex without its lattice: the exact vertex rule
+        plain = SimplicialComplex(comp.vertices, comp.simplices[n],
+                                  [comp.orientation[n][s]
+                                   for s in comp.simplices[n]])
         for T in _complex_chains(rng, comp):
             assert json.dumps(T.to_json_obj()) == json.dumps(
                 _loop_to_json_obj(T))
-            for host in (comp, fine):
+            for host in (comp, fine, plain):
                 try:
                     want = _loop_chain_vector(host, T)
                 except ValueError:
@@ -754,21 +851,30 @@ class TestVertexRule:
                 _loop_to_json_obj(T))
 
     def test_json_negative_zero_is_one_vertex(self):
-        a = np.array([[-1e-12, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        a = np.array([[-0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         b = np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         T = Chain([(Simplex(a), 1.0), (Simplex(b), -1.0)])
         obj = T.to_json_obj()
         assert obj == _loop_to_json_obj(T)
         assert len(obj["vertex_table"]) == 4
+        assert np.signbit(obj["vertex_table"][0][0])
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_lattice_rule_is_scale_free(self, scale):
+        # a chain whose vertices are within a fraction of a cell width of
+        # the grid, at any scale, lands on the grid; one farther off does not
+        comp = freudenthal_complex([-scale] * 2, [scale] * 2, 4)
+        T = comp.simplex_chain(1, np.ones(comp.n_simplices(1)))
+        verts, signs, mults = T.stacked()
+        h = scale / 2
+        near = Chain.from_stacked(verts + 1e-8 * h, signs, mults, 1, 2)
+        assert _bits(comp.chain_vector(near)) == _bits(comp.chain_vector(T))
+        far = Chain.from_stacked(verts + 1e-4 * h, signs, mults, 1, 2)
+        with pytest.raises(ValueError, match="not in complex"):
+            comp.chain_vector(far)
 
 
-@pytest.mark.parametrize("scale", [
-    1e-8,
-    *(pytest.param(s, marks=pytest.mark.xfail(strict=True, reason=(
-        "vertex identity is coordinates rounded to 10 decimals, so at "
-        "large scale two images of one vertex can round apart and interior "
-        "faces survive the boundary; the indexed chain representation "
-        "removes it"))) for s in (1e5, 1e7))])
+@pytest.mark.parametrize("scale", [1e-8, 1e5, 1e7])
 def test_scale_probe_boundary_of_pushed_square(scale):
     """Push the unit square by random affine maps of scale s, subdivide 3
     levels: the boundary has 4 * 2^3 = 32 faces at any scale."""
@@ -781,3 +887,29 @@ def test_scale_probe_boundary_of_pushed_square(scale):
         pushed = pushforward_chain(f, unit_square_chain()).subdivided(3)
         faces.append(len(boundary(pushed)))
     assert faces == [32] * 10
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e5])
+def test_boundary_of_pushed_jittered_mesh(scale):
+    """A mesh with non-dyadic vertices, pushed by a non-dyadic affine map
+    and by a curved one, then subdivided: its boundary is exactly the
+    subdivided push of the mesh's outer faces, bit for bit."""
+    rng = np.random.default_rng(11)
+    comp = freudenthal_complex([0.0, 0.0], [1.0, 1.0], 4)
+    verts = comp.vertices.copy()
+    inner = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    verts[inner] += rng.uniform(-0.05, 0.05, size=(inner.sum(), 2))
+    tops = comp.simplices[2]
+    mesh = SimplicialComplex(verts * scale / 3.0, tops,
+                             [comp.orientation[2][s] for s in tops]
+                             ).full_chain()
+    maps = [LipMap.affine(rng.standard_normal((2, 2)) + 2.0 * np.eye(2),
+                          scale * rng.standard_normal(2)),
+            make_map("radial_stretch", 2, strength=0.3 / scale ** 2)]
+    for f in maps:
+        for levels in (0, 2):
+            pushed = pushforward_chain(f, mesh).subdivided(levels)
+            outer = pushforward_chain(f, boundary(mesh)).subdivided(levels)
+            bt = boundary(pushed)
+            assert len(bt) == 16 * 2 ** levels
+            assert len((bt - outer).simplify(0.0)) == 0

@@ -1,7 +1,10 @@
 """Command-line driver: subcommands, CSV reports, exit codes, determinism."""
 
 import csv
+import importlib.util
 import json
+import logging
+import os
 
 import pytest
 
@@ -13,6 +16,17 @@ from currentkit.scenarios import (ScenarioConfig, builtin_scenarios,
 def _read(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def _load_checks():
+    """The benchmark's `perfbench/checks.py`, for its reference skip
+    lists."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "checks.py")
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _value(rows, scenario, quantity):
@@ -49,6 +63,29 @@ class TestScenarioConfig:
             {"scenarios": [{"name": "a"}, {"name": "b"}]}))
         assert [c.name for c in load_config(many)] == ["a", "b"]
 
+    @pytest.mark.parametrize("field,body", [
+        ("tau", '"tau": NaN'),
+        ("eps_ladder", '"eps_ladder": [0.01, Infinity]'),
+        ("eps_ladder", '"eps_ladder": [0.01, -0.001]'),
+        ("box.upper", '"box": {"lower": [0, 0], "upper": [1, NaN]}'),
+        ("box.pad",
+         '"box": {"lower": [0, 0], "upper": [1, 1], "pad": Infinity}'),
+        ("motion.rate", '"motion": {"family": "rotation", "rate": NaN}'),
+        ("motion.velocity",
+         '"motion": {"family": "translation", "velocity": [0.3, -Infinity]}'),
+        ("chain.multiplier",
+         '"chain": {"builtin": "square", "multiplier": NaN}'),
+    ])
+    def test_non_finite_field_rejected(self, tmp_path, field, body):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"name": "x", "cochain": {"degree": 2, '
+                        '"components": {"0,1": []}}, ' + body + "}")
+        with pytest.raises(ValueError, match=field):
+            load_config(path)
+        for command in ("verify", "flatnorm"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path)]) == 2
+
     def test_parse_error_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -70,6 +107,30 @@ class TestVerify:
         rows = _read(tmp_path / "verify.csv")
         assert any("[FAIL]" in r["quantity"] for r in rows)
 
+    def test_failed_check_logs_its_margin(self, tmp_path, caplog):
+        passing, failing = tmp_path / "pass", tmp_path / "fail"
+        main(["verify", "--out", str(passing)])
+        with caplog.at_level(logging.WARNING, logger="currentkit"):
+            assert main(["verify", "--out", str(failing),
+                         "--tolerance-scale", "1e-30"]) == 1
+        rows = _read(failing / "verify.csv")
+        # the CSV only marks the row: its cells are those of a passing run
+        assert [{**r, "quantity": r["quantity"].replace(" [FAIL]", "")}
+                for r in rows] == _read(passing / "verify.csv")
+        failed = [r for r in rows if r["quantity"].endswith(" [FAIL]")]
+        messages = [rec.getMessage() for rec in caplog.records
+                    if rec.getMessage().startswith("FAIL ")]
+        assert len(messages) == len(failed) > 0
+        for row, message in zip(failed, messages):
+            error = abs(float(row["value"]) - float(row["oracle"]))
+            assert message.startswith(
+                f"FAIL {row['scenario']} / {row['quantity']}: value ")
+            assert f"|value - oracle| {error:.6g} > tol " in message
+            assert "x tolerance-scale 1e-30 = " in message
+            assert message.endswith(f", margin {-error:.6g}")
+        adjoint = next(m for m in messages if "adjointness_residual" in m)
+        assert "tol 1e-08 x tolerance-scale 1e-30 = 1e-38" in adjoint
+
     def test_corrupt_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{]")
@@ -82,6 +143,27 @@ class TestVerify:
         main(["verify", "--out", str(out4), "--workers", "4"])
         assert (out1 / "verify.csv").read_bytes() == \
             (out4 / "verify.csv").read_bytes()
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("command", ["verify", "transport", "flatnorm",
+                                         "converge"])
+    def test_bundled_outputs_match_the_benchmark_reference(self, tmp_path,
+                                                           command):
+        # every cell of the seed-42 reference, byte for byte, except those
+        # the benchmark's reference check skips
+        checks = _load_checks()
+        assert main([command, "--seed", "42", "--out", str(tmp_path)]) == 0
+        path = os.path.join(os.path.dirname(checks.__file__), "reference",
+                            "bundled", f"{command}.csv")
+
+        def cells(rows):
+            return [{k: v for k, v in row.items()
+                     if k not in checks.REFERENCE_SKIP_COLUMNS}
+                    for row in rows
+                    if row["quantity"] not in checks.REFERENCE_SKIP_ROWS]
+
+        assert cells(_read(tmp_path / f"{command}.csv")) == cells(_read(path))
 
 
 class TestTransport:

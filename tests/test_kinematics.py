@@ -11,12 +11,11 @@ from currentkit.motion import (Cochain, Motion, balance_transport,
                                classical_reynolds, continuity_modulus,
                                deformation_chain, homotopy_residual,
                                make_motion, reynolds_operator,
-                               transport_derivative,
-                               transport_derivative_betounes,
-                               transport_derivative_fd,
-                               transport_derivative_lagrangian_fd,
+                               transport_derivative, transport_derivative_fd,
                                velocity_field)
 from currentkit.polynomial import Polynomial
+from oracles import (transport_derivative_betounes,
+                     transport_derivative_lagrangian_fd)
 
 SQ = unit_square_chain()
 BSQ = boundary(SQ)

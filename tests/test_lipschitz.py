@@ -7,10 +7,11 @@ from currentkit.chains import (Chain, boundary, evaluate, mass_chain,
                                triangle_chain, unit_square_chain)
 from currentkit.complexes import freudenthal_complex
 from currentkit.forms import Box, FormField
-from currentkit.lipschitz import (LipMap, Mollifier, _halton, _pair_ratios,
+from currentkit.lipschitz import (LipMap, _halton, _pair_ratios,
                                   _sample_pairs, bi_lipschitz_constants,
-                                  lipschitz_constant, make_map, mollify,
-                                  pushforward_chain, strong_lip_distance)
+                                  lipschitz_constant, make_map,
+                                  pushforward_chain)
+from oracles import Mollifier, mollify, strong_lip_distance
 
 BOX = Box.unit(2, resolution=5)
 
@@ -210,7 +211,7 @@ def _bits(x):
 
 class TestPointMaps:
     """Sampling and point mapping equal the scalar loops bit for bit, and
-    a general map is called once per distinct point."""
+    a general map is called once per distinct vertex."""
 
     @pytest.mark.parametrize("base", [2, 3, 5, 7, 11, 13])
     def test_halton(self, base):
@@ -260,15 +261,16 @@ class TestPointMaps:
             return 2.0 * x + np.array([x[1] ** 2, 0.0])
 
         T = _mesh(np.random.default_rng(3), 2).subdivided(1)
-        # a vertex written as -0.0 is a different point to call the map on
+        # the copy's vertices on x = 0 read -0.0: the same points as the
+        # first chain's 0.0, so one vertex each, which the map sees once
         verts, signs, mults = T.stacked()
         moved = verts - 1.0
         moved[moved == 0.0] = -0.0
         T = T + Chain.from_stacked(moved, signs, mults, 2, 2)
-        rows = T.support_points()
-        distinct = {row.tobytes() for row in rows}
+        rows = np.concatenate([verts, moved]).reshape(-1, 2)
         pushed = pushforward_chain(LipMap(2, record), T)
-        assert len(calls) == len(set(calls)) == len(distinct) < len(rows)
-        assert set(calls) == distinct
-        want = np.stack([record(x) for x in rows])
-        assert _bits(pushed.support_points()) == _bits(want)
+        assert calls == [row.tobytes() for row in T.table]
+        assert len(T.table) < len({row.tobytes() for row in rows})
+        points = T.stacked()[0].reshape(-1, 2)
+        want = np.stack([record(x) for x in points])
+        assert _bits(pushed.stacked()[0].reshape(-1, 2)) == _bits(want)
