@@ -439,23 +439,21 @@ class Scale(Current):
         self.ambient = self.inner.ambient
 
 
-def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2,
-                   subdivision: int = 0) -> float:
+def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2) -> float:
     if phi.degree != chain.degree or phi.ambient != chain.ambient:
         raise ValueError("form degree/ambient does not match the chain")
-    work = chain.subdivided(subdivision) if subdivision else chain
-    if not len(work):
+    if not len(chain):
         return 0.0
     # All simplices at once.  Each per-simplex step is a stacked matmul or
     # an elementwise op, which runs the same kernel per item as the call
     # on one simplex did, so each simplex's value is bit-identical to it;
     # the total is summed sequentially in chain order, as before.
-    verts, signs, mults = work.stacked()
-    bary, w = grundmann_moller(work.degree, s_order)
+    verts, signs, mults = chain.stacked()
+    bary, w = grundmann_moller(chain.degree, s_order)
     tangents = _unit_tangents(verts, signs)
     pts = np.matmul(bary, verts)
     wts = w * simplex_volumes(verts)[:, None]
-    coeffs = phi.coefficients_at(pts.reshape(-1, work.ambient))
+    coeffs = phi.coefficients_at(pts.reshape(-1, chain.ambient))
     count = len(mults)
     at_points = np.matmul(coeffs.reshape(count, len(w), -1),
                           tangents[:, :, None])
@@ -464,8 +462,7 @@ def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2,
     return float(np.cumsum(np.concatenate(([0.0], mults * values)))[-1])
 
 
-def evaluate(T: Current, phi: FormField, s_order: int = 2,
-             subdivision: int = 0) -> float:
+def evaluate(T: Current, phi: FormField, s_order: int = 2) -> float:
     """Evaluate a current expression against a form.
 
     Boundary nodes evaluate the inner current on d(phi); VWedge nodes on
@@ -474,18 +471,17 @@ def evaluate(T: Current, phi: FormField, s_order: int = 2,
     if isinstance(T, Chain):
         T = Leaf(T)
     if isinstance(T, Leaf):
-        return _leaf_evaluate(T.chain, phi, s_order, subdivision)
+        return _leaf_evaluate(T.chain, phi, s_order)
     if isinstance(T, Boundary):
-        return evaluate(T.inner, exterior_derivative(phi), s_order,
-                        subdivision)
+        return evaluate(T.inner, exterior_derivative(phi), s_order)
     if isinstance(T, VWedge):
-        return evaluate(T.inner, contract(phi, T.field), s_order, subdivision)
+        return evaluate(T.inner, contract(phi, T.field), s_order)
     if isinstance(T, Sum):
-        return sum(evaluate(p, phi, s_order, subdivision) for p in T.parts)
+        return sum(evaluate(p, phi, s_order) for p in T.parts)
     if isinstance(T, Scale):
-        return T.factor * evaluate(T.inner, phi, s_order, subdivision)
+        return T.factor * evaluate(T.inner, phi, s_order)
     if hasattr(T, "_evaluate"):
-        return T._evaluate(phi, s_order, subdivision)
+        return T._evaluate(phi, s_order)
     raise TypeError(f"not a current expression: {type(T)}")
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "comass",
     "frame_to_multivector",
     "wedge_rows",
+    "contract_rows",
     "perm_sign",
 ]
 
@@ -167,6 +168,33 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     return cls(p + q, n, out)
 
 
+@lru_cache(maxsize=None)
+def _contract_terms(r: int, n: int):
+    """The terms of an r-covector over R^n contracted with a vector, as
+    (index in the covector, vector component, output rank, sign), in the
+    order of a loop over the covector's indices, then over the positions
+    in each: dx^lam -| e_i = (-1)^pos dx^(lam without i), where i is at
+    position pos of lam."""
+    ranks = _rank_table(r - 1, n)
+    return tuple((k, i, ranks[lam[:pos] + lam[pos + 1:]],
+                  -1 if pos % 2 else 1)
+                 for k, lam in enumerate(multi_indices(r, n))
+                 for pos, i in enumerate(lam))
+
+
+def contract_rows(coefficients: np.ndarray, vectors: np.ndarray,
+                  r: int) -> np.ndarray:
+    """Row-wise contraction of r-covector coefficients (N, C(n, r)) with
+    vectors (N, n), shape (N, C(n, r-1)).  Every term is added, in the
+    order of `_contract_terms`, to a sum that starts at +0.0; a zero term
+    leaves such a sum's bits as they are."""
+    n = vectors.shape[1]
+    out = np.zeros((len(vectors), comb(n, r - 1)))
+    for k, i, rest, sign in _contract_terms(r, n):
+        out[:, rest] += sign * coefficients[:, k] * vectors[:, i]
+    return out
+
+
 def interior_product(omega: CoVector, v) -> CoVector:
     """Contraction omega -| v, inserting v in the front slot.
 
@@ -179,19 +207,8 @@ def interior_product(omega: CoVector, v) -> CoVector:
     n, r = omega.ambient, omega.degree
     if v.shape != (n,):
         raise ValueError(f"vector shape {v.shape} does not match ambient {n}")
-    out = np.zeros(comb(n, r - 1))
-    ranks = _rank_table(r - 1, n)
-    for k, lam in enumerate(multi_indices(r, n)):
-        c = omega.coefficients[k]
-        if c == 0.0:
-            continue
-        for pos, i in enumerate(lam):
-            if v[i] == 0.0:
-                continue
-            rest = lam[:pos] + lam[pos + 1:]
-            sign = -1.0 if pos % 2 else 1.0
-            out[ranks[rest]] += sign * c * v[i]
-    return CoVector(r - 1, n, out)
+    return CoVector(r - 1, n, contract_rows(omega.coefficients[None],
+                                            v[None], r)[0])
 
 
 def pair(omega: CoVector, xi: MultiVector) -> float:

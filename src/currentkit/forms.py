@@ -1,9 +1,9 @@
 """Differential r-form fields on an open box in R^n.
 
 Two backends: exact multivariate-polynomial coefficients, and a sampled
-(black-box) evaluator differentiated by central differences.  The module
-also houses vector fields, pullbacks, contraction, the Lie derivative and
-the comass/flat/sharp seminorms.
+(black-box) evaluator on point arrays, differentiated by central
+differences.  The module also houses vector fields, pullbacks,
+contraction, the Lie derivative and the comass/flat/sharp seminorms.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from math import comb
 
 import numpy as np
 
-from .exterior import (CoVector, basis_rank, comass, interior_product,
-                       multi_indices)
+from .exterior import (CoVector, _contract_terms, _wedge_terms, basis_rank,
+                       comass, contract_rows, multi_indices)
 from .polynomial import Polynomial
 
 __all__ = [
@@ -117,7 +117,8 @@ class FormField:
     """Differential r-form on (a box in) R^n.
 
     Construct with `from_polynomials` for the exact backend or
-    `from_callable` for the sampled backend.
+    `from_callable` for the sampled backend, a function from points
+    (m, n) to coefficients (m, C(n, r)).
     """
 
     def __init__(self, degree, ambient, *, polys=None, func=None, h=1e-5):
@@ -150,6 +151,8 @@ class FormField:
 
     @classmethod
     def from_callable(cls, ambient, degree, func, h=1e-5) -> "FormField":
+        """Sampled form: `func` maps points (m, ambient) to coefficients
+        (m, C(ambient, degree)); `h` is its central-difference step."""
         return cls(degree, ambient, func=func, h=h)
 
     @classmethod
@@ -168,20 +171,15 @@ class FormField:
 
     # -- evaluation ---------------------------------------------------
     def __call__(self, x) -> CoVector:
-        x = np.asarray(x, dtype=float)
-        if self.is_polynomial:
-            return CoVector(self.degree, self.ambient,
-                            np.array([p(x) for p in self.polys]))
-        out = self.func(x)
-        if isinstance(out, CoVector):
-            return out
-        return CoVector(self.degree, self.ambient, np.asarray(out, float))
+        return CoVector(self.degree, self.ambient,
+                        self.coefficients_at(np.asarray(x, float)[None])[0])
 
     def coefficients_at(self, pts: np.ndarray) -> np.ndarray:
-        """Coefficient matrix at many points, shape (m, ncomp)."""
+        """Coefficient matrix at many points (m, n), shape (m, ncomp)."""
+        pts = np.asarray(pts, dtype=float)
         if self.is_polynomial:
             return np.stack([p.eval_many(pts) for p in self.polys], axis=-1)
-        return np.stack([self(x).coefficients for x in pts], axis=0)
+        return _sampled(self.func, pts, self.ncomp, "form coefficients")
 
     # -- algebra ------------------------------------------------------
     def __add__(self, other: "FormField") -> "FormField":
@@ -192,7 +190,8 @@ class FormField:
                                     zip(self.polys, other.polys)])
         return FormField.from_callable(
             self.ambient, self.degree,
-            lambda x, a=self, b=other: a(x) + b(x), h=self.h)
+            lambda x, a=self, b=other: (a.coefficients_at(x)
+                                        + b.coefficients_at(x)), h=self.h)
 
     def __sub__(self, other: "FormField") -> "FormField":
         return self + (other * -1.0)
@@ -203,7 +202,7 @@ class FormField:
                              polys=[p * c for p in self.polys])
         return FormField.from_callable(
             self.ambient, self.degree,
-            lambda x, a=self, cc=c: a(x) * cc, h=self.h)
+            lambda x, a=self, cc=c: a.coefficients_at(x) * cc, h=self.h)
 
     __rmul__ = __mul__
 
@@ -235,10 +234,25 @@ class FormField:
         return cls.from_polynomials(n, r, coeffs)
 
 
+def _sampled(func, pts: np.ndarray, width: int, what: str) -> np.ndarray:
+    """`func` at points (m, n), checked once per batch: its values must
+    have shape (m, width) and be finite."""
+    out = np.asarray(func(pts), dtype=float)
+    if out.shape != (len(pts), width):
+        raise ValueError(
+            f"a callable for {what} must map points of shape (m, "
+            f"{pts.shape[1]}) to an array of shape (m, {width}); got shape "
+            f"{out.shape} for m = {len(pts)}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"non-finite {what}")
+    return out
+
+
 @dataclass(frozen=True)
 class VectorField:
-    """Vector field on R^n: an evaluator, optional polynomial components,
-    and an optionally known Lipschitz constant."""
+    """Vector field on R^n: an evaluator from points (m, n) to vectors
+    (m, n) or polynomial components, and an optionally known Lipschitz
+    constant."""
 
     ambient: int
     func: object = None
@@ -276,40 +290,33 @@ class VectorField:
         return self.components is not None
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        return self.values_at(np.asarray(x, float)[None])[0]
+
+    def values_at(self, pts: np.ndarray) -> np.ndarray:
+        """Vectors at many points (m, n), shape (m, n)."""
+        pts = np.asarray(pts, dtype=float)
         if self.is_polynomial:
-            return np.array([p(x) for p in self.components])
-        return np.asarray(self.func(x), dtype=float)
+            return np.stack([p.eval_many(pts) for p in self.components],
+                            axis=-1)
+        return _sampled(self.func, pts, self.ambient, "vector field values")
 
 
 # ----------------------------------------------------------------------
 # exterior derivative
 # ----------------------------------------------------------------------
 
-def _wedge_basis_sign(j: int, lam: tuple):
-    """dx^j wedge dx^lam = sign * dx^merged; None if j in lam."""
-    if j in lam:
-        return None, 0
-    pos = sum(1 for k in lam if k < j)
-    return tuple(sorted((j,) + lam)), (-1 if pos % 2 else 1)
-
-
 def _derivative_polys(polys, r: int, n: int, offset: int = 0) -> list:
     """Coefficient polynomials of d of the r-form on R^n whose
     coefficients are `polys`; spatial variable j is variable j + offset of
-    the polynomials, which have n + offset variables."""
-    out_indices = multi_indices(r + 1, n)
-    rank = {idx: k for k, idx in enumerate(out_indices)}
-    out = [Polynomial.zero(n + offset) for _ in out_indices]
-    for k, lam in enumerate(multi_indices(r, n)):
-        p = polys[k]
-        if p.is_zero():
-            continue
-        for j in range(n):
-            merged, sign = _wedge_basis_sign(j, lam)
-            if sign:
-                out[rank[merged]] = out[rank[merged]] + sign * p.diff(
-                    j + offset)
+    the polynomials, which have n + offset variables.
+
+    d(p dx^lam) adds dx^j wedge dx^lam, the sign of dx^lam wedge dx^j
+    times (-1)^r, for each j."""
+    out = [Polynomial.zero(n + offset) for _ in range(comb(n, r + 1))]
+    for k, j, merged, sign in _wedge_terms(r, 1, n):
+        if not polys[k].is_zero():
+            out[merged] = out[merged] + (sign * (-1) ** r) * polys[k].diff(
+                j + offset)
     return out
 
 
@@ -321,34 +328,31 @@ def exterior_derivative(phi: FormField) -> FormField:
     if phi.is_polynomial:
         return FormField(r + 1, n, polys=_derivative_polys(phi.polys, r, n))
 
-    rank = {idx: k for k, idx in enumerate(multi_indices(r + 1, n))}
-    h = phi.h
-    in_indices = multi_indices(r, n)
+    def d_eval(x, phi=phi, h=phi.h):
+        # the coefficients at x + h e_j, then at x - h e_j, for every j
+        steps = h * np.eye(n)
+        pts = x[:, None, :] + np.concatenate([steps, -steps])
+        vals = phi.coefficients_at(pts.reshape(-1, n)).reshape(
+            len(x), 2, n, phi.ncomp)
+        dcoef = (vals[:, 0] - vals[:, 1]) / (2 * h)
+        out = np.zeros((len(x), comb(n, r + 1)))
+        for j, k, merged, sign in _wedge_terms(1, r, n):
+            out[:, merged] += sign * dcoef[:, j, k]
+        return out
 
-    def d_eval(x, phi=phi, h=h):
-        x = np.asarray(x, dtype=float)
-        coeffs = np.zeros(comb(n, r + 1))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            dcoef = (phi(x + e).coefficients - phi(x - e).coefficients) / (2 * h)
-            for k, lam in enumerate(in_indices):
-                merged, sign = _wedge_basis_sign(j, lam)
-                if sign:
-                    coeffs[rank[merged]] += sign * dcoef[k]
-        return CoVector(r + 1, n, coeffs)
-
-    return FormField.from_callable(n, r + 1, d_eval, h=h)
+    return FormField.from_callable(n, r + 1, d_eval, h=phi.h)
 
 
 # ----------------------------------------------------------------------
 # pullback
 # ----------------------------------------------------------------------
 
-def _minor(mat: np.ndarray, rows, cols) -> float:
+def _minor(mat: np.ndarray, rows, cols) -> np.ndarray:
+    """Minor of a matrix (p, q), or of each of a stack (m, p, q): the
+    determinant of the rows `rows` and the columns `cols`; 1 when empty."""
     if len(rows) == 0:
-        return 1.0
-    return float(np.linalg.det(mat[np.ix_(rows, cols)]))
+        return np.ones(mat.shape[:-2])
+    return np.linalg.det(mat[..., rows, :][..., cols])
 
 
 def pullback(phi: FormField, f, *, jacobian=None, source_dim=None,
@@ -372,7 +376,7 @@ def pullback(phi: FormField, f, *, jacobian=None, source_dim=None,
             for k, lam in enumerate(tgt_idx):
                 if phi.polys[k].is_zero():
                     continue
-                det = _minor(f.mat, lam, mu)
+                det = float(_minor(f.mat, lam, mu))
                 if det != 0.0:
                     acc = acc + det * phi.polys[k].compose_affine(
                         f.mat, f.shift)
@@ -394,13 +398,16 @@ def pullback(phi: FormField, f, *, jacobian=None, source_dim=None,
         return np.stack(cols, axis=-1)
 
     def ev(x, phi=phi, f=f):
-        jac = jac_at(x)
-        cov = phi(f(x))
-        coeffs = np.array([
-            sum(cov.coefficients[k] * _minor(jac, lam, mu)
-                for k, lam in enumerate(tgt_idx))
-            for mu in src_idx])
-        return CoVector(r, m, coeffs)
+        # the map and its Jacobian are pointwise: called once per row
+        n = phi.ambient
+        jac = np.array([jac_at(p) for p in x]).reshape(len(x), n, m)
+        cov = phi.coefficients_at(
+            np.array([f(p) for p in x]).reshape(len(x), n))
+        out = np.zeros((len(x), len(src_idx)))
+        for q, mu in enumerate(src_idx):
+            for k, lam in enumerate(tgt_idx):
+                out[:, q] += cov[:, k] * _minor(jac, lam, mu)
+        return out
 
     return FormField.from_callable(m, r, ev, h=phi.h)
 
@@ -409,14 +416,6 @@ def pullback(phi: FormField, f, *, jacobian=None, source_dim=None,
 # contraction and the Lie derivative
 # ----------------------------------------------------------------------
 
-def _contract_basis(lam: tuple, i: int):
-    """dx^lam -| e_i = sign * dx^(lam minus i); None if i not in lam."""
-    if i not in lam:
-        return None, 0
-    pos = lam.index(i)
-    return lam[:pos] + lam[pos + 1:], (-1 if pos % 2 else 1)
-
-
 def contract(phi: FormField, v: VectorField) -> FormField:
     """Pointwise interior product phi -| v (front-slot insertion)."""
     r, n = phi.degree, phi.ambient
@@ -424,24 +423,17 @@ def contract(phi: FormField, v: VectorField) -> FormField:
         raise ValueError("cannot contract a 0-form")
     if v.ambient != n:
         raise ValueError("vector field ambient mismatch")
-    out_idx = multi_indices(r - 1, n)
-    rank = {idx: k for k, idx in enumerate(out_idx)}
     if phi.is_polynomial and v.is_polynomial:
-        polys = [Polynomial.zero(n) for _ in out_idx]
-        for k, lam in enumerate(multi_indices(r, n)):
-            p = phi.polys[k]
-            if p.is_zero():
-                continue
-            for pos, i in enumerate(lam):
-                rest = lam[:pos] + lam[pos + 1:]
-                sign = -1.0 if pos % 2 else 1.0
-                polys[rank[rest]] = polys[rank[rest]] + sign * (
-                    p * v.components[i])
+        polys = [Polynomial.zero(n) for _ in range(comb(n, r - 1))]
+        for k, i, rest, sign in _contract_terms(r, n):
+            if not phi.polys[k].is_zero():
+                polys[rest] = polys[rest] + sign * (
+                    phi.polys[k] * v.components[i])
         return FormField(r - 1, n, polys=polys)
 
     return FormField.from_callable(
-        n, r - 1, lambda x, phi=phi, v=v: interior_product(phi(x), v(x)),
-        h=phi.h)
+        n, r - 1, lambda x, phi=phi, v=v: contract_rows(
+            phi.coefficients_at(x), v.values_at(x), r), h=phi.h)
 
 
 def lie_derivative(phi: FormField, v: VectorField) -> FormField:
@@ -465,7 +457,6 @@ def lie_derivative_components(phi: FormField, v: VectorField) -> FormField:
         raise ValueError("component formula requires polynomial backends")
     r, n = phi.degree, phi.ambient
     idx = multi_indices(r, n)
-    rank = {lam: k for k, lam in enumerate(idx)}
     polys = [Polynomial.zero(n) for _ in idx]
     # directional derivative of the coefficients
     for k, lam in enumerate(idx):
@@ -473,18 +464,15 @@ def lie_derivative_components(phi: FormField, v: VectorField) -> FormField:
         for i in range(n):
             acc = acc + v.components[i] * phi.polys[k].diff(i)
         polys[k] = acc
-    # dv^i_j * omega_lam * dx^j wedge (dx^lam -| e_i)
-    for k, lam in enumerate(idx):
+    # dv^i_j * omega_lam * dx^j wedge (dx^lam -| e_i); none at r = 0
+    for k, i, rest, csign in (_contract_terms(r, n) if r else ()):
         p = phi.polys[k]
         if p.is_zero():
             continue
-        for pos, i in enumerate(lam):
-            rest, csign = _contract_basis(lam, i)
-            for j in range(n):
-                merged, wsign = _wedge_basis_sign(j, rest)
-                if wsign:
-                    polys[rank[merged]] = polys[rank[merged]] + (
-                        csign * wsign) * (v.components[i].diff(j) * p)
+        for j, lam, merged, wsign in _wedge_terms(1, r - 1, n):
+            if lam == rest:
+                polys[merged] = polys[merged] + (csign * wsign) * (
+                    v.components[i].diff(j) * p)
     return FormField(r, n, polys=polys)
 
 
@@ -505,8 +493,8 @@ def seminorm_comass(phi: FormField, box: Box, resolution=None,
         coeffs = phi.coefficients_at(pts)
         return float(np.max(np.linalg.norm(coeffs, axis=1)))
     best = 0.0
-    for x in pts:
-        val, _ = comass(phi(x), restarts=restarts, seed=seed)
+    for c in phi.coefficients_at(pts):
+        val, _ = comass(CoVector(r, n, c), restarts=restarts, seed=seed)
         best = max(best, val)
     return best
 
@@ -551,15 +539,14 @@ def form_lipschitz(phi: FormField, box: Box, resolution=None,
         ys = rng.uniform(lo, hi, size=(k, n))
         d = np.linalg.norm(xs - ys, axis=1)
         keep = d > 1e-12
+        diff = phi.coefficients_at(xs[keep]) - phi.coefficients_at(ys[keep])
         if exact:
-            ca = phi.coefficients_at(xs[keep])
-            cb = phi.coefficients_at(ys[keep])
-            ratios = np.linalg.norm(ca - cb, axis=1) / d[keep]
+            ratios = np.linalg.norm(diff, axis=1) / d[keep]
             if ratios.size:
                 best = max(best, float(np.max(ratios)))
         else:
-            for x, y, dd in zip(xs[keep], ys[keep], d[keep]):
-                val, _ = comass(phi(x) - phi(y), restarts=8)
+            for c, dd in zip(diff, d[keep]):
+                val, _ = comass(CoVector(r, n, c), restarts=8)
                 best = max(best, val / dd)
         done += k
     return best
@@ -625,31 +612,20 @@ class TimePolynomialForm:
 
 def time_slice_contract(omega: FormField, t: float) -> FormField:
     """For omega of degree r+1 on R x R^n (slot 0 is time), return the
-    spatial r-form (omega(t, .) -| e_t)."""
-    if not omega.is_polynomial:
-        def ev(x, omega=omega, t=t):
-            cov = omega(np.concatenate([[t], np.asarray(x, float)]))
-            et = np.zeros(omega.ambient)
-            et[0] = 1.0
-            contracted = interior_product(cov, et)
-            # restrict to purely spatial components
-            n = omega.ambient - 1
-            r = contracted.degree
-            out = np.zeros(comb(n, r))
-            for k, lam in enumerate(multi_indices(r, omega.ambient)):
-                if 0 in lam:
-                    continue
-                shifted = tuple(i - 1 for i in lam)
-                out[basis_rank(shifted, n)] = contracted.coefficients[k]
-            return CoVector(r, n, out)
-        return FormField.from_callable(omega.ambient - 1,
-                                       omega.degree - 1, ev, h=omega.h)
-    n = omega.ambient - 1
-    r = omega.degree - 1
-    polys = [Polynomial.zero(n) for _ in range(comb(n, r))]
-    for k, lam in enumerate(multi_indices(omega.degree, omega.ambient)):
-        if lam[0] != 0:
-            continue  # no dt factor: killed by the contraction's spatial slice
-        spatial = tuple(i - 1 for i in lam[1:])
-        polys[basis_rank(spatial, n)] = omega.polys[k].substitute_first(t)
-    return FormField(r, n, polys=polys)
+    spatial r-form (omega(t, .) -| e_t).
+
+    The (r+1)-indices that begin with time are the first C(n, r) in
+    lexicographic order, and their spatial tails are the r-indices of R^n
+    in order; e_t in the front slot gives each of them the sign +1, and
+    every other term has no dt and vanishes.  So the slice keeps the first
+    C(n, r) coefficients, at time t."""
+    if omega.degree < 1:
+        raise ValueError("cannot contract a 0-form")
+    n, r = omega.ambient - 1, omega.degree - 1
+    keep = comb(n, r)
+    if omega.is_polynomial:
+        return FormField(r, n, polys=[p.substitute_first(t)
+                                      for p in omega.polys[:keep]])
+    return FormField.from_callable(
+        n, r, lambda x, omega=omega, t=t: omega.coefficients_at(
+            np.column_stack([np.full(len(x), t), x]))[:, :keep], h=omega.h)

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (Chain, _edge_wedges, first_occurrences, lex_ranks,
-                     vertex_table)
+from .chains import Chain, _edge_wedges, vertex_table
 from .forms import AffineMap, Box
 
 __all__ = [
@@ -123,18 +122,10 @@ def _map_rows(f: LipMap, rows: np.ndarray) -> np.ndarray:
     return image
 
 
-def _map_points(f: LipMap, points: np.ndarray) -> np.ndarray:
-    """`_map_rows` of `points` (m, n), with a non-affine map called once
-    per distinct row: rows with equal bits share the image."""
-    if isinstance(f.func, AffineMap):
-        return _map_rows(f, points)
-    bits = np.ascontiguousarray(points).view(np.int64)
-    first, group = first_occurrences(lex_ranks(bits))
-    return _map_rows(f, points[first])[group]
-
-
 def _pair_ratios(f: LipMap, xs, ys):
-    images = _map_points(f, np.concatenate([xs, ys]))
+    # f is called once per distinct point, by the vertex rule
+    table, ids = vertex_table(np.concatenate([xs, ys]))
+    images = _map_rows(f, table)[ids]
     fx, fy = images[:len(xs)], images[len(xs):]
     num = np.linalg.norm(fx - fy, axis=1)
     den = np.linalg.norm(xs - ys, axis=1)
@@ -211,8 +202,9 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
 # built-in map library (selectable by name in scenario files)
 # ----------------------------------------------------------------------
 
-def _tent(u: float, center: float, width: float) -> float:
-    return max(0.0, 1.0 - abs(u - center) / width)
+def _tent(u, center: float, width: float):
+    """The hat function of `center` and half-width `width`, elementwise."""
+    return np.maximum(0.0, 1.0 - np.abs(u - center) / width)
 
 
 def _planar_rotation(theta: float) -> np.ndarray:

@@ -8,13 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge, boundary,
-                     evaluate)
+from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
+                     _edge_wedges, boundary, evaluate)
 from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, seminorm_comass)
 from .lipschitz import LipMap, _planar_rotation, _tent, pushforward_chain
 from .polynomial import Polynomial
-from .quadrature import integrate_interval, simplex_rule
+from .quadrature import grundmann_moller, integrate_interval, simplex_volumes
 
 __all__ = [
     "Motion",
@@ -110,11 +110,13 @@ def velocity_field(m: Motion, t: float) -> VectorField:
     if m.velocity_factory is not None:
         return m.velocity_factory(t)
 
-    def v(y, m=m, t=t):
-        x = _invert_newton(m, t, y)
-        return np.asarray(m.kappa_dot(t, x), dtype=float)
+    n = m.k_m.dim
 
-    return VectorField(m.k_m.dim, func=v)
+    def v(ys, m=m, t=t):
+        return np.array([m.kappa_dot(t, _invert_newton(m, t, y))
+                         for y in ys], dtype=float).reshape(len(ys), n)
+
+    return VectorField(n, func=v)
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +189,7 @@ class Deformation(Current):
         self.degree = self.chain.degree + 1
         self.ambient = self.chain.ambient
 
-    def _evaluate(self, phi: FormField, s_order: int, subdivision: int):
+    def _evaluate(self, phi: FormField, s_order: int):
         a, b = self.interval
         if a == b:
             return 0.0
@@ -197,7 +199,7 @@ class Deformation(Current):
         def integrand(tau):
             pushed = self.motion.push(work, tau)
             v = velocity_field(self.motion, tau)
-            return evaluate(pushed, contract(phi, v), s_order, subdivision)
+            return evaluate(pushed, contract(phi, v), s_order)
 
         return integrate_interval(integrand, a, b, panels=self.panels,
                                   order=self.gauss_order)
@@ -310,21 +312,22 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
     volume_term = evaluate(pushed, FormField.from_polynomials(
         n, n, {vol_index: ddt.polys[0]}))
 
-    v = velocity_field(m, tau)
-    rho = density.at_time(tau)
-    flux_term = 0.0
-    for s, mult in boundary(pushed):
-        a, b = s.vertices
-        tangent = (b - a)
-        ln = np.linalg.norm(tangent)
-        if ln < 1e-15:
-            continue
-        tangent = tangent / ln * s.sign
-        nu = np.array([tangent[1], -tangent[0]])  # outward for ccw boundaries
-        pts, wts = simplex_rule(s.vertices, s=2)
-        for p, w in zip(pts, wts):
-            flux_term += (mult * w * float(rho(p).coefficients[0])
-                          * float(nu @ v(p)))
+    # all faces and points at once; the terms are summed face by face,
+    # point by point, from 0.0
+    verts, signs, mults = boundary(pushed).stacked()
+    tangents, lengths, _ = _edge_wedges(verts)
+    keep = lengths >= 1e-15
+    verts, signs, mults = verts[keep], signs[keep], mults[keep]
+    tangents = tangents[keep] / lengths[keep, None] * signs[:, None]
+    nu = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)  # outward, ccw
+    bary, w = grundmann_moller(1, 2)
+    pts = np.matmul(bary, verts).reshape(-1, n)
+    wts = w * simplex_volumes(verts)[:, None]
+    rho = density.at_time(tau).coefficients_at(pts)[:, 0]
+    normal_v = np.matmul(np.repeat(nu, len(w), axis=0)[:, None, :],
+                         velocity_field(m, tau).values_at(pts)[:, :, None])
+    terms = (mults[:, None] * wts).ravel() * rho * normal_v[:, 0, 0]
+    flux_term = float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
     return lhs, volume_term, flux_term
 
 
@@ -484,10 +487,13 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
             y[axis] += t * amp * _tent(x[0], c, w)
             return y
 
-        def kap_dot(t, x):
-            out = np.zeros(ambient)
-            out[axis] = amp * _tent(np.asarray(x, float)[0], c, w)
+        def field(ys):
+            out = np.zeros(ys.shape)
+            out[:, axis] = amp * _tent(ys[:, 0], c, w)
             return out
+
+        def kap_dot(t, x):
+            return field(np.asarray(x, float)[None])[0]
 
         def inv(t, y):
             x = np.array(y, dtype=float)
@@ -495,11 +501,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
             return x
 
         def vfac(t):
-            def v(y):
-                out = np.zeros(ambient)
-                out[axis] = amp * _tent(np.asarray(y, float)[0], c, w)
-                return out
-            return VectorField(ambient, func=v, lipschitz=amp / w)
+            return VectorField(ambient, func=field, lipschitz=amp / w)
 
         return Motion(iv, kap, kap_dot, k_m, inverse=inv,
                       velocity_factory=vfac, name="tent")

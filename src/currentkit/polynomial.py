@@ -117,15 +117,8 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        total = 0.0
-        for e, c in self.terms.items():
-            term = c
-            for xi, ei in zip(x, e):
-                if ei:
-                    term *= xi ** ei
-            total += term
-        return total
+        """Value at one point: `eval_many` on one row."""
+        return float(self.eval_many(np.asarray(x, dtype=float)[None])[0])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at an array of points, shape (m, nvars)."""

@@ -1,16 +1,20 @@
 """Reference computations the tests compare the library against: an
 independent transport-derivative pipeline, a Lagrangian FD pipeline, a
 Richardson error estimate, interval quadrature with an error estimate, the
-product-current evaluation, the strong-Lipschitz distance and kernel
-mollification.  They are not part of the library's API."""
+product-current evaluation, the strong-Lipschitz distance, kernel
+mollification, and the per-point evaluators of the sampled contraction,
+exterior derivative and pullback.  They are not part of the library's
+API."""
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from currentkit.chains import Chain, Current, _leaf_evaluate, evaluate
-from currentkit.forms import (AffineMap, Box, FormField, lie_derivative,
-                              pullback, time_slice_contract)
+from currentkit.chains import Chain, _leaf_evaluate, evaluate
+from currentkit.exterior import multi_indices
+from currentkit.forms import (AffineMap, Box, FormField, VectorField,
+                              lie_derivative, pullback, time_slice_contract)
 from currentkit.lipschitz import LipMap, lipschitz_constant
 from currentkit.motion import Cochain, Motion, velocity_field
 from currentkit.quadrature import integrate_interval
@@ -41,12 +45,12 @@ def transport_derivative_lagrangian_fd(m: Motion, T: Chain, psi: Cochain,
     return (pulled(tau + eps) - pulled(tau - eps)) / (2 * eps)
 
 
-def evaluate_with_error(T: Current, phi: FormField, s_order: int = 2,
+def evaluate_with_error(T: Chain, phi: FormField, s_order: int = 2,
                         subdivision: int = 1):
     """Evaluation plus a Richardson-style error estimate from one extra
     subdivision level."""
-    coarse = evaluate(T, phi, s_order, subdivision)
-    fine = evaluate(T, phi, s_order, subdivision + 1)
+    coarse = evaluate(T.subdivided(subdivision), phi, s_order)
+    fine = evaluate(T.subdivided(subdivision + 1), phi, s_order)
     return fine, abs(fine - coarse)
 
 
@@ -140,3 +144,75 @@ def mollify(f: LipMap, rho: float, kind: str = "gaussian",
         return wts @ vals
 
     return LipMap(f.ambient, smoothed, name=f"mollified({f.name},{rho:g})")
+
+
+# ----------------------------------------------------------------------
+# per-point evaluators of the sampled backend, one point x at a time,
+# each with its own basis-sign rule
+# ----------------------------------------------------------------------
+
+def contract_at(phi: FormField, v: VectorField, x) -> np.ndarray:
+    """Coefficients of phi -| v at x: the interior-product loop, skipping
+    zero coefficients and zero vector components."""
+    r, n = phi.degree, phi.ambient
+    coeffs, vec = phi(x).coefficients, v(x)
+    ranks = {idx: k for k, idx in enumerate(multi_indices(r - 1, n))}
+    out = np.zeros(comb(n, r - 1))
+    for k, lam in enumerate(multi_indices(r, n)):
+        if coeffs[k] == 0.0:
+            continue
+        for pos, i in enumerate(lam):
+            if vec[i] == 0.0:
+                continue
+            sign = -1.0 if pos % 2 else 1.0
+            out[ranks[lam[:pos] + lam[pos + 1:]]] += sign * coeffs[k] * vec[i]
+    return out
+
+
+def derivative_at(phi: FormField, x) -> np.ndarray:
+    """Coefficients of the central-difference d(phi) at x, with step
+    phi.h: for each j, then each lam, dx^j wedge dx^lam is (-1)^pos times
+    the sorted index, pos the number of entries of lam below j."""
+    r, n, h = phi.degree, phi.ambient, phi.h
+    ranks = {idx: k for k, idx in enumerate(multi_indices(r + 1, n))}
+    out = np.zeros(comb(n, r + 1))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = h
+        dcoef = (phi(x + e).coefficients - phi(x - e).coefficients) / (2 * h)
+        for k, lam in enumerate(multi_indices(r, n)):
+            if j in lam:
+                continue
+            pos = sum(1 for i in lam if i < j)
+            out[ranks[tuple(sorted((j,) + lam))]] += (
+                (-1 if pos % 2 else 1) * dcoef[k])
+    return out
+
+
+def pullback_at(phi: FormField, f, x, source_dim: int, jacobian=None,
+                h: float = 1e-6) -> np.ndarray:
+    """Coefficients of f^#(phi) at x: the r-minors of the Jacobian of f
+    (given, or by central differences with step h) against phi(f(x))."""
+    r = phi.degree
+    x = np.asarray(x, dtype=float)
+    if jacobian is not None:
+        jac = np.asarray(jacobian(x), dtype=float)
+    else:
+        cols = []
+        for j in range(source_dim):
+            e = np.zeros(source_dim)
+            e[j] = h
+            cols.append((np.asarray(f(x + e), float)
+                         - np.asarray(f(x - e), float)) / (2 * h))
+        jac = np.stack(cols, axis=-1)
+    cov = phi(f(x)).coefficients
+
+    def minor(rows, cols):
+        if len(rows) == 0:
+            return 1.0
+        return float(np.linalg.det(jac[np.ix_(rows, cols)]))
+
+    return np.array([
+        sum(cov[k] * minor(lam, mu)
+            for k, lam in enumerate(multi_indices(r, phi.ambient)))
+        for mu in multi_indices(r, source_dim)])

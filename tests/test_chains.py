@@ -86,7 +86,8 @@ class TestEvaluation:
     def test_richardson_error_estimate(self):
         sq = unit_square_chain()
         phi = FormField.from_callable(
-            2, 2, lambda p: np.array([np.sin(3 * p[0]) * np.cos(2 * p[1])]))
+            2, 2,
+            lambda p: (np.sin(3 * p[:, 0]) * np.cos(2 * p[:, 1]))[:, None])
         val, err = evaluate_with_error(sq, phi)
         exact = (1 - np.cos(3.0)) / 3.0 * np.sin(2.0) / 2.0
         assert val == pytest.approx(exact, abs=1e-4)
@@ -367,7 +368,10 @@ def _random_forms(rng, r, n):
     shifts = rng.normal(size=comb(n, r))
 
     def func(x, weights=weights, shifts=shifts):
-        return np.sin(weights @ x + shifts) * (1.0 + x @ x)
+        # elementwise and row-wise reductions only: each row's value does
+        # not depend on the other rows of the batch
+        return (np.sin((x[:, None, :] * weights).sum(axis=2) + shifts)
+                * (1.0 + (x * x).sum(axis=1))[:, None])
 
     return (FormField.from_polynomials(n, r, polys),
             FormField.from_callable(n, r, func))
@@ -462,7 +466,7 @@ class TestBatchedKernels:
         T = _random_chain(rng, r, n)
         for phi in _random_forms(rng, r, n):
             for s_order in (0, 2):
-                got = evaluate(T, phi, s_order, subdivision)
+                got = evaluate(T.subdivided(subdivision), phi, s_order)
                 assert _bits(got) == _bits(
                     _loop_evaluate(T, phi, s_order, subdivision))
 
@@ -504,7 +508,7 @@ class TestBatchedKernels:
         for r in (0, 1, 2):
             for phi in _random_forms(rng, r, 2):
                 assert evaluate(Chain([], r, 2), phi) == 0.0
-                assert evaluate(Chain([], r, 2), phi, subdivision=2) == 0.0
+                assert evaluate(Chain([], r, 2).subdivided(2), phi) == 0.0
 
 
 def _loop_key(vertices, sign):

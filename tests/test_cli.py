@@ -18,15 +18,23 @@ def _read(path):
         return list(csv.DictReader(fh))
 
 
-def _load_checks():
-    """The benchmark's `perfbench/checks.py`, for its reference skip
-    lists."""
+def _load_perfbench(name):
+    """A module of the benchmark, `perfbench/<name>.py`: `checks` for its
+    reference skip lists, `workloads` for its input writers."""
     path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench", "checks.py")
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+        os.path.abspath(__file__))), "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _reference_cells(checks, rows):
+    """The cells of CSV rows that the benchmark's reference check reads."""
+    return [{k: v for k, v in row.items()
+             if k not in checks.REFERENCE_SKIP_COLUMNS}
+            for row in rows
+            if row["quantity"] not in checks.REFERENCE_SKIP_ROWS]
 
 
 def _value(rows, scenario, quantity):
@@ -152,18 +160,31 @@ class TestDeterminism:
                                                            command):
         # every cell of the seed-42 reference, byte for byte, except those
         # the benchmark's reference check skips
-        checks = _load_checks()
+        checks = _load_perfbench("checks")
         assert main([command, "--seed", "42", "--out", str(tmp_path)]) == 0
         path = os.path.join(os.path.dirname(checks.__file__), "reference",
                             "bundled", f"{command}.csv")
+        assert (_reference_cells(checks, _read(tmp_path / f"{command}.csv"))
+                == _reference_cells(checks, _read(path)))
 
-        def cells(rows):
-            return [{k: v for k, v in row.items()
-                     if k not in checks.REFERENCE_SKIP_COLUMNS}
-                    for row in rows
-                    if row["quantity"] not in checks.REFERENCE_SKIP_ROWS]
-
-        assert cells(_read(tmp_path / f"{command}.csv")) == cells(_read(path))
+    @pytest.mark.parametrize("command", ["verify", "transport"])
+    def test_refined_outputs_match_the_benchmark_reference(self, tmp_path,
+                                                           command):
+        # the refined inputs at seed 42, one scenario file at a time and
+        # the rows joined in file order, as the benchmark runs them; tent_l5
+        # evaluates the sampled contraction on a level-5 chain
+        checks = _load_perfbench("checks")
+        configs = _load_perfbench("workloads").write_refined(42,
+                                                             str(tmp_path))
+        rows = []
+        for k, config in enumerate(configs):
+            out = tmp_path / f"out{k}"
+            assert main([command, "--config", config, "--out", str(out)]) == 0
+            rows += _read(out / f"{command}.csv")
+        path = os.path.join(os.path.dirname(checks.__file__), "reference",
+                            "refined", f"{command}.csv")
+        assert (_reference_cells(checks, rows)
+                == _reference_cells(checks, _read(path)))
 
 
 class TestTransport:

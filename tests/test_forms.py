@@ -1,6 +1,8 @@
 """Polynomials, form fields, exterior derivative, pullback, Lie derivative,
 and the seminorm family."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from currentkit.forms import (AffineMap, Box, FormField, TimePolynomialForm,
                               lie_derivative_components, pullback,
                               seminorm_comass, seminorm_flat, seminorm_sharp,
                               time_slice_contract)
+from currentkit.lipschitz import LipMap
 from currentkit.polynomial import Polynomial
+from oracles import contract_at, derivative_at, pullback_at
 
 
 def _max_coeff(phi):
@@ -51,11 +55,12 @@ class TestPolynomial:
         assert q.terms == p.terms
 
     def test_eval_many_matches_scalar(self):
+        # one kernel: a point's value is its row of eval_many, bit for bit
         rng = np.random.default_rng(1)
         p = Polynomial.random(2, 3, rng)
         pts = rng.standard_normal((10, 2))
-        np.testing.assert_allclose(p.eval_many(pts),
-                                   [p(pt) for pt in pts], atol=1e-12)
+        np.testing.assert_array_equal(p.eval_many(pts),
+                                      [p(pt) for pt in pts])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, bad):
@@ -84,7 +89,8 @@ class TestExteriorDerivative:
 
     def test_finite_difference_backend(self):
         phi = FormField.from_callable(
-            2, 1, lambda p: np.array([np.sin(p[1]), 0.0]))
+            2, 1, lambda p: np.stack([np.sin(p[:, 1]), np.zeros(len(p))],
+                                     axis=1))
         d = exterior_derivative(phi)
         pt = np.array([0.2, 0.4])
         # d(sin(y) dx) = -cos(y) dx^dy
@@ -158,6 +164,124 @@ class TestLieDerivative:
         # (x+y) dx^dy -| (x, 0) = x(x+y) dy
         pt = np.array([2.0, 3.0])
         np.testing.assert_allclose(c(pt).coefficients, [0.0, 10.0])
+
+
+def _sampled_form(rng, n, r):
+    """A sampled r-form whose rows do not depend on the rest of the batch:
+    elementwise operations and row-wise reductions only."""
+    weights = rng.normal(size=(comb(n, r), n))
+    shifts = rng.normal(size=comb(n, r))
+
+    def func(x):
+        return (np.sin((x[:, None, :] * weights).sum(axis=2) + shifts)
+                * (1.0 + (x * x).sum(axis=1))[:, None])
+
+    return FormField.from_callable(n, r, func)
+
+
+def _sampled_field(rng, n):
+    weights = rng.normal(size=(n, n))
+    return VectorField(
+        n, func=lambda x: np.cos((x[:, None, :] * weights).sum(axis=2)))
+
+
+def _polynomial_form(rng, n, r):
+    """A polynomial r-form whose first coefficient is zero."""
+    return FormField.from_polynomials(n, r, {
+        idx: Polynomial.random(n, 2, rng)
+        for idx in multi_indices(r, n)[1:]})
+
+
+def _stretch(n, s=0.3):
+    """x (1 + s |x|^2) as a pointwise map, and its Jacobian."""
+    def f(x):
+        return x * (1.0 + s * float(np.dot(x, x)))
+
+    def jac(x):
+        return (1.0 + s * float(np.dot(x, x))) * np.eye(n) + 2 * s * np.outer(
+            x, x)
+
+    return f, jac
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+_SHAPES = [(n, r) for n in (1, 2, 3) for r in range(n + 1)]
+
+
+class TestSampledBackend:
+    """The array closures of the sampled backend equal the per-point
+    evaluators of oracles.py bit for bit; callables are checked once per
+    batch."""
+
+    @pytest.mark.parametrize("n,r", [s for s in _SHAPES if s[1] >= 1])
+    def test_contract(self, n, r):
+        rng = np.random.default_rng(10 * n + r)
+        pts = rng.uniform(-1.0, 2.0, size=(9, n))
+        pts[0] = 0.0
+        cases = [(_sampled_form(rng, n, r),
+                  VectorField.random_polynomial(n, rng)),
+                 (_polynomial_form(rng, n, r), _sampled_field(rng, n)),
+                 (_sampled_form(rng, n, r), _sampled_field(rng, n))]
+        for phi, v in cases:
+            got = contract(phi, v).coefficients_at(pts)
+            want = np.stack([contract_at(phi, v, x) for x in pts])
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n,r", [s for s in _SHAPES if s[1] < s[0]])
+    def test_exterior_derivative(self, n, r):
+        rng = np.random.default_rng(20 * n + r)
+        pts = rng.uniform(-1.0, 2.0, size=(9, n))
+        sampled = _sampled_form(rng, n, r)
+        for phi in (sampled, sampled + _polynomial_form(rng, n, r),
+                    sampled * -2.5):
+            got = exterior_derivative(phi).coefficients_at(pts)
+            want = np.stack([derivative_at(phi, x) for x in pts])
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n,r", _SHAPES)
+    def test_pullback(self, n, r):
+        rng = np.random.default_rng(30 * n + r)
+        pts = rng.uniform(-1.0, 2.0, size=(9, n))
+        f, jac = _stretch(n)
+        amap = AffineMap(rng.normal(size=(n, n)) + 2 * np.eye(n),
+                         rng.normal(size=n))
+        for phi in (_sampled_form(rng, n, r), _polynomial_form(rng, n, r)):
+            got = pullback(phi, LipMap(n, f)).coefficients_at(pts)
+            want = np.stack([pullback_at(phi, f, x, n) for x in pts])
+            assert _bits(got) == _bits(want)
+            got = pullback(phi, f, jacobian=jac).coefficients_at(pts)
+            want = np.stack([pullback_at(phi, f, x, n, jac) for x in pts])
+            assert _bits(got) == _bits(want)
+        phi = _sampled_form(rng, n, r)
+        got = pullback(phi, amap).coefficients_at(pts)
+        want = np.stack([pullback_at(phi, amap, x, n, amap.jacobian)
+                         for x in pts])
+        assert _bits(got) == _bits(want)
+
+    def test_time_slice_matches_polynomial_slice(self):
+        rng = np.random.default_rng(4)
+        omega = FormField.random_polynomial(3, 2, rng, max_degree=2)
+        sampled = FormField.from_callable(3, 2, omega.coefficients_at)
+        pts = rng.uniform(-1.0, 2.0, size=(9, 2))
+        np.testing.assert_allclose(
+            time_slice_contract(sampled, 0.7).coefficients_at(pts),
+            time_slice_contract(omega, 0.7).coefficients_at(pts),
+            rtol=1e-13, atol=1e-13)
+
+    def test_pointwise_callable_raises_shape_error(self):
+        pts = np.zeros((5, 2))
+        area = FormField.from_callable(2, 2, lambda x: np.array([x[0] * x[1]]))
+        with pytest.raises(ValueError, match=r"shape \(m, 1\); got shape"):
+            area.coefficients_at(pts)
+        spin = VectorField(2, func=lambda x: np.array([-x[1], x[0]]))
+        with pytest.raises(ValueError, match=r"shape \(m, 2\); got shape"):
+            spin.values_at(pts)
+        nan = FormField.from_callable(2, 1, lambda x: np.full(x.shape, np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            nan.coefficients_at(pts)
 
 
 class TestSeminorms:
