@@ -21,8 +21,7 @@ from .chains import (Boundary, Chain, Current, Leaf, Scale, Simplex, Sum,
                      unit_interval_chain, unit_square_chain)
 from .complexes import SimplicialComplex, freudenthal_complex
 from .flatnorm import (LPProblem, LPSolution, dual_flat_lower_bound,
-                       export_lp_text, flat_norm_lp, lp_solve,
-                       sharp_lower_bound)
+                       flat_norm_lp, lp_solve, sharp_lower_bound)
 from .lipschitz import (LipMap, bi_lipschitz_constants, lipschitz_constant,
                         make_map, pushforward_chain)
 from .motion import (Cochain, Motion, balance_transport, classical_reynolds,

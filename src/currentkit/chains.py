@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import MultiVector, wedge_rows
+from .exterior import MultiVector, sort_parity, wedge_rows
 from .forms import FormField, VectorField, contract, exterior_derivative
-from .quadrature import (_halving_indices, grundmann_moller, simplex_volume,
-                         simplex_volumes)
+from .quadrature import (_halving_indices, _read_only, grundmann_moller,
+                         simplex_volume, simplex_volumes)
 
 __all__ = [
     "Simplex",
@@ -98,12 +98,6 @@ def _unit_tangents(vertices: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return xi * (signs / norms)[:, None]
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _lex_groups(rows: np.ndarray):
     """Dense lexicographic rank of each row of an (m, k) array, (m,): rows
     that compare equal, entry by entry, share a rank (for floats,
@@ -117,6 +111,14 @@ def _lex_groups(rows: np.ndarray):
     ranks = np.empty(len(rows), dtype=np.intp)
     ranks[order] = np.cumsum(new) - 1
     return ranks, order[new]
+
+
+def face_rows(ids: np.ndarray) -> np.ndarray:
+    """The faces of index rows (N, r+1), r >= 1, face i without entry i:
+    shape (N * (r+1), r), row by row and, within a row, by i."""
+    r = ids.shape[1] - 1
+    drop = [[j for j in range(r + 1) if j != i] for i in range(r + 1)]
+    return ids[:, drop].reshape(-1, r)
 
 
 def lex_ranks(rows: np.ndarray) -> np.ndarray:
@@ -146,19 +148,6 @@ def vertex_table(points: np.ndarray):
         raise ValueError("non-finite chain vertex")
     ids, first = _lex_groups(points)
     return points[first], ids
-
-
-def sort_parity(keys: np.ndarray):
-    """Stable sort of each row of an (N, k) key array: the sorting
-    permutations (N, k), ties kept in place, and their parities (N,), +1
-    for even and -1 for odd."""
-    perm = np.argsort(keys, axis=1, kind="stable")
-    k = keys.shape[1]
-    inversions = np.zeros(len(keys), dtype=int)
-    for i in range(k):
-        for j in range(i + 1, k):
-            inversions += perm[:, i] > perm[:, j]
-    return perm, 1 - 2 * (inversions % 2)
 
 
 class Chain:
@@ -495,8 +484,7 @@ def boundary(T: Chain) -> Chain:
     if T.degree < 1:
         raise ValueError("boundary undefined for 0-chains")
     r = T.degree
-    drop = [[j for j in range(r + 1) if j != i] for i in range(r + 1)]
-    faces = Chain._of(T.table, T.ids[:, drop].reshape(-1, r),
+    faces = Chain._of(T.table, face_rows(T.ids),
                       (T.signs[:, None] * (-1) ** np.arange(r + 1)).ravel(),
                       np.repeat(T.mults, r + 1), r - 1, T.ambient)
     return faces.simplify()

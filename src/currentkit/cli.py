@@ -245,7 +245,7 @@ def cmd_transport(args, scenarios):
 def _align_chain(T, comp, max_levels=5):
     """Subdivide T until its simplices live on the complex."""
     for lv in range(max_levels + 1):
-        work = T.subdivided(lv) if lv else T
+        work = T.subdivided(lv)
         try:
             comp.chain_vector(work)
             return work

@@ -6,13 +6,13 @@ is consistently orientable and reproducible at any resolution.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from functools import cached_property
 
 import numpy as np
 
-from .chains import Chain, lex_ranks, sort_parity
-from .exterior import perm_sign
-from .quadrature import simplex_volumes
+from .chains import Chain, _lex_groups, face_rows, lex_ranks
+from .exterior import sort_parity
+from .quadrature import kuhn_simplices, simplex_volumes
 
 __all__ = ["SimplicialComplex", "freudenthal_complex"]
 
@@ -22,55 +22,64 @@ _LATTICE_TOL = 1e-6
 class SimplicialComplex:
     """Vertex table plus sorted-index simplices per degree.
 
-    Reference orientation of every simplex is its sorted vertex order;
-    `orientation` stores, for full-dimensional simplices, the sign of the
-    sorted order relative to a globally positive orientation.  A complex
-    whose vertices are a box's grid, row-major, carries the grid as
-    `lattice`, (lower corner, cell widths, cells per axis).
+    `ids[r]` holds the r-simplices as rows of sorted vertex indices
+    (count, r+1): the top simplices in the given order, every lower degree
+    the distinct faces in lexicographic order.  The reference orientation
+    of every simplex is its sorted vertex order; `top_orientations` holds,
+    for each top simplex, the sign of that order relative to a globally
+    positive orientation.  `simplices` and `orientation` are tuple and
+    dict views of these arrays, built on first use and kept; the library
+    reads only the arrays.  A complex whose vertices are a box's grid,
+    row-major, carries the grid as `lattice`, (lower corner, cell widths,
+    cells per axis).
     """
 
     def __init__(self, vertices: np.ndarray, top_simplices, top_orientations,
                  lattice=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.lattice = lattice
-        self.dim = len(top_simplices[0]) - 1 if top_simplices else 0
-        self.simplices = {self.dim: [tuple(sorted(s)) for s in top_simplices]}
-        self.orientation = {
-            self.dim: {tuple(sorted(s)): o
-                       for s, o in zip(top_simplices, top_orientations)}
-        }
-        for r in range(self.dim - 1, -1, -1):
-            faces = set()
-            for s in self.simplices[r + 1]:
-                for f in combinations(s, r + 1):
-                    faces.add(f)
-            self.simplices[r] = sorted(faces)
-        self._rank = {
-            r: {s: k for k, s in enumerate(self.simplices[r])}
-            for r in self.simplices
-        }
+        tops = np.sort(np.array(top_simplices, dtype=np.intp), axis=1)
+        self.dim = tops.shape[1] - 1
+        self.top_orientations = np.asarray(top_orientations)
+        self.ids = [tops]
+        for r in range(self.dim, 0, -1):
+            faces = face_rows(self.ids[0])
+            self.ids.insert(0, faces[_lex_groups(faces)[1]])
+
+    @cached_property
+    def simplices(self) -> dict:
+        """The r-simplices per degree as sorted vertex-index tuples."""
+        return {r: [tuple(s) for s in ids.tolist()]
+                for r, ids in enumerate(self.ids)}
+
+    @cached_property
+    def orientation(self) -> dict:
+        """`top_orientations` keyed by the top simplices' tuples."""
+        return {self.dim: dict(zip(self.simplices[self.dim],
+                                   self.top_orientations.tolist()))}
+
+    def _ids(self, r: int) -> np.ndarray:
+        """`ids[r]`; none below degree 0 or above the complex's
+        dimension."""
+        if 0 <= r <= self.dim:
+            return self.ids[r]
+        return np.zeros((0, max(r + 1, 0)), dtype=np.intp)
 
     def n_simplices(self, r: int) -> int:
-        return len(self.simplices.get(r, []))
-
-    def _index_array(self, r: int) -> np.ndarray:
-        """The r-simplices as rows of sorted vertex indices, (count, r+1);
-        none above the complex's dimension."""
-        return np.array(self.simplices.get(r, []),
-                        dtype=np.intp).reshape(-1, r + 1)
+        return len(self._ids(r))
 
     def volumes(self, r: int) -> np.ndarray:
-        return simplex_volumes(self.vertices[self._index_array(r)])
+        return simplex_volumes(self.vertices[self._ids(r)])
 
     def boundary_matrix(self, r: int) -> np.ndarray:
         """Signed incidence of (r-1)-faces (rows) against r-simplices
-        (columns), in the sorted-order reference orientation."""
-        rows = self._rank[r - 1]
-        mat = np.zeros((self.n_simplices(r - 1), self.n_simplices(r)))
-        for j, s in enumerate(self.simplices[r]):
-            for i in range(r + 1):
-                face = s[:i] + s[i + 1:]
-                mat[rows[face], j] = -1.0 if i % 2 else 1.0
+        (columns), in the sorted-order reference orientation: face i of a
+        simplex, without vertex i, with sign (-1)^i."""
+        simplices = self._ids(r)
+        rows = _lookup(self._ids(r - 1), face_rows(simplices))
+        mat = np.zeros((self.n_simplices(r - 1), len(simplices)))
+        mat[rows, np.repeat(np.arange(len(simplices)), r + 1)] = np.tile(
+            (-1) ** np.arange(r + 1), len(simplices))
         return mat
 
     def simplex_chain(self, r: int, coeffs, tol: float = 1e-12) -> Chain:
@@ -78,7 +87,7 @@ class SimplicialComplex:
         simplices with |coefficient| <= tol drop."""
         coeffs = np.asarray(coeffs, dtype=float)
         keep = np.abs(coeffs) > tol
-        verts = self.vertices[self._index_array(r)[keep]]
+        verts = self.vertices[self._ids(r)[keep]]
         return Chain.from_stacked(verts, np.ones(len(verts), dtype=int),
                                   coeffs[keep], r, self.vertices.shape[1])
 
@@ -89,9 +98,7 @@ class SimplicialComplex:
         widths of it, a rule that reads the same at any scale; otherwise a
         point is the vertex with exactly its coordinates."""
         if self.lattice is None:
-            return _positions(lex_ranks(np.concatenate([self.vertices,
-                                                        points])),
-                              len(self.vertices))
+            return _lookup(self.vertices, points)
         lower, h, cells = self.lattice
         steps = (points - lower) / h
         grid = np.rint(steps)
@@ -117,63 +124,40 @@ class SimplicialComplex:
         idx = where[T.ids]
         perm, parity = sort_parity(idx)
         ordered = np.take_along_axis(idx, perm, axis=1)
-        table = self._index_array(r)
-        rows = _positions(lex_ranks(np.concatenate([table, ordered])),
-                          len(table))
+        rows = _lookup(self._ids(r), ordered)
         if np.any(rows < 0):
             missing = tuple(ordered[np.argmax(rows < 0)].tolist())
             raise ValueError(f"simplex {missing} not in complex")
         return np.bincount(rows, weights=T.signs * parity * T.mults,
-                           minlength=len(table))
+                           minlength=self.n_simplices(r))
 
     def full_chain(self) -> Chain:
         """The positively oriented full-dimensional chain of the complex."""
-        coeffs = np.array([self.orientation[self.dim][s]
-                           for s in self.simplices[self.dim]])
-        return self.simplex_chain(self.dim, coeffs)
+        return self.simplex_chain(self.dim, self.top_orientations)
 
 
-def _positions(ranks: np.ndarray, size: int) -> np.ndarray:
-    """Ranks of `size` table rows followed by query rows: the table
-    position of each query row, -1 where no table row shares its rank."""
+def _lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The position of each row of `queries` among the rows of `table`
+    (equal entry by entry), -1 where no table row equals it."""
+    ranks = lex_ranks(np.concatenate([table, queries]))
     where = np.full(len(ranks), -1)
-    where[ranks[:size]] = np.arange(size)
-    return where[ranks[size:]]
+    where[ranks[:len(table)]] = np.arange(len(table))
+    return where[ranks[len(table):]]
 
 
 def freudenthal_complex(lower, upper, resolution: int) -> SimplicialComplex:
-    """Kuhn triangulation of a box at `resolution` cells per axis."""
+    """Kuhn triangulation of a box at `resolution` cells per axis.  Its
+    vertices are the grid points in row-major order; a Kuhn path's
+    vertices rise in that order, so each top simplex's orientation is the
+    parity of its path."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n = lower.size
     m = resolution
     axes = [np.linspace(lower[i], upper[i], m + 1) for i in range(n)]
-    shape = (m + 1,) * n
-
-    def vid(g):
-        out = 0
-        for gi in g:
-            out = out * (m + 1) + gi
-        return out
-
-    verts = np.array([[axes[i][g[i]] for i in range(n)]
-                      for g in product(range(m + 1), repeat=n)])
-    tops, orients = [], []
-    for cell in product(range(m), repeat=n):
-        for perm in permutations(range(n)):
-            ids = []
-            g = list(cell)
-            ids.append(vid(g))
-            for j in perm:
-                g = list(g)
-                g[j] += 1
-                ids.append(vid(g))
-            # parity of the path permutation gives the simplex orientation;
-            # sorted-order reference sign folds in the sorting parity
-            path_sign = perm_sign(perm)
-            order = sorted(range(len(ids)), key=lambda i: ids[i])
-            orients.append(path_sign * perm_sign(order))
-            tops.append(tuple(ids))
-    return SimplicialComplex(verts, tops, orients,
+    verts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    coords, signs = kuhn_simplices(n, m)
+    tops = np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)),
+                                (m + 1,) * n)
+    return SimplicialComplex(verts, tops, signs,
                              lattice=(lower, (upper - lower) / m, m))
-

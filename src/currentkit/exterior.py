@@ -27,7 +27,6 @@ __all__ = [
     "frame_to_multivector",
     "wedge_rows",
     "contract_rows",
-    "perm_sign",
 ]
 
 
@@ -49,18 +48,17 @@ def basis_rank(index: tuple[int, ...], n: int) -> int:
     return _rank_table(len(index), n)[tuple(index)]
 
 
-def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]):
-    """Sorted union of two disjoint increasing tuples and the merge sign.
-
-    Returns (None, 0) when the tuples intersect (alternation kills the term).
-    """
-    if set(a) & set(b):
-        return None, 0
-    merged = sorted(a + b)
-    # Count inversions of the concatenation a+b: each element of b passes
-    # the elements of a that exceed it.
-    inversions = sum(1 for x in a for y in b if x > y)
-    return tuple(merged), -1 if inversions % 2 else 1
+def sort_parity(keys: np.ndarray):
+    """Stable sort of each row of an (N, k) key array: the sorting
+    permutations (N, k), ties kept in place, and their parities (N,), +1
+    for even and -1 for odd."""
+    perm = np.argsort(keys, axis=1, kind="stable")
+    k = keys.shape[1]
+    inversions = np.zeros(len(keys), dtype=int)
+    for i in range(k):
+        for j in range(i + 1, k):
+            inversions += perm[:, i] > perm[:, j]
+    return perm, 1 - 2 * (inversions % 2)
 
 
 @dataclass(frozen=True)
@@ -141,15 +139,19 @@ class CoVector(MultiVector):
 def _wedge_terms(p: int, q: int, n: int):
     """The terms of a p-vector wedge a q-vector over R^n that alternation
     does not kill, as (index in a, index in b, output rank, sign), in the
-    order of a loop over the indices of a, then of b."""
+    order of a loop over the indices of a, then of b.  The sign is the
+    parity of sorting the concatenated index la + lb."""
+    a = np.array(multi_indices(p, n), dtype=np.intp).reshape(comb(n, p), p)
+    b = np.array(multi_indices(q, n), dtype=np.intp).reshape(comb(n, q), q)
+    i, j = np.divmod(np.arange(len(a) * len(b)), len(b))
+    keys = np.concatenate([a[i], b[j]], axis=1)
+    perm, parity = sort_parity(keys)
+    merged = np.take_along_axis(keys, perm, axis=1)
+    live = np.all(merged[:, 1:] != merged[:, :-1], axis=1)
     ranks = _rank_table(p + q, n)
-    terms = []
-    for i, la in enumerate(multi_indices(p, n)):
-        for j, lb in enumerate(multi_indices(q, n)):
-            merged, sign = _merge_sign(la, lb)
-            if sign:
-                terms.append((i, j, ranks[merged], sign))
-    return tuple(terms)
+    return tuple((ia, jb, ranks[tuple(lam)], sign) for ia, jb, lam, sign
+                 in zip(i[live].tolist(), j[live].tolist(),
+                        merged[live].tolist(), parity[live].tolist()))
 
 
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -322,20 +324,3 @@ def comass(omega: CoVector, restarts: int = 100, tol: float = 1e-8,
         if val > best_val:
             best_val, best_q = val, q
     return best_val, frame_to_multivector(best_q)
-
-
-def perm_sign(perm) -> int:
-    """Sign of a permutation of range(len(perm)): +1 if even, -1 if odd."""
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign

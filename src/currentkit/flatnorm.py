@@ -24,7 +24,6 @@ __all__ = [
     "flat_norm_lp",
     "dual_flat_lower_bound",
     "sharp_lower_bound",
-    "export_lp_text",
 ]
 
 _FEAS_TOL = 1e-8
@@ -221,16 +220,9 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
     """
     r = T.degree
     t = complex_.chain_vector(T)
-    n_r = complex_.n_simplices(r)
-    vol_r = complex_.volumes(r)
-    if r + 1 in complex_.simplices and complex_.n_simplices(r + 1) > 0:
-        bmat = complex_.boundary_matrix(r + 1)
-        n_s = complex_.n_simplices(r + 1)
-        vol_s = complex_.volumes(r + 1)
-    else:
-        bmat = np.zeros((n_r, 0))
-        n_s = 0
-        vol_s = np.zeros(0)
+    n_r, n_s = complex_.n_simplices(r), complex_.n_simplices(r + 1)
+    vol_r, vol_s = complex_.volumes(r), complex_.volumes(r + 1)
+    bmat = complex_.boundary_matrix(r + 1)
     # variables: [R+, R-, S+, S-]
     c = np.concatenate([vol_r, vol_r, vol_s, vol_s])
     a = _zeros((n_r, 2 * n_r + 2 * n_s))
@@ -255,11 +247,10 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
     r_coeff = x[:n_r] - x[n_r:2 * n_r]
     s_coeff = x[2 * n_r:2 * n_r + n_s] - x[2 * n_r + n_s:]
     r_chain = complex_.simplex_chain(r, r_coeff)
-    s_chain = (complex_.simplex_chain(r + 1, s_coeff) if n_s
-               else Chain([], r + 1, complex_.vertices.shape[1]))
+    s_chain = complex_.simplex_chain(r + 1, s_coeff)
     info = {
         "mass_R": float(vol_r @ np.abs(r_coeff)),
-        "mass_S": float(vol_s @ np.abs(s_coeff)) if n_s else 0.0,
+        "mass_S": float(vol_s @ np.abs(s_coeff)),
         "iterations": sol.iterations,
     }
     return sol.objective, s_chain, r_chain, info
@@ -294,18 +285,3 @@ def sharp_lower_bound(T: Current, family, box: Box, **kw) -> float:
             raise ValueError("test form with vanishing sharp seminorm")
         best = max(best, evaluate(T, phi) / denom)
     return best
-
-
-def export_lp_text(problem: LPProblem) -> str:
-    """Plain-text LP listing for cross-checking with external solvers."""
-    lines = ["MINIMIZE"]
-    lines.append("  " + " + ".join(
-        f"{ci:.12g} x{j}" for j, ci in enumerate(problem.c) if ci != 0.0))
-    lines.append("SUBJECT TO")
-    for i, row in enumerate(problem.a_eq):
-        terms = " + ".join(f"{v:.12g} x{j}"
-                           for j, v in enumerate(row) if v != 0.0)
-        lines.append(f"  eq{i}: {terms or '0'} = {problem.b_eq[i]:.12g}")
-    lines.append("BOUNDS")
-    lines.append("  x >= 0 (all variables)")
-    return "\n".join(lines) + "\n"

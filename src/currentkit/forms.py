@@ -236,16 +236,22 @@ class FormField:
 
 def _sampled(func, pts: np.ndarray, width: int, what: str) -> np.ndarray:
     """`func` at points (m, n), checked once per batch: its values must
-    have shape (m, width) and be finite."""
-    out = np.asarray(func(pts), dtype=float)
-    if out.shape != (len(pts), width):
+    have shape (m, width) and be finite.  A batch of m == width points
+    goes in with its last point repeated, a row dropped from the values:
+    a callable of one point x, whose x[0], x[1], ... are then rows of the
+    batch, would otherwise pass the check with the batch's rows as its
+    values."""
+    m = len(pts)
+    batch = np.concatenate([pts, pts[-1:]]) if m == width else pts
+    out = np.asarray(func(batch), dtype=float)
+    if out.shape != (len(batch), width):
         raise ValueError(
             f"a callable for {what} must map points of shape (m, "
             f"{pts.shape[1]}) to an array of shape (m, {width}); got shape "
-            f"{out.shape} for m = {len(pts)}")
+            f"{out.shape} for m = {len(batch)}")
     if not np.all(np.isfinite(out)):
         raise ValueError(f"non-finite {what}")
-    return out
+    return out[:m]
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
         if c <= _INJECTIVITY_FLOOR:
             raise ValueError(
                 "map fails injectivity at sampling resolution (c ~ 0)")
-    work = T.subdivided(levels) if levels else T
+    work = T.subdivided(levels)
     if not len(work):
         return Chain([], T.degree, T.ambient)
     table, ids = vertex_table(_map_rows(f, work.table))

@@ -193,8 +193,7 @@ class Deformation(Current):
         a, b = self.interval
         if a == b:
             return 0.0
-        work = (self.chain.subdivided(self.levels) if self.levels
-                else self.chain)
+        work = self.chain.subdivided(self.levels)
 
         def integrand(tau):
             pushed = self.motion.push(work, tau)
@@ -216,7 +215,7 @@ def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
     """Residual of the homotopy formula
     (kappa_b# T - kappa_a# T) = bnd(deformation) + deformation of bnd(T)."""
     a, b = interval
-    work = T.subdivided(levels) if levels else T
+    work = T.subdivided(levels)
     lhs = evaluate(m.push(work, b), phi) - evaluate(m.push(work, a), phi)
     rhs = 0.0
     if T.degree + 1 <= T.ambient:
@@ -276,7 +275,7 @@ def transport_derivative_fd(m: Motion, T: Chain, psi: Cochain, tau: float,
                             eps: float, levels: int = 0,
                             one_sided: bool = False) -> float:
     """Finite-difference oracle for the transport derivative."""
-    work = T.subdivided(levels) if levels else T
+    work = T.subdivided(levels)
 
     def total(t):
         return psi(t, m.push(work, t))
@@ -335,7 +334,7 @@ def continuity_modulus(m: Motion, T: Chain, t: float, eps_list, family,
                        box: Box, levels: int = 0):
     """Dual M-norm estimates of kappa_{t+eps}# T - kappa_t# T over a test
     family, one per epsilon."""
-    work = T.subdivided(levels) if levels else T
+    work = T.subdivided(levels)
     base = m.push(work, t)
     norms = [seminorm_comass(phi, box) for phi in family]
     out = []

@@ -8,12 +8,12 @@ panels.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
 
-from .exterior import perm_sign
+from .exterior import sort_parity
 
 __all__ = [
     "grundmann_moller",
@@ -121,42 +121,40 @@ def integrate_interval(f, a: float, b: float, panels: int = 4,
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _kuhn_children(dim: int, k: int = 2):
-    """Kuhn-simplex tiling of the k-scaled reference path simplex.
+def kuhn_simplices(dim: int, cells: int):
+    """The Kuhn triangulation of the grid {0, ..., cells}^dim: each simplex
+    is a path from the lower corner of a cell that adds 1 to coordinates
+    perm[0], perm[1], ... in turn.  Returns the grid coordinates of the
+    path vertices (cells^dim * dim!, dim+1, dim), cells in row-major order
+    and, within a cell, permutations in `itertools.permutations` order;
+    and each path's orientation, the parity of its permutation."""
+    perms = np.array(list(permutations(range(dim))),
+                     dtype=np.intp).reshape(-1, dim)
+    steps = np.zeros((len(perms), dim + 1, dim), dtype=np.intp)
+    for k in range(dim):
+        steps[np.arange(len(perms)), k + 1:, perms[:, k]] = 1
+    corners = np.indices((cells,) * dim).reshape(dim, -1).T
+    coords = (corners[:, None, None, :] + steps).reshape(-1, dim + 1, dim)
+    signs = np.tile(sort_parity(perms)[1], len(corners))
+    return _read_only(coords, signs)
 
-    Reference coordinates: k >= y_1 >= ... >= y_dim >= 0.  Each child is a
-    (vertex list in y-coordinates, orientation sign) pair; there are k^dim
-    children, each congruent to the reference simplex scaled by 1.
-    """
-    if dim == 0:
-        return (((np.zeros((1, 0)),), 1),)
-    children = []
-    for g in product(range(k), repeat=dim):
-        base = np.array(g, dtype=float)
-        for perm in permutations(range(dim)):
-            verts = [base.copy()]
-            ok = True
-            cur = base.copy()
-            for j in perm:
-                cur = cur.copy()
-                cur[j] += 1.0
-                verts.append(cur)
-            arr = np.array(verts)
-            # inside the path simplex: k >= y_1 >= ... >= y_dim >= 0
-            for vtx in arr:
-                if vtx[0] > k + 1e-9 or vtx[-1] < -1e-9:
-                    ok = False
-                    break
-                if any(vtx[i] < vtx[i + 1] - 1e-9 for i in range(dim - 1)):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # permutation parity gives the orientation relative to the parent
-            sign = perm_sign(perm)
-            children.append((tuple(map(tuple, arr)), sign))
-    assert len(children) == k ** dim
-    return tuple(children)
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _kuhn_children(dim: int, k: int = 2):
+    """Kuhn-simplex tiling of the k-scaled reference path simplex
+    k >= y_1 >= ... >= y_dim >= 0: the simplices of `kuhn_simplices(dim,
+    k)` inside it, in that order.  Returns their vertices in
+    y-coordinates (k^dim, dim+1, dim), each child congruent to the
+    reference simplex, and their orientations relative to the parent."""
+    coords, signs = kuhn_simplices(dim, k)
+    inside = np.all(coords[..., :-1] >= coords[..., 1:], axis=(1, 2))
+    return _read_only(coords[inside], signs[inside])
 
 
 def subdivide_barycentric(vertices: np.ndarray, k: int = 2):
@@ -173,10 +171,9 @@ def subdivide_barycentric(vertices: np.ndarray, k: int = 2):
     # affine chart: y in path simplex (k >= y_1 >= ... >= y_r >= 0) maps to
     # v0 + sum (y_i / k) (v_i - v_{i-1}); path vertices hit the parent's
     edges = np.array([v[i + 1] - v[i] for i in range(r)])
-    for yverts, sign in _kuhn_children(r, k):
-        y = np.array(yverts)
-        child = v[0] + (y / k) @ edges
-        yield child, sign
+    ys, signs = _kuhn_children(r, k)
+    for y, sign in zip(ys, signs.tolist()):
+        yield v[0] + (y / k) @ edges, sign
 
 
 @lru_cache(maxsize=None)
@@ -187,14 +184,11 @@ def _halving_indices(dim: int):
     (p, q), p < q, in lexicographic order: `edges` (C(dim+1, 2), 2).
     `children` (2^dim, dim+1) lists each child's vertices as positions in
     that extended list; plus the children's signs (2^dim,)."""
-    kids = _kuhn_children(dim, 2)
-    y = np.array([yverts for yverts, _ in kids])
+    y, signs = _kuhn_children(dim, 2)
     # child vertex y is the midpoint of v[p] and v[q], or v[p] if p == q
     p, q = (y == 2).sum(axis=2), (y >= 1).sum(axis=2)
-    edges = list(combinations(range(dim + 1), 2))
-    position = {(a, a): a for a in range(dim + 1)}
-    position.update({e: dim + 1 + i for i, e in enumerate(edges)})
-    children = np.array([[position[a, b] for a, b in zip(pa, qa)]
-                         for pa, qa in zip(p.tolist(), q.tolist())])
-    return (np.array(edges).reshape(-1, 2), children,
-            np.array([sign for _, sign in kids]))
+    edges = np.array(list(combinations(range(dim + 1), 2)),
+                     dtype=np.intp).reshape(-1, 2)
+    position = np.diag(np.arange(dim + 1))
+    position[edges[:, 0], edges[:, 1]] = dim + 1 + np.arange(len(edges))
+    return edges, position[p, q], signs

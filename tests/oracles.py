@@ -2,11 +2,14 @@
 independent transport-derivative pipeline, a Lagrangian FD pipeline, a
 Richardson error estimate, interval quadrature with an error estimate, the
 product-current evaluation, the strong-Lipschitz distance, kernel
-mollification, and the per-point evaluators of the sampled contraction,
-exterior derivative and pullback.  They are not part of the library's
-API."""
+mollification, the per-point evaluators of the sampled contraction,
+exterior derivative and pullback, and the tuple and dict loops that build
+permutation signs, the wedge sign table, the Kuhn children and the
+Freudenthal complex one simplex at a time.  They are not part of the
+library's API."""
 
 from dataclasses import dataclass
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -216,3 +219,118 @@ def pullback_at(phi: FormField, f, x, source_dim: int, jacobian=None,
         sum(cov[k] * minor(lam, mu)
             for k, lam in enumerate(multi_indices(r, phi.ambient)))
         for mu in multi_indices(r, source_dim)])
+
+
+# ----------------------------------------------------------------------
+# sign tables, Kuhn children and the Freudenthal complex on tuples and
+# dicts, one simplex at a time
+# ----------------------------------------------------------------------
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)), by its cycles: +1 if
+    even, -1 if odd."""
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, cycle = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            cycle += 1
+        if cycle % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def merge_sign(a: tuple, b: tuple):
+    """Sorted union of two disjoint increasing tuples and the merge sign,
+    the parity of the inversions of a + b; (None, 0) when they
+    intersect."""
+    if set(a) & set(b):
+        return None, 0
+    inversions = sum(1 for x in a for y in b if x > y)
+    return tuple(sorted(a + b)), -1 if inversions % 2 else 1
+
+
+def wedge_terms(p: int, q: int, n: int) -> tuple:
+    """(index in a, index in b, output rank, sign) of every term of a
+    p-vector wedge a q-vector over R^n that alternation keeps, looping
+    over the indices of a, then of b."""
+    ranks = {idx: k for k, idx in enumerate(multi_indices(p + q, n))}
+    terms = []
+    for i, la in enumerate(multi_indices(p, n)):
+        for j, lb in enumerate(multi_indices(q, n)):
+            merged, sign = merge_sign(la, lb)
+            if sign:
+                terms.append((i, j, ranks[merged], sign))
+    return tuple(terms)
+
+
+def kuhn_children(dim: int, k: int = 2) -> tuple:
+    """The Kuhn simplices of the k-scaled path simplex
+    k >= y_1 >= ... >= y_dim >= 0, walking every cell, then every
+    permutation: (vertex tuples in y-coordinates, path sign) pairs."""
+    children = []
+    for g in product(range(k), repeat=dim):
+        for perm in permutations(range(dim)):
+            cur = list(g)
+            verts = [tuple(cur)]
+            for j in perm:
+                cur[j] += 1
+                verts.append(tuple(cur))
+            if all(all(v[i] >= v[i + 1] for i in range(dim - 1))
+                   and v[0] <= k and v[-1] >= 0 for v in verts):
+                children.append((tuple(verts), perm_sign(perm)))
+    assert len(children) == k ** dim
+    return tuple(children)
+
+
+def loop_freudenthal(lower, upper, resolution: int):
+    """The Freudenthal complex of a box as its vertices (row-major grid),
+    simplices per degree (lists of sorted tuples: the top ones in
+    cell-then-permutation order, the faces in lexicographic order) and
+    the top orientations keyed by simplex, each the path sign times the
+    sign of sorting the path's vertex ids."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n, m = lower.size, resolution
+    axes = [np.linspace(lower[i], upper[i], m + 1) for i in range(n)]
+
+    def vid(g):
+        out = 0
+        for gi in g:
+            out = out * (m + 1) + gi
+        return out
+
+    verts = np.array([[axes[i][g[i]] for i in range(n)]
+                      for g in product(range(m + 1), repeat=n)])
+    tops, orientation = [], {}
+    for cell in product(range(m), repeat=n):
+        for perm in permutations(range(n)):
+            g = list(cell)
+            ids = [vid(g)]
+            for j in perm:
+                g[j] += 1
+                ids.append(vid(g))
+            order = sorted(range(len(ids)), key=lambda i: ids[i])
+            key = tuple(sorted(ids))
+            tops.append(key)
+            orientation[key] = perm_sign(perm) * perm_sign(order)
+    simplices = {n: tops}
+    for r in range(n - 1, -1, -1):
+        simplices[r] = sorted({f for s in simplices[r + 1]
+                               for f in combinations(s, r + 1)})
+    return verts, simplices, {n: orientation}
+
+
+def loop_boundary_matrix(simplices: dict, r: int) -> np.ndarray:
+    """Signed incidence of the (r-1)-faces against the r-simplices, filled
+    one face of one simplex at a time."""
+    rows = {s: k for k, s in enumerate(simplices[r - 1])}
+    mat = np.zeros((len(simplices[r - 1]), len(simplices[r])))
+    for j, s in enumerate(simplices[r]):
+        for i in range(r + 1):
+            mat[rows[s[:i] + s[i + 1:]], j] = -1.0 if i % 2 else 1.0
+    return mat

@@ -13,13 +13,13 @@ from currentkit.chains import (Boundary, Chain, Leaf, Scale, Simplex, Sum,
                                triangle_chain, unit_interval_chain,
                                unit_square_chain)
 from currentkit.complexes import SimplicialComplex, freudenthal_complex
-from currentkit.exterior import MultiVector, pair, perm_sign, wedge
+from currentkit.exterior import MultiVector, pair, wedge
 from currentkit.forms import (FormField, VectorField, contract,
                               exterior_derivative)
 from currentkit.lipschitz import LipMap, make_map, pushforward_chain
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import grundmann_moller, subdivide_barycentric
-from oracles import evaluate_with_error, interval_product_evaluate
+from oracles import evaluate_with_error, interval_product_evaluate, perm_sign
 
 
 def _tet():

@@ -186,6 +186,24 @@ class TestDeterminism:
         assert (_reference_cells(checks, rows)
                 == _reference_cells(checks, _read(path)))
 
+    def test_flatgrid_outputs_match_the_benchmark_reference(self, tmp_path):
+        # the flatgrid inputs at seed 42, one scenario file at a time: six
+        # flat-norm LPs on Freudenthal complexes, whose column order sets
+        # the pivot path
+        checks = _load_perfbench("checks")
+        configs = _load_perfbench("workloads").write_flatgrid(42,
+                                                              str(tmp_path))
+        rows = []
+        for k, config in enumerate(configs):
+            out = tmp_path / f"out{k}"
+            assert main(["flatnorm", "--config", config, "--out",
+                         str(out)]) == 0
+            rows += _read(out / "flatnorm.csv")
+        path = os.path.join(os.path.dirname(checks.__file__), "reference",
+                            "flatgrid", "flatnorm.csv")
+        assert (_reference_cells(checks, rows)
+                == _reference_cells(checks, _read(path)))
+
 
 class TestTransport:
     def test_report_contents(self, tmp_path):

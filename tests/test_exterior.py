@@ -1,13 +1,17 @@
 """Exterior algebra: wedge, interior product, mass, comass."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from currentkit.exterior import (CoVector, MultiVector, basis_rank, comass,
-                                 frame_to_multivector, interior_product, mass,
-                                 multi_indices, pair, wedge)
+from currentkit.exterior import (CoVector, MultiVector, _wedge_terms,
+                                 basis_rank, comass, frame_to_multivector,
+                                 interior_product, mass, multi_indices, pair,
+                                 sort_parity, wedge)
+from oracles import perm_sign, wedge_terms
 
 
 def _rand_mv(r, n, rng):
@@ -38,6 +42,23 @@ class TestBasis:
         mv = MultiVector.basis((0, 1), 3)
         with pytest.raises(ValueError):
             mv.coefficients[0] = 2.0
+
+
+class TestParity:
+    @pytest.mark.parametrize("k", range(6))
+    def test_sort_parity_is_the_cycle_sign(self, k):
+        perms = list(permutations(range(k)))
+        perm, parity = sort_parity(np.array(perms).reshape(len(perms), k))
+        assert parity.tolist() == [perm_sign(p) for p in perms]
+        # sorting a permutation's rows undoes it: the inverse, same parity
+        assert all(p[q] == i for p, row in zip(perms, perm.tolist())
+                   for i, q in enumerate(row))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_wedge_terms_match_the_merge_loop(self, n):
+        for p in range(n + 1):
+            for q in range(n + 1 - p):
+                assert _wedge_terms(p, q, n) == wedge_terms(p, q, n)
 
 
 class TestWedge:

@@ -8,9 +8,9 @@ from currentkit.chains import (Chain, boundary, mass_chain,
 from currentkit.complexes import SimplicialComplex, freudenthal_complex
 from currentkit import flatnorm
 from currentkit.flatnorm import (LPProblem, LPSolution, dual_flat_lower_bound,
-                                 export_lp_text, flat_norm_lp, lp_solve,
-                                 sharp_lower_bound)
+                                 flat_norm_lp, lp_solve, sharp_lower_bound)
 from currentkit.forms import Box, FormField
+from oracles import loop_boundary_matrix, loop_freudenthal
 
 
 class TestLPSolver:
@@ -115,6 +115,39 @@ class TestComplex:
         comp = freudenthal_complex((0, 0), (1, 1), 2)
         with pytest.raises(ValueError):
             comp.chain_vector(unit_square_chain())
+
+    @pytest.mark.parametrize("n,res", [(n, res) for n in (1, 2, 3)
+                                       for res in range(1, 9)]
+                             + [(4, res) for res in (1, 2, 3)])
+    def test_matches_the_loop_builder(self, n, res):
+        # vertices, simplices, orientations, boundary matrices and the full
+        # chain, exactly as the tuple and dict builder gives them
+        lower, upper = [-0.5] * n, [1.0 + 0.25 * i for i in range(n)]
+        comp = freudenthal_complex(lower, upper, res)
+        verts, simplices, orientation = loop_freudenthal(lower, upper, res)
+        assert comp.vertices.tobytes() == verts.tobytes()
+        assert comp.simplices == simplices
+        assert comp.orientation == orientation
+        for r in range(1, n + 1):
+            assert (comp.boundary_matrix(r).tobytes()
+                    == loop_boundary_matrix(simplices, r).tobytes())
+        tops = simplices[n]
+        want = Chain.from_stacked(verts[np.array(tops)],
+                                  np.ones(len(tops), dtype=int),
+                                  [orientation[n][s] for s in tops], n, n)
+        got = comp.full_chain()
+        for a, b in zip((got.table, got.ids, got.signs, got.mults),
+                        (want.table, want.ids, want.signs, want.mults)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_outside_the_degrees_is_empty(self):
+        # the flat norm's S of a top-degree chain lives here
+        comp = freudenthal_complex((0, 0), (1, 1), 2)
+        assert comp.n_simplices(3) == comp.n_simplices(-1) == 0
+        assert comp.boundary_matrix(3).shape == (8, 0)
+        assert comp.volumes(3).shape == (0,)
+        empty = comp.simplex_chain(3, np.zeros(0))
+        assert (len(empty), empty.degree, empty.ambient) == (0, 3, 2)
 
 
 class TestFlatNorm:
@@ -275,12 +308,3 @@ class TestDualBounds:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             dual_flat_lower_bound(boundary(unit_square_chain()), [], self.box)
-
-
-class TestExport:
-    def test_lp_text_round_trip_fields(self):
-        prob = LPProblem([1.0, 0.0], [[1.0, 2.0]], [3.0])
-        text = export_lp_text(prob)
-        assert "MINIMIZE" in text
-        assert "eq0" in text
-        assert "= 3" in text

@@ -283,6 +283,20 @@ class TestSampledBackend:
         with pytest.raises(ValueError, match="non-finite"):
             nan.coefficients_at(pts)
 
+    def test_pointwise_callable_on_a_square_batch_raises(self):
+        # m points for an output of m columns: x[0], x[1] are batch rows,
+        # so a pointwise callable gives an (m, m) array of the wrong values
+        spin = VectorField(2, func=lambda x: np.array([-x[1], x[0]]))
+        with pytest.raises(ValueError, match=r"shape \(m, 2\); got shape"):
+            spin.values_at([[1, 2], [3, 4]])
+        area = FormField.from_callable(2, 2, lambda x: np.array([x[0] * x[1]]))
+        with pytest.raises(ValueError, match=r"shape \(m, 1\); got shape"):
+            area.coefficients_at([[1.0, 2.0]])
+        batch = VectorField(2, func=lambda x: np.stack([-x[:, 1], x[:, 0]],
+                                                       axis=1))
+        np.testing.assert_array_equal(batch.values_at([[1, 2], [3, 4]]),
+                                      [[-2.0, 1.0], [-4.0, 3.0]])
+
 
 class TestSeminorms:
     def setup_method(self):

@@ -6,10 +6,10 @@ from math import factorial
 import numpy as np
 import pytest
 
-from currentkit.quadrature import (grundmann_moller, integrate_interval,
-                                   simplex_rule, simplex_volume,
-                                   subdivide_barycentric)
-from oracles import adaptive_interval
+from currentkit.quadrature import (_kuhn_children, grundmann_moller,
+                                   integrate_interval, simplex_rule,
+                                   simplex_volume, subdivide_barycentric)
+from oracles import adaptive_interval, kuhn_children
 
 
 def _monomial_integral_unit_simplex(exps):
@@ -86,6 +86,15 @@ class TestSubdivision:
         total = sum(simplex_volume(child)
                     for child, _ in subdivide_barycentric(verts))
         assert total == pytest.approx(parent, rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_kuhn_children_match_the_loop(self, dim, k):
+        coords, signs = _kuhn_children(dim, k)
+        want = kuhn_children(dim, k)
+        assert ([tuple(map(tuple, y)) for y in coords.tolist()]
+                == [verts for verts, _ in want])
+        assert signs.tolist() == [sign for _, sign in want]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_child_count(self, dim):
