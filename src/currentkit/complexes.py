@@ -41,6 +41,10 @@ class SimplicialComplex:
         tops = np.sort(np.array(top_simplices, dtype=np.intp), axis=1)
         self.dim = tops.shape[1] - 1
         self.top_orientations = np.asarray(top_orientations)
+        if (self.top_orientations.shape != (len(tops),)
+                or np.any(np.abs(self.top_orientations) != 1)):
+            raise ValueError(f"top_orientations needs one sign, +1 or -1, "
+                             f"per top simplex ({len(tops)})")
         self.ids = [tops]
         for r in range(self.dim, 0, -1):
             faces = face_rows(self.ids[0])
@@ -75,6 +79,9 @@ class SimplicialComplex:
         """Signed incidence of (r-1)-faces (rows) against r-simplices
         (columns), in the sorted-order reference orientation: face i of a
         simplex, without vertex i, with sign (-1)^i."""
+        if r < 1:
+            raise ValueError("boundary undefined at degree 0: a 0-simplex "
+                             "has no boundary")
         simplices = self._ids(r)
         rows = _lookup(self._ids(r - 1), face_rows(simplices))
         mat = np.zeros((self.n_simplices(r - 1), len(simplices)))

@@ -133,14 +133,12 @@ def _pair_ratios(f: LipMap, xs, ys):
     return num[keep] / den[keep]
 
 
-def lipschitz_constant(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS,
-                       seed: int = 0):
+def lipschitz_constant(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS):
     """Sampled estimate of the K-Lipschitz constant.
 
-    The sample is a deterministic Halton set plus the grid-neighbor pairs,
-    so `seed` does not change it.  Refined by Jacobian spectral norms on
-    the grid when the Jacobian is available.  Returns (estimate,
-    sample_count).
+    The sample is a deterministic Halton set plus the grid-neighbor pairs.
+    Refined by Jacobian spectral norms on the grid when the Jacobian is
+    available.  Returns (estimate, sample_count).
     """
     xs, ys = _sample_pairs(box, n_pairs)
     best = float(np.max(_pair_ratios(f, xs, ys)))
@@ -151,13 +149,11 @@ def lipschitz_constant(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS,
     return best, len(xs)
 
 
-def bi_lipschitz_constants(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS,
-                           seed: int = 0):
+def bi_lipschitz_constants(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS):
     """(c, d): min and max pairwise distortion ratios over samples.
 
-    The sample is a deterministic Halton set plus the grid-neighbor pairs,
-    so `seed` does not change it.  c near zero signals failure of
-    injectivity at sampling resolution.
+    The sample is a deterministic Halton set plus the grid-neighbor pairs.
+    c near zero signals failure of injectivity at sampling resolution.
     """
     xs, ys = _sample_pairs(box, n_pairs)
     ratios = _pair_ratios(f, xs, ys)
@@ -199,7 +195,7 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
 
 
 # ----------------------------------------------------------------------
-# built-in map library (selectable by name in scenario files)
+# built-in map library
 # ----------------------------------------------------------------------
 
 def _tent(u, center: float, width: float):

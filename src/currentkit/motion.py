@@ -12,7 +12,7 @@ from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
                      _edge_wedges, boundary, evaluate)
 from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, seminorm_comass)
-from .lipschitz import LipMap, _planar_rotation, _tent, pushforward_chain
+from .lipschitz import LipMap, _tent, make_map, pushforward_chain
 from .polynomial import Polynomial
 from .quadrature import grundmann_moller, integrate_interval, simplex_volumes
 
@@ -31,25 +31,22 @@ __all__ = [
     "balance_transport",
 ]
 
-_NEWTON_TOL = 1e-12
-_NEWTON_MAX = 60
-
 
 @dataclass(frozen=True)
 class Motion:
-    """Time-indexed Lipschitz embedding kappa_t with its material velocity.
+    """A curve t -> kappa_t of Lipschitz embeddings over `interval`, read
+    through two factories: `map_factory(t)` is the LipMap kappa_t that
+    pushforward applies, and `velocity_factory(t)` the Eulerian velocity
+    v_t = (d/dt kappa_t) o kappa_t^-1 as a VectorField.
 
-    `velocity_factory`, `inverse` and `map_factory` are optional exact
-    backends; anything missing is recovered numerically.
+    Each `make_motion` family is a `make_map` family at a time-scaled
+    parameter together with its exact velocity; a user-built Motion
+    supplies both factories.
     """
 
     interval: tuple
-    kappa: object                 # (t, x) -> point
-    kappa_dot: object             # (t, x) -> velocity of the material point
-    k_m: Box                      # compact set carrying the motion
-    inverse: object = None        # (t, y) -> x with kappa(t, x) = y
-    velocity_factory: object = None   # t -> VectorField (Eulerian, exact)
-    map_factory: object = None        # t -> LipMap for kappa_t
+    map_factory: object       # t -> LipMap kappa_t
+    velocity_factory: object  # t -> VectorField v_t
     name: str = ""
 
     def check_time(self, t: float):
@@ -59,64 +56,17 @@ class Motion:
 
     def map_at(self, t: float) -> LipMap:
         self.check_time(t)
-        if self.map_factory is not None:
-            return self.map_factory(t)
-        return LipMap(self.k_m.dim, lambda x, t=t: self.kappa(t, x),
-                      name=f"{self.name}@{t:g}")
+        return self.map_factory(t)
 
     def push(self, T: Chain, t: float, levels: int = 0) -> Chain:
         return pushforward_chain(self.map_at(t), T, levels=levels)
 
 
-def _invert_newton(m: Motion, t: float, y: np.ndarray) -> np.ndarray:
-    if m.inverse is not None:
-        return np.asarray(m.inverse(t, y), dtype=float)
-    y = np.asarray(y, dtype=float)
-    x = y.copy()
-    n = y.size
-    h = 1e-6
-    for _ in range(_NEWTON_MAX):
-        fx = np.asarray(m.kappa(t, x), dtype=float)
-        res = y - fx
-        if np.linalg.norm(res) < _NEWTON_TOL:
-            return x
-        jac = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            jac[:, j] = (np.asarray(m.kappa(t, x + e), float)
-                         - np.asarray(m.kappa(t, x - e), float)) / (2 * h)
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError:
-            raise ValueError("motion inversion failed: singular Jacobian")
-        lam = 1.0
-        base = np.linalg.norm(res)
-        while lam > 1e-6:
-            cand = x + lam * step
-            if np.linalg.norm(y - np.asarray(m.kappa(t, cand), float)) < base:
-                x = cand
-                break
-            lam *= 0.5
-        else:
-            raise ValueError("motion inversion failed: no descent")
-    raise ValueError("motion inversion did not converge")
-
-
 def velocity_field(m: Motion, t: float) -> VectorField:
-    """Eulerian velocity v_t = kappa_dot_t o (kappa_t)^-1, extended by zero
-    outside the moving support."""
+    """Eulerian velocity v_t = (d/dt kappa_t) o kappa_t^-1, extended by
+    zero outside the moving support."""
     m.check_time(t)
-    if m.velocity_factory is not None:
-        return m.velocity_factory(t)
-
-    n = m.k_m.dim
-
-    def v(ys, m=m, t=t):
-        return np.array([m.kappa_dot(t, _invert_newton(m, t, y))
-                         for y in ys], dtype=float).reshape(len(ys), n)
-
-    return VectorField(n, func=v)
+    return m.velocity_factory(t)
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +243,8 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
     density times the volume form.  Returns (lhs, volume_term, flux_term)
     with lhs the transport derivative and the right side split into the
     local-rate volume integral and the boundary flux of density * (v . nu).
+    A boundary face degenerate by the rule of `chains._edge_wedges` raises
+    a ValueError.
     """
     n = T.ambient
     if T.degree != n:
@@ -314,10 +266,10 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
     # all faces and points at once; the terms are summed face by face,
     # point by point, from 0.0
     verts, signs, mults = boundary(pushed).stacked()
-    tangents, lengths, _ = _edge_wedges(verts)
-    keep = lengths >= 1e-15
-    verts, signs, mults = verts[keep], signs[keep], mults[keep]
-    tangents = tangents[keep] / lengths[keep, None] * signs[:, None]
+    tangents, lengths, degenerate = _edge_wedges(verts)
+    if np.any(degenerate):
+        raise ValueError("degenerate boundary face in classical_reynolds")
+    tangents = tangents / lengths[:, None] * signs[:, None]
     nu = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)  # outward, ccw
     bary, w = grundmann_moller(1, 2)
     pts = np.matmul(bary, verts).reshape(-1, n)
@@ -392,34 +344,48 @@ def balance_transport(m: Motion, T: Chain, psi: Cochain, xi: Cochain,
 # built-in motion families
 # ----------------------------------------------------------------------
 
+# each family's parameters; make_motion and scenario files take no others
+_PARAMETERS = {
+    "identity": (),
+    "translation": ("velocity",),
+    "rotation": ("rate",),
+    "expansion": (),
+    "shear": ("rate",),
+    "tent": ("center", "width", "amplitude", "axis"),
+}
+
+
+def _check_family(name: str, params):
+    """A ValueError unless `name` is a motion family and every key of
+    `params` one of its parameters in `_PARAMETERS`."""
+    if name not in _PARAMETERS:
+        raise ValueError(f"unknown motion family: {name}")
+    for key in params:
+        if key not in _PARAMETERS[name]:
+            raise ValueError(f"motion family {name!r} has no parameter "
+                             f"{key!r}; it takes {list(_PARAMETERS[name])}")
+
+
 def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
-                k_m: Box = None, **params) -> Motion:
+                **params) -> Motion:
     """Named motion families: identity, translation, rotation, expansion,
-    shear, tent."""
-    if k_m is None:
-        k_m = Box.unit(ambient)
+    shear, tent.  Each is the `make_map` family of the same kind at a
+    parameter scaled by time, with its exact Eulerian velocity."""
+    _check_family(name, params)
     iv = tuple(float(t) for t in interval)
 
     if name == "identity":
         zero = VectorField.constant(np.zeros(ambient))
-        return Motion(iv, lambda t, x: np.asarray(x, float),
-                      lambda t, x: np.zeros(ambient), k_m,
-                      inverse=lambda t, y: np.asarray(y, float),
-                      velocity_factory=lambda t: zero,
-                      map_factory=lambda t: LipMap.identity(ambient),
-                      name="identity")
+        return Motion(iv, lambda t: make_map("identity", ambient),
+                      lambda t: zero, name)
 
     if name == "translation":
         c = np.asarray(params.get("velocity", [0.25] + [0.0] * (ambient - 1)),
                        dtype=float)
         vf = VectorField.constant(c)
-        return Motion(iv, lambda t, x: np.asarray(x, float) + t * c,
-                      lambda t, x: c, k_m,
-                      inverse=lambda t, y: np.asarray(y, float) - t * c,
-                      velocity_factory=lambda t: vf,
-                      map_factory=lambda t: LipMap.affine(
-                          np.eye(ambient), t * c, name="translation"),
-                      name="translation")
+        return Motion(iv, lambda t: make_map("translation", ambient,
+                                             offset=t * c),
+                      lambda t: vf, name)
 
     if name == "rotation":
         if ambient != 2:
@@ -427,16 +393,8 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         w = float(params.get("rate", 1.0))
         x0, x1 = (Polynomial.variable(i, 2) for i in (0, 1))
         vf = VectorField.from_polynomials([(-w) * x1, w * x0])
-        return Motion(iv, lambda t, x: _planar_rotation(w * t) @ np.asarray(x, float),
-                      lambda t, x: w * np.array([
-                          -np.sin(w * t) * x[0] - np.cos(w * t) * x[1],
-                          np.cos(w * t) * x[0] - np.sin(w * t) * x[1]]),
-                      k_m,
-                      inverse=lambda t, y: _planar_rotation(-w * t) @ np.asarray(y, float),
-                      velocity_factory=lambda t: vf,
-                      map_factory=lambda t: LipMap.affine(
-                          _planar_rotation(w * t), name="rotation"),
-                      name="rotation")
+        return Motion(iv, lambda t: make_map("rotation", angle=w * t),
+                      lambda t: vf, name)
 
     if name == "expansion":
         # kappa_t(x) = (1 + t) x; Eulerian velocity y / (1 + t)
@@ -444,13 +402,9 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
             return VectorField.from_polynomials(
                 [Polynomial.variable(i, ambient) * (1.0 / (1.0 + t))
                  for i in range(ambient)])
-        return Motion(iv, lambda t, x: (1.0 + t) * np.asarray(x, float),
-                      lambda t, x: np.asarray(x, float), k_m,
-                      inverse=lambda t, y: np.asarray(y, float) / (1.0 + t),
-                      velocity_factory=vfac,
-                      map_factory=lambda t: LipMap.affine(
-                          (1.0 + t) * np.eye(ambient), name="expansion"),
-                      name="expansion")
+        return Motion(iv, lambda t: make_map("scaling", ambient,
+                                             factor=1.0 + t),
+                      vfac, name)
 
     if name == "shear":
         s = float(params.get("rate", 0.5))
@@ -458,51 +412,22 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         comps = [Polynomial.zero(ambient) for _ in range(ambient)]
         comps[0] = s * x1
         vf = VectorField.from_polynomials(comps)
+        return Motion(iv, lambda t: make_map("shear", ambient, strength=s * t),
+                      lambda t: vf, name)
 
-        def mat(t, s=s, ambient=ambient):
-            out = np.eye(ambient)
-            out[0, 1] = s * t
-            return out
+    # tent: piecewise-linear vertical lift growing linearly in time;
+    # genuinely non-smooth Lipschitz motion
+    c = float(params.get("center", 0.5))
+    w = float(params.get("width", 0.5))
+    amp = float(params.get("amplitude", 0.3))
+    axis = int(params.get("axis", 1))
 
-        return Motion(iv, lambda t, x: mat(t) @ np.asarray(x, float),
-                      lambda t, x: np.array(
-                          [s * np.asarray(x, float)[1]] + [0.0] * (ambient - 1)),
-                      k_m,
-                      inverse=lambda t, y: mat(-t) @ np.asarray(y, float),
-                      velocity_factory=lambda t: vf,
-                      map_factory=lambda t: LipMap.affine(mat(t), name="shear"),
-                      name="shear")
+    def field(ys):
+        out = np.zeros(ys.shape)
+        out[:, axis] = amp * _tent(ys[:, 0], c, w)
+        return out
 
-    if name == "tent":
-        # piecewise-linear vertical lift growing linearly in time;
-        # genuinely non-smooth Lipschitz motion
-        c = float(params.get("center", 0.5))
-        w = float(params.get("width", 0.5))
-        amp = float(params.get("amplitude", 0.3))
-        axis = int(params.get("axis", 1))
-
-        def kap(t, x):
-            y = np.array(x, dtype=float)
-            y[axis] += t * amp * _tent(x[0], c, w)
-            return y
-
-        def field(ys):
-            out = np.zeros(ys.shape)
-            out[:, axis] = amp * _tent(ys[:, 0], c, w)
-            return out
-
-        def kap_dot(t, x):
-            return field(np.asarray(x, float)[None])[0]
-
-        def inv(t, y):
-            x = np.array(y, dtype=float)
-            x[axis] -= t * amp * _tent(y[0], c, w)  # first axis is unchanged
-            return x
-
-        def vfac(t):
-            return VectorField(ambient, func=field, lipschitz=amp / w)
-
-        return Motion(iv, kap, kap_dot, k_m, inverse=inv,
-                      velocity_factory=vfac, name="tent")
-
-    raise ValueError(f"unknown motion family: {name}")
+    vf = VectorField(ambient, func=field, lipschitz=amp / w)
+    return Motion(iv, lambda t: make_map("tent", ambient, center=c, width=w,
+                                         amplitude=t * amp, axis=axis),
+                  lambda t: vf, name)

@@ -11,7 +11,7 @@ import numpy as np
 from .chains import (Chain, boundary, triangle_chain, unit_interval_chain,
                      unit_square_chain)
 from .forms import Box, TimePolynomialForm
-from .motion import Cochain, Motion, make_motion
+from .motion import Cochain, Motion, _check_family, make_motion
 from .polynomial import Polynomial
 
 __all__ = ["ScenarioConfig", "load_config", "builtin_scenarios"]
@@ -63,6 +63,8 @@ class ScenarioConfig:
         cfg.eps_ladder = tuple(float(e) for e in cfg.eps_ladder)
         if not all(e > 0.0 for e in cfg.eps_ladder):
             raise ValueError("scenario field 'eps_ladder' must be > 0")
+        _check_family(cfg.motion.get("family"),
+                      sorted(set(cfg.motion) - {"family", "interval"}))
         for key, value in cfg.motion.items():
             if key != "family" and not isinstance(value, str):
                 _finite(f"motion.{key}", value)
@@ -93,7 +95,7 @@ class ScenarioConfig:
         family = spec.pop("family")
         interval = tuple(spec.pop("interval", (-1.0, 1.0)))
         return make_motion(family, ambient=self.ambient, interval=interval,
-                           k_m=self.build_box(), **spec)
+                           **spec)
 
     def build_cochain(self) -> Cochain:
         if self.cochain is None:

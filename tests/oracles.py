@@ -89,12 +89,12 @@ def interval_product_evaluate(interval, T: Chain, omega: FormField,
 
 
 def strong_lip_distance(f: LipMap, g: LipMap, box: Box,
-                        n_pairs: int = 20_000, seed: int = 0) -> float:
+                        n_pairs: int = 20_000) -> float:
     """Strong-Lipschitz seminorm of f - g on K:
     max(sup |f-g|, Lip(f-g))."""
     diff = LipMap(f.ambient, lambda x, a=f, b=g: a(x) - b(x))
     sup = max(float(np.linalg.norm(diff(x))) for x in box.grid())
-    lip, _ = lipschitz_constant(diff, box, n_pairs, seed)
+    lip, _ = lipschitz_constant(diff, box, n_pairs)
     return max(sup, lip)
 
 

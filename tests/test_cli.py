@@ -94,6 +94,15 @@ class TestScenarioConfig:
             assert main([command, "--config", str(path),
                          "--out", str(tmp_path)]) == 2
 
+    def test_misspelled_motion_parameter_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "motion": {"family": "rotation", "rta": 0.7}}))
+        assert main(["verify", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad scenario in {path}" in err and "'rta'" in err
+
     def test_parse_error_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

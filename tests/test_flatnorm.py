@@ -140,6 +140,17 @@ class TestComplex:
                         (want.table, want.ids, want.signs, want.mults)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    def test_one_orientation_per_top_simplex(self):
+        for signs in ([1, -1], [2]):
+            with pytest.raises(ValueError, match="one sign, .* per top"):
+                SimplicialComplex(np.eye(3)[:, :2], [(0, 1, 2)], signs)
+
+    def test_vertices_have_no_boundary_matrix(self):
+        comp = freudenthal_complex((0, 0), (1, 1), 2)
+        for r in (0, -1):
+            with pytest.raises(ValueError, match="0-simplex has no boundary"):
+                comp.boundary_matrix(r)
+
     def test_outside_the_degrees_is_empty(self):
         # the flat norm's S of a top-degree chain lives here
         comp = freudenthal_complex((0, 0), (1, 1), 2)

@@ -7,7 +7,8 @@ import pytest
 from currentkit.chains import (Leaf, boundary, evaluate, unit_square_chain)
 from currentkit.forms import (Box, FormField, TimePolynomialForm, VectorField,
                               lie_derivative)
-from currentkit.motion import (Cochain, Motion, balance_transport,
+from currentkit.lipschitz import make_map, pushforward_chain
+from currentkit.motion import (Cochain, balance_transport,
                                classical_reynolds, continuity_modulus,
                                deformation_chain, homotopy_residual,
                                make_motion, reynolds_operator,
@@ -34,14 +35,6 @@ def _line_cochain():
 
 
 class TestMotionFamilies:
-    @pytest.mark.parametrize("name", ["identity", "translation", "rotation",
-                                      "expansion", "shear", "tent"])
-    def test_kappa_inverse_consistency(self, name):
-        m = make_motion(name)
-        x = np.array([0.3, 0.6])
-        y = m.kappa(0.5, x)
-        np.testing.assert_allclose(m.inverse(0.5, y), x, atol=1e-10)
-
     def test_time_window_enforced(self):
         m = make_motion("rotation", interval=(0.0, 1.0))
         with pytest.raises(ValueError):
@@ -50,6 +43,12 @@ class TestMotionFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             make_motion("vortex")
+
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(ValueError, match="'rotation'.*'rta'"):
+            make_motion("rotation", rta=0.7)
+        with pytest.raises(ValueError, match="'rate'"):
+            make_motion("expansion", rate=2.0)
 
     def test_expansion_velocity(self):
         m = make_motion("expansion", interval=(-0.5, 1.0))
@@ -62,26 +61,21 @@ class TestMotionFamilies:
         assert v.is_polynomial
         np.testing.assert_allclose(v([1.0, 0.0]), [0.0, 2.0])
 
-    def test_newton_inversion_fallback(self):
-        # motion without a closed-form inverse or velocity factory
-        base = make_motion("rotation", rate=0.8)
-        m = Motion(base.interval, base.kappa, base.kappa_dot, base.k_m)
-        v = velocity_field(m, 0.4)
-        ref = velocity_field(base, 0.4)
-        pt = np.array([0.3, 0.7])
-        np.testing.assert_allclose(v(pt), ref(pt), atol=1e-8)
-
     @pytest.mark.parametrize("name", ["identity", "translation", "rotation",
                                       "expansion", "shear", "tent"])
     def test_velocity_carries_material_points(self, name):
-        # the Eulerian velocity at kappa_t(x) is the material velocity of x
+        # the Eulerian velocity at kappa_t(x) is the time derivative of the
+        # map that pushforward applies, by central difference
         m = make_motion(name)
         rng = np.random.default_rng(3)
+        h = 1e-6
         for t in (-0.5, 0.0, 0.3, 0.75):
             v = velocity_field(m, t)
+            now, ahead, behind = (m.map_at(s) for s in (t, t + h, t - h))
             for x in rng.uniform(0.0, 1.0, size=(5, 2)):
-                np.testing.assert_allclose(v(m.kappa(t, x)),
-                                           m.kappa_dot(t, x), atol=1e-12)
+                np.testing.assert_allclose(v(now(x)),
+                                           (ahead(x) - behind(x)) / (2 * h),
+                                           atol=1e-8)
 
 
 class TestReynoldsOperator:
@@ -193,6 +187,17 @@ class TestClassicalReynolds:
         density = TimePolynomialForm(2, 0, {(): Polynomial.constant(3, 1.0)})
         with pytest.raises(ValueError):
             classical_reynolds(m, BSQ, density, 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-16, 1e8])
+    def test_expanding_box_at_scale(self, scale):
+        # no boundary face is too short or too long to carry its flux
+        m = make_motion("expansion", interval=(-0.5, 1.0))
+        density = TimePolynomialForm(2, 0, {(): Polynomial.constant(3, 1.0)})
+        T = pushforward_chain(make_map("scaling", 2, factor=scale), SQ)
+        lhs, vol, flux = classical_reynolds(m, T, density, 0.0)
+        assert lhs == pytest.approx(2.0 * scale ** 2, rel=1e-12, abs=0.0)
+        assert vol == 0.0
+        assert flux == pytest.approx(lhs, rel=1e-12, abs=0.0)
 
 
 class TestContinuityAndBalance:
