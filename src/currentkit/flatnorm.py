@@ -256,32 +256,30 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
     return sol.objective, s_chain, r_chain, info
 
 
+def _lower_bound(T: Current, family, seminorm, what: str, box: Box,
+                 **kw) -> float:
+    """max over the test family of T(phi) / seminorm(phi)."""
+    if not family:
+        raise ValueError("empty test family")
+    best = 0.0
+    for phi in family:
+        denom = seminorm(phi, box, **kw)
+        if denom <= 0.0:
+            raise ValueError(f"test form with vanishing {what} seminorm")
+        best = max(best, evaluate(T, phi) / denom)
+    return best
+
+
 def dual_flat_lower_bound(T: Current, family, box: Box, **kw) -> float:
     """max over the test family of T(phi) / F_K(phi): an estimate of a
     lower bound for the K-flat norm of T, not a certified one.  F_K is a
     sup sampled on the box grid, which can fall short of the true sup, so
     the ratio can exceed the bound it estimates."""
-    if not family:
-        raise ValueError("empty test family")
-    best = 0.0
-    for phi in family:
-        denom = seminorm_flat(phi, box, **kw)
-        if denom <= 0.0:
-            raise ValueError("test form with vanishing flat seminorm")
-        best = max(best, evaluate(T, phi) / denom)
-    return best
+    return _lower_bound(T, family, seminorm_flat, "flat", box, **kw)
 
 
 def sharp_lower_bound(T: Current, family, box: Box, **kw) -> float:
     """max over the test family of T(phi) / S_K(phi): a sampled estimate of
     a lower bound for the sharp norm, like `dual_flat_lower_bound`; it
     never exceeds the flat estimate on the same family and grid."""
-    if not family:
-        raise ValueError("empty test family")
-    best = 0.0
-    for phi in family:
-        denom = seminorm_sharp(phi, box, **kw)
-        if denom <= 0.0:
-            raise ValueError("test form with vanishing sharp seminorm")
-        best = max(best, evaluate(T, phi) / denom)
-    return best
+    return _lower_bound(T, family, seminorm_sharp, "sharp", box, **kw)

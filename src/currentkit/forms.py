@@ -99,10 +99,9 @@ class AffineMap:
         object.__setattr__(self, "shift", np.array(self.shift, dtype=float))
 
     def __call__(self, x):
-        return self.mat @ np.asarray(x, dtype=float) + self.shift
-
-    def jacobian(self, x=None):
-        return self.mat
+        """Images of a point (n,) or of points (m, n)."""
+        x = np.asarray(x, dtype=float)
+        return np.matmul(self.mat, x[..., None])[..., 0] + self.shift
 
     @property
     def source_dim(self):
@@ -257,13 +256,11 @@ def _sampled(func, pts: np.ndarray, width: int, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class VectorField:
     """Vector field on R^n: an evaluator from points (m, n) to vectors
-    (m, n) or polynomial components, and an optionally known Lipschitz
-    constant."""
+    (m, n) or polynomial components."""
 
     ambient: int
     func: object = None
     components: tuple = None  # tuple[Polynomial, ...]
-    lipschitz: float = None
 
     def __post_init__(self):
         if self.components is not None:
@@ -275,15 +272,15 @@ class VectorField:
             raise ValueError("vector field needs components or an evaluator")
 
     @classmethod
-    def from_polynomials(cls, comps, lipschitz=None) -> "VectorField":
+    def from_polynomials(cls, comps) -> "VectorField":
         comps = tuple(comps)
-        return cls(len(comps), components=comps, lipschitz=lipschitz)
+        return cls(len(comps), components=comps)
 
     @classmethod
     def constant(cls, vec) -> "VectorField":
         vec = np.asarray(vec, dtype=float)
         comps = tuple(Polynomial.constant(vec.size, v) for v in vec)
-        return cls(vec.size, components=comps, lipschitz=0.0)
+        return cls(vec.size, components=comps)
 
     @classmethod
     def random_polynomial(cls, ambient, rng, max_degree=2) -> "VectorField":
@@ -361,18 +358,17 @@ def _minor(mat: np.ndarray, rows, cols) -> np.ndarray:
     return np.linalg.det(mat[..., rows, :][..., cols])
 
 
-def pullback(phi: FormField, f, *, jacobian=None, source_dim=None,
-             h=1e-6) -> FormField:
-    """Pullback f^#(phi); exact polynomial result for affine f and
-    polynomial phi, sampled backend otherwise."""
+def pullback(phi: FormField, f, h=1e-6) -> FormField:
+    """Pullback f^#(phi) by an AffineMap, whose source and target
+    dimensions may differ, or by a LipMap on R^n; exact polynomial result
+    for affine f and polynomial phi, sampled backend otherwise.  The
+    Jacobian of a LipMap is its own when given, else central differences
+    with step h."""
     r = phi.degree
     affine = isinstance(f, AffineMap)
-    if affine:
-        if f.target_dim != phi.ambient:
-            raise ValueError("map image dimension mismatch")
-        m = f.source_dim
-    else:
-        m = source_dim if source_dim is not None else phi.ambient
+    m = f.source_dim if affine else f.ambient
+    if (f.target_dim if affine else f.ambient) != phi.ambient:
+        raise ValueError("map image dimension mismatch")
     src_idx = multi_indices(r, m)
     tgt_idx = multi_indices(r, phi.ambient)
     if affine and phi.is_polynomial:
@@ -389,26 +385,20 @@ def pullback(phi: FormField, f, *, jacobian=None, source_dim=None,
             polys[q] = acc
         return FormField(r, m, polys=polys)
 
-    def jac_at(x):
+    def jacobian(x):
         if affine:
-            return f.mat
-        if jacobian is not None:
-            return np.asarray(jacobian(x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            cols.append((np.asarray(f(x + e), float)
-                         - np.asarray(f(x - e), float)) / (2 * h))
-        return np.stack(cols, axis=-1)
+            return np.broadcast_to(f.mat, (len(x), *f.mat.shape))
+        if f.jacobian is not None:
+            return f.jacobian(x)
+        # the images at x + h e_j, then at x - h e_j, for every j
+        steps = h * np.eye(m)
+        pts = x[:, None, :] + np.concatenate([steps, -steps])
+        vals = f.values_at(pts.reshape(-1, m)).reshape(len(x), 2, m, m)
+        return ((vals[:, 0] - vals[:, 1]) / (2 * h)).transpose(0, 2, 1)
 
     def ev(x, phi=phi, f=f):
-        # the map and its Jacobian are pointwise: called once per row
-        n = phi.ambient
-        jac = np.array([jac_at(p) for p in x]).reshape(len(x), n, m)
-        cov = phi.coefficients_at(
-            np.array([f(p) for p in x]).reshape(len(x), n))
+        jac = jacobian(x)
+        cov = phi.coefficients_at(f(x) if affine else f.values_at(x))
         out = np.zeros((len(x), len(src_idx)))
         for q, mu in enumerate(src_idx):
             for k, lam in enumerate(tgt_idx):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Chain, _edge_wedges, vertex_table
-from .forms import AffineMap, Box
+from .forms import AffineMap, Box, _sampled
 
 __all__ = [
     "LipMap",
@@ -24,37 +24,45 @@ _INJECTIVITY_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class LipMap:
-    """Lipschitz map on (a box in) R^n."""
+    """Lipschitz map on (a box in) R^n: `func` maps points (m, n) to their
+    images (m, n), and `jacobian`, when given, maps points (m, n) to the
+    exact Jacobians (m, n, n)."""
 
     ambient: int
     func: object
-    jacobian: object = None  # x -> (n, n) array, exact when available
+    jacobian: object = None
     name: str = ""
 
     def __call__(self, x):
-        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
+        return self.values_at(np.asarray(x, float)[None])[0]
+
+    def values_at(self, pts) -> np.ndarray:
+        """Images of many points (m, n), shape (m, n), checked once per
+        batch for shape and finite values."""
+        return _sampled(self.func, np.asarray(pts, dtype=float),
+                        self.ambient, "map images")
 
     @classmethod
     def identity(cls, ambient: int) -> "LipMap":
-        eye = np.eye(ambient)
-        return cls(ambient, lambda x: x, lambda x: eye, name="identity")
+        return cls.affine(np.eye(ambient), name="identity")
 
     @classmethod
     def affine(cls, mat, shift=None, name="affine") -> "LipMap":
         mat = np.asarray(mat, dtype=float)
         if shift is None:
             shift = np.zeros(mat.shape[0])
-        amap = AffineMap(mat, shift)
-        return cls(mat.shape[1], amap, amap.jacobian, name=name)
+        return cls(mat.shape[1], AffineMap(mat, shift),
+                   lambda x: np.broadcast_to(mat, (len(x), *mat.shape)),
+                   name=name)
 
     def compose(self, other: "LipMap") -> "LipMap":
         """self after other."""
         def f(x, a=self, b=other):
-            return a(b(x))
+            return a.values_at(b.values_at(x))
         jac = None
         if self.jacobian is not None and other.jacobian is not None:
             def jac(x, a=self, b=other):
-                return np.asarray(a.jacobian(b(x))) @ np.asarray(b.jacobian(x))
+                return np.matmul(a.jacobian(b.values_at(x)), b.jacobian(x))
         return LipMap(self.ambient, f, jac,
                       name=f"{self.name}*{other.name}")
 
@@ -101,31 +109,10 @@ def _sample_pairs(box: Box, n_pairs: int):
     return xs, ys
 
 
-def _map_rows(f: LipMap, rows: np.ndarray) -> np.ndarray:
-    """Images of the rows of `rows` (m, n) under f, bit for bit those of
-    calling f on each row.
-
-    An affine map is one stacked matrix-vector product, per row the same
-    kernel as the map's own call.  Any other map is called once per row,
-    in order, on read-only rows.  Shape (m, target dimension)."""
-    if isinstance(f.func, AffineMap):
-        return (np.matmul(f.func.mat, rows[:, :, None])[:, :, 0]
-                + f.func.shift)
-    rows = rows.view()
-    rows.flags.writeable = False
-    image = None
-    for i, x in enumerate(rows):
-        y = f(x)
-        if image is None:
-            image = np.empty((len(rows), y.size))
-        image[i] = y
-    return image
-
-
 def _pair_ratios(f: LipMap, xs, ys):
-    # f is called once per distinct point, by the vertex rule
+    # f is called once, on the distinct points by the vertex rule
     table, ids = vertex_table(np.concatenate([xs, ys]))
-    images = _map_rows(f, table)[ids]
+    images = f.values_at(table)[ids]
     fx, fy = images[:len(xs)], images[len(xs):]
     num = np.linalg.norm(fx - fy, axis=1)
     den = np.linalg.norm(xs - ys, axis=1)
@@ -143,9 +130,8 @@ def lipschitz_constant(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS):
     xs, ys = _sample_pairs(box, n_pairs)
     best = float(np.max(_pair_ratios(f, xs, ys)))
     if f.jacobian is not None:
-        for x in box.grid():
-            best = max(best, float(np.linalg.norm(
-                np.asarray(f.jacobian(x), dtype=float), 2)))
+        best = max(best, float(np.max(np.linalg.norm(
+            f.jacobian(box.grid()), 2, axis=(1, 2)))))
     return best, len(xs)
 
 
@@ -165,11 +151,12 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
                       box: Box = None) -> Chain:
     """Vertex-mapped pushforward after `levels` uniform subdivisions.
 
-    Each vertex of the chain's table is mapped once; images that coincide
+    The chain's vertex table is mapped in one call; images that coincide
     are one vertex of the pushed chain.  Exact for affine-per-simplex
     maps; converges in evaluation as levels grows for curved Lipschitz
-    maps.  A non-finite image vertex, and a degenerate image simplex by
-    the rule of `chains._edge_wedges`, raise a ValueError.
+    maps.  A non-finite image vertex (from `LipMap.values_at`), and a
+    degenerate image simplex by the rule of `chains._edge_wedges`, raise
+    a ValueError.
     """
     if check_injective:
         if box is None:
@@ -186,7 +173,7 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
     work = T.subdivided(levels)
     if not len(work):
         return Chain([], T.degree, T.ambient)
-    table, ids = vertex_table(_map_rows(f, work.table))
+    table, ids = vertex_table(f.values_at(work.table))
     ids = ids[work.ids]
     if T.degree > 0 and np.any(_edge_wedges(table[ids])[2]):
         raise ValueError("degenerate image simplex in pushforward")
@@ -233,8 +220,7 @@ def make_map(name: str, ambient: int = 2, **params) -> LipMap:
         s = float(params.get("strength", 0.25))
 
         def f(x, s=s):
-            r2 = float(np.dot(x, x))
-            return x * (1.0 + s * r2)
+            return x * (1.0 + s * np.sum(x * x, axis=1, keepdims=True))
 
         return LipMap(ambient, f, name="radial_stretch")
     if name == "tent":
@@ -245,7 +231,7 @@ def make_map(name: str, ambient: int = 2, **params) -> LipMap:
 
         def f(x, c=c, w=w, amp=amp, axis=axis):
             y = np.array(x, dtype=float)
-            y[axis] += amp * _tent(x[0], c, w)
+            y[:, axis] += amp * _tent(x[:, 0], c, w)
             return y
 
         return LipMap(ambient, f, name="tent")

@@ -344,26 +344,46 @@ def balance_transport(m: Motion, T: Chain, psi: Cochain, xi: Cochain,
 # built-in motion families
 # ----------------------------------------------------------------------
 
-# each family's parameters; make_motion and scenario files take no others
+# each family's parameters and their kinds; make_motion and scenario
+# files take no others
 _PARAMETERS = {
-    "identity": (),
-    "translation": ("velocity",),
-    "rotation": ("rate",),
-    "expansion": (),
-    "shear": ("rate",),
-    "tent": ("center", "width", "amplitude", "axis"),
+    "identity": {},
+    "translation": {"velocity": "vector"},
+    "rotation": {"rate": "number"},
+    "expansion": {},
+    "shear": {"rate": "number"},
+    "tent": {"center": "number", "width": "positive",
+             "amplitude": "number", "axis": "axis"},
+}
+
+# each kind: what a value must be, and the test of its numeric array a
+# in n dimensions
+_KINDS = {
+    "number": ("a number", lambda a, n: a.shape == ()),
+    "positive": ("a positive number", lambda a, n: a.shape == () and a > 0),
+    "vector": ("{n} numbers", lambda a, n: a.shape == (n,)),
+    "axis": ("an axis in range({n})",
+             lambda a, n: a.shape == () and a in range(n)),
 }
 
 
-def _check_family(name: str, params):
-    """A ValueError unless `name` is a motion family and every key of
-    `params` one of its parameters in `_PARAMETERS`."""
+def _check_family(name: str, params: dict, ambient: int):
+    """A ValueError unless `name` is a motion family and every item of
+    `params` one of its parameters in `_PARAMETERS`, of its kind in
+    `ambient` dimensions."""
     if name not in _PARAMETERS:
         raise ValueError(f"unknown motion family: {name}")
-    for key in params:
-        if key not in _PARAMETERS[name]:
+    kinds = _PARAMETERS[name]
+    for key, value in params.items():
+        if key not in kinds:
             raise ValueError(f"motion family {name!r} has no parameter "
-                             f"{key!r}; it takes {list(_PARAMETERS[name])}")
+                             f"{key!r}; it takes {list(kinds)}")
+        what, test = _KINDS[kinds[key]]
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf" or not test(arr, ambient):
+            raise ValueError(f"motion parameter {key!r} of family {name!r} "
+                             f"must be {what.format(n=ambient)}, got "
+                             f"{value!r}")
 
 
 def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
@@ -371,7 +391,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
     """Named motion families: identity, translation, rotation, expansion,
     shear, tent.  Each is the `make_map` family of the same kind at a
     parameter scaled by time, with its exact Eulerian velocity."""
-    _check_family(name, params)
+    _check_family(name, params, ambient)
     iv = tuple(float(t) for t in interval)
 
     if name == "identity":
@@ -427,7 +447,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         out[:, axis] = amp * _tent(ys[:, 0], c, w)
         return out
 
-    vf = VectorField(ambient, func=field, lipschitz=amp / w)
+    vf = VectorField(ambient, func=field)
     return Motion(iv, lambda t: make_map("tent", ambient, center=c, width=w,
                                          amplitude=t * amp, axis=axis),
                   lambda t: vf, name)

@@ -64,7 +64,8 @@ class ScenarioConfig:
         if not all(e > 0.0 for e in cfg.eps_ladder):
             raise ValueError("scenario field 'eps_ladder' must be > 0")
         _check_family(cfg.motion.get("family"),
-                      sorted(set(cfg.motion) - {"family", "interval"}))
+                      {k: v for k, v in cfg.motion.items()
+                       if k not in ("family", "interval")}, cfg.ambient)
         for key, value in cfg.motion.items():
             if key != "family" and not isinstance(value, str):
                 _finite(f"motion.{key}", value)

@@ -42,8 +42,7 @@ def transport_derivative_lagrangian_fd(m: Motion, T: Chain, psi: Cochain,
         amap = getattr(lm, "func", None)
         if isinstance(amap, AffineMap):
             return evaluate(T, pullback(psi.form_at(t), amap))
-        return evaluate(T, pullback(psi.form_at(t), lm,
-                                    source_dim=T.ambient))
+        return evaluate(T, pullback(psi.form_at(t), lm))
 
     return (pulled(tau + eps) - pulled(tau - eps)) / (2 * eps)
 
@@ -92,7 +91,8 @@ def strong_lip_distance(f: LipMap, g: LipMap, box: Box,
                         n_pairs: int = 20_000) -> float:
     """Strong-Lipschitz seminorm of f - g on K:
     max(sup |f-g|, Lip(f-g))."""
-    diff = LipMap(f.ambient, lambda x, a=f, b=g: a(x) - b(x))
+    diff = LipMap(f.ambient,
+                  lambda x, a=f, b=g: a.values_at(x) - b.values_at(x))
     sup = max(float(np.linalg.norm(diff(x))) for x in box.grid())
     lip, _ = lipschitz_constant(diff, box, n_pairs)
     return max(sup, lip)
@@ -142,9 +142,8 @@ def mollify(f: LipMap, rho: float, kind: str = "gaussian",
     nodes, wts = kernel.nodes_weights(f.ambient)
 
     def smoothed(x, f=f, nodes=nodes, wts=wts):
-        x = np.asarray(x, dtype=float)
-        vals = np.stack([f(x + dx) for dx in nodes])
-        return wts @ vals
+        vals = np.stack([f.values_at(x + dx) for dx in nodes])
+        return np.tensordot(wts, vals, axes=1)
 
     return LipMap(f.ambient, smoothed, name=f"mollified({f.name},{rho:g})")
 

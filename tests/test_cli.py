@@ -103,6 +103,25 @@ class TestScenarioConfig:
         err = capsys.readouterr().err
         assert f"bad scenario in {path}" in err and "'rta'" in err
 
+    @pytest.mark.parametrize("key,motion", [
+        ("axis", {"family": "tent", "axis": 2}),
+        ("rate", {"family": "rotation", "rate": [1, 2]}),
+        ("width", {"family": "tent", "width": 0}),
+        ("velocity", {"family": "translation", "velocity": [1, 2, 3]})])
+    def test_bad_motion_parameter_rejected(self, tmp_path, capsys, key,
+                                           motion):
+        # unchecked, each ends in an IndexError, TypeError,
+        # ZeroDivisionError or broadcast error inside the run
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "motion": motion, "cochain": {
+                "degree": 2, "components": {"0,1": [
+                    {"exponents": [0, 0, 0], "coefficient": 1.0}]}}}))
+        assert main(["transport", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad scenario in {path}" in err and f"'{key}'" in err
+
     def test_parse_error_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -231,6 +250,29 @@ class TestTransport:
         main(["transport", "--out", str(b)])
         assert (a / "transport.csv").read_bytes() == \
             (b / "transport.csv").read_bytes()
+
+
+class TestTimings:
+    def test_timings_fill_only_runtime_cells(self, tmp_path, monkeypatch):
+        # CURRENTKIT_TIMINGS=1 writes the runtime of the timed rows; every
+        # other cell is the default run's
+        for cmd in ("verify", "transport"):
+            assert main([cmd, "--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setenv("CURRENTKIT_TIMINGS", "1")
+        for cmd in ("verify", "transport"):
+            assert main([cmd, "--out", str(tmp_path / "timed")]) == 0
+        for name in ("verify.csv", "transport.csv"):
+            with open(tmp_path / "plain" / name) as fh:
+                plain = list(csv.reader(fh))
+            with open(tmp_path / "timed" / name) as fh:
+                timed = list(csv.reader(fh))
+            assert len(plain) == len(timed)
+            runtimes = [t[-1] for p, t in zip(plain, timed) if p != t]
+            for p, t in zip(plain, timed):
+                assert p[:-1] == t[:-1]
+                assert p[-1] == t[-1] or p[-1] == ""
+            assert runtimes
+            assert all(float(x) >= 0.0 for x in runtimes)
 
 
 class TestFlatnorm:

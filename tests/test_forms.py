@@ -193,13 +193,13 @@ def _polynomial_form(rng, n, r):
 
 
 def _stretch(n, s=0.3):
-    """x (1 + s |x|^2) as a pointwise map, and its Jacobian."""
+    """x (1 + s |x|^2) on points (m, n), and its Jacobians (m, n, n)."""
     def f(x):
-        return x * (1.0 + s * float(np.dot(x, x)))
+        return x * (1.0 + s * (x * x).sum(axis=1, keepdims=True))
 
     def jac(x):
-        return (1.0 + s * float(np.dot(x, x))) * np.eye(n) + 2 * s * np.outer(
-            x, x)
+        return ((1.0 + s * (x * x).sum(axis=1))[:, None, None] * np.eye(n)
+                + 2 * s * x[:, :, None] * x[:, None, :])
 
     return f, jac
 
@@ -248,16 +248,20 @@ class TestSampledBackend:
         f, jac = _stretch(n)
         amap = AffineMap(rng.normal(size=(n, n)) + 2 * np.eye(n),
                          rng.normal(size=n))
+        # the references call the map and its Jacobian on one point at a time
+        lmap = LipMap(n, f, jac)
         for phi in (_sampled_form(rng, n, r), _polynomial_form(rng, n, r)):
             got = pullback(phi, LipMap(n, f)).coefficients_at(pts)
-            want = np.stack([pullback_at(phi, f, x, n) for x in pts])
+            want = np.stack([pullback_at(phi, lmap, x, n) for x in pts])
             assert _bits(got) == _bits(want)
-            got = pullback(phi, f, jacobian=jac).coefficients_at(pts)
-            want = np.stack([pullback_at(phi, f, x, n, jac) for x in pts])
+            got = pullback(phi, lmap).coefficients_at(pts)
+            want = np.stack([pullback_at(
+                phi, lmap, x, n, lambda p: jac(p[None])[0])
+                for x in pts])
             assert _bits(got) == _bits(want)
         phi = _sampled_form(rng, n, r)
         got = pullback(phi, amap).coefficients_at(pts)
-        want = np.stack([pullback_at(phi, amap, x, n, amap.jacobian)
+        want = np.stack([pullback_at(phi, amap, x, n, lambda p: amap.mat)
                          for x in pts])
         assert _bits(got) == _bits(want)
 

@@ -35,7 +35,7 @@ class TestConstants:
         assert 0.5 - 1e-9 <= c <= d <= 2.0 + 1e-9
 
     def test_collapse_detected(self):
-        f = LipMap(2, lambda x: np.array([x[0], 0.0]))
+        f = LipMap(2, lambda x: x * [1.0, 0.0])
         c, _ = bi_lipschitz_constants(f, BOX, n_pairs=2000)
         assert c <= 1e-8
 
@@ -112,12 +112,12 @@ class TestPushforward:
         assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
 
     def test_degenerate_image_raises(self):
-        f = LipMap(2, lambda x: np.array([x[0], 0.0]))
+        f = LipMap(2, lambda x: x * [1.0, 0.0])
         with pytest.raises(ValueError):
             pushforward_chain(f, unit_square_chain())
 
     def test_injectivity_check(self):
-        f = LipMap(2, lambda x: np.array([x[0], 0.0]))
+        f = LipMap(2, lambda x: x * [1.0, 0.0])
         with pytest.raises(ValueError):
             pushforward_chain(f, unit_square_chain(), check_injective=True,
                               box=BOX)
@@ -137,12 +137,37 @@ class TestMapLibrary:
         with pytest.raises(ValueError):
             make_map("escher")
 
+    def test_pointwise_map_rejected(self):
+        # a map of one point x reads the rows of a batch as x[0], x[1]
+        f = LipMap(2, lambda x: np.array([-x[1], x[0]]))
+        with pytest.raises(ValueError, match="shape \\(m, 2\\)"):
+            f.values_at([[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("check", [
+        lambda f: lipschitz_constant(f, BOX, n_pairs=200),
+        lambda f: bi_lipschitz_constants(f, BOX, n_pairs=200),
+        lambda f: pushforward_chain(f, unit_square_chain(),
+                                    check_injective=True, box=BOX)],
+        ids=["lipschitz_constant", "bi_lipschitz_constants",
+             "check_injective"])
+    def test_nan_map_raises(self, check):
+        # NaN on part of the box must raise, not give nan estimates or pass
+        # the injectivity test (nan <= floor is false)
+        def f(x):
+            y = x.copy()
+            y[x[:, 0] > 0.5, 1] = np.nan
+            return y
+
+        with pytest.raises(ValueError, match="non-finite map images"):
+            check(LipMap(2, f))
+
     def test_compose(self):
         f = make_map("translation", offset=[1.0, 0.0])
         g = make_map("scaling", factor=2.0)
         h = f.compose(g)
         np.testing.assert_allclose(h([1.0, 1.0]), [3.0, 2.0])
-        np.testing.assert_allclose(h.jacobian([0.0, 0.0]), 2.0 * np.eye(2))
+        np.testing.assert_allclose(h.jacobian(np.zeros((1, 2))),
+                                   [2.0 * np.eye(2)])
 
 
 def _loop_halton(count, base):
@@ -211,7 +236,7 @@ def _bits(x):
 
 class TestPointMaps:
     """Sampling and point mapping equal the scalar loops bit for bit, and
-    a general map is called once per distinct vertex."""
+    a general map is called once, on the distinct vertices."""
 
     @pytest.mark.parametrize("base", [2, 3, 5, 7, 11, 13])
     def test_halton(self, base):
@@ -253,12 +278,12 @@ class TestPointMaps:
                     assert _bits(s.vertices) == _bits(image)
                     assert (s.sign, m) == (w.sign, k)
 
-    def test_general_map_is_called_once_per_distinct_vertex(self):
+    def test_general_map_is_called_once_on_the_vertex_table(self):
         calls = []
 
         def record(x):
             calls.append(x.tobytes())
-            return 2.0 * x + np.array([x[1] ** 2, 0.0])
+            return 2.0 * x + np.column_stack([x[:, 1] ** 2, 0.0 * x[:, 0]])
 
         T = _mesh(np.random.default_rng(3), 2).subdivided(1)
         # the copy's vertices on x = 0 read -0.0: the same points as the
@@ -268,9 +293,10 @@ class TestPointMaps:
         moved[moved == 0.0] = -0.0
         T = T + Chain.from_stacked(moved, signs, mults, 2, 2)
         rows = np.concatenate([verts, moved]).reshape(-1, 2)
-        pushed = pushforward_chain(LipMap(2, record), T)
-        assert calls == [row.tobytes() for row in T.table]
+        f = LipMap(2, record)
+        pushed = pushforward_chain(f, T)
+        assert calls == [T.table.tobytes()]
         assert len(T.table) < len({row.tobytes() for row in rows})
         points = T.stacked()[0].reshape(-1, 2)
-        want = np.stack([record(x) for x in points])
+        want = np.stack([f(x) for x in points])
         assert _bits(pushed.stacked()[0].reshape(-1, 2)) == _bits(want)
