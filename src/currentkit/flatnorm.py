@@ -2,8 +2,17 @@
 lower-bound estimators for the flat and sharp norms of general currents.
 
 The LP minimizes  sum_i vol_i |t_i - (B s)_i| + sum_j vol_j |s_j|  over the
-(r+1)-coefficients s of the hosting complex, with the L1 terms split into
-nonnegative pairs.
+(r+1)-coefficients s of the hosting complex.  In codimension 1 it is the
+dual of a min-cost circulation on the complex's dual graph (Sullivan,
+thesis, 1990; Ibrahim, Krishnamoorthy & Vixie, JoCG 2013): one node per top
+simplex plus a ground node, one arc per face.  `flat_norm_lp` solves it
+there by a network simplex on numpy arrays whenever the input allows:
+degree r = n - 1, every (n-1)-face with one or two cofaces, and the two
+carrying opposite signs under `top_orientations`.  S is the tree's node
+potentials, so R = t - B S is exact for integral t.  Every other input
+(other degrees, a face with three or more cofaces, incoherent
+orientations) goes to `lp_solve`, a dense two-phase simplex with Bland's
+rule on the L1 terms split into nonnegative pairs.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Chain, Current, evaluate
-from .complexes import SimplicialComplex
+from .chains import Chain, Current, evaluate, face_rows
+from .complexes import SimplicialComplex, _lookup
 from .forms import Box, seminorm_flat, seminorm_sharp
 
 __all__ = [
@@ -29,6 +38,10 @@ __all__ = [
 _FEAS_TOL = 1e-8
 _PIVOT_TOL = 1e-10
 _BLOCK_ELEMENTS = 1 << 16  # entries per band of a pivot's block update
+_FLOW_TOL = 1e-12  # network simplex: zero residual, relative to capacity
+_COST_TOL = 1e-12  # network simplex: zero reduced cost, relative to max|cost|
+_MIN_BLOCK = 256   # network simplex: fewest arcs priced at once
+_MAX_PIVOTS_PER_ARC = 100  # network simplex: a run past this is an error
 
 
 @dataclass
@@ -212,18 +225,233 @@ def lp_solve(problem: LPProblem, basis_hint=None) -> LPSolution:
     return LPSolution("OPTIMAL", obj, x, list(basis), iterations, residual)
 
 
-def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
-    """Simplicial flat norm of T on the hosting complex.
+def _dual_graph(complex_: SimplicialComplex, r: int):
+    """The dual graph of a codimension-1 flat-norm problem, or None.
 
-    Returns (value, S, R, info): the optimal decomposition T = R + bnd(S)
-    with value = M(R) + M(S), plus solver metadata.
+    Its nodes are the top simplices and a ground node, number
+    `n_simplices(dim)`.  Face f of degree r = dim - 1 joins the coface
+    where its coherent sign, (-1)^i times `top_orientations`, is +1
+    (`plus[f]`) to the one where it is -1 (`minus[f]`); a face with one
+    coface joins it to ground.  None unless r = dim - 1, every face has
+    one or two cofaces, and two cofaces carry opposite signs."""
+    n = complex_.dim
+    if r != n - 1:
+        return None
+    tops = complex_.ids[n]
+    rows = _lookup(complex_.ids[r], face_rows(tops))
+    owner = np.repeat(np.arange(len(tops)), n + 1)
+    positive = (np.tile((-1) ** np.arange(n + 1), len(tops))
+                * complex_.top_orientations[owner]) > 0
+    n_faces = complex_.n_simplices(r)
+    cofaces = np.bincount(rows, minlength=n_faces)
+    pluses = np.bincount(rows[positive], minlength=n_faces)
+    if np.any(cofaces > 2) or np.any((cofaces == 2) & (pluses != 1)):
+        return None
+    plus = np.full(n_faces, len(tops))
+    minus = np.full(n_faces, len(tops))
+    plus[rows[positive]] = owner[positive]
+    minus[rows[~positive]] = owner[~positive]
+    return plus, minus
+
+
+class _Tree:
+    """The spanning tree of a network simplex, rooted at node n - 1: each
+    node's parent and the arc to it, and a preorder in which the subtree
+    of node v is order[pos[v]:pos[v] + size[v]].  It starts as the star
+    of arcs v -> root, arc v for node v."""
+
+    def __init__(self, n: int):
+        root = n - 1
+        self.parent = [root] * root + [-1]
+        self.arc = list(range(root)) + [-1]
+        self.order = np.concatenate([[root], np.arange(root)])
+        self.pos = np.empty(n, dtype=np.intp)
+        self.pos[self.order] = np.arange(n)
+        self.size = [1] * root + [n]
+
+    def paths(self, u: int, v: int):
+        """The nodes from u and from v up to their lowest common ancestor,
+        which neither list holds: the first ancestor of u whose subtree
+        holds v."""
+        pos, size, parent = self.pos, self.size, self.parent
+        at = pos[v]
+        from_u = []
+        while not 0 <= at - pos[u] < size[u]:
+            from_u.append(u)
+            u = parent[u]
+        from_v = []
+        while v != u:
+            from_v.append(v)
+            v = parent[v]
+        return from_u, from_v
+
+    def subtree(self, v: int) -> np.ndarray:
+        lo = int(self.pos[v])
+        return self.order[lo:lo + self.size[v]]
+
+    def rehang(self, stem: list, shrink: list, grow: list, parent: int,
+               arc: int):
+        """Cut the subtree below stem[-1] and hang it by `arc` from
+        `parent`, rooted at stem[0].  `stem` is the path from stem[0] up
+        to stem[-1]; `shrink` the ancestors of stem[-1], and `grow`
+        `parent` and its ancestors, both up to the common ancestor of
+        stem[-1] and `parent`, which neither holds."""
+        order, pos, size = self.order, self.pos, self.size
+        lo = int(pos[stem[-1]])
+        moved = size[stem[-1]]
+        hi = lo + moved
+        # rerooted at stem[0], the subtree's preorder is stem[0]'s old
+        # subtree, then stem[1]'s old subtree without it, and so on
+        inner = pos[stem[0]]
+        pieces = [order[inner:inner + size[stem[0]]]]
+        for below, v in zip(stem, stem[1:]):
+            a = pos[v]
+            pieces += [order[a:inner], order[inner + size[below]:a + size[v]]]
+            inner = a
+        segment = np.concatenate(pieces)
+        for i in range(len(stem) - 1, 0, -1):
+            size[stem[i]] = moved - size[stem[i - 1]]
+            self.parent[stem[i]] = stem[i - 1]
+            self.arc[stem[i]] = self.arc[stem[i - 1]]
+        size[stem[0]] = moved
+        for v in shrink:
+            size[v] -= moved
+        for v in grow:
+            size[v] += moved
+        self.parent[stem[0]], self.arc[stem[0]] = parent, arc
+        # move the segment to just after its new parent
+        at = int(pos[parent])
+        if at < lo:
+            order[at + 1 + moved:hi] = order[at + 1:lo]
+            order[at + 1:at + 1 + moved] = segment
+            lo = at + 1
+        else:
+            order[lo:at + 1 - moved] = order[hi:at + 1]
+            order[at + 1 - moved:at + 1] = segment
+            hi = at + 1
+        pos[order[lo:hi]] = np.arange(lo, hi)
+
+
+def _network_simplex(tail, head, cost, cap, n_nodes):
+    """Min-cost circulation: min cost.x over 0 <= x <= cap with flow
+    conserved at every node, by the primal network simplex (Ahuja,
+    Magnanti & Orlin, *Network Flows*, 1993, ch. 11) from x = 0.
+
+    The root is node n_nodes - 1, and arc v < n_nodes - 1 runs from node v
+    to it at cost 0: those arcs are the first tree (`_Tree`), strongly
+    feasible at x = 0.  Each pivot prices one block of arcs at a time in
+    numpy and enters the block's most violating arc; the leaving arc is
+    the last blocking arc of the cycle from its apex (Cunningham, Math.
+    Prog. 1976), which keeps the tree strongly feasible, so degenerate
+    pivots cannot cycle.  A residual within `_FLOW_TOL` of its arc's
+    capacity is zero, and a reduced cost within `_COST_TOL` of the
+    largest |cost|, so the path is the same at any capacity scale.
+    Returns the potentials pi, with cost + pi[tail] - pi[head] = 0 on the
+    tree arcs and 0 at the root, and the number of pivots.
     """
-    r = T.degree
-    t = complex_.chain_vector(T)
-    n_r, n_s = complex_.n_simplices(r), complex_.n_simplices(r + 1)
-    vol_r, vol_s = complex_.volumes(r), complex_.volumes(r + 1)
+    n_arcs = len(tail)
+    tree = _Tree(n_nodes)
+    pi = np.zeros(n_nodes)
+    state = np.ones(n_arcs, dtype=np.int8)  # +1 at 0, -1 at cap, 0 in tree
+    state[:n_nodes - 1] = 0
+    flow = [0.0] * n_arcs
+    capl, taill, headl = cap.tolist(), tail.tolist(), head.tolist()
+    tol = [_FLOW_TOL * c for c in capl]
+    cost_tol = _COST_TOL * float(np.max(np.abs(cost), initial=0.0))
+
+    width = max(_MIN_BLOCK, int(np.sqrt(n_arcs)))
+    blocks = [(lo, tail[lo:lo + width], head[lo:lo + width],
+               cost[lo:lo + width], state[lo:lo + width])
+              for lo in range(0, n_arcs, width)]
+    block = pivots = 0
+    while True:
+        for _ in blocks:
+            lo, btail, bhead, bcost, bstate = blocks[block]
+            reduced = bstate * (bcost + pi[btail] - pi[bhead])
+            j = int(reduced.argmin())
+            if reduced[j] < -cost_tol:
+                e = lo + j
+                break
+            block = (block + 1) % len(blocks)
+        else:
+            return pi, pivots
+        if pivots == _MAX_PIVOTS_PER_ARC * n_arcs:
+            raise RuntimeError(f"network simplex pivot limit reached: "
+                               f"{pivots} pivots on {n_arcs} arcs")
+        pivots += 1
+        # the cycle: e, then up from `second` to the join, then down from
+        # the join to `first`
+        raising = state[e] > 0
+        first, second = ((taill[e], headl[e]) if raising
+                         else (headl[e], taill[e]))
+        down, up = tree.paths(first, second)
+        arc = tree.arc
+        # ratio test; of equal blocking arcs the last from the join leaves:
+        # the first of `down` (nearest `first`), then e, then the last of
+        # `up`.  `ahead` where the cycle's flow runs along the arc
+        cycle = []
+        delta, out = capl[e], -1
+        for u in down:
+            a = arc[u]
+            ahead = taill[a] != u
+            room = capl[a] - flow[a] if ahead else flow[a]
+            if room < delta:
+                delta, out = room, len(cycle)
+            cycle.append((a, ahead))
+        for u in up:
+            a = arc[u]
+            ahead = taill[a] == u
+            room = capl[a] - flow[a] if ahead else flow[a]
+            if room <= delta:
+                delta, out = room, len(cycle)
+            cycle.append((a, ahead))
+        if delta > 0.0:
+            cycle.append((e, raising))
+            for a, ahead in cycle:
+                x = flow[a] + delta if ahead else flow[a] - delta
+                flow[a] = (0.0 if x <= tol[a] else capl[a]
+                           if capl[a] - x <= tol[a] else x)
+        if out < 0:  # e goes from one bound to the other
+            state[e] = -state[e]
+            continue
+        leave = cycle[out][0]
+        state[leave] = 1 if flow[leave] == 0.0 else -1
+        state[e] = 0
+        # the subtree below the leaving arc hangs from e, rooted at the
+        # end of e inside it; its potentials shift to price e at zero
+        if out < len(down):
+            stem, grow, parent = down, up, second
+        else:
+            stem, grow, parent, out = up, down, first, out - len(down)
+        gap = cost[e] + pi[taill[e]] - pi[headl[e]]
+        pi[tree.subtree(stem[out])] += gap if stem[0] == headl[e] else -gap
+        tree.rehang(stem[:out + 1], stem[out + 1:], grow, parent, e)
+
+
+def _flat_norm_flow(t, plus, minus, vol_r, vol_s):
+    """The codimension-1 flat-norm LP as the dual of a min-cost
+    circulation on the dual graph (`_dual_graph`): face f is an arc
+    plus[f] -> minus[f] of cost -t_f and flow in [-vol_f, vol_f], top
+    simplex s an arc to ground of cost 0 and flow in [-vol_s, vol_s];
+    each arc is a pair of opposite arcs with flow in [0, vol].  The
+    potentials are S in the coherent orientation, and R = t - bnd S.
+    Returns (R, S, pivots)."""
+    n_top = len(vol_s)
+    tops, ground = np.arange(n_top), np.full(n_top, n_top)
+    pi, pivots = _network_simplex(
+        np.concatenate([tops, ground, plus, minus]),
+        np.concatenate([ground, tops, minus, plus]),
+        np.concatenate([np.zeros(2 * n_top), -t, t]),
+        np.concatenate([vol_s, vol_s, vol_r, vol_r]), n_top + 1)
+    return t - (pi[plus] - pi[minus]), pi[:n_top], pivots
+
+
+def _flat_norm_dense(t, complex_, r, vol_r, vol_s):
+    """The flat-norm LP over [R+, R-, S+, S-] on the dense boundary
+    matrix, by `lp_solve` from the basis R = t, S = 0.  Returns (value,
+    R, S, pivots)."""
+    n_r, n_s = len(vol_r), len(vol_s)
     bmat = complex_.boundary_matrix(r + 1)
-    # variables: [R+, R-, S+, S-]
     c = np.concatenate([vol_r, vol_r, vol_s, vol_s])
     a = _zeros((n_r, 2 * n_r + 2 * n_s))
     diag = np.arange(n_r)
@@ -244,16 +472,36 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
     if sol.status != "OPTIMAL":
         raise RuntimeError(f"flat-norm LP terminated with {sol.status}")
     x = sol.x
-    r_coeff = x[:n_r] - x[n_r:2 * n_r]
-    s_coeff = x[2 * n_r:2 * n_r + n_s] - x[2 * n_r + n_s:]
-    r_chain = complex_.simplex_chain(r, r_coeff)
-    s_chain = complex_.simplex_chain(r + 1, s_coeff)
-    info = {
-        "mass_R": float(vol_r @ np.abs(r_coeff)),
-        "mass_S": float(vol_s @ np.abs(s_coeff)),
-        "iterations": sol.iterations,
-    }
-    return sol.objective, s_chain, r_chain, info
+    return (sol.objective, x[:n_r] - x[n_r:2 * n_r],
+            x[2 * n_r:2 * n_r + n_s] - x[2 * n_r + n_s:], sol.iterations)
+
+
+def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
+    """Simplicial flat norm of T on the hosting complex.
+
+    Returns (value, S, R, info): the optimal decomposition T = R + bnd(S)
+    with value = M(R) + M(S), plus solver metadata; info["iterations"]
+    counts the pivots of whichever solver ran.  A codimension-1 chain on
+    a complex whose dual graph exists (`_dual_graph`) is solved as a
+    network flow, any other by the dense `lp_solve`.
+    """
+    r = T.degree
+    t = complex_.chain_vector(T)
+    vol_r, vol_s = complex_.volumes(r), complex_.volumes(r + 1)
+    graph = _dual_graph(complex_, r)
+    if graph is None:
+        value, r_coeff, s_coeff, pivots = _flat_norm_dense(
+            t, complex_, r, vol_r, vol_s)
+    else:
+        r_coeff, s_coeff, pivots = _flat_norm_flow(t, *graph, vol_r, vol_s)
+        s_coeff = s_coeff * complex_.top_orientations
+    mass_r = float(vol_r @ np.abs(r_coeff))
+    mass_s = float(vol_s @ np.abs(s_coeff))
+    if graph is not None:
+        value = mass_r + mass_s
+    info = {"mass_R": mass_r, "mass_S": mass_s, "iterations": pivots}
+    return (value, complex_.simplex_chain(r + 1, s_coeff),
+            complex_.simplex_chain(r, r_coeff), info)
 
 
 def _lower_bound(T: Current, family, seminorm, what: str, box: Box,

@@ -178,7 +178,7 @@ class FormField:
         pts = np.asarray(pts, dtype=float)
         if self.is_polynomial:
             return np.stack([p.eval_many(pts) for p in self.polys], axis=-1)
-        return _sampled(self.func, pts, self.ncomp, "form coefficients")
+        return _sampled(self.func, pts, (self.ncomp,), "form coefficients")
 
     # -- algebra ------------------------------------------------------
     def __add__(self, other: "FormField") -> "FormField":
@@ -233,20 +233,21 @@ class FormField:
         return cls.from_polynomials(n, r, coeffs)
 
 
-def _sampled(func, pts: np.ndarray, width: int, what: str) -> np.ndarray:
+def _sampled(func, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """`func` at points (m, n), checked once per batch: its values must
-    have shape (m, width) and be finite.  A batch of m == width points
+    have shape (m, *shape) and be finite.  A batch of m == shape[0] points
     goes in with its last point repeated, a row dropped from the values:
     a callable of one point x, whose x[0], x[1], ... are then rows of the
     batch, would otherwise pass the check with the batch's rows as its
     values."""
     m = len(pts)
-    batch = np.concatenate([pts, pts[-1:]]) if m == width else pts
+    batch = np.concatenate([pts, pts[-1:]]) if m == shape[0] else pts
     out = np.asarray(func(batch), dtype=float)
-    if out.shape != (len(batch), width):
+    if out.shape != (len(batch), *shape):
+        want = ", ".join(["m", *map(str, shape)])
         raise ValueError(
             f"a callable for {what} must map points of shape (m, "
-            f"{pts.shape[1]}) to an array of shape (m, {width}); got shape "
+            f"{pts.shape[1]}) to an array of shape ({want}); got shape "
             f"{out.shape} for m = {len(batch)}")
     if not np.all(np.isfinite(out)):
         raise ValueError(f"non-finite {what}")
@@ -301,7 +302,8 @@ class VectorField:
         if self.is_polynomial:
             return np.stack([p.eval_many(pts) for p in self.components],
                             axis=-1)
-        return _sampled(self.func, pts, self.ambient, "vector field values")
+        return _sampled(self.func, pts, (self.ambient,),
+                        "vector field values")
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +391,7 @@ def pullback(phi: FormField, f, h=1e-6) -> FormField:
         if affine:
             return np.broadcast_to(f.mat, (len(x), *f.mat.shape))
         if f.jacobian is not None:
-            return f.jacobian(x)
+            return f.jacobians_at(x)
         # the images at x + h e_j, then at x - h e_j, for every j
         steps = h * np.eye(m)
         pts = x[:, None, :] + np.concatenate([steps, -steps])

@@ -40,7 +40,14 @@ class LipMap:
         """Images of many points (m, n), shape (m, n), checked once per
         batch for shape and finite values."""
         return _sampled(self.func, np.asarray(pts, dtype=float),
-                        self.ambient, "map images")
+                        (self.ambient,), "map images")
+
+    def jacobians_at(self, pts) -> np.ndarray:
+        """`jacobian` at many points (m, n), shape (m, n, n), checked once
+        per batch for shape and finite values like `values_at`."""
+        n = self.ambient
+        return _sampled(self.jacobian, np.asarray(pts, dtype=float), (n, n),
+                        "Jacobians")
 
     @classmethod
     def identity(cls, ambient: int) -> "LipMap":
@@ -62,7 +69,8 @@ class LipMap:
         jac = None
         if self.jacobian is not None and other.jacobian is not None:
             def jac(x, a=self, b=other):
-                return np.matmul(a.jacobian(b.values_at(x)), b.jacobian(x))
+                return np.matmul(a.jacobians_at(b.values_at(x)),
+                                 b.jacobians_at(x))
         return LipMap(self.ambient, f, jac,
                       name=f"{self.name}*{other.name}")
 
@@ -131,7 +139,7 @@ def lipschitz_constant(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS):
     best = float(np.max(_pair_ratios(f, xs, ys)))
     if f.jacobian is not None:
         best = max(best, float(np.max(np.linalg.norm(
-            f.jacobian(box.grid()), 2, axis=(1, 2)))))
+            f.jacobians_at(box.grid()), 2, axis=(1, 2)))))
     return best, len(xs)
 
 

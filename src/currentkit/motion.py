@@ -356,6 +356,13 @@ _PARAMETERS = {
              "amplitude": "number", "axis": "axis"},
 }
 
+# the parameters a family takes when a scenario leaves them out
+_DEFAULTS = {
+    "rotation": {"rate": 1.0},
+    "shear": {"rate": 0.5},
+    "tent": {"center": 0.5, "width": 0.5, "amplitude": 0.3, "axis": 1},
+}
+
 # each kind: what a value must be, and the test of its numeric array a
 # in n dimensions
 _KINDS = {
@@ -370,11 +377,12 @@ _KINDS = {
 def _check_family(name: str, params: dict, ambient: int):
     """A ValueError unless `name` is a motion family and every item of
     `params` one of its parameters in `_PARAMETERS`, of its kind in
-    `ambient` dimensions."""
+    `ambient` dimensions; so must be the `_DEFAULTS` that `params`
+    leaves in force."""
     if name not in _PARAMETERS:
         raise ValueError(f"unknown motion family: {name}")
     kinds = _PARAMETERS[name]
-    for key, value in params.items():
+    for key, value in {**_DEFAULTS.get(name, {}), **params}.items():
         if key not in kinds:
             raise ValueError(f"motion family {name!r} has no parameter "
                              f"{key!r}; it takes {list(kinds)}")
@@ -392,6 +400,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
     shear, tent.  Each is the `make_map` family of the same kind at a
     parameter scaled by time, with its exact Eulerian velocity."""
     _check_family(name, params, ambient)
+    params = {**_DEFAULTS.get(name, {}), **params}
     iv = tuple(float(t) for t in interval)
 
     if name == "identity":
@@ -410,7 +419,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
     if name == "rotation":
         if ambient != 2:
             raise ValueError("rotation family is planar")
-        w = float(params.get("rate", 1.0))
+        w = float(params["rate"])
         x0, x1 = (Polynomial.variable(i, 2) for i in (0, 1))
         vf = VectorField.from_polynomials([(-w) * x1, w * x0])
         return Motion(iv, lambda t: make_map("rotation", angle=w * t),
@@ -427,7 +436,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
                       vfac, name)
 
     if name == "shear":
-        s = float(params.get("rate", 0.5))
+        s = float(params["rate"])
         x1 = Polynomial.variable(1, ambient)
         comps = [Polynomial.zero(ambient) for _ in range(ambient)]
         comps[0] = s * x1
@@ -437,10 +446,10 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
 
     # tent: piecewise-linear vertical lift growing linearly in time;
     # genuinely non-smooth Lipschitz motion
-    c = float(params.get("center", 0.5))
-    w = float(params.get("width", 0.5))
-    amp = float(params.get("amplitude", 0.3))
-    axis = int(params.get("axis", 1))
+    c = float(params["center"])
+    w = float(params["width"])
+    amp = float(params["amplitude"])
+    axis = int(params["axis"])
 
     def field(ys):
         out = np.zeros(ys.shape)

@@ -67,8 +67,11 @@ class ScenarioConfig:
                       {k: v for k, v in cfg.motion.items()
                        if k not in ("family", "interval")}, cfg.ambient)
         for key, value in cfg.motion.items():
-            if key != "family" and not isinstance(value, str):
+            if key != "family":
                 _finite(f"motion.{key}", value)
+        if np.shape(cfg.motion.get("interval", (-1.0, 1.0))) != (2,):
+            raise ValueError(f"scenario field 'motion.interval' must be two "
+                             f"numbers, got {cfg.motion['interval']!r}")
         _finite("chain.multiplier", cfg.chain.get("multiplier", 1.0))
         for key in ("lower", "upper", "pad"):
             if cfg.box is not None and key in cfg.box:

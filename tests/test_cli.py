@@ -122,6 +122,33 @@ class TestScenarioConfig:
         err = capsys.readouterr().err
         assert f"bad scenario in {path}" in err and f"'{key}'" in err
 
+    def test_defaulted_tent_axis_rejected_in_1d(self, tmp_path, capsys):
+        # the tent's default axis 1 is out of range on a line: unchecked,
+        # an IndexError inside the run and exit 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "ambient": 1, "chain": {"builtin": "interval"},
+            "motion": {"family": "tent"}, "cochain": {
+                "degree": 1, "components": {"0": [
+                    {"exponents": [0, 0], "coefficient": 1.0}]}}}))
+        assert main(["transport", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad scenario in {path}" in err and "'axis'" in err
+
+    @pytest.mark.parametrize("interval", ["ab", [0.0, 0.5, 1.0]])
+    def test_bad_motion_interval_rejected(self, tmp_path, capsys, interval):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "motion": {"family": "rotation",
+                                    "interval": interval}}))
+        with pytest.raises(ValueError, match="'motion.interval'"):
+            load_config(path)
+        assert main(["verify", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad scenario in {path}" in err
+
     def test_parse_error_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

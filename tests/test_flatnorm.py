@@ -223,12 +223,13 @@ class TestFlatNorm:
         assert info["mass_S"] == 0.0
 
     def test_numerical_failure_raises_with_residual(self, monkeypatch):
+        # a degree-0 chain in 2-D is solved by the dense LP
         def lost(problem, basis_hint=None):
             return LPSolution("NUMERICAL", iterations=7, residual=3e-5)
 
         monkeypatch.setattr(flatnorm, "lp_solve", lost)
         comp = freudenthal_complex((0, 0), (1, 1), 2)
-        T = boundary(comp.full_chain())
+        T = comp.simplex_chain(0, np.eye(comp.n_simplices(0))[4])
         with pytest.raises(RuntimeError,
                            match=r"residual .* = 3e-05 exceeds the "
                                  r"tolerance 1e-08 after 7 pivots"):
@@ -243,8 +244,8 @@ class TestFlatNorm:
 
 def _cell_union_boundary(comp, seed):
     rng = np.random.default_rng(seed)
-    cells = rng.random(comp.n_simplices(2)) < 0.4
-    return boundary(comp.simplex_chain(2, cells.astype(float)))
+    cells = rng.random(comp.n_simplices(comp.dim)) < 0.4
+    return boundary(comp.simplex_chain(comp.dim, cells.astype(float)))
 
 
 def _signed_edge_chain(comp, seed):
@@ -253,20 +254,37 @@ def _signed_edge_chain(comp, seed):
         1, rng.choice([-1.0, 0.0, 1.0], comp.n_simplices(1)))
 
 
+def _dense_lp(comp, T):
+    """The flat-norm LP of T over [R+, R-, S+, S-] on the dense boundary
+    matrix, and the basis R = t, S = 0, as the dense path builds them."""
+    r = T.degree
+    t = comp.chain_vector(T)
+    bmat = comp.boundary_matrix(r + 1)
+    vol_r, vol_s = comp.volumes(r), comp.volumes(r + 1)
+    eye = np.eye(len(t))
+    problem = LPProblem(np.concatenate([vol_r, vol_r, vol_s, vol_s]),
+                        np.hstack([eye, -eye, bmat, -bmat]), t)
+    hint = [i if t[i] >= 0 else len(t) + i for i in range(len(t))]
+    return problem, hint
+
+
 class TestPivotPath:
-    """The simplex follows a fixed pivot sequence: Bland's rule on the
+    """Bland's rule follows a fixed pivot sequence on the dense LP of the
     resolution-8 Freudenthal square.  Value and pivot count are pinned, so
-    a change to the pivoting that alters the path shows here."""
+    a change to the pivoting that alters the path shows here; so is the
+    network simplex's pivot count on the same inputs."""
 
     CASES = [(_cell_union_boundary, 8, 0.46093750000000017, 390),
              (_signed_edge_chain, 9, 10.05989132004283, 403)]
+    NETWORK_PIVOTS = [166, 421]
 
     @pytest.mark.parametrize("make, seed, value, pivots", CASES)
     def test_value_and_pivot_count(self, make, seed, value, pivots):
         comp = freudenthal_complex((0, 0), (1, 1), 8)
-        got, _, _, info = flat_norm_lp(make(comp, seed), comp)
-        assert info["iterations"] == pivots
-        assert got == pytest.approx(value, rel=1e-13)
+        problem, hint = _dense_lp(comp, make(comp, seed))
+        sol = lp_solve(problem, basis_hint=hint)
+        assert sol.iterations == pivots
+        assert sol.objective == pytest.approx(value, rel=1e-13)
 
     @pytest.mark.parametrize("make, seed, value, pivots", CASES)
     def test_banded_update_keeps_the_path(self, make, seed, value, pivots,
@@ -274,28 +292,184 @@ class TestPivotPath:
         # one row per band against one band for the whole block: the
         # pivot path and the optimum agree bit for bit
         comp = freudenthal_complex((0, 0), (1, 1), 8)
-        T = make(comp, seed)
+        problem, hint = _dense_lp(comp, make(comp, seed))
         monkeypatch.setattr(flatnorm, "_BLOCK_ELEMENTS", 1 << 30)
-        whole, _, _, info_whole = flat_norm_lp(T, comp)
+        whole = lp_solve(problem, basis_hint=hint)
         monkeypatch.setattr(flatnorm, "_BLOCK_ELEMENTS", 1)
-        banded, _, _, info_banded = flat_norm_lp(T, comp)
-        assert info_banded["iterations"] == info_whole["iterations"] == pivots
-        assert banded == whole
+        banded = lp_solve(problem, basis_hint=hint)
+        assert banded.iterations == whole.iterations == pivots
+        assert banded.objective == whole.objective
+
+    @pytest.mark.parametrize("make, seed, value, pivots",
+                             [(*case[:3], n)
+                              for case, n in zip(CASES, NETWORK_PIVOTS)])
+    def test_network_pivot_count(self, make, seed, value, pivots):
+        comp = freudenthal_complex((0, 0), (1, 1), 8)
+        got, _, _, info = flat_norm_lp(make(comp, seed), comp)
+        assert info["iterations"] == pivots
+        assert got == pytest.approx(value, rel=1e-13)
 
     @pytest.mark.parametrize("make, seed, value, pivots", CASES)
     def test_pinned_value_matches_highs(self, make, seed, value, pivots):
         optimize = pytest.importorskip("scipy.optimize")
         comp = freudenthal_complex((0, 0), (1, 1), 8)
-        t = comp.chain_vector(make(comp, seed))
-        bmat = comp.boundary_matrix(2)
-        eye = np.eye(len(t))
-        vol_r, vol_s = comp.volumes(1), comp.volumes(2)
-        res = optimize.linprog(
-            np.concatenate([vol_r, vol_r, vol_s, vol_s]),
-            A_eq=np.hstack([eye, -eye, bmat, -bmat]), b_eq=t,
-            bounds=(0, None), method="highs")
+        problem, _ = _dense_lp(comp, make(comp, seed))
+        res = optimize.linprog(problem.c, A_eq=problem.a_eq,
+                               b_eq=problem.b_eq, bounds=(0, None),
+                               method="highs")
         assert res.status == 0
         assert value == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+
+
+def _random_codim1(comp, seed):
+    """A random +-1, +-2 chain on a fifth of the codimension-1 faces."""
+    rng = np.random.default_rng(seed)
+    n = comp.n_simplices(comp.dim - 1)
+    coeffs = rng.choice([-2.0, -1.0, 1.0, 2.0], n) * (rng.random(n) < 0.2)
+    return comp.simplex_chain(comp.dim - 1, coeffs)
+
+
+def _decomposition_residual(comp, T, S, R):
+    """max |t - r - B s| over the coefficient vectors on the complex."""
+    r = T.degree
+    t = comp.chain_vector(T)
+    return np.abs(t - comp.chain_vector(R) - comp.boundary_matrix(r + 1)
+                  @ comp.chain_vector(S)).max(initial=0.0)
+
+
+CODIM1 = [(1, 8, 0), (1, 5, 1), (2, 4, 2), (2, 8, 3), (2, 7, 4), (3, 3, 5),
+          (3, 4, 6)]
+
+
+class TestFlowPath:
+    """Codimension-1 chains go through the network simplex: the same
+    optimum as the dense LP, an exact decomposition, any scale."""
+
+    @pytest.mark.parametrize("dim, res, seed", CODIM1)
+    @pytest.mark.parametrize("make", [_random_codim1, _cell_union_boundary],
+                             ids=["faces", "cells"])
+    def test_matches_the_dense_lp(self, dim, res, seed, make):
+        comp = freudenthal_complex([0.0] * dim, [1.0] * dim, res)
+        T = make(comp, seed)
+        value, S, R, info = flat_norm_lp(T, comp)
+        problem, hint = _dense_lp(comp, T)
+        dense = lp_solve(problem, basis_hint=hint)
+        n_r = comp.n_simplices(dim - 1)
+        r_dense = dense.x[:n_r] - dense.x[n_r:2 * n_r]
+        s_dense = dense.x[2 * n_r:2 * n_r + comp.n_simplices(dim)] \
+            - dense.x[2 * n_r + comp.n_simplices(dim):]
+        assert value == pytest.approx(dense.objective, rel=1e-12, abs=1e-14)
+        assert info["mass_R"] == pytest.approx(
+            comp.volumes(dim - 1) @ np.abs(r_dense), rel=1e-12, abs=1e-14)
+        assert info["mass_S"] == pytest.approx(
+            comp.volumes(dim) @ np.abs(s_dense), rel=1e-12, abs=1e-14)
+        assert value == pytest.approx(info["mass_R"] + info["mass_S"],
+                                      rel=1e-15)
+        assert _decomposition_residual(comp, T, S, R) == 0.0
+
+    @pytest.mark.parametrize("dim, res, seed", CODIM1 + [(2, 32, 7)])
+    def test_matches_highs(self, dim, res, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        sparse = pytest.importorskip("scipy.sparse")
+        comp = freudenthal_complex([0.0] * dim, [1.0] * dim, res)
+        T = _random_codim1(comp, seed)
+        value, *_ = flat_norm_lp(T, comp)
+        t = comp.chain_vector(T)
+        bmat = sparse.csr_matrix(comp.boundary_matrix(dim))
+        eye = sparse.identity(len(t), format="csr")
+        vol_r, vol_s = comp.volumes(dim - 1), comp.volumes(dim)
+        res = optimize.linprog(
+            np.concatenate([vol_r, vol_r, vol_s, vol_s]),
+            A_eq=sparse.hstack([eye, -eye, bmat, -bmat], format="csr"),
+            b_eq=t, bounds=(0, None), method="highs")
+        assert res.status == 0
+        assert value == pytest.approx(res.fun, rel=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
+    def test_any_scale(self, dim, scale):
+        # the boundary of a block of cells: at a small box its flat norm
+        # is the block's volume, at a large box its boundary's mass, each
+        # scaling as a power of the box
+        res = 4
+        unit = freudenthal_complex([0.0] * dim, [1.0] * dim, res)
+        comp = freudenthal_complex([0.0] * dim, [scale] * dim, res)
+        centres = unit.vertices[unit.ids[dim]].mean(axis=1)
+        inside = np.all((centres > 0.25) & (centres < 0.75), axis=1)
+        coeffs = unit.top_orientations * inside
+        block = unit.simplex_chain(dim, coeffs)
+        T = boundary(comp.simplex_chain(dim, coeffs))
+        value, S, R, _ = flat_norm_lp(T, comp)
+        if scale < 1:
+            assert value / scale ** dim == pytest.approx(
+                mass_chain(block), rel=1e-12)
+            assert len(R) == 0
+        else:
+            assert value / scale ** (dim - 1) == pytest.approx(
+                mass_chain(boundary(block)), rel=1e-12)
+            assert len(S) == 0
+        assert _decomposition_residual(comp, T, S, R) == 0.0
+
+    @pytest.mark.parametrize("dim, res", [(1, 12), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_any_scale_matches_the_normalized_dense_lp(self, dim, res,
+                                                       scale):
+        # a random chain on a box at `scale`: the optimum equals that of
+        # the dense LP with every volume divided by the largest, whose
+        # optimal vertex is the same and whose costs are near 1
+        comp = freudenthal_complex([0.0] * dim, [scale] * dim, res)
+        T = _random_codim1(comp, dim)
+        value, S, R, info = flat_norm_lp(T, comp)
+        problem, hint = _dense_lp(comp, T)
+        top = problem.c.max()
+        dense = lp_solve(LPProblem(problem.c / top, problem.a_eq,
+                                   problem.b_eq), basis_hint=hint)
+        assert value == pytest.approx(dense.objective * top, rel=1e-12)
+        assert _decomposition_residual(comp, T, S, R) == 0.0
+
+    def test_other_complexes_take_the_dense_lp(self, monkeypatch):
+        # the network path needs degree dim - 1, at most two cofaces per
+        # face and coherent top orientations; anything else is solved by
+        # `lp_solve`
+        calls = []
+        solve = flatnorm.lp_solve
+
+        def counted(problem, basis_hint=None):
+            calls.append(problem.a_eq.shape)
+            return solve(problem, basis_hint)
+
+        monkeypatch.setattr(flatnorm, "lp_solve", counted)
+        comp = freudenthal_complex((0, 0), (1, 1), 3)
+        T = boundary(comp.full_chain())
+        coherent, *_ = flat_norm_lp(T, comp)
+        assert calls == []
+        # one top simplex flipped: its neighbours' shared faces get equal
+        # signs; the value, from the sorted orientation, is the same
+        signs = comp.top_orientations.copy()
+        signs[4] = -signs[4]
+        flipped = SimplicialComplex(comp.vertices, comp.ids[2], signs)
+        value, *_ = flat_norm_lp(T, flipped)
+        assert len(calls) == 1
+        assert value == pytest.approx(coherent, rel=1e-12)
+        # degree 0 in 2-D
+        flat_norm_lp(comp.simplex_chain(0, np.eye(comp.n_simplices(0))[5]),
+                     comp)
+        assert len(calls) == 2
+        # three triangles on the edge (0, 1)
+        book = SimplicialComplex(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                      [0.4, 0.5]]), [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
+            [1, -1, 1])
+        T = book.simplex_chain(1, np.eye(book.n_simplices(1))[0])
+        flat_norm_lp(T, book)
+        assert len(calls) == 3
+
+    def test_pivot_limit_names_the_problem(self, monkeypatch):
+        monkeypatch.setattr(flatnorm, "_MAX_PIVOTS_PER_ARC", 0)
+        comp = freudenthal_complex((0, 0), (1, 1), 2)
+        with pytest.raises(RuntimeError,
+                           match=r"pivot limit reached: 0 pivots on 48 arcs"):
+            flat_norm_lp(boundary(comp.full_chain()), comp)
 
 
 class TestDualBounds:

@@ -6,7 +6,7 @@ import pytest
 from currentkit.chains import (Chain, boundary, evaluate, mass_chain,
                                triangle_chain, unit_square_chain)
 from currentkit.complexes import freudenthal_complex
-from currentkit.forms import Box, FormField
+from currentkit.forms import Box, FormField, pullback
 from currentkit.lipschitz import (LipMap, _halton, _pair_ratios,
                                   _sample_pairs, bi_lipschitz_constants,
                                   lipschitz_constant, make_map,
@@ -160,6 +160,24 @@ class TestMapLibrary:
 
         with pytest.raises(ValueError, match="non-finite map images"):
             check(LipMap(2, f))
+
+    @pytest.mark.parametrize("check", [
+        lambda f: lipschitz_constant(f, BOX, n_pairs=200),
+        lambda f: pullback(FormField.random_polynomial(
+            2, 1, np.random.default_rng(0), max_degree=1), f)
+        .coefficients_at(BOX.grid()),
+        lambda f: f.compose(f).jacobian(BOX.grid())],
+        ids=["lipschitz_constant", "pullback", "compose"])
+    @pytest.mark.parametrize("jacobian, match", [
+        (lambda x: np.where(x[:, :1, None] > 0.5, np.nan, 1.0)
+         * np.eye(2), "non-finite Jacobians"),
+        (lambda x: np.eye(2), r"Jacobians must map .* shape \(m, 2, 2\)")],
+        ids=["nan", "pointwise"])
+    def test_bad_jacobian_raises(self, check, jacobian, match):
+        # a Jacobian with NaN entries gave numpy's "SVD did not converge",
+        # one of a single point an AxisError
+        with pytest.raises(ValueError, match=match):
+            check(LipMap(2, lambda x: x, jacobian))
 
     def test_compose(self):
         f = make_map("translation", offset=[1.0, 0.0])
