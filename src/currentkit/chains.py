@@ -11,7 +11,7 @@ import numpy as np
 
 from .exterior import MultiVector, sort_parity, wedge_rows
 from .forms import FormField, VectorField, contract, exterior_derivative
-from .quadrature import (_halving_indices, _read_only, grundmann_moller,
+from .quadrature import (_halving_indices, _read_only, simplex_rule,
                          simplex_volume, simplex_volumes)
 
 __all__ = [
@@ -32,14 +32,14 @@ __all__ = [
 ]
 
 _DEGENERACY_TOL = 1e-13
+_CANCEL_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class Simplex:
-    """Oriented r-simplex: r+1 vertices in R^n and an orientation sign."""
+    """Oriented r-simplex: r+1 vertices in R^n, oriented by their order."""
 
     vertices: np.ndarray
-    sign: int = 1
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -47,8 +47,6 @@ class Simplex:
             raise ValueError("vertices must be a (r+1, n) array")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
-        if self.sign not in (-1, 1):
-            raise ValueError("orientation sign must be +1 or -1")
 
     @property
     def degree(self) -> int:
@@ -64,7 +62,7 @@ class Simplex:
 
     def unit_tangent(self) -> MultiVector:
         """Orienting unit r-vector: normalized wedge of edge vectors."""
-        coeffs = _unit_tangents(self.vertices[None], np.array([self.sign]))
+        coeffs = _unit_tangents(self.vertices[None])
         return MultiVector(self.degree, self.ambient, coeffs[0])
 
 
@@ -85,17 +83,17 @@ def _edge_wedges(vertices: np.ndarray):
     return xi, norms, norms <= _DEGENERACY_TOL * lengths
 
 
-def _unit_tangents(vertices: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def _unit_tangents(vertices: np.ndarray) -> np.ndarray:
     """Orienting unit r-vectors of a stack of r-simplices: the normalized
-    wedge of the edges from the first vertex, times the sign (the sign
-    alone at r = 0).  Shape (N, r+1, n) -> (N, C(n, r))."""
+    wedge of the edges from the first vertex (1 at r = 0).  Shape
+    (N, r+1, n) -> (N, C(n, r))."""
     xi, norms, degenerate = _edge_wedges(vertices)
     if not np.all(np.isfinite(xi)):
         raise ValueError("non-finite simplex: vertices or edge wedge "
                          "not finite")
     if np.any(degenerate):
         raise ValueError("degenerate simplex: vertices affinely dependent")
-    return xi * (signs / norms)[:, None]
+    return xi * (1.0 / norms)[:, None]
 
 
 def _lex_groups(rows: np.ndarray):
@@ -153,10 +151,11 @@ def vertex_table(points: np.ndarray):
 class Chain:
     """Simplicial r-chain with real multiplicities.
 
-    A chain is four read-only arrays: `table`, its distinct vertices
+    A chain is three read-only arrays: `table`, its distinct vertices
     (V, n) in lexicographic order of their coordinates; `ids`, each
-    simplex as a row of table indices (N, r+1); `signs`, the orientation
-    signs (N,) of an integer dtype; and `mults`, the multiplicities (N,).
+    simplex as a row of table indices (N, r+1), oriented by its order; and
+    `mults`, the real multiplicities (N,), none zero.  The opposite
+    orientation of a simplex is its negated multiplicity.
     Coordinates are compared only where a table is built (`vertex_table`);
     boundary, simplify and subdivision work on ids, and every other form
     (`stacked`, the `(Simplex, multiplicity)` terms, JSON) is derived.
@@ -178,70 +177,61 @@ class Chain:
         self._set_points(
             np.array([s.vertices for s, _ in terms],
                      dtype=float).reshape(-1, degree + 1, ambient),
-            np.array([s.sign for s, _ in terms], dtype=int),
             np.array([m for _, m in terms], dtype=float))
 
     @classmethod
-    def from_stacked(cls, vertices, signs, multiplicities, degree: int,
+    def from_stacked(cls, vertices, multiplicities, degree: int,
                      ambient: int) -> "Chain":
         """Chain from the arrays `stacked` returns; zero multiplicities
         drop."""
         vertices = np.asarray(vertices, dtype=float)
-        signs = np.asarray(signs)
         mults = np.array(multiplicities, dtype=float)
-        if (vertices.ndim != 3
-                or not vertices.shape[0] == len(signs) == len(mults)
+        if (vertices.ndim != 3 or vertices.shape[0] != len(mults)
                 or vertices.shape[1:] != (degree + 1, ambient)):
             raise ValueError("stacked chain arrays do not match")
-        if not np.all(np.abs(signs) == 1):
-            raise ValueError("orientation sign must be +1 or -1")
         chain = cls.__new__(cls)
         chain.degree, chain.ambient = degree, ambient
-        chain._set_points(vertices, signs.astype(int), mults)
+        chain._set_points(vertices, mults)
         return chain
 
     @classmethod
-    def _of(cls, table, ids, signs, mults, degree, ambient) -> "Chain":
+    def _of(cls, table, ids, mults, degree, ambient) -> "Chain":
         """Chain on a vertex table (distinct rows in lexicographic order)
         and index rows into it."""
         chain = cls.__new__(cls)
         chain.degree, chain.ambient = degree, ambient
-        chain._set(table, ids, signs, mults)
+        chain._set(table, ids, mults)
         return chain
 
-    def _set_points(self, vertices, signs, mults):
+    def _set_points(self, vertices, mults):
         keep = mults != 0.0
         table, ids = vertex_table(vertices[keep].reshape(-1, self.ambient))
-        self._set(table, ids.reshape(-1, self.degree + 1), signs[keep],
-                  mults[keep])
+        self._set(table, ids.reshape(-1, self.degree + 1), mults[keep])
 
-    def _set(self, table, ids, signs, mults):
+    def _set(self, table, ids, mults):
         """Keep the arrays read-only, without the zero multiplicities and
         the table rows no simplex uses."""
         if not np.all(np.isfinite(mults)):
             raise ValueError("non-finite chain multiplicity")
         keep = mults != 0.0
         if not keep.all():
-            ids, signs, mults = ids[keep], signs[keep], mults[keep]
+            ids, mults = ids[keep], mults[keep]
         used = np.bincount(ids.ravel(), minlength=len(table)) > 0
         if not used.all():
             table = table[used]
             ids = (np.cumsum(used) - 1)[ids]
-        self.table, self.ids, self.signs, self.mults = _read_only(
-            table, ids, signs, mults)
+        self.table, self.ids, self.mults = _read_only(table, ids, mults)
 
     @property
     def terms(self) -> tuple:
         """The `(Simplex, multiplicity)` pairs, in chain order."""
-        verts, signs, mults = self.stacked()
-        return tuple((Simplex(v, s), m) for v, s, m in
-                     zip(verts, signs.tolist(), mults.tolist()))
+        verts, mults = self.stacked()
+        return tuple((Simplex(v), m) for v, m in zip(verts, mults.tolist()))
 
     def stacked(self):
-        """The simplices as read-only arrays: vertices (N, r+1, n),
-        orientation signs (N,) of an integer dtype and multiplicities (N,),
-        in chain order."""
-        return _read_only(self.table[self.ids])[0], self.signs, self.mults
+        """The simplices as read-only arrays: vertices (N, r+1, n) and
+        multiplicities (N,), in chain order."""
+        return _read_only(self.table[self.ids])[0], self.mults
 
     def __iter__(self):
         return iter(self.terms)
@@ -257,13 +247,12 @@ class Chain:
         return Chain._of(table,
                          np.concatenate([ids[:k][self.ids],
                                          ids[k:][other.ids]]),
-                         np.concatenate([self.signs, other.signs]),
                          np.concatenate([self.mults, other.mults]),
                          self.degree, self.ambient)
 
     def __mul__(self, c: float) -> "Chain":
-        return Chain._of(self.table, self.ids, self.signs,
-                         self.mults * float(c), self.degree, self.ambient)
+        return Chain._of(self.table, self.ids, self.mults * float(c),
+                         self.degree, self.ambient)
 
     __rmul__ = __mul__
 
@@ -273,23 +262,26 @@ class Chain:
     def __sub__(self, other):
         return self + (other * -1.0)
 
-    def simplify(self, tol: float = 1e-12) -> "Chain":
-        """Merge simplices equal up to orientation; drop tiny multiplicities.
+    def simplify(self) -> "Chain":
+        """Merge simplices equal up to orientation; drop those that cancel.
 
         Each simplex's ids are sorted, ties in place (`sort_parity`), and
-        the parity of that sort times the simplex's sign gives the sign of
-        its multiplicity.  The merged simplices come in order of first
-        occurrence, each with its sorted ids, sign +1 and its
-        multiplicities summed in chain order from 0.0; those with
-        |sum| <= tol drop."""
+        the parity of that sort times its multiplicity is its contribution
+        to the sorted simplex.  The merged simplices come in order of first
+        occurrence, each with its sorted ids and its contributions summed
+        in chain order from 0.0.  A sum drops when
+        |sum| <= `_CANCEL_TOL` times the sum of its contributions' absolute
+        values, a rule that reads the same at any scale of the
+        multiplicities; a simplex that merges with nothing never drops."""
         perm, parity = sort_parity(self.ids)
         rows = np.take_along_axis(self.ids, perm, axis=1)
         first, group = first_occurrences(lex_ranks(rows))
-        sums = np.bincount(group, weights=self.signs * parity * self.mults,
+        sums = np.bincount(group, weights=parity * self.mults,
                            minlength=len(first))
-        keep = np.abs(sums) > tol
-        return Chain._of(self.table, rows[first][keep],
-                         np.ones(keep.sum(), dtype=int), sums[keep],
+        size = np.bincount(group, weights=np.abs(self.mults),
+                           minlength=len(first))
+        keep = np.abs(sums) > _CANCEL_TOL * size
+        return Chain._of(self.table, rows[first][keep], sums[keep],
                          self.degree, self.ambient)
 
     def subdivided(self, levels: int = 1) -> "Chain":
@@ -297,13 +289,14 @@ class Chain:
         (`subdivide_barycentric` with k = 2).  Each round gives every edge
         of the chain one midpoint, (a + b) / 2, shared by all simplices on
         it; the table is rebuilt once, at the end.  The children of a
-        simplex are consecutive, in `subdivide_barycentric`'s order, and
-        keep its multiplicity."""
+        simplex are consecutive, in `subdivide_barycentric`'s order, each
+        with its multiplicity times the child's orientation relative to
+        it."""
         r = self.degree
         if r == 0 or levels == 0:
             return self
         edges, children, child_signs = _halving_indices(r)
-        table, ids, signs = self.table, self.ids, self.signs
+        table, ids, mults = self.table, self.ids, self.mults
         for _ in range(levels):
             size = len(table)
             ends = ids[:, edges]
@@ -314,28 +307,28 @@ class Chain:
                 [table, (table[codes // size] + table[codes % size]) / 2])
             ids = np.concatenate([ids, size + mids.reshape(-1, len(edges))],
                                  axis=1)[:, children].reshape(-1, r + 1)
-            signs = (signs[:, None] * child_signs).ravel()
+            mults = (mults[:, None] * child_signs).ravel()
         table, canonical = vertex_table(table)
-        return Chain._of(table, canonical[ids], signs,
-                         np.repeat(self.mults, 2 ** (r * levels)), r,
-                         self.ambient)
+        return Chain._of(table, canonical[ids], mults, r, self.ambient)
 
     # -- serialization ------------------------------------------------
     def to_json_obj(self):
         """JSON object: the vertices the simplices use, in order of first
-        occurrence, and the simplices as indices into that table."""
+        occurrence, and the simplices as indices into that table, each
+        with its multiplicity."""
         flat = self.ids.ravel()
         first, group = first_occurrences(flat)
         return {"degree": self.degree, "ambient": self.ambient,
                 "vertex_table": self.table[flat[first]].tolist(),
                 "simplices": [
-                    {"vertices": idxs, "multiplicity": m, "sign": sign}
-                    for idxs, m, sign in zip(
-                        group.reshape(self.ids.shape).tolist(),
-                        self.mults.tolist(), self.signs.tolist())]}
+                    {"vertices": idxs, "multiplicity": m}
+                    for idxs, m in zip(group.reshape(self.ids.shape).tolist(),
+                                       self.mults.tolist())]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "Chain":
+        """Chain from `to_json_obj`'s object.  A simplex may carry a
+        "sign", +1 or -1, which multiplies its multiplicity."""
         degree, ambient = obj["degree"], obj["ambient"]
         table = np.asarray(obj["vertex_table"], dtype=float)
         if table.size and (table.ndim != 2 or table.shape[1] != ambient):
@@ -346,9 +339,12 @@ class Chain:
         records = obj["simplices"]
         ids = np.array([rec["vertices"] for rec in records],
                        dtype=np.intp).reshape(-1, degree + 1)
-        return cls.from_stacked(table.reshape(-1, ambient)[ids],
-                                [rec.get("sign", 1) for rec in records],
-                                [rec["multiplicity"] for rec in records],
+        signs = [rec.get("sign", 1) for rec in records]
+        if any(sign not in (1, -1) for sign in signs):
+            raise ValueError('a simplex\'s "sign" must be +1 or -1')
+        mults = np.array([rec["multiplicity"] for rec in records],
+                         dtype=float) * np.array(signs, dtype=float)
+        return cls.from_stacked(table.reshape(-1, ambient)[ids], mults,
                                 degree, ambient)
 
     def save(self, path):
@@ -437,14 +433,12 @@ def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2) -> float:
     # an elementwise op, which runs the same kernel per item as the call
     # on one simplex did, so each simplex's value is bit-identical to it;
     # the total is summed sequentially in chain order, as before.
-    verts, signs, mults = chain.stacked()
-    bary, w = grundmann_moller(chain.degree, s_order)
-    tangents = _unit_tangents(verts, signs)
-    pts = np.matmul(bary, verts)
-    wts = w * simplex_volumes(verts)[:, None]
+    verts, mults = chain.stacked()
+    tangents = _unit_tangents(verts)
+    pts, wts = simplex_rule(verts, s_order)
     coeffs = phi.coefficients_at(pts.reshape(-1, chain.ambient))
     count = len(mults)
-    at_points = np.matmul(coeffs.reshape(count, len(w), -1),
+    at_points = np.matmul(coeffs.reshape(count, wts.shape[1], -1),
                           tangents[:, :, None])
     values = np.matmul(at_points.reshape(count, 1, -1),
                        wts[:, :, None])[:, 0, 0]
@@ -485,15 +479,15 @@ def boundary(T: Chain) -> Chain:
         raise ValueError("boundary undefined for 0-chains")
     r = T.degree
     faces = Chain._of(T.table, face_rows(T.ids),
-                      (T.signs[:, None] * (-1) ** np.arange(r + 1)).ravel(),
-                      np.repeat(T.mults, r + 1), r - 1, T.ambient)
+                      (T.mults[:, None] * (-1) ** np.arange(r + 1)).ravel(),
+                      r - 1, T.ambient)
     return faces.simplify()
 
 
 def mass_chain(T: Chain) -> float:
     """Multiplicity-weighted volume, summed in chain order; dual mass under
     disjoint interiors."""
-    verts, _, mults = T.stacked()
+    verts, mults = T.stacked()
     terms = np.abs(mults) * simplex_volumes(verts)
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 

@@ -89,14 +89,11 @@ class SimplicialComplex:
             (-1) ** np.arange(r + 1), len(simplices))
         return mat
 
-    def simplex_chain(self, r: int, coeffs, tol: float = 1e-12) -> Chain:
-        """Chain from a coefficient vector over the r-simplices; the
-        simplices with |coefficient| <= tol drop."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        keep = np.abs(coeffs) > tol
-        verts = self.vertices[self._ids(r)[keep]]
-        return Chain.from_stacked(verts, np.ones(len(verts), dtype=int),
-                                  coeffs[keep], r, self.vertices.shape[1])
+    def simplex_chain(self, r: int, coeffs) -> Chain:
+        """Chain from a coefficient vector over the r-simplices, each in
+        its sorted vertex order; zero coefficients drop."""
+        return Chain.from_stacked(self.vertices[self._ids(r)], coeffs, r,
+                                  self.vertices.shape[1])
 
     def _vertex_positions(self, points: np.ndarray) -> np.ndarray:
         """The complex vertex of each row of `points` (m, n), -1 where
@@ -135,7 +132,7 @@ class SimplicialComplex:
         if np.any(rows < 0):
             missing = tuple(ordered[np.argmax(rows < 0)].tolist())
             raise ValueError(f"simplex {missing} not in complex")
-        return np.bincount(rows, weights=T.signs * parity * T.mults,
+        return np.bincount(rows, weights=parity * T.mults,
                            minlength=self.n_simplices(r))
 
     def full_chain(self) -> Chain:

@@ -536,7 +536,7 @@ def form_lipschitz(phi: FormField, box: Box, resolution=None,
         xs = rng.uniform(lo, hi, size=(k, n))
         ys = rng.uniform(lo, hi, size=(k, n))
         d = np.linalg.norm(xs - ys, axis=1)
-        keep = d > 1e-12
+        keep = d > 0.0
         diff = phi.coefficients_at(xs[keep]) - phi.coefficients_at(ys[keep])
         if exact:
             ratios = np.linalg.norm(diff, axis=1) / d[keep]

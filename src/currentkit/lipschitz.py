@@ -124,7 +124,7 @@ def _pair_ratios(f: LipMap, xs, ys):
     fx, fy = images[:len(xs)], images[len(xs):]
     num = np.linalg.norm(fx - fy, axis=1)
     den = np.linalg.norm(xs - ys, axis=1)
-    keep = den > 1e-12
+    keep = den > 0.0
     return num[keep] / den[keep]
 
 
@@ -185,8 +185,7 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
     ids = ids[work.ids]
     if T.degree > 0 and np.any(_edge_wedges(table[ids])[2]):
         raise ValueError("degenerate image simplex in pushforward")
-    return Chain._of(table, ids, work.signs, work.mults, T.degree,
-                     table.shape[1])
+    return Chain._of(table, ids, work.mults, T.degree, table.shape[1])
 
 
 # ----------------------------------------------------------------------

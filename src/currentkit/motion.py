@@ -14,7 +14,7 @@ from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, seminorm_comass)
 from .lipschitz import LipMap, _tent, make_map, pushforward_chain
 from .polynomial import Polynomial
-from .quadrature import grundmann_moller, integrate_interval, simplex_volumes
+from .quadrature import integrate_interval, simplex_rule
 
 __all__ = [
     "Motion",
@@ -265,17 +265,16 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
 
     # all faces and points at once; the terms are summed face by face,
     # point by point, from 0.0
-    verts, signs, mults = boundary(pushed).stacked()
+    verts, mults = boundary(pushed).stacked()
     tangents, lengths, degenerate = _edge_wedges(verts)
     if np.any(degenerate):
         raise ValueError("degenerate boundary face in classical_reynolds")
-    tangents = tangents / lengths[:, None] * signs[:, None]
+    tangents = tangents / lengths[:, None]
     nu = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)  # outward, ccw
-    bary, w = grundmann_moller(1, 2)
-    pts = np.matmul(bary, verts).reshape(-1, n)
-    wts = w * simplex_volumes(verts)[:, None]
+    pts, wts = simplex_rule(verts)
+    pts = pts.reshape(-1, n)
     rho = density.at_time(tau).coefficients_at(pts)[:, 0]
-    normal_v = np.matmul(np.repeat(nu, len(w), axis=0)[:, None, :],
+    normal_v = np.matmul(np.repeat(nu, wts.shape[1], axis=0)[:, None, :],
                          velocity_field(m, tau).values_at(pts)[:, :, None])
     terms = (mults[:, None] * wts).ravel() * rho * normal_v[:, 0, 0]
     flux_term = float(np.cumsum(np.concatenate(([0.0], terms)))[-1])

@@ -82,15 +82,12 @@ def simplex_volume(vertices: np.ndarray) -> float:
 
 
 def simplex_rule(vertices: np.ndarray, s: int = 2):
-    """Quadrature points and weights on a geometric simplex.
-
-    Weights sum to the simplex r-volume; exact for polynomials of
-    degree <= 2s+1.
-    """
+    """Quadrature points and weights on a stack of geometric simplices
+    (N, r+1, n): points (N, q, n) and weights (N, q), which sum to each
+    simplex's r-volume.  Exact for polynomials of degree <= 2s+1."""
     v = np.asarray(vertices, dtype=float)
-    bary, w = grundmann_moller(v.shape[0] - 1, s)
-    pts = bary @ v
-    return pts, w * simplex_volume(v)
+    bary, w = grundmann_moller(v.shape[1] - 1, s)
+    return np.matmul(bary, v), w * simplex_volumes(v)[:, None]
 
 
 # ----------------------------------------------------------------------

@@ -329,6 +329,18 @@ class TestSeminorms:
         lip = form_lipschitz(phi, self.box)
         assert lip == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("s", [1e-13, 1e-8, 1.0, 1e8])
+    def test_sampled_form_lipschitz_at_any_scale(self, s):
+        # a grid above the all-pairs size takes the sampled branch; the
+        # constant of an affine form does not depend on the box's size
+        x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        phi = FormField.from_polynomials(2, 1, {(0,): 2.0 * x + y,
+                                                (1,): 3.0 * y})
+        box = Box((-s, -s), (2 * s, 2 * s), (0, 0), (s, s), 40)
+        unit = form_lipschitz(phi, Box((-1, -1), (2, 2), (0, 0), (1, 1), 40))
+        assert form_lipschitz(phi, box) == pytest.approx(unit, rel=1e-12)
+        assert 3.2 < unit <= np.linalg.norm([[2.0, 1.0], [0.0, 3.0]], 2)
+
     def test_sharp_scaling_with_degree(self):
         # constant form: S = comass; Lipschitz part vanishes
         phi = FormField.from_polynomials(2, 1, {(0,): 3.0})

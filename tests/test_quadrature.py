@@ -29,7 +29,8 @@ class TestGrundmannMoller:
     def test_polynomial_exactness(self, dim):
         s = 2  # degree-5 rule
         verts = np.vstack([np.zeros(dim), np.eye(dim)])
-        pts, w = simplex_rule(verts, s)
+        pts, w = simplex_rule(verts[None], s)
+        pts, w = pts[0], w[0]
         for exps in product(range(3), repeat=dim):
             if sum(exps) > 2 * s + 1:
                 continue
@@ -39,9 +40,9 @@ class TestGrundmannMoller:
             assert approx == pytest.approx(exact, abs=1e-14), exps
 
     def test_degree_zero_simplex(self):
-        pts, w = simplex_rule(np.array([[2.0, 3.0]]))
-        np.testing.assert_allclose(pts, [[2.0, 3.0]])
-        np.testing.assert_allclose(w, [1.0])
+        pts, w = simplex_rule(np.array([[[2.0, 3.0]]]))
+        np.testing.assert_allclose(pts, [[[2.0, 3.0]]])
+        np.testing.assert_allclose(w, [[1.0]])
 
 
 class TestSimplexVolume:
