@@ -16,8 +16,8 @@ from .forms import (AffineMap, Box, FormField, TimePolynomialForm,
                     seminorm_flat, seminorm_sharp, time_slice_contract)
 from .quadrature import (grundmann_moller, integrate_interval, simplex_rule,
                          subdivide_barycentric)
-from .chains import (Boundary, Chain, Current, Leaf, Scale, Simplex, Sum,
-                     VWedge, boundary, evaluate, mass_chain, triangle_chain,
+from .chains import (Boundary, Chain, Current, Leaf, Scale, Sum, VWedge,
+                     boundary, evaluate, mass_chain, triangle_chain,
                      unit_interval_chain, unit_square_chain)
 from .complexes import SimplicialComplex, freudenthal_complex
 from .flatnorm import (LPProblem, LPSolution, dual_flat_lower_bound,

@@ -9,13 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import MultiVector, sort_parity, wedge_rows
+from .exterior import sort_parity, wedge_rows
 from .forms import FormField, VectorField, contract, exterior_derivative
 from .quadrature import (_halving_indices, _read_only, simplex_rule,
-                         simplex_volume, simplex_volumes)
+                         simplex_volumes)
 
 __all__ = [
-    "Simplex",
     "Chain",
     "Current",
     "Leaf",
@@ -33,37 +32,6 @@ __all__ = [
 
 _DEGENERACY_TOL = 1e-13
 _CANCEL_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class Simplex:
-    """Oriented r-simplex: r+1 vertices in R^n, oriented by their order."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.vertices, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("vertices must be a (r+1, n) array")
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def degree(self) -> int:
-        return self.vertices.shape[0] - 1
-
-    @property
-    def ambient(self) -> int:
-        return self.vertices.shape[1]
-
-    @property
-    def volume(self) -> float:
-        return simplex_volume(self.vertices)
-
-    def unit_tangent(self) -> MultiVector:
-        """Orienting unit r-vector: normalized wedge of edge vectors."""
-        coeffs = _unit_tangents(self.vertices[None])
-        return MultiVector(self.degree, self.ambient, coeffs[0])
 
 
 def _edge_wedges(vertices: np.ndarray):
@@ -94,6 +62,13 @@ def _unit_tangents(vertices: np.ndarray) -> np.ndarray:
     if np.any(degenerate):
         raise ValueError("degenerate simplex: vertices affinely dependent")
     return xi * (1.0 / norms)[:, None]
+
+
+def _is_int(value, low: int, high: int = None) -> bool:
+    """Whether `value` is a Python int (not a bool, not a float) with
+    low <= value, and value < high when `high` is given."""
+    return (type(value) is int and value >= low
+            and (high is None or value < high))
 
 
 def _lex_groups(rows: np.ndarray):
@@ -158,55 +133,34 @@ class Chain:
     orientation of a simplex is its negated multiplicity.
     Coordinates are compared only where a table is built (`vertex_table`);
     boundary, simplify and subdivision work on ids, and every other form
-    (`stacked`, the `(Simplex, multiplicity)` terms, JSON) is derived.
+    (`stacked`, JSON) is derived; `degree` and `ambient` are read off the
+    arrays.
     Mass equals the multiplicity-weighted volume; exact when the
     simplices have disjoint interiors, otherwise only an upper bound.
     """
 
-    def __init__(self, terms, degree=None, ambient=None):
-        terms = list(terms)
-        if terms:
-            degree = terms[0][0].degree
-            ambient = terms[0][0].ambient
-            for s, _ in terms:
-                if s.degree != degree or s.ambient != ambient:
-                    raise ValueError("mixed degrees/ambients in chain")
-        elif degree is None or ambient is None:
-            raise ValueError("empty chain needs explicit degree and ambient")
-        self.degree, self.ambient = degree, ambient
-        self._set_points(
-            np.array([s.vertices for s, _ in terms],
-                     dtype=float).reshape(-1, degree + 1, ambient),
-            np.array([m for _, m in terms], dtype=float))
-
-    @classmethod
-    def from_stacked(cls, vertices, multiplicities, degree: int,
-                     ambient: int) -> "Chain":
-        """Chain from the arrays `stacked` returns; zero multiplicities
-        drop."""
+    def __init__(self, vertices, multiplicities):
+        """Chain of the simplices `vertices` (N, r+1, n), each oriented by
+        its vertex order, with `multiplicities` (N,); zero multiplicities
+        drop.  An empty chain is `Chain(np.zeros((0, r + 1, n)), [])`."""
         vertices = np.asarray(vertices, dtype=float)
         mults = np.array(multiplicities, dtype=float)
-        if (vertices.ndim != 3 or vertices.shape[0] != len(mults)
-                or vertices.shape[1:] != (degree + 1, ambient)):
-            raise ValueError("stacked chain arrays do not match")
-        chain = cls.__new__(cls)
-        chain.degree, chain.ambient = degree, ambient
-        chain._set_points(vertices, mults)
-        return chain
+        if (vertices.ndim != 3 or min(vertices.shape[1:]) < 1
+                or mults.shape != vertices.shape[:1]):
+            raise ValueError("a chain needs vertices of shape (N, r+1, n) "
+                             "and multiplicities of shape (N,)")
+        keep = mults != 0.0
+        kept = vertices[keep]
+        table, ids = vertex_table(kept.reshape(-1, kept.shape[2]))
+        self._set(table, ids.reshape(kept.shape[:2]), mults[keep])
 
     @classmethod
-    def _of(cls, table, ids, mults, degree, ambient) -> "Chain":
+    def _of(cls, table, ids, mults) -> "Chain":
         """Chain on a vertex table (distinct rows in lexicographic order)
         and index rows into it."""
         chain = cls.__new__(cls)
-        chain.degree, chain.ambient = degree, ambient
         chain._set(table, ids, mults)
         return chain
-
-    def _set_points(self, vertices, mults):
-        keep = mults != 0.0
-        table, ids = vertex_table(vertices[keep].reshape(-1, self.ambient))
-        self._set(table, ids.reshape(-1, self.degree + 1), mults[keep])
 
     def _set(self, table, ids, mults):
         """Keep the arrays read-only, without the zero multiplicities and
@@ -223,18 +177,17 @@ class Chain:
         self.table, self.ids, self.mults = _read_only(table, ids, mults)
 
     @property
-    def terms(self) -> tuple:
-        """The `(Simplex, multiplicity)` pairs, in chain order."""
-        verts, mults = self.stacked()
-        return tuple((Simplex(v), m) for v, m in zip(verts, mults.tolist()))
+    def degree(self) -> int:
+        return self.ids.shape[1] - 1
+
+    @property
+    def ambient(self) -> int:
+        return self.table.shape[1]
 
     def stacked(self):
         """The simplices as read-only arrays: vertices (N, r+1, n) and
         multiplicities (N,), in chain order."""
         return _read_only(self.table[self.ids])[0], self.mults
-
-    def __iter__(self):
-        return iter(self.terms)
 
     def __len__(self):
         return len(self.mults)
@@ -247,12 +200,10 @@ class Chain:
         return Chain._of(table,
                          np.concatenate([ids[:k][self.ids],
                                          ids[k:][other.ids]]),
-                         np.concatenate([self.mults, other.mults]),
-                         self.degree, self.ambient)
+                         np.concatenate([self.mults, other.mults]))
 
     def __mul__(self, c: float) -> "Chain":
-        return Chain._of(self.table, self.ids, self.mults * float(c),
-                         self.degree, self.ambient)
+        return Chain._of(self.table, self.ids, self.mults * float(c))
 
     __rmul__ = __mul__
 
@@ -281,8 +232,7 @@ class Chain:
         size = np.bincount(group, weights=np.abs(self.mults),
                            minlength=len(first))
         keep = np.abs(sums) > _CANCEL_TOL * size
-        return Chain._of(self.table, rows[first][keep], sums[keep],
-                         self.degree, self.ambient)
+        return Chain._of(self.table, rows[first][keep], sums[keep])
 
     def subdivided(self, levels: int = 1) -> "Chain":
         """Every simplex split by `levels` rounds of edgewise subdivision
@@ -309,7 +259,7 @@ class Chain:
                                  axis=1)[:, children].reshape(-1, r + 1)
             mults = (mults[:, None] * child_signs).ravel()
         table, canonical = vertex_table(table)
-        return Chain._of(table, canonical[ids], mults, r, self.ambient)
+        return Chain._of(table, canonical[ids], mults)
 
     # -- serialization ------------------------------------------------
     def to_json_obj(self):
@@ -330,22 +280,33 @@ class Chain:
         """Chain from `to_json_obj`'s object.  A simplex may carry a
         "sign", +1 or -1, which multiplies its multiplicity."""
         degree, ambient = obj["degree"], obj["ambient"]
+        if not (_is_int(degree, 0) and _is_int(ambient, 1)):
+            raise ValueError('the chain\'s "degree" must be an integer >= 0 '
+                             'and its "ambient" an integer >= 1')
         table = np.asarray(obj["vertex_table"], dtype=float)
         if table.size and (table.ndim != 2 or table.shape[1] != ambient):
             raise ValueError("the chain's vertex_table rows do not have "
                              "`ambient` coordinates")
         if not np.all(np.isfinite(table)):
             raise ValueError("non-finite entry in the chain's vertex_table")
+        table = table.reshape(-1, ambient)
         records = obj["simplices"]
-        ids = np.array([rec["vertices"] for rec in records],
-                       dtype=np.intp).reshape(-1, degree + 1)
+        rows = [rec["vertices"] for rec in records]
+        width, size = degree + 1, len(table)
+        for k, row in enumerate(rows):
+            if not (isinstance(row, (list, tuple)) and len(row) == width
+                    and all(_is_int(i, 0, size) for i in row)):
+                raise ValueError(
+                    f'simplex {k} of the chain: "vertices" must be {width} '
+                    f'integers in range({size}), the rows of its '
+                    f'vertex_table; got {row!r}')
+        ids = np.array(rows, dtype=np.intp).reshape(-1, width)
         signs = [rec.get("sign", 1) for rec in records]
         if any(sign not in (1, -1) for sign in signs):
             raise ValueError('a simplex\'s "sign" must be +1 or -1')
         mults = np.array([rec["multiplicity"] for rec in records],
                          dtype=float) * np.array(signs, dtype=float)
-        return cls.from_stacked(table.reshape(-1, ambient)[ids], mults,
-                                degree, ambient)
+        return cls(table[ids], mults)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -479,8 +440,7 @@ def boundary(T: Chain) -> Chain:
         raise ValueError("boundary undefined for 0-chains")
     r = T.degree
     faces = Chain._of(T.table, face_rows(T.ids),
-                      (T.mults[:, None] * (-1) ** np.arange(r + 1)).ravel(),
-                      r - 1, T.ambient)
+                      (T.mults[:, None] * (-1) ** np.arange(r + 1)).ravel())
     return faces.simplify()
 
 
@@ -501,19 +461,16 @@ def unit_interval_chain(ambient: int = 1) -> Chain:
     a = np.zeros(ambient)
     b = np.zeros(ambient)
     b[0] = 1.0
-    return Chain([(Simplex(np.array([a, b])), 1.0)])
+    return Chain(np.array([[a, b]]), [1.0])
 
 
 def unit_square_chain() -> Chain:
     """[0,1]^2 as two positively oriented triangles."""
     p = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    return Chain([
-        (Simplex(p[[0, 1, 2]]), 1.0),
-        (Simplex(p[[0, 2, 3]]), 1.0),
-    ])
+    return Chain(p[[[0, 1, 2], [0, 2, 3]]], [1.0, 1.0])
 
 
 def triangle_chain(vertices=None) -> Chain:
     if vertices is None:
         vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    return Chain([(Simplex(np.array(vertices, dtype=float)), 1.0)])
+    return Chain(np.array([vertices], dtype=float), [1.0])

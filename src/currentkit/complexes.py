@@ -92,8 +92,7 @@ class SimplicialComplex:
     def simplex_chain(self, r: int, coeffs) -> Chain:
         """Chain from a coefficient vector over the r-simplices, each in
         its sorted vertex order; zero coefficients drop."""
-        return Chain.from_stacked(self.vertices[self._ids(r)], coeffs, r,
-                                  self.vertices.shape[1])
+        return Chain(self.vertices[self._ids(r)], coeffs)
 
     def _vertex_positions(self, points: np.ndarray) -> np.ndarray:
         """The complex vertex of each row of `points` (m, n), -1 where

@@ -61,6 +61,13 @@ def sort_parity(keys: np.ndarray):
     return perm, 1 - 2 * (inversions % 2)
 
 
+def binary_exponent(values) -> int:
+    """The power of two k with max|values| * 2**-k in [1, 2); 0 when every
+    value is zero.  Scaling by 2**-k is exact, and undone by 2**k."""
+    top = np.max(np.abs(values), initial=0.0)
+    return int(np.frexp(top)[1]) - 1 if top else 0
+
+
 @dataclass(frozen=True)
 class MultiVector:
     """Degree-r exterior vector over R^n with dense coefficients."""
@@ -304,7 +311,9 @@ def comass(omega: CoVector, restarts: int = 100, tol: float = 1e-8,
     """Comass of a covector: sup of the pairing over simple unit r-vectors.
 
     Exact (Euclidean norm) for r in {0, 1, n-1, n}; projected gradient
-    ascent over orthonormal r-frames with random restarts otherwise.
+    ascent over orthonormal r-frames with random restarts otherwise, on
+    omega scaled by a power of two to max|coefficient| in [1, 2), so the
+    ascent's absolute tolerances read the same at any scale.
     Returns (value, witness) where witness is a maximizing simple r-vector.
     """
     r, n = omega.degree, omega.ambient
@@ -314,13 +323,15 @@ def comass(omega: CoVector, restarts: int = 100, tol: float = 1e-8,
             return 0.0, MultiVector.zero(r, n)
         # every r-vector in R^n is simple for these r
         return val, MultiVector(r, n, omega.coefficients / val)
-    if np.allclose(omega.coefficients, 0.0):
+    if not np.any(omega.coefficients):
         return 0.0, MultiVector.zero(r, n)
+    k = binary_exponent(omega.coefficients)
+    unit = CoVector(r, n, np.ldexp(omega.coefficients, -k))
     rng = np.random.default_rng(seed)
     best_val, best_q = -np.inf, None
     for _ in range(restarts):
         frame = rng.standard_normal((n, r))
-        val, q = _ascent_from(omega, frame, tol, max_iter=200)
+        val, q = _ascent_from(unit, frame, tol, max_iter=200)
         if val > best_val:
             best_val, best_q = val, q
-    return best_val, frame_to_multivector(best_q)
+    return float(np.ldexp(best_val, k)), frame_to_multivector(best_q)

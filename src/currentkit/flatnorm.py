@@ -24,6 +24,7 @@ import numpy as np
 
 from .chains import Chain, Current, evaluate, face_rows
 from .complexes import SimplicialComplex, _lookup
+from .exterior import binary_exponent
 from .forms import Box, seminorm_flat, seminorm_sharp
 
 __all__ = [
@@ -448,31 +449,35 @@ def _flat_norm_flow(t, plus, minus, vol_r, vol_s):
 
 def _flat_norm_dense(t, complex_, r, vol_r, vol_s):
     """The flat-norm LP over [R+, R-, S+, S-] on the dense boundary
-    matrix, by `lp_solve` from the basis R = t, S = 0.  Returns (value,
-    R, S, pivots)."""
+    matrix, by `lp_solve` from the basis R = t, S = 0.  The costs and t
+    are scaled by powers of two to a largest entry in [1, 2), so that
+    `lp_solve`'s absolute tolerances read the same at any scale; the
+    scaling is exact and undone on the result.  Returns (value, R, S,
+    pivots)."""
     n_r, n_s = len(vol_r), len(vol_s)
     bmat = complex_.boundary_matrix(r + 1)
     c = np.concatenate([vol_r, vol_r, vol_s, vol_s])
+    kc, kt = binary_exponent(c), binary_exponent(t)
     a = _zeros((n_r, 2 * n_r + 2 * n_s))
     diag = np.arange(n_r)
     a[diag, diag] = 1.0
     a[diag, n_r + diag] = -1.0
     a[:, 2 * n_r:2 * n_r + n_s] = bmat
     np.negative(bmat, out=a[:, 2 * n_r + n_s:])
-    problem = LPProblem(c, a, t)
+    problem = LPProblem(np.ldexp(c, -kc), a, np.ldexp(t, -kt))
     # R = t, S = 0 is feasible: basis of R+ or R- picked by sign of t
     hint = [i if t[i] >= 0 else n_r + i for i in range(n_r)]
     sol = lp_solve(problem, basis_hint=hint)
     if sol.status == "NUMERICAL":
         raise RuntimeError(
             f"flat-norm LP ({n_r} x {len(c)}) lost feasibility: residual "
-            f"max|A x - b| = {sol.residual:.3g} exceeds the tolerance "
-            f"{_FEAS_TOL:g} after {sol.iterations} pivots (plus n eps "
-            f"times the row's |A||x| + |b|)")
+            f"max|A x - b| = {np.ldexp(sol.residual, kt):.3g} exceeds the "
+            f"tolerance {np.ldexp(_FEAS_TOL, kt):g} after {sol.iterations} "
+            f"pivots (plus n eps times the row's |A||x| + |b|)")
     if sol.status != "OPTIMAL":
         raise RuntimeError(f"flat-norm LP terminated with {sol.status}")
-    x = sol.x
-    return (sol.objective, x[:n_r] - x[n_r:2 * n_r],
+    x = np.ldexp(sol.x, kt)
+    return (float(np.ldexp(sol.objective, kc + kt)), x[:n_r] - x[n_r:2 * n_r],
             x[2 * n_r:2 * n_r + n_s] - x[2 * n_r + n_s:], sol.iterations)
 
 

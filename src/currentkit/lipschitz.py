@@ -180,12 +180,12 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
                 "map fails injectivity at sampling resolution (c ~ 0)")
     work = T.subdivided(levels)
     if not len(work):
-        return Chain([], T.degree, T.ambient)
+        return work
     table, ids = vertex_table(f.values_at(work.table))
     ids = ids[work.ids]
     if T.degree > 0 and np.any(_edge_wedges(table[ids])[2]):
         raise ValueError("degenerate image simplex in pushforward")
-    return Chain._of(table, ids, work.mults, T.degree, table.shape[1])
+    return Chain._of(table, ids, work.mults)
 
 
 # ----------------------------------------------------------------------

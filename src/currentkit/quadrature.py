@@ -1,6 +1,6 @@
 """Quadrature on simplices and intervals, plus uniform simplex subdivision.
 
-Simplex rules are Grundmann-Moller symmetric rules of odd polynomial
+Rules on simplices are Grundmann-Moller symmetric rules of odd polynomial
 exactness degree 2s+1; interval integration uses composite Gauss-Legendre
 panels.
 """
@@ -18,7 +18,6 @@ from .exterior import sort_parity
 __all__ = [
     "grundmann_moller",
     "simplex_rule",
-    "simplex_volume",
     "simplex_volumes",
     "integrate_interval",
     "subdivide_barycentric",
@@ -73,12 +72,6 @@ def simplex_volumes(vertices: np.ndarray) -> np.ndarray:
     edges = v[:, 1:] - v[:, :1]
     det = np.linalg.det(np.matmul(edges, edges.transpose(0, 2, 1)))
     return np.sqrt(np.where(det < 0.0, 0.0, det)) / factorial(r)
-
-
-def simplex_volume(vertices: np.ndarray) -> float:
-    """r-volume of a simplex with r+1 vertices in R^n (Gram determinant)."""
-    v = np.asarray(vertices, dtype=float)
-    return float(simplex_volumes(v[None])[0])
 
 
 def simplex_rule(vertices: np.ndarray, s: int = 2):

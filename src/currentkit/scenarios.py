@@ -58,6 +58,8 @@ class ScenarioConfig:
         if "name" not in obj:
             raise ValueError("scenario missing required field 'name'")
         cfg = cls(**{k: obj[k] for k in obj})
+        for key, low in _WHOLE_FIELDS:
+            setattr(cfg, key, _whole(key, getattr(cfg, key), low))
         _finite("tau", cfg.tau)
         _finite("eps_ladder", cfg.eps_ladder)
         cfg.eps_ladder = tuple(float(e) for e in cfg.eps_ladder)
@@ -127,6 +129,23 @@ class ScenarioConfig:
         res = int(self.box.get("resolution", self.resolution))
         return Box(tuple(v - pad for v in lo), tuple(v + pad for v in hi),
                    lo, hi, resolution=res)
+
+
+# the integer fields and their least values
+_WHOLE_FIELDS = (("levels", 0), ("panels", 1), ("resolution", 2),
+                 ("ambient", 1), ("seed", 0))
+
+
+def _whole(name: str, value, low: int) -> int:
+    """`value` as an int; a ValueError naming the field unless it is a
+    whole number (an integer, or a float with no fraction; not a bool)
+    of at least `low`."""
+    whole = (isinstance(value, (int, np.integer))
+             or isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < low:
+        raise ValueError(f"scenario field {name!r} must be a whole number "
+                         f">= {low}, got {value!r}")
+    return int(value)
 
 
 def _finite(name: str, value):

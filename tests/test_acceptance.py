@@ -7,9 +7,9 @@ captured output) and asserts the same condition.
 import numpy as np
 import pytest
 
-from currentkit.chains import (Chain, Simplex, boundary, evaluate,
-                               mass_chain, triangle_chain,
-                               unit_interval_chain, unit_square_chain)
+from currentkit.chains import (Chain, boundary, evaluate, mass_chain,
+                               triangle_chain, unit_interval_chain,
+                               unit_square_chain)
 from currentkit.complexes import freudenthal_complex
 from currentkit.flatnorm import (dual_flat_lower_bound, flat_norm_lp,
                                  sharp_lower_bound)
@@ -60,7 +60,7 @@ def test_criterion_01_exterior_identities():
 
 def test_criterion_02_boundary_adjointness():
     rng = np.random.default_rng(7)
-    tet = Chain([(Simplex(np.vstack([np.zeros(3), np.eye(3)])), 1.0)])
+    tet = Chain(np.vstack([np.zeros(3), np.eye(3)])[None], [1.0])
     worst = 0.0
     for T, r in ((triangle_chain(), 2), (tet, 3)):
         phi = FormField.random_polynomial(T.ambient, r - 1, rng, max_degree=3)

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from currentkit.chains import boundary, triangle_chain
 from currentkit.cli import main
 from currentkit.scenarios import (ScenarioConfig, builtin_scenarios,
                                   load_config)
@@ -148,6 +149,53 @@ class TestScenarioConfig:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"bad scenario in {path}" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("levels", 2.5), ("levels", -3), ("levels", "2"), ("levels", True),
+        ("panels", 0), ("resolution", 1), ("ambient", 0), ("ambient", 1.5),
+        ("seed", 1.5), ("seed", -1), ("seed", None)])
+    def test_integer_field_rejected(self, tmp_path, capsys, field, value):
+        # unchecked: a TypeError and exit 1, a negative level read as
+        # level 0, or no time panels and a failed homotopy check
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "x", field: value}))
+        with pytest.raises(ValueError, match=f"'{field}' must be a whole "
+                                             f"number >= "):
+            load_config(path)
+        assert main(["verify", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert f"bad scenario in {path}" in capsys.readouterr().err
+
+    def test_integer_fields_are_stored_as_int(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "levels": 2.0, "panels": 4, "resolution": 3.0,
+            "ambient": 2, "seed": 7.0}))
+        (cfg,) = load_config(path)
+        got = [cfg.levels, cfg.panels, cfg.resolution, cfg.ambient,
+               cfg.seed]
+        assert got == [2, 4, 3, 2, 7]
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("vertices", [[0, -1], [0, 5]])
+    def test_bad_chain_vertex_index_exit_2(self, tmp_path, capsys,
+                                           vertices):
+        # unchecked, [0, -1] wraps to the last table row and the run
+        # reports numbers for the wrong segment; [0, 5] is an IndexError
+        chain = boundary(triangle_chain()).to_json_obj()
+        chain["simplices"][1]["vertices"] = vertices
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(json.dumps(chain))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "chain": {"file": str(chain_path)},
+            "motion": {"family": "rotation", "rate": 0.7},
+            "cochain": {"degree": 1, "components": {"0": [
+                {"exponents": [0, 0, 1], "coefficient": 1.0}]}}}))
+        assert main(["transport", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert "simplex 1 of the chain" in capsys.readouterr().err
+        assert not (tmp_path / "transport.csv").exists()
 
     def test_parse_error_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.json"

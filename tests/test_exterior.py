@@ -192,6 +192,21 @@ class TestMassComass:
         value, _ = comass(omega)
         assert value == pytest.approx(4.0)
 
+    def test_comass_is_scale_free(self):
+        # comass(s omega) = s comass(omega) at any s, including where the
+        # coefficients are far below 1e-8; the witness stays a unit
+        # simple 2-vector
+        omega = _rand_cov(2, 4, np.random.default_rng(5))
+        unit, _ = comass(omega, restarts=10)
+        for s in (1e-13, 1e-11, 1e-9, 1e-8, 1e-3, 1e4, 1e8):
+            value, witness = comass(omega * s, restarts=10)
+            assert value == pytest.approx(s * unit, rel=1e-12)
+            assert mass(witness) == pytest.approx(1.0, abs=1e-12)
+            assert pair(omega * s, witness) == pytest.approx(value,
+                                                             rel=1e-12)
+        zero, witness = comass(omega * 0.0)
+        assert zero == 0.0 and not np.any(witness.coefficients)
+
 
 class TestFrames:
     def test_frame_to_multivector_unit_square(self):

@@ -132,8 +132,8 @@ class TestComplex:
             assert (comp.boundary_matrix(r).tobytes()
                     == loop_boundary_matrix(simplices, r).tobytes())
         tops = simplices[n]
-        want = Chain.from_stacked(verts[np.array(tops)],
-                                  [orientation[n][s] for s in tops], n, n)
+        want = Chain(verts[np.array(tops)],
+                     [orientation[n][s] for s in tops])
         got = comp.full_chain()
         for a, b in zip((got.table, got.ids, got.mults),
                         (want.table, want.ids, want.mults)):
@@ -236,9 +236,30 @@ class TestFlatNorm:
 
     def test_zero_chain(self):
         comp = freudenthal_complex((0, 0), (1, 1), 2)
-        T = Chain([], 1, 2)
+        T = Chain(np.zeros((0, 2, 2)), [])
         value, *_ = flat_norm_lp(T, comp)
         assert value == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-11, 1e-10, 1e-8, 1e-3, 1.0,
+                                       1e3, 1e8])
+    def test_dense_lp_at_any_scale_matches_the_normalized_lp(self, scale):
+        # a 1-chain in 3-D takes the dense LP; on a tiny box its costs lie
+        # below the absolute pivot tolerance unless they are scaled, and
+        # the optimum would read M(T), with no pivot taken
+        comp = freudenthal_complex((0, 0, 0), (scale,) * 3, 2)
+        coeffs = np.zeros(comp.n_simplices(2))
+        coeffs[:5] = 1.0
+        T = boundary(comp.simplex_chain(2, coeffs))
+        value, S, R, info = flat_norm_lp(T, comp)
+        problem, hint = _dense_lp(comp, T)
+        top = problem.c.max()
+        dense = lp_solve(LPProblem(problem.c / top, problem.a_eq,
+                                   problem.b_eq), basis_hint=hint)
+        assert info["iterations"] == dense.iterations
+        assert value == pytest.approx(dense.objective * top, rel=1e-12)
+        assert value == pytest.approx(info["mass_R"] + info["mass_S"],
+                                      rel=1e-12)
+        assert _decomposition_residual(comp, T, S, R) == 0.0
 
 
 def _cell_union_boundary(comp, seed):

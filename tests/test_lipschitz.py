@@ -246,7 +246,7 @@ def _mesh(rng, n, scale=1.0):
     T = comp.full_chain()
     verts, mults = T.stacked()
     mults = mults * rng.choice([1.0, -0.5, 2.0 / 3.0], len(mults))
-    return Chain.from_stacked(verts * scale, mults, n, n)
+    return Chain(verts * scale, mults)
 
 
 def _maps(rng, n):
@@ -303,10 +303,10 @@ class TestPointMaps:
             for f in _maps(rng, n):
                 got = pushforward_chain(f, T, levels=levels)
                 assert len(got) == len(work)
-                for (s, m), (w, k) in zip(got, work):
-                    image = np.stack([f(x) for x in w.vertices])
-                    assert _bits(s.vertices) == _bits(image)
-                    assert m == k
+                for v, w in zip(got.stacked()[0], work.stacked()[0]):
+                    image = np.stack([f(x) for x in w])
+                    assert _bits(v) == _bits(image)
+                assert _bits(got.mults) == _bits(work.mults)
 
     def test_general_map_is_called_once_on_the_vertex_table(self):
         calls = []
@@ -321,7 +321,7 @@ class TestPointMaps:
         verts, mults = T.stacked()
         moved = verts - 1.0
         moved[moved == 0.0] = -0.0
-        T = T + Chain.from_stacked(moved, mults, 2, 2)
+        T = T + Chain(moved, mults)
         rows = np.concatenate([verts, moved]).reshape(-1, 2)
         f = LipMap(2, record)
         pushed = pushforward_chain(f, T)

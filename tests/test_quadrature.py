@@ -8,7 +8,7 @@ import pytest
 
 from currentkit.quadrature import (_kuhn_children, grundmann_moller,
                                    integrate_interval, simplex_rule,
-                                   simplex_volume, subdivide_barycentric)
+                                   simplex_volumes, subdivide_barycentric)
 from oracles import adaptive_interval, kuhn_children
 
 
@@ -48,15 +48,15 @@ class TestGrundmannMoller:
 class TestSimplexVolume:
     def test_unit_triangle(self):
         v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert simplex_volume(v) == pytest.approx(0.5)
+        assert simplex_volumes(v[None])[0] == pytest.approx(0.5)
 
     def test_embedded_segment(self):
         v = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
-        assert simplex_volume(v) == pytest.approx(5.0)
+        assert simplex_volumes(v[None])[0] == pytest.approx(5.0)
 
     def test_tetrahedron(self):
         v = np.vstack([np.zeros(3), np.eye(3)])
-        assert simplex_volume(v) == pytest.approx(1.0 / 6.0)
+        assert simplex_volumes(v[None])[0] == pytest.approx(1.0 / 6.0)
 
 
 class TestIntervalQuadrature:
@@ -83,9 +83,9 @@ class TestSubdivision:
     def test_children_tile_parent_volume(self, dim):
         rng = np.random.default_rng(dim)
         verts = rng.standard_normal((dim + 1, dim + 1))
-        parent = simplex_volume(verts)
-        total = sum(simplex_volume(child)
-                    for child, _ in subdivide_barycentric(verts))
+        parent = simplex_volumes(verts[None])[0]
+        children = [child for child, _ in subdivide_barycentric(verts)]
+        total = simplex_volumes(np.array(children)).sum()
         assert total == pytest.approx(parent, rel=1e-10)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
