@@ -291,6 +291,10 @@ class Chain:
             raise ValueError("non-finite entry in the chain's vertex_table")
         table = table.reshape(-1, ambient)
         records = obj["simplices"]
+        for k, rec in enumerate(records):
+            for key in ("vertices", "multiplicity"):
+                if not isinstance(rec, dict) or key not in rec:
+                    raise ValueError(f'simplex {k} of the chain lacks "{key}"')
         rows = [rec["vertices"] for rec in records]
         width, size = degree + 1, len(table)
         for k, row in enumerate(rows):

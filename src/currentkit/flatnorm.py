@@ -6,13 +6,15 @@ The LP minimizes  sum_i vol_i |t_i - (B s)_i| + sum_j vol_j |s_j|  over the
 dual of a min-cost circulation on the complex's dual graph (Sullivan,
 thesis, 1990; Ibrahim, Krishnamoorthy & Vixie, JoCG 2013): one node per top
 simplex plus a ground node, one arc per face.  `flat_norm_lp` solves it
-there by a network simplex on numpy arrays whenever the input allows:
-degree r = n - 1, every (n-1)-face with one or two cofaces, and the two
-carrying opposite signs under `top_orientations`.  S is the tree's node
-potentials, so R = t - B S is exact for integral t.  Every other input
-(other degrees, a face with three or more cofaces, incoherent
-orientations) goes to `lp_solve`, a dense two-phase simplex with Bland's
-rule on the L1 terms split into nonnegative pairs.
+there by a network simplex whenever the input allows: degree r = n - 1,
+every (n-1)-face with one or two cofaces, and the two carrying opposite
+signs under `top_orientations`.  Arcs are priced in numpy blocks; the
+spanning tree is Python lists of parents, arcs, depths and children, so a
+pivot costs its cycle's length plus the size of the subtree it moves.  S
+is the tree's node potentials, so R = t - B S is exact for integral t.
+Every other input (other degrees, a face with three or more cofaces,
+incoherent orientations) goes to `lp_solve`, a dense two-phase simplex
+with Bland's rule on the L1 terms split into nonnegative pairs.
 """
 
 from __future__ import annotations
@@ -257,80 +259,53 @@ def _dual_graph(complex_: SimplicialComplex, r: int):
 
 class _Tree:
     """The spanning tree of a network simplex, rooted at node n - 1: each
-    node's parent and the arc to it, and a preorder in which the subtree
-    of node v is order[pos[v]:pos[v] + size[v]].  It starts as the star
-    of arcs v -> root, arc v for node v."""
+    node's parent, the arc to it, its depth and the set of its children.
+    It starts as the star of arcs v -> root, arc v for node v."""
 
     def __init__(self, n: int):
         root = n - 1
         self.parent = [root] * root + [-1]
         self.arc = list(range(root)) + [-1]
-        self.order = np.concatenate([[root], np.arange(root)])
-        self.pos = np.empty(n, dtype=np.intp)
-        self.pos[self.order] = np.arange(n)
-        self.size = [1] * root + [n]
+        self.depth = [1] * root + [0]
+        self.children = [set() for _ in range(root)] + [set(range(root))]
 
     def paths(self, u: int, v: int):
         """The nodes from u and from v up to their lowest common ancestor,
-        which neither list holds: the first ancestor of u whose subtree
-        holds v."""
-        pos, size, parent = self.pos, self.size, self.parent
-        at = pos[v]
-        from_u = []
-        while not 0 <= at - pos[u] < size[u]:
+        which neither list holds; the deeper end climbs first."""
+        parent, depth = self.parent, self.depth
+        from_u, from_v = [], []
+        du, dv = depth[u], depth[v]
+        while du > dv:
             from_u.append(u)
-            u = parent[u]
-        from_v = []
-        while v != u:
+            u, du = parent[u], du - 1
+        while dv > du:
             from_v.append(v)
-            v = parent[v]
+            v, dv = parent[v], dv - 1
+        while u != v:
+            from_u.append(u)
+            from_v.append(v)
+            u, v = parent[u], parent[v]
         return from_u, from_v
 
-    def subtree(self, v: int) -> np.ndarray:
-        lo = int(self.pos[v])
-        return self.order[lo:lo + self.size[v]]
-
-    def rehang(self, stem: list, shrink: list, grow: list, parent: int,
-               arc: int):
+    def rehang(self, stem: list, parent: int, arc: int) -> list:
         """Cut the subtree below stem[-1] and hang it by `arc` from
-        `parent`, rooted at stem[0].  `stem` is the path from stem[0] up
-        to stem[-1]; `shrink` the ancestors of stem[-1], and `grow`
-        `parent` and its ancestors, both up to the common ancestor of
-        stem[-1] and `parent`, which neither holds."""
-        order, pos, size = self.order, self.pos, self.size
-        lo = int(pos[stem[-1]])
-        moved = size[stem[-1]]
-        hi = lo + moved
-        # rerooted at stem[0], the subtree's preorder is stem[0]'s old
-        # subtree, then stem[1]'s old subtree without it, and so on
-        inner = pos[stem[0]]
-        pieces = [order[inner:inner + size[stem[0]]]]
-        for below, v in zip(stem, stem[1:]):
-            a = pos[v]
-            pieces += [order[a:inner], order[inner + size[below]:a + size[v]]]
-            inner = a
-        segment = np.concatenate(pieces)
-        for i in range(len(stem) - 1, 0, -1):
-            size[stem[i]] = moved - size[stem[i - 1]]
-            self.parent[stem[i]] = stem[i - 1]
-            self.arc[stem[i]] = self.arc[stem[i - 1]]
-        size[stem[0]] = moved
-        for v in shrink:
-            size[v] -= moved
-        for v in grow:
-            size[v] += moved
-        self.parent[stem[0]], self.arc[stem[0]] = parent, arc
-        # move the segment to just after its new parent
-        at = int(pos[parent])
-        if at < lo:
-            order[at + 1 + moved:hi] = order[at + 1:lo]
-            order[at + 1:at + 1 + moved] = segment
-            lo = at + 1
-        else:
-            order[lo:at + 1 - moved] = order[hi:at + 1]
-            order[at + 1 - moved:at + 1] = segment
-            hi = at + 1
-        pos[order[lo:hi]] = np.arange(lo, hi)
+        `parent`, rooted at stem[0], where `stem` is the path from stem[0]
+        up to stem[-1]: the stem's links reverse, and one walk down the
+        moved subtree resets its depths.  Returns the subtree's nodes."""
+        up, arcs, depth, children = (self.parent, self.arc, self.depth,
+                                     self.children)
+        children[up[stem[-1]]].remove(stem[-1])
+        for below, v in reversed(list(zip(stem, stem[1:]))):
+            up[v], arcs[v] = below, arcs[below]
+            children[v].remove(below)
+            children[below].add(v)
+        up[stem[0]], arcs[stem[0]] = parent, arc
+        children[parent].add(stem[0])
+        nodes = [stem[0]]
+        for v in nodes:
+            depth[v] = depth[up[v]] + 1
+            nodes.extend(children[v])
+        return nodes
 
 
 def _network_simplex(tail, head, cost, cap, n_nodes):
@@ -341,12 +316,16 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     The root is node n_nodes - 1, and arc v < n_nodes - 1 runs from node v
     to it at cost 0: those arcs are the first tree (`_Tree`), strongly
     feasible at x = 0.  Each pivot prices one block of arcs at a time in
-    numpy and enters the block's most violating arc; the leaving arc is
-    the last blocking arc of the cycle from its apex (Cunningham, Math.
-    Prog. 1976), which keeps the tree strongly feasible, so degenerate
-    pivots cannot cycle.  A residual within `_FLOW_TOL` of its arc's
-    capacity is zero, and a reduced cost within `_COST_TOL` of the
-    largest |cost|, so the path is the same at any capacity scale.
+    numpy and enters the block's most violating arc.  Its cycle runs up
+    from both ends, by depth, to their join; the leaving arc is the last
+    blocking arc of the cycle from that apex (Cunningham, Math. Prog.
+    1976), which keeps the tree strongly feasible, so degenerate pivots
+    cannot cycle.  The subtree cut off by the leaving arc hangs from the
+    entering arc: the links of its stem reverse, and one walk over it
+    resets its depths and collects the nodes whose potentials shift.  A
+    residual within `_FLOW_TOL` of its arc's capacity is zero, and a
+    reduced cost within `_COST_TOL` of the largest |cost|, so the path is
+    the same at any capacity scale.
     Returns the potentials pi, with cost + pi[tail] - pi[head] = 0 on the
     tree arcs and 0 at the root, and the number of pivots.
     """
@@ -421,12 +400,12 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
         # the subtree below the leaving arc hangs from e, rooted at the
         # end of e inside it; its potentials shift to price e at zero
         if out < len(down):
-            stem, grow, parent = down, up, second
+            stem, parent = down, second
         else:
-            stem, grow, parent, out = up, down, first, out - len(down)
+            stem, parent, out = up, first, out - len(down)
         gap = cost[e] + pi[taill[e]] - pi[headl[e]]
-        pi[tree.subtree(stem[out])] += gap if stem[0] == headl[e] else -gap
-        tree.rehang(stem[:out + 1], stem[out + 1:], grow, parent, e)
+        moved = tree.rehang(stem[:out + 1], parent, e)
+        pi[np.array(moved)] += gap if stem[0] == headl[e] else -gap
 
 
 def _flat_norm_flow(t, plus, minus, vol_r, vol_s):

@@ -16,6 +16,7 @@ import numpy as np
 from .exterior import (CoVector, _contract_terms, _wedge_terms, basis_rank,
                        comass, contract_rows, multi_indices)
 from .polynomial import Polynomial
+from .quadrature import _read_only
 
 __all__ = [
     "Box",
@@ -64,22 +65,38 @@ class Box:
             raise ValueError("grid needs at least 2 points per axis")
         object.__setattr__(self, "k_lower", tuple(klo))
         object.__setattr__(self, "k_upper", tuple(khi))
+        object.__setattr__(self, "_tables", {})  # grids and pair tables
 
     @property
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(np.subtract(self.upper, self.lower)))
-
     def grid(self, resolution: int = None) -> np.ndarray:
-        """Uniform grid over K, shape (m, dim)."""
+        """Uniform grid over K, shape (m, dim), row-major.  It is built
+        once per resolution and kept on the box, so the array returned is
+        read-only."""
         res = resolution or self.resolution
-        axes = [np.linspace(a, b, res)
-                for a, b in zip(self.k_lower, self.k_upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        if ("grid", res) not in self._tables:
+            axes = [np.linspace(a, b, res)
+                    for a, b in zip(self.k_lower, self.k_upper)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            self._tables["grid", res], = _read_only(
+                np.stack([m.ravel() for m in mesh], axis=-1))
+        return self._tables["grid", res]
+
+    def grid_pairs(self, resolution: int = None):
+        """The pairs i < j of distinct points of `grid(resolution)` and
+        their distances |x_i - x_j| > 0, as read-only arrays (i, j, dist),
+        built once per resolution."""
+        res = resolution or self.resolution
+        if ("pairs", res) not in self._tables:
+            pts = self.grid(res)
+            i, j = np.triu_indices(len(pts), 1)
+            dist = np.linalg.norm(pts[i] - pts[j], axis=1)
+            keep = dist > 0
+            self._tables["pairs", res] = _read_only(i[keep], j[keep],
+                                                    dist[keep])
+        return self._tables["pairs", res]
 
     @classmethod
     def unit(cls, dim: int, resolution: int = 9, pad: float = 0.5) -> "Box":
@@ -506,25 +523,21 @@ def seminorm_flat(phi: FormField, box: Box, resolution=None, **kw) -> float:
     return m
 
 
-def form_lipschitz(phi: FormField, box: Box, resolution=None,
-                   rng=None) -> float:
+def form_lipschitz(phi: FormField, box: Box, resolution=None) -> float:
     """Lipschitz constant estimate max ||phi(y)-phi(x)||_0 / |y-x|.
 
-    All grid pairs while the grid is small; random pair sampling beyond.
+    All grid pairs while the grid is small, over the box's pair table
+    (`Box.grid_pairs`); random pair sampling beyond.
     """
     pts = box.grid(resolution)
     r, n = phi.degree, phi.ambient
     exact = _comass_exact_degree(r, n)
     if len(pts) <= _MAX_ALL_PAIR_POINTS and exact:
         coeffs = phi.coefficients_at(pts)
-        diff = coeffs[:, None, :] - coeffs[None, :, :]
-        num = np.linalg.norm(diff, axis=2)
-        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        mask = dist > 0
-        if not np.any(mask):
-            return 0.0
-        return float(np.max(num[mask] / dist[mask]))
-    rng = rng or np.random.default_rng(0)
+        i, j, dist = box.grid_pairs(resolution)
+        num = np.linalg.norm(coeffs[i] - coeffs[j], axis=1)
+        return float(np.max(num / dist, initial=0.0))
+    rng = np.random.default_rng(0)
     lo = np.asarray(box.k_lower)
     hi = np.asarray(box.k_upper)
     npairs = _SAMPLED_PAIRS if exact else 2000

@@ -78,6 +78,9 @@ class ScenarioConfig:
         for key in ("lower", "upper", "pad"):
             if cfg.box is not None and key in cfg.box:
                 _finite(f"box.{key}", cfg.box[key])
+        if cfg.box is not None and "resolution" in cfg.box:
+            cfg.box = {**cfg.box, "resolution": _whole(
+                "box.resolution", cfg.box["resolution"], 2)}
         return cfg
 
     # -- builders ------------------------------------------------------
@@ -126,9 +129,8 @@ class ScenarioConfig:
         lo = tuple(float(v) for v in self.box["lower"])
         hi = tuple(float(v) for v in self.box["upper"])
         pad = float(self.box.get("pad", 0.5))
-        res = int(self.box.get("resolution", self.resolution))
         return Box(tuple(v - pad for v in lo), tuple(v + pad for v in hi),
-                   lo, hi, resolution=res)
+                   lo, hi, self.box.get("resolution", self.resolution))
 
 
 # the integer fields and their least values

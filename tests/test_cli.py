@@ -197,6 +197,46 @@ class TestScenarioConfig:
         assert "simplex 1 of the chain" in capsys.readouterr().err
         assert not (tmp_path / "transport.csv").exists()
 
+    @pytest.mark.parametrize("key", ["vertices", "multiplicity"])
+    def test_missing_chain_key_exit_2(self, tmp_path, capsys, key):
+        # unchecked, a KeyError traceback and exit 1
+        chain = boundary(triangle_chain()).to_json_obj()
+        del chain["simplices"][1][key]
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(json.dumps(chain))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "chain": {"file": str(chain_path)},
+            "motion": {"family": "rotation", "rate": 0.7},
+            "cochain": {"degree": 1, "components": {"0": [
+                {"exponents": [0, 0, 1], "coefficient": 1.0}]}}}))
+        assert main(["transport", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert (f'simplex 1 of the chain lacks "{key}"'
+                in capsys.readouterr().err)
+        assert not (tmp_path / "transport.csv").exists()
+
+    @pytest.mark.parametrize("value", [2.5, 1, "3", True])
+    def test_bad_box_resolution_rejected(self, tmp_path, capsys, value):
+        # unchecked, 2.5 ran silently on a resolution-2 box
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "x", "box": {
+            "lower": [0, 0], "upper": [1, 1], "resolution": value}}))
+        with pytest.raises(ValueError, match="'box.resolution' must be a "
+                                             "whole number >= 2"):
+            load_config(path)
+        assert main(["verify", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert f"bad scenario in {path}" in capsys.readouterr().err
+
+    def test_whole_box_resolution_is_stored_as_int(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "x", "box": {
+            "lower": [0, 0], "upper": [1, 1], "resolution": 4.0}}))
+        (cfg,) = load_config(path)
+        box = cfg.build_box()
+        assert box.resolution == 4 and type(box.resolution) is int
+
     def test_parse_error_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -306,6 +346,11 @@ class TestDeterminism:
                             "flatgrid", "flatnorm.csv")
         assert (_reference_cells(checks, rows)
                 == _reference_cells(checks, _read(path)))
+        # the network simplex's pivot counts, which the reference check
+        # skips: a changed pivot path shows here
+        assert [row["value"] for row in rows
+                if row["quantity"] == "lp_iterations"] == \
+            ["104", "410", "438", "1934", "274", "1518"]
 
 
 class TestTransport:

@@ -10,7 +10,10 @@ from currentkit import flatnorm
 from currentkit.flatnorm import (LPProblem, LPSolution, dual_flat_lower_bound,
                                  flat_norm_lp, lp_solve, sharp_lower_bound)
 from currentkit.forms import Box, FormField
-from oracles import loop_boundary_matrix, loop_freudenthal
+from currentkit.scenarios import load_config
+from oracles import (loop_boundary_matrix, loop_freudenthal,
+                     preorder_network_simplex)
+from test_cli import _load_perfbench
 
 
 class TestLPSolver:
@@ -509,6 +512,54 @@ class TestFlowPath:
         with pytest.raises(RuntimeError,
                            match=r"pivot limit reached: 0 pivots on 48 arcs"):
             flat_norm_lp(boundary(comp.full_chain()), comp)
+
+
+
+class TestSamePivotPath:
+    """The network simplex on parent/depth lists pivots exactly as it did
+    on a numpy preorder tree (`oracles.preorder_network_simplex`): the
+    same pivot count and the same potentials, bit for bit."""
+
+    def _check(self, monkeypatch, T, comp, scale=1.0):
+        # both solvers on the circulation `flat_norm_lp` builds for T, its
+        # capacities (the volumes) times `scale`
+        solve, got = flatnorm._network_simplex, []
+
+        def both(tail, head, cost, cap, n_nodes):
+            args = tail, head, cost, cap * scale, n_nodes
+            got.extend([solve(*args), preorder_network_simplex(*args)])
+            return got[0]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(flatnorm, "_network_simplex", both)
+            flat_norm_lp(T, comp)
+        (pi, pivots), (want_pi, want_pivots) = got
+        assert pivots == want_pivots > 0
+        assert np.array_equal(pi, want_pi)
+
+    @pytest.mark.parametrize("seed", [42, 977, 7])
+    def test_flatgrid_chains(self, monkeypatch, tmp_path, seed):
+        workloads = _load_perfbench("workloads")
+        for path in workloads.write_flatgrid(seed, str(tmp_path)):
+            cfg, = load_config(path)
+            n = cfg.ambient
+            comp = freudenthal_complex([0.0] * n, [1.0] * n, cfg.resolution)
+            self._check(monkeypatch, cfg.build_chain(), comp)
+
+    @pytest.mark.parametrize("dim, res, kind", [(2, 32, "cells"),
+                                                (2, 32, "faces"),
+                                                (3, 8, "cells")])
+    def test_large_rows(self, monkeypatch, dim, res, kind):
+        w = _load_perfbench("workloads")
+        build = w.cell_union_boundary if kind == "cells" else w.random_faces
+        comp = freudenthal_complex([0.0] * dim, [1.0] * dim, res)
+        self._check(monkeypatch, build(dim, res, np.random.default_rng(dim)),
+                    comp)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_scaled_volumes(self, monkeypatch, scale):
+        comp = freudenthal_complex((0.0, 0.0), (1.0, 1.0), 16)
+        self._check(monkeypatch, _random_codim1(comp, 11), comp, scale)
 
 
 class TestDualBounds:

@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from currentkit import forms
 from currentkit.exterior import multi_indices
 from currentkit.forms import (AffineMap, Box, FormField, TimePolynomialForm,
                               VectorField, contract, exterior_derivative,
@@ -15,7 +16,8 @@ from currentkit.forms import (AffineMap, Box, FormField, TimePolynomialForm,
                               time_slice_contract)
 from currentkit.lipschitz import LipMap
 from currentkit.polynomial import Polynomial
-from oracles import contract_at, derivative_at, pullback_at
+from oracles import (all_pairs_lipschitz, contract_at, derivative_at,
+                     pullback_at)
 
 
 def _max_coeff(phi):
@@ -351,6 +353,63 @@ class TestSeminorms:
         phi = FormField.from_polynomials(2, 1, {(0,): x})
         # sup comass = 1 on K = [0,1]^2; (r+1)*Lip = 2
         assert seminorm_sharp(phi, self.box) == pytest.approx(2.0, rel=1e-6)
+
+
+# every (ambient, degree, resolution) whose grid takes the all-pairs branch
+ALL_PAIRS = [(n, r, res) for n in (1, 2, 3) for r in range(n + 1)
+             for res in (2, 3, 5, 8, 11, 16, 32)
+             if res ** n <= forms._MAX_ALL_PAIR_POINTS]
+
+
+class TestGridTables:
+    """`Box` keeps its grid and the grid's pair table, read-only, and
+    `form_lipschitz` takes the same maximum over that table as over the
+    (p, p) all-pairs tables (`oracles.all_pairs_lipschitz`)."""
+
+    @staticmethod
+    def _box(n, res):
+        return Box((-1.0,) * n, (3.0,) * n, (0.1,) * n, (2.3,) * n, res)
+
+    @pytest.mark.parametrize("n, r, res", ALL_PAIRS)
+    def test_form_lipschitz_equals_all_pairs(self, n, r, res):
+        rng = np.random.default_rng(100 * n + 10 * r + res)
+        phi = FormField.random_polynomial(n, r, rng, max_degree=2)
+        box = self._box(n, res)
+        assert form_lipschitz(phi, box) == \
+            all_pairs_lipschitz(phi, box.grid())
+
+    @pytest.mark.parametrize("n, res", [(1, 30), (2, 7), (3, 4)])
+    def test_resolution_override(self, n, res):
+        rng = np.random.default_rng(n)
+        phi = FormField.random_polynomial(n, n - 1, rng, max_degree=2)
+        box = self._box(n, 9)
+        got = form_lipschitz(phi, box, resolution=res)
+        assert got == all_pairs_lipschitz(phi, box.grid(res))
+        assert len(box.grid(res)) == res ** n
+        assert form_lipschitz(phi, box) == \
+            all_pairs_lipschitz(phi, box.grid(9))
+
+    def test_grid_is_built_once_per_resolution(self):
+        box = Box.unit(2, resolution=5)
+        assert box.grid() is box.grid() is box.grid(5)
+        assert box.grid(7) is box.grid(7)
+        assert len(box.grid(7)) == 49 and len(box.grid()) == 25
+        assert box.grid_pairs(7) is box.grid_pairs(7)
+        i, j, dist = box.grid_pairs()
+        assert len(i) == 25 * 24 // 2 and np.all(i < j)
+        np.testing.assert_array_equal(
+            dist, np.linalg.norm(box.grid()[i] - box.grid()[j], axis=1))
+        # the tables are not part of the box's value
+        assert box == Box.unit(2, resolution=5)
+        assert hash(box) == hash(Box.unit(2, resolution=5))
+
+    def test_tables_are_read_only(self):
+        box = Box.unit(3, resolution=3)
+        with pytest.raises(ValueError, match="read-only"):
+            box.grid()[0, 0] = 1.0
+        for a in box.grid_pairs():
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 class TestTimeForms:
