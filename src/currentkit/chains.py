@@ -389,25 +389,41 @@ class Scale(Current):
         self.ambient = self.inner.ambient
 
 
-def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2) -> float:
-    if phi.degree != chain.degree or phi.ambient != chain.ambient:
-        raise ValueError("form degree/ambient does not match the chain")
-    if not len(chain):
-        return 0.0
-    # All simplices at once.  Each per-simplex step is a stacked matmul or
-    # an elementwise op, which runs the same kernel per item as the call
-    # on one simplex did, so each simplex's value is bit-identical to it;
-    # the total is summed sequentially in chain order, as before.
-    verts, mults = chain.stacked()
-    tangents = _unit_tangents(verts)
-    pts, wts = simplex_rule(verts, s_order)
-    coeffs = phi.coefficients_at(pts.reshape(-1, chain.ambient))
-    count = len(mults)
-    at_points = np.matmul(coeffs.reshape(count, wts.shape[1], -1),
+def evaluate_copies(verts: np.ndarray, mults: np.ndarray, forms,
+                    s_order: int = 2) -> list:
+    """Values of K copies of one chain's simplices, each against its own
+    form: vertices (K, N, r+1, n), the multiplicities (N,) they share and
+    K forms.  Copy k's value equals `evaluate` of that copy against
+    forms[k], bit for bit: each per-simplex step is a stacked matmul or an
+    elementwise op, which runs the same kernel per item as on one copy,
+    and each copy's total is summed in chain order from 0.0.  Consecutive
+    copies that share a form object get one `coefficients_at` call."""
+    count, size, width, n = verts.shape
+    for phi in forms:
+        if phi.degree != width - 1 or phi.ambient != n:
+            raise ValueError("form degree/ambient does not match the chain")
+    if not size:
+        return [0.0] * count
+    flat = verts.reshape(-1, width, n)
+    tangents = _unit_tangents(flat)
+    pts, wts = simplex_rule(flat, s_order)
+    pts = pts.reshape(count, -1, n)
+    runs = [k for k in range(1, count) if forms[k] is not forms[k - 1]]
+    coeffs = np.concatenate([
+        forms[lo].coefficients_at(pts[lo:hi].reshape(-1, n))
+        for lo, hi in zip([0, *runs], [*runs, count])])
+    at_points = np.matmul(coeffs.reshape(len(flat), wts.shape[1], -1),
                           tangents[:, :, None])
-    values = np.matmul(at_points.reshape(count, 1, -1),
+    values = np.matmul(at_points.reshape(len(flat), 1, -1),
                        wts[:, :, None])[:, 0, 0]
-    return float(np.cumsum(np.concatenate(([0.0], mults * values)))[-1])
+    terms = np.concatenate([np.zeros((count, 1)),
+                            mults * values.reshape(count, size)], axis=1)
+    return np.cumsum(terms, axis=1)[:, -1].tolist()
+
+
+def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2) -> float:
+    verts, mults = chain.stacked()
+    return evaluate_copies(verts[None], mults, [phi], s_order)[0]
 
 
 def evaluate(T: Current, phi: FormField, s_order: int = 2) -> float:

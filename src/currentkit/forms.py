@@ -16,7 +16,7 @@ import numpy as np
 from .exterior import (CoVector, _contract_terms, _wedge_terms, basis_rank,
                        comass, contract_rows, multi_indices)
 from .polynomial import Polynomial
-from .quadrature import _read_only
+from .quadrature import _read_only, _whole_number
 
 __all__ = [
     "Box",
@@ -61,8 +61,7 @@ class Box:
         khi = hi if self.k_upper is None else np.asarray(self.k_upper, float)
         if np.any(klo < lo) or np.any(khi > hi) or np.any(klo >= khi):
             raise ValueError("K must be a nondegenerate sub-box of the box")
-        if self.resolution < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        self._points_per_axis(self.resolution)
         object.__setattr__(self, "k_lower", tuple(klo))
         object.__setattr__(self, "k_upper", tuple(khi))
         object.__setattr__(self, "_tables", {})  # grids and pair tables
@@ -71,11 +70,18 @@ class Box:
     def dim(self) -> int:
         return len(self.lower)
 
+    def _points_per_axis(self, resolution) -> int:
+        """A grid resolution, the box's own when `resolution` is None; a
+        ValueError unless it is a whole number >= 2."""
+        return _whole_number(
+            "grid resolution",
+            self.resolution if resolution is None else resolution, 2)
+
     def grid(self, resolution: int = None) -> np.ndarray:
         """Uniform grid over K, shape (m, dim), row-major.  It is built
         once per resolution and kept on the box, so the array returned is
         read-only."""
-        res = resolution or self.resolution
+        res = self._points_per_axis(resolution)
         if ("grid", res) not in self._tables:
             axes = [np.linspace(a, b, res)
                     for a, b in zip(self.k_lower, self.k_upper)]
@@ -88,7 +94,7 @@ class Box:
         """The pairs i < j of distinct points of `grid(resolution)` and
         their distances |x_i - x_j| > 0, as read-only arrays (i, j, dist),
         built once per resolution."""
-        res = resolution or self.resolution
+        res = self._points_per_axis(resolution)
         if ("pairs", res) not in self._tables:
             pts = self.grid(res)
             i, j = np.triu_indices(len(pts), 1)

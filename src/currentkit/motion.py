@@ -9,12 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
-                     _edge_wedges, boundary, evaluate)
+                     _edge_wedges, boundary, evaluate, evaluate_copies)
 from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, seminorm_comass)
-from .lipschitz import LipMap, _tent, make_map, pushforward_chain
+from .lipschitz import (LipMap, _tent, make_map, pushed_tables,
+                        pushforward_chain)
 from .polynomial import Polynomial
-from .quadrature import integrate_interval, simplex_rule
+from .quadrature import gauss_quadrature, simplex_rule
 
 __all__ = [
     "Motion",
@@ -69,6 +70,32 @@ def velocity_field(m: Motion, t: float) -> VectorField:
     return m.velocity_factory(t)
 
 
+# the most simplices that one stacked evaluation of pushes takes at once;
+# the time nodes go in chunks of as many as fit
+_STACK_SIMPLICES = 4096
+
+
+def _pushed_values(m: Motion, work: Chain, times, form_rows,
+                   s_order: int = 2) -> list:
+    """evaluate(m.push(work, t_k), row[k], s_order) for every time t_k and
+    every row of forms, one form per time; a list per row.  The pushes
+    are stacked, in chunks of at most `_STACK_SIMPLICES` simplices (at
+    least one push a chunk): each time's map takes the vertex table once,
+    and `lipschitz.pushed_tables` gives each push the vertices, and the
+    ValueError, that `Motion.push` would."""
+    step = max(1, _STACK_SIMPLICES // max(len(work), 1))
+    out = [[] for _ in form_rows]
+    for lo in range(0, len(times), step):
+        table, ids = pushed_tables(
+            np.stack([m.map_at(t).values_at(work.table)
+                      for t in times[lo:lo + step]]), work.ids)
+        verts = table[ids]
+        for row, values in zip(form_rows, out):
+            values += evaluate_copies(verts, work.mults, row[lo:lo + step],
+                                      s_order)
+    return out
+
+
 # ----------------------------------------------------------------------
 # cochains
 # ----------------------------------------------------------------------
@@ -121,7 +148,10 @@ def reynolds_operator(v: VectorField, T: Current) -> Current:
 @dataclass
 class Deformation(Current):
     """The (r+1)-current swept by a chain under a motion over [a, b],
-    evaluated as the time integral of (v_tau wedge kappa_tau# T)."""
+    evaluated as the time integral of (v_tau wedge kappa_tau# T) by
+    `quadrature.gauss_quadrature`.  All time nodes are evaluated as one
+    stack of pushes, in chunks of at most `_STACK_SIMPLICES` simplices;
+    phi -| v_tau is formed once per distinct velocity field."""
 
     motion: Motion
     interval: tuple
@@ -140,18 +170,19 @@ class Deformation(Current):
         self.ambient = self.chain.ambient
 
     def _evaluate(self, phi: FormField, s_order: int):
-        a, b = self.interval
-        if a == b:
-            return 0.0
+        return gauss_quadrature(
+            lambda times: self._values(phi, times, s_order), *self.interval,
+            self.panels, self.gauss_order)
+
+    def _values(self, phi: FormField, times, s_order: int) -> list:
+        """The integrand evaluate(kappa_t# T, phi -| v_t) at every time."""
+        fields = [velocity_field(self.motion, t) for t in times]
+        forms = []
+        for k, v in enumerate(fields):
+            forms.append(forms[-1] if k and v is fields[k - 1]
+                         else contract(phi, v))
         work = self.chain.subdivided(self.levels)
-
-        def integrand(tau):
-            pushed = self.motion.push(work, tau)
-            v = velocity_field(self.motion, tau)
-            return evaluate(pushed, contract(phi, v), s_order)
-
-        return integrate_interval(integrand, a, b, panels=self.panels,
-                                  order=self.gauss_order)
+        return _pushed_values(self.motion, work, times, [forms], s_order)[0]
 
 
 def deformation_chain(m: Motion, interval, T: Chain, levels: int = 0,
@@ -164,9 +195,9 @@ def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
                       gauss_order: int = 5) -> float:
     """Residual of the homotopy formula
     (kappa_b# T - kappa_a# T) = bnd(deformation) + deformation of bnd(T)."""
-    a, b = interval
     work = T.subdivided(levels)
-    lhs = evaluate(m.push(work, b), phi) - evaluate(m.push(work, a), phi)
+    (at_b, at_a), = _pushed_values(m, work, interval[::-1], [[phi, phi]])
+    lhs = at_b - at_a
     rhs = 0.0
     if T.degree + 1 <= T.ambient:
         deform = deformation_chain(m, interval, T, levels, panels,
@@ -284,17 +315,17 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
 def continuity_modulus(m: Motion, T: Chain, t: float, eps_list, family,
                        box: Box, levels: int = 0):
     """Dual M-norm estimates of kappa_{t+eps}# T - kappa_t# T over a test
-    family, one per epsilon."""
+    family, one per epsilon.  The pushes at t and at every t + eps are one
+    stack, in chunks of at most `_STACK_SIMPLICES` simplices, evaluated
+    once per form of the family."""
     work = T.subdivided(levels)
-    base = m.push(work, t)
     norms = [seminorm_comass(phi, box) for phi in family]
-    out = []
-    for eps in eps_list:
-        moved = m.push(work, t + eps)
-        est = max(abs(evaluate(moved, phi) - evaluate(base, phi)) / nn
-                  for phi, nn in zip(family, norms) if nn > 0)
-        out.append(est)
-    return out
+    times = [t] + [t + eps for eps in eps_list]
+    values = _pushed_values(m, work, times,
+                            [[phi] * len(times) for phi in family])
+    return [max(abs(vals[k] - vals[0]) / nn
+                for vals, nn in zip(values, norms) if nn > 0)
+            for k in range(1, len(times))]
 
 
 def balance_transport(m: Motion, T: Chain, psi: Cochain, xi: Cochain,

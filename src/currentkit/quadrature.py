@@ -92,18 +92,48 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def integrate_interval(f, a: float, b: float, panels: int = 4,
-                       order: int = 5) -> float:
-    """Composite Gauss-Legendre quadrature of a scalar function."""
+def _whole_number(name: str, value, low: int) -> int:
+    """`value` as an int; a ValueError naming `name` unless it is an
+    integer (a Python or numpy integer, not a bool) of at least `low`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ValueError(f"{name} must be a whole number >= {low}, got "
+                         f"{value!r}")
+    return int(value)
+
+
+def gauss_quadrature(values_at, a: float, b: float, panels: int,
+                     order: int) -> float:
+    """Composite Gauss-Legendre quadrature on [a, b] of a function given
+    at all nodes at once: `values_at` maps the nodes, panel by panel, the
+    times mid + half * x of each of `panels` equal panels (panels * order,),
+    to their values.  Each panel adds its half-width times the weighted
+    sum of its values to a total that starts at 0.0.  0.0 when a == b,
+    without a call.  A ValueError unless `panels` and `order` are whole
+    numbers >= 1."""
+    panels = _whole_number("panels", panels, 1)
+    order = _whole_number("order", order, 1)
     if a == b:
         return 0.0
     xs, ws = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    values = values_at((mid[:, None] + half[:, None] * xs).ravel())
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += half * sum(w * f(mid + half * x) for x, w in zip(xs, ws))
+    for k, h in enumerate(half):
+        total += h * sum(w * f for w, f in
+                         zip(ws, values[k * order:(k + 1) * order]))
     return total
+
+
+def integrate_interval(f, a: float, b: float, panels: int = 4,
+                       order: int = 5) -> float:
+    """Composite Gauss-Legendre quadrature of a scalar function, called
+    once per node by `gauss_quadrature`.  `motion.Deformation` takes the
+    same rule with its values at all nodes evaluated as one stack."""
+    return gauss_quadrature(lambda times: [f(t) for t in times], a, b,
+                            panels, order)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,9 @@ mollification, the per-point evaluators of the sampled contraction,
 exterior derivative and pullback, the tuple and dict loops that build
 permutation signs, the wedge sign table, the Kuhn children and the
 Freudenthal complex one simplex at a time, the network simplex on a numpy
-preorder tree, and the all-pairs Lipschitz quotient.  They are not part of the
-library's API."""
+preorder tree, the all-pairs Lipschitz quotient, and deformation chains,
+the homotopy residual and the continuity modulus one time node at a time.
+They are not part of the library's API."""
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -16,12 +17,14 @@ from math import comb
 import numpy as np
 
 from currentkit import flatnorm
-from currentkit.chains import Chain, _leaf_evaluate, evaluate
+from currentkit.chains import Chain, _leaf_evaluate, boundary, evaluate
 from currentkit.exterior import multi_indices
 from currentkit.forms import (AffineMap, Box, FormField, VectorField,
-                              lie_derivative, pullback, time_slice_contract)
+                              contract, exterior_derivative, lie_derivative,
+                              pullback, seminorm_comass, time_slice_contract)
 from currentkit.lipschitz import LipMap, lipschitz_constant
-from currentkit.motion import Cochain, Motion, velocity_field
+from currentkit.motion import (Cochain, Deformation, Motion,
+                               deformation_chain, velocity_field)
 from currentkit.quadrature import integrate_interval
 
 
@@ -511,3 +514,74 @@ def all_pairs_lipschitz(phi: FormField, pts) -> float:
     if not np.any(mask):
         return 0.0
     return float(np.max(num[mask] / dist[mask]))
+
+
+# ----------------------------------------------------------------------
+# deformation chains, one time node at a time
+# ----------------------------------------------------------------------
+
+def gauss_by_panel(f, a: float, b: float, panels: int, order: int):
+    """Composite Gauss-Legendre quadrature calling f at one node at a
+    time: per panel, its half-width times sum(w * f(mid + half * x)),
+    added to a total from 0.0."""
+    if a == b:
+        return 0.0
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        total += half * sum(w * f(mid + half * x) for x, w in zip(xs, ws))
+    return total
+
+
+def deformation_by_node(deform: Deformation, phi: FormField,
+                        s_order: int = 2) -> float:
+    """A deformation chain against phi with one push, one contraction and
+    one evaluation per time node."""
+    a, b = deform.interval
+    work = deform.chain.subdivided(deform.levels)
+
+    def integrand(tau):
+        pushed = deform.motion.push(work, tau)
+        v = velocity_field(deform.motion, tau)
+        return evaluate(pushed, contract(phi, v), s_order)
+
+    return gauss_by_panel(integrand, a, b, deform.panels, deform.gauss_order)
+
+
+def homotopy_residual_by_node(m: Motion, interval, T: Chain,
+                              phi: FormField, levels: int = 0,
+                              panels: int = 8, gauss_order: int = 5):
+    """`motion.homotopy_residual` with one push per end and
+    `deformation_by_node` for the deformation chains."""
+    a, b = interval
+    work = T.subdivided(levels)
+    lhs = evaluate(m.push(work, b), phi) - evaluate(m.push(work, a), phi)
+    rhs = 0.0
+    if T.degree + 1 <= T.ambient:
+        rhs += deformation_by_node(
+            deformation_chain(m, interval, T, levels, panels, gauss_order),
+            exterior_derivative(phi))
+    if T.degree >= 1:
+        bt = boundary(T)
+        if len(bt):
+            rhs += deformation_by_node(deformation_chain(
+                m, interval, bt, levels, panels, gauss_order), phi)
+    return abs(lhs - rhs)
+
+
+def continuity_modulus_by_node(m: Motion, T: Chain, t: float, eps_list,
+                               family, box: Box, levels: int = 0):
+    """`motion.continuity_modulus` with one push per epsilon and one
+    evaluation per push and form."""
+    work = T.subdivided(levels)
+    base = m.push(work, t)
+    norms = [seminorm_comass(phi, box) for phi in family]
+    out = []
+    for eps in eps_list:
+        moved = m.push(work, t + eps)
+        est = max(abs(evaluate(moved, phi) - evaluate(base, phi)) / nn
+                  for phi, nn in zip(family, norms) if nn > 0)
+        out.append(est)
+    return out

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import logging
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -351,6 +353,26 @@ class TestDeterminism:
         assert [row["value"] for row in rows
                 if row["quantity"] == "lp_iterations"] == \
             ["104", "410", "438", "1934", "274", "1518"]
+
+
+    def test_cli_csvs_tool_writes_every_output(self, tmp_path):
+        # tools/cli_csvs.py at one seed: the four bundled subcommands, the
+        # four refined scenarios under verify and transport, and the six
+        # flatgrid scenarios under flatnorm
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        done = subprocess.run(
+            [sys.executable, os.path.join(root, "tools", "cli_csvs.py"),
+             str(tmp_path / "out"), "--seeds", "42"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        written = sorted(p.relative_to(tmp_path / "out" / "seed42").parts[0]
+                         for p in (tmp_path / "out").rglob("*")
+                         if p.is_file())
+        assert written == ["bundled"] * 4 + ["flatgrid"] * 6 + \
+            ["refined"] * 8
+        assert all(p.suffix == ".csv" for p in (tmp_path / "out").rglob("*")
+                   if p.is_file())
 
 
 class TestTransport:

@@ -354,6 +354,25 @@ class TestSeminorms:
         # sup comass = 1 on K = [0,1]^2; (r+1)*Lip = 2
         assert seminorm_sharp(phi, self.box) == pytest.approx(2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("res", [None, 2])
+    def test_resolution_default_and_override(self, res):
+        # phi = 3x dx on K = [0,1]^2: sup 3, Lipschitz 3, sharp 2 * 3
+        phi = FormField.from_polynomials(
+            2, 1, {(0,): 3.0 * Polynomial.variable(0, 2)})
+        assert form_lipschitz(phi, self.box, res) == pytest.approx(3.0)
+        assert seminorm_sharp(phi, self.box, res) == pytest.approx(6.0)
+        assert seminorm_comass(phi, self.box, res) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("res", [1, 0, 2.5])
+    def test_resolution_must_be_a_whole_number_of_at_least_two(self, res):
+        phi = FormField.from_polynomials(
+            2, 1, {(0,): 3.0 * Polynomial.variable(0, 2)})
+        for seminorm in (form_lipschitz, seminorm_sharp, seminorm_comass):
+            with pytest.raises(ValueError, match="grid resolution"):
+                seminorm(phi, self.box, res)
+        with pytest.raises(ValueError, match="grid resolution"):
+            Box.unit(2, resolution=res)
+
 
 # every (ambient, degree, resolution) whose grid takes the all-pairs branch
 ALL_PAIRS = [(n, r, res) for n in (1, 2, 3) for r in range(n + 1)

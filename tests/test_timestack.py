@@ -1,0 +1,232 @@
+"""Motions evaluated at all time nodes as one stack: deformation chains,
+the homotopy residual and the continuity modulus equal, bit for bit, their
+one-node-at-a-time oracles, and raise the same errors."""
+
+import numpy as np
+import pytest
+
+from currentkit import motion
+from currentkit.chains import (Chain, boundary, evaluate, evaluate_copies,
+                               unit_square_chain)
+from currentkit.forms import Box, FormField, VectorField
+from currentkit.lipschitz import LipMap, pushed_tables, pushforward_chain
+from currentkit.motion import (Motion, continuity_modulus, deformation_chain,
+                               homotopy_residual, make_motion)
+from currentkit.quadrature import integrate_interval
+from oracles import (continuity_modulus_by_node, deformation_by_node,
+                     gauss_by_panel, homotopy_residual_by_node)
+
+FAMILIES = ["identity", "translation", "rotation", "expansion", "shear",
+            "tent"]
+# every chain degree r = 0..n-1 in n = 1, 2, 3
+DEGREES = [(n, r) for n in (1, 2, 3) for r in range(n)]
+INTERVAL = (0.0, 0.5)
+
+
+def _motion(name: str, n: int) -> Motion:
+    params = {"axis": 0} if name == "tent" and n == 1 else {}
+    return make_motion(name, ambient=n, **params)
+
+
+def _chain(n: int, r: int, seed: int, count: int = 3) -> Chain:
+    """`count` random r-simplices in [0.1, 0.9]^n with random
+    multiplicities."""
+    rng = np.random.default_rng(seed)
+    return Chain(rng.uniform(0.1, 0.9, size=(count, r + 1, n)),
+                 rng.uniform(-2.0, 2.0, size=count))
+
+
+def _cases():
+    # rotation is planar, and shear moves x along y
+    for name in FAMILIES:
+        for n, r in DEGREES:
+            if not (name == "rotation" and n != 2
+                    or name == "shear" and n == 1):
+                yield name, n, r
+
+
+def _form(n: int, degree: int, seed: int) -> FormField:
+    return FormField.random_polynomial(n, degree, np.random.default_rng(seed),
+                                       max_degree=2)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("name, n, r", list(_cases()))
+    def test_families_and_degrees(self, name, n, r):
+        m = _motion(name, n)
+        T = _chain(n, r, 10 * n + r)
+        deform = deformation_chain(m, INTERVAL, T, levels=1, panels=2)
+        phi = _form(n, r + 1, n + r)
+        assert evaluate(deform, phi) == deformation_by_node(deform, phi)
+        psi = _form(n, r, 7 * n + r)
+        assert homotopy_residual(m, INTERVAL, T, psi, levels=1, panels=2) \
+            == homotopy_residual_by_node(m, INTERVAL, T, psi, levels=1,
+                                         panels=2)
+        box = Box.unit(n, resolution=3)
+        family = [_form(n, r, s) for s in range(3)]
+        eps = [0.1, 0.01, 0.001]
+        assert continuity_modulus(m, T, 0.2, eps, family, box, levels=1) \
+            == continuity_modulus_by_node(m, T, 0.2, eps, family, box,
+                                          levels=1)
+
+    @pytest.mark.parametrize("levels", [0, 1, 2, 3])
+    @pytest.mark.parametrize("panels", [1, 2, 8])
+    @pytest.mark.parametrize("order", [1, 5])
+    @pytest.mark.parametrize("name, n", [("rotation", 2), ("expansion", 3),
+                                         ("tent", 2)])
+    def test_levels_panels_and_orders(self, name, n, levels, panels, order):
+        m = _motion(name, n)
+        T = _chain(n, 1, levels, count=2)
+        deform = deformation_chain(m, INTERVAL, T, levels, panels, order)
+        phi = _form(n, 2, panels + order)
+        assert evaluate(deform, phi) == deformation_by_node(deform, phi)
+        psi = _form(n, 1, levels)
+        assert homotopy_residual(m, INTERVAL, T, psi, levels, panels, order) \
+            == homotopy_residual_by_node(m, INTERVAL, T, psi, levels,
+                                         panels, order)
+
+    @pytest.mark.parametrize("budget", [None, 1, 10 ** 9])
+    def test_chunks_do_not_change_bits(self, monkeypatch, budget):
+        m = make_motion("rotation", rate=0.7)
+        T = boundary(unit_square_chain())
+        deform = deformation_chain(m, INTERVAL, T, levels=6)
+        # 256 edges at 40 nodes: several chunks at the default budget
+        assert 256 * 40 > 2 * motion._STACK_SIMPLICES
+        phi = _form(2, 2, 1)
+        expected = deformation_by_node(deform, phi)
+        if budget is not None:
+            monkeypatch.setattr(motion, "_STACK_SIMPLICES", budget)
+        assert evaluate(deform, phi) == expected
+        family = [_form(2, 1, s) for s in range(2)]
+        box = Box.unit(2, resolution=3)
+        eps = [0.1, 0.01]
+        assert continuity_modulus(m, T, 0.0, eps, family, box, levels=6) \
+            == continuity_modulus_by_node(m, T, 0.0, eps, family, box,
+                                          levels=6)
+
+    def test_interval_rule_matches_the_node_loop(self):
+        f = np.cos
+        for panels in (1, 2, 8):
+            for order in (1, 5):
+                assert integrate_interval(f, -0.3, 1.1, panels, order) == \
+                    gauss_by_panel(f, -0.3, 1.1, panels, order)
+
+
+# the middle node of one 5-point Gauss panel on [0, 1]
+MIDDLE = 0.5 + 0.5 * np.polynomial.legendre.leggauss(5)[0][2]
+
+
+def _faulty_motion(fault: str) -> Motion:
+    """A translation whose map at MIDDLE is `fault`: a collapse of the y
+    axis, or NaN."""
+
+    def maps(t):
+        if t != MIDDLE:
+            return LipMap.affine(np.eye(2), [t, 0.0])
+        if fault == "degenerate":
+            return LipMap.affine(np.diag([1.0, 0.0]))
+        return LipMap(2, lambda x: np.full(x.shape, np.nan))
+
+    field = VectorField.constant([1.0, 0.0])
+    return Motion((0.0, 1.0), maps, lambda t: field)
+
+
+def _message(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize("fault", ["degenerate", "nan"])
+    def test_faulty_map_at_one_node(self, fault):
+        m = _faulty_motion(fault)
+        deform = deformation_chain(m, (0.0, 1.0),
+                                   boundary(unit_square_chain()), panels=1)
+        phi = _form(2, 2, 0)
+        expected = _message(lambda: deformation_by_node(deform, phi))
+        assert _message(lambda: evaluate(deform, phi)) == expected
+        assert expected in ("degenerate image simplex in pushforward",
+                            "non-finite map images")
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_form_degree_mismatch(self, degree):
+        m = make_motion("rotation")
+        deform = deformation_chain(m, INTERVAL, boundary(unit_square_chain()))
+        phi = _form(2, degree, 0)
+        expected = _message(lambda: deformation_by_node(deform, phi))
+        assert _message(lambda: evaluate(deform, phi)) == expected
+
+    def test_faulty_map_at_an_end(self):
+        m = _faulty_motion("nan")
+        T, phi = unit_square_chain(), _form(2, 2, 3)
+        expected = _message(lambda: homotopy_residual_by_node(
+            m, (0.0, MIDDLE), T, phi))
+        assert _message(lambda: homotopy_residual(m, (0.0, MIDDLE), T,
+                                                  phi)) == expected
+        box, family = Box.unit(2, resolution=3), [phi]
+        expected = _message(lambda: continuity_modulus_by_node(
+            m, T, MIDDLE, [0.1], family, box))
+        assert _message(lambda: continuity_modulus(m, T, MIDDLE, [0.1],
+                                                   family, box)) == expected
+
+
+class TestCounts:
+    @pytest.mark.parametrize("panels, order, name", [
+        (0, 5, "panels"), (-1, 5, "panels"), (2.5, 5, "panels"),
+        (True, 5, "panels"), (4, 0, "order"), (4, 1.0, "order")])
+    def test_interval_counts_are_whole_numbers(self, panels, order, name):
+        for a, b in ((0.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be a whole"):
+                integrate_interval(np.sin, a, b, panels, order)
+
+    def test_zero_panels_is_an_error_not_a_residual(self):
+        m = make_motion("rotation", rate=0.7)
+        T = boundary(unit_square_chain())
+        phi = _form(2, 1, 0)
+        assert homotopy_residual(m, (0.0, 0.4), T, phi, panels=8) < 1e-12
+        with pytest.raises(ValueError, match="panels"):
+            homotopy_residual(m, (0.0, 0.4), T, phi, panels=0)
+        with pytest.raises(ValueError, match="order"):
+            evaluate(deformation_chain(m, (0.0, 0.4), T, gauss_order=0),
+                     _form(2, 2, 0))
+
+
+class TestStackedKernels:
+    def test_copies_equal_one_evaluation_each(self):
+        T = _chain(3, 2, 5, count=6)
+        maps = [LipMap.affine(np.eye(3) * s, [s, 0.0, -s])
+                for s in (0.5, 1.0, 2.0, 3.0)]
+        copies = np.stack([pushforward_chain(f, T).stacked()[0]
+                           for f in maps])
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return np.stack([x[:, 0] * x[:, 1], x[:, 2], x[:, 0]], axis=1)
+
+        sampled = FormField.from_callable(3, 2, counted)
+        forms = [_form(3, 2, 1), sampled, sampled, _form(3, 2, 1)]
+        values = evaluate_copies(copies, T.mults, forms)
+        expected = [evaluate(Chain(c, T.mults), phi)
+                    for c, phi in zip(copies, forms)]
+        assert values == expected
+        # the two copies that share the sampled form: one call for both,
+        # then one per copy in `expected`
+        assert len(calls) == 3 and calls[0] == 2 * calls[1]
+
+    def test_pushed_tables_keep_pushes_apart(self):
+        # in push 0 rows 0 and 2 coincide (0.0 == -0.0) and are one vertex,
+        # its first occurrence; push 1 has three distinct vertices
+        images = np.array([[[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]],
+                           [[0.0, 1.0], [1.0, 0.0], [0.5, 1.0]]])
+        ids = np.array([[0, 1], [1, 2]])
+        table, pushed = pushed_tables(images, ids)
+        assert len(table) == 5
+        np.testing.assert_array_equal(table[pushed][0],
+                                      [[[0.0, 1.0], [1.0, 0.0]],
+                                       [[1.0, 0.0], [0.0, 1.0]]])
+        assert not np.signbit(table[pushed][0, 1, 1, 0])
+        np.testing.assert_array_equal(table[pushed][1], images[1][ids])
+        with pytest.raises(ValueError, match="degenerate image simplex"):
+            pushed_tables(images, np.array([[0, 2]]))

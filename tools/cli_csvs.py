@@ -1,0 +1,80 @@
+"""Write the command line's CSV outputs for a list of seeds, so that two
+commits can be compared with `diff -r`:
+
+    PYTHONPATH=src python3 tools/cli_csvs.py OUT --seeds 42 7 977
+
+For each seed, under OUT/seed<seed>/:
+
+- bundled/<command>/: the four subcommands on the bundled scenario
+  library, run with that --seed;
+- refined/<scenario>/<command>/: verify and transport on each scenario
+  file of `perfbench.workloads.write_refined`;
+- flatgrid/<scenario>/flatnorm/: flatnorm on each scenario file of
+  `perfbench.workloads.write_flatgrid`.
+
+The generated inputs go to a temporary directory, so OUT holds the CSVs
+alone.  The library is the `currentkit` on PYTHONPATH (this checkout's
+`src/` when there is none), so the same script writes the outputs of
+another checkout with PYTHONPATH=<checkout>/src.  Exits 1 when a
+subcommand exits non-zero.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+sys.path.append(os.path.join(ROOT, "src"))
+
+from currentkit import cli  # noqa: E402
+from perfbench import workloads  # noqa: E402
+
+BUNDLED = ("verify", "transport", "flatnorm", "converge")
+GENERATED = (("refined", workloads.write_refined, ("verify", "transport")),
+             ("flatgrid", workloads.write_flatgrid, ("flatnorm",)))
+
+
+def _run(argv, out: str) -> int:
+    os.makedirs(out)
+    return cli.main(argv + ["--out", out])
+
+
+def write_csvs(out: str, seed: int) -> list:
+    """The outputs of one seed under `out`; returns the argument lists of
+    the subcommands that exited non-zero."""
+    failed = []
+    for command in BUNDLED:
+        argv = [command, "--seed", str(seed)]
+        if _run(argv, os.path.join(out, "bundled", command)):
+            failed.append(argv)
+    for workload, write, commands in GENERATED:
+        with tempfile.TemporaryDirectory() as inputs:
+            for config in write(seed, inputs):
+                name = os.path.splitext(os.path.basename(config))[0]
+                for command in commands:
+                    argv = [command, "--config", config]
+                    if _run(argv, os.path.join(out, workload, name,
+                                               command)):
+                        failed.append(argv)
+    return failed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="output directory (must not exist)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[42])
+    args = parser.parse_args(argv)
+    failed = []
+    for seed in args.seeds:
+        failed += write_csvs(os.path.join(args.out, f"seed{seed}"), seed)
+    for argv in failed:
+        print("exited non-zero:", " ".join(argv), file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
