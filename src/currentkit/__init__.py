@@ -6,8 +6,7 @@ anything not listed here is internal.
 """
 
 from .exterior import (CoVector, MultiVector, basis_rank, comass,
-                       frame_to_multivector, interior_product, mass,
-                       multi_indices, pair, wedge)
+                       frame_to_multivector, mass, multi_indices, pair, wedge)
 from .polynomial import Polynomial
 from .forms import (AffineMap, Box, FormField, TimePolynomialForm,
                     VectorField, contract, exterior_derivative,
@@ -16,18 +15,17 @@ from .forms import (AffineMap, Box, FormField, TimePolynomialForm,
                     seminorm_flat, seminorm_sharp, time_slice_contract)
 from .quadrature import (grundmann_moller, integrate_interval, simplex_rule,
                          subdivide_barycentric)
-from .chains import (Boundary, Chain, Current, Leaf, Scale, Sum, VWedge,
-                     boundary, evaluate, mass_chain, triangle_chain,
+from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge, boundary,
+                     evaluate, mass_chain, triangle_chain,
                      unit_interval_chain, unit_square_chain)
 from .complexes import SimplicialComplex, freudenthal_complex
 from .flatnorm import (LPProblem, LPSolution, dual_flat_lower_bound,
                        flat_norm_lp, lp_solve, sharp_lower_bound)
-from .lipschitz import (LipMap, bi_lipschitz_constants, lipschitz_constant,
-                        make_map, pushforward_chain)
-from .motion import (Cochain, Motion, balance_transport, classical_reynolds,
-                     continuity_modulus, deformation_chain,
-                     homotopy_residual, make_motion, reynolds_operator,
-                     transport_derivative, transport_derivative_fd,
-                     velocity_field)
+from .lipschitz import (LipMap, lipschitz_constant, make_map,
+                        pushforward_chain)
+from .motion import (Cochain, Motion, classical_reynolds, continuity_modulus,
+                     deformation_chain, homotopy_residual, make_motion,
+                     reynolds_operator, transport_derivative,
+                     transport_derivative_fd, velocity_field)
 
 __version__ = "0.1.0"

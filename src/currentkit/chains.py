@@ -21,7 +21,6 @@ __all__ = [
     "Boundary",
     "VWedge",
     "Sum",
-    "Scale",
     "evaluate",
     "boundary",
     "mass_chain",
@@ -379,16 +378,6 @@ class Sum(Current):
         self.degree, self.ambient = next(iter(degs))
 
 
-@dataclass
-class Scale(Current):
-    factor: float
-    inner: Current
-
-    def __post_init__(self):
-        self.degree = self.inner.degree
-        self.ambient = self.inner.ambient
-
-
 def evaluate_copies(verts: np.ndarray, mults: np.ndarray, forms,
                     s_order: int = 2) -> list:
     """Values of K copies of one chain's simplices, each against its own
@@ -442,8 +431,6 @@ def evaluate(T: Current, phi: FormField, s_order: int = 2) -> float:
         return evaluate(T.inner, contract(phi, T.field), s_order)
     if isinstance(T, Sum):
         return sum(evaluate(p, phi, s_order) for p in T.parts)
-    if isinstance(T, Scale):
-        return T.factor * evaluate(T.inner, phi, s_order)
     if hasattr(T, "_evaluate"):
         return T._evaluate(phi, s_order)
     raise TypeError(f"not a current expression: {type(T)}")

@@ -29,9 +29,9 @@ class SimplicialComplex:
     for each top simplex, the sign of that order relative to a globally
     positive orientation.  `simplices` and `orientation` are tuple and
     dict views of these arrays, built on first use and kept; the library
-    reads only the arrays.  A complex whose vertices are a box's grid,
-    row-major, carries the grid as `lattice`, (lower corner, cell widths,
-    cells per axis).
+    reads only the arrays, the benchmark's workload writer the views.  A
+    complex whose vertices are a box's grid, row-major, carries the grid
+    as `lattice`, (lower corner, cell widths, cells per axis).
     """
 
     def __init__(self, vertices: np.ndarray, top_simplices, top_orientations,

@@ -20,7 +20,6 @@ __all__ = [
     "multi_indices",
     "basis_rank",
     "wedge",
-    "interior_product",
     "pair",
     "mass",
     "comass",
@@ -202,22 +201,6 @@ def contract_rows(coefficients: np.ndarray, vectors: np.ndarray,
     for k, i, rest, sign in _contract_terms(r, n):
         out[:, rest] += sign * coefficients[:, k] * vectors[:, i]
     return out
-
-
-def interior_product(omega: CoVector, v) -> CoVector:
-    """Contraction omega -| v, inserting v in the front slot.
-
-    Convention: (dx^i wedge dx^j) -| e_i = dx^j, so that
-    (omega -| v)(xi) = omega(v wedge xi).
-    """
-    if omega.degree < 1:
-        raise ValueError("cannot contract a 0-covector")
-    v = np.asarray(v, dtype=float)
-    n, r = omega.ambient, omega.degree
-    if v.shape != (n,):
-        raise ValueError(f"vector shape {v.shape} does not match ambient {n}")
-    return CoVector(r - 1, n, contract_rows(omega.coefficients[None],
-                                            v[None], r)[0])
 
 
 def pair(omega: CoVector, xi: MultiVector) -> float:

@@ -178,10 +178,6 @@ class FormField:
         return cls(degree, ambient, func=func, h=h)
 
     @classmethod
-    def zero(cls, ambient, degree) -> "FormField":
-        return cls.from_polynomials(ambient, degree, {})
-
-    @classmethod
     def random_polynomial(cls, ambient, degree, rng, max_degree=3) -> "FormField":
         coeffs = {idx: Polynomial.random(ambient, max_degree, rng)
                   for idx in multi_indices(degree, ambient)}
@@ -231,29 +227,6 @@ class FormField:
     def _check(self, other):
         if (self.degree, self.ambient) != (other.degree, other.ambient):
             raise ValueError("form degree/ambient mismatch")
-
-    # -- serialization ------------------------------------------------
-    def to_json_obj(self):
-        if not self.is_polynomial:
-            raise ValueError("only polynomial forms serialize")
-        return {
-            "ambient": self.ambient,
-            "degree": self.degree,
-            "coefficients": {
-                ",".join(map(str, idx)): self.polys[k].to_json_obj()
-                for k, idx in enumerate(multi_indices(self.degree, self.ambient))
-                if not self.polys[k].is_zero()
-            },
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "FormField":
-        n, r = obj["ambient"], obj["degree"]
-        coeffs = {}
-        for key, body in obj["coefficients"].items():
-            idx = tuple(int(s) for s in key.split(",")) if key else ()
-            coeffs[idx] = Polynomial.from_json_obj(n, body)
-        return cls.from_polynomials(n, r, coeffs)
 
 
 def _sampled(func, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -333,18 +306,16 @@ class VectorField:
 # exterior derivative
 # ----------------------------------------------------------------------
 
-def _derivative_polys(polys, r: int, n: int, offset: int = 0) -> list:
+def _derivative_polys(polys, r: int, n: int) -> list:
     """Coefficient polynomials of d of the r-form on R^n whose
-    coefficients are `polys`; spatial variable j is variable j + offset of
-    the polynomials, which have n + offset variables.
+    coefficients are `polys`.
 
     d(p dx^lam) adds dx^j wedge dx^lam, the sign of dx^lam wedge dx^j
     times (-1)^r, for each j."""
-    out = [Polynomial.zero(n + offset) for _ in range(comb(n, r + 1))]
+    out = [Polynomial.zero(n) for _ in range(comb(n, r + 1))]
     for k, j, merged, sign in _wedge_terms(r, 1, n):
         if not polys[k].is_zero():
-            out[merged] = out[merged] + (sign * (-1) ** r) * polys[k].diff(
-                j + offset)
+            out[merged] = out[merged] + (sign * (-1) ** r) * polys[k].diff(j)
     return out
 
 
@@ -388,7 +359,8 @@ def pullback(phi: FormField, f, h=1e-6) -> FormField:
     dimensions may differ, or by a LipMap on R^n; exact polynomial result
     for affine f and polynomial phi, sampled backend otherwise.  The
     Jacobian of a LipMap is its own when given, else central differences
-    with step h."""
+    with step h.  No subcommand calls it: the tests' Lagrangian transport
+    oracle is built on it."""
     r = phi.degree
     affine = isinstance(f, AffineMap)
     m = f.source_dim if affine else f.ambient
@@ -600,15 +572,6 @@ class TimePolynomialForm:
             polys[basis_rank(tuple(idx), ambient)] = p
         self.polys = polys
 
-    @classmethod
-    def static(cls, phi: FormField) -> "TimePolynomialForm":
-        if not phi.is_polynomial:
-            raise ValueError("static lift needs a polynomial form")
-        coeffs = {idx: phi.polys[k].prepend_variable()
-                  for k, idx in enumerate(multi_indices(phi.degree,
-                                                        phi.ambient))}
-        return cls(phi.ambient, phi.degree, coeffs)
-
     def at_time(self, t: float) -> FormField:
         return FormField(self.degree, self.ambient,
                          polys=[p.substitute_first(t) for p in self.polys])
@@ -616,14 +579,6 @@ class TimePolynomialForm:
     def time_derivative(self) -> "TimePolynomialForm":
         out = TimePolynomialForm(self.ambient, self.degree, {})
         out.polys = [p.diff(0) for p in self.polys]
-        return out
-
-    def exterior_derivative(self) -> "TimePolynomialForm":
-        """Spatial exterior derivative, keeping the time dependence."""
-        out = TimePolynomialForm(self.ambient, self.degree + 1, {})
-        # spatial variable j is slot j+1 of (t, x)
-        out.polys = _derivative_polys(self.polys, self.degree, self.ambient,
-                                      offset=1)
         return out
 
 
@@ -635,7 +590,8 @@ def time_slice_contract(omega: FormField, t: float) -> FormField:
     lexicographic order, and their spatial tails are the r-indices of R^n
     in order; e_t in the front slot gives each of them the sign +1, and
     every other term has no dt and vanishes.  So the slice keeps the first
-    C(n, r) coefficients, at time t."""
+    C(n, r) coefficients, at time t.  No subcommand calls it: the tests'
+    product-current oracle is built on it."""
     if omega.degree < 1:
         raise ValueError("cannot contract a 0-form")
     n, r = omega.ambient - 1, omega.degree - 1

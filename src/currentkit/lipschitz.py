@@ -1,5 +1,5 @@
-"""Lipschitz and bi-Lipschitz maps: constant estimation and pushforward of
-simplicial chains."""
+"""Lipschitz maps: constant estimation and pushforward of simplicial
+chains."""
 
 from __future__ import annotations
 
@@ -13,13 +13,11 @@ from .forms import AffineMap, Box, _sampled
 __all__ = [
     "LipMap",
     "lipschitz_constant",
-    "bi_lipschitz_constants",
     "pushforward_chain",
     "make_map",
 ]
 
 _DEFAULT_PAIRS = 100_000
-_INJECTIVITY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,18 +59,6 @@ class LipMap:
         return cls(mat.shape[1], AffineMap(mat, shift),
                    lambda x: np.broadcast_to(mat, (len(x), *mat.shape)),
                    name=name)
-
-    def compose(self, other: "LipMap") -> "LipMap":
-        """self after other."""
-        def f(x, a=self, b=other):
-            return a.values_at(b.values_at(x))
-        jac = None
-        if self.jacobian is not None and other.jacobian is not None:
-            def jac(x, a=self, b=other):
-                return np.matmul(a.jacobians_at(b.values_at(x)),
-                                 b.jacobians_at(x))
-        return LipMap(self.ambient, f, jac,
-                      name=f"{self.name}*{other.name}")
 
 
 def _halton(count: int, base: int) -> np.ndarray:
@@ -143,20 +129,7 @@ def lipschitz_constant(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS):
     return best, len(xs)
 
 
-def bi_lipschitz_constants(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS):
-    """(c, d): min and max pairwise distortion ratios over samples.
-
-    The sample is a deterministic Halton set plus the grid-neighbor pairs.
-    c near zero signals failure of injectivity at sampling resolution.
-    """
-    xs, ys = _sample_pairs(box, n_pairs)
-    ratios = _pair_ratios(f, xs, ys)
-    return float(np.min(ratios)), float(np.max(ratios))
-
-
-def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
-                      check_injective: bool = False,
-                      box: Box = None) -> Chain:
+def pushforward_chain(f: LipMap, T: Chain, levels: int = 0) -> Chain:
     """Vertex-mapped pushforward after `levels` uniform subdivisions.
 
     The chain's vertex table is mapped in one call; images that coincide
@@ -166,18 +139,6 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0,
     degenerate image simplex by the rule of `chains._edge_wedges`, raise
     a ValueError.
     """
-    if check_injective:
-        if box is None:
-            pts = T.table
-            pad = 0.1 * (np.ptp(pts, axis=0).max() + 1.0)
-            box = Box(tuple(pts.min(axis=0) - pad),
-                      tuple(pts.max(axis=0) + pad),
-                      tuple(pts.min(axis=0) - 1e-9),
-                      tuple(pts.max(axis=0) + 1e-9), resolution=4)
-        c, _ = bi_lipschitz_constants(f, box, n_pairs=2000)
-        if c <= _INJECTIVITY_FLOOR:
-            raise ValueError(
-                "map fails injectivity at sampling resolution (c ~ 0)")
     work = T.subdivided(levels)
     if not len(work):
         return work
@@ -233,6 +194,8 @@ def make_map(name: str, ambient: int = 2, **params) -> LipMap:
             raise ValueError("rotation family is planar")
         return LipMap.affine(_planar_rotation(theta), name="rotation")
     if name == "shear":
+        if ambient < 2:
+            raise ValueError("shear family needs at least 2 dimensions")
         s = float(params.get("strength", 0.5))
         mat = np.eye(ambient)
         mat[0, 1] = s

@@ -29,7 +29,6 @@ __all__ = [
     "transport_derivative_fd",
     "classical_reynolds",
     "continuity_modulus",
-    "balance_transport",
 ]
 
 
@@ -71,8 +70,9 @@ def velocity_field(m: Motion, t: float) -> VectorField:
 
 
 # the most simplices that one stacked evaluation of pushes takes at once;
-# the time nodes go in chunks of as many as fit
-_STACK_SIMPLICES = 4096
+# the time nodes go in chunks of as many as fit.  It bounds a chunk's
+# temporaries: about 0.8 MB for 2048 edges in the plane
+_STACK_SIMPLICES = 2048
 
 
 def _pushed_values(m: Motion, work: Chain, times, form_rows,
@@ -111,10 +111,6 @@ class Cochain:
         self.degree = rep.degree
         self.ambient = rep.ambient
         self.name = name
-
-    @classmethod
-    def static(cls, phi: FormField, name: str = "") -> "Cochain":
-        return cls(TimePolynomialForm.static(phi), name)
 
     def form_at(self, t: float) -> FormField:
         return self.rep.at_time(t)
@@ -215,40 +211,24 @@ def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
 # the transport derivative and its oracles
 # ----------------------------------------------------------------------
 
-def _transport_terms(m: Motion, T: Chain, psi: Cochain, tau: float,
-                     levels: int):
-    """The parts of the transport identity after the rate term: the pushed
-    chain kappa_tau# T; the wedge term psi(bnd(v wedge kappa_tau# T)), or
-    None when T has top degree and it vanishes identically; and the pushed
-    boundary kappa_tau#(bnd T) with psi -| v, the form that
-    v wedge kappa_tau#(bnd T) is evaluated on, or None when bnd T is
-    empty."""
-    m.check_time(tau)
-    pushed = m.push(T, tau, levels)
-    v = velocity_field(m, tau)
-    phi = psi.form_at(tau)
-    wedge = boundary_part = None
-    # bnd(v wedge pushed) acts on phi through d(phi) -| v
-    if T.degree + 1 <= T.ambient:
-        wedge = evaluate(pushed, contract(exterior_derivative(phi), v))
-    if T.degree >= 1:
-        bt = boundary(T)
-        if len(bt):
-            boundary_part = (m.push(bt, tau, levels), contract(phi, v))
-    return pushed, wedge, boundary_part
-
-
 def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
                          levels: int = 0) -> float:
     """d/dt of psi(t)(kappa_t# T) at tau:
     psi_dot(kappa_tau# T) + psi(bnd(v wedge kappa_tau# T)
-                                + v wedge kappa_tau#(bnd T))."""
-    pushed, wedge, boundary_part = _transport_terms(m, T, psi, tau, levels)
+                                + v wedge kappa_tau#(bnd T)).
+    The wedge term vanishes identically when T has top degree."""
+    m.check_time(tau)
+    pushed = m.push(T, tau, levels)
+    v = velocity_field(m, tau)
+    phi = psi.form_at(tau)
     total = evaluate(pushed, psi.dot_at(tau))
-    if wedge is not None:
-        total += wedge
-    if boundary_part is not None:
-        total += evaluate(*boundary_part)
+    # bnd(v wedge pushed) acts on phi through d(phi) -| v
+    if T.degree + 1 <= T.ambient:
+        total += evaluate(pushed, contract(exterior_derivative(phi), v))
+    if T.degree >= 1:
+        bt = boundary(T)
+        if len(bt):
+            total += evaluate(m.push(bt, tau, levels), contract(phi, v))
     return total
 
 
@@ -317,57 +297,19 @@ def continuity_modulus(m: Motion, T: Chain, t: float, eps_list, family,
     """Dual M-norm estimates of kappa_{t+eps}# T - kappa_t# T over a test
     family, one per epsilon.  The pushes at t and at every t + eps are one
     stack, in chunks of at most `_STACK_SIMPLICES` simplices, evaluated
-    once per form of the family."""
+    once per form of the family.  A ValueError when no form of the family
+    has a positive comass seminorm on `box`."""
     work = T.subdivided(levels)
     norms = [seminorm_comass(phi, box) for phi in family]
+    if not any(nn > 0 for nn in norms):
+        raise ValueError("continuity_modulus: the test family is empty or "
+                         "has no form with a positive comass seminorm")
     times = [t] + [t + eps for eps in eps_list]
     values = _pushed_values(m, work, times,
                             [[phi] * len(times) for phi in family])
     return [max(abs(vals[k] - vals[0]) / nn
                 for vals, nn in zip(values, norms) if nn > 0)
             for k in range(1, len(times))]
-
-
-def balance_transport(m: Motion, T: Chain, psi: Cochain, xi: Cochain,
-                      tau: float, source: Cochain = None, levels: int = 0,
-                      balance_tol: float = 1e-8, box: Box = None):
-    """Transport derivative re-expressed through a differential balance law
-    psi_dot + d(xi) = phi with source phi and flux xi.
-
-    Returns a report dict with both pipelines and their agreement.
-    """
-    if source is None:
-        rep = psi.rep.time_derivative()
-        dxi = xi.rep.exterior_derivative()
-        merged = TimePolynomialForm(psi.ambient, psi.degree, {})
-        merged.polys = [a + b for a, b in zip(rep.polys, dxi.polys)]
-        source = Cochain(merged, name="manufactured-source")
-    else:
-        # verify the balance residual on the grid
-        if box is None:
-            box = Box.unit(T.ambient)
-        resid_form = (psi.dot_at(tau) + exterior_derivative(xi.form_at(tau))
-                      - source.form_at(tau))
-        resid = seminorm_comass(resid_form, box)
-        if resid > balance_tol:
-            raise ValueError(f"balance residual {resid:g} exceeds "
-                             f"{balance_tol:g}")
-    # psi_dot = source - d(xi) moves xi onto the boundary term
-    pushed, wedge, boundary_part = _transport_terms(m, T, psi, tau, levels)
-    direct = evaluate(pushed, psi.dot_at(tau))
-    rewritten = evaluate(pushed, source.form_at(tau))
-    if wedge is not None:
-        direct += wedge
-        rewritten += wedge
-    if boundary_part is not None:
-        pushed_b, phi_v = boundary_part
-        direct += evaluate(pushed_b, phi_v)
-        rewritten += evaluate(pushed_b, phi_v - xi.form_at(tau))
-    return {
-        "transport_derivative": direct,
-        "balance_form": rewritten,
-        "difference": abs(direct - rewritten),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -411,6 +353,8 @@ def _check_family(name: str, params: dict, ambient: int):
     leaves in force."""
     if name not in _PARAMETERS:
         raise ValueError(f"unknown motion family: {name}")
+    if name == "shear" and ambient < 2:
+        raise ValueError("shear family needs at least 2 dimensions")
     kinds = _PARAMETERS[name]
     for key, value in {**_DEFAULTS.get(name, {}), **params}.items():
         if key not in kinds:

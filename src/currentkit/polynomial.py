@@ -160,11 +160,6 @@ class Polynomial:
             out[rest] = out.get(rest, 0.0) + c * value ** e[0]
         return Polynomial(self.nvars - 1, out)
 
-    def prepend_variable(self) -> "Polynomial":
-        """View as a polynomial in one extra (leading, unused) variable."""
-        return Polynomial(self.nvars + 1,
-                          {(0,) + e: c for e, c in self.terms.items()})
-
     # -- misc ---------------------------------------------------------
     @property
     def degree(self) -> int:

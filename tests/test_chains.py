@@ -8,7 +8,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from currentkit.chains import (Boundary, Chain, Leaf, Scale, Sum, VWedge,
+from currentkit.chains import (Boundary, Chain, Leaf, Sum, VWedge,
                                _unit_tangents, boundary, evaluate, mass_chain,
                                triangle_chain, unit_interval_chain,
                                unit_square_chain)
@@ -204,10 +204,10 @@ class TestCurrentAlgebra:
         rhs = evaluate(b, contract(phi, v))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_sum_and_scale(self):
+    def test_sum(self):
         sq = unit_square_chain()
         phi = FormField.from_polynomials(2, 2, {(0, 1): 1.0})
-        expr = Sum([Scale(2.0, Leaf(sq)), Scale(-0.5, Leaf(sq))])
+        expr = Sum([Leaf(sq * 2.0), Leaf(sq * -0.5)])
         assert evaluate(expr, phi) == pytest.approx(1.5)
 
     def test_boundary_node_matches_chain_boundary(self):

@@ -139,6 +139,21 @@ class TestScenarioConfig:
         err = capsys.readouterr().err
         assert f"bad scenario in {path}" in err and "'axis'" in err
 
+    @pytest.mark.parametrize("command", ["verify", "transport"])
+    def test_shear_rejected_in_1d(self, tmp_path, capsys, command):
+        # the shear needs a second axis: unchecked, an IndexError inside
+        # the run
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "ambient": 1, "chain": {"builtin": "interval"},
+            "motion": {"family": "shear"}, "cochain": {
+                "degree": 1, "components": {"0": [
+                    {"exponents": [0, 0], "coefficient": 1.0}]}}}))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad scenario in {path}" in err and "shear" in err
+
     @pytest.mark.parametrize("interval", ["ab", [0.0, 0.5, 1.0]])
     def test_bad_motion_interval_rejected(self, tmp_path, capsys, interval):
         path = tmp_path / "cfg.json"

@@ -1,4 +1,4 @@
-"""Exterior algebra: wedge, interior product, mass, comass."""
+"""Exterior algebra: wedge, contraction, mass, comass."""
 
 from itertools import permutations
 
@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from currentkit.exterior import (CoVector, MultiVector, _wedge_terms,
-                                 basis_rank, comass, frame_to_multivector,
-                                 interior_product, mass, multi_indices, pair,
-                                 sort_parity, wedge)
+                                 basis_rank, comass, contract_rows,
+                                 frame_to_multivector, mass, multi_indices,
+                                 pair, sort_parity, wedge)
 from oracles import perm_sign, wedge_terms
 
 
@@ -113,17 +113,15 @@ class TestWedge:
             wedge(a, b)
 
 
-class TestInteriorProduct:
-    def test_spec_front_slot_convention(self):
-        dxdy = CoVector.dx((0, 1), 2)
-        ex = np.array([1.0, 0.0])
-        ey = np.array([0.0, 1.0])
-        # (dx^dy) -| e_x = dy ; (dx^dy) -| e_y = -dx
-        np.testing.assert_allclose(interior_product(dxdy, ex).coefficients,
-                                   [0.0, 1.0])
-        np.testing.assert_allclose(interior_product(dxdy, ey).coefficients,
-                                   [-1.0, 0.0])
+def _contract(omega: CoVector, v) -> CoVector:
+    """omega -| v by `contract_rows` on one row."""
+    r, n = omega.degree, omega.ambient
+    return CoVector(r - 1, n, contract_rows(omega.coefficients[None],
+                                            v[None], r)[0])
 
+
+class TestContractRows:
+    # the front-slot convention is checked on forms, in test_forms.py
     def test_adjoint_to_wedge(self):
         # pair(omega -| v, xi) == pair(omega, v ^ xi)
         rng = np.random.default_rng(11)
@@ -131,7 +129,7 @@ class TestInteriorProduct:
             omega = _rand_cov(r, n, rng)
             v = rng.standard_normal(n)
             xi = _rand_mv(r - 1, n, rng)
-            lhs = pair(interior_product(omega, v), xi)
+            lhs = pair(_contract(omega, v), xi)
             rhs = pair(omega, wedge(MultiVector.from_vector(v), xi))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -139,7 +137,7 @@ class TestInteriorProduct:
         rng = np.random.default_rng(5)
         omega = _rand_cov(2, 4, rng)
         v = rng.standard_normal(4)
-        twice = interior_product(interior_product(omega, v), v)
+        twice = _contract(_contract(omega, v), v)
         np.testing.assert_allclose(twice.coefficients, 0.0, atol=1e-12)
 
 

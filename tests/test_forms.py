@@ -41,14 +41,12 @@ class TestPolynomial:
         pt = np.array([0.3, -0.7])
         assert q(pt) == pytest.approx(p(mat @ pt + shift))
 
-    def test_substitute_and_prepend(self):
+    def test_substitute_first(self):
         t, x = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
         p = t * t * x
         q = p.substitute_first(3.0)
         assert q.nvars == 1
         assert q([2.0]) == pytest.approx(18.0)
-        r = Polynomial.variable(0, 1).prepend_variable()
-        assert r([9.0, 4.0]) == pytest.approx(4.0)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(0)
@@ -440,22 +438,6 @@ class TestTimeForms:
         assert frozen.polys[0]([3.0, 0.0]) == pytest.approx(12.0)
         dot = omega.time_derivative().at_time(2.0)
         assert dot.polys[0]([3.0, 0.0]) == pytest.approx(12.0)
-
-    def test_static_lift_round_trip(self):
-        rng = np.random.default_rng(2)
-        phi = FormField.random_polynomial(2, 1, rng)
-        lifted = TimePolynomialForm.static(phi)
-        back = lifted.at_time(17.0)
-        assert _max_coeff(back - phi) < 1e-12
-
-    def test_spatial_exterior_derivative(self):
-        t = Polynomial.variable(0, 3)
-        x = Polynomial.variable(1, 3)
-        y = Polynomial.variable(2, 3)
-        omega = TimePolynomialForm(2, 1, {(0,): t * y})
-        d = omega.exterior_derivative().at_time(3.0)
-        # d(3y dx) = -3 dx^dy
-        assert d.polys[0].terms == {(0, 0): -3.0}
 
     def test_time_slice_contract(self):
         # omega = x1 dt^dx1 + dx1^dx2 on R^(1+2); slice at any t keeps the

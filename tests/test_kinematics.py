@@ -8,12 +8,11 @@ from currentkit.chains import (Leaf, boundary, evaluate, unit_square_chain)
 from currentkit.forms import (Box, FormField, TimePolynomialForm, VectorField,
                               lie_derivative)
 from currentkit.lipschitz import make_map, pushforward_chain
-from currentkit.motion import (Cochain, balance_transport,
-                               classical_reynolds, continuity_modulus,
-                               deformation_chain, homotopy_residual,
-                               make_motion, reynolds_operator,
-                               transport_derivative, transport_derivative_fd,
-                               velocity_field)
+from currentkit.motion import (Cochain, classical_reynolds,
+                               continuity_modulus, deformation_chain,
+                               homotopy_residual, make_motion,
+                               reynolds_operator, transport_derivative,
+                               transport_derivative_fd, velocity_field)
 from currentkit.polynomial import Polynomial
 from oracles import (transport_derivative_betounes,
                      transport_derivative_lagrangian_fd)
@@ -212,22 +211,12 @@ class TestContinuityAndBalance:
         slope = np.log(ests[0] / ests[2]) / np.log(eps[0] / eps[2])
         assert slope == pytest.approx(1.0, abs=0.1)
 
-    def test_balance_identity_manufactured_source(self):
+    @pytest.mark.parametrize("family", [
+        [], [FormField.from_polynomials(2, 2, {})]], ids=["empty", "zero"])
+    def test_modulus_needs_a_form_of_positive_seminorm(self, family):
+        # both ended in "max() arg is an empty sequence"
         m = make_motion("rotation", rate=0.7)
-        t, x, y = (Polynomial.variable(i, 3) for i in range(3))
-        psi = _area_cochain()
-        xi = Cochain(TimePolynomialForm(2, 1, {(0,): t * x, (1,): y * y}))
-        report = balance_transport(m, SQ, psi, xi, 0.2)
-        assert report["difference"] < 1e-10
-        assert report["transport_derivative"] == transport_derivative(
-            m, SQ, psi, 0.2)
-
-    def test_balance_rejects_inconsistent_source(self):
-        m = make_motion("rotation", rate=0.7)
-        t, x, y = (Polynomial.variable(i, 3) for i in range(3))
-        psi = _area_cochain()
-        xi = Cochain(TimePolynomialForm(2, 1, {(0,): t * x}))
-        bogus = Cochain(TimePolynomialForm(
-            2, 2, {(0, 1): Polynomial.constant(3, 99.0)}))
-        with pytest.raises(ValueError):
-            balance_transport(m, SQ, psi, xi, 0.2, source=bogus)
+        with pytest.raises(ValueError, match="empty or has no form with a "
+                                             "positive comass seminorm"):
+            continuity_modulus(m, SQ, 0.0, [0.1], family,
+                               Box.unit(2, resolution=4))

@@ -8,9 +8,8 @@ from currentkit.chains import (Chain, boundary, evaluate, mass_chain,
 from currentkit.complexes import freudenthal_complex
 from currentkit.forms import Box, FormField, pullback
 from currentkit.lipschitz import (LipMap, _halton, _pair_ratios,
-                                  _sample_pairs, bi_lipschitz_constants,
-                                  lipschitz_constant, make_map,
-                                  pushforward_chain)
+                                  _sample_pairs, lipschitz_constant,
+                                  make_map, pushforward_chain)
 from oracles import Mollifier, mollify, strong_lip_distance
 
 BOX = Box.unit(2, resolution=5)
@@ -29,16 +28,6 @@ class TestConstants:
         lip, _ = lipschitz_constant(f, BOX, n_pairs=500)
         assert lip == pytest.approx(1.0, rel=1e-9)
 
-    def test_bi_lipschitz_affine(self):
-        mat = np.array([[2.0, 0.0], [0.0, 0.5]])
-        c, d = bi_lipschitz_constants(LipMap.affine(mat), BOX, n_pairs=2000)
-        assert 0.5 - 1e-9 <= c <= d <= 2.0 + 1e-9
-
-    def test_collapse_detected(self):
-        f = LipMap(2, lambda x: x * [1.0, 0.0])
-        c, _ = bi_lipschitz_constants(f, BOX, n_pairs=2000)
-        assert c <= 1e-8
-
     def test_tent_constant(self):
         f = make_map("tent", center=0.5, width=0.5, amplitude=0.3)
         lip, _ = lipschitz_constant(f, BOX, n_pairs=3000)
@@ -55,9 +44,6 @@ class TestConstants:
         f = make_map("rotation", angle=0.3)
         lip, count = lipschitz_constant(f, box, n_pairs=200)
         assert lip == pytest.approx(1.0, rel=1e-12) and count == 240
-        c, d = bi_lipschitz_constants(LipMap.affine(np.diag([2.0, 0.5])),
-                                      box, n_pairs=200)
-        assert 0.5 - 1e-12 <= c <= d <= 2.0 + 1e-12
 
     def test_strong_distance_of_translates(self):
         f = make_map("translation", offset=[0.2, 0.0])
@@ -128,12 +114,6 @@ class TestPushforward:
         with pytest.raises(ValueError):
             pushforward_chain(f, unit_square_chain())
 
-    def test_injectivity_check(self):
-        f = LipMap(2, lambda x: x * [1.0, 0.0])
-        with pytest.raises(ValueError):
-            pushforward_chain(f, unit_square_chain(), check_injective=True,
-                              box=BOX)
-
 
 class TestMapLibrary:
     @pytest.mark.parametrize("name", ["identity", "translation", "rotation",
@@ -149,6 +129,11 @@ class TestMapLibrary:
         with pytest.raises(ValueError):
             make_map("escher")
 
+    def test_shear_needs_two_dimensions(self):
+        # on a line the shear had no second axis: an IndexError
+        with pytest.raises(ValueError, match="shear family needs at least 2"):
+            make_map("shear", 1)
+
     def test_pointwise_map_rejected(self):
         # a map of one point x reads the rows of a batch as x[0], x[1]
         f = LipMap(2, lambda x: np.array([-x[1], x[0]]))
@@ -156,15 +141,11 @@ class TestMapLibrary:
             f.values_at([[1.0, 2.0], [3.0, 4.0]])
 
     @pytest.mark.parametrize("check", [
-        lambda f: lipschitz_constant(f, BOX, n_pairs=200),
-        lambda f: bi_lipschitz_constants(f, BOX, n_pairs=200),
-        lambda f: pushforward_chain(f, unit_square_chain(),
-                                    check_injective=True, box=BOX)],
-        ids=["lipschitz_constant", "bi_lipschitz_constants",
-             "check_injective"])
+        lambda f: lipschitz_constant(f, BOX, n_pairs=200)],
+        ids=["lipschitz_constant"])
     def test_nan_map_raises(self, check):
-        # NaN on part of the box must raise, not give nan estimates or pass
-        # the injectivity test (nan <= floor is false)
+        # NaN on part of the box must raise, not give a nan estimate; the
+        # pushforward's case is in test_chains.py
         def f(x):
             y = x.copy()
             y[x[:, 0] > 0.5, 1] = np.nan
@@ -177,9 +158,8 @@ class TestMapLibrary:
         lambda f: lipschitz_constant(f, BOX, n_pairs=200),
         lambda f: pullback(FormField.random_polynomial(
             2, 1, np.random.default_rng(0), max_degree=1), f)
-        .coefficients_at(BOX.grid()),
-        lambda f: f.compose(f).jacobian(BOX.grid())],
-        ids=["lipschitz_constant", "pullback", "compose"])
+        .coefficients_at(BOX.grid())],
+        ids=["lipschitz_constant", "pullback"])
     @pytest.mark.parametrize("jacobian, match", [
         (lambda x: np.where(x[:, :1, None] > 0.5, np.nan, 1.0)
          * np.eye(2), "non-finite Jacobians"),
@@ -190,14 +170,6 @@ class TestMapLibrary:
         # one of a single point an AxisError
         with pytest.raises(ValueError, match=match):
             check(LipMap(2, lambda x: x, jacobian))
-
-    def test_compose(self):
-        f = make_map("translation", offset=[1.0, 0.0])
-        g = make_map("scaling", factor=2.0)
-        h = f.compose(g)
-        np.testing.assert_allclose(h([1.0, 1.0]), [3.0, 2.0])
-        np.testing.assert_allclose(h.jacobian(np.zeros((1, 2))),
-                                   [2.0 * np.eye(2)])
 
 
 def _loop_halton(count, base):
