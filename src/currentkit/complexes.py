@@ -38,7 +38,16 @@ class SimplicialComplex:
                  lattice=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.lattice = lattice
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"vertex {self.vertices[~finite][0]} is not "
+                             f"finite")
         tops = np.sort(np.array(top_simplices, dtype=np.intp), axis=1)
+        low, high = tops.min(initial=0), tops.max(initial=0)
+        if low < 0 or high >= len(self.vertices):
+            raise ValueError(f"top simplex vertex index "
+                             f"{low if low < 0 else high} outside "
+                             f"range({len(self.vertices)})")
         self.dim = tops.shape[1] - 1
         self.top_orientations = np.asarray(top_orientations)
         if (self.top_orientations.shape != (len(tops),)

@@ -2,25 +2,33 @@
 lower-bound estimators for the flat and sharp norms of general currents.
 
 The LP minimizes  sum_i vol_i |t_i - (B s)_i| + sum_j vol_j |s_j|  over the
-(r+1)-coefficients s of the hosting complex.  In codimension 1 it is the
-dual of a min-cost circulation on the complex's dual graph (Sullivan,
-thesis, 1990; Ibrahim, Krishnamoorthy & Vixie, JoCG 2013): one node per top
-simplex plus a ground node, one arc per face.  `flat_norm_lp` solves it
-there by a network simplex whenever the input allows: degree r = n - 1,
-every (n-1)-face with one or two cofaces, and the two carrying opposite
-signs under `top_orientations`.  Arcs are priced in numpy blocks; the
-spanning tree is Python lists of parents, arcs, depths and children, so a
-pivot costs its cycle's length plus the size of the subtree it moves.  S
-is the tree's node potentials, so R = t - B S is exact for integral t.
-Every other input (other degrees, a face with three or more cofaces,
-incoherent orientations) goes to `lp_solve`, a dense two-phase simplex
-with Bland's rule on the L1 terms split into nonnegative pairs.
+(r+1)-coefficients s of the hosting complex.  `flat_norm_lp` has three
+cases, read off the input alone:
+
+- No (r+1)-simplex (a top-degree chain): s is empty, so R = T, S = 0 and
+  the flat norm is the mass.  No solver runs.
+- Codimension 1 with a dual graph: the LP is the dual of a min-cost
+  circulation on the complex's dual graph (Sullivan, thesis, 1990;
+  Ibrahim, Krishnamoorthy & Vixie, JoCG 2013): one node per top simplex
+  plus a ground node, one arc per face.  It applies when r = n - 1, every
+  (n-1)-face has one or two cofaces, and two cofaces carry opposite signs
+  under `top_orientations`.  A network simplex solves it; arcs are priced
+  in numpy blocks, and the spanning tree is Python lists of parents, arcs,
+  depths and children, so a pivot costs its cycle's length plus the size
+  of the subtree it moves.  S is the tree's node potentials, so
+  R = t - B S is exact for integral t.
+- Everything else (degrees 0 <= r <= n - 2, a face with three or more
+  cofaces, incoherent orientations): `lp_solve`, Bland's primal simplex
+  on the dense LP with the L1 terms split into nonnegative pairs, started
+  at the feasible basis R = t, S = 0.  The objective is bounded below by
+  0, so the LP needs no phase 1 and cannot be unbounded.
+
+Every case reports value = M(R) + M(S).
 """
 
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +38,6 @@ from .exterior import binary_exponent
 from .forms import Box, seminorm_flat, seminorm_sharp
 
 __all__ = [
-    "LPProblem",
-    "LPSolution",
     "lp_solve",
     "flat_norm_lp",
     "dual_flat_lower_bound",
@@ -40,76 +46,12 @@ __all__ = [
 
 _FEAS_TOL = 1e-8
 _PIVOT_TOL = 1e-10
+_MAX_PIVOTS = 200_000  # dense simplex: a run past this is an error
 _BLOCK_ELEMENTS = 1 << 16  # entries per band of a pivot's block update
 _FLOW_TOL = 1e-12  # network simplex: zero residual, relative to capacity
 _COST_TOL = 1e-12  # network simplex: zero reduced cost, relative to max|cost|
 _MIN_BLOCK = 256   # network simplex: fewest arcs priced at once
 _MAX_PIVOTS_PER_ARC = 100  # network simplex: a run past this is an error
-
-
-@dataclass
-class LPProblem:
-    """min c.x  s.t.  A_eq x = b_eq, x >= 0."""
-
-    c: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.a_eq = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
-        self.b_eq = np.asarray(self.b_eq, dtype=float)
-        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.a_eq))
-                and np.all(np.isfinite(self.b_eq))):
-            raise ValueError("LP data must be finite")
-        m, n = self.a_eq.shape
-        if self.c.shape != (n,) or self.b_eq.shape != (m,):
-            raise ValueError("LP dimension mismatch")
-
-
-@dataclass
-class LPSolution:
-    status: str  # OPTIMAL | INFEASIBLE | UNBOUNDED | NUMERICAL
-    objective: float = np.nan
-    x: np.ndarray = None
-    basis: list = field(default_factory=list)
-    iterations: int = 0
-    residual: float = 0.0  # max |A x - b| of the returned vertex
-
-
-def _simplex_phase(tableau, basis, max_iter=200_000):
-    """Primal simplex on a dense tableau with Bland's anti-cycling rule.
-
-    tableau rows: m constraint rows then the objective row (reduced costs,
-    negated objective value in the last column).  Returns iteration count
-    or raises on unboundedness.  Only the nonzeros of the pivot column
-    enter the ratio test, so its cost follows the tableau's sparsity.
-    """
-    m = tableau.shape[0] - 1
-    rhs = tableau[:m, -1]
-    for it in range(max_iter):
-        eligible = np.flatnonzero(tableau[-1, :-1] < -_PIVOT_TOL)
-        if not len(eligible):
-            return it
-        entering = int(eligible[0])  # Bland: smallest eligible index
-        col = tableau[:m, entering]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
-        best_ratio, leaving = np.inf, -1
-        for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
-            if (ratio < best_ratio - 1e-12
-                    or (abs(ratio - best_ratio) <= 1e-12
-                        and (leaving < 0 or basis[i] < basis[leaving]))):
-                best_ratio, leaving = ratio, i
-        if leaving < 0:
-            raise _Unbounded
-        _pivot(tableau, leaving, entering)
-        basis[leaving] = entering
-    raise RuntimeError(f"simplex iteration limit reached: {max_iter} pivots "
-                       f"on a {m} x {tableau.shape[1] - 1} tableau")
-
-
-class _Unbounded(Exception):
-    pass
 
 
 def _zeros(shape):
@@ -140,92 +82,63 @@ def _pivot(tableau, row, col):
         tableau[np.ix_(band, cols)] -= np.outer(tableau[band, col], pcols)
 
 
-def _price(tableau, c, basis):
-    """Objective row: costs c reduced against the basis rows."""
-    tableau[-1, :len(c)] = c
+def lp_solve(c, a, b, basis):
+    """min c.x  s.t.  a x = b, x >= 0, by the primal simplex with Bland's
+    anti-cycling rule from a feasible basis: `basis` names one column per
+    row, those columns of `a` are the identity and b >= 0, so `a` and `b`
+    are the starting tableau as they stand.  Returns (x, pivots).
+
+    Only the nonzeros of the entering column enter the ratio test, so its
+    cost follows the tableau's sparsity.  The LP must be bounded below: an
+    entering column with no blocking row raises a RuntimeError, as does a
+    run past `_MAX_PIVOTS` pivots.
+    """
+    m, n = a.shape
+    tableau = _zeros((m + 1, n + 1))
+    tableau[:m, :n] = a
+    tableau[:m, -1] = b
+    basis = list(basis)
+    # objective row: the costs reduced against the basis rows, and the
+    # negated objective value in the last column
+    tableau[-1, :n] = c
     for i, j in enumerate(basis):
         tableau[-1] -= c[j] * tableau[i]
+    rhs = tableau[:m, -1]
+    for pivots in range(_MAX_PIVOTS):
+        eligible = np.flatnonzero(tableau[-1, :-1] < -_PIVOT_TOL)
+        if not len(eligible):
+            x = np.zeros(n)
+            x[basis] = rhs
+            return x, pivots
+        entering = int(eligible[0])  # Bland: smallest eligible index
+        col = tableau[:m, entering]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        best_ratio, leaving = np.inf, -1
+        for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
+            if (ratio < best_ratio - 1e-12
+                    or (abs(ratio - best_ratio) <= 1e-12
+                        and (leaving < 0 or basis[i] < basis[leaving]))):
+                best_ratio, leaving = ratio, i
+        if leaving < 0:
+            raise RuntimeError(
+                f"simplex column {entering} of reduced cost "
+                f"{tableau[-1, entering]:.3g} has no blocking row after "
+                f"{pivots} pivots on a {m} x {n} tableau: the LP is "
+                f"unbounded below")
+        _pivot(tableau, leaving, entering)
+        basis[leaving] = entering
+    raise RuntimeError(f"simplex iteration limit reached: {_MAX_PIVOTS} "
+                       f"pivots on a {m} x {n} tableau")
 
 
-def _feasibility_tolerance(problem: LPProblem, x) -> np.ndarray:
-    """Per-row bound on |A x - b| for a vertex solved to round-off:
-    _FEAS_TOL plus n eps (|A| |x| + |b|).  |A| |x| is summed over the
-    nonzero columns of x one at a time, with no copy of A."""
-    scale = np.abs(problem.b_eq)
+def _feasibility_tolerance(a, b, x) -> np.ndarray:
+    """Per-row bound on |a x - b| for a vertex solved to round-off:
+    _FEAS_TOL plus n eps (|a| |x| + |b|).  |a| |x| is summed over the
+    nonzero columns of x one at a time, with no copy of a."""
+    scale = np.abs(b)
     for j in np.flatnonzero(x).tolist():
-        scale += np.abs(problem.a_eq[:, j]) * abs(x[j])
+        scale += np.abs(a[:, j]) * abs(x[j])
     return _FEAS_TOL + x.size * np.finfo(float).eps * scale
-
-
-def lp_solve(problem: LPProblem, basis_hint=None) -> LPSolution:
-    """Two-phase primal simplex with Bland's rule.
-
-    `basis_hint`: optional starting basis (column indices, one per row)
-    that is already primal feasible; skips phase 1.  A vertex that misses
-    a row of A x = b by more than the feasibility tolerance, which grows
-    with the row's scale (`_feasibility_tolerance`), is returned with
-    status NUMERICAL.
-    """
-    c = problem.c
-    m, n = problem.a_eq.shape
-    n_artificial = 0 if basis_hint is not None else m
-    tableau = _zeros((m + 1, n + n_artificial + 1))
-    sign = np.where(problem.b_eq < 0, -1.0, 1.0)  # rows flipped to b >= 0
-    np.multiply(problem.a_eq, sign[:, None], out=tableau[:m, :n])
-    np.multiply(problem.b_eq, sign, out=tableau[:m, -1])
-
-    iterations = 0
-    if basis_hint is not None:
-        basis = list(basis_hint)
-        # reduce so basis columns are the identity
-        for i, j in enumerate(basis):
-            _pivot(tableau, i, j)
-        if np.any(tableau[:m, -1] < -_FEAS_TOL):
-            return lp_solve(problem)  # hint not feasible; fall back
-        _price(tableau, c, basis)
-    else:
-        # phase 1 with artificial variables
-        basis = list(range(n, n + m))
-        tableau[np.arange(m), basis] = 1.0
-        tableau[-1, n:n + m] = 1.0
-        for i in range(m):
-            tableau[-1] -= tableau[i]
-        try:
-            iterations += _simplex_phase(tableau, basis)
-        except _Unbounded:
-            raise RuntimeError("phase-1 LP cannot be unbounded")
-        if tableau[-1, -1] < -_FEAS_TOL:
-            return LPSolution("INFEASIBLE", iterations=iterations)
-        # drive remaining artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] >= n:
-                nz = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
-                if len(nz):
-                    _pivot(tableau, i, int(nz[0]))
-                    basis[i] = int(nz[0])
-        keep = [i for i in range(m) if basis[i] < n]
-        reduced = _zeros((len(keep) + 1, n + 1))
-        np.take(tableau[:, :n], keep, axis=0, out=reduced[:-1, :n])
-        reduced[:-1, -1] = tableau[keep, -1]
-        tableau = reduced
-        basis = [basis[i] for i in keep]
-        _price(tableau, c, basis)
-
-    try:
-        iterations += _simplex_phase(tableau, basis)
-    except _Unbounded:
-        return LPSolution("UNBOUNDED", iterations=iterations)
-
-    x = np.zeros(n)
-    x[basis] = tableau[:len(basis), -1]
-    miss = np.abs(problem.a_eq @ x - problem.b_eq)
-    residual = float(np.max(miss, initial=0.0))
-    obj = float(c @ x)
-    if not np.all(miss <= _feasibility_tolerance(problem, x)) \
-            or not np.isfinite(obj):
-        return LPSolution("NUMERICAL", obj, x, list(basis), iterations,
-                          residual)
-    return LPSolution("OPTIMAL", obj, x, list(basis), iterations, residual)
 
 
 def _dual_graph(complex_: SimplicialComplex, r: int):
@@ -428,36 +341,40 @@ def _flat_norm_flow(t, plus, minus, vol_r, vol_s):
 
 def _flat_norm_dense(t, complex_, r, vol_r, vol_s):
     """The flat-norm LP over [R+, R-, S+, S-] on the dense boundary
-    matrix, by `lp_solve` from the basis R = t, S = 0.  The costs and t
-    are scaled by powers of two to a largest entry in [1, 2), so that
+    matrix, by `lp_solve` from the basis R = t, S = 0: each row is
+    multiplied by the sign of its t_i, which makes b = |t| and the column
+    of R+ (t_i >= 0) or R- (t_i < 0) a unit column.  The costs and t are
+    scaled by powers of two to a largest entry in [1, 2), so that
     `lp_solve`'s absolute tolerances read the same at any scale; the
-    scaling is exact and undone on the result.  Returns (value, R, S,
+    scaling is exact and undone on the result.  A vertex that misses a
+    row of the constraints by more than `_feasibility_tolerance`, which
+    grows with the row's scale, raises a RuntimeError.  Returns (R, S,
     pivots)."""
     n_r, n_s = len(vol_r), len(vol_s)
     bmat = complex_.boundary_matrix(r + 1)
     c = np.concatenate([vol_r, vol_r, vol_s, vol_s])
     kc, kt = binary_exponent(c), binary_exponent(t)
+    sign = np.where(t < 0, -1.0, 1.0)
     a = _zeros((n_r, 2 * n_r + 2 * n_s))
     diag = np.arange(n_r)
-    a[diag, diag] = 1.0
-    a[diag, n_r + diag] = -1.0
-    a[:, 2 * n_r:2 * n_r + n_s] = bmat
-    np.negative(bmat, out=a[:, 2 * n_r + n_s:])
-    problem = LPProblem(np.ldexp(c, -kc), a, np.ldexp(t, -kt))
-    # R = t, S = 0 is feasible: basis of R+ or R- picked by sign of t
-    hint = [i if t[i] >= 0 else n_r + i for i in range(n_r)]
-    sol = lp_solve(problem, basis_hint=hint)
-    if sol.status == "NUMERICAL":
+    a[diag, diag] = sign
+    a[diag, n_r + diag] = -sign
+    s_plus = a[:, 2 * n_r:2 * n_r + n_s]
+    np.multiply(bmat, sign[:, None], out=s_plus)
+    np.negative(s_plus, out=a[:, 2 * n_r + n_s:])
+    b = np.ldexp(np.abs(t), -kt)
+    x, pivots = lp_solve(np.ldexp(c, -kc), a, b,
+                         np.where(t < 0, n_r + diag, diag))
+    miss = np.abs(a @ x - b)
+    if not np.all(miss <= _feasibility_tolerance(a, b, x)):
         raise RuntimeError(
             f"flat-norm LP ({n_r} x {len(c)}) lost feasibility: residual "
-            f"max|A x - b| = {np.ldexp(sol.residual, kt):.3g} exceeds the "
-            f"tolerance {np.ldexp(_FEAS_TOL, kt):g} after {sol.iterations} "
+            f"max|A x - b| = {np.ldexp(miss.max(), kt):.3g} exceeds the "
+            f"tolerance {np.ldexp(_FEAS_TOL, kt):g} after {pivots} "
             f"pivots (plus n eps times the row's |A||x| + |b|)")
-    if sol.status != "OPTIMAL":
-        raise RuntimeError(f"flat-norm LP terminated with {sol.status}")
-    x = np.ldexp(sol.x, kt)
-    return (float(np.ldexp(sol.objective, kc + kt)), x[:n_r] - x[n_r:2 * n_r],
-            x[2 * n_r:2 * n_r + n_s] - x[2 * n_r + n_s:], sol.iterations)
+    x = np.ldexp(x, kt)
+    return (x[:n_r] - x[n_r:2 * n_r],
+            x[2 * n_r:2 * n_r + n_s] - x[2 * n_r + n_s:], pivots)
 
 
 def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
@@ -465,26 +382,28 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
 
     Returns (value, S, R, info): the optimal decomposition T = R + bnd(S)
     with value = M(R) + M(S), plus solver metadata; info["iterations"]
-    counts the pivots of whichever solver ran.  A codimension-1 chain on
-    a complex whose dual graph exists (`_dual_graph`) is solved as a
-    network flow, any other by the dense `lp_solve`.
+    counts the pivots of whichever solver ran.  With no (r+1)-simplex in
+    the complex, R = T and S = 0 with no solver and 0 pivots.  A
+    codimension-1 chain on a complex whose dual graph exists
+    (`_dual_graph`) is solved as a network flow, any other by the dense
+    `lp_solve`.
     """
     r = T.degree
     t = complex_.chain_vector(T)
     vol_r, vol_s = complex_.volumes(r), complex_.volumes(r + 1)
     graph = _dual_graph(complex_, r)
-    if graph is None:
-        value, r_coeff, s_coeff, pivots = _flat_norm_dense(
+    if not len(vol_s):
+        r_coeff, s_coeff, pivots = t, np.zeros(0), 0
+    elif graph is None:
+        r_coeff, s_coeff, pivots = _flat_norm_dense(
             t, complex_, r, vol_r, vol_s)
     else:
         r_coeff, s_coeff, pivots = _flat_norm_flow(t, *graph, vol_r, vol_s)
         s_coeff = s_coeff * complex_.top_orientations
     mass_r = float(vol_r @ np.abs(r_coeff))
     mass_s = float(vol_s @ np.abs(s_coeff))
-    if graph is not None:
-        value = mass_r + mass_s
     info = {"mass_R": mass_r, "mass_S": mass_s, "iterations": pivots}
-    return (value, complex_.simplex_chain(r + 1, s_coeff),
+    return (mass_r + mass_s, complex_.simplex_chain(r + 1, s_coeff),
             complex_.simplex_chain(r, r_coeff), info)
 
 

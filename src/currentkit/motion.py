@@ -235,15 +235,16 @@ def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
 def transport_derivative_fd(m: Motion, T: Chain, psi: Cochain, tau: float,
                             eps: float, levels: int = 0,
                             one_sided: bool = False) -> float:
-    """Finite-difference oracle for the transport derivative."""
+    """Finite-difference oracle for the transport derivative: the
+    difference of psi(t)(kappa_t# T) at tau + eps and at tau (one-sided)
+    or tau - eps, over its step.  Both times are pushed as one stack."""
     work = T.subdivided(levels)
-
-    def total(t):
-        return psi(t, m.push(work, t))
-
+    times = [tau + eps, tau if one_sided else tau - eps]
+    (ahead, behind), = _pushed_values(m, work, times,
+                                      [[psi.form_at(t) for t in times]])
     if one_sided:
-        return (total(tau + eps) - total(tau)) / eps
-    return (total(tau + eps) - total(tau - eps)) / (2 * eps)
+        return (ahead - behind) / eps
+    return (ahead - behind) / (2 * eps)
 
 
 def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,

@@ -171,10 +171,6 @@ class Polynomial:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def to_json_obj(self):
-        return [{"exponents": list(e), "coefficient": c}
-                for e, c in sorted(self.terms.items())]
-
     @classmethod
     def from_json_obj(cls, nvars: int, obj) -> "Polynomial":
         return cls(nvars, {tuple(t["exponents"]): t["coefficient"]

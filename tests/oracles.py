@@ -7,7 +7,8 @@ exterior derivative and pullback, the tuple and dict loops that build
 permutation signs, the wedge sign table, the Kuhn children and the
 Freudenthal complex one simplex at a time, the network simplex on a numpy
 preorder tree, the all-pairs Lipschitz quotient, and deformation chains,
-the homotopy residual and the continuity modulus one time node at a time.
+the homotopy residual, the continuity modulus and the finite-difference
+transport derivative one time node at a time.
 They are not part of the library's API."""
 
 from dataclasses import dataclass
@@ -585,3 +586,18 @@ def continuity_modulus_by_node(m: Motion, T: Chain, t: float, eps_list,
                   for phi, nn in zip(family, norms) if nn > 0)
         out.append(est)
     return out
+
+
+def transport_derivative_fd_by_node(m: Motion, T: Chain, psi: Cochain,
+                                    tau: float, eps: float, levels: int = 0,
+                                    one_sided: bool = False) -> float:
+    """`motion.transport_derivative_fd` with one push and one evaluation
+    per time."""
+    work = T.subdivided(levels)
+
+    def total(t):
+        return evaluate(m.push(work, t), psi.form_at(t))
+
+    if one_sided:
+        return (total(tau + eps) - total(tau)) / eps
+    return (total(tau + eps) - total(tau - eps)) / (2 * eps)

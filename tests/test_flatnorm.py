@@ -7,8 +7,8 @@ from currentkit.chains import (Chain, boundary, mass_chain,
                                unit_square_chain)
 from currentkit.complexes import SimplicialComplex, freudenthal_complex
 from currentkit import flatnorm
-from currentkit.flatnorm import (LPProblem, LPSolution, dual_flat_lower_bound,
-                                 flat_norm_lp, lp_solve, sharp_lower_bound)
+from currentkit.flatnorm import (dual_flat_lower_bound, flat_norm_lp,
+                                 lp_solve, sharp_lower_bound)
 from currentkit.forms import Box, FormField
 from currentkit.scenarios import load_config
 from oracles import (loop_boundary_matrix, loop_freudenthal,
@@ -16,78 +16,65 @@ from oracles import (loop_boundary_matrix, loop_freudenthal,
 from test_cli import _load_perfbench
 
 
+def _with_unit_columns(a, b):
+    """The LP a x = b with each row's sign flipped to b >= 0 and a unit
+    column appended per row, which makes the unit columns a feasible
+    basis for `lp_solve`."""
+    sign = np.where(b < 0, -1.0, 1.0)
+    m, n = a.shape
+    return (np.hstack([a * sign[:, None], np.eye(m)]), b * sign,
+            list(range(n, n + m)))
+
+
 class TestLPSolver:
     def test_simple_equality(self):
-        # min x + 2y  s.t.  x + y = 4
-        sol = lp_solve(LPProblem([1.0, 2.0], [[1.0, 1.0]], [4.0]))
-        assert sol.status == "OPTIMAL"
-        assert sol.objective == pytest.approx(4.0)
-        np.testing.assert_allclose(sol.x, [4.0, 0.0], atol=1e-10)
-
-    def test_degenerate_constraints(self):
-        # duplicated row must not break phase 1
-        a = [[1.0, 1.0], [2.0, 2.0]]
-        sol = lp_solve(LPProblem([1.0, 1.0], a, [3.0, 6.0]))
-        assert sol.status == "OPTIMAL"
-        assert sol.objective == pytest.approx(3.0)
-
-    def test_infeasible(self):
-        a = [[1.0, 1.0], [1.0, 1.0]]
-        sol = lp_solve(LPProblem([1.0, 1.0], a, [1.0, 2.0]))
-        assert sol.status == "INFEASIBLE"
+        # min x + 2y  s.t.  x + y = 4, from y basic: one pivot
+        x, pivots = lp_solve(np.array([1.0, 2.0]), np.array([[1.0, 1.0]]),
+                             np.array([4.0]), [1])
+        assert pivots == 1
+        np.testing.assert_allclose(x, [4.0, 0.0], atol=1e-10)
 
     def test_unbounded(self):
-        # min -x  s.t.  x - y = 0 : drive x with y
-        sol = lp_solve(LPProblem([-1.0, 0.0], [[1.0, -1.0]], [0.0]))
-        assert sol.status == "UNBOUNDED"
-
-    def test_negative_rhs_normalized(self):
-        sol = lp_solve(LPProblem([1.0, 1.0], [[-1.0, 0.0]], [-2.0]))
-        assert sol.status == "OPTIMAL"
-        assert sol.objective == pytest.approx(2.0)
-
-    def test_basis_hint_agrees_with_cold_start(self):
-        c = np.array([2.0, 3.0, 1.0, 1.0])
-        a = np.array([[1.0, 0.0, 1.0, -1.0], [0.0, 1.0, -1.0, 2.0]])
-        b = np.array([3.0, 2.0])
-        cold = lp_solve(LPProblem(c, a, b))
-        warm = lp_solve(LPProblem(c, a, b), basis_hint=[0, 1])
-        assert cold.status == warm.status == "OPTIMAL"
-        assert warm.objective == pytest.approx(cold.objective)
+        # min -x  s.t.  x - y = 0 from x basic: y enters with no row to
+        # block it
+        with pytest.raises(RuntimeError,
+                           match=r"column 1 of reduced cost -1 has no "
+                                 r"blocking row after 0 pivots on a 1 x 2"):
+            lp_solve(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]),
+                     np.array([0.0]), [0])
 
     def test_lost_accuracy_is_numerical_not_infeasible(self):
-        # feasible by construction (b = A x0, x0 >= 0), but pivoting on the
-        # 1e-9 entry loses the 1e-4 column: the vertex misses b by 2.5e-5
-        a = np.array([[-1.0, 1e-9, -1e8], [-1e4, 1e-4, -1e-9]])
-        b = a @ np.array([0.5, 0.25, 0.9])
-        sol = lp_solve(LPProblem([1.0, 1.0, 1.0], a, b))
-        assert sol.status == "NUMERICAL"
-        assert sol.residual > 1e-6
-        assert sol.residual == pytest.approx(
-            np.abs(a @ sol.x - b).max())
+        # feasible by construction (b = A x0, x0 >= 0); from the unit
+        # columns at cost 1e9 the simplex pivots on the 1e-9 entry and
+        # loses the 1e-4 column: the vertex misses b by 2.5e-5, beyond the
+        # tolerance that `flat_norm_lp` checks a vertex against
+        a0 = np.array([[-1.0, 1e-9, -1e8], [-1e4, 1e-4, -1e-9]])
+        a, b, basis = _with_unit_columns(
+            a0, a0 @ np.array([0.5, 0.25, 0.9]))
+        x, _ = lp_solve(np.array([1.0, 1.0, 1.0, 1e9, 1e9]), a, b, basis)
+        miss = np.abs(a @ x - b)
+        assert miss.max() > 1e-6
+        assert np.any(miss > flatnorm._feasibility_tolerance(a, b, x))
 
     def test_round_off_at_large_scale_is_optimal(self):
         # feasible by construction, |b| ~ 1.5e8: the vertex found misses b
-        # by one ulp of b (3.0e-8), above the absolute tolerance alone
-        a = np.array([[-1.0, 7.0, 9.0], [-4.0, -7.0, 2.0]])
-        b = a @ (np.array([67.0, 77.0, 64.0]) * 1e6 / 7)
-        sol = lp_solve(LPProblem([1.0, 1.0, 1.0], a, b))
-        assert sol.status == "OPTIMAL"
-        assert flatnorm._FEAS_TOL < sol.residual <= np.spacing(np.abs(b).max())
+        # by one ulp of b (3.0e-8), above the absolute tolerance alone but
+        # within the row's scale-aware one
+        a0 = np.array([[-1.0, 7.0, 9.0], [-4.0, -7.0, 2.0]])
+        a, b, basis = _with_unit_columns(
+            a0, a0 @ (np.array([67.0, 77.0, 64.0]) * 1e6 / 7))
+        x, _ = lp_solve(np.ones(5), a, b, basis)
+        miss = np.abs(a @ x - b)
+        assert flatnorm._FEAS_TOL < miss.max() <= np.spacing(np.abs(b).max())
+        assert np.all(miss <= flatnorm._feasibility_tolerance(a, b, x))
+        assert np.all(x[3:] == 0.0)
 
-    def test_iteration_limit_names_the_problem(self):
+    def test_iteration_limit_names_the_problem(self, monkeypatch):
         # min x - y  s.t.  x + y = 4, x basic: one pivot is needed
-        tableau = np.array([[1.0, 1.0, 4.0], [0.0, -2.0, -4.0]])
+        monkeypatch.setattr(flatnorm, "_MAX_PIVOTS", 0)
         with pytest.raises(RuntimeError, match=r"0 pivots on a 1 x 2"):
-            flatnorm._simplex_phase(tableau, [0], max_iter=0)
-
-    def test_nonfinite_data_rejected(self):
-        with pytest.raises(ValueError):
-            LPProblem([np.inf], [[1.0]], [1.0])
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LPProblem([1.0, 1.0], [[1.0]], [1.0])
+            lp_solve(np.array([1.0, -1.0]), np.array([[1.0, 1.0]]),
+                     np.array([4.0]), [0])
 
 
 class TestComplex:
@@ -146,6 +133,30 @@ class TestComplex:
         for signs in ([1, -1], [2]):
             with pytest.raises(ValueError, match="one sign, .* per top"):
                 SimplicialComplex(np.eye(3)[:, :2], [(0, 1, 2)], signs)
+
+    # a 1-chain in the plane takes the flow path, in 3-D the dense LP
+    @pytest.mark.parametrize("dim", [2, 3], ids=["flow", "dense"])
+    def test_non_finite_vertex_rejected(self, dim):
+        grid = freudenthal_complex((0.0,) * dim, (1.0,) * dim, 2)
+        verts = grid.vertices.copy()
+        verts[len(verts) // 2, 0] = np.nan  # the centre of the box
+        T = grid.simplex_chain(1, np.eye(grid.n_simplices(1))[0])
+        with pytest.raises(ValueError, match=r"vertex \[nan .* not finite"):
+            flat_norm_lp(T, SimplicialComplex(verts, grid.ids[dim],
+                                              grid.top_orientations))
+
+    @pytest.mark.parametrize("bad", [-1, "count"])
+    @pytest.mark.parametrize("dim", [2, 3], ids=["flow", "dense"])
+    def test_vertex_index_out_of_range_rejected(self, dim, bad):
+        grid = freudenthal_complex((0.0,) * dim, (1.0,) * dim, 2)
+        bad = len(grid.vertices) if bad == "count" else bad
+        tops = grid.ids[dim].copy()
+        tops[1, -1] = bad
+        T = grid.simplex_chain(1, np.eye(grid.n_simplices(1))[0])
+        with pytest.raises(ValueError, match=rf"index {bad} outside "
+                                             rf"range\({len(grid.vertices)}\)"):
+            flat_norm_lp(T, SimplicialComplex(grid.vertices, tops,
+                                              grid.top_orientations))
 
     def test_vertices_have_no_boundary_matrix(self):
         comp = freudenthal_complex((0, 0), (1, 1), 2)
@@ -224,10 +235,43 @@ class TestFlatNorm:
         assert value == pytest.approx(mass_chain(T), abs=1e-10)
         assert info["mass_S"] == 0.0
 
+    @pytest.mark.parametrize("case", ["square", "cube", "graph", "points"])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_no_higher_simplex_is_mass_without_a_solver(self, monkeypatch,
+                                                        case, scale):
+        # with no (r+1)-simplex, S = 0 is the only choice: R = T exactly,
+        # no pivot, and the value is the mass; neither solver is called
+        def no_solver(*args):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(flatnorm, "lp_solve", no_solver)
+        monkeypatch.setattr(flatnorm, "_network_simplex", no_solver)
+        dim = 3 if case == "cube" else 2
+        grid = freudenthal_complex((0.0,) * dim, (scale,) * dim, 3)
+        comp = {"square": grid, "cube": grid, "graph": _edge_graph(grid),
+                "points": SimplicialComplex(
+                    grid.vertices, np.arange(len(grid.vertices))[:, None],
+                    np.ones(len(grid.vertices)))}[case]
+        r = comp.dim
+        rng = np.random.default_rng(r)
+        T = comp.simplex_chain(
+            r, rng.choice([-2.0, -0.5, 0.0, 1.0], comp.n_simplices(r)))
+        value, S, R, info = flat_norm_lp(T, comp)
+        t = comp.chain_vector(T)
+        assert comp.chain_vector(R).tobytes() == t.tobytes()
+        assert len(S) == 0 and S.degree == r + 1
+        assert info["iterations"] == 0 and info["mass_S"] == 0.0
+        assert value == info["mass_R"] == comp.volumes(r) @ np.abs(t)
+        assert value == pytest.approx(mass_chain(T), rel=1e-14)
+
     def test_numerical_failure_raises_with_residual(self, monkeypatch):
-        # a degree-0 chain in 2-D is solved by the dense LP
-        def lost(problem, basis_hint=None):
-            return LPSolution("NUMERICAL", iterations=7, residual=3e-5)
+        # a degree-0 chain in 2-D is solved by the dense LP; a vertex that
+        # misses its first row by 3e-5 is an error, not an answer
+        def lost(c, a, b, basis):
+            x = np.zeros(a.shape[1])
+            x[basis] = b
+            x[basis[0]] += 3e-5
+            return x, 7
 
         monkeypatch.setattr(flatnorm, "lp_solve", lost)
         comp = freudenthal_complex((0, 0), (1, 1), 2)
@@ -254,15 +298,20 @@ class TestFlatNorm:
         coeffs[:5] = 1.0
         T = boundary(comp.simplex_chain(2, coeffs))
         value, S, R, info = flat_norm_lp(T, comp)
-        problem, hint = _dense_lp(comp, T)
-        top = problem.c.max()
-        dense = lp_solve(LPProblem(problem.c / top, problem.a_eq,
-                                   problem.b_eq), basis_hint=hint)
-        assert info["iterations"] == dense.iterations
-        assert value == pytest.approx(dense.objective * top, rel=1e-12)
-        assert value == pytest.approx(info["mass_R"] + info["mass_S"],
-                                      rel=1e-12)
+        c, a, b, basis = _dense_lp(comp, T)
+        top = c.max()
+        x, pivots = lp_solve(c / top, a, b, basis)
+        assert info["iterations"] == pivots
+        assert value == pytest.approx((c / top) @ x * top, rel=1e-12)
+        assert value == info["mass_R"] + info["mass_S"]
         assert _decomposition_residual(comp, T, S, R) == 0.0
+
+
+def _edge_graph(comp):
+    """The 1-skeleton of a complex as a complex of its own, whose top
+    simplices are edges."""
+    return SimplicialComplex(comp.vertices, comp.ids[1],
+                             np.ones(comp.n_simplices(1)))
 
 
 def _cell_union_boundary(comp, seed):
@@ -279,16 +328,19 @@ def _signed_edge_chain(comp, seed):
 
 def _dense_lp(comp, T):
     """The flat-norm LP of T over [R+, R-, S+, S-] on the dense boundary
-    matrix, and the basis R = t, S = 0, as the dense path builds them."""
+    matrix, min c.x s.t. a x = b, x >= 0, each row multiplied by the sign
+    of its t_i, and the basis R = t, S = 0, as the dense path builds them:
+    (c, a, b, basis)."""
     r = T.degree
     t = comp.chain_vector(T)
     bmat = comp.boundary_matrix(r + 1)
     vol_r, vol_s = comp.volumes(r), comp.volumes(r + 1)
     eye = np.eye(len(t))
-    problem = LPProblem(np.concatenate([vol_r, vol_r, vol_s, vol_s]),
-                        np.hstack([eye, -eye, bmat, -bmat]), t)
-    hint = [i if t[i] >= 0 else len(t) + i for i in range(len(t))]
-    return problem, hint
+    sign = np.where(t < 0, -1.0, 1.0)
+    a = np.hstack([eye, -eye, bmat, -bmat]) * sign[:, None]
+    basis = [i if t[i] >= 0 else len(t) + i for i in range(len(t))]
+    return (np.concatenate([vol_r, vol_r, vol_s, vol_s]), a, np.abs(t),
+            basis)
 
 
 class TestPivotPath:
@@ -304,10 +356,10 @@ class TestPivotPath:
     @pytest.mark.parametrize("make, seed, value, pivots", CASES)
     def test_value_and_pivot_count(self, make, seed, value, pivots):
         comp = freudenthal_complex((0, 0), (1, 1), 8)
-        problem, hint = _dense_lp(comp, make(comp, seed))
-        sol = lp_solve(problem, basis_hint=hint)
-        assert sol.iterations == pivots
-        assert sol.objective == pytest.approx(value, rel=1e-13)
+        c, a, b, basis = _dense_lp(comp, make(comp, seed))
+        x, got = lp_solve(c, a, b, basis)
+        assert got == pivots
+        assert c @ x == pytest.approx(value, rel=1e-13)
 
     @pytest.mark.parametrize("make, seed, value, pivots", CASES)
     def test_banded_update_keeps_the_path(self, make, seed, value, pivots,
@@ -315,13 +367,13 @@ class TestPivotPath:
         # one row per band against one band for the whole block: the
         # pivot path and the optimum agree bit for bit
         comp = freudenthal_complex((0, 0), (1, 1), 8)
-        problem, hint = _dense_lp(comp, make(comp, seed))
+        lp = _dense_lp(comp, make(comp, seed))
         monkeypatch.setattr(flatnorm, "_BLOCK_ELEMENTS", 1 << 30)
-        whole = lp_solve(problem, basis_hint=hint)
+        whole, whole_pivots = lp_solve(*lp)
         monkeypatch.setattr(flatnorm, "_BLOCK_ELEMENTS", 1)
-        banded = lp_solve(problem, basis_hint=hint)
-        assert banded.iterations == whole.iterations == pivots
-        assert banded.objective == whole.objective
+        banded, banded_pivots = lp_solve(*lp)
+        assert banded_pivots == whole_pivots == pivots
+        assert np.array_equal(banded, whole)
 
     @pytest.mark.parametrize("make, seed, value, pivots",
                              [(*case[:3], n)
@@ -336,9 +388,8 @@ class TestPivotPath:
     def test_pinned_value_matches_highs(self, make, seed, value, pivots):
         optimize = pytest.importorskip("scipy.optimize")
         comp = freudenthal_complex((0, 0), (1, 1), 8)
-        problem, _ = _dense_lp(comp, make(comp, seed))
-        res = optimize.linprog(problem.c, A_eq=problem.a_eq,
-                               b_eq=problem.b_eq, bounds=(0, None),
+        c, a, b, _ = _dense_lp(comp, make(comp, seed))
+        res = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None),
                                method="highs")
         assert res.status == 0
         assert value == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
@@ -375,13 +426,13 @@ class TestFlowPath:
         comp = freudenthal_complex([0.0] * dim, [1.0] * dim, res)
         T = make(comp, seed)
         value, S, R, info = flat_norm_lp(T, comp)
-        problem, hint = _dense_lp(comp, T)
-        dense = lp_solve(problem, basis_hint=hint)
+        c, a, b, basis = _dense_lp(comp, T)
+        x, _ = lp_solve(c, a, b, basis)
         n_r = comp.n_simplices(dim - 1)
-        r_dense = dense.x[:n_r] - dense.x[n_r:2 * n_r]
-        s_dense = dense.x[2 * n_r:2 * n_r + comp.n_simplices(dim)] \
-            - dense.x[2 * n_r + comp.n_simplices(dim):]
-        assert value == pytest.approx(dense.objective, rel=1e-12, abs=1e-14)
+        r_dense = x[:n_r] - x[n_r:2 * n_r]
+        s_dense = x[2 * n_r:2 * n_r + comp.n_simplices(dim)] \
+            - x[2 * n_r + comp.n_simplices(dim):]
+        assert value == pytest.approx(c @ x, rel=1e-12, abs=1e-14)
         assert info["mass_R"] == pytest.approx(
             comp.volumes(dim - 1) @ np.abs(r_dense), rel=1e-12, abs=1e-14)
         assert info["mass_S"] == pytest.approx(
@@ -462,28 +513,29 @@ class TestFlowPath:
         comp = freudenthal_complex([0.0] * dim, [scale] * dim, res)
         T = _random_codim1(comp, dim)
         value, S, R, info = flat_norm_lp(T, comp)
-        problem, hint = _dense_lp(comp, T)
-        top = problem.c.max()
-        dense = lp_solve(LPProblem(problem.c / top, problem.a_eq,
-                                   problem.b_eq), basis_hint=hint)
-        assert value == pytest.approx(dense.objective * top, rel=1e-12)
+        c, a, b, basis = _dense_lp(comp, T)
+        top = c.max()
+        x, _ = lp_solve(c / top, a, b, basis)
+        assert value == pytest.approx((c / top) @ x * top, rel=1e-12)
         assert _decomposition_residual(comp, T, S, R) == 0.0
 
     def test_other_complexes_take_the_dense_lp(self, monkeypatch):
         # the network path needs degree dim - 1, at most two cofaces per
         # face and coherent top orientations; anything else is solved by
-        # `lp_solve`
+        # `lp_solve`; a chain with no (r+1)-simplex above it needs neither
         calls = []
         solve = flatnorm.lp_solve
 
-        def counted(problem, basis_hint=None):
-            calls.append(problem.a_eq.shape)
-            return solve(problem, basis_hint)
+        def counted(c, a, b, basis):
+            calls.append(a.shape)
+            return solve(c, a, b, basis)
 
         monkeypatch.setattr(flatnorm, "lp_solve", counted)
         comp = freudenthal_complex((0, 0), (1, 1), 3)
         T = boundary(comp.full_chain())
         coherent, *_ = flat_norm_lp(T, comp)
+        flat_norm_lp(comp.full_chain(), comp)
+        flat_norm_lp(T, _edge_graph(comp))
         assert calls == []
         # one top simplex flipped: its neighbours' shared faces get equal
         # signs; the value, from the sorted orientation, is the same

@@ -1,6 +1,7 @@
 """Motions evaluated at all time nodes as one stack: deformation chains,
-the homotopy residual and the continuity modulus equal, bit for bit, their
-one-node-at-a-time oracles, and raise the same errors."""
+the homotopy residual, the continuity modulus and the finite-difference
+transport derivative equal, bit for bit, their one-node-at-a-time
+oracles, and raise the same errors."""
 
 import numpy as np
 import pytest
@@ -8,13 +9,17 @@ import pytest
 from currentkit import motion
 from currentkit.chains import (Chain, boundary, evaluate, evaluate_copies,
                                unit_square_chain)
-from currentkit.forms import Box, FormField, VectorField
+from currentkit.exterior import multi_indices
+from currentkit.forms import Box, FormField, TimePolynomialForm, VectorField
 from currentkit.lipschitz import LipMap, pushed_tables, pushforward_chain
-from currentkit.motion import (Motion, continuity_modulus, deformation_chain,
-                               homotopy_residual, make_motion)
+from currentkit.motion import (Cochain, Motion, continuity_modulus,
+                               deformation_chain, homotopy_residual,
+                               make_motion, transport_derivative_fd)
+from currentkit.polynomial import Polynomial
 from currentkit.quadrature import integrate_interval
 from oracles import (continuity_modulus_by_node, deformation_by_node,
-                     gauss_by_panel, homotopy_residual_by_node)
+                     gauss_by_panel, homotopy_residual_by_node,
+                     transport_derivative_fd_by_node)
 
 FAMILIES = ["identity", "translation", "rotation", "expansion", "shear",
             "tent"]
@@ -68,6 +73,25 @@ class TestBitIdentity:
         assert continuity_modulus(m, T, 0.2, eps, family, box, levels=1) \
             == continuity_modulus_by_node(m, T, 0.2, eps, family, box,
                                           levels=1)
+
+    @pytest.mark.parametrize("one_sided", [True, False],
+                             ids=["one-sided", "central"])
+    @pytest.mark.parametrize("name, n, r", list(_cases()))
+    def test_transport_derivative_fd(self, name, n, r, one_sided):
+        # both times in one stack: the same difference quotient, bit for
+        # bit, as one push and one evaluation per time
+        m = _motion(name, n)
+        T = _chain(n, r, 10 * n + r)
+        rng = np.random.default_rng(n + r)
+        psi = Cochain(TimePolynomialForm(n, r, {
+            idx: Polynomial.random(n + 1, 2, rng)
+            for idx in multi_indices(r, n)}))
+        for eps in (1e-2, 1e-5):
+            assert transport_derivative_fd(m, T, psi, 0.2, eps, levels=1,
+                                           one_sided=one_sided) \
+                == transport_derivative_fd_by_node(m, T, psi, 0.2, eps,
+                                                   levels=1,
+                                                   one_sided=one_sided)
 
     @pytest.mark.parametrize("levels", [0, 1, 2, 3])
     @pytest.mark.parametrize("panels", [1, 2, 8])
