@@ -19,8 +19,8 @@ from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge, boundary,
                      evaluate, mass_chain, triangle_chain,
                      unit_interval_chain, unit_square_chain)
 from .complexes import SimplicialComplex, freudenthal_complex
-from .flatnorm import (dual_flat_lower_bound, flat_norm_lp, lp_solve,
-                       sharp_lower_bound)
+from .flatnorm import (dual_flat_lower_bound, flat_norm_lp, lower_bounds,
+                       lp_solve, sharp_lower_bound)
 from .lipschitz import (LipMap, lipschitz_constant, make_map,
                         pushforward_chain)
 from .motion import (Cochain, Motion, classical_reynolds, continuity_modulus,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chains import boundary, evaluate, mass_chain, triangle_chain
 from .complexes import freudenthal_complex
-from .flatnorm import dual_flat_lower_bound, flat_norm_lp, sharp_lower_bound
+from .flatnorm import flat_norm_lp, lower_bounds
 from .forms import (FormField, VectorField, exterior_derivative,
                     lie_derivative, lie_derivative_components)
 from .lipschitz import (LipMap, lipschitz_constant, pushforward_chain)
@@ -283,8 +283,7 @@ def cmd_flatnorm(args, scenarios):
         # norm ladder on a fixed polynomial test family
         rng = np.random.default_rng(cfg.seed)
         family = _affine_test_family(cfg.ambient, T.degree, rng, 4)
-        dual = dual_flat_lower_bound(T, family, box)
-        sharp = sharp_lower_bound(T, family, box)
+        dual, sharp = lower_bounds(T, family, box)
         rows.append(_row(cfg.name, "dual_flat_lower_bound", dual))
         rows.append(_row(cfg.name, "sharp_lower_bound", sharp))
     _write_csv(os.path.join(args.out, "flatnorm.csv"), rows)
@@ -348,6 +347,19 @@ def cmd_converge(args, scenarios):
 # entry point
 # ----------------------------------------------------------------------
 
+def _tolerance_scale(text: str) -> float:
+    """The value of --tolerance-scale: a finite number >= 0.  At 0 only
+    the exact checks (tolerance 0) can pass."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="currentkit",
@@ -360,7 +372,8 @@ def _build_parser():
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--tolerance-scale", type=float, default=1.0)
+    parser.add_argument("--tolerance-scale", type=_tolerance_scale,
+                        default=1.0)
     return parser
 
 

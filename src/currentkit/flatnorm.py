@@ -24,6 +24,13 @@ cases, read off the input alone:
   0, so the LP needs no phase 1 and cannot be unbounded.
 
 Every case reports value = M(R) + M(S).
+
+The norm ladder bounds the flat and sharp norms of any current from below
+by max(0, max over a test family of T(phi) / s(phi)), with s the sampled
+flat or sharp seminorm (`forms.seminorm_flat`, `forms.seminorm_sharp`).
+`lower_bounds` gives both rungs from one pass over the family: each form
+is evaluated on T once and its comass seminorm, which both seminorms
+share, is computed once.
 """
 
 from __future__ import annotations
@@ -35,11 +42,13 @@ import numpy as np
 from .chains import Chain, Current, evaluate, face_rows
 from .complexes import SimplicialComplex, _lookup
 from .exterior import binary_exponent
-from .forms import Box, seminorm_flat, seminorm_sharp
+from .forms import (Box, _flat_given_comass, _sharp_given_comass,
+                    seminorm_comass)
 
 __all__ = [
     "lp_solve",
     "flat_norm_lp",
+    "lower_bounds",
     "dual_flat_lower_bound",
     "sharp_lower_bound",
 ]
@@ -182,24 +191,6 @@ class _Tree:
         self.depth = [1] * root + [0]
         self.children = [set() for _ in range(root)] + [set(range(root))]
 
-    def paths(self, u: int, v: int):
-        """The nodes from u and from v up to their lowest common ancestor,
-        which neither list holds; the deeper end climbs first."""
-        parent, depth = self.parent, self.depth
-        from_u, from_v = [], []
-        du, dv = depth[u], depth[v]
-        while du > dv:
-            from_u.append(u)
-            u, du = parent[u], du - 1
-        while dv > du:
-            from_v.append(v)
-            v, dv = parent[v], dv - 1
-        while u != v:
-            from_u.append(u)
-            from_v.append(v)
-            u, v = parent[u], parent[v]
-        return from_u, from_v
-
     def rehang(self, stem: list, parent: int, arc: int) -> list:
         """Cut the subtree below stem[-1] and hang it by `arc` from
         `parent`, rooted at stem[0], where `stem` is the path from stem[0]
@@ -207,14 +198,16 @@ class _Tree:
         moved subtree resets its depths.  Returns the subtree's nodes."""
         up, arcs, depth, children = (self.parent, self.arc, self.depth,
                                      self.children)
-        children[up[stem[-1]]].remove(stem[-1])
-        for below, v in reversed(list(zip(stem, stem[1:]))):
+        v = stem[-1]
+        children[up[v]].remove(v)
+        for below in stem[-2::-1]:
             up[v], arcs[v] = below, arcs[below]
             children[v].remove(below)
             children[below].add(v)
-        up[stem[0]], arcs[stem[0]] = parent, arc
-        children[parent].add(stem[0])
-        nodes = [stem[0]]
+            v = below
+        up[v], arcs[v] = parent, arc
+        children[parent].add(v)
+        nodes = [v]
         for v in nodes:
             depth[v] = depth[up[v]] + 1
             nodes.extend(children[v])
@@ -230,12 +223,13 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     to it at cost 0: those arcs are the first tree (`_Tree`), strongly
     feasible at x = 0.  Each pivot prices one block of arcs at a time in
     numpy and enters the block's most violating arc.  Its cycle runs up
-    from both ends, by depth, to their join; the leaving arc is the last
-    blocking arc of the cycle from that apex (Cunningham, Math. Prog.
-    1976), which keeps the tree strongly feasible, so degenerate pivots
-    cannot cycle.  The subtree cut off by the leaving arc hangs from the
-    entering arc: the links of its stem reverse, and one walk over it
-    resets its depths and collects the nodes whose potentials shift.  A
+    from both ends, by depth, to their join, and the ratio test is taken
+    in the same climb; the leaving arc is the last blocking arc of the
+    cycle from that apex (Cunningham, Math. Prog. 1976), which keeps the
+    tree strongly feasible, so degenerate pivots cannot cycle.  The
+    subtree cut off by the leaving arc hangs from the entering arc: the
+    links of its stem reverse, and one walk over it resets its depths and
+    collects the nodes whose potentials shift.  A
     residual within `_FLOW_TOL` of its arc's capacity is zero, and a
     reduced cost within `_COST_TOL` of the largest |cost|, so the path is
     the same at any capacity scale.
@@ -244,23 +238,32 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     """
     n_arcs = len(tail)
     tree = _Tree(n_nodes)
+    parent, arc, depth = tree.parent, tree.arc, tree.depth
     pi = np.zeros(n_nodes)
-    state = np.ones(n_arcs, dtype=np.int8)  # +1 at 0, -1 at cap, 0 in tree
-    state[:n_nodes - 1] = 0
+    take = pi.take
+    # +1 at 0, -1 at cap, 0 in tree; float, so that pricing casts nothing
+    state = np.ones(n_arcs)
+    state[:n_nodes - 1] = 0.0
     flow = [0.0] * n_arcs
     capl, taill, headl = cap.tolist(), tail.tolist(), head.tolist()
+    costl = cost.tolist()
     tol = [_FLOW_TOL * c for c in capl]
     cost_tol = _COST_TOL * float(np.max(np.abs(cost), initial=0.0))
 
     width = max(_MIN_BLOCK, int(np.sqrt(n_arcs)))
-    blocks = [(lo, tail[lo:lo + width], head[lo:lo + width],
-               cost[lo:lo + width], state[lo:lo + width])
-              for lo in range(0, n_arcs, width)]
+    # each block's tail and head nodes, so one take gathers both ends
+    blocks = [(lo, np.concatenate([tail[lo:hi], head[lo:hi]]), cost[lo:hi],
+               state[lo:hi], hi - lo)
+              for lo in range(0, n_arcs, width)
+              for hi in [min(lo + width, n_arcs)]]
     block = pivots = 0
     while True:
         for _ in blocks:
-            lo, btail, bhead, bcost, bstate = blocks[block]
-            reduced = bstate * (bcost + pi[btail] - pi[bhead])
+            lo, ends, bcost, bstate, w = blocks[block]
+            at = take(ends)
+            reduced = bcost + at[:w]
+            reduced -= at[w:]
+            reduced *= bstate
             j = int(reduced.argmin())
             if reduced[j] < -cost_tol:
                 e = lo + j
@@ -273,51 +276,68 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
                                f"{pivots} pivots on {n_arcs} arcs")
         pivots += 1
         # the cycle: e, then up from `second` to the join, then down from
-        # the join to `first`
+        # the join to `first`.  Both ends climb to the join, the deeper
+        # first, with the ratio test on the way: the room of each arc in
+        # the direction the cycle's flow runs.  Of equal blocking arcs the
+        # last from the join leaves: the first of `down` (nearest
+        # `first`), then e, then the last of `up`
         raising = state[e] > 0
         first, second = ((taill[e], headl[e]) if raising
                          else (headl[e], taill[e]))
-        down, up = tree.paths(first, second)
-        arc = tree.arc
-        # ratio test; of equal blocking arcs the last from the join leaves:
-        # the first of `down` (nearest `first`), then e, then the last of
-        # `up`.  `ahead` where the cycle's flow runs along the arc
-        cycle = []
-        delta, out = capl[e], -1
-        for u in down:
-            a = arc[u]
-            ahead = taill[a] != u
-            room = capl[a] - flow[a] if ahead else flow[a]
-            if room < delta:
-                delta, out = room, len(cycle)
-            cycle.append((a, ahead))
-        for u in up:
-            a = arc[u]
-            ahead = taill[a] == u
-            room = capl[a] - flow[a] if ahead else flow[a]
-            if room <= delta:
-                delta, out = room, len(cycle)
-            cycle.append((a, ahead))
+        down, up, along, against = [], [], [], []
+        down_room = up_room = float("inf")
+        u, v = first, second
+        du, dv = depth[u], depth[v]
+        while u != v:
+            if du >= dv:
+                a = arc[u]
+                if taill[a] == u:
+                    room = flow[a]
+                    against.append(a)
+                else:
+                    room = capl[a] - flow[a]
+                    along.append(a)
+                if room < down_room:
+                    down_room, down_out = room, len(down)
+                down.append(u)
+                u, du = parent[u], du - 1
+            if dv > du:
+                a = arc[v]
+                if taill[a] == v:
+                    room = capl[a] - flow[a]
+                    along.append(a)
+                else:
+                    room = flow[a]
+                    against.append(a)
+                if room <= up_room:
+                    up_room, up_out = room, len(up)
+                up.append(v)
+                v, dv = parent[v], dv - 1
+        delta, stem = capl[e], None
+        if down_room < delta:
+            delta, stem, out, hang = down_room, down, down_out, second
+        if up_room <= delta:
+            delta, stem, out, hang = up_room, up, up_out, first
         if delta > 0.0:
-            cycle.append((e, raising))
-            for a, ahead in cycle:
-                x = flow[a] + delta if ahead else flow[a] - delta
+            (along if raising else against).append(e)
+            for a in along:
+                x = flow[a] + delta
                 flow[a] = (0.0 if x <= tol[a] else capl[a]
                            if capl[a] - x <= tol[a] else x)
-        if out < 0:  # e goes from one bound to the other
+            for a in against:
+                x = flow[a] - delta
+                flow[a] = (0.0 if x <= tol[a] else capl[a]
+                           if capl[a] - x <= tol[a] else x)
+        if stem is None:  # e goes from one bound to the other
             state[e] = -state[e]
             continue
-        leave = cycle[out][0]
-        state[leave] = 1 if flow[leave] == 0.0 else -1
-        state[e] = 0
+        leave = arc[stem[out]]
+        state[leave] = 1.0 if flow[leave] == 0.0 else -1.0
+        state[e] = 0.0
         # the subtree below the leaving arc hangs from e, rooted at the
         # end of e inside it; its potentials shift to price e at zero
-        if out < len(down):
-            stem, parent = down, second
-        else:
-            stem, parent, out = up, first, out - len(down)
-        gap = cost[e] + pi[taill[e]] - pi[headl[e]]
-        moved = tree.rehang(stem[:out + 1], parent, e)
+        gap = costl[e] + pi.item(taill[e]) - pi.item(headl[e])
+        moved = tree.rehang(stem[:out + 1], hang, e)
         pi[np.array(moved)] += gap if stem[0] == headl[e] else -gap
 
 
@@ -407,30 +427,54 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
             complex_.simplex_chain(r, r_coeff), info)
 
 
-def _lower_bound(T: Current, family, seminorm, what: str, box: Box,
-                 **kw) -> float:
-    """max over the test family of T(phi) / seminorm(phi)."""
+def _ladder(T: Current, family, box: Box, kinds, resolution=None,
+            **kw) -> list:
+    """For each seminorm s named in `kinds` ("flat", "sharp"), max(0, max
+    over phi in the family of T(phi) / s(phi)), in one pass over the
+    family: each form is evaluated on T once, and its comass seminorm,
+    which both seminorms take the max with, is computed once.  An empty
+    family, and a form with a vanishing seminorm, raise a ValueError."""
     if not family:
         raise ValueError("empty test family")
-    best = 0.0
+    best = [0.0] * len(kinds)
     for phi in family:
-        denom = seminorm(phi, box, **kw)
-        if denom <= 0.0:
-            raise ValueError(f"test form with vanishing {what} seminorm")
-        best = max(best, evaluate(T, phi) / denom)
+        sup = seminorm_comass(phi, box, resolution, **kw)
+        denoms = []
+        for kind in kinds:
+            denom = (_flat_given_comass(phi, sup, box, resolution, **kw)
+                     if kind == "flat"
+                     else _sharp_given_comass(phi, sup, box, resolution))
+            if denom <= 0.0:
+                raise ValueError(f"test form with vanishing {kind} seminorm")
+            denoms.append(denom)
+        value = evaluate(T, phi)
+        best = [max(b, value / denom) for b, denom in zip(best, denoms)]
     return best
 
 
+def lower_bounds(T: Current, family, box: Box, **kw) -> tuple:
+    """(`dual_flat_lower_bound`, `sharp_lower_bound`) of T on the same
+    family and grid, from one pass over the family."""
+    flat, sharp = _ladder(T, family, box, ("flat", "sharp"), **kw)
+    return flat, sharp
+
+
 def dual_flat_lower_bound(T: Current, family, box: Box, **kw) -> float:
-    """max over the test family of T(phi) / F_K(phi): an estimate of a
-    lower bound for the K-flat norm of T, not a certified one.  F_K is a
-    sup sampled on the box grid, which can fall short of the true sup, so
-    the ratio can exceed the bound it estimates."""
-    return _lower_bound(T, family, seminorm_flat, "flat", box, **kw)
+    """max(0, max over the test family of T(phi) / F_K(phi)), so a family
+    whose T(phi) are all <= 0 gives 0: an estimate of a lower bound for
+    the K-flat norm of T, not a certified one.  F_K is a sup sampled on
+    the box grid, which can fall short of the true sup, so the ratio can
+    exceed the bound it estimates."""
+    flat, = _ladder(T, family, box, ("flat",), **kw)
+    return flat
 
 
 def sharp_lower_bound(T: Current, family, box: Box, **kw) -> float:
-    """max over the test family of T(phi) / S_K(phi): a sampled estimate of
-    a lower bound for the sharp norm, like `dual_flat_lower_bound`; it
-    never exceeds the flat estimate on the same family and grid."""
-    return _lower_bound(T, family, seminorm_sharp, "sharp", box, **kw)
+    """max(0, max over the test family of T(phi) / S_K(phi)): a sampled
+    estimate of a lower bound for the sharp norm, like
+    `dual_flat_lower_bound`.  S_K >= F_K holds for the true sups, not for
+    the sampled ones, so it can exceed the flat estimate on the same
+    family and grid: a 0-form's grid difference quotients can all fall
+    below its largest gradient at a grid point."""
+    sharp, = _ladder(T, family, box, ("sharp",), **kw)
+    return sharp

@@ -93,12 +93,13 @@ class Box:
     def grid_pairs(self, resolution: int = None):
         """The pairs i < j of distinct points of `grid(resolution)` and
         their distances |x_i - x_j| > 0, as read-only arrays (i, j, dist),
-        built once per resolution."""
+        built once per resolution.  The distances are column sums
+        (`_pair_norms`)."""
         res = self._points_per_axis(resolution)
         if ("pairs", res) not in self._tables:
             pts = self.grid(res)
             i, j = np.triu_indices(len(pts), 1)
-            dist = np.linalg.norm(pts[i] - pts[j], axis=1)
+            dist = _pair_norms(pts, i, j)
             keep = dist > 0
             self._tables["pairs", res] = _read_only(i[keep], j[keep],
                                                     dist[keep])
@@ -494,26 +495,46 @@ def seminorm_comass(phi: FormField, box: Box, resolution=None,
 
 def seminorm_flat(phi: FormField, box: Box, resolution=None, **kw) -> float:
     """max of the comass seminorms of phi and d(phi)."""
-    m = seminorm_comass(phi, box, resolution, **kw)
+    return _flat_given_comass(phi, seminorm_comass(phi, box, resolution, **kw),
+                              box, resolution, **kw)
+
+
+def _flat_given_comass(phi: FormField, sup: float, box: Box, resolution,
+                       **kw) -> float:
+    """`seminorm_flat` of phi, whose comass seminorm is `sup`."""
     if phi.degree < phi.ambient:
-        m = max(m, seminorm_comass(exterior_derivative(phi), box,
-                                   resolution, **kw))
-    return m
+        return max(sup, seminorm_comass(exterior_derivative(phi), box,
+                                        resolution, **kw))
+    return sup
+
+
+def _pair_norms(table: np.ndarray, i, j) -> np.ndarray:
+    """|table[i] - table[j]| for each pair, one column of `table` at a
+    time: the columns' squared differences summed left to right, then the
+    square root.  Below 8 columns that is the order np.linalg.norm(...,
+    axis=1) sums in, so the norms are the same bit for bit, with 1-D
+    gathers in place of (pairs, columns) ones."""
+    total = np.zeros(len(i))
+    for col in np.ascontiguousarray(table.T):
+        d = col[i] - col[j]
+        d *= d
+        total += d
+    return np.sqrt(total)
 
 
 def form_lipschitz(phi: FormField, box: Box, resolution=None) -> float:
     """Lipschitz constant estimate max ||phi(y)-phi(x)||_0 / |y-x|.
 
     All grid pairs while the grid is small, over the box's pair table
-    (`Box.grid_pairs`); random pair sampling beyond.
+    (`Box.grid_pairs`), with the norms of the coefficient differences as
+    column sums (`_pair_norms`); random pair sampling beyond.
     """
     pts = box.grid(resolution)
     r, n = phi.degree, phi.ambient
     exact = _comass_exact_degree(r, n)
     if len(pts) <= _MAX_ALL_PAIR_POINTS and exact:
-        coeffs = phi.coefficients_at(pts)
         i, j, dist = box.grid_pairs(resolution)
-        num = np.linalg.norm(coeffs[i] - coeffs[j], axis=1)
+        num = _pair_norms(phi.coefficients_at(pts), i, j)
         return float(np.max(num / dist, initial=0.0))
     rng = np.random.default_rng(0)
     lo = np.asarray(box.k_lower)
@@ -543,9 +564,14 @@ def form_lipschitz(phi: FormField, box: Box, resolution=None) -> float:
 
 def seminorm_sharp(phi: FormField, box: Box, resolution=None, **kw) -> float:
     """max of the sup-comass and (r+1) times the Lipschitz constant."""
-    sup = seminorm_comass(phi, box, resolution, **kw)
-    lip = form_lipschitz(phi, box, resolution)
-    return max(sup, (phi.degree + 1) * lip)
+    return _sharp_given_comass(
+        phi, seminorm_comass(phi, box, resolution, **kw), box, resolution)
+
+
+def _sharp_given_comass(phi: FormField, sup: float, box: Box,
+                        resolution) -> float:
+    """`seminorm_sharp` of phi, whose comass seminorm is `sup`."""
+    return max(sup, (phi.degree + 1) * form_lipschitz(phi, box, resolution))
 
 
 # ----------------------------------------------------------------------

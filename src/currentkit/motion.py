@@ -216,15 +216,19 @@ def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
     """d/dt of psi(t)(kappa_t# T) at tau:
     psi_dot(kappa_tau# T) + psi(bnd(v wedge kappa_tau# T)
                                 + v wedge kappa_tau#(bnd T)).
-    The wedge term vanishes identically when T has top degree."""
+    The wedge term vanishes identically when T has top degree.  Both
+    terms on kappa_tau# T come from one push (`_pushed_values`)."""
     m.check_time(tau)
-    pushed = m.push(T, tau, levels)
     v = velocity_field(m, tau)
     phi = psi.form_at(tau)
-    total = evaluate(pushed, psi.dot_at(tau))
+    forms = [[psi.dot_at(tau)]]
     # bnd(v wedge pushed) acts on phi through d(phi) -| v
     if T.degree + 1 <= T.ambient:
-        total += evaluate(pushed, contract(exterior_derivative(phi), v))
+        forms.append([contract(exterior_derivative(phi), v)])
+    values = _pushed_values(m, T.subdivided(levels), [tau], forms)
+    total = values[0][0]
+    if len(values) > 1:
+        total += values[1][0]
     if T.degree >= 1:
         bt = boundary(T)
         if len(bt):

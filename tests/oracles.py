@@ -6,9 +6,11 @@ mollification, the per-point evaluators of the sampled contraction,
 exterior derivative and pullback, the tuple and dict loops that build
 permutation signs, the wedge sign table, the Kuhn children and the
 Freudenthal complex one simplex at a time, the network simplex on a numpy
-preorder tree, the all-pairs Lipschitz quotient, and deformation chains,
-the homotopy residual, the continuity modulus and the finite-difference
-transport derivative one time node at a time.
+preorder tree, the all-pairs Lipschitz quotient, the norm ladder one
+bound at a time, deformation chains, the homotopy residual, the
+continuity modulus and the finite-difference transport derivative one
+time node at a time, and the transport derivative through
+`Motion.push`.
 They are not part of the library's API."""
 
 from dataclasses import dataclass
@@ -22,7 +24,8 @@ from currentkit.chains import Chain, _leaf_evaluate, boundary, evaluate
 from currentkit.exterior import multi_indices
 from currentkit.forms import (AffineMap, Box, FormField, VectorField,
                               contract, exterior_derivative, lie_derivative,
-                              pullback, seminorm_comass, time_slice_contract)
+                              pullback, seminorm_comass, seminorm_flat,
+                              seminorm_sharp, time_slice_contract)
 from currentkit.lipschitz import LipMap, lipschitz_constant
 from currentkit.motion import (Cochain, Deformation, Motion,
                                deformation_chain, velocity_field)
@@ -518,6 +521,28 @@ def all_pairs_lipschitz(phi: FormField, pts) -> float:
 
 
 # ----------------------------------------------------------------------
+# the norm ladder, one bound at a time
+# ----------------------------------------------------------------------
+
+def lower_bound_by_seminorm(T, family, what: str, box: Box, **kw) -> float:
+    """`flatnorm.dual_flat_lower_bound` (`what` "flat") or
+    `flatnorm.sharp_lower_bound` ("sharp") with a pass of its own over the
+    family: the form's whole seminorm (`forms.seminorm_flat` or
+    `forms.seminorm_sharp`), then T(phi), per form; the max of the ratios
+    from 0.0."""
+    seminorm = {"flat": seminorm_flat, "sharp": seminorm_sharp}[what]
+    if not family:
+        raise ValueError("empty test family")
+    best = 0.0
+    for phi in family:
+        denom = seminorm(phi, box, **kw)
+        if denom <= 0.0:
+            raise ValueError(f"test form with vanishing {what} seminorm")
+        best = max(best, evaluate(T, phi) / denom)
+    return best
+
+
+# ----------------------------------------------------------------------
 # deformation chains, one time node at a time
 # ----------------------------------------------------------------------
 
@@ -601,3 +626,23 @@ def transport_derivative_fd_by_node(m: Motion, T: Chain, psi: Cochain,
     if one_sided:
         return (total(tau + eps) - total(tau)) / eps
     return (total(tau + eps) - total(tau - eps)) / (2 * eps)
+
+
+def transport_derivative_by_push(m: Motion, T: Chain, psi: Cochain,
+                                 tau: float, levels: int = 0) -> float:
+    """`motion.transport_derivative` through `Motion.push` and
+    `evaluate`: T pushed as a chain of its own, evaluated against psi_dot
+    and d(phi) -| v, then phi -| v on the pushed boundary, added in that
+    order."""
+    m.check_time(tau)
+    pushed = m.push(T, tau, levels)
+    v = velocity_field(m, tau)
+    phi = psi.form_at(tau)
+    total = evaluate(pushed, psi.dot_at(tau))
+    if T.degree + 1 <= T.ambient:
+        total += evaluate(pushed, contract(exterior_derivative(phi), v))
+    if T.degree >= 1:
+        bt = boundary(T)
+        if len(bt):
+            total += evaluate(m.push(bt, tau, levels), contract(phi, v))
+    return total

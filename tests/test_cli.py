@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from currentkit.chains import boundary, triangle_chain
-from currentkit.cli import main
+from currentkit.cli import _build_parser, main
 from currentkit.scenarios import (ScenarioConfig, builtin_scenarios,
                                   load_config)
 
@@ -298,6 +298,25 @@ class TestVerify:
             assert message.endswith(f", margin {-error:.6g}")
         adjoint = next(m for m in messages if "adjointness_residual" in m)
         assert "tol 1e-08 x tolerance-scale 1e-30 = 1e-38" in adjoint
+
+    @pytest.mark.parametrize("value, accepted", [
+        ("nan", False), ("inf", False), ("-1", False), ("0", True),
+        ("1", True)])
+    def test_tolerance_scale_is_finite_and_nonnegative(self, tmp_path, capsys,
+                                                       value, accepted):
+        # nan and -1 would fail every check, inf pass every one; 0 leaves
+        # the exact checks
+        argv = ["verify", "--out", str(tmp_path), "--tolerance-scale", value]
+        if accepted:
+            assert _build_parser().parse_args(argv).tolerance_scale == \
+                float(value)
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert ("argument --tolerance-scale: must be a finite number >= 0"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "verify.csv").exists()
 
     def test_corrupt_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,18 +1,22 @@
-"""LP solver, simplicial complexes, and the flat norm."""
+"""LP solver, simplicial complexes, the flat norm and the norm ladder."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from currentkit.chains import (Chain, boundary, mass_chain,
+from currentkit.chains import (Chain, boundary, evaluate, mass_chain,
                                unit_square_chain)
 from currentkit.complexes import SimplicialComplex, freudenthal_complex
-from currentkit import flatnorm
+from currentkit import flatnorm, forms
+from currentkit.cli import main
 from currentkit.flatnorm import (dual_flat_lower_bound, flat_norm_lp,
-                                 lp_solve, sharp_lower_bound)
+                                 lower_bounds, lp_solve, sharp_lower_bound)
 from currentkit.forms import Box, FormField
-from currentkit.scenarios import load_config
+from currentkit.polynomial import Polynomial
+from currentkit.scenarios import builtin_scenarios, load_config
 from oracles import (loop_boundary_matrix, loop_freudenthal,
-                     preorder_network_simplex)
+                     lower_bound_by_seminorm, preorder_network_simplex)
 from test_cli import _load_perfbench
 
 
@@ -600,7 +604,8 @@ class TestSamePivotPath:
 
     @pytest.mark.parametrize("dim, res, kind", [(2, 32, "cells"),
                                                 (2, 32, "faces"),
-                                                (3, 8, "cells")])
+                                                (3, 8, "cells"),
+                                                (3, 8, "faces")])
     def test_large_rows(self, monkeypatch, dim, res, kind):
         w = _load_perfbench("workloads")
         build = w.cell_union_boundary if kind == "cells" else w.random_faces
@@ -635,3 +640,114 @@ class TestDualBounds:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             dual_flat_lower_bound(boundary(unit_square_chain()), [], self.box)
+
+
+def _ladder_case(n, r, seed, scale=1.0, resolution=4):
+    """Three random r-simplices in [0.1, 0.9]^n with random
+    multiplicities, four random nonzero quadratic r-forms, and the box
+    [-0.5, 1.5]^n around K = [0, 1]^n; coordinates times `scale`."""
+    rng = np.random.default_rng(seed)
+    T = Chain(scale * rng.uniform(0.1, 0.9, size=(3, r + 1, n)),
+              rng.uniform(-2.0, 2.0, size=3))
+    family = []
+    while len(family) < 4:
+        phi = FormField.random_polynomial(n, r, rng, max_degree=2)
+        if not all(p.is_zero() for p in phi.polys):
+            family.append(phi)
+    box = Box((-0.5 * scale,) * n, (1.5 * scale,) * n, (0.0,) * n,
+              (scale,) * n, resolution)
+    return T, family, box
+
+
+class TestOnePassLadder:
+    """`lower_bounds` takes both rungs of the norm ladder in one pass over
+    the family, and `dual_flat_lower_bound` and `sharp_lower_bound` go
+    through the same loop: each equals, bit for bit, its own pass with the
+    whole seminorm per form (`oracles.lower_bound_by_seminorm`)."""
+
+    @staticmethod
+    def _check(T, family, box):
+        flat = lower_bound_by_seminorm(T, family, "flat", box)
+        sharp = lower_bound_by_seminorm(T, family, "sharp", box)
+        assert lower_bounds(T, family, box) == (flat, sharp)
+        assert dual_flat_lower_bound(T, family, box) == flat
+        assert sharp_lower_bound(T, family, box) == sharp
+        return flat, sharp
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n, r", [(n, r) for n in (1, 2, 3)
+                                      for r in range(n + 1)])
+    def test_random_families_at_any_scale(self, n, r, scale):
+        self._check(*_ladder_case(n, r, 10 * n + r, scale))
+
+    @pytest.mark.parametrize("n, res", [(1, 1500), (1, 1501), (2, 38),
+                                        (2, 39)])
+    def test_grids_on_both_sides_of_the_all_pairs_limit(self, n, res):
+        # at most `_MAX_ALL_PAIR_POINTS` grid points take every grid pair,
+        # more take random pairs
+        assert (res ** n <= forms._MAX_ALL_PAIR_POINTS) == \
+            (res in (1500, 38))
+        self._check(*_ladder_case(n, n - 1, res, resolution=res))
+
+    def test_no_positive_pairing_gives_zero(self):
+        # the bounds are max(0, max of the ratios)
+        T, family, box = _ladder_case(2, 1, 5)
+        family = [phi if evaluate(T, phi) <= 0.0 else phi * -1.0
+                  for phi in family]
+        assert self._check(T, family, box) == (0.0, 0.0)
+
+    def test_empty_family_rejected(self):
+        T, _, box = _ladder_case(2, 1, 5)
+        for bound in (lower_bounds, dual_flat_lower_bound, sharp_lower_bound):
+            with pytest.raises(ValueError, match="^empty test family$"):
+                bound(T, [], box)
+
+    def test_vanishing_seminorms_are_named(self):
+        T, _, box = _ladder_case(2, 1, 5)
+        zero = [FormField.from_polynomials(2, 1, {})]
+        for bound in (lower_bounds, dual_flat_lower_bound):
+            with pytest.raises(ValueError, match="^test form with vanishing "
+                                                 "flat seminorm$"):
+                bound(T, zero, box)
+        with pytest.raises(ValueError, match="^test form with vanishing "
+                                             "sharp seminorm$"):
+            sharp_lower_bound(T, zero, box)
+        # x^2 - x vanishes on the grid {0, 1}, and so do its sup and its
+        # difference quotient, but d of it does not: only the sharp
+        # seminorm vanishes
+        x = Polynomial.variable(0, 1)
+        bump = [FormField.from_polynomials(1, 0, {(): x * x - x})]
+        box = Box((-1.0,), (2.0,), (0.0,), (1.0,), 2)
+        T = Chain(np.array([[[0.5]]]), np.array([1.0]))
+        assert dual_flat_lower_bound(T, bump, box) == 0.0
+        for bound in (lower_bounds, sharp_lower_bound):
+            with pytest.raises(ValueError, match="^test form with vanishing "
+                                                 "sharp seminorm$"):
+                bound(T, bump, box)
+
+    def test_flatnorm_command_takes_each_form_once(self, monkeypatch,
+                                                   tmp_path):
+        # per test form: one evaluation on T, one comass seminorm of the
+        # form and one of its exterior derivative, below top degree
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(flatnorm, "evaluate",
+                            counted("evaluate", flatnorm.evaluate))
+        comass = counted("comass", forms.seminorm_comass)
+        monkeypatch.setattr(flatnorm, "seminorm_comass", comass)
+        monkeypatch.setattr(forms, "seminorm_comass", comass)
+        monkeypatch.setattr(forms, "exterior_derivative",
+                            counted("d", forms.exterior_derivative))
+        assert main(["flatnorm", "--out", str(tmp_path)]) == 0
+        degrees = [(cfg.build_chain().degree, cfg.ambient)
+                   for cfg in builtin_scenarios()]
+        below_top = sum(r < n for r, n in degrees)
+        assert calls == {"evaluate": 4 * len(degrees),
+                         "comass": 4 * (len(degrees) + below_top),
+                         "d": 4 * below_top}

@@ -376,9 +376,12 @@ class TestSeminorms:
 
 
 # every (ambient, degree, resolution) whose grid takes the all-pairs branch
-ALL_PAIRS = [(n, r, res) for n in (1, 2, 3) for r in range(n + 1)
+# every degree the all-pairs branch takes: in n = 4 degrees 1 and 3 have
+# four coefficient columns, and degree 2 takes the sampled comass
+ALL_PAIRS = [(n, r, res) for n in (1, 2, 3, 4) for r in range(n + 1)
              for res in (2, 3, 5, 8, 11, 16, 32)
-             if res ** n <= forms._MAX_ALL_PAIR_POINTS]
+             if res ** n <= forms._MAX_ALL_PAIR_POINTS
+             and forms._comass_exact_degree(r, n)]
 
 
 class TestGridTables:
@@ -397,6 +400,16 @@ class TestGridTables:
         box = self._box(n, res)
         assert form_lipschitz(phi, box) == \
             all_pairs_lipschitz(phi, box.grid())
+
+    @pytest.mark.parametrize("n, res", sorted({(n, res)
+                                               for n, _, res in ALL_PAIRS}))
+    def test_pair_distances_are_the_row_norms(self, n, res):
+        # the column sums equal np.linalg.norm of the difference rows
+        box = self._box(n, res)
+        pts = box.grid()
+        i, j, dist = box.grid_pairs()
+        assert np.array_equal(dist, np.linalg.norm(pts[i] - pts[j], axis=1))
+        assert len(i) == len(pts) * (len(pts) - 1) // 2
 
     @pytest.mark.parametrize("n, res", [(1, 30), (2, 7), (3, 4)])
     def test_resolution_override(self, n, res):

@@ -14,11 +14,13 @@ from currentkit.forms import Box, FormField, TimePolynomialForm, VectorField
 from currentkit.lipschitz import LipMap, pushed_tables, pushforward_chain
 from currentkit.motion import (Cochain, Motion, continuity_modulus,
                                deformation_chain, homotopy_residual,
-                               make_motion, transport_derivative_fd)
+                               make_motion, transport_derivative,
+                               transport_derivative_fd)
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import integrate_interval
 from oracles import (continuity_modulus_by_node, deformation_by_node,
                      gauss_by_panel, homotopy_residual_by_node,
+                     transport_derivative_by_push,
                      transport_derivative_fd_by_node)
 
 FAMILIES = ["identity", "translation", "rotation", "expansion", "shear",
@@ -55,6 +57,13 @@ def _form(n: int, degree: int, seed: int) -> FormField:
                                        max_degree=2)
 
 
+def _cochain(n: int, r: int) -> Cochain:
+    rng = np.random.default_rng(n + r)
+    return Cochain(TimePolynomialForm(n, r, {
+        idx: Polynomial.random(n + 1, 2, rng)
+        for idx in multi_indices(r, n)}))
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("name, n, r", list(_cases()))
     def test_families_and_degrees(self, name, n, r):
@@ -82,16 +91,24 @@ class TestBitIdentity:
         # bit, as one push and one evaluation per time
         m = _motion(name, n)
         T = _chain(n, r, 10 * n + r)
-        rng = np.random.default_rng(n + r)
-        psi = Cochain(TimePolynomialForm(n, r, {
-            idx: Polynomial.random(n + 1, 2, rng)
-            for idx in multi_indices(r, n)}))
+        psi = _cochain(n, r)
         for eps in (1e-2, 1e-5):
             assert transport_derivative_fd(m, T, psi, 0.2, eps, levels=1,
                                            one_sided=one_sided) \
                 == transport_derivative_fd_by_node(m, T, psi, 0.2, eps,
                                                    levels=1,
                                                    one_sided=one_sided)
+
+    @pytest.mark.parametrize("name, n, r", list(_cases()))
+    def test_transport_derivative(self, name, n, r):
+        # psi_dot and d(phi) -| v on one push of T: the same sum, bit for
+        # bit, as evaluations of `Motion.push`'s chain
+        m = _motion(name, n)
+        T = _chain(n, r, 10 * n + r)
+        psi = _cochain(n, r)
+        for levels in (0, 1):
+            assert transport_derivative(m, T, psi, 0.2, levels) \
+                == transport_derivative_by_push(m, T, psi, 0.2, levels)
 
     @pytest.mark.parametrize("levels", [0, 1, 2, 3])
     @pytest.mark.parametrize("panels", [1, 2, 8])
