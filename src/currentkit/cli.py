@@ -21,7 +21,7 @@ from .complexes import freudenthal_complex
 from .flatnorm import flat_norm_lp, lower_bounds
 from .forms import (FormField, VectorField, exterior_derivative,
                     lie_derivative, lie_derivative_components)
-from .lipschitz import (LipMap, lipschitz_constant, pushforward_chain)
+from .lipschitz import LipMap, pushforward_chain
 from .motion import (classical_reynolds, continuity_modulus,
                      homotopy_residual, reynolds_operator,
                      transport_derivative, transport_derivative_fd)
@@ -86,12 +86,21 @@ def _fit_order(xs, ys):
 # verify
 # ----------------------------------------------------------------------
 
+def _pushforward_excess(T, mat, shift) -> float:
+    """How far M(f#T) exceeds Lip(f)^r M(T) + 1e-6 for the affine map
+    f(x) = mat x + shift, whose Lipschitz constant is exactly |mat|_2;
+    0 when the mass bound holds."""
+    bound = float(np.linalg.norm(mat, 2)) ** T.degree * mass_chain(T)
+    pushed = pushforward_chain(LipMap.affine(mat, shift), T)
+    return max(mass_chain(pushed) - bound - 1e-6, 0.0)
+
+
 def _verify_checks(cfg, tol_scale, timings):
     """Per-scenario invariant suite: a list of (row, passed, (value,
     oracle, tol, |value - oracle|))."""
     rng = np.random.default_rng(cfg.seed)
     T = cfg.build_chain()
-    box = cfg.build_box()
+    cfg.build_box()  # a bad box is a configuration error here too
     out = []
 
     def check(quantity, value, oracle, tol, level=None, runtime=None):
@@ -143,12 +152,8 @@ def _verify_checks(cfg, tol_scale, timings):
     # pushforward mass bound under a random affine map
     t0 = _timed(timings)
     mat = rng.standard_normal((n, n)) + n * np.eye(n)
-    f = LipMap.affine(mat, rng.standard_normal(n))
-    lip, _ = lipschitz_constant(f, box, n_pairs=2000)
-    bound = lip ** T.degree * mass_chain(T)
-    pushed_mass = mass_chain(pushforward_chain(f, T))
     check("pushforward_mass_within_bound",
-          max(pushed_mass - bound - 1e-6, 0.0), 0.0, 0.0,
+          _pushforward_excess(T, mat, rng.standard_normal(n)), 0.0, 0.0,
           runtime=_elapsed(t0))
 
     # homotopy formula for the scenario motion

@@ -360,8 +360,9 @@ def pullback(phi: FormField, f, h=1e-6) -> FormField:
     dimensions may differ, or by a LipMap on R^n; exact polynomial result
     for affine f and polynomial phi, sampled backend otherwise.  The
     Jacobian of a LipMap is its own when given, else central differences
-    with step h.  No subcommand calls it: the tests' Lagrangian transport
-    oracle is built on it."""
+    with step h * max(1, |x|_inf) at each point x, so the relative error
+    does not grow with the point's scale.  No subcommand calls it: the
+    tests' Lagrangian transport oracle is built on it."""
     r = phi.degree
     affine = isinstance(f, AffineMap)
     m = f.source_dim if affine else f.ambient
@@ -388,11 +389,13 @@ def pullback(phi: FormField, f, h=1e-6) -> FormField:
             return np.broadcast_to(f.mat, (len(x), *f.mat.shape))
         if f.jacobian is not None:
             return f.jacobians_at(x)
-        # the images at x + h e_j, then at x - h e_j, for every j
-        steps = h * np.eye(m)
-        pts = x[:, None, :] + np.concatenate([steps, -steps])
+        # the images at x + h_x e_j, then at x - h_x e_j, for every j
+        hx = h * np.maximum(1.0, np.abs(x).max(axis=1))
+        steps = hx[:, None, None] * np.eye(m)
+        pts = x[:, None, :] + np.concatenate([steps, -steps], axis=1)
         vals = f.values_at(pts.reshape(-1, m)).reshape(len(x), 2, m, m)
-        return ((vals[:, 0] - vals[:, 1]) / (2 * h)).transpose(0, 2, 1)
+        return ((vals[:, 0] - vals[:, 1])
+                / (2 * hx[:, None, None])).transpose(0, 2, 1)
 
     def ev(x, phi=phi, f=f):
         jac = jacobian(x)

@@ -119,7 +119,9 @@ def lipschitz_constant(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS):
 
     The sample is a deterministic Halton set plus the grid-neighbor pairs.
     Refined by Jacobian spectral norms on the grid when the Jacobian is
-    available.  Returns (estimate, sample_count).
+    available.  Returns (estimate, sample_count).  No subcommand calls
+    it (`verify` takes the exact |A|_2 of its affine map); the tests'
+    oracles do.
     """
     xs, ys = _sample_pairs(box, n_pairs)
     best = float(np.max(_pair_ratios(f, xs, ys)))

@@ -12,7 +12,7 @@ from .chains import (Chain, boundary, triangle_chain, unit_interval_chain,
                      unit_square_chain)
 from .forms import Box, TimePolynomialForm
 from .motion import Cochain, Motion, _check_family, make_motion
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _is_whole
 
 __all__ = ["ScenarioConfig", "load_config", "builtin_scenarios"]
 
@@ -78,6 +78,12 @@ class ScenarioConfig:
         for key in ("lower", "upper", "pad"):
             if cfg.box is not None and key in cfg.box:
                 _finite(f"box.{key}", cfg.box[key])
+        for key in ("lower", "upper"):
+            if cfg.box is not None and np.shape(cfg.box.get(key)) != (
+                    cfg.ambient,):
+                raise ValueError(f"scenario field 'box.{key}' must be "
+                                 f"{cfg.ambient} numbers, got "
+                                 f"{cfg.box.get(key)!r}")
         if cfg.box is not None and "resolution" in cfg.box:
             cfg.box = {**cfg.box, "resolution": _whole(
                 "box.resolution", cfg.box["resolution"], 2)}
@@ -140,11 +146,9 @@ _WHOLE_FIELDS = (("levels", 0), ("panels", 1), ("resolution", 2),
 
 def _whole(name: str, value, low: int) -> int:
     """`value` as an int; a ValueError naming the field unless it is a
-    whole number (an integer, or a float with no fraction; not a bool)
-    of at least `low`."""
-    whole = (isinstance(value, (int, np.integer))
-             or isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole or value < low:
+    whole number (by the rule of `polynomial._is_whole`) of at least
+    `low`."""
+    if not _is_whole(value) or value < low:
         raise ValueError(f"scenario field {name!r} must be a whole number "
                          f">= {low}, got {value!r}")
     return int(value)

@@ -203,18 +203,20 @@ def derivative_at(phi: FormField, x) -> np.ndarray:
 def pullback_at(phi: FormField, f, x, source_dim: int, jacobian=None,
                 h: float = 1e-6) -> np.ndarray:
     """Coefficients of f^#(phi) at x: the r-minors of the Jacobian of f
-    (given, or by central differences with step h) against phi(f(x))."""
+    (given, or by central differences with step h * max(1, |x|_inf))
+    against phi(f(x))."""
     r = phi.degree
     x = np.asarray(x, dtype=float)
     if jacobian is not None:
         jac = np.asarray(jacobian(x), dtype=float)
     else:
+        hx = h * max(1.0, float(np.max(np.abs(x))))
         cols = []
         for j in range(source_dim):
             e = np.zeros(source_dim)
-            e[j] = h
+            e[j] = hx
             cols.append((np.asarray(f(x + e), float)
-                         - np.asarray(f(x - e), float)) / (2 * h))
+                         - np.asarray(f(x - e), float)) / (2 * hx))
         jac = np.stack(cols, axis=-1)
     cov = phi(f(x)).coefficients
 

@@ -8,10 +8,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from currentkit.chains import boundary, triangle_chain
-from currentkit.cli import _build_parser, main
+from currentkit.chains import (boundary, mass_chain, triangle_chain,
+                               unit_square_chain)
+from currentkit.cli import _build_parser, _pushforward_excess, main
+from currentkit.lipschitz import LipMap, pushforward_chain
 from currentkit.scenarios import (ScenarioConfig, builtin_scenarios,
                                   load_config)
 
@@ -233,6 +236,70 @@ class TestScenarioConfig:
                 in capsys.readouterr().err)
         assert not (tmp_path / "transport.csv").exists()
 
+    @pytest.mark.parametrize("term, match", [
+        ({"exponents": [0, 1.5, 0], "coefficient": 1.0},
+         "must be whole numbers >= 0"),
+        ({"exponents": [0, True, 0], "coefficient": 1.0},
+         "must be whole numbers >= 0"),
+        ({"exponents": [0, 1, 0], "coefficient": "3"},
+         "is not a real number"),
+        ({"coefficient": 1.0}, "polynomial term 1 has no 'exponents'"),
+        ({"exponents": [0, 1, 0]}, "polynomial term 1 has no 'coefficient'"),
+        ([[0, 1, 0], 1.0], "polynomial term 1 is not an object")],
+        ids=["fraction", "bool", "string", "no-exponents", "no-coefficient",
+             "list"])
+    def test_bad_cochain_term_exit_2(self, tmp_path, capsys, term, match):
+        # unchecked, exponent 1.5 ran as 1 with exit 0, and a missing key
+        # was a KeyError traceback with exit 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "motion": {"family": "rotation", "rate": 0.7},
+            "cochain": {"degree": 2, "components": {"0,1": [
+                {"exponents": [0, 0, 0], "coefficient": 1.0}, term]}}}))
+        assert main(["transport", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "transport.csv").exists()
+
+    def test_overflowing_cochain_exit_2(self, tmp_path, capsys):
+        # unchecked, t^2 at tau = 1e200 was an OverflowError traceback
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "tau": 1e200, "motion": {
+                "family": "translation", "velocity": [0.3, 0.1],
+                "interval": [-1e300, 1e300]},
+            "cochain": {"degree": 2, "components": {"0,1": [
+                {"exponents": [2, 0, 0], "coefficient": 1.0}]}}}))
+        assert main(["transport", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert "non-finite coefficient inf" in capsys.readouterr().err
+
+    def test_repeated_cochain_term_is_summed(self, tmp_path):
+        # unchecked, the second term replaced the first
+        def run(terms, out):
+            path = tmp_path / f"{out}.json"
+            path.write_text(json.dumps({
+                "name": "x", "motion": {"family": "rotation", "rate": 0.7},
+                "cochain": {"degree": 2, "components": {"0,1": terms}}}))
+            assert main(["transport", "--config", str(path),
+                         "--out", str(tmp_path / out)]) == 0
+            return _read(tmp_path / out / "transport.csv")
+
+        term = {"exponents": [0, 2, 0], "coefficient": 1.0}
+        split = run([term, {**term, "coefficient": 2.0}], "split")
+        merged = run([{**term, "coefficient": 3.0}], "merged")
+        assert split == merged
+
+    @pytest.mark.parametrize("box", [
+        {"lower": [0, 0, 0], "upper": [1, 1, 1]}, {"upper": [1, 1]}])
+    def test_box_of_wrong_dimension_exit_2(self, tmp_path, capsys, box):
+        # verify no longer reads the box, which ran a 3-D box silently
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "x", "box": box}))
+        assert main(["verify", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert "'box.lower' must be 2 numbers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [2.5, 1, "3", True])
     def test_bad_box_resolution_rejected(self, tmp_path, capsys, value):
         # unchecked, 2.5 ran silently on a resolution-2 box
@@ -262,6 +329,24 @@ class TestScenarioConfig:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("chain", [
+        unit_square_chain(), boundary(unit_square_chain()), triangle_chain()],
+        ids=["square", "boundary_square", "triangle"])
+    @pytest.mark.parametrize("name, mat", [
+        ("conformal", 2.0 * np.array([[np.cos(0.3), -np.sin(0.3)],
+                                      [np.sin(0.3), np.cos(0.3)]])),
+        ("shear", np.array([[1.0, 1.7], [0.0, 1.0]]))],
+        ids=["conformal", "shear"])
+    def test_pushforward_mass_bound(self, chain, name, mat):
+        # |mat|_2 is the exact Lipschitz constant; a conformal map meets
+        # the bound M(f#T) <= Lip(f)^r M(T) with equality
+        excess = _pushforward_excess(chain, mat, np.array([0.4, -0.2]))
+        assert excess == 0.0
+        if name == "conformal":
+            pushed = pushforward_chain(LipMap.affine(mat), chain)
+            assert mass_chain(pushed) == pytest.approx(
+                2.0 ** chain.degree * mass_chain(chain), rel=1e-12)
+
     def test_default_suite_passes(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == 0
         rows = _read(tmp_path / "verify.csv")

@@ -3,9 +3,12 @@ and the seminorm family."""
 
 import json
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from currentkit import forms
 from currentkit.exterior import multi_indices
@@ -69,6 +72,128 @@ class TestPolynomial:
     def test_non_finite_coefficient_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             Polynomial(2, {(1, 0): 1.0, (0, 1): bad})
+
+    @pytest.mark.parametrize("expo", [(1.5, 0), (True, 0), ("2", 0),
+                                      (-1, 0), (np.float32(1.0), 0)])
+    def test_non_whole_exponent_rejected(self, expo):
+        # unchecked, 1.5 was truncated to 1 and True and "2" were read
+        # as 1 and 2
+        with pytest.raises(ValueError, match="whole numbers >= 0"):
+            Polynomial(2, {expo: 1.0})
+
+    @pytest.mark.parametrize("coeff", ["3", True, np.True_, None, 1j])
+    def test_non_real_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="not a real number"):
+            Polynomial(2, {(0, 1): coeff})
+
+    def test_whole_exponents_and_real_coefficients_accepted(self):
+        p = Polynomial(2, {(2.0, np.int64(1)): np.float64(1.5),
+                           (0, 0): np.int64(-2), (1, 1): 3})
+        assert p.terms == {(2, 1): 1.5, (0, 0): -2.0, (1, 1): 3.0}
+        assert all(type(e) is int for expo in p.terms for e in expo)
+        assert all(type(c) is float for c in p.terms.values())
+
+    def test_huge_integer_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Polynomial(1, {(0,): 10 ** 400})
+
+    def test_json_repeated_monomial_is_summed(self):
+        # unchecked, the last coefficient of a repeated monomial won
+        body = [{"exponents": [0, 0, 0], "coefficient": 1},
+                {"exponents": [0, 1, 0], "coefficient": 0.5},
+                {"exponents": [0.0, 0, 0], "coefficient": 2}]
+        p = Polynomial.from_json_obj(3, body)
+        assert p.terms == {(0, 0, 0): 3.0, (0, 1, 0): 0.5}
+
+    def test_json_cancelling_monomials_are_dropped(self):
+        body = [{"exponents": [1, 0], "coefficient": 2.5},
+                {"exponents": [1, 0], "coefficient": -2.5}]
+        assert Polynomial.from_json_obj(2, body).is_zero()
+
+    def test_json_terms_not_a_list_rejected(self):
+        # unchecked, a TypeError
+        with pytest.raises(ValueError, match="must be a list, got 5"):
+            Polynomial.from_json_obj(2, 5)
+
+    @pytest.mark.parametrize("key", ["exponents", "coefficient"])
+    def test_json_missing_key_names_the_term(self, key):
+        # unchecked, a KeyError
+        body = [{"exponents": [0, 0], "coefficient": 1.0},
+                {"exponents": [1, 0], "coefficient": 1.0}]
+        del body[1][key]
+        with pytest.raises(ValueError,
+                           match=f"polynomial term 1 has no '{key}'"):
+            Polynomial.from_json_obj(2, body)
+
+    def test_overflow_raises(self):
+        big = Polynomial.constant(2, 1e200)
+        with pytest.raises(ValueError, match="non-finite coefficient inf"):
+            big * 1e200
+        with pytest.raises(ValueError, match="non-finite coefficient inf"):
+            big * big
+        with pytest.raises(ValueError, match="non-finite coefficient inf"):
+            Polynomial.constant(2, 1.5e308) + Polynomial.constant(2, 1.5e308)
+
+    def test_substitute_first_overflow_raises(self):
+        # 1e200 ** 2 as a float power is an OverflowError
+        p = Polynomial(2, {(2, 1): 1.0, (0, 0): 1.0})
+        with pytest.raises(ValueError, match="non-finite coefficient inf"):
+            p.substitute_first(1e200)
+
+    def test_inf_minus_inf_raises(self):
+        # the xy coefficient sums 1e200 * 1e200 and 1e200 * -1e200
+        a = Polynomial(2, {(1, 0): 1e200, (0, 1): 1e200})
+        b = Polynomial(2, {(0, 1): 1e200, (1, 0): -1e200})
+        with pytest.raises(ValueError,
+                           match=r"non-finite coefficient nan of \(1, 1\)"):
+            a * b
+
+
+def _polynomials(nvars):
+    coeffs = st.one_of(st.integers(-3, 3),
+                       st.floats(-1e3, 1e3, allow_nan=False))
+    expos = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(expos, coeffs, max_size=5).map(
+        lambda terms: Polynomial(nvars, terms))
+
+
+def _term_bits(p):
+    return p.nvars, [(e, float(c).hex()) for e, c in p.terms.items()]
+
+
+@st.composite
+def _algebra_cases(draw):
+    """A polynomial operation on drawn operands, as a function of no
+    arguments."""
+    nvars = draw(st.integers(1, 3))
+    p, q = draw(_polynomials(nvars)), draw(_polynomials(nvars))
+    scalar = draw(st.one_of(st.integers(-3, 3), st.floats(-1e3, 1e3)))
+    value = draw(st.floats(-4.0, 4.0))
+    i = draw(st.integers(0, nvars - 1))
+    m = draw(st.integers(1, 3))
+    entries = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    mat = np.array(draw(st.lists(entries, min_size=nvars * m,
+                                 max_size=nvars * m))).reshape(nvars, m)
+    shift = np.array(draw(st.lists(entries, min_size=nvars,
+                                   max_size=nvars)))
+    return draw(st.sampled_from([
+        lambda: p + q, lambda: p - q, lambda: p * scalar, lambda: p * q,
+        lambda: -p, lambda: p.diff(i), lambda: p.substitute_first(value),
+        lambda: p.compose_affine(mat, shift)]))
+
+
+class TestTrustBoundary:
+    """Arithmetic builds its results through `Polynomial._of`, which skips
+    the exponent checks of the public constructor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_algebra_cases())
+    def test_of_matches_validated_constructor(self, op):
+        fast = op()
+        validated = classmethod(lambda cls, nvars, terms: cls(nvars, terms))
+        with mock.patch.object(Polynomial, "_of", validated):
+            checked = op()
+        assert _term_bits(fast) == _term_bits(checked)
 
 
 class TestExteriorDerivative:
@@ -139,6 +264,20 @@ class TestPullback:
         e0 = np.array([1.0, 0.0])
         assert pb(pt).coefficients[0] == pytest.approx(
             phi(f(pt)).coefficients @ (mat @ e0), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_difference_step_scales_with_the_point(self, scale):
+        # f(x) = (x0^2 / s, x1) pulls dx0 back to (2 x0 / s) dx0; with an
+        # absolute step the relative error was 4.7e-7 at s = 1e4 and
+        # 5.1e-4 at s = 1e8
+        f = LipMap(2, lambda x: np.stack([x[:, 0] ** 2 / scale, x[:, 1]],
+                                         axis=1))
+        phi = FormField.from_polynomials(
+            2, 1, {(0,): Polynomial.constant(2, 1.0)})
+        got = pullback(phi, f).coefficients_at(
+            np.array([[0.7 * scale, 0.3 * scale]]))[0]
+        assert abs(got[0] - 1.4) / 1.4 <= 1e-8
+        assert got[1] == 0.0
 
 
 class TestLieDerivative:
