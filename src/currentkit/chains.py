@@ -5,14 +5,15 @@ against forms by quadrature."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .exterior import sort_parity, wedge_rows
 from .forms import FormField, VectorField, contract, exterior_derivative
-from .quadrature import (_halving_indices, _read_only, simplex_rule,
-                         simplex_volumes)
+from .quadrature import (_halving_indices, _read_only, _whole_number,
+                         simplex_rule, simplex_volumes)
 
 __all__ = [
     "Chain",
@@ -50,11 +51,16 @@ def _edge_wedges(vertices: np.ndarray):
     return xi, norms, norms <= _DEGENERACY_TOL * lengths
 
 
-def _unit_tangents(vertices: np.ndarray) -> np.ndarray:
+def _unit_tangents(vertices: np.ndarray, pushed: bool = False) -> np.ndarray:
     """Orienting unit r-vectors of a stack of r-simplices: the normalized
     wedge of the edges from the first vertex (1 at r = 0).  Shape
-    (N, r+1, n) -> (N, C(n, r))."""
+    (N, r+1, n) -> (N, C(n, r)).  One `_edge_wedges` call gives the
+    wedges and the degeneracy test; for `pushed` simplices a degenerate
+    one raises the pushforward's error, before the check for non-finite
+    wedges."""
     xi, norms, degenerate = _edge_wedges(vertices)
+    if pushed and np.any(degenerate):
+        raise ValueError("degenerate image simplex in pushforward")
     if not np.all(np.isfinite(xi)):
         raise ValueError("non-finite simplex: vertices or edge wedge "
                          "not finite")
@@ -240,7 +246,8 @@ class Chain:
         it; the table is rebuilt once, at the end.  The children of a
         simplex are consecutive, in `subdivide_barycentric`'s order, each
         with its multiplicity times the child's orientation relative to
-        it."""
+        it.  A ValueError unless `levels` is a whole number >= 0."""
+        levels = _whole_number("levels", levels, 0)
         r = self.degree
         if r == 0 or levels == 0:
             return self
@@ -337,11 +344,31 @@ class Current:
 
 @dataclass
 class Leaf(Current):
+    """A chain as a current expression.  After its first evaluation at an
+    `s_order` the Leaf keeps its chain's geometry (`simplex_geometry`) at
+    that order, for the chain object it was built from: evaluating one
+    Leaf against many forms builds the geometry once, and rebinding
+    `chain` starts afresh."""
+
     chain: Chain
+    _geometry: tuple = field(default=(None, None), init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         self.degree = self.chain.degree
         self.ambient = self.chain.ambient
+
+    def _evaluate(self, phi: FormField, s_order: int) -> float:
+        chain, memo = self._geometry
+        if chain is not self.chain:
+            chain, memo = self.chain, {}
+            self._geometry = chain, memo
+        _check_forms([phi], chain.degree, chain.ambient)
+        if not len(chain):
+            return 0.0
+        if s_order not in memo:
+            memo[s_order] = simplex_geometry(chain.stacked()[0], s_order)
+        return evaluate_copies(memo[s_order], chain.mults, [phi])[0]
 
 
 @dataclass
@@ -378,53 +405,78 @@ class Sum(Current):
         self.degree, self.ambient = next(iter(degs))
 
 
-def evaluate_copies(verts: np.ndarray, mults: np.ndarray, forms,
-                    s_order: int = 2) -> list:
-    """Values of K copies of one chain's simplices, each against its own
-    form: vertices (K, N, r+1, n), the multiplicities (N,) they share and
-    K forms.  Copy k's value equals `evaluate` of that copy against
-    forms[k], bit for bit: each per-simplex step is a stacked matmul or an
-    elementwise op, which runs the same kernel per item as on one copy,
-    and each copy's total is summed in chain order from 0.0.  Consecutive
-    copies that share a form object get one `coefficients_at` call."""
-    count, size, width, n = verts.shape
+class Geometry(NamedTuple):
+    """The geometry step of evaluation on a stack of M r-simplices: the
+    unit tangents (M, C(n, r)) of `_unit_tangents`, and the quadrature
+    points (M, q, n) and weights (M, q) of `quadrature.simplex_rule`, all
+    read-only.  It depends on the coordinates and the rule alone, so one
+    geometry serves every form evaluated on the same simplices."""
+
+    tangents: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+
+
+def simplex_geometry(vertices: np.ndarray, s_order: int = 2,
+                     pushed: bool = False) -> Geometry:
+    """Geometry of a stack of simplices (M, r+1, n).  A degenerate or
+    non-finite simplex raises `_unit_tangents`' ValueError (the
+    pushforward's for `pushed` simplices)."""
+    tangents = _unit_tangents(vertices, pushed)
+    points, weights = simplex_rule(vertices, s_order)
+    return Geometry(*_read_only(tangents, points, weights))
+
+
+def _check_forms(forms, degree: int, ambient: int):
+    """A ValueError unless every form has the chain's degree and
+    ambient dimension."""
     for phi in forms:
-        if phi.degree != width - 1 or phi.ambient != n:
+        if phi.degree != degree or phi.ambient != ambient:
             raise ValueError("form degree/ambient does not match the chain")
+
+
+def evaluate_copies(geometry: Geometry, mults: np.ndarray, forms) -> list:
+    """The values step: K copies of one chain's N simplices, each against
+    its own form, from the geometry of all K * N simplices, copy by copy,
+    the multiplicities (N,) the copies share and K forms, which the
+    caller has checked (`_check_forms`).  Copy k's value equals
+    `evaluate` of that copy against forms[k], bit for bit: each
+    per-simplex step is a stacked matmul or an elementwise op, which runs
+    the same kernel per item as on one copy, and each copy's total is
+    summed in chain order from 0.0.  Consecutive copies that share a form
+    object get one `coefficients_at` call."""
+    count, size = len(forms), len(mults)
     if not size:
         return [0.0] * count
-    flat = verts.reshape(-1, width, n)
-    tangents = _unit_tangents(flat)
-    pts, wts = simplex_rule(flat, s_order)
-    pts = pts.reshape(count, -1, n)
+    n = geometry.points.shape[2]
+    pts = geometry.points.reshape(count, -1, n)
     runs = [k for k in range(1, count) if forms[k] is not forms[k - 1]]
     coeffs = np.concatenate([
         forms[lo].coefficients_at(pts[lo:hi].reshape(-1, n))
         for lo, hi in zip([0, *runs], [*runs, count])])
-    at_points = np.matmul(coeffs.reshape(len(flat), wts.shape[1], -1),
-                          tangents[:, :, None])
-    values = np.matmul(at_points.reshape(len(flat), 1, -1),
-                       wts[:, :, None])[:, 0, 0]
+    flat, quad = geometry.weights.shape
+    at_points = np.matmul(coeffs.reshape(flat, quad, -1),
+                          geometry.tangents[:, :, None])
+    values = np.matmul(at_points.reshape(flat, 1, -1),
+                       geometry.weights[:, :, None])[:, 0, 0]
     terms = np.concatenate([np.zeros((count, 1)),
                             mults * values.reshape(count, size)], axis=1)
     return np.cumsum(terms, axis=1)[:, -1].tolist()
 
 
 def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2) -> float:
-    verts, mults = chain.stacked()
-    return evaluate_copies(verts[None], mults, [phi], s_order)[0]
+    return Leaf(chain)._evaluate(phi, s_order)
 
 
 def evaluate(T: Current, phi: FormField, s_order: int = 2) -> float:
     """Evaluate a current expression against a form.
 
-    Boundary nodes evaluate the inner current on d(phi); VWedge nodes on
-    phi -| v, matching the defining dualities.
+    Leaf nodes evaluate their chain by quadrature; Boundary nodes
+    evaluate the inner current on d(phi); VWedge nodes on phi -| v,
+    matching the defining dualities.
     """
     if isinstance(T, Chain):
         T = Leaf(T)
-    if isinstance(T, Leaf):
-        return _leaf_evaluate(T.chain, phi, s_order)
     if isinstance(T, Boundary):
         return evaluate(T.inner, exterior_derivative(phi), s_order)
     if isinstance(T, VWedge):

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .chains import boundary, evaluate, mass_chain, triangle_chain
+from .chains import Leaf, boundary, evaluate, mass_chain, triangle_chain
 from .complexes import freudenthal_complex
 from .flatnorm import flat_norm_lp, lower_bounds
 from .forms import (FormField, VectorField, exterior_derivative,
@@ -127,12 +127,14 @@ def _verify_checks(cfg, tol_scale, timings):
     check("dd_zero_residual", worst_dd, 0.0, 0.0, runtime=_elapsed(t0))
     check("cartan_residual", worst_cartan, 0.0, 0.0)
 
-    # boundary adjointness and del o del = 0 on the scenario chain
+    # boundary adjointness and del o del = 0 on the scenario chain; one
+    # Leaf, so that T's geometry is built once for all its evaluations
+    leaf = Leaf(T)
     t0 = _timed(timings)
     if T.degree >= 1:
         phi = FormField.random_polynomial(n, T.degree - 1, rng, max_degree=3)
         resid = abs(evaluate(boundary(T), phi)
-                    - evaluate(T, exterior_derivative(phi)))
+                    - evaluate(leaf, exterior_derivative(phi)))
         check("adjointness_residual", resid, 0.0, 1e-8,
               runtime=_elapsed(t0))
     if T.degree >= 2:
@@ -144,8 +146,8 @@ def _verify_checks(cfg, tol_scale, timings):
     for _ in range(5):
         v = VectorField.random_polynomial(n, rng, max_degree=2)
         phi = FormField.random_polynomial(n, T.degree, rng, max_degree=2)
-        worst = max(worst, abs(evaluate(reynolds_operator(v, T), phi)
-                               - evaluate(T, lie_derivative(phi, v))))
+        worst = max(worst, abs(evaluate(reynolds_operator(v, leaf), phi)
+                               - evaluate(leaf, lie_derivative(phi, v))))
     check("reynolds_duality_residual", worst, 0.0, 1e-8,
           runtime=_elapsed(t0))
 
@@ -207,9 +209,10 @@ def _transport_rows(cfg, timings):
     rows.append(_row(cfg.name, "transport_derivative", an,
                      runtime=_elapsed(t0)))
     errs = []
+    work = T.subdivided(cfg.levels)  # once for the whole ladder
     for eps in cfg.eps_ladder:
-        fd = transport_derivative_fd(m, T, psi, cfg.tau, eps,
-                                     levels=cfg.levels, one_sided=tent)
+        fd = transport_derivative_fd(m, work, psi, cfg.tau, eps,
+                                     one_sided=tent)
         err = abs(an - fd)
         errs.append((eps, err))
         rows.append(_row(cfg.name, f"fd_abs_error_eps={eps:g}", fd, an,

@@ -39,7 +39,7 @@ import mmap
 
 import numpy as np
 
-from .chains import Chain, Current, evaluate, face_rows
+from .chains import Chain, Current, Leaf, evaluate, face_rows
 from .complexes import SimplicialComplex, _lookup
 from .exterior import binary_exponent
 from .forms import (Box, _flat_given_comass, _sharp_given_comass,
@@ -431,13 +431,17 @@ def _ladder(T: Current, family, box: Box, kinds, resolution=None,
             **kw) -> list:
     """For each seminorm s named in `kinds` ("flat", "sharp"), max(0, max
     over phi in the family of T(phi) / s(phi)), in one pass over the
-    family: each form is evaluated on T once, and its comass seminorm,
-    which both seminorms take the max with, is computed once.  An empty
-    family, and a form with a vanishing seminorm, raise a ValueError."""
+    family: each form is evaluated on T once, all of them before any
+    seminorm and on one Leaf, which builds a chain's geometry once; and
+    each form's comass seminorm, which both seminorms take the max with,
+    is computed once.  An empty family, and a form with a vanishing
+    seminorm, raise a ValueError."""
     if not family:
         raise ValueError("empty test family")
+    leaf = Leaf(T) if isinstance(T, Chain) else T
+    values = [evaluate(leaf, phi) for phi in family]
     best = [0.0] * len(kinds)
-    for phi in family:
+    for phi, value in zip(family, values):
         sup = seminorm_comass(phi, box, resolution, **kw)
         denoms = []
         for kind in kinds:
@@ -447,7 +451,6 @@ def _ladder(T: Current, family, box: Box, kinds, resolution=None,
             if denom <= 0.0:
                 raise ValueError(f"test form with vanishing {kind} seminorm")
             denoms.append(denom)
-        value = evaluate(T, phi)
         best = [max(b, value / denom) for b, denom in zip(best, denoms)]
     return best
 

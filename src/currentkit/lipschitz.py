@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, _edge_wedges, _lex_groups, vertex_table
+from .chains import Chain, _edge_wedges, vertex_table
 from .forms import AffineMap, Box, _sampled
 
 __all__ = [
@@ -135,37 +135,21 @@ def pushforward_chain(f: LipMap, T: Chain, levels: int = 0) -> Chain:
     """Vertex-mapped pushforward after `levels` uniform subdivisions.
 
     The chain's vertex table is mapped in one call; images that coincide
-    are one vertex of the pushed chain.  Exact for affine-per-simplex
-    maps; converges in evaluation as levels grows for curved Lipschitz
-    maps.  A non-finite image vertex (from `LipMap.values_at`), and a
-    degenerate image simplex by the rule of `chains._edge_wedges`, raise
-    a ValueError.
+    are one vertex of the pushed chain, by the rule of
+    `chains.vertex_table`.  Exact for affine-per-simplex maps; converges
+    in evaluation as levels grows for curved Lipschitz maps.  A
+    non-finite image vertex (from `LipMap.values_at`), and a degenerate
+    image simplex by the rule of `chains._edge_wedges`, raise a
+    ValueError.
     """
     work = T.subdivided(levels)
     if not len(work):
         return work
-    table, ids = pushed_tables(f.values_at(work.table)[None], work.ids)
-    return Chain._of(table, ids[0], work.mults)
-
-
-def pushed_tables(images: np.ndarray, ids: np.ndarray):
-    """Pushes of one chain by K maps at once.  `images` (K, V, n) are the
-    images of the chain's vertex table under each map, `ids` (N, r+1) its
-    simplices.  Within one push, images that coincide are one vertex, by
-    the rule of `chains.vertex_table`, applied to all K pushes by one
-    lexsort with the push as leading key.  Returns the distinct images,
-    push by push, each push's in lexicographic order; and each push's
-    simplices as rows into them (K, N, r+1).  A degenerate image simplex,
-    by the rule of `chains._edge_wedges`, raises a ValueError."""
-    count, size, n = images.shape
-    points = images.reshape(-1, n)
-    lead = np.repeat(np.arange(count, dtype=float), size)
-    ranks, first = _lex_groups(np.concatenate([lead[:, None], points], axis=1))
-    table, pushed = points[first], ranks.reshape(count, size)[:, ids]
-    if ids.shape[1] > 1 and np.any(_edge_wedges(
-            table[pushed].reshape(-1, *ids.shape[1:], n))[2]):
+    table, ids = vertex_table(f.values_at(work.table))
+    pushed = ids[work.ids]
+    if work.degree and np.any(_edge_wedges(table[pushed])[2]):
         raise ValueError("degenerate image simplex in pushforward")
-    return table, pushed
+    return Chain._of(table, pushed, work.mults)
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
-                     _edge_wedges, boundary, evaluate, evaluate_copies)
+                     _check_forms, _edge_wedges, boundary, evaluate,
+                     evaluate_copies, simplex_geometry)
 from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, seminorm_comass)
-from .lipschitz import (LipMap, _tent, make_map, pushed_tables,
-                        pushforward_chain)
+from .lipschitz import LipMap, _tent, make_map, pushforward_chain
 from .polynomial import Polynomial
 from .quadrature import gauss_quadrature, simplex_rule
 
@@ -80,19 +80,25 @@ def _pushed_values(m: Motion, work: Chain, times, form_rows,
     """evaluate(m.push(work, t_k), row[k], s_order) for every time t_k and
     every row of forms, one form per time; a list per row.  The pushes
     are stacked, in chunks of at most `_STACK_SIMPLICES` simplices (at
-    least one push a chunk): each time's map takes the vertex table once,
-    and `lipschitz.pushed_tables` gives each push the vertices, and the
-    ValueError, that `Motion.push` would."""
+    least one push a chunk).  Each time's map takes the vertex table
+    once, and each push's simplices are gathered from its images by the
+    chain's ids, without a vertex table of their own: every per-simplex
+    step reads the coordinates `Motion.push` would give, so the values
+    are the same bits, and a degenerate image raises the same ValueError
+    before any form is checked.  A chunk's geometry
+    (`chains.simplex_geometry`) is built once and serves every row."""
     step = max(1, _STACK_SIMPLICES // max(len(work), 1))
     out = [[] for _ in form_rows]
     for lo in range(0, len(times), step):
-        table, ids = pushed_tables(
-            np.stack([m.map_at(t).values_at(work.table)
-                      for t in times[lo:lo + step]]), work.ids)
-        verts = table[ids]
+        images = np.stack([m.map_at(t).values_at(work.table)
+                           for t in times[lo:lo + step]])
+        geometry = simplex_geometry(
+            images[:, work.ids].reshape(-1, work.degree + 1, work.ambient),
+            s_order, pushed=True)
         for row, values in zip(form_rows, out):
-            values += evaluate_copies(verts, work.mults, row[lo:lo + step],
-                                      s_order)
+            forms = row[lo:lo + step]
+            _check_forms(forms, work.degree, work.ambient)
+            values += evaluate_copies(geometry, work.mults, forms)
     return out
 
 
@@ -190,14 +196,14 @@ def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
                       levels: int = 0, panels: int = 8,
                       gauss_order: int = 5) -> float:
     """Residual of the homotopy formula
-    (kappa_b# T - kappa_a# T) = bnd(deformation) + deformation of bnd(T)."""
+    (kappa_b# T - kappa_a# T) = bnd(deformation) + deformation of bnd(T).
+    T is subdivided once, for both ends and its deformation."""
     work = T.subdivided(levels)
     (at_b, at_a), = _pushed_values(m, work, interval[::-1], [[phi, phi]])
     lhs = at_b - at_a
     rhs = 0.0
     if T.degree + 1 <= T.ambient:
-        deform = deformation_chain(m, interval, T, levels, panels,
-                                   gauss_order)
+        deform = deformation_chain(m, interval, work, 0, panels, gauss_order)
         rhs += evaluate(Boundary(deform), phi)
     if T.degree >= 1:
         bt = boundary(T)
@@ -217,7 +223,8 @@ def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
     psi_dot(kappa_tau# T) + psi(bnd(v wedge kappa_tau# T)
                                 + v wedge kappa_tau#(bnd T)).
     The wedge term vanishes identically when T has top degree.  Both
-    terms on kappa_tau# T come from one push (`_pushed_values`)."""
+    terms on kappa_tau# T come from one push (`_pushed_values`), and so
+    does the term on the pushed boundary."""
     m.check_time(tau)
     v = velocity_field(m, tau)
     phi = psi.form_at(tau)
@@ -232,7 +239,8 @@ def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
     if T.degree >= 1:
         bt = boundary(T)
         if len(bt):
-            total += evaluate(m.push(bt, tau, levels), contract(phi, v))
+            total += _pushed_values(m, bt.subdivided(levels), [tau],
+                                    [[contract(phi, v)]])[0][0]
     return total
 
 

@@ -87,6 +87,8 @@ class ScenarioConfig:
         if cfg.box is not None and "resolution" in cfg.box:
             cfg.box = {**cfg.box, "resolution": _whole(
                 "box.resolution", cfg.box["resolution"], 2)}
+        if cfg.cochain is not None:
+            _check_cochain(cfg.cochain, cfg.ambient)
         return cfg
 
     # -- builders ------------------------------------------------------
@@ -152,6 +154,22 @@ def _whole(name: str, value, low: int) -> int:
         raise ValueError(f"scenario field {name!r} must be a whole number "
                          f">= {low}, got {value!r}")
     return int(value)
+
+
+def _check_cochain(cochain, ambient: int):
+    """A ValueError naming the key unless `cochain` is an object whose
+    "degree" is a whole number (by the rule of `_whole`) in 0..ambient and
+    whose "components" is an object."""
+    if not isinstance(cochain, dict):
+        raise ValueError(f"scenario field 'cochain' must be an object, got "
+                         f"{cochain!r}")
+    degree = _whole("cochain.degree", cochain.get("degree"), 0)
+    if degree > ambient:
+        raise ValueError(f"scenario field 'cochain.degree' must be at most "
+                         f"the ambient dimension {ambient}, got {degree}")
+    if not isinstance(cochain.get("components"), dict):
+        raise ValueError(f"scenario field 'cochain.components' must be an "
+                         f"object, got {cochain.get('components')!r}")
 
 
 def _finite(name: str, value):

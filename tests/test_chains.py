@@ -261,6 +261,26 @@ class TestFiniteInput:
             Chain.from_json_obj(obj)
 
 
+class TestSubdivisionLevels:
+    @pytest.mark.parametrize("levels", [-1, True, 1.5, "2"])
+    def test_non_whole_levels_rejected(self, levels):
+        # unchecked, -1 returned the chain as it was, True subdivided once
+        # and 1.5 was a TypeError from range
+        point = Chain([[[0.5, 0.5]]], [1.0])
+        for T in (unit_square_chain(), point):
+            with pytest.raises(ValueError, match="^levels must be a whole "
+                                                 "number >= 0"):
+                T.subdivided(levels)
+        f = make_map("rotation", angle=0.3)
+        with pytest.raises(ValueError, match="^levels must be a whole"):
+            pushforward_chain(f, unit_square_chain(), levels=levels)
+
+    def test_whole_levels_accepted(self):
+        T = unit_square_chain()
+        assert T.subdivided(0) is T
+        assert len(T.subdivided(np.int64(2))) == len(T.subdivided(2)) == 32
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         T = unit_square_chain().subdivided(1) * 2.0

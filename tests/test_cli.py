@@ -19,6 +19,9 @@ from currentkit.scenarios import (ScenarioConfig, builtin_scenarios,
                                   load_config)
 
 
+_WHOLE_DEGREE = "'cochain.degree' must be a whole number >= 0"
+
+
 def _read(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -289,6 +292,44 @@ class TestScenarioConfig:
         split = run([term, {**term, "coefficient": 2.0}], "split")
         merged = run([{**term, "coefficient": 3.0}], "merged")
         assert split == merged
+
+    @pytest.mark.parametrize("cochain, match", [
+        ({"components": {}}, _WHOLE_DEGREE),
+        ({"degree": 1.5, "components": {}}, _WHOLE_DEGREE),
+        ({"degree": True, "components": {}}, _WHOLE_DEGREE),
+        ({"degree": "2", "components": {}}, _WHOLE_DEGREE),
+        ({"degree": -1, "components": {}}, _WHOLE_DEGREE),
+        ({"degree": 3, "components": {}},
+         "'cochain.degree' must be at most the ambient dimension 2"),
+        ({"degree": 2}, "'cochain.components' must be an object"),
+        ({"degree": 2, "components": [[0, 1]]},
+         "'cochain.components' must be an object"),
+        ([2, {}], "'cochain' must be an object")],
+        ids=["no-degree", "fraction", "bool", "string", "negative",
+             "above-ambient", "no-components", "list-components", "list"])
+    def test_bad_cochain_exit_2(self, tmp_path, capsys, cochain, match):
+        # unchecked, a missing key was a KeyError traceback with exit 1 in
+        # transport, while verify and converge exited 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "motion": {"family": "rotation", "rate": 0.7},
+            "cochain": cochain}))
+        with pytest.raises(ValueError, match=match):
+            load_config(path)
+        for command in ("verify", "transport", "flatnorm", "converge"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path)]) == 2
+            assert f"bad scenario in {path}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_whole_float_cochain_degree_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "motion": {"family": "rotation", "rate": 0.7},
+            "cochain": {"degree": 2.0, "components": {"0,1": [
+                {"exponents": [0, 0, 0], "coefficient": 1.0}]}}}))
+        assert main(["transport", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("box", [
         {"lower": [0, 0, 0], "upper": [1, 1, 1]}, {"upper": [1, 1]}])

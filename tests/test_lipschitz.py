@@ -114,6 +114,22 @@ class TestPushforward:
         with pytest.raises(ValueError):
             pushforward_chain(f, unit_square_chain())
 
+    def test_coinciding_images_are_one_vertex(self):
+        # table rows 0 and 2 map to (0.0, 1.0) and (-0.0, 1.0): one vertex
+        # of the pushed chain, the row of its first occurrence
+        images = np.array([[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]])
+        f = LipMap(2, lambda x: images[np.rint(x[:, 0]).astype(int)])
+        T = Chain([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
+                  [1.0, 1.0])
+        pushed = pushforward_chain(f, T)
+        assert len(pushed.table) == 2
+        verts = pushed.stacked()[0]
+        np.testing.assert_array_equal(verts, [[[0.0, 1.0], [1.0, 0.0]],
+                                              [[1.0, 0.0], [0.0, 1.0]]])
+        assert not np.signbit(verts[1, 1, 0])
+        with pytest.raises(ValueError, match="degenerate image simplex"):
+            pushforward_chain(f, Chain([[[0.0, 0.0], [2.0, 0.0]]], [1.0]))
+
 
 class TestMapLibrary:
     @pytest.mark.parametrize("name", ["identity", "translation", "rotation",

@@ -1,23 +1,27 @@
 """Motions evaluated at all time nodes as one stack: deformation chains,
 the homotopy residual, the continuity modulus and the finite-difference
 transport derivative equal, bit for bit, their one-node-at-a-time
-oracles, and raise the same errors."""
+oracles, and raise the same errors.  The stacked pushes and Leaf
+evaluations build each simplex stack's geometry once."""
 
 import numpy as np
 import pytest
 
-from currentkit import motion
-from currentkit.chains import (Chain, boundary, evaluate, evaluate_copies,
+from currentkit import chains, cli, motion
+from currentkit.chains import (Chain, Leaf, _leaf_evaluate, boundary,
+                               evaluate, evaluate_copies, simplex_geometry,
                                unit_square_chain)
 from currentkit.exterior import multi_indices
+from currentkit.flatnorm import lower_bounds
 from currentkit.forms import Box, FormField, TimePolynomialForm, VectorField
-from currentkit.lipschitz import LipMap, pushed_tables, pushforward_chain
+from currentkit.lipschitz import LipMap, pushforward_chain
 from currentkit.motion import (Cochain, Motion, continuity_modulus,
                                deformation_chain, homotopy_residual,
                                make_motion, transport_derivative,
                                transport_derivative_fd)
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import integrate_interval
+from currentkit.scenarios import builtin_scenarios
 from oracles import (continuity_modulus_by_node, deformation_by_node,
                      gauss_by_panel, homotopy_residual_by_node,
                      transport_derivative_by_push,
@@ -248,7 +252,8 @@ class TestStackedKernels:
 
         sampled = FormField.from_callable(3, 2, counted)
         forms = [_form(3, 2, 1), sampled, sampled, _form(3, 2, 1)]
-        values = evaluate_copies(copies, T.mults, forms)
+        values = evaluate_copies(simplex_geometry(copies.reshape(-1, 3, 3)),
+                                 T.mults, forms)
         expected = [evaluate(Chain(c, T.mults), phi)
                     for c, phi in zip(copies, forms)]
         assert values == expected
@@ -256,18 +261,139 @@ class TestStackedKernels:
         # then one per copy in `expected`
         assert len(calls) == 3 and calls[0] == 2 * calls[1]
 
-    def test_pushed_tables_keep_pushes_apart(self):
-        # in push 0 rows 0 and 2 coincide (0.0 == -0.0) and are one vertex,
-        # its first occurrence; push 1 has three distinct vertices
-        images = np.array([[[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]],
-                           [[0.0, 1.0], [1.0, 0.0], [0.5, 1.0]]])
-        ids = np.array([[0, 1], [1, 2]])
-        table, pushed = pushed_tables(images, ids)
-        assert len(table) == 5
-        np.testing.assert_array_equal(table[pushed][0],
-                                      [[[0.0, 1.0], [1.0, 0.0]],
-                                       [[1.0, 0.0], [0.0, 1.0]]])
-        assert not np.signbit(table[pushed][0, 1, 1, 0])
-        np.testing.assert_array_equal(table[pushed][1], images[1][ids])
-        with pytest.raises(ValueError, match="degenerate image simplex"):
-            pushed_tables(images, np.array([[0, 2]]))
+
+def _rule_calls(monkeypatch) -> list:
+    """The vertex stacks of every `quadrature.simplex_rule` call that
+    evaluation makes from now on."""
+    seen = []
+    rule = chains.simplex_rule
+
+    def counted(vertices, s=2):
+        seen.append(np.array(vertices))
+        return rule(vertices, s)
+
+    monkeypatch.setattr(chains, "simplex_rule", counted)
+    return seen
+
+
+# images of the vertices x = 0..5 of `_TWO_TRIANGLES` at two times.  At 0
+# vertex 2 of one triangle and vertex 3 of the other go to one point, as
+# 0.0 and -0.0; at 1 vertices 1 and 4 go to one point and vertex 0 has the
+# coordinate -0.0
+_IMAGES = {0.0: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                          [-0.0, 1.0], [1.0, 1.0], [0.0, 2.0]]),
+           1.0: np.array([[-0.0, 0.5], [2.0, 0.0], [0.5, 1.0],
+                          [3.0, 1.0], [2.0, 0.0], [2.5, -1.0]])}
+_TWO_TRIANGLES = Chain([[[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]],
+                        [[3.0, 0.0], [4.0, 1.0], [5.0, 0.0]]], [1.0, -2.0])
+
+
+def _lookup_motion() -> Motion:
+    """A motion whose map at t sends vertex x = k to _IMAGES[t][k]."""
+    def maps(t):
+        return LipMap(2, lambda x: _IMAGES[t][np.rint(x[:, 0]).astype(int)])
+
+    return Motion((0.0, 1.0), maps, lambda t: None)
+
+
+class TestTableFreePushes:
+    """`motion._pushed_values` gathers each push's simplices from its
+    images without a vertex table, and builds one geometry per chunk."""
+
+    @pytest.mark.parametrize("levels", [0, 1])
+    @pytest.mark.parametrize("name, n, r", list(_cases()))
+    def test_equal_to_evaluations_of_pushes(self, name, n, r, levels):
+        m = _motion(name, n)
+        work = _chain(n, r, 10 * n + r).subdivided(levels)
+        times = [0.0, 0.1, 0.35]
+        rows = [[_form(n, r, 3 * k + j) for j in range(len(times))]
+                for k in range(3)]
+        assert motion._pushed_values(m, work, times, rows) == [
+            [evaluate(m.push(work, t), phi) for t, phi in zip(times, row)]
+            for row in rows]
+
+    def test_signed_zeros_and_shared_points(self):
+        # the pushes stay apart: each time merges other vertices in
+        # `Motion.push`, and the gathered coordinates give the same values
+        m, times = _lookup_motion(), [0.0, 1.0]
+        assert [len(m.push(_TWO_TRIANGLES, t).table) for t in times] == [5, 5]
+        rows = [[_form(2, 2, k), _form(2, 2, k + 1)] for k in range(3)]
+        rows.append([FormField.from_callable(
+            2, 2, lambda x: np.stack([np.sign(x[:, 0]) + x[:, 1]], axis=1))]
+            * 2)
+        assert motion._pushed_values(m, _TWO_TRIANGLES, times, rows) == [
+            [evaluate(m.push(_TWO_TRIANGLES, t), phi)
+             for t, phi in zip(times, row)] for row in rows]
+
+    def test_degenerate_image_before_the_form_check(self):
+        m = _faulty_motion("degenerate")
+        wrong = [[_form(2, 1, 0)]]  # a 1-form for a 2-chain
+        with pytest.raises(ValueError, match="^degenerate image simplex in "
+                                             "pushforward$"):
+            motion._pushed_values(m, unit_square_chain(), [MIDDLE], wrong)
+        with pytest.raises(ValueError, match="^form degree/ambient"):
+            motion._pushed_values(m, unit_square_chain(), [0.0], wrong)
+
+    def test_one_geometry_per_chunk(self, monkeypatch):
+        seen = _rule_calls(monkeypatch)
+        m = make_motion("rotation", rate=0.7)
+        work = unit_square_chain().subdivided(2)
+        times = [0.0, 0.1, 0.2]
+        rows = [[_form(2, 2, 3 * k + j) for j in range(3)] for k in range(4)]
+        expected = motion._pushed_values(m, work, times, rows)
+        assert len(seen) == 1 and len(seen[0]) == 3 * len(work)
+        monkeypatch.setattr(motion, "_STACK_SIMPLICES", len(work))
+        assert motion._pushed_values(m, work, times, rows) == expected
+        assert len(seen) == 1 + len(times)
+
+
+class TestLeafGeometry:
+    """A Leaf keeps its chain's geometry per `s_order`."""
+
+    def test_one_leaf_equals_fresh_evaluations(self):
+        T = _chain(3, 2, 4, count=5)
+        leaf = Leaf(T)
+        forms = [_form(3, 2, s) for s in range(3)]
+        order = np.random.default_rng(0).permutation(12)
+        for k in order:
+            phi, s_order = forms[k % 3], (0, 2)[k // 6]
+            got = evaluate(leaf, phi, s_order)
+            assert got.hex() == evaluate(T, phi, s_order).hex()
+            assert got.hex() == _leaf_evaluate(T, phi, s_order).hex()
+        assert sorted(leaf._geometry[1]) == [0, 2]
+
+    def test_rebinding_the_chain_starts_afresh(self):
+        T, other = _chain(2, 1, 1), _chain(2, 1, 2)
+        phi = _form(2, 1, 0)
+        leaf = Leaf(T)
+        assert evaluate(leaf, phi) == evaluate(T, phi)
+        leaf.chain = other
+        assert evaluate(leaf, phi).hex() == evaluate(other, phi).hex()
+        assert evaluate(leaf, phi) != evaluate(T, phi)
+
+    def test_empty_chain_builds_no_geometry(self, monkeypatch):
+        seen = _rule_calls(monkeypatch)
+        empty = boundary(boundary(unit_square_chain()))
+        assert evaluate(empty, _form(2, 0, 0)) == 0.0 and not seen
+        with pytest.raises(ValueError, match="^form degree/ambient"):
+            evaluate(empty, _form(2, 1, 0))
+
+    def test_verify_builds_the_chain_geometry_once(self, monkeypatch):
+        # adjointness and Reynolds duality evaluate the square 11 times;
+        # the tent scenario runs no homotopy check, which would push T
+        cfg = next(c for c in builtin_scenarios() if c.name == "tent_square")
+        verts = cfg.build_chain().stacked()[0]
+        seen = _rule_calls(monkeypatch)
+        checks = cli._verify_checks(cfg, 1.0, False)
+        assert all(ok for _, ok, _ in checks)
+        assert sum(v.shape == verts.shape and np.array_equal(v, verts)
+                   for v in seen) == 1
+
+    def test_ladder_builds_the_chain_geometry_once(self, monkeypatch):
+        T = unit_square_chain().subdivided(1)
+        family = [_form(2, 2, s) for s in range(4)]
+        box = Box.unit(2, resolution=3)
+        expected = lower_bounds(T, family, box)
+        seen = _rule_calls(monkeypatch)
+        assert lower_bounds(T, family, box) == expected
+        assert len(seen) == 1
