@@ -95,21 +95,15 @@ def _pushforward_excess(T, mat, shift) -> float:
     return max(mass_chain(pushed) - bound - 1e-6, 0.0)
 
 
-def _verify_checks(cfg, tol_scale, timings):
-    """Per-scenario invariant suite: a list of (row, passed, (value,
-    oracle, tol, |value - oracle|))."""
-    rng = np.random.default_rng(cfg.seed)
-    T = cfg.build_chain()
-    cfg.build_box()  # a bad box is a configuration error here too
+def _chain_checks(T, n, rng, timings):
+    """The checks that read only the chain T, the ambient dimension n and
+    the draws of `rng`: a list of (quantity, value, oracle, tol,
+    runtime)."""
     out = []
 
-    def check(quantity, value, oracle, tol, level=None, runtime=None):
-        error = abs(float(value) - float(oracle))
-        ok = error <= tol * tol_scale
-        out.append((_row(cfg.name, quantity, value, oracle, level, runtime),
-                    ok, (float(value), float(oracle), tol, error)))
+    def check(quantity, value, oracle, tol, runtime=None):
+        out.append((quantity, value, oracle, tol, runtime))
 
-    n = cfg.ambient
     # exterior identities on random polynomial data
     t0 = _timed(timings)
     worst_dd = worst_cartan = 0.0
@@ -157,39 +151,84 @@ def _verify_checks(cfg, tol_scale, timings):
     check("pushforward_mass_within_bound",
           _pushforward_excess(T, mat, rng.standard_normal(n)), 0.0, 0.0,
           runtime=_elapsed(t0))
+    return out
 
-    # homotopy formula for the scenario motion
-    if cfg.motion.get("family") != "tent":
-        t0 = _timed(timings)
-        m = cfg.build_motion()
-        phi = FormField.random_polynomial(n, T.degree, rng, max_degree=2)
-        resid = homotopy_residual(m, (0.0, 0.4), T, phi,
-                                  levels=cfg.levels, panels=cfg.panels)
-        check("homotopy_residual", resid, 0.0, 1e-6, runtime=_elapsed(t0))
+
+def _motion_checks(cfg, T, rng, timings):
+    """The homotopy formula for the scenario motion, with the form drawn
+    from `rng`; no check for a tent, whose velocity is not smooth."""
+    if cfg.motion.get("family") == "tent":
+        return []
+    t0 = _timed(timings)
+    m = cfg.build_motion()
+    phi = FormField.random_polynomial(cfg.ambient, T.degree, rng,
+                                      max_degree=2)
+    resid = homotopy_residual(m, (0.0, 0.4), T, phi, levels=cfg.levels,
+                              panels=cfg.panels)
+    return [("homotopy_residual", resid, 0.0, 1e-6, _elapsed(t0))]
+
+
+def _chain_key(cfg, T):
+    """What the chain checks read of a scenario: its seed, its ambient
+    dimension and the arrays of its chain."""
+    return (cfg.seed, cfg.ambient, T.ids.shape, T.table.shape,
+            T.table.tobytes(), T.ids.tobytes(), T.mults.tobytes())
+
+
+def _verify_group(scenarios, chains, timings):
+    """The checks of scenarios that share a chain key, a list of
+    (quantity, value, oracle, tol, runtime) each: the chain checks run
+    once on default_rng(seed), and each scenario draws its motion check
+    from the generator state they leave, so its rows are those of a run
+    on its own.  Every scenario after the first reuses the chain rows
+    with an empty runtime."""
+    rng = np.random.default_rng(scenarios[0].seed)
+    shared = _chain_checks(chains[0], scenarios[0].ambient, rng, timings)
+    state = rng.bit_generator.state
+    reused = [check[:4] + (None,) for check in shared]
+    out = []
+    for k, (cfg, T) in enumerate(zip(scenarios, chains)):
+        bits = np.random.PCG64()
+        bits.state = state
+        out.append((reused if k else shared)
+                   + _motion_checks(cfg, T, np.random.Generator(bits),
+                                    timings))
     return out
 
 
 def cmd_verify(args, scenarios):
-    rows, failures = [], 0
     timings = os.environ.get("CURRENTKIT_TIMINGS") == "1"
+    # scenarios grouped by chain key before dispatch, so that no two
+    # workers run the chain checks of one group
+    chains, groups = [], {}
+    for k, cfg in enumerate(scenarios):
+        chains.append(cfg.build_chain())
+        cfg.build_box()  # a bad box is a configuration error here too
+        groups.setdefault(_chain_key(cfg, chains[k]), []).append(k)
 
-    def run(cfg):
-        return _verify_checks(cfg, args.tolerance_scale, timings)
+    def run(members):
+        return _verify_group([scenarios[k] for k in members],
+                             [chains[k] for k in members], timings)
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(run, scenarios))
-    for cfg, checks in zip(scenarios, results):
-        for row, ok, (value, oracle, tol, error) in checks:
-            row[1] += "" if ok else " [FAIL]"
-            rows.append(row)
-            if not ok:
+        results = list(pool.map(run, groups.values()))
+    checks = {k: c for members, result in zip(groups.values(), results)
+              for k, c in zip(members, result)}
+    rows, failures = [], 0
+    for k, cfg in enumerate(scenarios):
+        for quantity, value, oracle, tol, runtime in checks[k]:
+            row = _row(cfg.name, quantity, value, oracle, runtime=runtime)
+            error = abs(float(value) - float(oracle))
+            allowed = tol * args.tolerance_scale
+            if not error <= allowed:
+                row[1] += " [FAIL]"
                 failures += 1
-                allowed = tol * args.tolerance_scale
                 log.warning("FAIL %s / %s: value %.6g, oracle %.6g, "
                             "|value - oracle| %.6g > tol %g x "
                             "tolerance-scale %g = %.6g, margin %.6g",
                             cfg.name, row[1], value, oracle, error, tol,
                             args.tolerance_scale, allowed, allowed - error)
+            rows.append(row)
     _write_csv(os.path.join(args.out, "verify.csv"), rows)
     return 1 if failures else 0
 
@@ -368,6 +407,19 @@ def _tolerance_scale(text: str) -> float:
     return value
 
 
+def _workers(text: str) -> int:
+    """The value of --workers: a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a whole number: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number >= 1, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="currentkit",
@@ -378,7 +430,7 @@ def _build_parser():
     parser.add_argument("--config", help="scenario JSON file "
                         "(default: bundled scenario library)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_workers, default=1)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--tolerance-scale", type=_tolerance_scale,
                         default=1.0)

@@ -217,14 +217,10 @@ def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
 # the transport derivative and its oracles
 # ----------------------------------------------------------------------
 
-def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
-                         levels: int = 0) -> float:
-    """d/dt of psi(t)(kappa_t# T) at tau:
-    psi_dot(kappa_tau# T) + psi(bnd(v wedge kappa_tau# T)
-                                + v wedge kappa_tau#(bnd T)).
-    The wedge term vanishes identically when T has top degree.  Both
-    terms on kappa_tau# T come from one push (`_pushed_values`), and so
-    does the term on the pushed boundary."""
+def _transport_terms(m: Motion, T: Chain, psi: Cochain, tau: float,
+                     levels: int):
+    """(psi_dot(kappa_tau# T), the transport derivative), the second
+    summed from the first as `transport_derivative` states it."""
     m.check_time(tau)
     v = velocity_field(m, tau)
     phi = psi.form_at(tau)
@@ -241,7 +237,18 @@ def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
         if len(bt):
             total += _pushed_values(m, bt.subdivided(levels), [tau],
                                     [[contract(phi, v)]])[0][0]
-    return total
+    return values[0][0], total
+
+
+def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
+                         levels: int = 0) -> float:
+    """d/dt of psi(t)(kappa_t# T) at tau:
+    psi_dot(kappa_tau# T) + psi(bnd(v wedge kappa_tau# T)
+                                + v wedge kappa_tau#(bnd T)).
+    The wedge term vanishes identically when T has top degree.  Both
+    terms on kappa_tau# T come from one push (`_pushed_values`), and so
+    does the term on the pushed boundary."""
+    return _transport_terms(m, T, psi, tau, levels)[1]
 
 
 def transport_derivative_fd(m: Motion, T: Chain, psi: Cochain, tau: float,
@@ -280,12 +287,10 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
     vol_index = tuple(range(n))
     psi = Cochain(TimePolynomialForm(
         n, n, {vol_index: density.polys[0]}), name="density.volume")
-    lhs = transport_derivative(m, T, psi, tau, levels)
+    # the volume term is the transport derivative's psi_dot term
+    volume_term, lhs = _transport_terms(m, T, psi, tau, levels)
 
     pushed = m.push(T, tau, levels)
-    ddt = density.time_derivative().at_time(tau)
-    volume_term = evaluate(pushed, FormField.from_polynomials(
-        n, n, {vol_index: ddt.polys[0]}))
 
     # all faces and points at once; the terms are summed face by face,
     # point by point, from 0.0

@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, CSV reports, exit codes, determinism."""
 
 import csv
+import dataclasses
 import importlib.util
 import json
 import logging
@@ -11,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from currentkit import cli
 from currentkit.chains import (boundary, mass_chain, triangle_chain,
                                unit_square_chain)
 from currentkit.cli import _build_parser, _pushforward_excess, main
@@ -458,6 +460,127 @@ class TestVerify:
             (out4 / "verify.csv").read_bytes()
 
 
+def _counted_chain_checks(monkeypatch):
+    """A list that grows by one for each run of verify's chain checks,
+    counted at the pushforward mass check that every run makes once."""
+    runs = []
+    excess = cli._pushforward_excess
+
+    def counted(*args):
+        runs.append(args[0])
+        return excess(*args)
+
+    monkeypatch.setattr(cli, "_pushforward_excess", counted)
+    return runs
+
+
+def _verify_alone(tmp_path, cfg):
+    """The verify rows of one scenario, run from a config file of its
+    own with its seed."""
+    path = tmp_path / f"{cfg.name}.json"
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    out = tmp_path / f"{cfg.name}_out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "verify.csv", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+class TestSharedChainChecks:
+    @pytest.mark.parametrize("seed", [42, 7, 977])
+    def test_bundled_rows_are_those_of_each_scenario_alone(self, tmp_path,
+                                                           seed):
+        assert main(["verify", "--seed", str(seed), "--out",
+                     str(tmp_path / "bundled")]) == 0
+        with open(tmp_path / "bundled" / "verify.csv", newline="") as fh:
+            bundled = list(csv.reader(fh))[1:]
+        alone = []
+        for cfg in builtin_scenarios():
+            alone += _verify_alone(tmp_path, dataclasses.replace(cfg,
+                                                                 seed=seed))
+        assert bundled == alone
+
+    def test_bundled_library_runs_the_chain_checks_twice(self, tmp_path,
+                                                         monkeypatch):
+        # five scenarios on the unit square and one on its boundary, all
+        # at the CLI seed
+        runs = _counted_chain_checks(monkeypatch)
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        assert [T.degree for T in runs] == [2, 1]
+
+    def test_reused_rows_have_no_runtime(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CURRENTKIT_TIMINGS", "1")
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        timed = {(r["scenario"], r["quantity"])
+                 for r in _read(tmp_path / "verify.csv") if r["runtime"]}
+        assert {("rotating_square", "dd_zero_residual"),
+                ("shearing_boundary", "dd_zero_residual"),
+                ("static_square", "homotopy_residual")} <= timed
+        assert {s for s, q in timed if q != "homotopy_residual"} == {
+            "rotating_square", "shearing_boundary"}
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 43}, {"chain": {"builtin": "square", "multiplier": 2.0}}],
+        ids=["seed", "multiplier"])
+    def test_scenarios_apart_in_what_the_checks_read_share_nothing(
+            self, tmp_path, monkeypatch, change):
+        base = {"name": "a", "motion": {"family": "rotation", "rate": 0.7}}
+        config = tmp_path / "pair.json"
+        config.write_text(json.dumps({"scenarios": [
+            base, {**base, "name": "b", **change}]}))
+        runs = _counted_chain_checks(monkeypatch)
+        assert main(["verify", "--config", str(config), "--out",
+                     str(tmp_path / "pair")]) == 0
+        assert len(runs) == 2
+        with open(tmp_path / "pair" / "verify.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        alone = [_verify_alone(tmp_path, ScenarioConfig.from_obj(obj))
+                 for obj in (base, {**base, "name": "b", **change})]
+        assert rows == alone[0] + alone[1]
+        assert [r[2] for r in alone[0]] != [r[2] for r in alone[1]]
+
+    def test_chain_spelling_does_not_matter(self, tmp_path, monkeypatch):
+        # a multiplier of 1 and no multiplier are one chain
+        base = {"name": "a", "motion": {"family": "rotation", "rate": 0.7}}
+        config = tmp_path / "pair.json"
+        config.write_text(json.dumps({"scenarios": [
+            base, {**base, "name": "b",
+                   "chain": {"builtin": "square", "multiplier": 1}}]}))
+        runs = _counted_chain_checks(monkeypatch)
+        assert main(["verify", "--config", str(config), "--out",
+                     str(tmp_path)]) == 0
+        assert len(runs) == 1
+
+    def test_another_ambient_dimension_shares_nothing(self, tmp_path,
+                                                      capsys):
+        # the square in R^3 is a configuration error of its own, which
+        # rows of the square in R^2 would hide
+        config = tmp_path / "pair.json"
+        config.write_text(json.dumps({"scenarios": [
+            {"name": "plane"}, {"name": "space", "ambient": 3}]}))
+        assert main(["verify", "--config", str(config), "--out",
+                     str(tmp_path)]) == 2
+        assert "form degree/ambient does not match" in \
+            capsys.readouterr().err
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["verify", "transport", "flatnorm",
+                                         "converge"])
+    @pytest.mark.parametrize("value", ["0", "-1", "1.5", "two", ""])
+    def test_workers_is_a_whole_number_of_at_least_one(self, tmp_path,
+                                                       capsys, command,
+                                                       value):
+        # 0 ended in the executor's error (verify, transport) or went
+        # unused (flatnorm, converge)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path), "--workers", value])
+        assert exc.value.code == 2
+        assert "argument --workers: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert _build_parser().parse_args(
+            [command, "--workers", "3"]).workers == 3
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["verify", "transport", "flatnorm",
                                          "converge"])
@@ -533,6 +656,26 @@ class TestDeterminism:
             ["refined"] * 8
         assert all(p.suffix == ".csv" for p in (tmp_path / "out").rglob("*")
                    if p.is_file())
+        # --against: a second run equals the first; a changed and a
+        # missing CSV are printed, and the exit code is 1
+        argv = [sys.executable, os.path.join(root, "tools", "cli_csvs.py"),
+                "--seeds", "42", "--against", str(tmp_path / "out")]
+        done = subprocess.run(argv + [str(tmp_path / "same")], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stdout) == (0, ""), done.stderr
+        seed = tmp_path / "out" / "seed42"
+        with open(seed / "bundled" / "verify" / "verify.csv", "a") as fh:
+            fh.write("\n")
+        (seed / "flatgrid" / "cells_2d_r8" / "flatnorm" /
+         "flatnorm.csv").unlink()
+        done = subprocess.run(argv + [str(tmp_path / "other")], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout.splitlines() == [
+            "differs: " + os.path.join("seed42", "bundled", "verify",
+                                       "verify.csv"),
+            "differs: " + os.path.join("seed42", "flatgrid", "cells_2d_r8",
+                                       "flatnorm", "flatnorm.csv")]
 
 
 class TestTransport:

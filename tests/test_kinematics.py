@@ -187,6 +187,32 @@ class TestClassicalReynolds:
         with pytest.raises(ValueError):
             classical_reynolds(m, BSQ, density, 0.0)
 
+    @pytest.mark.parametrize("levels", [0, 2, 3])
+    @pytest.mark.parametrize("family, params", [
+        ("identity", {}), ("translation", {"velocity": [0.3, 0.1]}),
+        ("rotation", {"rate": 0.7}), ("shear", {"rate": 0.4}),
+        ("expansion", {"interval": (-0.5, 1.0)})])
+    def test_volume_term_is_the_pushed_rate_integral(self, family, params,
+                                                     levels):
+        # the volume term comes from the transport derivative's psi_dot
+        # term; it equals, bit for bit, the rate of the density integrated
+        # over a push of its own
+        rng = np.random.default_rng(levels)
+        m = make_motion(family, **params)
+        t = Polynomial.variable(0, 3)
+        rho = (Polynomial.random(3, 3, rng)
+               + t * Polynomial.random(3, 2, rng) + t * 0.37)
+        density = TimePolynomialForm(2, 0, {(): rho})
+        rate = density.time_derivative().at_time(0.3)
+        lhs, vol, _ = classical_reynolds(m, SQ, density, 0.3, levels)
+        assert vol != 0.0
+        assert vol == evaluate(m.push(SQ, 0.3, levels),
+                               FormField.from_polynomials(
+                                   2, 2, {(0, 1): rate.polys[0]}))
+        vol_cochain = Cochain(TimePolynomialForm(2, 2, {(0, 1):
+                                                        density.polys[0]}))
+        assert lhs == transport_derivative(m, SQ, vol_cochain, 0.3, levels)
+
     @pytest.mark.parametrize("scale", [1e-16, 1e8])
     def test_expanding_box_at_scale(self, scale):
         # no boundary face is too short or too long to carry its flux

@@ -380,12 +380,14 @@ class TestLeafGeometry:
 
     def test_verify_builds_the_chain_geometry_once(self, monkeypatch):
         # adjointness and Reynolds duality evaluate the square 11 times;
-        # the tent scenario runs no homotopy check, which would push T
+        # the chain checks run no homotopy check, which would push T
         cfg = next(c for c in builtin_scenarios() if c.name == "tent_square")
         verts = cfg.build_chain().stacked()[0]
         seen = _rule_calls(monkeypatch)
-        checks = cli._verify_checks(cfg, 1.0, False)
-        assert all(ok for _, ok, _ in checks)
+        checks = cli._chain_checks(cfg.build_chain(), cfg.ambient,
+                                   np.random.default_rng(cfg.seed), False)
+        assert all(abs(value - oracle) <= tol
+                   for _, value, oracle, tol, _ in checks)
         assert sum(v.shape == verts.shape and np.array_equal(v, verts)
                    for v in seen) == 1
 

@@ -17,13 +17,20 @@ picks others.  For each seed, under OUT/seed<seed>/:
 The generated inputs go to a temporary directory, so OUT holds the CSVs
 alone.  The library is the `currentkit` on PYTHONPATH (this checkout's
 `src/` when there is none), so the same script writes the outputs of
-another checkout with PYTHONPATH=<checkout>/src.  Exits 1 when a
-subcommand exits non-zero.
+another checkout with PYTHONPATH=<checkout>/src.  `--against DIR`
+compares every CSV written with the same path under DIR, the OUT of an
+earlier run, byte for byte, and prints the paths that differ or that DIR
+lacks:
+
+    PYTHONPATH=src python3 tools/cli_csvs.py OUT --against PARENT_OUT
+
+Exits 1 when a subcommand exits non-zero or a CSV differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
 import os
 import sys
 import tempfile
@@ -65,17 +72,38 @@ def write_csvs(out: str, seed: int) -> list:
     return failed
 
 
+def differing(out: str, against: str) -> list:
+    """The paths of the files under `out`, relative to it, whose bytes
+    differ from those of the same path under `against` or that it
+    lacks."""
+    paths = []
+    for folder, _, names in os.walk(out):
+        for name in names:
+            path = os.path.relpath(os.path.join(folder, name), out)
+            other = os.path.join(against, path)
+            if not (os.path.isfile(other) and filecmp.cmp(
+                    os.path.join(out, path), other, shallow=False)):
+                paths.append(path)
+    return sorted(paths)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="output directory (must not exist)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[42, 7, 977])
+    parser.add_argument("--against", metavar="DIR",
+                        help="compare every written CSV byte for byte with "
+                        "the same path under DIR")
     args = parser.parse_args(argv)
     failed = []
     for seed in args.seeds:
         failed += write_csvs(os.path.join(args.out, f"seed{seed}"), seed)
     for argv in failed:
         print("exited non-zero:", " ".join(argv), file=sys.stderr)
-    return 1 if failed else 0
+    differ = differing(args.out, args.against) if args.against else []
+    for path in differ:
+        print("differs:", path)
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":
