@@ -23,8 +23,8 @@ from .forms import (FormField, VectorField, exterior_derivative,
                     lie_derivative, lie_derivative_components)
 from .lipschitz import LipMap, pushforward_chain
 from .motion import (classical_reynolds, continuity_modulus,
-                     homotopy_residual, reynolds_operator,
-                     transport_derivative, transport_derivative_fd)
+                     homotopy_residuals, reynolds_operator,
+                     transport_derivative, transport_derivative_fd_ladder)
 from .scenarios import builtin_scenarios, load_config
 
 log = logging.getLogger("currentkit")
@@ -163,8 +163,8 @@ def _motion_checks(cfg, T, rng, timings):
     m = cfg.build_motion()
     phi = FormField.random_polynomial(cfg.ambient, T.degree, rng,
                                       max_degree=2)
-    resid = homotopy_residual(m, (0.0, 0.4), T, phi, levels=cfg.levels,
-                              panels=cfg.panels)
+    resid, = homotopy_residuals(m, (0.0, 0.4), T, phi, [cfg.panels],
+                                levels=cfg.levels)
     return [("homotopy_residual", resid, 0.0, 1e-6, _elapsed(t0))]
 
 
@@ -248,10 +248,9 @@ def _transport_rows(cfg, timings):
     rows.append(_row(cfg.name, "transport_derivative", an,
                      runtime=_elapsed(t0)))
     errs = []
-    work = T.subdivided(cfg.levels)  # once for the whole ladder
-    for eps in cfg.eps_ladder:
-        fd = transport_derivative_fd(m, work, psi, cfg.tau, eps,
-                                     one_sided=tent)
+    fds = transport_derivative_fd_ladder(m, T, psi, cfg.tau, cfg.eps_ladder,
+                                         cfg.levels, one_sided=tent)
+    for eps, fd in zip(cfg.eps_ladder, fds):
         err = abs(an - fd)
         errs.append((eps, err))
         rows.append(_row(cfg.name, f"fd_abs_error_eps={eps:g}", fd, an,
@@ -312,13 +311,32 @@ def _affine_test_family(ambient, degree, rng, size):
     return family
 
 
+def _flat_key(cfg, chain, box):
+    """What a flat-norm scenario reads: its chain key, its box's bounds,
+    bit for bit, and sample grid, and the complex's resolution."""
+    bounds = np.array([box.lower, box.upper, box.k_lower, box.k_upper])
+    return _chain_key(cfg, chain) + (bounds.tobytes(), box.resolution,
+                                     cfg.resolution)
+
+
 def cmd_flatnorm(args, scenarios):
     rows = []
     timings = os.environ.get("CURRENTKIT_TIMINGS") == "1"
+    # scenarios with one `_flat_key` share the complex, the aligned chain,
+    # its mass and its norm ladder, built at the first of them; each
+    # solves its own LP.  The ladder runs after that scenario's LP, as it
+    # would alone, so that the box's sample tables do not add to the LP's
+    # peak memory
+    hosts, ladders = {}, {}
     for cfg in scenarios:
         box = cfg.build_box()
-        comp = freudenthal_complex(box.k_lower, box.k_upper, cfg.resolution)
-        T = _align_chain(cfg.build_chain(), comp)
+        chain = cfg.build_chain()
+        key = _flat_key(cfg, chain, box)
+        if key not in hosts:
+            comp = freudenthal_complex(box.k_lower, box.k_upper,
+                                       cfg.resolution)
+            hosts[key] = comp, _align_chain(chain, comp)
+        comp, T = hosts[key]
         t0 = _timed(timings)
         value, s_chain, r_chain, info = flat_norm_lp(T, comp)
         rows.append(_row(cfg.name, "flat_norm", value,
@@ -326,11 +344,13 @@ def cmd_flatnorm(args, scenarios):
         rows.append(_row(cfg.name, "mass_R", info["mass_R"]))
         rows.append(_row(cfg.name, "mass_S", info["mass_S"]))
         rows.append(_row(cfg.name, "lp_iterations", info["iterations"]))
-        rows.append(_row(cfg.name, "mass", mass_chain(T)))
-        # norm ladder on a fixed polynomial test family
-        rng = np.random.default_rng(cfg.seed)
-        family = _affine_test_family(cfg.ambient, T.degree, rng, 4)
-        dual, sharp = lower_bounds(T, family, box)
+        if key not in ladders:
+            # norm ladder on a fixed polynomial test family
+            rng = np.random.default_rng(cfg.seed)
+            family = _affine_test_family(cfg.ambient, T.degree, rng, 4)
+            ladders[key] = mass_chain(T), *lower_bounds(T, family, box)
+        mass, dual, sharp = ladders[key]
+        rows.append(_row(cfg.name, "mass", mass))
         rows.append(_row(cfg.name, "dual_flat_lower_bound", dual))
         rows.append(_row(cfg.name, "sharp_lower_bound", sharp))
     _write_csv(os.path.join(args.out, "flatnorm.csv"), rows)
@@ -379,8 +399,8 @@ def cmd_converge(args, scenarios):
                                           max_degree=3)
         panels = [2, 4, 8]
         # midpoint-rule time quadrature so the panel error is visible
-        hres = [homotopy_residual(m, (0.0, 0.4), Tc, phi, levels=cfg.levels,
-                                  panels=p, gauss_order=1) for p in panels]
+        hres = homotopy_residuals(m, (0.0, 0.4), Tc, phi, panels,
+                                  levels=cfg.levels, gauss_order=1)
         for p, r in zip(panels, hres):
             rows.append(_row(cfg.name, "homotopy_residual", r, 0.0, level=p))
         rows.append(_row(cfg.name, "homotopy_order",

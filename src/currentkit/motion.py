@@ -15,7 +15,8 @@ from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, seminorm_comass)
 from .lipschitz import LipMap, _tent, make_map, pushforward_chain
 from .polynomial import Polynomial
-from .quadrature import gauss_quadrature, simplex_rule
+from .quadrature import (gauss_nodes, gauss_quadrature, gauss_sum,
+                         simplex_rule)
 
 __all__ = [
     "Motion",
@@ -25,8 +26,10 @@ __all__ = [
     "reynolds_operator",
     "deformation_chain",
     "homotopy_residual",
+    "homotopy_residuals",
     "transport_derivative",
     "transport_derivative_fd",
+    "transport_derivative_fd_ladder",
     "classical_reynolds",
     "continuity_modulus",
 ]
@@ -178,13 +181,20 @@ class Deformation(Current):
 
     def _values(self, phi: FormField, times, s_order: int) -> list:
         """The integrand evaluate(kappa_t# T, phi -| v_t) at every time."""
-        fields = [velocity_field(self.motion, t) for t in times]
-        forms = []
-        for k, v in enumerate(fields):
-            forms.append(forms[-1] if k and v is fields[k - 1]
-                         else contract(phi, v))
+        forms = _contracted(phi, [velocity_field(self.motion, t)
+                                  for t in times])
         work = self.chain.subdivided(self.levels)
         return _pushed_values(self.motion, work, times, [forms], s_order)[0]
+
+
+def _contracted(phi: FormField, fields) -> list:
+    """phi -| v for each velocity field of `fields`, formed once per run
+    of consecutive fields that are one object."""
+    forms = []
+    for k, v in enumerate(fields):
+        forms.append(forms[-1] if k and v is fields[k - 1]
+                     else contract(phi, v))
+    return forms
 
 
 def deformation_chain(m: Motion, interval, T: Chain, levels: int = 0,
@@ -196,21 +206,56 @@ def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
                       levels: int = 0, panels: int = 8,
                       gauss_order: int = 5) -> float:
     """Residual of the homotopy formula
-    (kappa_b# T - kappa_a# T) = bnd(deformation) + deformation of bnd(T).
-    T is subdivided once, for both ends and its deformation."""
+    (kappa_b# T - kappa_a# T) = bnd(deformation) + deformation of bnd(T):
+    the one-rung case of `homotopy_residuals`."""
+    return homotopy_residuals(m, interval, T, phi, [panels], levels,
+                              gauss_order)[0]
+
+
+def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
+                       panel_counts, levels: int = 0,
+                       gauss_order: int = 5) -> list:
+    """The residual of the homotopy formula at each count of time panels
+    in `panel_counts`, from one stack of pushes: T's subdivision is pushed
+    once, at both ends and at every count's Gauss nodes, and bnd(T)'s
+    subdivision once at the same nodes.  d(phi), bnd(T), the subdivisions
+    and the velocity fields are formed once.  Each residual is summed as
+    one deformation chain per term sums it, so it has the bits of
+    `homotopy_residual` at its count alone.  All 0.0, without a push,
+    when the interval is empty."""
+    a, b = interval
     work = T.subdivided(levels)
-    (at_b, at_a), = _pushed_values(m, work, interval[::-1], [[phi, phi]])
-    lhs = at_b - at_a
-    rhs = 0.0
-    if T.degree + 1 <= T.ambient:
-        deform = deformation_chain(m, interval, work, 0, panels, gauss_order)
-        rhs += evaluate(Boundary(deform), phi)
+    m.check_time(b)
+    m.check_time(a)
+    rules = [gauss_nodes(a, b, panels, gauss_order)
+             for panels in panel_counts]
+    if a == b or not rules:
+        return [0.0] * len(rules)
+    nodes = np.concatenate([rung for rung, _ in rules])
+    fields = [velocity_field(m, t) for t in nodes]
+    times, row = [b, a], [phi, phi]
+    # bnd(deformation) acts on phi through d(phi) -| v
+    sweeps = T.degree + 1 <= T.ambient
+    if sweeps:
+        times += list(nodes)
+        row += _contracted(exterior_derivative(phi), fields)
+    values, = _pushed_values(m, work, times, [row])
+    lhs = values[0] - values[1]
+    integrands = [values[2:]] if sweeps else []
     if T.degree >= 1:
         bt = boundary(T)
         if len(bt):
-            rhs += evaluate(deformation_chain(m, interval, bt, levels,
-                                              panels, gauss_order), phi)
-    return abs(lhs - rhs)
+            integrands += _pushed_values(m, bt.subdivided(levels), nodes,
+                                         [_contracted(phi, fields)])
+    out, lo = [], 0
+    for rung, half in rules:
+        hi = lo + len(rung)
+        rhs = 0.0
+        for integrand in integrands:
+            rhs += gauss_sum(integrand[lo:hi], half)
+        out.append(abs(lhs - rhs))
+        lo = hi
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -256,14 +301,32 @@ def transport_derivative_fd(m: Motion, T: Chain, psi: Cochain, tau: float,
                             one_sided: bool = False) -> float:
     """Finite-difference oracle for the transport derivative: the
     difference of psi(t)(kappa_t# T) at tau + eps and at tau (one-sided)
-    or tau - eps, over its step.  Both times are pushed as one stack."""
-    work = T.subdivided(levels)
-    times = [tau + eps, tau if one_sided else tau - eps]
-    (ahead, behind), = _pushed_values(m, work, times,
-                                      [[psi.form_at(t) for t in times]])
-    if one_sided:
-        return (ahead - behind) / eps
-    return (ahead - behind) / (2 * eps)
+    or tau - eps, over its step.  The one-rung case of
+    `transport_derivative_fd_ladder`."""
+    return transport_derivative_fd_ladder(m, T, psi, tau, [eps], levels,
+                                          one_sided)[0]
+
+
+def transport_derivative_fd_ladder(m: Motion, T: Chain, psi: Cochain,
+                                   tau: float, eps_ladder, levels: int = 0,
+                                   one_sided: bool = False) -> list:
+    """`transport_derivative_fd` at each step of `eps_ladder`, from one
+    stack of pushes of T's subdivision at every distinct time tau + eps
+    and tau - eps (tau, pushed once, when `one_sided`).  Each quotient has
+    the bits of `transport_derivative_fd` at its step alone."""
+    pairs = [(tau + eps, tau if one_sided else tau - eps)
+             for eps in eps_ladder]
+    index = {}
+    for pair in pairs:
+        for t in pair:
+            index.setdefault(t, len(index))
+    values, = _pushed_values(m, T.subdivided(levels), list(index),
+                             [[psi.form_at(t) for t in index]])
+    out = []
+    for eps, (ahead, behind) in zip(eps_ladder, pairs):
+        diff = values[index[ahead]] - values[index[behind]]
+        out.append(diff / eps if one_sided else diff / (2 * eps))
+    return out
 
 
 def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,

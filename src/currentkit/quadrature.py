@@ -102,29 +102,44 @@ def _whole_number(name: str, value, low: int) -> int:
     return int(value)
 
 
-def gauss_quadrature(values_at, a: float, b: float, panels: int,
-                     order: int) -> float:
-    """Composite Gauss-Legendre quadrature on [a, b] of a function given
-    at all nodes at once: `values_at` maps the nodes, panel by panel, the
-    times mid + half * x of each of `panels` equal panels (panels * order,),
-    to their values.  Each panel adds its half-width times the weighted
-    sum of its values to a total that starts at 0.0.  0.0 when a == b,
-    without a call.  A ValueError unless `panels` and `order` are whole
-    numbers >= 1."""
+def gauss_nodes(a: float, b: float, panels: int, order: int):
+    """The nodes of composite Gauss-Legendre quadrature on [a, b], panel
+    by panel: the times mid + half * x of each of `panels` equal panels
+    (panels * order,); and each panel's half-width (panels,), which
+    `gauss_sum` takes.  A ValueError unless `panels` and `order` are
+    whole numbers >= 1."""
     panels = _whole_number("panels", panels, 1)
     order = _whole_number("order", order, 1)
-    if a == b:
-        return 0.0
-    xs, ws = _leggauss(order)
+    xs, _ = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     lo, hi = edges[:-1], edges[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    values = values_at((mid[:, None] + half[:, None] * xs).ravel())
+    return (mid[:, None] + half[:, None] * xs).ravel(), half
+
+
+def gauss_sum(values, half) -> float:
+    """The rule of `gauss_nodes` applied to the `values` at its nodes,
+    given its half-widths `half`: each panel adds its half-width times
+    the weighted sum of its values to a total that starts at 0.0."""
+    order = len(values) // len(half)
+    _, ws = _leggauss(order)
     total = 0.0
     for k, h in enumerate(half):
         total += h * sum(w * f for w, f in
                          zip(ws, values[k * order:(k + 1) * order]))
     return total
+
+
+def gauss_quadrature(values_at, a: float, b: float, panels: int,
+                     order: int) -> float:
+    """Composite Gauss-Legendre quadrature on [a, b] of a function given
+    at all nodes at once: `gauss_sum` of `values_at` the nodes of
+    `gauss_nodes`.  0.0 when a == b, without a call; a ValueError unless
+    `panels` and `order` are whole numbers >= 1."""
+    nodes, half = gauss_nodes(a, b, panels, order)
+    if a == b:
+        return 0.0
+    return gauss_sum(values_at(nodes), half)
 
 
 def integrate_interval(f, a: float, b: float, panels: int = 4,

@@ -104,6 +104,10 @@ class ScenarioConfig:
             T = Chain.load(spec["file"])
         else:
             raise ValueError("chain spec needs 'builtin' or 'file'")
+        if T.ambient != self.ambient:
+            raise ValueError(f"scenario {self.name!r}: field 'ambient' is "
+                             f"{self.ambient}, but its chain lies in "
+                             f"{T.ambient} dimensions")
         mult = spec.get("multiplier", 1.0)
         return T * mult if mult != 1.0 else T
 

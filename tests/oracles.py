@@ -9,8 +9,8 @@ Freudenthal complex one simplex at a time, the network simplex on a numpy
 preorder tree, the all-pairs Lipschitz quotient, the norm ladder one
 bound at a time, deformation chains, the homotopy residual, the
 continuity modulus and the finite-difference transport derivative one
-time node at a time, and the transport derivative through
-`Motion.push`.
+time node at a time, the homotopy residual one panel count at a time,
+and the transport derivative through `Motion.push`.
 They are not part of the library's API."""
 
 from dataclasses import dataclass
@@ -20,7 +20,8 @@ from math import comb
 import numpy as np
 
 from currentkit import flatnorm
-from currentkit.chains import Chain, _leaf_evaluate, boundary, evaluate
+from currentkit.chains import (Boundary, Chain, _leaf_evaluate, boundary,
+                               evaluate)
 from currentkit.exterior import multi_indices
 from currentkit.forms import (AffineMap, Box, FormField, VectorField,
                               contract, exterior_derivative, lie_derivative,
@@ -596,6 +597,29 @@ def homotopy_residual_by_node(m: Motion, interval, T: Chain,
         if len(bt):
             rhs += deformation_by_node(deformation_chain(
                 m, interval, bt, levels, panels, gauss_order), phi)
+    return abs(lhs - rhs)
+
+
+def homotopy_residual_by_rung(m: Motion, interval, T: Chain,
+                              phi: FormField, levels: int = 0,
+                              panels: int = 8, gauss_order: int = 5):
+    """The homotopy residual at one panel count as the formula reads:
+    |f#T_b(phi) - f#T_a(phi) - (bnd h)(phi) - h_bnd(T)(phi)|, the ends
+    pushed by `Motion.push` and the deformation chains h of T and h_bnd(T)
+    of its boundary evaluated as `Deformation`s, the right side summed
+    from 0.0."""
+    a, b = interval
+    work = T.subdivided(levels)
+    lhs = evaluate(m.push(work, b), phi) - evaluate(m.push(work, a), phi)
+    rhs = 0.0
+    if T.degree + 1 <= T.ambient:
+        rhs += evaluate(Boundary(Deformation(m, (a, b), T, levels, panels,
+                                             gauss_order)), phi)
+    if T.degree >= 1:
+        bt = boundary(T)
+        if len(bt):
+            rhs += evaluate(Deformation(m, (a, b), bt, levels, panels,
+                                        gauss_order), phi)
     return abs(lhs - rhs)
 
 

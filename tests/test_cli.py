@@ -202,6 +202,36 @@ class TestScenarioConfig:
         assert got == [2, 4, 3, 2, 7]
         assert all(type(v) is int for v in got)
 
+    @pytest.mark.parametrize("command", ["verify", "transport", "flatnorm",
+                                         "converge"])
+    def test_chain_of_another_ambient_dimension_exit_2(self, tmp_path,
+                                                       capsys, command):
+        # the default square in R^3: unchecked, verify and flatnorm exited
+        # 2 with messages that named neither the scenario nor the field,
+        # and transport and converge exited 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "space", "ambient": 3,
+            "cochain": {"degree": 2, "components": {"0,1": [
+                {"exponents": [0, 0, 0, 0], "coefficient": 1.0}]}}}))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert ("scenario 'space': field 'ambient' is 3, but its chain lies "
+                "in 2 dimensions") in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.csv").exists()
+
+    def test_chain_file_of_another_ambient_dimension_rejected(self,
+                                                              tmp_path):
+        chain_path = tmp_path / "chain.json"
+        triangle_chain().save(chain_path)
+        cfg = ScenarioConfig.from_obj({
+            "name": "line", "ambient": 1, "chain": {"file": str(chain_path)},
+            "motion": {"family": "translation"}})
+        with pytest.raises(ValueError, match="^scenario 'line': field "
+                                             "'ambient' is 1, but its chain "
+                                             "lies in 2 dimensions$"):
+            cfg.build_chain()
+
     @pytest.mark.parametrize("vertices", [[0, -1], [0, 5]])
     def test_bad_chain_vertex_index_exit_2(self, tmp_path, capsys,
                                            vertices):
@@ -559,7 +589,7 @@ class TestSharedChainChecks:
             {"name": "plane"}, {"name": "space", "ambient": 3}]}))
         assert main(["verify", "--config", str(config), "--out",
                      str(tmp_path)]) == 2
-        assert "form degree/ambient does not match" in \
+        assert "scenario 'space': field 'ambient' is 3" in \
             capsys.readouterr().err
 
 
@@ -678,6 +708,27 @@ class TestDeterminism:
                                        "flatnorm", "flatnorm.csv")]
 
 
+    def test_ab_pairs_tool_refuses_a_cached_checkout(self, tmp_path):
+        # tools/ab_pairs.py compiles each side's sources afresh: a
+        # checkout with a bytecode cache is refused before any run, and so
+        # is a directory without the benchmark
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        clean, cached = tmp_path / "clean", tmp_path / "cached"
+        for side in (clean, cached):
+            (side / "perfbench").mkdir(parents=True)
+            (side / "perfbench" / "run.py").write_text("")
+        (cached / "src" / "currentkit" / "__pycache__").mkdir(parents=True)
+        (tmp_path / "empty").mkdir()
+        for side, message in ((cached, "has src/currentkit/__pycache__"),
+                              (tmp_path / "empty", "no perfbench/run.py")):
+            done = subprocess.run(
+                [sys.executable, os.path.join(root, "tools", "ab_pairs.py"),
+                 str(clean), str(side), "--pairs", "1"],
+                capture_output=True, text=True, timeout=60)
+            assert done.returncode == 2
+            assert message in done.stderr and done.stdout == ""
+
+
 class TestTransport:
     def test_report_contents(self, tmp_path):
         assert main(["transport", "--out", str(tmp_path)]) == 0
@@ -734,6 +785,42 @@ class TestFlatnorm:
             flat = _value(rows, name, "flat_norm")
             m = _value(rows, name, "mass")
             assert sharp <= dual + 1e-6 <= flat + 2e-6 <= m + 3e-6
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 43}, {"chain": {"builtin": "boundary_square"}},
+        {"resolution": 8},
+        {"box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "pad": 0.25}}],
+        ids=["seed", "chain", "resolution", "box"])
+    def test_shared_inputs_give_each_scenario_its_own_rows(
+            self, tmp_path, monkeypatch, change):
+        # a and b differ only in what flatnorm does not read, c in one
+        # input: the same bytes as each scenario alone, one LP per
+        # scenario and one norm ladder per distinct input
+        scenarios = [{"name": "a"},
+                     {"name": "b", "motion": {"family": "rotation"}},
+                     {"name": "c", **change}]
+        alone = []
+        for obj in scenarios:
+            path = tmp_path / f"{obj['name']}.json"
+            path.write_text(json.dumps(obj))
+            out = tmp_path / f"{obj['name']}_out"
+            assert main(["flatnorm", "--config", str(path), "--out",
+                         str(out)]) == 0
+            lines = (out / "flatnorm.csv").read_bytes().splitlines(True)
+            alone += lines[1:] if alone else lines
+        lps, ladders = [], []
+        solve, bound = cli.flat_norm_lp, cli.lower_bounds
+        monkeypatch.setattr(cli, "flat_norm_lp",
+                            lambda *a: lps.append(a) or solve(*a))
+        monkeypatch.setattr(cli, "lower_bounds",
+                            lambda *a: ladders.append(a) or bound(*a))
+        config = tmp_path / "three.json"
+        config.write_text(json.dumps({"scenarios": scenarios}))
+        assert main(["flatnorm", "--config", str(config), "--out",
+                     str(tmp_path / "three")]) == 0
+        assert (tmp_path / "three" / "flatnorm.csv").read_bytes() == \
+            b"".join(alone)
+        assert len(lps) == 3 and len(ladders) == 2
 
     def test_zero_test_form_is_redrawn(self, tmp_path):
         # seed 0 draws an identically zero affine test form for the ladder

@@ -1,7 +1,8 @@
 """Motions evaluated at all time nodes as one stack: deformation chains,
 the homotopy residual, the continuity modulus and the finite-difference
 transport derivative equal, bit for bit, their one-node-at-a-time
-oracles, and raise the same errors.  The stacked pushes and Leaf
+oracles, and raise the same errors; so do the ladders of homotopy
+residuals and finite differences, rung by rung.  The stacked pushes and Leaf
 evaluations build each simplex stack's geometry once."""
 
 import numpy as np
@@ -17,13 +18,15 @@ from currentkit.forms import Box, FormField, TimePolynomialForm, VectorField
 from currentkit.lipschitz import LipMap, pushforward_chain
 from currentkit.motion import (Cochain, Motion, continuity_modulus,
                                deformation_chain, homotopy_residual,
-                               make_motion, transport_derivative,
-                               transport_derivative_fd)
+                               homotopy_residuals, make_motion,
+                               transport_derivative, transport_derivative_fd,
+                               transport_derivative_fd_ladder)
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import integrate_interval
 from currentkit.scenarios import builtin_scenarios
 from oracles import (continuity_modulus_by_node, deformation_by_node,
                      gauss_by_panel, homotopy_residual_by_node,
+                     homotopy_residual_by_rung,
                      transport_derivative_by_push,
                      transport_derivative_fd_by_node)
 
@@ -399,3 +402,152 @@ class TestLeafGeometry:
         seen = _rule_calls(monkeypatch)
         assert lower_bounds(T, family, box) == expected
         assert len(seen) == 1
+
+
+def _ladder_cases():
+    # every chain degree r = 0..n in n = 1, 2, 3: the top degree has no
+    # swept term and the others a swept and a boundary term
+    for name in FAMILIES:
+        for n in (1, 2, 3):
+            for r in range(n + 1):
+                if not (name == "rotation" and n != 2
+                        or name == "shear" and n == 1):
+                    yield name, n, r
+
+
+def _counting(m: Motion):
+    """`m` with a map factory that records every time it is called at."""
+    times = []
+
+    def maps(t):
+        times.append(t)
+        return m.map_factory(t)
+
+    return Motion(m.interval, maps, m.velocity_factory, m.name), times
+
+
+def _stack_calls(monkeypatch) -> list:
+    """The times of every `motion._pushed_values` call from now on."""
+    seen = []
+    pushed = motion._pushed_values
+
+    def counted(m, work, times, rows, s_order=2):
+        seen.append(list(times))
+        return pushed(m, work, times, rows, s_order)
+
+    monkeypatch.setattr(motion, "_pushed_values", counted)
+    return seen
+
+
+class TestLadders:
+    """`homotopy_residuals` and `transport_derivative_fd_ladder` equal, rung
+    by rung and bit for bit, per-rung paths through `Deformation`,
+    `Motion.push` and `evaluate`."""
+
+    @pytest.mark.parametrize("order", [1, 5])
+    @pytest.mark.parametrize("name, n, r", list(_ladder_cases()))
+    def test_homotopy_rungs(self, name, n, r, order):
+        m = _motion(name, n)
+        T = _chain(n, r, 10 * n + r)
+        phi = _form(n, r, 7 * n + r)
+        counts = [1, 2, 4, 8]
+        assert homotopy_residuals(m, INTERVAL, T, phi, counts, levels=1,
+                                  gauss_order=order) == [
+            homotopy_residual_by_rung(m, INTERVAL, T, phi, 1, p, order)
+            for p in counts]
+
+    @pytest.mark.parametrize("one_sided", [True, False],
+                             ids=["one-sided", "central"])
+    @pytest.mark.parametrize("name, n, r", list(_ladder_cases()))
+    def test_fd_rungs(self, name, n, r, one_sided):
+        # a repeated step and a step whose tau - eps is another's tau + eps
+        m = _motion(name, n)
+        T = _chain(n, r, 10 * n + r)
+        psi = _cochain(n, r)
+        ladder = [1e-2, 1e-3, 1e-4, 1e-3, 0.05]
+        assert transport_derivative_fd_ladder(
+            m, T, psi, 0.2, ladder, levels=1, one_sided=one_sided) == [
+            transport_derivative_fd_by_node(m, T, psi, 0.2, eps, levels=1,
+                                            one_sided=one_sided)
+            for eps in ladder]
+
+    @pytest.mark.parametrize("levels", [0, 2, 3])
+    @pytest.mark.parametrize("name, n, r", [("tent", 2, 2), ("tent", 2, 1),
+                                            ("expansion", 3, 1),
+                                            ("rotation", 2, 0)])
+    def test_levels(self, name, n, r, levels):
+        m = _motion(name, n)
+        T = _chain(n, r, levels, count=2)
+        phi = _form(n, r, levels)
+        assert homotopy_residuals(m, INTERVAL, T, phi, [2, 1], levels) == [
+            homotopy_residual_by_rung(m, INTERVAL, T, phi, levels, p)
+            for p in (2, 1)]
+        psi = _cochain(n, r)
+        ladder = [1e-2, 1e-3]
+        for one_sided in (True, False):
+            assert transport_derivative_fd_ladder(
+                m, T, psi, 0.2, ladder, levels, one_sided) == [
+                transport_derivative_fd_by_node(m, T, psi, 0.2, eps, levels,
+                                                one_sided)
+                for eps in ladder]
+
+    @pytest.mark.parametrize("budget", [None, 1, 10 ** 9])
+    def test_chunks_do_not_change_bits(self, monkeypatch, budget):
+        m = make_motion("rotation", rate=0.7)
+        T = boundary(unit_square_chain())
+        phi = _form(2, 1, 1)
+        counts, levels = [1, 2, 8], 6
+        # 256 edges at both ends and 55 nodes: several chunks at the
+        # default budget
+        assert 256 * 57 > 2 * motion._STACK_SIMPLICES
+        expected = [homotopy_residual_by_rung(m, INTERVAL, T, phi, levels,
+                                              p) for p in counts]
+        psi, ladder = _cochain(2, 1), [0.1, 0.01, 0.001, 1e-4, 1e-5]
+        expected_fd = [transport_derivative_fd_by_node(m, T, psi, 0.2, eps,
+                                                       levels)
+                       for eps in ladder]
+        if budget is not None:
+            monkeypatch.setattr(motion, "_STACK_SIMPLICES", budget)
+        assert homotopy_residuals(m, INTERVAL, T, phi, counts,
+                                  levels) == expected
+        assert transport_derivative_fd_ladder(m, T, psi, 0.2, ladder,
+                                              levels) == expected_fd
+
+    def test_one_stack_of_pushes_per_chain(self, monkeypatch):
+        # T at both ends and every count's nodes, then bnd(T) at the nodes
+        m = make_motion("shear", ambient=2)
+        T, phi = _chain(2, 1, 3), _form(2, 1, 4)
+        seen = _stack_calls(monkeypatch)
+        homotopy_residuals(m, INTERVAL, T, phi, [1, 2], gauss_order=5)
+        nodes = [t for p in (1, 2)
+                 for t in motion.gauss_nodes(*INTERVAL, p, 5)[0]]
+        assert seen == [[INTERVAL[1], INTERVAL[0]] + nodes, nodes]
+
+    @pytest.mark.parametrize("one_sided, pushed", [(True, 4), (False, 6)])
+    def test_each_distinct_time_pushed_once(self, one_sided, pushed):
+        m, times = _counting(make_motion("tent"))
+        psi = _cochain(2, 2)
+        transport_derivative_fd_ladder(m, unit_square_chain(), psi, 0.2,
+                                       [1e-2, 1e-3, 1e-4, 1e-3],
+                                       one_sided=one_sided)
+        assert len(times) == len(set(times)) == pushed
+
+    def test_empty_interval_is_zero_without_a_push(self):
+        m, times = _counting(make_motion("rotation", rate=0.7))
+        T, phi = _chain(2, 1, 0), _form(2, 1, 0)
+        assert homotopy_residuals(m, (0.3, 0.3), T, phi, [1, 4]) == \
+            [0.0, 0.0]
+        assert times == []
+        assert homotopy_residual_by_rung(m, (0.3, 0.3), T, phi) == 0.0
+        with pytest.raises(ValueError, match="outside the motion interval"):
+            homotopy_residuals(m, (2.0, 2.0), T, phi, [1])
+        with pytest.raises(ValueError, match="^levels must be a whole"):
+            homotopy_residuals(m, (0.3, 0.3), T, phi, [1], levels=-1)
+
+    def test_panel_counts_are_whole_numbers(self):
+        m = make_motion("rotation", rate=0.7)
+        T, phi = _chain(2, 1, 0), _form(2, 1, 0)
+        for counts in ([2, 0], [1.5], [True]):
+            with pytest.raises(ValueError, match="^panels must be a whole"):
+                homotopy_residuals(m, INTERVAL, T, phi, counts)
+        assert homotopy_residuals(m, INTERVAL, T, phi, []) == []
