@@ -24,8 +24,9 @@ from .flatnorm import (dual_flat_lower_bound, flat_norm_lp, lower_bounds,
 from .lipschitz import (LipMap, lipschitz_constant, make_map,
                         pushforward_chain)
 from .motion import (Cochain, Motion, classical_reynolds, continuity_modulus,
-                     deformation_chain, homotopy_residual, make_motion,
-                     reynolds_operator, transport_derivative,
-                     transport_derivative_fd, velocity_field)
+                     deformation_chain, homotopy_residual,
+                     homotopy_residuals, make_motion, reynolds_operator,
+                     transport_derivative, transport_derivative_fd,
+                     transport_derivative_fd_ladder, velocity_field)
 
 __version__ = "0.1.0"

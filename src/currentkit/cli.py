@@ -323,15 +323,21 @@ def cmd_flatnorm(args, scenarios):
     rows = []
     timings = os.environ.get("CURRENTKIT_TIMINGS") == "1"
     # scenarios with one `_flat_key` share the complex, the aligned chain,
-    # its mass and its norm ladder, built at the first of them; each
-    # solves its own LP.  The ladder runs after that scenario's LP, as it
-    # would alone, so that the box's sample tables do not add to the LP's
-    # peak memory
+    # its mass and its norm ladder, built at the first of them and dropped
+    # after the last, so that one input's complex is kept at a time when
+    # the scenarios of a key are consecutive; each solves its own LP.  The
+    # ladder runs after that scenario's LP, as it would alone, so that the
+    # box's sample tables do not add to the LP's peak memory.  Each box
+    # and chain is then held by its own iteration alone
+    boxes = [cfg.build_box() for cfg in scenarios]
+    chains = [cfg.build_chain() for cfg in scenarios]
+    keys = [_flat_key(cfg, chain, box)
+            for cfg, chain, box in zip(scenarios, chains, boxes)]
+    last = {key: k for k, key in enumerate(keys)}
     hosts, ladders = {}, {}
-    for cfg in scenarios:
-        box = cfg.build_box()
-        chain = cfg.build_chain()
-        key = _flat_key(cfg, chain, box)
+    for k, (cfg, key) in enumerate(zip(scenarios, keys)):
+        box, chain = boxes[k], chains[k]
+        boxes[k] = chains[k] = None
         if key not in hosts:
             comp = freudenthal_complex(box.k_lower, box.k_upper,
                                        cfg.resolution)
@@ -353,6 +359,8 @@ def cmd_flatnorm(args, scenarios):
         rows.append(_row(cfg.name, "mass", mass))
         rows.append(_row(cfg.name, "dual_flat_lower_bound", dual))
         rows.append(_row(cfg.name, "sharp_lower_bound", sharp))
+        if last[key] == k:
+            del hosts[key], ladders[key]
     _write_csv(os.path.join(args.out, "flatnorm.csv"), rows)
     return 0
 

@@ -156,7 +156,12 @@ class Deformation(Current):
     evaluated as the time integral of (v_tau wedge kappa_tau# T) by
     `quadrature.gauss_quadrature`.  All time nodes are evaluated as one
     stack of pushes, in chunks of at most `_STACK_SIMPLICES` simplices;
-    phi -| v_tau is formed once per distinct velocity field."""
+    phi -| v_tau is formed once per distinct velocity field.
+
+    `homotopy_residuals` forms this integrand itself, for the deformation
+    of T against d(phi) and of bnd(T) against phi, so that one stack of
+    pushes serves every panel count: a change to `_values` (or to how
+    `chains.Boundary` acts on phi) is made there too."""
 
     motion: Motion
     interval: tuple
@@ -231,10 +236,11 @@ def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
              for panels in panel_counts]
     if a == b or not rules:
         return [0.0] * len(rules)
-    nodes = np.concatenate([rung for rung, _ in rules])
+    nodes = np.concatenate([rule[0] for rule in rules])
     fields = [velocity_field(m, t) for t in nodes]
     times, row = [b, a], [phi, phi]
-    # bnd(deformation) acts on phi through d(phi) -| v
+    # bnd(deformation) acts on phi through d(phi) -| v; this and the
+    # integrand on bnd(T) below are `Deformation._values`, stacked
     sweeps = T.degree + 1 <= T.ambient
     if sweeps:
         times += list(nodes)
@@ -248,11 +254,11 @@ def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
             integrands += _pushed_values(m, bt.subdivided(levels), nodes,
                                          [_contracted(phi, fields)])
     out, lo = [], 0
-    for rung, half in rules:
-        hi = lo + len(rung)
+    for rule in rules:
+        hi = lo + len(rule[0])
         rhs = 0.0
         for integrand in integrands:
-            rhs += gauss_sum(integrand[lo:hi], half)
+            rhs += gauss_sum(integrand[lo:hi], rule)
         out.append(abs(lhs - rhs))
         lo = hi
     return out

@@ -103,25 +103,29 @@ def _whole_number(name: str, value, low: int) -> int:
 
 
 def gauss_nodes(a: float, b: float, panels: int, order: int):
-    """The nodes of composite Gauss-Legendre quadrature on [a, b], panel
-    by panel: the times mid + half * x of each of `panels` equal panels
-    (panels * order,); and each panel's half-width (panels,), which
-    `gauss_sum` takes.  A ValueError unless `panels` and `order` are
-    whole numbers >= 1."""
+    """Composite Gauss-Legendre quadrature on [a, b] as a rule that
+    `gauss_sum` takes whole: its nodes, panel by panel the times
+    mid + half * x of each of `panels` equal panels (panels * order,);
+    each panel's half-width (panels,); and `order`.  A ValueError unless
+    `panels` and `order` are whole numbers >= 1."""
     panels = _whole_number("panels", panels, 1)
     order = _whole_number("order", order, 1)
     xs, _ = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     lo, hi = edges[:-1], edges[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return (mid[:, None] + half[:, None] * xs).ravel(), half
+    return (mid[:, None] + half[:, None] * xs).ravel(), half, order
 
 
-def gauss_sum(values, half) -> float:
-    """The rule of `gauss_nodes` applied to the `values` at its nodes,
-    given its half-widths `half`: each panel adds its half-width times
-    the weighted sum of its values to a total that starts at 0.0."""
-    order = len(values) // len(half)
+def gauss_sum(values, rule) -> float:
+    """The `rule` of `gauss_nodes` applied to the `values` at its nodes:
+    each panel adds its half-width times the weighted sum of its values
+    to a total that starts at 0.0.  A ValueError unless there is one
+    value per node."""
+    nodes, half, order = rule
+    if len(values) != len(nodes):
+        raise ValueError(f"{len(values)} values for {len(nodes)} "
+                         f"quadrature nodes")
     _, ws = _leggauss(order)
     total = 0.0
     for k, h in enumerate(half):
@@ -136,10 +140,10 @@ def gauss_quadrature(values_at, a: float, b: float, panels: int,
     at all nodes at once: `gauss_sum` of `values_at` the nodes of
     `gauss_nodes`.  0.0 when a == b, without a call; a ValueError unless
     `panels` and `order` are whole numbers >= 1."""
-    nodes, half = gauss_nodes(a, b, panels, order)
+    rule = gauss_nodes(a, b, panels, order)
     if a == b:
         return 0.0
-    return gauss_sum(values_at(nodes), half)
+    return gauss_sum(values_at(rule[0]), rule)
 
 
 def integrate_interval(f, a: float, b: float, panels: int = 4,

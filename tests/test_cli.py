@@ -2,12 +2,14 @@
 
 import csv
 import dataclasses
+import gc
 import importlib.util
 import json
 import logging
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -821,6 +823,36 @@ class TestFlatnorm:
         assert (tmp_path / "three" / "flatnorm.csv").read_bytes() == \
             b"".join(alone)
         assert len(lps) == 3 and len(ladders) == 2
+
+    @pytest.mark.parametrize("order, alive", [
+        ("aabb", [1, 1, 1, 1]), ("aba", [1, 2, 1])])
+    def test_complex_dropped_after_last_scenario_of_its_input(
+            self, tmp_path, monkeypatch, order, alive):
+        # two distinct inputs (a at resolution 4, b at 8): at each LP only
+        # the complexes of inputs that a later scenario still reads are alive
+        built, seen = [], []
+        make, solve = cli.freudenthal_complex, cli.flat_norm_lp
+
+        def complex_(*a):
+            comp = make(*a)
+            built.append(weakref.ref(comp))
+            return comp
+
+        def lp(*a):
+            gc.collect()
+            seen.append(sum(ref() is not None for ref in built))
+            return solve(*a)
+
+        monkeypatch.setattr(cli, "freudenthal_complex", complex_)
+        monkeypatch.setattr(cli, "flat_norm_lp", lp)
+        resolution = {"a": 4, "b": 8}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenarios": [
+            {"name": f"s{k}", "resolution": resolution[c]}
+            for k, c in enumerate(order)]}))
+        assert main(["flatnorm", "--config", str(config), "--out",
+                     str(tmp_path / "out")]) == 0
+        assert len(built) == 2 and seen == alive
 
     def test_zero_test_form_is_redrawn(self, tmp_path):
         # seed 0 draws an identically zero affine test form for the ladder

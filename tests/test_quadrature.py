@@ -6,9 +6,10 @@ from math import factorial
 import numpy as np
 import pytest
 
-from currentkit.quadrature import (_kuhn_children, grundmann_moller,
-                                   integrate_interval, simplex_rule,
-                                   simplex_volumes, subdivide_barycentric)
+from currentkit.quadrature import (_kuhn_children, gauss_nodes, gauss_sum,
+                                   grundmann_moller, integrate_interval,
+                                   simplex_rule, simplex_volumes,
+                                   subdivide_barycentric)
 from oracles import adaptive_interval, kuhn_children
 
 
@@ -70,6 +71,14 @@ class TestIntervalQuadrature:
 
     def test_empty_interval(self):
         assert integrate_interval(np.exp, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("extra", [-1, 1, 5])
+    def test_sum_needs_one_value_per_node(self, extra):
+        # 3 panels of order 5: 15 nodes
+        rule = gauss_nodes(0.0, 1.0, 3, 5)
+        with pytest.raises(ValueError, match="quadrature nodes"):
+            gauss_sum([1.0] * (15 + extra), rule)
+        assert gauss_sum([1.0] * 15, rule) == pytest.approx(1.0, abs=1e-14)
 
     def test_adaptive_reports_error(self):
         val, err = adaptive_interval(lambda t: np.abs(t), -1.0, 1.0,

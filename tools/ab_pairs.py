@@ -15,8 +15,7 @@ failed operations is printed as such and counted as a loss.
 The runs get PYTHONDONTWRITEBYTECODE=1, and a checkout that has a
 src/currentkit/__pycache__ is refused: without written bytecode each
 set-up compiles the sources, so a stale cache in one checkout alone
-would lower that side's `setup_s`.  `--json PATH` writes every run's
-report, the last line of `perfbench/run.py`, for later reading.
+would lower that side's `setup_s`.
 """
 
 from __future__ import annotations
@@ -104,7 +103,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--json", help="write every run's report here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -138,10 +136,6 @@ def main(argv=None) -> int:
     for workload, pairs in runs.items():
         print(f"{workload}, seed {args.seed}, {len(pairs)} pairs:")
         print("\n".join(summary(pairs, metrics)))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({w: [list(p) for p in pairs]
-                       for w, pairs in runs.items()}, fh)
     return 0
 
 
