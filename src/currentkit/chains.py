@@ -241,9 +241,9 @@ class Chain:
 
     def subdivided(self, levels: int = 1) -> "Chain":
         """Every simplex split by `levels` rounds of edgewise subdivision
-        (`subdivide_barycentric` with k = 2).  Each round gives every edge
-        of the chain one midpoint, (a + b) / 2, shared by all simplices on
-        it; the table is rebuilt once, at the end.  The children of a
+        (`subdivide_barycentric`).  Each round gives every edge of the
+        chain one midpoint, (a + b) / 2, shared by all simplices on it;
+        the table is rebuilt once, at the end.  The children of a
         simplex are consecutive, in `subdivide_barycentric`'s order, each
         with its multiplicity times the child's orientation relative to
         it.  A ValueError unless `levels` is a whole number >= 0."""

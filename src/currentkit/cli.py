@@ -288,9 +288,10 @@ def cmd_transport(args, scenarios):
 # flat norm
 # ----------------------------------------------------------------------
 
-def _align_chain(T, comp, max_levels=5):
-    """Subdivide T until its simplices live on the complex."""
-    for lv in range(max_levels + 1):
+def _align_chain(T, comp):
+    """Subdivide T, at most 5 levels, until its simplices live on the
+    complex."""
+    for lv in range(6):
         work = T.subdivided(lv)
         try:
             comp.chain_vector(work)

@@ -247,10 +247,10 @@ def wedge_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ascent_from(omega: CoVector, frame: np.ndarray,
-                 tol: float, max_iter: int):
+def _ascent_from(omega: CoVector, frame: np.ndarray):
     """Projected gradient ascent of <omega, wedge(columns)> on the Stiefel
-    manifold of orthonormal r-frames; projection by QR."""
+    manifold of orthonormal r-frames; projection by QR.  At most 200
+    steps; it stops at a gradient norm below 1e-8."""
     n, r = frame.shape
     q = np.linalg.qr(frame)[0]
     val = pair(omega, frame_to_multivector(q))
@@ -258,7 +258,7 @@ def _ascent_from(omega: CoVector, frame: np.ndarray,
         q[:, 0] = -q[:, 0]
         val = -val
     step = 0.5
-    for _ in range(max_iter):
+    for _ in range(200):
         grad = np.empty((n, r))
         for j in range(r):
             cols = [q[:, k] for k in range(r)]
@@ -269,7 +269,7 @@ def _ascent_from(omega: CoVector, frame: np.ndarray,
                 grad[i, j] = pair(omega, frame_to_multivector(
                     np.column_stack(cols)))
         gnorm = np.linalg.norm(grad)
-        if gnorm < tol:
+        if gnorm < 1e-8:
             break
         improved = False
         while step > 1e-12:
@@ -289,8 +289,7 @@ def _ascent_from(omega: CoVector, frame: np.ndarray,
     return val, q
 
 
-def comass(omega: CoVector, restarts: int = 100, tol: float = 1e-8,
-           seed: int = 0):
+def comass(omega: CoVector, restarts: int = 100, seed: int = 0):
     """Comass of a covector: sup of the pairing over simple unit r-vectors.
 
     Exact (Euclidean norm) for r in {0, 1, n-1, n}; projected gradient
@@ -314,7 +313,7 @@ def comass(omega: CoVector, restarts: int = 100, tol: float = 1e-8,
     best_val, best_q = -np.inf, None
     for _ in range(restarts):
         frame = rng.standard_normal((n, r))
-        val, q = _ascent_from(unit, frame, tol, max_iter=200)
+        val, q = _ascent_from(unit, frame)
         if val > best_val:
             best_val, best_q = val, q
     return float(np.ldexp(best_val, k)), frame_to_multivector(best_q)

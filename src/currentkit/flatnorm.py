@@ -427,8 +427,7 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
             complex_.simplex_chain(r, r_coeff), info)
 
 
-def _ladder(T: Current, family, box: Box, kinds, resolution=None,
-            **kw) -> list:
+def _ladder(T: Current, family, box: Box, kinds) -> list:
     """For each seminorm s named in `kinds` ("flat", "sharp"), max(0, max
     over phi in the family of T(phi) / s(phi)), in one pass over the
     family: each form is evaluated on T once, all of them before any
@@ -442,12 +441,11 @@ def _ladder(T: Current, family, box: Box, kinds, resolution=None,
     values = [evaluate(leaf, phi) for phi in family]
     best = [0.0] * len(kinds)
     for phi, value in zip(family, values):
-        sup = seminorm_comass(phi, box, resolution, **kw)
+        sup = seminorm_comass(phi, box)
         denoms = []
         for kind in kinds:
-            denom = (_flat_given_comass(phi, sup, box, resolution, **kw)
-                     if kind == "flat"
-                     else _sharp_given_comass(phi, sup, box, resolution))
+            denom = (_flat_given_comass(phi, sup, box) if kind == "flat"
+                     else _sharp_given_comass(phi, sup, box))
             if denom <= 0.0:
                 raise ValueError(f"test form with vanishing {kind} seminorm")
             denoms.append(denom)
@@ -455,29 +453,29 @@ def _ladder(T: Current, family, box: Box, kinds, resolution=None,
     return best
 
 
-def lower_bounds(T: Current, family, box: Box, **kw) -> tuple:
+def lower_bounds(T: Current, family, box: Box) -> tuple:
     """(`dual_flat_lower_bound`, `sharp_lower_bound`) of T on the same
     family and grid, from one pass over the family."""
-    flat, sharp = _ladder(T, family, box, ("flat", "sharp"), **kw)
+    flat, sharp = _ladder(T, family, box, ("flat", "sharp"))
     return flat, sharp
 
 
-def dual_flat_lower_bound(T: Current, family, box: Box, **kw) -> float:
+def dual_flat_lower_bound(T: Current, family, box: Box) -> float:
     """max(0, max over the test family of T(phi) / F_K(phi)), so a family
     whose T(phi) are all <= 0 gives 0: an estimate of a lower bound for
     the K-flat norm of T, not a certified one.  F_K is a sup sampled on
     the box grid, which can fall short of the true sup, so the ratio can
     exceed the bound it estimates."""
-    flat, = _ladder(T, family, box, ("flat",), **kw)
+    flat, = _ladder(T, family, box, ("flat",))
     return flat
 
 
-def sharp_lower_bound(T: Current, family, box: Box, **kw) -> float:
+def sharp_lower_bound(T: Current, family, box: Box) -> float:
     """max(0, max over the test family of T(phi) / S_K(phi)): a sampled
     estimate of a lower bound for the sharp norm, like
     `dual_flat_lower_bound`.  S_K >= F_K holds for the true sups, not for
     the sampled ones, so it can exceed the flat estimate on the same
     family and grid: a 0-form's grid difference quotients can all fall
     below its largest gradient at a grid point."""
-    sharp, = _ladder(T, family, box, ("sharp",), **kw)
+    sharp, = _ladder(T, family, box, ("sharp",))
     return sharp

@@ -38,6 +38,7 @@ __all__ = [
 
 _MAX_ALL_PAIR_POINTS = 1500
 _SAMPLED_PAIRS = 100_000
+_FD_STEP = 1e-5  # central-difference step of d on a sampled form
 
 
 @dataclass(frozen=True)
@@ -61,53 +62,43 @@ class Box:
         khi = hi if self.k_upper is None else np.asarray(self.k_upper, float)
         if np.any(klo < lo) or np.any(khi > hi) or np.any(klo >= khi):
             raise ValueError("K must be a nondegenerate sub-box of the box")
-        self._points_per_axis(self.resolution)
+        _whole_number("grid resolution", self.resolution, 2)
         object.__setattr__(self, "k_lower", tuple(klo))
         object.__setattr__(self, "k_upper", tuple(khi))
-        object.__setattr__(self, "_tables", {})  # grids and pair tables
+        object.__setattr__(self, "_tables", {})  # grid and pair table
 
     @property
     def dim(self) -> int:
         return len(self.lower)
 
-    def _points_per_axis(self, resolution) -> int:
-        """A grid resolution, the box's own when `resolution` is None; a
-        ValueError unless it is a whole number >= 2."""
-        return _whole_number(
-            "grid resolution",
-            self.resolution if resolution is None else resolution, 2)
-
-    def grid(self, resolution: int = None) -> np.ndarray:
-        """Uniform grid over K, shape (m, dim), row-major.  It is built
-        once per resolution and kept on the box, so the array returned is
-        read-only."""
-        res = self._points_per_axis(resolution)
-        if ("grid", res) not in self._tables:
-            axes = [np.linspace(a, b, res)
+    def grid(self) -> np.ndarray:
+        """Uniform grid over K, `resolution` points per axis, shape (m,
+        dim), row-major.  It is built once and kept on the box, so the
+        array returned is read-only."""
+        if "grid" not in self._tables:
+            axes = [np.linspace(a, b, self.resolution)
                     for a, b in zip(self.k_lower, self.k_upper)]
             mesh = np.meshgrid(*axes, indexing="ij")
-            self._tables["grid", res], = _read_only(
+            self._tables["grid"], = _read_only(
                 np.stack([m.ravel() for m in mesh], axis=-1))
-        return self._tables["grid", res]
+        return self._tables["grid"]
 
-    def grid_pairs(self, resolution: int = None):
-        """The pairs i < j of distinct points of `grid(resolution)` and
-        their distances |x_i - x_j| > 0, as read-only arrays (i, j, dist),
-        built once per resolution.  The distances are column sums
-        (`_pair_norms`)."""
-        res = self._points_per_axis(resolution)
-        if ("pairs", res) not in self._tables:
-            pts = self.grid(res)
+    def grid_pairs(self):
+        """The pairs i < j of distinct points of `grid()` and their
+        distances |x_i - x_j| > 0, as read-only arrays (i, j, dist), built
+        once.  The distances are column sums (`_pair_norms`)."""
+        if "pairs" not in self._tables:
+            pts = self.grid()
             i, j = np.triu_indices(len(pts), 1)
             dist = _pair_norms(pts, i, j)
             keep = dist > 0
-            self._tables["pairs", res] = _read_only(i[keep], j[keep],
-                                                    dist[keep])
-        return self._tables["pairs", res]
+            self._tables["pairs"] = _read_only(i[keep], j[keep], dist[keep])
+        return self._tables["pairs"]
 
     @classmethod
-    def unit(cls, dim: int, resolution: int = 9, pad: float = 0.5) -> "Box":
-        return cls(tuple([-pad] * dim), tuple([1.0 + pad] * dim),
+    def unit(cls, dim: int, resolution: int = 9) -> "Box":
+        """The box [-0.5, 1.5]^dim around K = [0, 1]^dim."""
+        return cls(tuple([-0.5] * dim), tuple([1.5] * dim),
                    tuple([0.0] * dim), tuple([1.0] * dim), resolution)
 
 
@@ -144,7 +135,7 @@ class FormField:
     (m, n) to coefficients (m, C(n, r)).
     """
 
-    def __init__(self, degree, ambient, *, polys=None, func=None, h=1e-5):
+    def __init__(self, degree, ambient, *, polys=None, func=None):
         self.degree = degree
         self.ambient = ambient
         self.ncomp = comb(ambient, degree)
@@ -159,7 +150,6 @@ class FormField:
                     raise ValueError("coefficient arity mismatch")
         self.polys = polys
         self.func = func
-        self.h = h
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -173,10 +163,10 @@ class FormField:
         return cls(degree, ambient, polys=polys)
 
     @classmethod
-    def from_callable(cls, ambient, degree, func, h=1e-5) -> "FormField":
+    def from_callable(cls, ambient, degree, func) -> "FormField":
         """Sampled form: `func` maps points (m, ambient) to coefficients
-        (m, C(ambient, degree)); `h` is its central-difference step."""
-        return cls(degree, ambient, func=func, h=h)
+        (m, C(ambient, degree))."""
+        return cls(degree, ambient, func=func)
 
     @classmethod
     def random_polynomial(cls, ambient, degree, rng, max_degree=3) -> "FormField":
@@ -210,7 +200,7 @@ class FormField:
         return FormField.from_callable(
             self.ambient, self.degree,
             lambda x, a=self, b=other: (a.coefficients_at(x)
-                                        + b.coefficients_at(x)), h=self.h)
+                                        + b.coefficients_at(x)))
 
     def __sub__(self, other: "FormField") -> "FormField":
         return self + (other * -1.0)
@@ -221,7 +211,7 @@ class FormField:
                              polys=[p * c for p in self.polys])
         return FormField.from_callable(
             self.ambient, self.degree,
-            lambda x, a=self, cc=c: a.coefficients_at(x) * cc, h=self.h)
+            lambda x, a=self, cc=c: a.coefficients_at(x) * cc)
 
     __rmul__ = __mul__
 
@@ -321,15 +311,17 @@ def _derivative_polys(polys, r: int, n: int) -> list:
 
 
 def exterior_derivative(phi: FormField) -> FormField:
-    """d(phi); exact for polynomial backends, central differences otherwise."""
+    """d(phi); exact for polynomial backends, central differences of step
+    `_FD_STEP` otherwise."""
     r, n = phi.degree, phi.ambient
     if r >= n:
         raise ValueError("cannot raise degree beyond the ambient dimension")
     if phi.is_polynomial:
         return FormField(r + 1, n, polys=_derivative_polys(phi.polys, r, n))
 
-    def d_eval(x, phi=phi, h=phi.h):
+    def d_eval(x, phi=phi):
         # the coefficients at x + h e_j, then at x - h e_j, for every j
+        h = _FD_STEP
         steps = h * np.eye(n)
         pts = x[:, None, :] + np.concatenate([steps, -steps])
         vals = phi.coefficients_at(pts.reshape(-1, n)).reshape(
@@ -340,7 +332,7 @@ def exterior_derivative(phi: FormField) -> FormField:
             out[:, merged] += sign * dcoef[:, j, k]
         return out
 
-    return FormField.from_callable(n, r + 1, d_eval, h=phi.h)
+    return FormField.from_callable(n, r + 1, d_eval)
 
 
 # ----------------------------------------------------------------------
@@ -355,12 +347,12 @@ def _minor(mat: np.ndarray, rows, cols) -> np.ndarray:
     return np.linalg.det(mat[..., rows, :][..., cols])
 
 
-def pullback(phi: FormField, f, h=1e-6) -> FormField:
+def pullback(phi: FormField, f) -> FormField:
     """Pullback f^#(phi) by an AffineMap, whose source and target
     dimensions may differ, or by a LipMap on R^n; exact polynomial result
     for affine f and polynomial phi, sampled backend otherwise.  The
     Jacobian of a LipMap is its own when given, else central differences
-    with step h * max(1, |x|_inf) at each point x, so the relative error
+    with step 1e-6 * max(1, |x|_inf) at each point x, so the relative error
     does not grow with the point's scale.  No subcommand calls it: the
     tests' Lagrangian transport oracle is built on it."""
     r = phi.degree
@@ -390,7 +382,7 @@ def pullback(phi: FormField, f, h=1e-6) -> FormField:
         if f.jacobian is not None:
             return f.jacobians_at(x)
         # the images at x + h_x e_j, then at x - h_x e_j, for every j
-        hx = h * np.maximum(1.0, np.abs(x).max(axis=1))
+        hx = 1e-6 * np.maximum(1.0, np.abs(x).max(axis=1))
         steps = hx[:, None, None] * np.eye(m)
         pts = x[:, None, :] + np.concatenate([steps, -steps], axis=1)
         vals = f.values_at(pts.reshape(-1, m)).reshape(len(x), 2, m, m)
@@ -406,7 +398,7 @@ def pullback(phi: FormField, f, h=1e-6) -> FormField:
                 out[:, q] += cov[:, k] * _minor(jac, lam, mu)
         return out
 
-    return FormField.from_callable(m, r, ev, h=phi.h)
+    return FormField.from_callable(m, r, ev)
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +422,7 @@ def contract(phi: FormField, v: VectorField) -> FormField:
 
     return FormField.from_callable(
         n, r - 1, lambda x, phi=phi, v=v: contract_rows(
-            phi.coefficients_at(x), v.values_at(x), r), h=phi.h)
+            phi.coefficients_at(x), v.values_at(x), r))
 
 
 def lie_derivative(phi: FormField, v: VectorField) -> FormField:
@@ -481,33 +473,29 @@ def _comass_exact_degree(r: int, n: int) -> bool:
     return r in (0, 1, n - 1, n)
 
 
-def seminorm_comass(phi: FormField, box: Box, resolution=None,
-                    restarts: int = 20, seed: int = 0) -> float:
+def seminorm_comass(phi: FormField, box: Box) -> float:
     """Grid estimate of the K-comass seminorm sup_K ||phi(x)||_0."""
-    pts = box.grid(resolution)
+    pts = box.grid()
     r, n = phi.degree, phi.ambient
     if _comass_exact_degree(r, n):
         coeffs = phi.coefficients_at(pts)
         return float(np.max(np.linalg.norm(coeffs, axis=1)))
     best = 0.0
     for c in phi.coefficients_at(pts):
-        val, _ = comass(CoVector(r, n, c), restarts=restarts, seed=seed)
+        val, _ = comass(CoVector(r, n, c), restarts=20)
         best = max(best, val)
     return best
 
 
-def seminorm_flat(phi: FormField, box: Box, resolution=None, **kw) -> float:
+def seminorm_flat(phi: FormField, box: Box) -> float:
     """max of the comass seminorms of phi and d(phi)."""
-    return _flat_given_comass(phi, seminorm_comass(phi, box, resolution, **kw),
-                              box, resolution, **kw)
+    return _flat_given_comass(phi, seminorm_comass(phi, box), box)
 
 
-def _flat_given_comass(phi: FormField, sup: float, box: Box, resolution,
-                       **kw) -> float:
+def _flat_given_comass(phi: FormField, sup: float, box: Box) -> float:
     """`seminorm_flat` of phi, whose comass seminorm is `sup`."""
     if phi.degree < phi.ambient:
-        return max(sup, seminorm_comass(exterior_derivative(phi), box,
-                                        resolution, **kw))
+        return max(sup, seminorm_comass(exterior_derivative(phi), box))
     return sup
 
 
@@ -525,18 +513,18 @@ def _pair_norms(table: np.ndarray, i, j) -> np.ndarray:
     return np.sqrt(total)
 
 
-def form_lipschitz(phi: FormField, box: Box, resolution=None) -> float:
+def form_lipschitz(phi: FormField, box: Box) -> float:
     """Lipschitz constant estimate max ||phi(y)-phi(x)||_0 / |y-x|.
 
     All grid pairs while the grid is small, over the box's pair table
     (`Box.grid_pairs`), with the norms of the coefficient differences as
     column sums (`_pair_norms`); random pair sampling beyond.
     """
-    pts = box.grid(resolution)
+    pts = box.grid()
     r, n = phi.degree, phi.ambient
     exact = _comass_exact_degree(r, n)
     if len(pts) <= _MAX_ALL_PAIR_POINTS and exact:
-        i, j, dist = box.grid_pairs(resolution)
+        i, j, dist = box.grid_pairs()
         num = _pair_norms(phi.coefficients_at(pts), i, j)
         return float(np.max(num / dist, initial=0.0))
     rng = np.random.default_rng(0)
@@ -565,16 +553,14 @@ def form_lipschitz(phi: FormField, box: Box, resolution=None) -> float:
     return best
 
 
-def seminorm_sharp(phi: FormField, box: Box, resolution=None, **kw) -> float:
+def seminorm_sharp(phi: FormField, box: Box) -> float:
     """max of the sup-comass and (r+1) times the Lipschitz constant."""
-    return _sharp_given_comass(
-        phi, seminorm_comass(phi, box, resolution, **kw), box, resolution)
+    return _sharp_given_comass(phi, seminorm_comass(phi, box), box)
 
 
-def _sharp_given_comass(phi: FormField, sup: float, box: Box,
-                        resolution) -> float:
+def _sharp_given_comass(phi: FormField, sup: float, box: Box) -> float:
     """`seminorm_sharp` of phi, whose comass seminorm is `sup`."""
-    return max(sup, (phi.degree + 1) * form_lipschitz(phi, box, resolution))
+    return max(sup, (phi.degree + 1) * form_lipschitz(phi, box))
 
 
 # ----------------------------------------------------------------------
@@ -630,4 +616,4 @@ def time_slice_contract(omega: FormField, t: float) -> FormField:
                                       for p in omega.polys[:keep]])
     return FormField.from_callable(
         n, r, lambda x, omega=omega, t=t: omega.coefficients_at(
-            np.column_stack([np.full(len(x), t), x]))[:, :keep], h=omega.h)
+            np.column_stack([np.full(len(x), t), x]))[:, :keep])

@@ -113,16 +113,17 @@ class Polynomial:
         return cls._of(nvars, {tuple(expo): 1.0})
 
     @classmethod
-    def random(cls, nvars: int, max_degree: int, rng: np.random.Generator,
-               n_terms: int = 4, coeff_range: int = 3) -> "Polynomial":
-        """Random polynomial with small integer coefficients (exact in floats)."""
+    def random(cls, nvars: int, max_degree: int,
+               rng: np.random.Generator) -> "Polynomial":
+        """Random polynomial of at most 4 terms with integer coefficients
+        in [-3, 3] (exact in floats)."""
         terms = {}
-        for _ in range(n_terms):
+        for _ in range(4):
             expo = tuple(int(rng.integers(0, max_degree + 1))
                          for _ in range(nvars))
             if sum(expo) > max_degree:
                 continue
-            c = int(rng.integers(-coeff_range, coeff_range + 1))
+            c = int(rng.integers(-3, 4))
             if c:
                 terms[expo] = terms.get(expo, 0.0) + c
         return cls._of(nvars, terms)

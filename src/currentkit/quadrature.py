@@ -40,10 +40,11 @@ def grundmann_moller(dim: int, s: int):
 
     Returns (points, weights) in barycentric coordinates (dim+1 columns);
     weights sum to 1 (reference measure normalized to the simplex volume).
-    The 0-simplex is a point: one node of weight 1.
+    The 0-simplex is a point: one node of weight 1.  The arrays are cached,
+    so they are read-only.
     """
     if dim == 0:
-        return np.ones((1, 1)), np.ones(1)
+        return _read_only(np.ones((1, 1)), np.ones(1))
     d = 2 * s + 1
     n = dim
     pts, wts = [], []
@@ -59,7 +60,7 @@ def grundmann_moller(dim: int, s: int):
     # normalize to unit total weight; the classical rule carries the
     # reference-volume factor which we keep separate
     wts = wts / wts.sum()
-    return pts, wts
+    return _read_only(pts, wts)
 
 
 def simplex_volumes(vertices: np.ndarray) -> np.ndarray:
@@ -89,7 +90,8 @@ def simplex_rule(vertices: np.ndarray, s: int = 2):
 
 @lru_cache(maxsize=None)
 def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], cached read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(order))
 
 
 def _whole_number(name: str, value, low: int) -> int:
@@ -185,19 +187,19 @@ def _read_only(*arrays):
 
 
 @lru_cache(maxsize=None)
-def _kuhn_children(dim: int, k: int = 2):
-    """Kuhn-simplex tiling of the k-scaled reference path simplex
-    k >= y_1 >= ... >= y_dim >= 0: the simplices of `kuhn_simplices(dim,
-    k)` inside it, in that order.  Returns their vertices in
-    y-coordinates (k^dim, dim+1, dim), each child congruent to the
+def _kuhn_children(dim: int):
+    """Kuhn-simplex tiling of the doubled reference path simplex
+    2 >= y_1 >= ... >= y_dim >= 0: the simplices of `kuhn_simplices(dim,
+    2)` inside it, in that order.  Returns their vertices in
+    y-coordinates (2^dim, dim+1, dim), each child congruent to the
     reference simplex, and their orientations relative to the parent."""
-    coords, signs = kuhn_simplices(dim, k)
+    coords, signs = kuhn_simplices(dim, 2)
     inside = np.all(coords[..., :-1] >= coords[..., 1:], axis=(1, 2))
     return _read_only(coords[inside], signs[inside])
 
 
-def subdivide_barycentric(vertices: np.ndarray, k: int = 2):
-    """Split a geometric simplex into k^r congruent children.
+def subdivide_barycentric(vertices: np.ndarray):
+    """Split a geometric simplex into 2^r congruent children.
 
     Yields (child_vertices, orientation_sign) with sign relative to the
     parent's vertex order.
@@ -207,27 +209,28 @@ def subdivide_barycentric(vertices: np.ndarray, k: int = 2):
     if r == 0:
         yield v.copy(), 1
         return
-    # affine chart: y in path simplex (k >= y_1 >= ... >= y_r >= 0) maps to
-    # v0 + sum (y_i / k) (v_i - v_{i-1}); path vertices hit the parent's
+    # affine chart: y in path simplex (2 >= y_1 >= ... >= y_r >= 0) maps to
+    # v0 + sum (y_i / 2) (v_i - v_{i-1}); path vertices hit the parent's
     edges = np.array([v[i + 1] - v[i] for i in range(r)])
-    ys, signs = _kuhn_children(r, k)
+    ys, signs = _kuhn_children(r)
     for y, sign in zip(ys, signs.tolist()):
-        yield v[0] + (y / k) @ edges, sign
+        yield v[0] + (y / 2) @ edges, sign
 
 
 @lru_cache(maxsize=None)
 def _halving_indices(dim: int):
-    """The k = 2 children of `subdivide_barycentric` on vertex indices.
+    """The children of `subdivide_barycentric` on vertex indices.
 
     A simplex's vertices 0..dim are followed by the midpoints of its edges
     (p, q), p < q, in lexicographic order: `edges` (C(dim+1, 2), 2).
     `children` (2^dim, dim+1) lists each child's vertices as positions in
-    that extended list; plus the children's signs (2^dim,)."""
-    y, signs = _kuhn_children(dim, 2)
+    that extended list; plus the children's signs (2^dim,), all three
+    cached read-only."""
+    y, signs = _kuhn_children(dim)
     # child vertex y is the midpoint of v[p] and v[q], or v[p] if p == q
     p, q = (y == 2).sum(axis=2), (y >= 1).sum(axis=2)
     edges = np.array(list(combinations(range(dim + 1), 2)),
                      dtype=np.intp).reshape(-1, 2)
     position = np.diag(np.arange(dim + 1))
     position[edges[:, 0], edges[:, 1]] = dim + 1 + np.arange(len(edges))
-    return edges, position[p, q], signs
+    return _read_only(edges, position[p, q], signs)

@@ -65,6 +65,9 @@ class ScenarioConfig:
         cfg.eps_ladder = tuple(float(e) for e in cfg.eps_ladder)
         if not all(e > 0.0 for e in cfg.eps_ladder):
             raise ValueError("scenario field 'eps_ladder' must be > 0")
+        if len(set(cfg.eps_ladder)) < len(cfg.eps_ladder):
+            raise ValueError(f"scenario field 'eps_ladder' must not repeat "
+                             f"a step, got {list(cfg.eps_ladder)}")
         _check_family(cfg.motion.get("family"),
                       {k: v for k, v in cfg.motion.items()
                        if k not in ("family", "interval")}, cfg.ambient)

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from currentkit import flatnorm
+from currentkit import flatnorm, forms
 from currentkit.chains import (Boundary, Chain, _leaf_evaluate, boundary,
                                evaluate)
 from currentkit.exterior import multi_indices
@@ -182,10 +182,11 @@ def contract_at(phi: FormField, v: VectorField, x) -> np.ndarray:
 
 
 def derivative_at(phi: FormField, x) -> np.ndarray:
-    """Coefficients of the central-difference d(phi) at x, with step
-    phi.h: for each j, then each lam, dx^j wedge dx^lam is (-1)^pos times
-    the sorted index, pos the number of entries of lam below j."""
-    r, n, h = phi.degree, phi.ambient, phi.h
+    """Coefficients of the central-difference d(phi) at x, with the step
+    of `exterior_derivative`: for each j, then each lam, dx^j wedge dx^lam
+    is (-1)^pos times the sorted index, pos the number of entries of lam
+    below j."""
+    r, n, h = phi.degree, phi.ambient, forms._FD_STEP
     ranks = {idx: k for k, idx in enumerate(multi_indices(r + 1, n))}
     out = np.zeros(comb(n, r + 1))
     for j in range(n):

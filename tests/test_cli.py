@@ -107,6 +107,23 @@ class TestScenarioConfig:
             assert main([command, "--config", str(path),
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["transport", "converge"])
+    def test_repeated_eps_step_rejected(self, tmp_path, capsys, command):
+        # a repeated step made the observed FD order log(1) / log(1), a nan
+        # row under exit 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "rotating_square", "eps_ladder": [0.01, 0.01, 0.001],
+            "motion": {"family": "rotation", "rate": 0.7},
+            "cochain": {"degree": 2, "components": {"0,1": [
+                {"exponents": [0, 2, 0], "coefficient": 1.0}]}}}))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad scenario in {path}" in err
+        assert "'eps_ladder' must not repeat a step" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_misspelled_motion_parameter_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({

@@ -496,22 +496,23 @@ class TestSeminorms:
 
     @pytest.mark.parametrize("res", [None, 2])
     def test_resolution_default_and_override(self, res):
-        # phi = 3x dx on K = [0,1]^2: sup 3, Lipschitz 3, sharp 2 * 3
+        # phi = 3x dx on K = [0,1]^2: sup 3, Lipschitz 3, sharp 2 * 3, on
+        # the class's box and on one built at another resolution
         phi = FormField.from_polynomials(
             2, 1, {(0,): 3.0 * Polynomial.variable(0, 2)})
-        assert form_lipschitz(phi, self.box, res) == pytest.approx(3.0)
-        assert seminorm_sharp(phi, self.box, res) == pytest.approx(6.0)
-        assert seminorm_comass(phi, self.box, res) == pytest.approx(3.0)
+        box = self.box if res is None else Box.unit(2, resolution=res)
+        assert form_lipschitz(phi, box) == pytest.approx(3.0)
+        assert seminorm_sharp(phi, box) == pytest.approx(6.0)
+        assert seminorm_comass(phi, box) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("res", [1, 0, 2.5])
     def test_resolution_must_be_a_whole_number_of_at_least_two(self, res):
-        phi = FormField.from_polynomials(
-            2, 1, {(0,): 3.0 * Polynomial.variable(0, 2)})
-        for seminorm in (form_lipschitz, seminorm_sharp, seminorm_comass):
-            with pytest.raises(ValueError, match="grid resolution"):
-                seminorm(phi, self.box, res)
+        # the box's resolution is the one its seminorms sample at, so a
+        # bad one is rejected when the box is built
         with pytest.raises(ValueError, match="grid resolution"):
             Box.unit(2, resolution=res)
+        with pytest.raises(ValueError, match="grid resolution"):
+            Box((0.0, 0.0), (1.0, 1.0), resolution=res)
 
 
 # every (ambient, degree, resolution) whose grid takes the all-pairs branch
@@ -552,21 +553,24 @@ class TestGridTables:
 
     @pytest.mark.parametrize("n, res", [(1, 30), (2, 7), (3, 4)])
     def test_resolution_override(self, n, res):
+        # another grid than the default one comes from a box built at
+        # that resolution
         rng = np.random.default_rng(n)
         phi = FormField.random_polynomial(n, n - 1, rng, max_degree=2)
-        box = self._box(n, 9)
-        got = form_lipschitz(phi, box, resolution=res)
-        assert got == all_pairs_lipschitz(phi, box.grid(res))
-        assert len(box.grid(res)) == res ** n
-        assert form_lipschitz(phi, box) == \
-            all_pairs_lipschitz(phi, box.grid(9))
+        box = self._box(n, res)
+        assert form_lipschitz(phi, box) == all_pairs_lipschitz(phi, box.grid())
+        assert len(box.grid()) == res ** n
+        default = self._box(n, 9)
+        assert form_lipschitz(phi, default) == \
+            all_pairs_lipschitz(phi, default.grid())
 
     def test_grid_is_built_once_per_resolution(self):
-        box = Box.unit(2, resolution=5)
-        assert box.grid() is box.grid() is box.grid(5)
-        assert box.grid(7) is box.grid(7)
-        assert len(box.grid(7)) == 49 and len(box.grid()) == 25
-        assert box.grid_pairs(7) is box.grid_pairs(7)
+        # each box builds the grid and pair table of its resolution once
+        box, fine = Box.unit(2, resolution=5), Box.unit(2, resolution=7)
+        assert box.grid() is box.grid() and fine.grid() is fine.grid()
+        assert len(fine.grid()) == 49 and len(box.grid()) == 25
+        assert box.grid_pairs() is box.grid_pairs()
+        assert fine.grid_pairs() is fine.grid_pairs()
         i, j, dist = box.grid_pairs()
         assert len(i) == 25 * 24 // 2 and np.all(i < j)
         np.testing.assert_array_equal(

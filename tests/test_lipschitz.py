@@ -62,7 +62,7 @@ class TestMollification:
         f = LipMap.affine(np.array([[1.0, 2.0], [0.0, 1.0]]),
                           np.array([0.3, -0.1]))
         sm = mollify(f, rho=0.05)
-        for pt in BOX.grid(3):
+        for pt in Box.unit(2, resolution=3).grid():
             np.testing.assert_allclose(sm(pt), f(pt), atol=1e-10)
 
     def test_convergence_as_rho_shrinks(self):
