@@ -65,6 +65,16 @@ def _write_csv(path, rows):
     log.info("wrote %s (%d rows)", path, len(rows))
 
 
+def _map(workers, fn, *items) -> list:
+    """`fn` over the items, in order, in a pool of `workers` threads; in
+    this thread when there is one worker, which a pool of one thread would
+    only give a thread, and a malloc arena, of its own."""
+    if workers == 1:
+        return list(map(fn, *items))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *items))
+
+
 def _timed(enabled):
     return time.perf_counter() if enabled else None
 
@@ -95,16 +105,10 @@ def _pushforward_excess(T, mat, shift) -> float:
     return max(mass_chain(pushed) - bound - 1e-6, 0.0)
 
 
-def _chain_checks(T, n, rng, timings):
-    """The checks that read only the chain T, the ambient dimension n and
-    the draws of `rng`: a list of (quantity, value, oracle, tol,
-    runtime)."""
-    out = []
-
-    def check(quantity, value, oracle, tol, runtime=None):
-        out.append((quantity, value, oracle, tol, runtime))
-
-    # exterior identities on random polynomial data
+def _form_checks(n, rng, timings):
+    """The exterior identities on random polynomial data, which read only
+    the ambient dimension n and the draws of `rng`: a list of (quantity,
+    value, oracle, tol, runtime)."""
     t0 = _timed(timings)
     worst_dd = worst_cartan = 0.0
     for _ in range(10):
@@ -118,8 +122,18 @@ def _chain_checks(T, n, rng, timings):
         diff = lie_derivative(phi, v) - lie_derivative_components(phi, v)
         worst_cartan = max(worst_cartan,
                            max(p.max_abs_coeff() for p in diff.polys))
-    check("dd_zero_residual", worst_dd, 0.0, 0.0, runtime=_elapsed(t0))
-    check("cartan_residual", worst_cartan, 0.0, 0.0)
+    return [("dd_zero_residual", worst_dd, 0.0, 0.0, _elapsed(t0)),
+            ("cartan_residual", worst_cartan, 0.0, 0.0, None)]
+
+
+def _chain_checks(T, n, rng, timings):
+    """The checks that read only the chain T, the ambient dimension n and
+    the draws of `rng`, which continue those of `_form_checks`: a list of
+    (quantity, value, oracle, tol, runtime)."""
+    out = []
+
+    def check(quantity, value, oracle, tol, runtime=None):
+        out.append((quantity, value, oracle, tol, runtime))
 
     # boundary adjointness and del o del = 0 on the scenario chain; one
     # Leaf, so that T's geometry is built once for all its evaluations
@@ -175,24 +189,35 @@ def _chain_key(cfg, T):
             T.table.tobytes(), T.ids.tobytes(), T.mults.tobytes())
 
 
-def _verify_group(scenarios, chains, timings):
+def _reused(checks) -> list:
+    """`checks` with an empty runtime, for a scenario that reuses them."""
+    return [check[:4] + (None,) for check in checks]
+
+
+def _generator(state) -> np.random.Generator:
+    """A fresh generator at the PCG64 state `state`."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+def _verify_group(scenarios, chains, start, timings):
     """The checks of scenarios that share a chain key, a list of
-    (quantity, value, oracle, tol, runtime) each: the chain checks run
-    once on default_rng(seed), and each scenario draws its motion check
-    from the generator state they leave, so its rows are those of a run
-    on its own.  Every scenario after the first reuses the chain rows
-    with an empty runtime."""
-    rng = np.random.default_rng(scenarios[0].seed)
-    shared = _chain_checks(chains[0], scenarios[0].ambient, rng, timings)
+    (quantity, value, oracle, tol, runtime) each.  `start` is (the rows of
+    `_form_checks` at the group's seed and ambient dimension, the generator
+    state they leave): the chain checks run once from that state, and each
+    scenario draws its motion check from the state they leave, so its rows
+    are those of a run on its own.  Every scenario after the first reuses
+    the form and chain rows with an empty runtime."""
+    form_rows, state = start
+    rng = _generator(state)
+    shared = form_rows + _chain_checks(chains[0], scenarios[0].ambient, rng,
+                                       timings)
     state = rng.bit_generator.state
-    reused = [check[:4] + (None,) for check in shared]
     out = []
     for k, (cfg, T) in enumerate(zip(scenarios, chains)):
-        bits = np.random.PCG64()
-        bits.state = state
-        out.append((reused if k else shared)
-                   + _motion_checks(cfg, T, np.random.Generator(bits),
-                                    timings))
+        out.append((_reused(shared) if k else shared)
+                   + _motion_checks(cfg, T, _generator(state), timings))
     return out
 
 
@@ -205,13 +230,25 @@ def cmd_verify(args, scenarios):
         chains.append(cfg.build_chain())
         cfg.build_box()  # a bad box is a configuration error here too
         groups.setdefault(_chain_key(cfg, chains[k]), []).append(k)
+    # the form checks read the seed and ambient dimension alone, the first
+    # two items of a chain key: they run here, once per pair, and a group
+    # after the first of its pair reuses their rows
+    forms, starts = {}, []
+    for key in groups:
+        if key[:2] in forms:
+            rows, state = forms[key[:2]]
+            starts.append((_reused(rows), state))
+            continue
+        rng = np.random.default_rng(key[0])
+        forms[key[:2]] = (_form_checks(key[1], rng, timings),
+                          rng.bit_generator.state)
+        starts.append(forms[key[:2]])
 
-    def run(members):
+    def run(members, start):
         return _verify_group([scenarios[k] for k in members],
-                             [chains[k] for k in members], timings)
+                             [chains[k] for k in members], start, timings)
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(run, groups.values()))
+    results = _map(args.workers, run, groups.values(), starts)
     checks = {k: c for members, result in zip(groups.values(), results)
               for k, c in zip(members, result)}
     rows, failures = [], 0
@@ -277,8 +314,8 @@ def cmd_transport(args, scenarios):
     for cfg in scenarios:
         if cfg.cochain is None:
             log.warning("skipping %s: no cochain", cfg.name)
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        blocks = list(pool.map(lambda c: _transport_rows(c, timings), usable))
+    blocks = _map(args.workers, lambda c: _transport_rows(c, timings),
+                  usable)
     rows = [r for block in blocks for r in block]
     _write_csv(os.path.join(args.out, "transport.csv"), rows)
     return 0

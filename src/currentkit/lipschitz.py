@@ -161,9 +161,22 @@ def _tent(u, center: float, width: float):
     return np.maximum(0.0, 1.0 - np.abs(u - center) / width)
 
 
-def _planar_rotation(theta: float) -> np.ndarray:
-    return np.array([[np.cos(theta), -np.sin(theta)],
-                     [np.sin(theta), np.cos(theta)]])
+def _tent_lift(x, amplitudes, center: float, width: float,
+               axis: int) -> np.ndarray:
+    """The tent map of each of the amplitudes (K,) at points x (m, n),
+    shape (K, m, n): x lifted along `axis` by the amplitude times the hat
+    of x[:, 0]."""
+    out = np.repeat(x[None], len(amplitudes), axis=0)
+    out[:, :, axis] += amplitudes[:, None] * _tent(x[:, 0], center, width)
+    return out
+
+
+def _planar_rotation(theta) -> np.ndarray:
+    """The rotation matrix by the angle `theta`, or a stack of them by an
+    array of angles, shape (*theta.shape, 2, 2)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], axis=-1),
+                     np.stack([s, c], axis=-1)], axis=-2)
 
 
 def make_map(name: str, ambient: int = 2, **params) -> LipMap:
@@ -202,10 +215,8 @@ def make_map(name: str, ambient: int = 2, **params) -> LipMap:
         amp = float(params.get("amplitude", 0.3))
         axis = int(params.get("axis", 1))
 
-        def f(x, c=c, w=w, amp=amp, axis=axis):
-            y = np.array(x, dtype=float)
-            y[:, axis] += amp * _tent(x[:, 0], c, w)
-            return y
+        def f(x, c=c, w=w, amp=np.array([amp]), axis=axis):
+            return _tent_lift(x, amp, c, w, axis)[0]
 
         return LipMap(ambient, f, name="tent")
     raise ValueError(f"unknown map family: {name}")

@@ -13,7 +13,8 @@ from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
                      evaluate_copies, simplex_geometry)
 from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, seminorm_comass)
-from .lipschitz import LipMap, _tent, make_map, pushforward_chain
+from .lipschitz import (LipMap, _planar_rotation, _tent, _tent_lift,
+                        pushforward_chain)
 from .polynomial import Polynomial
 from .quadrature import (gauss_nodes, gauss_quadrature, gauss_sum,
                          simplex_rule)
@@ -42,9 +43,9 @@ class Motion:
     pushforward applies, and `velocity_factory(t)` the Eulerian velocity
     v_t = (d/dt kappa_t) o kappa_t^-1 as a VectorField.
 
-    Each `make_motion` family is a `make_map` family at a time-scaled
-    parameter together with its exact velocity; a user-built Motion
-    supplies both factories.
+    Each `make_motion` family states its maps once, for an array of times
+    (a `_Family`, which is also its map factory), with its exact velocity;
+    a user-built Motion supplies both factories.
     """
 
     interval: tuple
@@ -60,6 +61,23 @@ class Motion:
     def map_at(self, t: float) -> LipMap:
         self.check_time(t)
         return self.map_factory(t)
+
+    def images(self, times, points) -> np.ndarray:
+        """kappa_t(points) at each of `times`, shape (K, m, n) for K >= 1
+        times and points (m, n): the values of `map_at(t).values_at(points)`,
+        bit for bit, with its errors.  A built-in family maps all times in
+        one call, after every time is checked; a user-built map factory is
+        called once per time."""
+        if not isinstance(self.map_factory, _Family):
+            return np.stack([self.map_at(t).values_at(points)
+                             for t in times])
+        for t in times:
+            self.check_time(t)
+        out = self.map_factory.images(np.asarray(times, dtype=float),
+                                      np.asarray(points, dtype=float))
+        if not np.all(np.isfinite(out)):
+            raise ValueError("non-finite map images")
+        return out
 
     def push(self, T: Chain, t: float, levels: int = 0) -> Chain:
         return pushforward_chain(self.map_at(t), T, levels=levels)
@@ -83,18 +101,17 @@ def _pushed_values(m: Motion, work: Chain, times, form_rows,
     """evaluate(m.push(work, t_k), row[k], s_order) for every time t_k and
     every row of forms, one form per time; a list per row.  The pushes
     are stacked, in chunks of at most `_STACK_SIMPLICES` simplices (at
-    least one push a chunk).  Each time's map takes the vertex table
-    once, and each push's simplices are gathered from its images by the
-    chain's ids, without a vertex table of their own: every per-simplex
-    step reads the coordinates `Motion.push` would give, so the values
-    are the same bits, and a degenerate image raises the same ValueError
-    before any form is checked.  A chunk's geometry
+    least one push a chunk).  A chunk's maps take the vertex table in
+    one `Motion.images` call, and each push's simplices are gathered from
+    its images by the chain's ids, without a vertex table of their own:
+    every per-simplex step reads the coordinates `Motion.push` would
+    give, so the values are the same bits, and a degenerate image raises
+    the same ValueError before any form is checked.  A chunk's geometry
     (`chains.simplex_geometry`) is built once and serves every row."""
     step = max(1, _STACK_SIMPLICES // max(len(work), 1))
     out = [[] for _ in form_rows]
     for lo in range(0, len(times), step):
-        images = np.stack([m.map_at(t).values_at(work.table)
-                           for t in times[lo:lo + step]])
+        images = m.images(times[lo:lo + step], work.table)
         geometry = simplex_geometry(
             images[:, work.ids].reshape(-1, work.degree + 1, work.ambient),
             s_order, pushed=True)
@@ -455,27 +472,74 @@ def _check_family(name: str, params: dict, ambient: int):
                              f"{value!r}")
 
 
+class _Family:
+    """The maps kappa_t of a built-in motion family, stated once as
+    `images(times, points)`: kappa_t at each time of an array (K,), of
+    points (m, n), shape (K, m, n).  Called at one time t it is the
+    family's map factory, the LipMap kappa_t: `images` at t alone."""
+
+    def __init__(self, ambient: int, name: str, lift):
+        self.ambient = ambient
+        self.name = name
+        self.images = lift
+
+    def __call__(self, t) -> LipMap:
+        times = np.array([t], dtype=float)
+        return LipMap(self.ambient, lambda x: self.images(times, x)[0],
+                      name=self.name)
+
+
+class _AffineFamily(_Family):
+    """An affine family kappa_t(x) = A_t x + b_t, with `frame(times)` the
+    stacks (A, b) at an array of K times, shapes (K, n, n) and (K, n).
+    Its images are one matmul of the stack, each point's the product
+    that `AffineMap` forms at one time; kappa_t is `LipMap.affine`."""
+
+    def __init__(self, ambient: int, name: str, frame):
+        super().__init__(ambient, name, self._images)
+        self.frame = frame
+
+    def _images(self, times, points):
+        mats, shifts = self.frame(times)
+        out = np.matmul(mats[:, None], points[None, :, :, None])[..., 0]
+        out += shifts[:, None]
+        return out
+
+    def __call__(self, t) -> LipMap:
+        mats, shifts = self.frame(np.array([t], dtype=float))
+        return LipMap.affine(mats[0], shifts[0], name=self.name)
+
+
 def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
                 **params) -> Motion:
     """Named motion families: identity, translation, rotation, expansion,
     shear, tent.  Each is the `make_map` family of the same kind at a
-    parameter scaled by time, with its exact Eulerian velocity."""
+    parameter scaled by time, stated for an array of times (`_Family`),
+    with its exact Eulerian velocity."""
     _check_family(name, params, ambient)
     params = {**_DEFAULTS.get(name, {}), **params}
     iv = tuple(float(t) for t in interval)
+    eye = np.eye(ambient)
+
+    def still(times):
+        return np.zeros((len(times), ambient))
+
+    def eyes(times):
+        return np.broadcast_to(eye, (len(times), ambient, ambient))
 
     if name == "identity":
         zero = VectorField.constant(np.zeros(ambient))
-        return Motion(iv, lambda t: make_map("identity", ambient),
+        return Motion(iv, _AffineFamily(ambient, "identity",
+                                        lambda ts: (eyes(ts), still(ts))),
                       lambda t: zero, name)
 
     if name == "translation":
         c = np.asarray(params.get("velocity", [0.25] + [0.0] * (ambient - 1)),
                        dtype=float)
         vf = VectorField.constant(c)
-        return Motion(iv, lambda t: make_map("translation", ambient,
-                                             offset=t * c),
-                      lambda t: vf, name)
+        return Motion(iv, _AffineFamily(
+            ambient, "translation", lambda ts: (eyes(ts), ts[:, None] * c)),
+            lambda t: vf, name)
 
     if name == "rotation":
         if ambient != 2:
@@ -483,8 +547,9 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         w = float(params["rate"])
         x0, x1 = (Polynomial.variable(i, 2) for i in (0, 1))
         vf = VectorField.from_polynomials([(-w) * x1, w * x0])
-        return Motion(iv, lambda t: make_map("rotation", angle=w * t),
-                      lambda t: vf, name)
+        return Motion(iv, _AffineFamily(
+            2, "rotation", lambda ts: (_planar_rotation(w * ts), still(ts))),
+            lambda t: vf, name)
 
     if name == "expansion":
         # kappa_t(x) = (1 + t) x; Eulerian velocity y / (1 + t)
@@ -492,9 +557,10 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
             return VectorField.from_polynomials(
                 [Polynomial.variable(i, ambient) * (1.0 / (1.0 + t))
                  for i in range(ambient)])
-        return Motion(iv, lambda t: make_map("scaling", ambient,
-                                             factor=1.0 + t),
-                      vfac, name)
+        return Motion(iv, _AffineFamily(
+            ambient, "scaling",
+            lambda ts: ((1.0 + ts)[:, None, None] * eye, still(ts))),
+            vfac, name)
 
     if name == "shear":
         s = float(params["rate"])
@@ -502,7 +568,13 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         comps = [Polynomial.zero(ambient) for _ in range(ambient)]
         comps[0] = s * x1
         vf = VectorField.from_polynomials(comps)
-        return Motion(iv, lambda t: make_map("shear", ambient, strength=s * t),
+
+        def sheared(ts):
+            mats = eyes(ts).copy()
+            mats[:, 0, 1] = s * ts
+            return mats, still(ts)
+
+        return Motion(iv, _AffineFamily(ambient, "shear", sheared),
                       lambda t: vf, name)
 
     # tent: piecewise-linear vertical lift growing linearly in time;
@@ -518,6 +590,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         return out
 
     vf = VectorField(ambient, func=field)
-    return Motion(iv, lambda t: make_map("tent", ambient, center=c, width=w,
-                                         amplitude=t * amp, axis=axis),
+    return Motion(iv, _Family(ambient, "tent",
+                              lambda ts, x: _tent_lift(x, ts * amp, c, w,
+                                                       axis)),
                   lambda t: vf, name)

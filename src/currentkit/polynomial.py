@@ -180,14 +180,18 @@ class Polynomial:
         return float(self.eval_many(np.asarray(x, dtype=float)[None])[0])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of points, shape (m, nvars)."""
+        """Evaluate at an array of points, shape (m, nvars): the sum, term
+        by term from 0.0, of c times each power of the term in turn, a
+        constant term added as c itself."""
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[0])
         for e, c in self.terms.items():
-            term = np.full(pts.shape[0], c)
+            term = c
             for i, ei in enumerate(e):
                 if ei:
-                    term *= pts[:, i] ** ei
+                    power = pts[:, i] ** ei
+                    power *= term
+                    term = power
             out += term
         return out
 

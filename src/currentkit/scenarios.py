@@ -12,7 +12,7 @@ from .chains import (Chain, boundary, triangle_chain, unit_interval_chain,
                      unit_square_chain)
 from .forms import Box, TimePolynomialForm
 from .motion import Cochain, Motion, _check_family, make_motion
-from .polynomial import Polynomial, _is_whole
+from .polynomial import _REAL, Polynomial, _is_whole
 
 __all__ = ["ScenarioConfig", "load_config", "builtin_scenarios"]
 
@@ -61,6 +61,13 @@ class ScenarioConfig:
         for key, low in _WHOLE_FIELDS:
             setattr(cfg, key, _whole(key, getattr(cfg, key), low))
         _finite("tau", cfg.tau)
+        if not isinstance(cfg.eps_ladder, (list, tuple)) or not all(
+                isinstance(e, _REAL) and type(e) is not bool
+                for e in cfg.eps_ladder):
+            raise ValueError(f"scenario field 'eps_ladder' must be a list of "
+                             f"numbers, got {cfg.eps_ladder!r}")
+        if not cfg.eps_ladder:
+            raise ValueError("scenario field 'eps_ladder' must not be empty")
         _finite("eps_ladder", cfg.eps_ladder)
         cfg.eps_ladder = tuple(float(e) for e in cfg.eps_ladder)
         if not all(e > 0.0 for e in cfg.eps_ladder):

@@ -10,7 +10,9 @@ preorder tree, the all-pairs Lipschitz quotient, the norm ladder one
 bound at a time, deformation chains, the homotopy residual, the
 continuity modulus and the finite-difference transport derivative one
 time node at a time, the homotopy residual one panel count at a time,
-and the transport derivative through `Motion.push`.
+the transport derivative through `Motion.push`, the maps of the motion
+families as `make_map` maps one time at a time, and polynomial evaluation
+one term at a time from a filled array.
 They are not part of the library's API."""
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from currentkit import flatnorm, forms
+from currentkit import flatnorm, forms, motion
 from currentkit.chains import (Boundary, Chain, _leaf_evaluate, boundary,
                                evaluate)
 from currentkit.exterior import multi_indices
@@ -27,9 +29,10 @@ from currentkit.forms import (AffineMap, Box, FormField, VectorField,
                               contract, exterior_derivative, lie_derivative,
                               pullback, seminorm_comass, seminorm_flat,
                               seminorm_sharp, time_slice_contract)
-from currentkit.lipschitz import LipMap, lipschitz_constant
+from currentkit.lipschitz import LipMap, lipschitz_constant, make_map
 from currentkit.motion import (Cochain, Deformation, Motion,
                                deformation_chain, velocity_field)
+from currentkit.polynomial import Polynomial
 from currentkit.quadrature import integrate_interval
 
 
@@ -673,3 +676,41 @@ def transport_derivative_by_push(m: Motion, T: Chain, psi: Cochain,
         if len(bt):
             total += evaluate(m.push(bt, tau, levels), contract(phi, v))
     return total
+
+
+def motion_map_by_make_map(name: str, ambient: int, t: float,
+                           **params) -> LipMap:
+    """kappa_t of the `make_motion` family `name`: the `make_map` family of
+    its kind at the parameter scaled by t, with the family's defaults."""
+    params = {**motion._DEFAULTS.get(name, {}), **params}
+    if name == "identity":
+        return make_map("identity", ambient)
+    if name == "translation":
+        c = np.asarray(params.get("velocity",
+                                  [0.25] + [0.0] * (ambient - 1)), float)
+        return make_map("translation", ambient, offset=t * c)
+    if name == "rotation":
+        return make_map("rotation", angle=float(params["rate"]) * t)
+    if name == "expansion":
+        return make_map("scaling", ambient, factor=1.0 + t)
+    if name == "shear":
+        return make_map("shear", ambient,
+                        strength=float(params["rate"]) * t)
+    return make_map("tent", ambient, center=float(params["center"]),
+                    width=float(params["width"]),
+                    amplitude=t * float(params["amplitude"]),
+                    axis=int(params["axis"]))
+
+
+def eval_many_by_term(p: Polynomial, pts) -> np.ndarray:
+    """`Polynomial.eval_many` with each term filled with its coefficient
+    and multiplied by its powers in place, then added to the sum."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.zeros(pts.shape[0])
+    for e, c in p.terms.items():
+        term = np.full(pts.shape[0], c)
+        for i, ei in enumerate(e):
+            if ei:
+                term *= pts[:, i] ** ei
+        out += term
+    return out

@@ -124,6 +124,28 @@ class TestScenarioConfig:
         assert "'eps_ladder' must not repeat a step" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["transport", "converge"])
+    @pytest.mark.parametrize("ladder, message", [
+        ([], "'eps_ladder' must not be empty"),
+        (0.01, "'eps_ladder' must be a list of numbers, got 0.01"),
+        ([0.01, True], "'eps_ladder' must be a list of numbers, got "
+                       "[0.01, True]")], ids=["empty", "scalar", "bool"])
+    def test_eps_ladder_must_be_a_list_of_steps(self, tmp_path, capsys,
+                                                command, ladder, message):
+        # an empty ladder wrote an infinite FD order and continuity slope
+        # under exit 0, and a scalar one a TypeError naming no field
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "rotating_square", "eps_ladder": ladder,
+            "motion": {"family": "rotation", "rate": 0.7},
+            "cochain": {"degree": 2, "components": {"0,1": [
+                {"exponents": [0, 2, 0], "coefficient": 1.0}]}}}))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert f"bad scenario in {path}: scenario field {message}" in \
+            capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_misspelled_motion_parameter_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -557,13 +579,18 @@ class TestSharedChainChecks:
         assert [T.degree for T in runs] == [2, 1]
 
     def test_reused_rows_have_no_runtime(self, tmp_path, monkeypatch):
+        # the boundary's group reuses the square's form checks, which read
+        # the same seed and dimension
         monkeypatch.setenv("CURRENTKIT_TIMINGS", "1")
         assert main(["verify", "--out", str(tmp_path)]) == 0
         timed = {(r["scenario"], r["quantity"])
                  for r in _read(tmp_path / "verify.csv") if r["runtime"]}
         assert {("rotating_square", "dd_zero_residual"),
-                ("shearing_boundary", "dd_zero_residual"),
+                ("shearing_boundary", "adjointness_residual"),
                 ("static_square", "homotopy_residual")} <= timed
+        assert {q for s, q in timed if s == "shearing_boundary"} == {
+            "adjointness_residual", "reynolds_duality_residual",
+            "pushforward_mass_within_bound", "homotopy_residual"}
         assert {s for s, q in timed if q != "homotopy_residual"} == {
             "rotating_square", "shearing_boundary"}
 
@@ -586,6 +613,42 @@ class TestSharedChainChecks:
                  for obj in (base, {**base, "name": "b", **change})]
         assert rows == alone[0] + alone[1]
         assert [r[2] for r in alone[0]] != [r[2] for r in alone[1]]
+
+    @pytest.mark.parametrize("change, runs", [
+        (None, 1), ({"seed": 43}, 2),
+        ({"chain": {"builtin": "square", "multiplier": 2.0}}, 1),
+        ({"chain": {"builtin": "boundary_square"}}, 1),
+        ({"ambient": 1, "chain": {"builtin": "interval"},
+          "motion": {"family": "translation"}}, 2)],
+        ids=["bundled", "seed", "multiplier", "chain", "dimension"])
+    def test_form_checks_run_once_per_seed_and_dimension(
+            self, tmp_path, monkeypatch, change, runs):
+        # counted at the Cartan formula, which only the form checks
+        # compute, ten times a run; the rows are those of each scenario
+        # alone
+        calls = []
+        components = cli.lie_derivative_components
+
+        def counted(*args):
+            calls.append(args)
+            return components(*args)
+
+        monkeypatch.setattr(cli, "lie_derivative_components", counted)
+        base = {"name": "a", "motion": {"family": "rotation", "rate": 0.7}}
+        if change is None:
+            argv = []
+            alone = [dataclasses.asdict(c) for c in builtin_scenarios()]
+        else:
+            alone = [base, {**base, "name": "b", **change}]
+            config = tmp_path / "pair.json"
+            config.write_text(json.dumps({"scenarios": alone}))
+            argv = ["--config", str(config)]
+        assert main(["verify", *argv, "--out", str(tmp_path / "all")]) == 0
+        assert len(calls) == 10 * runs
+        with open(tmp_path / "all" / "verify.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [row for obj in alone for row in _verify_alone(
+            tmp_path, ScenarioConfig.from_obj(obj))]
 
     def test_chain_spelling_does_not_matter(self, tmp_path, monkeypatch):
         # a multiplier of 1 and no multiplier are one chain
@@ -628,6 +691,23 @@ class TestWorkers:
         assert not list(tmp_path.iterdir())
         assert _build_parser().parse_args(
             [command, "--workers", "3"]).workers == 3
+
+
+    @pytest.mark.parametrize("command", ["verify", "transport"])
+    def test_one_worker_starts_no_thread(self, tmp_path, monkeypatch,
+                                         command):
+        # a pool of one thread gave the scenarios a malloc arena of their
+        # own; the rows are those of a pool of two
+        assert main([command, "--out", str(tmp_path / "two"),
+                     "--workers", "2"]) == 0
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool for one worker")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        assert main([command, "--out", str(tmp_path / "one")]) == 0
+        assert (tmp_path / "one" / f"{command}.csv").read_bytes() == \
+            (tmp_path / "two" / f"{command}.csv").read_bytes()
 
 
 class TestDeterminism:
@@ -746,6 +826,23 @@ class TestDeterminism:
                 capture_output=True, text=True, timeout=60)
             assert done.returncode == 2
             assert message in done.stderr and done.stdout == ""
+
+
+    @pytest.mark.parametrize("argv, workloads", [
+        ([], ["bundled"]),
+        (["--workload", "bundled", "--workload", "refined"],
+         ["bundled", "refined"]),
+        (["--workload", "flatgrid", "refined", "--workload", "flatgrid"],
+         ["flatgrid", "refined"])])
+    def test_ab_pairs_tool_runs_every_workload_given(self, argv, workloads):
+        # argparse kept only the last --workload of a nargs="+" option
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "tools", "ab_pairs.py")
+        spec = importlib.util.spec_from_file_location("ab_pairs", path)
+        ab_pairs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ab_pairs)
+        assert ab_pairs.parse_args(["base", "change", *argv]).workload == \
+            workloads
 
 
 class TestTransport:

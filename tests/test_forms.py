@@ -21,7 +21,7 @@ from currentkit.forms import (AffineMap, Box, FormField, TimePolynomialForm,
 from currentkit.lipschitz import LipMap
 from currentkit.polynomial import Polynomial
 from oracles import (all_pairs_lipschitz, contract_at, derivative_at,
-                     pullback_at)
+                     eval_many_by_term, pullback_at)
 
 
 def _max_coeff(phi):
@@ -67,6 +67,28 @@ class TestPolynomial:
         pts = rng.standard_normal((10, 2))
         np.testing.assert_array_equal(p.eval_many(pts),
                                       [p(pt) for pt in pts])
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_eval_many_equals_the_filled_term_loop(self, nvars):
+        # each term starts from its first power times c, and a constant
+        # term is added as c: the bits of filling the term with c first
+        rng = np.random.default_rng(nvars)
+        polys = [Polynomial.zero(nvars), Polynomial.constant(nvars, -2.5),
+                 Polynomial(nvars, {(0,) * nvars: 0.1, (11,) * nvars: 3.0,
+                                    (1,) + (0,) * (nvars - 1): -1e-3})]
+        for _ in range(40):
+            polys.append(Polynomial(nvars, {
+                tuple(int(e) for e in rng.integers(0, 13, nvars)):
+                float(rng.standard_normal() * 10.0 ** rng.uniform(-6, 6))
+                for _ in range(int(rng.integers(1, 7)))}))
+        for p in polys:
+            for count in (0, 1, 9):
+                pts = rng.standard_normal((count, nvars)) * \
+                    10.0 ** rng.uniform(-2, 2)
+                kept = pts.copy()
+                assert p.eval_many(pts).tobytes() == \
+                    eval_many_by_term(p, pts).tobytes()
+                assert np.array_equal(pts, kept)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, bad):

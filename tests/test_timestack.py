@@ -1,4 +1,5 @@
-"""Motions evaluated at all time nodes as one stack: deformation chains,
+"""Motions evaluated at all time nodes as one stack: the images of a
+motion family's maps at many times in one call, deformation chains,
 the homotopy residual, the continuity modulus and the finite-difference
 transport derivative equal, bit for bit, their one-node-at-a-time
 oracles, and raise the same errors; so do the ladders of homotopy
@@ -26,7 +27,7 @@ from currentkit.quadrature import integrate_interval
 from currentkit.scenarios import builtin_scenarios
 from oracles import (continuity_modulus_by_node, deformation_by_node,
                      gauss_by_panel, homotopy_residual_by_node,
-                     homotopy_residual_by_rung,
+                     homotopy_residual_by_rung, motion_map_by_make_map,
                      transport_derivative_by_push,
                      transport_derivative_fd_by_node)
 
@@ -416,7 +417,8 @@ def _ladder_cases():
 
 
 def _counting(m: Motion):
-    """`m` with a map factory that records every time it is called at."""
+    """`m` with a map factory that records every time it is called at: a
+    user-built motion on `m`'s maps, so mapped one time at a time."""
     times = []
 
     def maps(t):
@@ -424,6 +426,20 @@ def _counting(m: Motion):
         return m.map_factory(t)
 
     return Motion(m.interval, maps, m.velocity_factory, m.name), times
+
+
+def _counting_stack(m: Motion, monkeypatch):
+    """`m`, a built-in family, with its stacked images recording every
+    time they are taken at."""
+    times = []
+    images = m.map_factory.images
+
+    def counted(ts, points):
+        times.extend(ts)
+        return images(ts, points)
+
+    monkeypatch.setattr(m.map_factory, "images", counted)
+    return m, times
 
 
 def _stack_calls(monkeypatch) -> list:
@@ -544,6 +560,28 @@ class TestLadders:
         with pytest.raises(ValueError, match="^levels must be a whole"):
             homotopy_residuals(m, (0.3, 0.3), T, phi, [1], levels=-1)
 
+    @pytest.mark.parametrize("one_sided, pushed", [(True, 4), (False, 6)])
+    def test_each_distinct_time_stacked_once(self, monkeypatch, one_sided,
+                                             pushed):
+        # the counts of the test above on the built-in family's own
+        # stacked path
+        m, times = _counting_stack(make_motion("tent"), monkeypatch)
+        transport_derivative_fd_ladder(m, unit_square_chain(),
+                                       _cochain(2, 2), 0.2,
+                                       [1e-2, 1e-3, 1e-4, 1e-3],
+                                       one_sided=one_sided)
+        assert len(times) == len(set(times)) == pushed
+
+    def test_empty_interval_maps_no_time(self, monkeypatch):
+        m, times = _counting_stack(make_motion("rotation", rate=0.7),
+                                   monkeypatch)
+        T, phi = _chain(2, 1, 0), _form(2, 1, 0)
+        assert homotopy_residuals(m, (0.3, 0.3), T, phi, [1, 4]) == \
+            [0.0, 0.0]
+        assert times == []
+        homotopy_residuals(m, INTERVAL, T, phi, [1, 2])
+        assert len(times) == 2 + 3 * 5 + 3 * 5
+
     def test_panel_counts_are_whole_numbers(self):
         m = make_motion("rotation", rate=0.7)
         T, phi = _chain(2, 1, 0), _form(2, 1, 0)
@@ -551,3 +589,78 @@ class TestLadders:
             with pytest.raises(ValueError, match="^panels must be a whole"):
                 homotopy_residuals(m, INTERVAL, T, phi, counts)
         assert homotopy_residuals(m, INTERVAL, T, phi, []) == []
+
+
+# the coordinate scales of `TestStackedImages`: one ulp of 1 over 2^-26
+# and four decades around the unit box
+SCALES = [2.0 ** -26, 1e-8, 1.0, 1e4, 1e8]
+
+
+class TestStackedImages:
+    """`Motion.images` of a built-in family: every time's images in one
+    call, bit for bit those of `Motion.map_at` one time at a time and of
+    the family's `make_map` map, with the same errors."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("name, n", sorted({(name, n) for name, n, _
+                                                in _cases()}))
+    def test_equal_to_the_maps_one_time_at_a_time(self, name, n, scale):
+        m = _motion(name, n)
+        rng = np.random.default_rng(n)
+        times = np.concatenate([[-1.0], rng.uniform(-1.0, 1.0, 21), [1.0]])
+        params = {"axis": 0} if name == "tent" and n == 1 else {}
+        for count in (7, n, 0):
+            points = scale * rng.standard_normal((count, n))
+            images = m.images(times, points)
+            assert images.shape == (len(times), count, n)
+            by_time = np.stack([m.map_at(t).values_at(points)
+                                for t in times])
+            by_map = np.stack([motion_map_by_make_map(
+                name, n, t, **params).values_at(points) for t in times])
+            assert images.tobytes() == by_time.tobytes() == \
+                by_map.tobytes()
+
+    def test_signed_zeros_are_kept(self):
+        # the identity is a matmul plus a zero shift, as `LipMap.affine`
+        # applies it: -0.0 comes out as 0.0 at every time
+        m = make_motion("identity")
+        points = np.array([[-0.0, 1.0], [2.0, -0.0]])
+        images = m.images([0.0, 0.5], points)
+        assert images.tobytes() == np.stack(
+            [m.map_at(t).values_at(points) for t in (0.0, 0.5)]).tobytes()
+        assert not np.signbit(images).any()
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_time_outside_the_interval_before_any_image(self, monkeypatch,
+                                                        name):
+        m, times = _counting_stack(_motion(name, 2), monkeypatch)
+        expected = _message(lambda: m.map_at(2.0))
+        assert _message(lambda: m.images([0.1, 2.0, -3.0],
+                                         np.ones((3, 2)))) == expected
+        assert expected.startswith("time 2.0 outside")
+        assert times == []
+
+    @pytest.mark.parametrize("name", ["translation", "expansion", "tent"])
+    def test_non_finite_images(self, name):
+        params = {"translation": {"velocity": [1e308, 0.0]},
+                  "tent": {"amplitude": 1e308}}.get(name, {})
+        m = make_motion(name, **params)
+        points = np.array([[0.5, 1.7e308], [0.5, 0.0]])
+        if name == "translation":
+            points = points[:, ::-1].copy()
+        with np.errstate(over="ignore"):
+            expected = _message(lambda: m.map_at(1.0).values_at(points))
+            assert _message(lambda: m.images([0.0, 1.0], points)) == \
+                expected
+        assert expected == "non-finite map images"
+
+    def test_user_built_motion_maps_one_time_at_a_time(self):
+        m, times = _counting(make_motion("shear"))
+        points = np.random.default_rng(0).standard_normal((5, 2))
+        stacked = make_motion("shear").images([0.0, 0.3, 0.3], points)
+        assert m.images([0.0, 0.3, 0.3], points).tobytes() == \
+            stacked.tobytes()
+        assert times == [0.0, 0.3, 0.3]
+        assert _message(lambda: m.images([0.3, 2.0], points)) == \
+            "time 2.0 outside the motion interval (-1.0, 1.0)"
+        assert times == [0.0, 0.3, 0.3, 0.3]

@@ -94,11 +94,14 @@ def summary(runs: list, metrics: dict) -> list:
     return lines
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line; --workload collects every occurrence, each
+    workload once in the order first given, and is bundled when none is
+    given."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="checkout of the parent commit")
     parser.add_argument("change", help="checkout of the change")
-    parser.add_argument("--workload", nargs="+", default=["bundled"],
+    parser.add_argument("--workload", nargs="+", action="extend",
                         choices=["bundled", "refined", "flatgrid"])
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -106,6 +109,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    args.workload = list(dict.fromkeys(args.workload or ["bundled"]))
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     checkouts = [os.path.abspath(args.base), os.path.abspath(args.change)]
     for path in checkouts:
         error = check_checkout(path)
