@@ -65,16 +65,6 @@ def _write_csv(path, rows):
     log.info("wrote %s (%d rows)", path, len(rows))
 
 
-def _map(workers, fn, *items) -> list:
-    """`fn` over the items, in order, in a pool of `workers` threads; in
-    this thread when there is one worker, which a pool of one thread would
-    only give a thread, and a malloc arena, of its own."""
-    if workers == 1:
-        return list(map(fn, *items))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *items))
-
-
 def _timed(enabled):
     return time.perf_counter() if enabled else None
 
@@ -248,7 +238,8 @@ def cmd_verify(args, scenarios):
         return _verify_group([scenarios[k] for k in members],
                              [chains[k] for k in members], start, timings)
 
-    results = _map(args.workers, run, groups.values(), starts)
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        results = list(pool.map(run, groups.values(), starts))
     checks = {k: c for members, result in zip(groups.values(), results)
               for k, c in zip(members, result)}
     rows, failures = [], 0
@@ -314,8 +305,8 @@ def cmd_transport(args, scenarios):
     for cfg in scenarios:
         if cfg.cochain is None:
             log.warning("skipping %s: no cochain", cfg.name)
-    blocks = _map(args.workers, lambda c: _transport_rows(c, timings),
-                  usable)
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        blocks = list(pool.map(lambda c: _transport_rows(c, timings), usable))
     rows = [r for block in blocks for r in block]
     _write_csv(os.path.join(args.out, "transport.csv"), rows)
     return 0

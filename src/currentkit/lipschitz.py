@@ -165,9 +165,12 @@ def _tent_lift(x, amplitudes, center: float, width: float,
                axis: int) -> np.ndarray:
     """The tent map of each of the amplitudes (K,) at points x (m, n),
     shape (K, m, n): x lifted along `axis` by the amplitude times the hat
-    of x[:, 0]."""
+    of x[:, 0].  The lift is added through the (K * m, n) view of the
+    stack, so a table with no column `axis` raises the IndexError of the
+    one-map case."""
+    lift = amplitudes[:, None] * _tent(x[:, 0], center, width)
     out = np.repeat(x[None], len(amplitudes), axis=0)
-    out[:, :, axis] += amplitudes[:, None] * _tent(x[:, 0], center, width)
+    out.reshape(-1, x.shape[1])[:, axis] += lift.ravel()
     return out
 
 
@@ -179,29 +182,53 @@ def _planar_rotation(theta) -> np.ndarray:
                      np.stack([s, c], axis=-1)], axis=-2)
 
 
+def _affine_frames(kind: str, ambient: int, values) -> tuple:
+    """The matrices (K, n, n) and shifts (K, n) of an affine map family at
+    K values of its parameter: the offsets (K, n) of a `translation`, the
+    angles (K,) of a `rotation`, the strengths (K,) of a `shear` and the
+    factors (K,) of a `scaling`.  `make_map` takes one value, and each
+    affine `make_motion` family the values at an array of times."""
+    values = np.asarray(values, dtype=float)
+    eyes = np.broadcast_to(np.eye(ambient), (len(values), ambient, ambient))
+    shifts = np.zeros((len(values), ambient))
+    if kind == "translation":
+        return eyes, values
+    if kind == "rotation":
+        return _planar_rotation(values), shifts
+    if kind == "shear":
+        mats = eyes.copy()
+        mats[:, 0, 1] = values
+        return mats, shifts
+    return values[:, None, None] * np.eye(ambient), shifts
+
+
+def _affine_map(kind: str, ambient: int, value, name: str) -> LipMap:
+    """The affine map of `_affine_frames` at one value of its parameter."""
+    mats, shifts = _affine_frames(kind, ambient, [value])
+    return LipMap.affine(mats[0], shifts[0], name=name)
+
+
 def make_map(name: str, ambient: int = 2, **params) -> LipMap:
     """Named map families: translation, rotation, shear, scaling,
     radial_stretch, tent."""
-    if name == "identity":
-        return LipMap.identity(ambient)
-    if name == "translation":
-        c = np.asarray(params.get("offset", np.zeros(ambient)), dtype=float)
-        return LipMap.affine(np.eye(ambient), c, name="translation")
+    if name in ("identity", "translation"):
+        # the identity is the translation by 0
+        offset = (params.get("offset", np.zeros(ambient))
+                  if name == "translation" else np.zeros(ambient))
+        return _affine_map("translation", ambient, offset, name)
     if name == "rotation":
         theta = float(params.get("angle", 0.0))
         if ambient != 2:
             raise ValueError("rotation family is planar")
-        return LipMap.affine(_planar_rotation(theta), name="rotation")
+        return _affine_map("rotation", ambient, theta, name)
     if name == "shear":
         if ambient < 2:
             raise ValueError("shear family needs at least 2 dimensions")
-        s = float(params.get("strength", 0.5))
-        mat = np.eye(ambient)
-        mat[0, 1] = s
-        return LipMap.affine(mat, name="shear")
+        return _affine_map("shear", ambient,
+                           float(params.get("strength", 0.5)), name)
     if name == "scaling":
-        s = float(params.get("factor", 2.0))
-        return LipMap.affine(s * np.eye(ambient), name="scaling")
+        return _affine_map("scaling", ambient,
+                           float(params.get("factor", 2.0)), name)
     if name == "radial_stretch":
         s = float(params.get("strength", 0.25))
 

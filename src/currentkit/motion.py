@@ -13,7 +13,7 @@ from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
                      evaluate_copies, simplex_geometry)
 from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, seminorm_comass)
-from .lipschitz import (LipMap, _planar_rotation, _tent, _tent_lift,
+from .lipschitz import (LipMap, _affine_frames, _tent, _tent_lift,
                         pushforward_chain)
 from .polynomial import Polynomial
 from .quadrature import (gauss_nodes, gauss_quadrature, gauss_sum,
@@ -67,14 +67,16 @@ class Motion:
         times and points (m, n): the values of `map_at(t).values_at(points)`,
         bit for bit, with its errors.  A built-in family maps all times in
         one call, after every time is checked; a user-built map factory is
-        called once per time."""
-        if not isinstance(self.map_factory, _Family):
+        called once per time, and so is a built-in family's map on points
+        that are not (m, n), which it rejects as `map_at` does."""
+        points = np.asarray(points, dtype=float)
+        if (not isinstance(self.map_factory, _Family)
+                or points.shape[1:] != (self.map_factory.ambient,)):
             return np.stack([self.map_at(t).values_at(points)
                              for t in times])
         for t in times:
             self.check_time(t)
-        out = self.map_factory.images(np.asarray(times, dtype=float),
-                                      np.asarray(points, dtype=float))
+        out = self.map_factory.images(np.asarray(times, dtype=float), points)
         if not np.all(np.isfinite(out)):
             raise ValueError("non-finite map images")
         return out
@@ -519,26 +521,23 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
     _check_family(name, params, ambient)
     params = {**_DEFAULTS.get(name, {}), **params}
     iv = tuple(float(t) for t in interval)
-    eye = np.eye(ambient)
-
-    def still(times):
-        return np.zeros((len(times), ambient))
-
-    def eyes(times):
-        return np.broadcast_to(eye, (len(times), ambient, ambient))
 
     if name == "identity":
+        # the translation by 0, as `make_map` states it
         zero = VectorField.constant(np.zeros(ambient))
-        return Motion(iv, _AffineFamily(ambient, "identity",
-                                        lambda ts: (eyes(ts), still(ts))),
-                      lambda t: zero, name)
+        return Motion(iv, _AffineFamily(
+            ambient, "identity", lambda ts: _affine_frames(
+                "translation", ambient, np.zeros((len(ts), ambient)))),
+            lambda t: zero, name)
 
     if name == "translation":
         c = np.asarray(params.get("velocity", [0.25] + [0.0] * (ambient - 1)),
                        dtype=float)
         vf = VectorField.constant(c)
         return Motion(iv, _AffineFamily(
-            ambient, "translation", lambda ts: (eyes(ts), ts[:, None] * c)),
+            ambient, "translation",
+            lambda ts: _affine_frames("translation", ambient,
+                                      ts[:, None] * c)),
             lambda t: vf, name)
 
     if name == "rotation":
@@ -548,7 +547,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         x0, x1 = (Polynomial.variable(i, 2) for i in (0, 1))
         vf = VectorField.from_polynomials([(-w) * x1, w * x0])
         return Motion(iv, _AffineFamily(
-            2, "rotation", lambda ts: (_planar_rotation(w * ts), still(ts))),
+            2, "rotation", lambda ts: _affine_frames("rotation", 2, w * ts)),
             lambda t: vf, name)
 
     if name == "expansion":
@@ -559,7 +558,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
                  for i in range(ambient)])
         return Motion(iv, _AffineFamily(
             ambient, "scaling",
-            lambda ts: ((1.0 + ts)[:, None, None] * eye, still(ts))),
+            lambda ts: _affine_frames("scaling", ambient, 1.0 + ts)),
             vfac, name)
 
     if name == "shear":
@@ -568,14 +567,10 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         comps = [Polynomial.zero(ambient) for _ in range(ambient)]
         comps[0] = s * x1
         vf = VectorField.from_polynomials(comps)
-
-        def sheared(ts):
-            mats = eyes(ts).copy()
-            mats[:, 0, 1] = s * ts
-            return mats, still(ts)
-
-        return Motion(iv, _AffineFamily(ambient, "shear", sheared),
-                      lambda t: vf, name)
+        return Motion(iv, _AffineFamily(
+            ambient, "shear",
+            lambda ts: _affine_frames("shear", ambient, s * ts)),
+            lambda t: vf, name)
 
     # tent: piecewise-linear vertical lift growing linearly in time;
     # genuinely non-smooth Lipschitz motion

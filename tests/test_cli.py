@@ -693,23 +693,6 @@ class TestWorkers:
             [command, "--workers", "3"]).workers == 3
 
 
-    @pytest.mark.parametrize("command", ["verify", "transport"])
-    def test_one_worker_starts_no_thread(self, tmp_path, monkeypatch,
-                                         command):
-        # a pool of one thread gave the scenarios a malloc arena of their
-        # own; the rows are those of a pool of two
-        assert main([command, "--out", str(tmp_path / "two"),
-                     "--workers", "2"]) == 0
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool for one worker")
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-        assert main([command, "--out", str(tmp_path / "one")]) == 0
-        assert (tmp_path / "one" / f"{command}.csv").read_bytes() == \
-            (tmp_path / "two" / f"{command}.csv").read_bytes()
-
-
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["verify", "transport", "flatnorm",
                                          "converge"])

@@ -186,6 +186,14 @@ def _message(call) -> str:
     return str(info.value)
 
 
+def _error(call) -> tuple:
+    """The type and message of the ValueError or IndexError `call`
+    raises."""
+    with pytest.raises((ValueError, IndexError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
 class TestErrorParity:
     @pytest.mark.parametrize("fault", ["degenerate", "nan"])
     def test_faulty_map_at_one_node(self, fault):
@@ -619,6 +627,34 @@ class TestStackedImages:
                 name, n, t, **params).values_at(points) for t in times])
             assert images.tobytes() == by_time.tobytes() == \
                 by_map.tobytes()
+
+    @pytest.mark.parametrize("name, n", sorted({(name, n) for name, n, _
+                                                in _cases()}))
+    def test_table_of_another_dimension(self, name, n):
+        # a table whose columns are not the motion's dimension raises, at
+        # the first time, the error `map_at(t).values_at` raises: numpy's
+        # matmul message for an affine family, the shape check or the
+        # missing column for the tent; none is computed as a stack
+        m = _motion(name, n)
+        for width in sorted({1, 2, 3, 4} - {n}):
+            points = np.ones((5, width))
+            expected = _error(lambda: m.map_at(0.1).values_at(points))
+            assert _error(lambda: m.images([0.1, 0.4], points)) == expected
+
+    def test_chain_of_another_dimension(self):
+        # a 3-D chain under the planar tent: the ladders raise as a push
+        # of the chain does
+        m = make_motion("tent")
+        T, psi = _chain(3, 1, 0), _cochain(3, 1)
+        expected = _error(lambda: m.push(T, 0.2))
+        assert expected[1].startswith("a callable for map images must map "
+                                      "points of shape (m, 3)")
+        assert _error(lambda: transport_derivative_fd_ladder(
+            m, T, psi, 0.2, [0.1, 0.05])) == expected
+        family = [_form(3, 1, s) for s in range(3)]
+        assert _error(lambda: continuity_modulus(
+            m, T, 0.2, [0.1, 0.05], family, Box.unit(3, resolution=3))) \
+            == expected
 
     def test_signed_zeros_are_kept(self):
         # the identity is a matmul plus a zero shift, as `LipMap.affine`
