@@ -220,25 +220,27 @@ def cmd_verify(args, scenarios):
         chains.append(cfg.build_chain())
         cfg.build_box()  # a bad box is a configuration error here too
         groups.setdefault(_chain_key(cfg, chains[k]), []).append(k)
-    # the form checks read the seed and ambient dimension alone, the first
-    # two items of a chain key: they run here, once per pair, and a group
-    # after the first of its pair reuses their rows
-    forms, starts = {}, []
-    for key in groups:
-        if key[:2] in forms:
-            rows, state = forms[key[:2]]
-            starts.append((_reused(rows), state))
-            continue
-        rng = np.random.default_rng(key[0])
-        forms[key[:2]] = (_form_checks(key[1], rng, timings),
-                          rng.bit_generator.state)
-        starts.append(forms[key[:2]])
+    def form_start(pair):
+        rng = np.random.default_rng(pair[0])
+        return _form_checks(pair[1], rng, timings), rng.bit_generator.state
 
     def run(members, start):
         return _verify_group([scenarios[k] for k in members],
                              [chains[k] for k in members], start, timings)
 
+    # the form checks read the seed and ambient dimension alone, the first
+    # two items of a chain key: they run once per pair, before the groups,
+    # and a group after the first of its pair reuses their rows.  They run
+    # in the pool too, as the chain checks do, so that their transients
+    # fall in the malloc arena of the pool's thread and not in a second one
+    pairs = list(dict.fromkeys(key[:2] for key in groups))
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        forms = dict(zip(pairs, pool.map(form_start, pairs)))
+        starts, seen = [], set()
+        for key in groups:
+            rows, state = forms[key[:2]]
+            starts.append((_reused(rows) if key[:2] in seen else rows, state))
+            seen.add(key[:2])
         results = list(pool.map(run, groups.values(), starts))
     checks = {k: c for members, result in zip(groups.values(), results)
               for k, c in zip(members, result)}
