@@ -12,7 +12,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -213,37 +212,26 @@ def _verify_group(scenarios, chains, start, timings):
 
 def cmd_verify(args, scenarios):
     timings = os.environ.get("CURRENTKIT_TIMINGS") == "1"
-    # scenarios grouped by chain key before dispatch, so that no two
-    # workers run the chain checks of one group
     chains, groups = [], {}
     for k, cfg in enumerate(scenarios):
         chains.append(cfg.build_chain())
         cfg.build_box()  # a bad box is a configuration error here too
         groups.setdefault(_chain_key(cfg, chains[k]), []).append(k)
-    def form_start(pair):
-        rng = np.random.default_rng(pair[0])
-        return _form_checks(pair[1], rng, timings), rng.bit_generator.state
-
-    def run(members, start):
-        return _verify_group([scenarios[k] for k in members],
-                             [chains[k] for k in members], start, timings)
-
     # the form checks read the seed and ambient dimension alone, the first
-    # two items of a chain key: they run once per pair, before the groups,
-    # and a group after the first of its pair reuses their rows.  They run
-    # in the pool too, as the chain checks do, so that their transients
-    # fall in the malloc arena of the pool's thread and not in a second one
-    pairs = list(dict.fromkeys(key[:2] for key in groups))
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        forms = dict(zip(pairs, pool.map(form_start, pairs)))
-        starts, seen = [], set()
-        for key in groups:
+    # two items of a chain key: they run once per pair, and a group after
+    # the first of its pair reuses their rows
+    forms, checks = {}, {}
+    for key, members in groups.items():
+        if key[:2] in forms:
             rows, state = forms[key[:2]]
-            starts.append((_reused(rows) if key[:2] in seen else rows, state))
-            seen.add(key[:2])
-        results = list(pool.map(run, groups.values(), starts))
-    checks = {k: c for members, result in zip(groups.values(), results)
-              for k, c in zip(members, result)}
+            start = (_reused(rows), state)
+        else:
+            rng = np.random.default_rng(key[0])
+            rows = _form_checks(key[1], rng, timings)
+            start = forms[key[:2]] = (rows, rng.bit_generator.state)
+        checks.update(zip(members, _verify_group(
+            [scenarios[k] for k in members], [chains[k] for k in members],
+            start, timings)))
     rows, failures = [], 0
     for k, cfg in enumerate(scenarios):
         for quantity, value, oracle, tol, runtime in checks[k]:
@@ -307,9 +295,7 @@ def cmd_transport(args, scenarios):
     for cfg in scenarios:
         if cfg.cochain is None:
             log.warning("skipping %s: no cochain", cfg.name)
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        blocks = list(pool.map(lambda c: _transport_rows(c, timings), usable))
-    rows = [r for block in blocks for r in block]
+    rows = [r for cfg in usable for r in _transport_rows(cfg, timings)]
     _write_csv(os.path.join(args.out, "transport.csv"), rows)
     return 0
 
@@ -489,7 +475,9 @@ def _build_parser():
     parser.add_argument("--config", help="scenario JSON file "
                         "(default: bundled scenario library)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--workers", type=_workers, default=1)
+    parser.add_argument("--workers", type=_workers, default=1,
+                        help="accepted and has no effect: every command "
+                        "runs in one thread")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--tolerance-scale", type=_tolerance_scale,
                         default=1.0)

@@ -66,8 +66,9 @@ class ScenarioConfig:
                 for e in cfg.eps_ladder):
             raise ValueError(f"scenario field 'eps_ladder' must be a list of "
                              f"numbers, got {cfg.eps_ladder!r}")
-        if not cfg.eps_ladder:
-            raise ValueError("scenario field 'eps_ladder' must not be empty")
+        if len(cfg.eps_ladder) < 2:
+            raise ValueError(f"scenario field 'eps_ladder' must have at "
+                             f"least two steps, got {list(cfg.eps_ladder)}")
         _finite("eps_ladder", cfg.eps_ladder)
         cfg.eps_ladder = tuple(float(e) for e in cfg.eps_ladder)
         if not all(e > 0.0 for e in cfg.eps_ladder):

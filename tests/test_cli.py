@@ -9,6 +9,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -126,14 +127,17 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("command", ["transport", "converge"])
     @pytest.mark.parametrize("ladder, message", [
-        ([], "'eps_ladder' must not be empty"),
+        ([], "'eps_ladder' must have at least two steps, got []"),
+        ([0.01], "'eps_ladder' must have at least two steps, got [0.01]"),
         (0.01, "'eps_ladder' must be a list of numbers, got 0.01"),
         ([0.01, True], "'eps_ladder' must be a list of numbers, got "
-                       "[0.01, True]")], ids=["empty", "scalar", "bool"])
+                       "[0.01, True]")],
+        ids=["empty", "one-step", "scalar", "bool"])
     def test_eps_ladder_must_be_a_list_of_steps(self, tmp_path, capsys,
                                                 command, ladder, message):
-        # an empty ladder wrote an infinite FD order and continuity slope
-        # under exit 0, and a scalar one a TypeError naming no field
+        # an empty or one-step ladder wrote an infinite FD order and a
+        # continuity slope of inf or 0 under exit 0, and a scalar one a
+        # TypeError naming no field
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "name": "rotating_square", "eps_ladder": ladder,
@@ -529,6 +533,16 @@ class TestVerify:
         main(["verify", "--out", str(out4), "--workers", "4"])
         assert (out1 / "verify.csv").read_bytes() == \
             (out4 / "verify.csv").read_bytes()
+
+
+def test_verify_and_transport_start_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread started: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for command in ("verify", "transport"):
+        assert main([command, "--out", str(tmp_path), "--workers", "2"]) == 0
+        assert (tmp_path / f"{command}.csv").exists()
 
 
 def _counted_chain_checks(monkeypatch):
