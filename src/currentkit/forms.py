@@ -38,7 +38,7 @@ __all__ = [
 
 _MAX_ALL_PAIR_POINTS = 1500
 _SAMPLED_PAIRS = 100_000
-_FD_STEP = 1e-5  # central-difference step of d on a sampled form
+_FD_STEP = 1e-5  # central-difference step, relative to the point's scale
 
 
 @dataclass(frozen=True)
@@ -310,9 +310,25 @@ def _derivative_polys(polys, r: int, n: int) -> list:
     return out
 
 
+def _central_differences(func, x: np.ndarray) -> np.ndarray:
+    """(func(x + h e_j) - func(x - h e_j)) / 2h at each point of x (m, n)
+    and axis j, shape (m, n, c), for `func` mapping points (p, n) to
+    values (p, c), in one call.  The step h is `_FD_STEP` times |x|_inf,
+    so that the relative error does not change with the coordinate
+    scale, and `_FD_STEP` where that is 0, at the origin."""
+    m, n = x.shape
+    h = _FD_STEP * np.abs(x).max(axis=1)
+    h[h == 0.0] = _FD_STEP
+    steps = h[:, None, None] * np.eye(n)
+    pts = x[:, None, :] + np.concatenate([steps, -steps], axis=1)
+    vals = func(pts.reshape(-1, n))
+    vals = vals.reshape(m, 2, n, vals.shape[-1])
+    return (vals[:, 0] - vals[:, 1]) / (2 * h[:, None, None])
+
+
 def exterior_derivative(phi: FormField) -> FormField:
-    """d(phi); exact for polynomial backends, central differences of step
-    `_FD_STEP` otherwise."""
+    """d(phi); exact for polynomial backends, `_central_differences`
+    otherwise."""
     r, n = phi.degree, phi.ambient
     if r >= n:
         raise ValueError("cannot raise degree beyond the ambient dimension")
@@ -320,13 +336,7 @@ def exterior_derivative(phi: FormField) -> FormField:
         return FormField(r + 1, n, polys=_derivative_polys(phi.polys, r, n))
 
     def d_eval(x, phi=phi):
-        # the coefficients at x + h e_j, then at x - h e_j, for every j
-        h = _FD_STEP
-        steps = h * np.eye(n)
-        pts = x[:, None, :] + np.concatenate([steps, -steps])
-        vals = phi.coefficients_at(pts.reshape(-1, n)).reshape(
-            len(x), 2, n, phi.ncomp)
-        dcoef = (vals[:, 0] - vals[:, 1]) / (2 * h)
+        dcoef = _central_differences(phi.coefficients_at, x)
         out = np.zeros((len(x), comb(n, r + 1)))
         for j, k, merged, sign in _wedge_terms(1, r, n):
             out[:, merged] += sign * dcoef[:, j, k]
@@ -351,9 +361,8 @@ def pullback(phi: FormField, f) -> FormField:
     """Pullback f^#(phi) by an AffineMap, whose source and target
     dimensions may differ, or by a LipMap on R^n; exact polynomial result
     for affine f and polynomial phi, sampled backend otherwise.  The
-    Jacobian of a LipMap is its own when given, else central differences
-    with step 1e-6 * max(1, |x|_inf) at each point x, so the relative error
-    does not grow with the point's scale.  No subcommand calls it: the
+    Jacobian of a LipMap is its own when given, else
+    `_central_differences` of its images.  No subcommand calls it: the
     tests' Lagrangian transport oracle is built on it."""
     r = phi.degree
     affine = isinstance(f, AffineMap)
@@ -381,13 +390,7 @@ def pullback(phi: FormField, f) -> FormField:
             return np.broadcast_to(f.mat, (len(x), *f.mat.shape))
         if f.jacobian is not None:
             return f.jacobians_at(x)
-        # the images at x + h_x e_j, then at x - h_x e_j, for every j
-        hx = 1e-6 * np.maximum(1.0, np.abs(x).max(axis=1))
-        steps = hx[:, None, None] * np.eye(m)
-        pts = x[:, None, :] + np.concatenate([steps, -steps], axis=1)
-        vals = f.values_at(pts.reshape(-1, m)).reshape(len(x), 2, m, m)
-        return ((vals[:, 0] - vals[:, 1])
-                / (2 * hx[:, None, None])).transpose(0, 2, 1)
+        return _central_differences(f.values_at, x).transpose(0, 2, 1)
 
     def ev(x, phi=phi, f=f):
         jac = jacobian(x)

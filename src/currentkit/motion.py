@@ -38,18 +38,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Motion:
-    """A curve t -> kappa_t of Lipschitz embeddings over `interval`, read
-    through two factories: `map_factory(t)` is the LipMap kappa_t that
-    pushforward applies, and `velocity_factory(t)` the Eulerian velocity
-    v_t = (d/dt kappa_t) o kappa_t^-1 as a VectorField.
-
-    Each `make_motion` family states its maps once, for an array of times
-    (a `_Family`, which is also its map factory), with its exact velocity;
-    a user-built Motion supplies both factories.
-    """
+    """A curve t -> kappa_t of Lipschitz embeddings of R^`ambient` over
+    `interval`, stated once: `maps(times, points)` is kappa_t at each time
+    of an array (K,), of points (m, n), shape (K, m, n), and
+    `velocity_factory(t)` the Eulerian velocity
+    v_t = (d/dt kappa_t) o kappa_t^-1 as a VectorField.  Every map goes
+    through `images`."""
 
     interval: tuple
-    map_factory: object       # t -> LipMap kappa_t
+    ambient: int
+    maps: object              # (times (K,), points (m, n)) -> (K, m, n)
     velocity_factory: object  # t -> VectorField v_t
     name: str = ""
 
@@ -59,24 +57,30 @@ class Motion:
             raise ValueError(f"time {t} outside the motion interval {self.interval}")
 
     def map_at(self, t: float) -> LipMap:
+        """kappa_t as a LipMap: `images` at t alone."""
         self.check_time(t)
-        return self.map_factory(t)
+        return LipMap(self.ambient, lambda x: self.images([t], x)[0],
+                      name=self.name)
 
     def images(self, times, points) -> np.ndarray:
-        """kappa_t(points) at each of `times`, shape (K, m, n) for K >= 1
-        times and points (m, n): the values of `map_at(t).values_at(points)`,
-        bit for bit, with its errors.  A built-in family maps all times in
-        one call, after every time is checked; a user-built map factory is
-        called once per time, and so is a built-in family's map on points
-        that are not (m, n), which it rejects as `map_at` does."""
-        points = np.asarray(points, dtype=float)
-        if (not isinstance(self.map_factory, _Family)
-                or points.shape[1:] != (self.map_factory.ambient,)):
-            return np.stack([self.map_at(t).values_at(points)
-                             for t in times])
+        """kappa_t(points) at each of `times`, shape (K, m, n) for points
+        (m, n), from one `maps` call.  A ValueError, before that call, for
+        a time outside the interval or points whose width is not
+        `ambient`; and after it, for images that are not (K, m, n) or not
+        finite."""
         for t in times:
             self.check_time(t)
-        out = self.map_factory.images(np.asarray(times, dtype=float), points)
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.ambient:
+            raise ValueError(f"a motion in {self.ambient} dimensions maps "
+                             f"points of shape (m, {self.ambient}); got "
+                             f"shape {points.shape}")
+        times = np.asarray(times, dtype=float)
+        out = np.asarray(self.maps(times, points), dtype=float)
+        if out.shape != (len(times), *points.shape):
+            raise ValueError(f"the maps of a motion must give images of "
+                             f"shape (K, m, n) = {(len(times), *points.shape)}"
+                             f"; got shape {out.shape}")
         if not np.all(np.isfinite(out)):
             raise ValueError("non-finite map images")
         return out
@@ -378,11 +382,12 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
     # the volume term is the transport derivative's psi_dot term
     volume_term, lhs = _transport_terms(m, T, psi, tau, levels)
 
-    pushed = m.push(T, tau, levels)
-
-    # all faces and points at once; the terms are summed face by face,
-    # point by point, from 0.0
-    verts, mults = boundary(pushed).stacked()
+    # the faces of T's subdivision, mapped as one table; all faces and
+    # points at once, the terms summed face by face, point by point, from
+    # 0.0
+    faces = boundary(T.subdivided(levels))
+    verts = m.images([tau], faces.table)[0][faces.ids]
+    mults = faces.mults
     tangents, lengths, degenerate = _edge_wedges(verts)
     if np.any(degenerate):
         raise ValueError("degenerate boundary face in classical_reynolds")
@@ -474,50 +479,25 @@ def _check_family(name: str, params: dict, ambient: int):
                              f"{value!r}")
 
 
-class _Family:
-    """The maps kappa_t of a built-in motion family, stated once as
-    `images(times, points)`: kappa_t at each time of an array (K,), of
-    points (m, n), shape (K, m, n).  Called at one time t it is the
-    family's map factory, the LipMap kappa_t: `images` at t alone."""
-
-    def __init__(self, ambient: int, name: str, lift):
-        self.ambient = ambient
-        self.name = name
-        self.images = lift
-
-    def __call__(self, t) -> LipMap:
-        times = np.array([t], dtype=float)
-        return LipMap(self.ambient, lambda x: self.images(times, x)[0],
-                      name=self.name)
-
-
-class _AffineFamily(_Family):
-    """An affine family kappa_t(x) = A_t x + b_t, with `frame(times)` the
-    stacks (A, b) at an array of K times, shapes (K, n, n) and (K, n).
-    Its images are one matmul of the stack, each point's the product
-    that `AffineMap` forms at one time; kappa_t is `LipMap.affine`."""
-
-    def __init__(self, ambient: int, name: str, frame):
-        super().__init__(ambient, name, self._images)
-        self.frame = frame
-
-    def _images(self, times, points):
-        mats, shifts = self.frame(times)
+def _affine_maps(kind: str, ambient: int, parameter):
+    """The maps of the affine family kappa_t(x) = A_t x + b_t, with (A, b)
+    the `_affine_frames` of `kind` at parameter(times): one matmul of the
+    stack, each point's the product that `AffineMap` forms at one time."""
+    def maps(times, points):
+        mats, shifts = _affine_frames(kind, ambient, parameter(times))
         out = np.matmul(mats[:, None], points[None, :, :, None])[..., 0]
         out += shifts[:, None]
         return out
 
-    def __call__(self, t) -> LipMap:
-        mats, shifts = self.frame(np.array([t], dtype=float))
-        return LipMap.affine(mats[0], shifts[0], name=self.name)
+    return maps
 
 
 def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
                 **params) -> Motion:
     """Named motion families: identity, translation, rotation, expansion,
     shear, tent.  Each is the `make_map` family of the same kind at a
-    parameter scaled by time, stated for an array of times (`_Family`),
-    with its exact Eulerian velocity."""
+    parameter scaled by time, its maps stated for an array of times, with
+    its exact Eulerian velocity."""
     _check_family(name, params, ambient)
     params = {**_DEFAULTS.get(name, {}), **params}
     iv = tuple(float(t) for t in interval)
@@ -525,19 +505,16 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
     if name == "identity":
         # the translation by 0, as `make_map` states it
         zero = VectorField.constant(np.zeros(ambient))
-        return Motion(iv, _AffineFamily(
-            ambient, "identity", lambda ts: _affine_frames(
-                "translation", ambient, np.zeros((len(ts), ambient)))),
+        return Motion(iv, ambient, _affine_maps(
+            "translation", ambient, lambda ts: np.zeros((len(ts), ambient))),
             lambda t: zero, name)
 
     if name == "translation":
         c = np.asarray(params.get("velocity", [0.25] + [0.0] * (ambient - 1)),
                        dtype=float)
         vf = VectorField.constant(c)
-        return Motion(iv, _AffineFamily(
-            ambient, "translation",
-            lambda ts: _affine_frames("translation", ambient,
-                                      ts[:, None] * c)),
+        return Motion(iv, ambient, _affine_maps(
+            "translation", ambient, lambda ts: ts[:, None] * c),
             lambda t: vf, name)
 
     if name == "rotation":
@@ -546,9 +523,8 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         w = float(params["rate"])
         x0, x1 = (Polynomial.variable(i, 2) for i in (0, 1))
         vf = VectorField.from_polynomials([(-w) * x1, w * x0])
-        return Motion(iv, _AffineFamily(
-            2, "rotation", lambda ts: _affine_frames("rotation", 2, w * ts)),
-            lambda t: vf, name)
+        return Motion(iv, 2, _affine_maps("rotation", 2, lambda ts: w * ts),
+                      lambda t: vf, name)
 
     if name == "expansion":
         # kappa_t(x) = (1 + t) x; Eulerian velocity y / (1 + t)
@@ -556,10 +532,8 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
             return VectorField.from_polynomials(
                 [Polynomial.variable(i, ambient) * (1.0 / (1.0 + t))
                  for i in range(ambient)])
-        return Motion(iv, _AffineFamily(
-            ambient, "scaling",
-            lambda ts: _affine_frames("scaling", ambient, 1.0 + ts)),
-            vfac, name)
+        return Motion(iv, ambient, _affine_maps(
+            "scaling", ambient, lambda ts: 1.0 + ts), vfac, name)
 
     if name == "shear":
         s = float(params["rate"])
@@ -567,10 +541,8 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         comps = [Polynomial.zero(ambient) for _ in range(ambient)]
         comps[0] = s * x1
         vf = VectorField.from_polynomials(comps)
-        return Motion(iv, _AffineFamily(
-            ambient, "shear",
-            lambda ts: _affine_frames("shear", ambient, s * ts)),
-            lambda t: vf, name)
+        return Motion(iv, ambient, _affine_maps(
+            "shear", ambient, lambda ts: s * ts), lambda t: vf, name)
 
     # tent: piecewise-linear vertical lift growing linearly in time;
     # genuinely non-smooth Lipschitz motion
@@ -585,7 +557,6 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         return out
 
     vf = VectorField(ambient, func=field)
-    return Motion(iv, _Family(ambient, "tent",
-                              lambda ts, x: _tent_lift(x, ts * amp, c, w,
-                                                       axis)),
+    return Motion(iv, ambient,
+                  lambda ts, x: _tent_lift(x, ts * amp, c, w, axis),
                   lambda t: vf, name)

@@ -46,15 +46,16 @@ def transport_derivative_betounes(m: Motion, T: Chain, psi: Cochain,
     return evaluate(pushed, form)
 
 
-def transport_derivative_lagrangian_fd(m: Motion, T: Chain, psi: Cochain,
+def transport_derivative_lagrangian_fd(kappa, T: Chain, psi: Cochain,
                                        tau: float, eps: float) -> float:
-    """Lagrangian pipeline: FD of t -> T(kappa_t^# psi(t)) using exact
-    affine pullbacks of the representing form."""
+    """Lagrangian pipeline: FD of t -> T(kappa_t^# psi(t)), with `kappa`
+    the exact map t -> kappa_t (a LipMap, such as
+    `motion_map_by_make_map` gives), using exact affine pullbacks of the
+    representing form."""
     def pulled(t):
-        lm = m.map_at(t)
-        amap = getattr(lm, "func", None)
-        if isinstance(amap, AffineMap):
-            return evaluate(T, pullback(psi.form_at(t), amap))
+        lm = kappa(t)
+        if isinstance(lm.func, AffineMap):
+            return evaluate(T, pullback(psi.form_at(t), lm.func))
         return evaluate(T, pullback(psi.form_at(t), lm))
 
     return (pulled(tau + eps) - pulled(tau - eps)) / (2 * eps)
@@ -184,12 +185,19 @@ def contract_at(phi: FormField, v: VectorField, x) -> np.ndarray:
     return out
 
 
+def fd_step_at(x) -> float:
+    """The central-difference step of the sampled d and pullback at the
+    point x: `forms._FD_STEP` times |x|_inf, or `forms._FD_STEP` where
+    that is 0."""
+    return forms._FD_STEP * float(np.max(np.abs(x))) or forms._FD_STEP
+
+
 def derivative_at(phi: FormField, x) -> np.ndarray:
     """Coefficients of the central-difference d(phi) at x, with the step
-    of `exterior_derivative`: for each j, then each lam, dx^j wedge dx^lam
-    is (-1)^pos times the sorted index, pos the number of entries of lam
-    below j."""
-    r, n, h = phi.degree, phi.ambient, forms._FD_STEP
+    of `exterior_derivative` (`fd_step_at`): for each j, then each lam,
+    dx^j wedge dx^lam is (-1)^pos times the sorted index, pos the number
+    of entries of lam below j."""
+    r, n, h = phi.degree, phi.ambient, fd_step_at(x)
     ranks = {idx: k for k, idx in enumerate(multi_indices(r + 1, n))}
     out = np.zeros(comb(n, r + 1))
     for j in range(n):
@@ -205,17 +213,17 @@ def derivative_at(phi: FormField, x) -> np.ndarray:
     return out
 
 
-def pullback_at(phi: FormField, f, x, source_dim: int, jacobian=None,
-                h: float = 1e-6) -> np.ndarray:
+def pullback_at(phi: FormField, f, x, source_dim: int,
+                jacobian=None) -> np.ndarray:
     """Coefficients of f^#(phi) at x: the r-minors of the Jacobian of f
-    (given, or by central differences with step h * max(1, |x|_inf))
+    (given, or by central differences with the step `fd_step_at`)
     against phi(f(x))."""
     r = phi.degree
     x = np.asarray(x, dtype=float)
     if jacobian is not None:
         jac = np.asarray(jacobian(x), dtype=float)
     else:
-        hx = h * max(1.0, float(np.max(np.abs(x))))
+        hx = fd_step_at(x)
         cols = []
         for j in range(source_dim):
             e = np.zeros(source_dim)

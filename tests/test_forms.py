@@ -28,6 +28,11 @@ def _max_coeff(phi):
     return max(p.max_abs_coeff() for p in phi.polys)
 
 
+# coordinate scales at which the sampled d and pullback keep their
+# relative error
+FD_SCALES = [1e-8, 1e-4, 1.0, 1e4, 1e8]
+
+
 class TestPolynomial:
     def test_eval_and_diff(self):
         x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
@@ -246,6 +251,24 @@ class TestExteriorDerivative:
         # d(sin(y) dx) = -cos(y) dx^dy
         assert d(pt).coefficients[0] == pytest.approx(-np.cos(0.4), abs=1e-8)
 
+    @pytest.mark.parametrize("scale", FD_SCALES)
+    def test_difference_step_scales_with_the_point(self, scale):
+        # d(sin(x0 / s) dx1) = cos(x0 / s) / s dx0^dx1 at (0.7 s, 0.3 s);
+        # with an absolute step the relative error was 0.999 at s = 1e-8
+        # and 5.9e-4 at s = 1e8
+        phi = FormField.from_callable(2, 1, lambda p: np.stack(
+            [np.zeros(len(p)), np.sin(p[:, 0] / scale)], axis=1))
+        got = exterior_derivative(phi).coefficients_at(
+            np.array([[0.7 * scale, 0.3 * scale]]))[0, 0]
+        want = np.cos(0.7) / scale
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_difference_step_at_the_origin(self):
+        phi = FormField.from_callable(2, 1, lambda p: np.stack(
+            [np.zeros(len(p)), np.sin(p[:, 0])], axis=1))
+        got = exterior_derivative(phi).coefficients_at(np.zeros((1, 2)))
+        assert abs(got[0, 0] - 1.0) <= 1e-9
+
 
 class TestPullback:
     def test_affine_is_exact(self):
@@ -286,6 +309,21 @@ class TestPullback:
         e0 = np.array([1.0, 0.0])
         assert pb(pt).coefficients[0] == pytest.approx(
             phi(f(pt)).coefficients @ (mat @ e0), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", FD_SCALES)
+    def test_oscillating_map_at_every_scale(self, scale):
+        # f(x) = (x0 + s sin(x1 / s) / 2, x1) pulls dx0 back to
+        # dx0 + cos(x1 / s) / 2 dx1; with the step 1e-6 max(1, |x|_inf)
+        # the relative error was 1.01 at s = 1e-8
+        f = LipMap(2, lambda x: np.stack(
+            [x[:, 0] + 0.5 * scale * np.sin(x[:, 1] / scale), x[:, 1]],
+            axis=1))
+        phi = FormField.from_polynomials(
+            2, 1, {(0,): Polynomial.constant(2, 1.0)})
+        got = pullback(phi, f).coefficients_at(
+            np.array([[0.7 * scale, 0.3 * scale]]))[0]
+        want = np.array([1.0, 0.5 * np.cos(0.3)])
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
     def test_difference_step_scales_with_the_point(self, scale):

@@ -8,13 +8,13 @@ from currentkit.chains import (Leaf, boundary, evaluate, unit_square_chain)
 from currentkit.forms import (Box, FormField, TimePolynomialForm, VectorField,
                               lie_derivative)
 from currentkit.lipschitz import make_map, pushforward_chain
-from currentkit.motion import (Cochain, classical_reynolds,
+from currentkit.motion import (Cochain, Motion, classical_reynolds,
                                continuity_modulus, deformation_chain,
                                homotopy_residual, make_motion,
                                reynolds_operator, transport_derivative,
                                transport_derivative_fd, velocity_field)
 from currentkit.polynomial import Polynomial
-from oracles import (transport_derivative_betounes,
+from oracles import (motion_map_by_make_map, transport_derivative_betounes,
                      transport_derivative_lagrangian_fd)
 
 SQ = unit_square_chain()
@@ -126,7 +126,9 @@ class TestTransportDerivative:
         psi = _area_cochain()
         an = transport_derivative(m, SQ, psi, 0.2)
         bet = transport_derivative_betounes(m, SQ, psi, 0.2)
-        lag = transport_derivative_lagrangian_fd(m, SQ, psi, 0.2, 1e-5)
+        lag = transport_derivative_lagrangian_fd(
+            lambda t: motion_map_by_make_map("rotation", 2, t, rate=0.7),
+            SQ, psi, 0.2, 1e-5)
         assert bet == pytest.approx(an, abs=1e-12)
         assert lag == pytest.approx(an, abs=1e-8)
 
@@ -212,6 +214,22 @@ class TestClassicalReynolds:
         vol_cochain = Cochain(TimePolynomialForm(2, 2, {(0, 1):
                                                         density.polys[0]}))
         assert lhs == transport_derivative(m, SQ, vol_cochain, 0.3, levels)
+
+    @pytest.mark.parametrize("levels, expected", [
+        (0, (7.388333333333331, 1.0985000000000003, 6.2898333333333305)),
+        (2, (7.38833333333333, 1.0985, 6.289833333333331))])
+    def test_flux_maps_the_faces_without_a_push(self, monkeypatch, levels,
+                                                expected):
+        # the boundary faces of T's subdivision are mapped by
+        # `Motion.images`; the values are those of the boundary of T
+        # pushed by `Motion.push`, bit for bit
+        def pushed(*args, **kwargs):
+            raise AssertionError("classical_reynolds pushed T")
+
+        monkeypatch.setattr(Motion, "push", pushed)
+        m = make_motion("expansion", interval=(-0.5, 1.0))
+        density = TimePolynomialForm(2, 0, {(): _area_cochain().rep.polys[0]})
+        assert classical_reynolds(m, SQ, density, 0.3, levels) == expected
 
     @pytest.mark.parametrize("scale", [1e-16, 1e8])
     def test_expanding_box_at_scale(self, scale):

@@ -169,29 +169,23 @@ def _faulty_motion(fault: str) -> Motion:
     """A translation whose map at MIDDLE is `fault`: a collapse of the y
     axis, or NaN."""
 
-    def maps(t):
-        if t != MIDDLE:
-            return LipMap.affine(np.eye(2), [t, 0.0])
+    def maps(times, points):
+        out = np.repeat(points[None], len(times), axis=0)
+        out[..., 0] += times[:, None]
         if fault == "degenerate":
-            return LipMap.affine(np.diag([1.0, 0.0]))
-        return LipMap(2, lambda x: np.full(x.shape, np.nan))
+            out[times == MIDDLE, :, 1] = 0.0
+        else:
+            out[times == MIDDLE] = np.nan
+        return out
 
     field = VectorField.constant([1.0, 0.0])
-    return Motion((0.0, 1.0), maps, lambda t: field)
+    return Motion((0.0, 1.0), 2, maps, lambda t: field)
 
 
 def _message(call) -> str:
     with pytest.raises(ValueError) as info:
         call()
     return str(info.value)
-
-
-def _error(call) -> tuple:
-    """The type and message of the ValueError or IndexError `call`
-    raises."""
-    with pytest.raises((ValueError, IndexError)) as info:
-        call()
-    return type(info.value), str(info.value)
 
 
 class TestErrorParity:
@@ -302,10 +296,11 @@ _TWO_TRIANGLES = Chain([[[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]],
 
 def _lookup_motion() -> Motion:
     """A motion whose map at t sends vertex x = k to _IMAGES[t][k]."""
-    def maps(t):
-        return LipMap(2, lambda x: _IMAGES[t][np.rint(x[:, 0]).astype(int)])
+    def maps(times, points):
+        return np.stack([_IMAGES[t][np.rint(points[:, 0]).astype(int)]
+                         for t in times])
 
-    return Motion((0.0, 1.0), maps, lambda t: None)
+    return Motion((0.0, 1.0), 2, maps, lambda t: None)
 
 
 class TestTableFreePushes:
@@ -425,29 +420,16 @@ def _ladder_cases():
 
 
 def _counting(m: Motion):
-    """`m` with a map factory that records every time it is called at: a
-    user-built motion on `m`'s maps, so mapped one time at a time."""
-    times = []
+    """A hand-built motion on `m`'s maps, and the list of the times of
+    each of its `maps` calls."""
+    calls = []
 
-    def maps(t):
-        times.append(t)
-        return m.map_factory(t)
+    def maps(times, points):
+        calls.append(list(times))
+        return m.maps(times, points)
 
-    return Motion(m.interval, maps, m.velocity_factory, m.name), times
-
-
-def _counting_stack(m: Motion, monkeypatch):
-    """`m`, a built-in family, with its stacked images recording every
-    time they are taken at."""
-    times = []
-    images = m.map_factory.images
-
-    def counted(ts, points):
-        times.extend(ts)
-        return images(ts, points)
-
-    monkeypatch.setattr(m.map_factory, "images", counted)
-    return m, times
+    return Motion(m.interval, m.ambient, maps, m.velocity_factory,
+                  m.name), calls
 
 
 def _stack_calls(monkeypatch) -> list:
@@ -549,46 +531,29 @@ class TestLadders:
 
     @pytest.mark.parametrize("one_sided, pushed", [(True, 4), (False, 6)])
     def test_each_distinct_time_pushed_once(self, one_sided, pushed):
-        m, times = _counting(make_motion("tent"))
+        # a hand-built motion gets every distinct time in one `maps` call
+        m, calls = _counting(make_motion("tent"))
         psi = _cochain(2, 2)
         transport_derivative_fd_ladder(m, unit_square_chain(), psi, 0.2,
                                        [1e-2, 1e-3, 1e-4, 1e-3],
                                        one_sided=one_sided)
+        times, = calls
         assert len(times) == len(set(times)) == pushed
 
     def test_empty_interval_is_zero_without_a_push(self):
-        m, times = _counting(make_motion("rotation", rate=0.7))
+        m, calls = _counting(make_motion("rotation", rate=0.7))
         T, phi = _chain(2, 1, 0), _form(2, 1, 0)
         assert homotopy_residuals(m, (0.3, 0.3), T, phi, [1, 4]) == \
             [0.0, 0.0]
-        assert times == []
+        assert calls == []
+        # T at both ends and the 5 + 10 nodes, then bnd(T) at the nodes
+        homotopy_residuals(m, INTERVAL, T, phi, [1, 2])
+        assert sum(map(len, calls)) == 2 + 3 * 5 + 3 * 5
         assert homotopy_residual_by_rung(m, (0.3, 0.3), T, phi) == 0.0
         with pytest.raises(ValueError, match="outside the motion interval"):
             homotopy_residuals(m, (2.0, 2.0), T, phi, [1])
         with pytest.raises(ValueError, match="^levels must be a whole"):
             homotopy_residuals(m, (0.3, 0.3), T, phi, [1], levels=-1)
-
-    @pytest.mark.parametrize("one_sided, pushed", [(True, 4), (False, 6)])
-    def test_each_distinct_time_stacked_once(self, monkeypatch, one_sided,
-                                             pushed):
-        # the counts of the test above on the built-in family's own
-        # stacked path
-        m, times = _counting_stack(make_motion("tent"), monkeypatch)
-        transport_derivative_fd_ladder(m, unit_square_chain(),
-                                       _cochain(2, 2), 0.2,
-                                       [1e-2, 1e-3, 1e-4, 1e-3],
-                                       one_sided=one_sided)
-        assert len(times) == len(set(times)) == pushed
-
-    def test_empty_interval_maps_no_time(self, monkeypatch):
-        m, times = _counting_stack(make_motion("rotation", rate=0.7),
-                                   monkeypatch)
-        T, phi = _chain(2, 1, 0), _form(2, 1, 0)
-        assert homotopy_residuals(m, (0.3, 0.3), T, phi, [1, 4]) == \
-            [0.0, 0.0]
-        assert times == []
-        homotopy_residuals(m, INTERVAL, T, phi, [1, 2])
-        assert len(times) == 2 + 3 * 5 + 3 * 5
 
     def test_panel_counts_are_whole_numbers(self):
         m = make_motion("rotation", rate=0.7)
@@ -631,28 +596,41 @@ class TestStackedImages:
     @pytest.mark.parametrize("name, n", sorted({(name, n) for name, n, _
                                                 in _cases()}))
     def test_table_of_another_dimension(self, name, n):
-        # a table whose columns are not the motion's dimension raises, at
-        # the first time, the error `map_at(t).values_at` raises: numpy's
-        # matmul message for an affine family, the shape check or the
-        # missing column for the tent; none is computed as a stack
-        m = _motion(name, n)
+        # points whose width is not the motion's dimension: one ValueError
+        # before any `maps` call, the one `map_at(t).values_at` raises
+        m, calls = _counting(_motion(name, n))
         for width in sorted({1, 2, 3, 4} - {n}):
             points = np.ones((5, width))
-            expected = _error(lambda: m.map_at(0.1).values_at(points))
-            assert _error(lambda: m.images([0.1, 0.4], points)) == expected
+            expected = _message(lambda: m.map_at(0.1).values_at(points))
+            assert _message(lambda: m.images([0.1, 0.4], points)) == expected
+            assert expected == (f"a motion in {n} dimensions maps points of "
+                                f"shape (m, {n}); got shape (5, {width})")
+        assert calls == []
+
+    @pytest.mark.parametrize("fault", ["one time", "wide", "short"])
+    def test_maps_of_the_wrong_shape(self, fault):
+        def maps(times, points):
+            out = np.repeat(points[None], len(times), axis=0)
+            return {"one time": out[0], "wide": np.dstack([out, out]),
+                    "short": out[:-1]}[fault]
+
+        m = Motion((0.0, 1.0), 2, maps, lambda t: None)
+        assert _message(lambda: m.images([0.0, 0.5], np.ones((3, 2)))) \
+            .startswith("the maps of a motion must give images of shape "
+                        "(K, m, n) = (2, 3, 2); got shape")
 
     def test_chain_of_another_dimension(self):
         # a 3-D chain under the planar tent: the ladders raise as a push
         # of the chain does
         m = make_motion("tent")
         T, psi = _chain(3, 1, 0), _cochain(3, 1)
-        expected = _error(lambda: m.push(T, 0.2))
-        assert expected[1].startswith("a callable for map images must map "
-                                      "points of shape (m, 3)")
-        assert _error(lambda: transport_derivative_fd_ladder(
+        expected = _message(lambda: m.push(T, 0.2))
+        assert expected.startswith("a motion in 2 dimensions maps points of "
+                                   "shape (m, 2); got shape")
+        assert _message(lambda: transport_derivative_fd_ladder(
             m, T, psi, 0.2, [0.1, 0.05])) == expected
         family = [_form(3, 1, s) for s in range(3)]
-        assert _error(lambda: continuity_modulus(
+        assert _message(lambda: continuity_modulus(
             m, T, 0.2, [0.1, 0.05], family, Box.unit(3, resolution=3))) \
             == expected
 
@@ -667,14 +645,13 @@ class TestStackedImages:
         assert not np.signbit(images).any()
 
     @pytest.mark.parametrize("name", FAMILIES)
-    def test_time_outside_the_interval_before_any_image(self, monkeypatch,
-                                                        name):
-        m, times = _counting_stack(_motion(name, 2), monkeypatch)
+    def test_time_outside_the_interval_before_any_image(self, name):
+        m, calls = _counting(_motion(name, 2))
         expected = _message(lambda: m.map_at(2.0))
         assert _message(lambda: m.images([0.1, 2.0, -3.0],
                                          np.ones((3, 2)))) == expected
         assert expected.startswith("time 2.0 outside")
-        assert times == []
+        assert calls == []
 
     @pytest.mark.parametrize("name", ["translation", "expansion", "tent"])
     def test_non_finite_images(self, name):
@@ -689,14 +666,3 @@ class TestStackedImages:
             assert _message(lambda: m.images([0.0, 1.0], points)) == \
                 expected
         assert expected == "non-finite map images"
-
-    def test_user_built_motion_maps_one_time_at_a_time(self):
-        m, times = _counting(make_motion("shear"))
-        points = np.random.default_rng(0).standard_normal((5, 2))
-        stacked = make_motion("shear").images([0.0, 0.3, 0.3], points)
-        assert m.images([0.0, 0.3, 0.3], points).tobytes() == \
-            stacked.tobytes()
-        assert times == [0.0, 0.3, 0.3]
-        assert _message(lambda: m.images([0.3, 2.0], points)) == \
-            "time 2.0 outside the motion interval (-1.0, 1.0)"
-        assert times == [0.0, 0.3, 0.3, 0.3]
