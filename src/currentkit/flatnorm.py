@@ -12,11 +12,11 @@ cases, read off the input alone:
   Ibrahim, Krishnamoorthy & Vixie, JoCG 2013): one node per top simplex
   plus a ground node, one arc per face.  It applies when r = n - 1, every
   (n-1)-face has one or two cofaces, and two cofaces carry opposite signs
-  under `top_orientations`.  A network simplex solves it; arcs are priced
-  in numpy blocks, and the spanning tree is Python lists of parents, arcs,
-  depths and children, so a pivot costs its cycle's length plus the size
-  of the subtree it moves.  S is the tree's node potentials, so
-  R = t - B S is exact for integral t.
+  under `top_orientations`.  A network simplex solves it, entering arcs
+  from a candidate list of a numpy-priced block (`_CANDIDATES`; 1 is the
+  plain block rule), with the tree and potentials as Python lists, so a
+  pivot costs its cycle's length plus the size of the subtree it moves.
+  S is the tree's node potentials, so R = t - B S is exact for integral t.
 - Everything else (degrees 0 <= r <= n - 2, a face with three or more
   cofaces, incoherent orientations): `lp_solve`, Bland's primal simplex
   on the dense LP with the L1 terms split into nonnegative pairs, started
@@ -60,6 +60,7 @@ _BLOCK_ELEMENTS = 1 << 16  # entries per band of a pivot's block update
 _FLOW_TOL = 1e-12  # network simplex: zero residual, relative to capacity
 _COST_TOL = 1e-12  # network simplex: zero reduced cost, relative to max|cost|
 _MIN_BLOCK = 256   # network simplex: fewest arcs priced at once
+_CANDIDATES = 32   # network simplex: arcs kept from a priced block
 _MAX_PIVOTS_PER_ARC = 100  # network simplex: a run past this is an error
 
 
@@ -179,71 +180,37 @@ def _dual_graph(complex_: SimplicialComplex, r: int):
     return plus, minus
 
 
-class _Tree:
-    """The spanning tree of a network simplex, rooted at node n - 1: each
-    node's parent, the arc to it, its depth and the set of its children.
-    It starts as the star of arcs v -> root, arc v for node v."""
-
-    def __init__(self, n: int):
-        root = n - 1
-        self.parent = [root] * root + [-1]
-        self.arc = list(range(root)) + [-1]
-        self.depth = [1] * root + [0]
-        self.children = [set() for _ in range(root)] + [set(range(root))]
-
-    def rehang(self, stem: list, parent: int, arc: int) -> list:
-        """Cut the subtree below stem[-1] and hang it by `arc` from
-        `parent`, rooted at stem[0], where `stem` is the path from stem[0]
-        up to stem[-1]: the stem's links reverse, and one walk down the
-        moved subtree resets its depths.  Returns the subtree's nodes."""
-        up, arcs, depth, children = (self.parent, self.arc, self.depth,
-                                     self.children)
-        v = stem[-1]
-        children[up[v]].remove(v)
-        for below in stem[-2::-1]:
-            up[v], arcs[v] = below, arcs[below]
-            children[v].remove(below)
-            children[below].add(v)
-            v = below
-        up[v], arcs[v] = parent, arc
-        children[parent].add(v)
-        nodes = [v]
-        for v in nodes:
-            depth[v] = depth[up[v]] + 1
-            nodes.extend(children[v])
-        return nodes
-
-
 def _network_simplex(tail, head, cost, cap, n_nodes):
     """Min-cost circulation: min cost.x over 0 <= x <= cap with flow
     conserved at every node, by the primal network simplex (Ahuja,
     Magnanti & Orlin, *Network Flows*, 1993, ch. 11) from x = 0.
 
-    The root is node n_nodes - 1, and arc v < n_nodes - 1 runs from node v
-    to it at cost 0: those arcs are the first tree (`_Tree`), strongly
-    feasible at x = 0.  Each pivot prices one block of arcs at a time in
-    numpy and enters the block's most violating arc.  Its cycle runs up
-    from both ends, by depth, to their join, and the ratio test is taken
-    in the same climb; the leaving arc is the last blocking arc of the
-    cycle from that apex (Cunningham, Math. Prog. 1976), which keeps the
-    tree strongly feasible, so degenerate pivots cannot cycle.  The
-    subtree cut off by the leaving arc hangs from the entering arc: the
-    links of its stem reverse, and one walk over it resets its depths and
-    collects the nodes whose potentials shift.  A
-    residual within `_FLOW_TOL` of its arc's capacity is zero, and a
+    Arc v < n_nodes - 1 runs from node v to the root n_nodes - 1 at cost
+    0: those arcs are the first tree, strongly feasible at x = 0.  A major
+    iteration prices numpy blocks from the current one on; the first
+    eligible block's `_CANDIDATES` most violating arcs, sorted stably,
+    are the candidate list (Mulvey, J. ACM 1978), and the first enters.
+    Minor iterations re-price the rest in Python and enter the most
+    violating; once a list that gave a minor pivot runs dry, the block
+    moves on.  So `_CANDIDATES` = 1 is the plain block rule.  The last
+    blocking arc of the cycle from its apex leaves (Cunningham, Math.
+    Prog. 1976): the tree stays strongly feasible, so no entering rule
+    cycles.  Tree and potentials are Python lists; moved potentials reach
+    numpy at the next major iteration, the last if no arc is eligible.
+    A residual within `_FLOW_TOL` of its arc's capacity is zero, and a
     reduced cost within `_COST_TOL` of the largest |cost|, so the path is
-    the same at any capacity scale.
-    Returns the potentials pi, with cost + pi[tail] - pi[head] = 0 on the
-    tree arcs and 0 at the root, and the number of pivots.
+    the same at any capacity scale.  Returns the potentials pi, with
+    cost + pi[tail] - pi[head] = 0 on the tree arcs and 0 at the root,
+    and the number of pivots.
     """
-    n_arcs = len(tail)
-    tree = _Tree(n_nodes)
-    parent, arc, depth = tree.parent, tree.arc, tree.depth
-    pi = np.zeros(n_nodes)
-    take = pi.take
+    n_arcs, root = len(tail), n_nodes - 1
+    parent, arc = [root] * root + [-1], list(range(root)) + [-1]
+    depth = [1] * root + [0]
+    children = [set() for _ in range(root)] + [set(range(root))]
+    pi, pil, moved = np.zeros(n_nodes), [0.0] * n_nodes, []
     # +1 at 0, -1 at cap, 0 in tree; float, so that pricing casts nothing
-    state = np.ones(n_arcs)
-    state[:n_nodes - 1] = 0.0
+    state = np.concatenate([np.zeros(root), np.ones(n_arcs - root)])
+    rate = state.item
     flow = [0.0] * n_arcs
     capl, taill, headl = cap.tolist(), tail.tolist(), head.tolist()
     costl = cost.tolist()
@@ -257,31 +224,51 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
               for lo in range(0, n_arcs, width)
               for hi in [min(lo + width, n_arcs)]]
     block = pivots = 0
+    candidates, minor = [], False
     while True:
-        for _ in blocks:
-            lo, ends, bcost, bstate, w = blocks[block]
-            at = take(ends)
-            reduced = bcost + at[:w]
-            reduced -= at[w:]
-            reduced *= bstate
-            j = int(reduced.argmin())
-            if reduced[j] < -cost_tol:
-                e = lo + j
-                break
-            block = (block + 1) % len(blocks)
+        # minor iteration: the most violating candidate, priced as in numpy
+        e, best, rest = -1, -cost_tol, []
+        for a in candidates:
+            reduced = (costl[a] + pil[taill[a]] - pil[headl[a]]) * rate(a)
+            if reduced < -cost_tol:
+                rest.append(a)
+                if reduced < best:
+                    e, best = a, reduced
+        if e >= 0:
+            rest.remove(e)
+            candidates, minor = rest, True
         else:
-            return pi, pivots
+            block, minor = (block + minor) % len(blocks), False
+            # the moved potentials reach numpy; all if over a quarter moved
+            if 4 * len(moved) > n_nodes:
+                pi[:] = pil
+            else:
+                pi[moved] = [pil[v] for v in moved]
+            moved = []
+            for _ in blocks:
+                lo, ends, bcost, bstate, w = blocks[block]
+                at = pi.take(ends)
+                reduced = bcost + at[:w]
+                reduced -= at[w:]
+                reduced *= bstate
+                j = int(reduced.argmin())
+                if reduced[j] < -cost_tol:
+                    top = np.flatnonzero(reduced < -cost_tol)
+                    top = top[reduced[top].argsort(kind="stable")]
+                    e, *candidates = (top[:_CANDIDATES] + lo).tolist()
+                    break
+                block = (block + 1) % len(blocks)
+            else:
+                return pi, pivots
         if pivots == _MAX_PIVOTS_PER_ARC * n_arcs:
             raise RuntimeError(f"network simplex pivot limit reached: "
                                f"{pivots} pivots on {n_arcs} arcs")
         pivots += 1
-        # the cycle: e, then up from `second` to the join, then down from
-        # the join to `first`.  Both ends climb to the join, the deeper
-        # first, with the ratio test on the way: the room of each arc in
-        # the direction the cycle's flow runs.  Of equal blocking arcs the
-        # last from the join leaves: the first of `down` (nearest
-        # `first`), then e, then the last of `up`
-        raising = state[e] > 0
+        # the cycle e, up from `second`, down to `first`: both ends climb
+        # to the join, the deeper first, with the ratio test on the way.
+        # Of equal blocking arcs the last from the join leaves: the first
+        # of `down` (nearest `first`), then e, then the last of `up`
+        raising = rate(e) > 0
         first, second = ((taill[e], headl[e]) if raising
                          else (headl[e], taill[e]))
         down, up, along, against = [], [], [], []
@@ -320,12 +307,8 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
             delta, stem, out, hang = up_room, up, up_out, first
         if delta > 0.0:
             (along if raising else against).append(e)
-            for a in along:
-                x = flow[a] + delta
-                flow[a] = (0.0 if x <= tol[a] else capl[a]
-                           if capl[a] - x <= tol[a] else x)
-            for a in against:
-                x = flow[a] - delta
+            for a, x in ([(a, flow[a] + delta) for a in along]
+                         + [(a, flow[a] - delta) for a in against]):
                 flow[a] = (0.0 if x <= tol[a] else capl[a]
                            if capl[a] - x <= tol[a] else x)
         if stem is None:  # e goes from one bound to the other
@@ -334,11 +317,26 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
         leave = arc[stem[out]]
         state[leave] = 1.0 if flow[leave] == 0.0 else -1.0
         state[e] = 0.0
-        # the subtree below the leaving arc hangs from e, rooted at the
-        # end of e inside it; its potentials shift to price e at zero
-        gap = costl[e] + pi.item(taill[e]) - pi.item(headl[e])
-        moved = tree.rehang(stem[:out + 1], hang, e)
-        pi[np.array(moved)] += gap if stem[0] == headl[e] else -gap
+        # the subtree below the leaving arc hangs from e by stem[0]: the
+        # stem's links reverse, and one walk resets depths and potentials
+        gap = costl[e] + pil[taill[e]] - pil[headl[e]]
+        v = stem[out]
+        children[parent[v]].remove(v)
+        for below in reversed(stem[:out]):
+            parent[v], arc[v] = below, arc[below]
+            children[v].remove(below)
+            children[below].add(v)
+            v = below
+        parent[v], arc[v] = hang, e
+        children[hang].add(v)
+        shift = gap if v == headl[e] else -gap
+        nodes = [v]
+        for v in nodes:
+            depth[v] = depth[parent[v]] + 1
+            pil[v] += shift
+            if children[v]:
+                nodes.extend(children[v])
+        moved += nodes
 
 
 def _flat_norm_flow(t, plus, minus, vol_r, vol_s):

@@ -92,7 +92,9 @@ class Box:
             i, j = np.triu_indices(len(pts), 1)
             dist = _pair_norms(pts, i, j)
             keep = dist > 0
-            self._tables["pairs"] = _read_only(i[keep], j[keep], dist[keep])
+            if not keep.all():
+                i, j, dist = i[keep], j[keep], dist[keep]
+            self._tables["pairs"] = _read_only(i, j, dist)
         return self._tables["pairs"]
 
     @classmethod

@@ -291,10 +291,11 @@ def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
 # the transport derivative and its oracles
 # ----------------------------------------------------------------------
 
-def _transport_terms(m: Motion, T: Chain, psi: Cochain, tau: float,
-                     levels: int):
+def _transport_terms(m: Motion, T: Chain, work: Chain, psi: Cochain,
+                     tau: float, levels: int):
     """(psi_dot(kappa_tau# T), the transport derivative), the second
-    summed from the first as `transport_derivative` states it."""
+    summed from the first as `transport_derivative` states it, on `work`
+    = T.subdivided(levels)."""
     m.check_time(tau)
     v = velocity_field(m, tau)
     phi = psi.form_at(tau)
@@ -302,7 +303,7 @@ def _transport_terms(m: Motion, T: Chain, psi: Cochain, tau: float,
     # bnd(v wedge pushed) acts on phi through d(phi) -| v
     if T.degree + 1 <= T.ambient:
         forms.append([contract(exterior_derivative(phi), v)])
-    values = _pushed_values(m, T.subdivided(levels), [tau], forms)
+    values = _pushed_values(m, work, [tau], forms)
     total = values[0][0]
     if len(values) > 1:
         total += values[1][0]
@@ -322,7 +323,8 @@ def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
     The wedge term vanishes identically when T has top degree.  Both
     terms on kappa_tau# T come from one push (`_pushed_values`), and so
     does the term on the pushed boundary."""
-    return _transport_terms(m, T, psi, tau, levels)[1]
+    return _transport_terms(m, T, T.subdivided(levels), psi, tau,
+                            levels)[1]
 
 
 def transport_derivative_fd(m: Motion, T: Chain, psi: Cochain, tau: float,
@@ -380,12 +382,13 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
     psi = Cochain(TimePolynomialForm(
         n, n, {vol_index: density.polys[0]}), name="density.volume")
     # the volume term is the transport derivative's psi_dot term
-    volume_term, lhs = _transport_terms(m, T, psi, tau, levels)
+    work = T.subdivided(levels)
+    volume_term, lhs = _transport_terms(m, T, work, psi, tau, levels)
 
     # the faces of T's subdivision, mapped as one table; all faces and
     # points at once, the terms summed face by face, point by point, from
     # 0.0
-    faces = boundary(T.subdivided(levels))
+    faces = boundary(work)
     verts = m.images([tau], faces.table)[0][faces.ids]
     mults = faces.mults
     tangents, lengths, degenerate = _edge_wedges(verts)

@@ -761,7 +761,7 @@ class TestDeterminism:
         # skips: a changed pivot path shows here
         assert [row["value"] for row in rows
                 if row["quantity"] == "lp_iterations"] == \
-            ["104", "410", "438", "1934", "274", "1518"]
+            ["111", "373", "447", "1807", "303", "1726"]
 
 
     def test_cli_csvs_tool_writes_every_output(self, tmp_path):

@@ -351,11 +351,13 @@ class TestPivotPath:
     """Bland's rule follows a fixed pivot sequence on the dense LP of the
     resolution-8 Freudenthal square.  Value and pivot count are pinned, so
     a change to the pivoting that alters the path shows here; so is the
-    network simplex's pivot count on the same inputs."""
+    network simplex's pivot count on the same inputs, under the plain
+    block rule (`_CANDIDATES` = 1) and with the shipped candidate list."""
 
     CASES = [(_cell_union_boundary, 8, 0.46093750000000017, 390),
              (_signed_edge_chain, 9, 10.05989132004283, 403)]
     NETWORK_PIVOTS = [166, 421]
+    CANDIDATE_PIVOTS = [141, 415]
 
     @pytest.mark.parametrize("make, seed, value, pivots", CASES)
     def test_value_and_pivot_count(self, make, seed, value, pivots):
@@ -382,7 +384,19 @@ class TestPivotPath:
     @pytest.mark.parametrize("make, seed, value, pivots",
                              [(*case[:3], n)
                               for case, n in zip(CASES, NETWORK_PIVOTS)])
-    def test_network_pivot_count(self, make, seed, value, pivots):
+    def test_network_pivot_count(self, make, seed, value, pivots,
+                                 monkeypatch):
+        monkeypatch.setattr(flatnorm, "_CANDIDATES", 1)
+        comp = freudenthal_complex((0, 0), (1, 1), 8)
+        got, _, _, info = flat_norm_lp(make(comp, seed), comp)
+        assert info["iterations"] == pivots
+        assert got == pytest.approx(value, rel=1e-13)
+
+    @pytest.mark.parametrize("make, seed, value, pivots",
+                             [(*case[:3], n)
+                              for case, n in zip(CASES, CANDIDATE_PIVOTS)])
+    def test_candidate_list_pivot_count(self, make, seed, value, pivots):
+        assert flatnorm._CANDIDATES == 32
         comp = freudenthal_complex((0, 0), (1, 1), 8)
         got, _, _, info = flat_norm_lp(make(comp, seed), comp)
         assert info["iterations"] == pivots
@@ -571,10 +585,33 @@ class TestFlowPath:
 
 
 
+def _flatgrid_inputs(seed, tmp_path):
+    """(T, complex) of each flatgrid scenario of the benchmark at `seed`."""
+    for path in _load_perfbench("workloads").write_flatgrid(seed,
+                                                            str(tmp_path)):
+        cfg, = load_config(path)
+        n = cfg.ambient
+        yield (cfg.build_chain(),
+               freudenthal_complex([0.0] * n, [1.0] * n, cfg.resolution))
+
+
+def _large_row(dim, res, kind, rng):
+    """(T, complex) of one of the benchmark's large codimension-1 rows."""
+    w = _load_perfbench("workloads")
+    build = w.cell_union_boundary if kind == "cells" else w.random_faces
+    comp = freudenthal_complex([0.0] * dim, [1.0] * dim, res)
+    return build(dim, res, rng), comp
+
+
+LARGE_ROWS = [(2, 32, "cells"), (2, 32, "faces"), (3, 8, "cells"),
+              (3, 8, "faces")]
+
+
 class TestSamePivotPath:
-    """The network simplex on parent/depth lists pivots exactly as it did
-    on a numpy preorder tree (`oracles.preorder_network_simplex`): the
-    same pivot count and the same potentials, bit for bit."""
+    """With a one-arc candidate list, the network simplex on parent/depth
+    lists pivots exactly as the block rule did on a numpy preorder tree
+    (`oracles.preorder_network_simplex`): the same pivot count and the
+    same potentials, bit for bit."""
 
     def _check(self, monkeypatch, T, comp, scale=1.0):
         # both solvers on the circulation `flat_norm_lp` builds for T, its
@@ -587,6 +624,7 @@ class TestSamePivotPath:
             return got[0]
 
         with monkeypatch.context() as patch:
+            patch.setattr(flatnorm, "_CANDIDATES", 1)
             patch.setattr(flatnorm, "_network_simplex", both)
             flat_norm_lp(T, comp)
         (pi, pivots), (want_pi, want_pivots) = got
@@ -595,28 +633,68 @@ class TestSamePivotPath:
 
     @pytest.mark.parametrize("seed", [42, 977, 7])
     def test_flatgrid_chains(self, monkeypatch, tmp_path, seed):
-        workloads = _load_perfbench("workloads")
-        for path in workloads.write_flatgrid(seed, str(tmp_path)):
-            cfg, = load_config(path)
-            n = cfg.ambient
-            comp = freudenthal_complex([0.0] * n, [1.0] * n, cfg.resolution)
-            self._check(monkeypatch, cfg.build_chain(), comp)
+        for T, comp in _flatgrid_inputs(seed, tmp_path):
+            self._check(monkeypatch, T, comp)
 
-    @pytest.mark.parametrize("dim, res, kind", [(2, 32, "cells"),
-                                                (2, 32, "faces"),
-                                                (3, 8, "cells"),
-                                                (3, 8, "faces")])
+    @pytest.mark.parametrize("dim, res, kind", LARGE_ROWS)
     def test_large_rows(self, monkeypatch, dim, res, kind):
-        w = _load_perfbench("workloads")
-        build = w.cell_union_boundary if kind == "cells" else w.random_faces
-        comp = freudenthal_complex([0.0] * dim, [1.0] * dim, res)
-        self._check(monkeypatch, build(dim, res, np.random.default_rng(dim)),
-                    comp)
+        self._check(monkeypatch, *_large_row(dim, res, kind,
+                                             np.random.default_rng(dim)))
 
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
     def test_scaled_volumes(self, monkeypatch, scale):
         comp = freudenthal_complex((0.0, 0.0), (1.0, 1.0), 16)
         self._check(monkeypatch, _random_codim1(comp, 11), comp, scale)
+
+
+class TestCandidateList:
+    """The optimum does not depend on the candidate list: one arc (the
+    plain block rule) and the shipped `_CANDIDATES` give the same value,
+    an exact decomposition T = R + bnd S, and the value of HiGHS."""
+
+    def _check(self, monkeypatch, T, comp):
+        values = []
+        for size in [1, flatnorm._CANDIDATES]:
+            with monkeypatch.context() as patch:
+                patch.setattr(flatnorm, "_CANDIDATES", size)
+                value, S, R, _ = flat_norm_lp(T, comp)
+            assert _decomposition_residual(comp, T, S, R) == 0.0
+            values.append(value)
+        assert values[1] == pytest.approx(values[0], rel=1e-12)
+        try:
+            from scipy import optimize, sparse
+        except ImportError:
+            return
+        r = T.degree
+        t = comp.chain_vector(T)
+        eye = sparse.identity(len(t), format="csr")
+        bmat = sparse.csr_matrix(comp.boundary_matrix(r + 1))
+        vol_r, vol_s = comp.volumes(r), comp.volumes(r + 1)
+        # HiGHS's tolerances are absolute, so it gets the costs divided by
+        # the largest one: the same optimal vertex, costs near 1
+        c = np.concatenate([vol_r, vol_r, vol_s, vol_s])
+        top = c.max()
+        res = optimize.linprog(
+            c / top, A_eq=sparse.hstack([eye, -eye, bmat, -bmat],
+                                        format="csr"),
+            b_eq=t, bounds=(0, None), method="highs")
+        assert res.status == 0
+        assert values[1] == pytest.approx(res.fun * top, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [42, 7, 977])
+    def test_flatgrid_chains(self, monkeypatch, tmp_path, seed):
+        for T, comp in _flatgrid_inputs(seed, tmp_path):
+            self._check(monkeypatch, T, comp)
+
+    @pytest.mark.parametrize("dim, res, kind", LARGE_ROWS)
+    def test_large_rows(self, monkeypatch, dim, res, kind):
+        self._check(monkeypatch, *_large_row(dim, res, kind,
+                                             np.random.default_rng([42, 1])))
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_scaled_volumes(self, monkeypatch, scale):
+        comp = freudenthal_complex((0.0, 0.0), (scale, scale), 16)
+        self._check(monkeypatch, _random_codim1(comp, 11), comp)
 
 
 class TestDualBounds:

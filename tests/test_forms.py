@@ -639,6 +639,33 @@ class TestGridTables:
         assert box == Box.unit(2, resolution=5)
         assert hash(box) == hash(Box.unit(2, resolution=5))
 
+    def test_pairs_are_copied_only_when_some_are_dropped(self, monkeypatch):
+        # a regular grid keeps every pair, and its index arrays are the
+        # ones built; a grid whose spacing is below its coordinates'
+        # round-off has coincident points, and only their pairs go
+        built, triu = [], np.triu_indices
+        monkeypatch.setattr(np, "triu_indices",
+                            lambda *args: built.append(triu(*args))
+                            or built[-1])
+        box = Box.unit(2, resolution=5)
+        i, j, dist = box.grid_pairs()
+        assert i is built[0][0] and j is built[0][1]
+        assert len(i) == 25 * 24 // 2
+        np.testing.assert_array_equal(
+            dist, np.linalg.norm(box.grid()[i] - box.grid()[j], axis=1))
+        tiny = Box((0.0,), (2.0,), (1.0,), (1.0 + 4 * np.finfo(float).eps,),
+                   resolution=9)
+        pts = tiny.grid()
+        all_i, all_j = triu(9, 1)
+        kept = pts[all_i, 0] != pts[all_j, 0]
+        assert 0 < kept.sum() < len(kept)
+        i, j, dist = tiny.grid_pairs()
+        assert np.array_equal(i, all_i[kept]) and np.array_equal(
+            j, all_j[kept])
+        assert np.array_equal(dist, np.linalg.norm(pts[i] - pts[j], axis=1))
+        for a in (*box.grid_pairs(), *tiny.grid_pairs()):
+            assert not a.flags.writeable
+
     def test_tables_are_read_only(self):
         box = Box.unit(3, resolution=3)
         with pytest.raises(ValueError, match="read-only"):

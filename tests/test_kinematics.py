@@ -4,7 +4,8 @@ chains, and the transport derivative."""
 import numpy as np
 import pytest
 
-from currentkit.chains import (Leaf, boundary, evaluate, unit_square_chain)
+from currentkit.chains import (Chain, Leaf, boundary, evaluate,
+                               unit_square_chain)
 from currentkit.forms import (Box, FormField, TimePolynomialForm, VectorField,
                               lie_derivative)
 from currentkit.lipschitz import make_map, pushforward_chain
@@ -230,6 +231,22 @@ class TestClassicalReynolds:
         m = make_motion("expansion", interval=(-0.5, 1.0))
         density = TimePolynomialForm(2, 0, {(): _area_cochain().rep.polys[0]})
         assert classical_reynolds(m, SQ, density, 0.3, levels) == expected
+
+    def test_subdivides_the_chain_once(self, monkeypatch):
+        # the flux faces are the boundary of the subdivision that the
+        # transport derivative pushes: T and its boundary are subdivided
+        # once each
+        calls, subdivided = [], Chain.subdivided
+
+        def counted(chain, levels=1):
+            calls.append((len(chain), levels))
+            return subdivided(chain, levels)
+
+        monkeypatch.setattr(Chain, "subdivided", counted)
+        m = make_motion("expansion", interval=(-0.5, 1.0))
+        density = TimePolynomialForm(2, 0, {(): _area_cochain().rep.polys[0]})
+        classical_reynolds(m, SQ, density, 0.3, 4)
+        assert sorted(calls) == [(len(SQ), 4), (len(BSQ), 4)]
 
     @pytest.mark.parametrize("scale", [1e-16, 1e8])
     def test_expanding_box_at_scale(self, scale):
