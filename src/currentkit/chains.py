@@ -1,6 +1,7 @@
 """Simplicial r-chains as currents, plus a composable current expression
-algebra (boundary, v wedge T, pushforwards, deformation chains) evaluated
-against forms by quadrature."""
+algebra (boundary, v wedge T, sums) evaluated against forms by quadrature.
+Pushforwards (`lipschitz.pushforward_chain`) and deformation chains
+(`motion.Deformation`) are built on it in their own modules."""
 
 from __future__ import annotations
 

@@ -178,11 +178,6 @@ def _chain_key(cfg, T):
             T.table.tobytes(), T.ids.tobytes(), T.mults.tobytes())
 
 
-def _reused(checks) -> list:
-    """`checks` with an empty runtime, for a scenario that reuses them."""
-    return [check[:4] + (None,) for check in checks]
-
-
 def _generator(state) -> np.random.Generator:
     """A fresh generator at the PCG64 state `state`."""
     bits = np.random.PCG64()
@@ -190,51 +185,37 @@ def _generator(state) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _verify_group(scenarios, chains, start, timings):
-    """The checks of scenarios that share a chain key, a list of
-    (quantity, value, oracle, tol, runtime) each.  `start` is (the rows of
-    `_form_checks` at the group's seed and ambient dimension, the generator
-    state they leave): the chain checks run once from that state, and each
-    scenario draws its motion check from the state they leave, so its rows
-    are those of a run on its own.  Every scenario after the first reuses
-    the form and chain rows with an empty runtime."""
-    form_rows, state = start
+def _shared(memo, key, checks, state):
+    """The rows of `checks(rng)`, for a generator rng at `state`, and the
+    state they leave, run once per `key`: a later scenario of the key
+    gets the same rows, with an empty runtime, and the same state."""
+    if key in memo:
+        rows, state = memo[key]
+        return [row[:4] + (None,) for row in rows], state
     rng = _generator(state)
-    shared = form_rows + _chain_checks(chains[0], scenarios[0].ambient, rng,
-                                       timings)
-    state = rng.bit_generator.state
-    out = []
-    for k, (cfg, T) in enumerate(zip(scenarios, chains)):
-        out.append((_reused(shared) if k else shared)
-                   + _motion_checks(cfg, T, _generator(state), timings))
-    return out
+    memo[key] = checks(rng), rng.bit_generator.state
+    return memo[key]
 
 
 def cmd_verify(args, scenarios):
+    # the form checks read the seed and ambient dimension, the first two
+    # items of a chain key, and the chain checks the chain key, continuing
+    # the form checks' draws: each runs once per key, and each scenario's
+    # motion check draws from the state they leave, as it would alone
     timings = os.environ.get("CURRENTKIT_TIMINGS") == "1"
-    chains, groups = [], {}
-    for k, cfg in enumerate(scenarios):
-        chains.append(cfg.build_chain())
-        cfg.build_box()  # a bad box is a configuration error here too
-        groups.setdefault(_chain_key(cfg, chains[k]), []).append(k)
-    # the form checks read the seed and ambient dimension alone, the first
-    # two items of a chain key: they run once per pair, and a group after
-    # the first of its pair reuses their rows
-    forms, checks = {}, {}
-    for key, members in groups.items():
-        if key[:2] in forms:
-            rows, state = forms[key[:2]]
-            start = (_reused(rows), state)
-        else:
-            rng = np.random.default_rng(key[0])
-            rows = _form_checks(key[1], rng, timings)
-            start = forms[key[:2]] = (rows, rng.bit_generator.state)
-        checks.update(zip(members, _verify_group(
-            [scenarios[k] for k in members], [chains[k] for k in members],
-            start, timings)))
-    rows, failures = [], 0
-    for k, cfg in enumerate(scenarios):
-        for quantity, value, oracle, tol, runtime in checks[k]:
+    memo, rows, failures = {}, [], 0
+    for cfg in scenarios:
+        T = cfg.build_chain()
+        key = _chain_key(cfg, T)
+        form_rows, state = _shared(
+            memo, key[:2], lambda rng: _form_checks(cfg.ambient, rng, timings),
+            np.random.PCG64(cfg.seed).state)
+        chain_rows, state = _shared(
+            memo, key, lambda rng: _chain_checks(T, cfg.ambient, rng, timings),
+            state)
+        checks = form_rows + chain_rows + _motion_checks(
+            cfg, T, _generator(state), timings)
+        for quantity, value, oracle, tol, runtime in checks:
             row = _row(cfg.name, quantity, value, oracle, runtime=runtime)
             error = abs(float(value) - float(oracle))
             allowed = tol * args.tolerance_scale
@@ -329,9 +310,9 @@ def _affine_test_family(ambient, degree, rng, size):
 
 
 def _flat_key(cfg, chain, box):
-    """What a flat-norm scenario reads: its chain key, its box's bounds,
+    """What a flat-norm scenario reads: its chain key, its box K's bounds,
     bit for bit, and sample grid, and the complex's resolution."""
-    bounds = np.array([box.lower, box.upper, box.k_lower, box.k_upper])
+    bounds = np.array([box.lower, box.upper])
     return _chain_key(cfg, chain) + (bounds.tobytes(), box.resolution,
                                      cfg.resolution)
 
@@ -356,8 +337,7 @@ def cmd_flatnorm(args, scenarios):
         box, chain = boxes[k], chains[k]
         boxes[k] = chains[k] = None
         if key not in hosts:
-            comp = freudenthal_complex(box.k_lower, box.k_upper,
-                                       cfg.resolution)
+            comp = freudenthal_complex(box.lower, box.upper, cfg.resolution)
             hosts[key] = comp, _align_chain(chain, comp)
         comp, T = hosts[key]
         t0 = _timed(timings)

@@ -1,4 +1,5 @@
-"""Differential r-form fields on an open box in R^n.
+"""Differential r-form fields on R^n, and their seminorms over a compact
+box K.
 
 Two backends: exact multivariate-polynomial coefficients, and a sampled
 (black-box) evaluator on point arrays, differentiated by central
@@ -43,28 +44,22 @@ _FD_STEP = 1e-5  # central-difference step, relative to the point's scale
 
 @dataclass(frozen=True)
 class Box:
-    """Open box with a compact sub-box K carrying a uniform sample grid."""
+    """The compact box K = [lower, upper], on which the seminorms are
+    taken, carrying a uniform sample grid."""
 
     lower: tuple
     upper: tuple
-    k_lower: tuple = None
-    k_upper: tuple = None
     resolution: int = 9
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("box requires lower < upper componentwise")
+        if lo.shape != hi.shape or not np.all(
+                np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+            raise ValueError("box requires finite lower < upper in each axis")
+        _whole_number("grid resolution", self.resolution, 2)
         object.__setattr__(self, "lower", tuple(lo))
         object.__setattr__(self, "upper", tuple(hi))
-        klo = lo if self.k_lower is None else np.asarray(self.k_lower, float)
-        khi = hi if self.k_upper is None else np.asarray(self.k_upper, float)
-        if np.any(klo < lo) or np.any(khi > hi) or np.any(klo >= khi):
-            raise ValueError("K must be a nondegenerate sub-box of the box")
-        _whole_number("grid resolution", self.resolution, 2)
-        object.__setattr__(self, "k_lower", tuple(klo))
-        object.__setattr__(self, "k_upper", tuple(khi))
         object.__setattr__(self, "_tables", {})  # grid and pair table
 
     @property
@@ -77,7 +72,7 @@ class Box:
         array returned is read-only."""
         if "grid" not in self._tables:
             axes = [np.linspace(a, b, self.resolution)
-                    for a, b in zip(self.k_lower, self.k_upper)]
+                    for a, b in zip(self.lower, self.upper)]
             mesh = np.meshgrid(*axes, indexing="ij")
             self._tables["grid"], = _read_only(
                 np.stack([m.ravel() for m in mesh], axis=-1))
@@ -99,9 +94,8 @@ class Box:
 
     @classmethod
     def unit(cls, dim: int, resolution: int = 9) -> "Box":
-        """The box [-0.5, 1.5]^dim around K = [0, 1]^dim."""
-        return cls(tuple([-0.5] * dim), tuple([1.5] * dim),
-                   tuple([0.0] * dim), tuple([1.0] * dim), resolution)
+        """K = [0, 1]^dim."""
+        return cls(tuple([0.0] * dim), tuple([1.0] * dim), resolution)
 
 
 @dataclass(frozen=True)
@@ -512,7 +506,8 @@ def _pair_norms(table: np.ndarray, i, j) -> np.ndarray:
     gathers in place of (pairs, columns) ones."""
     total = np.zeros(len(i))
     for col in np.ascontiguousarray(table.T):
-        d = col[i] - col[j]
+        d = col[i]
+        d -= col[j]
         d *= d
         total += d
     return np.sqrt(total)
@@ -533,8 +528,8 @@ def form_lipschitz(phi: FormField, box: Box) -> float:
         num = _pair_norms(phi.coefficients_at(pts), i, j)
         return float(np.max(num / dist, initial=0.0))
     rng = np.random.default_rng(0)
-    lo = np.asarray(box.k_lower)
-    hi = np.asarray(box.k_upper)
+    lo = np.asarray(box.lower)
+    hi = np.asarray(box.upper)
     npairs = _SAMPLED_PAIRS if exact else 2000
     best = 0.0
     batch = 1000 if exact else 50

@@ -79,8 +79,8 @@ def _halton(count: int, base: int) -> np.ndarray:
 def _sample_pairs(box: Box, n_pairs: int):
     """Deterministic pairs: Halton-sequence global pairs plus all
     grid-neighbor pairs, axis by axis."""
-    lo = np.asarray(box.k_lower)
-    hi = np.asarray(box.k_upper)
+    lo = np.asarray(box.lower)
+    hi = np.asarray(box.upper)
     n = box.dim
     primes = [2, 3, 5, 7, 11, 13][:n]
     count = n_pairs

@@ -34,15 +34,16 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is not the order 1
 def grundmann_moller(dim: int, s: int):
     """Grundmann-Moller rule on the standard dim-simplex, degree 2s+1.
 
     Returns (points, weights) in barycentric coordinates (dim+1 columns);
     weights sum to 1 (reference measure normalized to the simplex volume).
     The 0-simplex is a point: one node of weight 1.  The arrays are cached,
-    so they are read-only.
+    so they are read-only.  A ValueError unless s is a whole number >= 0.
     """
+    s = _whole_number("quadrature order", s, 0)
     if dim == 0:
         return _read_only(np.ones((1, 1)), np.ones(1))
     d = 2 * s + 1
@@ -78,7 +79,8 @@ def simplex_volumes(vertices: np.ndarray) -> np.ndarray:
 def simplex_rule(vertices: np.ndarray, s: int = 2):
     """Quadrature points and weights on a stack of geometric simplices
     (N, r+1, n): points (N, q, n) and weights (N, q), which sum to each
-    simplex's r-volume.  Exact for polynomials of degree <= 2s+1."""
+    simplex's r-volume.  Exact for polynomials of degree <= 2s+1.  A
+    ValueError unless the order s is a whole number >= 0."""
     v = np.asarray(vertices, dtype=float)
     bary, w = grundmann_moller(v.shape[1] - 1, s)
     return np.matmul(bary, v), w * simplex_volumes(v)[:, None]

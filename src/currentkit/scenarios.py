@@ -53,11 +53,19 @@ class ScenarioConfig:
     def from_obj(cls, obj: dict) -> "ScenarioConfig":
         known = {f for f in cls.__dataclass_fields__}
         extra = set(obj) - known
+        if isinstance(obj.get("box"), dict):
+            extra |= {f"box.{key}" for key in obj["box"]} - {
+                "box.lower", "box.upper", "box.resolution"}
         if extra:
             raise ValueError(f"unknown scenario fields: {sorted(extra)}")
         if "name" not in obj:
             raise ValueError("scenario missing required field 'name'")
         cfg = cls(**{k: obj[k] for k in obj})
+        for key in ("chain", "motion", "box"):
+            value = getattr(cfg, key)
+            if not (isinstance(value, dict) or key == "box" and value is None):
+                raise ValueError(f"scenario field {key!r} must be an object, "
+                                 f"got {value!r}")
         for key, low in _WHOLE_FIELDS:
             setattr(cfg, key, _whole(key, getattr(cfg, key), low))
         _finite("tau", cfg.tau)
@@ -82,24 +90,32 @@ class ScenarioConfig:
         for key, value in cfg.motion.items():
             if key != "family":
                 _finite(f"motion.{key}", value)
-        if np.shape(cfg.motion.get("interval", (-1.0, 1.0))) != (2,):
+        interval = cfg.motion.get("interval", (-1.0, 1.0))
+        if np.shape(interval) != (2,) or not interval[0] < interval[1]:
             raise ValueError(f"scenario field 'motion.interval' must be two "
-                             f"numbers, got {cfg.motion['interval']!r}")
+                             f"increasing numbers, got {interval!r}")
         _finite("chain.multiplier", cfg.chain.get("multiplier", 1.0))
-        for key in ("lower", "upper", "pad"):
-            if cfg.box is not None and key in cfg.box:
+        if cfg.box is not None:
+            for key in ("lower", "upper"):
+                if np.shape(cfg.box.get(key)) != (cfg.ambient,):
+                    raise ValueError(f"scenario field 'box.{key}' must be "
+                                     f"{cfg.ambient} numbers, got "
+                                     f"{cfg.box.get(key)!r}")
                 _finite(f"box.{key}", cfg.box[key])
-        for key in ("lower", "upper"):
-            if cfg.box is not None and np.shape(cfg.box.get(key)) != (
-                    cfg.ambient,):
-                raise ValueError(f"scenario field 'box.{key}' must be "
-                                 f"{cfg.ambient} numbers, got "
-                                 f"{cfg.box.get(key)!r}")
-        if cfg.box is not None and "resolution" in cfg.box:
-            cfg.box = {**cfg.box, "resolution": _whole(
-                "box.resolution", cfg.box["resolution"], 2)}
+            if "resolution" in cfg.box:
+                cfg.box = {**cfg.box, "resolution": _whole(
+                    "box.resolution", cfg.box["resolution"], 2)}
         if cfg.cochain is not None:
             _check_cochain(cfg.cochain, cfg.ambient)
+        # building the box, cochain and density checks the rest, so a file
+        # is checked whole whichever subcommand reads it
+        for key in ("box", "cochain", "density"):
+            if getattr(cfg, key) is not None:
+                try:
+                    getattr(cfg, f"build_{key}")()
+                except ValueError as exc:
+                    raise ValueError(f"scenario field {key!r}: {exc}") \
+                        from None
         return cfg
 
     # -- builders ------------------------------------------------------
@@ -135,7 +151,13 @@ class ScenarioConfig:
         degree = int(self.cochain["degree"])
         comps = {}
         for key, body in self.cochain["components"].items():
-            idx = tuple(int(s) for s in key.split(",")) if key else ()
+            idx = tuple(int(i) if i.isdecimal() else -1
+                        for i in key.split(",")) if key else ()
+            if (len(idx) != degree or list(idx) != sorted(set(idx))
+                    or not all(0 <= i < self.ambient for i in idx)):
+                raise ValueError(f"component key {key!r} must be {degree} "
+                                 f"increasing axis indices below "
+                                 f"{self.ambient}, joined by commas")
             comps[idx] = Polynomial.from_json_obj(self.ambient + 1, body)
         return Cochain(TimePolynomialForm(self.ambient, degree, comps),
                        name=self.name)
@@ -149,11 +171,8 @@ class ScenarioConfig:
     def build_box(self) -> Box:
         if self.box is None:
             return Box.unit(self.ambient, resolution=self.resolution)
-        lo = tuple(float(v) for v in self.box["lower"])
-        hi = tuple(float(v) for v in self.box["upper"])
-        pad = float(self.box.get("pad", 0.5))
-        return Box(tuple(v - pad for v in lo), tuple(v + pad for v in hi),
-                   lo, hi, self.box.get("resolution", self.resolution))
+        return Box(self.box["lower"], self.box["upper"],
+                   self.box.get("resolution", self.resolution))
 
 
 # the integer fields and their least values

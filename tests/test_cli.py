@@ -108,6 +108,41 @@ class TestScenarioConfig:
             assert main([command, "--config", str(path),
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("change, field", [
+        ({"box": {"lower": [0, 0], "upper": [1, 0]}}, "'box'"),
+        ({"box": {"lower": [0, 0], "upper": [1, 1], "pad": 0.5}},
+         "'box.pad'"),
+        ({"cochain": {"degree": 2, "components": {"0,1": [
+            {"exponents": [0, 0], "coefficient": 1.0}]}}}, "'cochain'"),
+        ({"density": [{"exponents": [0, 0], "coefficient": 1.0}]},
+         "'density'"),
+        ({"cochain": {"degree": 2, "components": {"0,5": []}}}, "'0,5'"),
+        ({"cochain": {"degree": 2, "components": {"1,0": []}}}, "'1,0'"),
+        ({"motion": {"family": "rotation", "interval": [1, -1]}},
+         "'motion.interval'"),
+        ({"motion": ["rotation"]}, "'motion'"),
+        ({"chain": "square"}, "'chain'"), ({"box": [0, 1]}, "'box'")],
+        ids=["box_order", "box_pad", "cochain_arity", "density_arity",
+             "key_range", "key_order", "interval", "motion_list",
+             "chain_string", "box_list"])
+    def test_file_is_checked_whole_by_every_subcommand(self, tmp_path,
+                                                       capsys, change,
+                                                       field):
+        # each exited 0 from some subcommand, "0,5" died in transport with
+        # a KeyError traceback and exit 1, and a field that is not an
+        # object with an AttributeError traceback and exit 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "motion": {"family": "rotation", "rate": 0.7},
+            "cochain": {"degree": 2, "components": {"0,1": [
+                {"exponents": [0, 2, 0], "coefficient": 1.0}]}},
+            **change}))
+        for command in ("verify", "transport", "flatnorm", "converge"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path)]) == 2
+            assert field in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("command", ["transport", "converge"])
     def test_repeated_eps_step_rejected(self, tmp_path, capsys, command):
         # a repeated step made the observed FD order log(1) / log(1), a nan
@@ -782,8 +817,9 @@ class TestDeterminism:
             ["refined"] * 8
         assert all(p.suffix == ".csv" for p in (tmp_path / "out").rglob("*")
                    if p.is_file())
-        # --against: a second run equals the first; a changed and a
-        # missing CSV are printed, and the exit code is 1
+        # --against: a second run equals the first; a changed CSV, one
+        # the second run lacks and one only it writes are printed, and
+        # the exit code is 1; a seed not written is not compared
         argv = [sys.executable, os.path.join(root, "tools", "cli_csvs.py"),
                 "--seeds", "42", "--against", str(tmp_path / "out")]
         done = subprocess.run(argv + [str(tmp_path / "same")], env=env,
@@ -794,6 +830,9 @@ class TestDeterminism:
             fh.write("\n")
         (seed / "flatgrid" / "cells_2d_r8" / "flatnorm" /
          "flatnorm.csv").unlink()
+        (seed / "refined" / "extra.csv").write_text("")
+        (tmp_path / "out" / "seed7").mkdir()
+        (tmp_path / "out" / "seed7" / "extra.csv").write_text("")
         done = subprocess.run(argv + [str(tmp_path / "other")], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 1, done.stderr
@@ -801,7 +840,8 @@ class TestDeterminism:
             "differs: " + os.path.join("seed42", "bundled", "verify",
                                        "verify.csv"),
             "differs: " + os.path.join("seed42", "flatgrid", "cells_2d_r8",
-                                       "flatnorm", "flatnorm.csv")]
+                                       "flatnorm", "flatnorm.csv"),
+            "differs: " + os.path.join("seed42", "refined", "extra.csv")]
 
 
     def test_ab_pairs_tool_refuses_a_cached_checkout(self, tmp_path):
@@ -902,7 +942,7 @@ class TestFlatnorm:
     @pytest.mark.parametrize("change", [
         {"seed": 43}, {"chain": {"builtin": "boundary_square"}},
         {"resolution": 8},
-        {"box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "pad": 0.25}}],
+        {"box": {"lower": [0.0, 0.0], "upper": [2.0, 2.0]}}],
         ids=["seed", "chain", "resolution", "box"])
     def test_shared_inputs_give_each_scenario_its_own_rows(
             self, tmp_path, monkeypatch, change):

@@ -1,6 +1,7 @@
 """Polynomials, form fields, exterior derivative, pullback, Lie derivative,
 and the seminorm family."""
 
+import dataclasses
 import json
 from math import comb
 from unittest import mock
@@ -538,8 +539,8 @@ class TestSeminorms:
         x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
         phi = FormField.from_polynomials(2, 1, {(0,): 2.0 * x + y,
                                                 (1,): 3.0 * y})
-        box = Box((-s, -s), (2 * s, 2 * s), (0, 0), (s, s), 40)
-        unit = form_lipschitz(phi, Box((-1, -1), (2, 2), (0, 0), (1, 1), 40))
+        box = Box((0, 0), (s, s), 40)
+        unit = form_lipschitz(phi, Box((0, 0), (1, 1), 40))
         assert form_lipschitz(phi, box) == pytest.approx(unit, rel=1e-12)
         assert 3.2 < unit <= np.linalg.norm([[2.0, 1.0], [0.0, 3.0]], 2)
 
@@ -574,6 +575,22 @@ class TestSeminorms:
         with pytest.raises(ValueError, match="grid resolution"):
             Box((0.0, 0.0), (1.0, 1.0), resolution=res)
 
+    def test_box_is_the_compact_set_it_samples(self):
+        # the grid spans [lower, upper]; there is no enclosing open box
+        box = Box((0.5, -1.0), (2.0, 1.0), 3)
+        assert [f.name for f in dataclasses.fields(Box)] == [
+            "lower", "upper", "resolution"]
+        assert box.grid().min(axis=0).tolist() == [0.5, -1.0]
+        assert box.grid().max(axis=0).tolist() == [2.0, 1.0]
+        assert Box.unit(2) == Box((0.0, 0.0), (1.0, 1.0))
+        # unchecked, a NaN or infinite bound gave a grid of NaN
+        for lower, upper in (((0.0, 1.0), (1.0, 1.0)), ((0.0,), (1.0, 1.0)),
+                             ((np.nan, 0.0), (1.0, 1.0)),
+                             ((-np.inf, 0.0), (1.0, 1.0)),
+                             ((0.0, 0.0), (1.0, np.inf))):
+            with pytest.raises(ValueError, match="finite lower < upper in each axis"):
+                Box(lower, upper)
+
 
 # every (ambient, degree, resolution) whose grid takes the all-pairs branch
 # every degree the all-pairs branch takes: in n = 4 degrees 1 and 3 have
@@ -591,7 +608,7 @@ class TestGridTables:
 
     @staticmethod
     def _box(n, res):
-        return Box((-1.0,) * n, (3.0,) * n, (0.1,) * n, (2.3,) * n, res)
+        return Box((0.1,) * n, (2.3,) * n, res)
 
     @pytest.mark.parametrize("n, r, res", ALL_PAIRS)
     def test_form_lipschitz_equals_all_pairs(self, n, r, res):
@@ -653,8 +670,7 @@ class TestGridTables:
         assert len(i) == 25 * 24 // 2
         np.testing.assert_array_equal(
             dist, np.linalg.norm(box.grid()[i] - box.grid()[j], axis=1))
-        tiny = Box((0.0,), (2.0,), (1.0,), (1.0 + 4 * np.finfo(float).eps,),
-                   resolution=9)
+        tiny = Box((1.0,), (1.0 + 4 * np.finfo(float).eps,), resolution=9)
         pts = tiny.grid()
         all_i, all_j = triu(9, 1)
         kept = pts[all_i, 0] != pts[all_j, 0]

@@ -6,6 +6,8 @@ from math import factorial
 import numpy as np
 import pytest
 
+from currentkit.chains import evaluate, triangle_chain
+from currentkit.forms import FormField
 from currentkit.quadrature import (_halving_indices, _kuhn_children,
                                    _leggauss, gauss_nodes, gauss_sum,
                                    grundmann_moller, integrate_interval,
@@ -45,6 +47,21 @@ class TestGrundmannMoller:
         pts, w = simplex_rule(np.array([[[2.0, 3.0]]]))
         np.testing.assert_allclose(pts, [[[2.0, 3.0]]])
         np.testing.assert_allclose(w, [[1.0]])
+
+    @pytest.mark.parametrize("s", [-1, True, 2.5])
+    def test_order_is_a_whole_number_of_at_least_zero(self, s):
+        # unchecked, -1 died inside matmul through `evaluate`, returned an
+        # empty rule from `grundmann_moller`, True ran as 1 and 2.5 raised
+        # a TypeError
+        tri = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+        phi = FormField.from_polynomials(2, 2, {(0, 1): 1.0})
+        with pytest.raises(ValueError, match="quadrature order"):
+            simplex_rule(tri, s)
+        with pytest.raises(ValueError, match="quadrature order"):
+            evaluate(triangle_chain(), phi, s_order=s)
+        grundmann_moller(2, 1)  # True is not its cached order 1
+        with pytest.raises(ValueError, match="quadrature order"):
+            grundmann_moller(2, s)
 
 
 class TestCachedTables:

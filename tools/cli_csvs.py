@@ -18,9 +18,9 @@ The generated inputs go to a temporary directory, so OUT holds the CSVs
 alone.  The library is the `currentkit` on PYTHONPATH (this checkout's
 `src/` when there is none), so the same script writes the outputs of
 another checkout with PYTHONPATH=<checkout>/src.  `--against DIR`
-compares every CSV written with the same path under DIR, the OUT of an
-earlier run, byte for byte, and prints the paths that differ or that DIR
-lacks:
+compares the CSVs of the seeds written with those under DIR, the OUT of
+an earlier run, byte for byte, and prints the paths that differ or that
+only one of the two has:
 
     PYTHONPATH=src python3 tools/cli_csvs.py OUT --against PARENT_OUT
 
@@ -72,19 +72,24 @@ def write_csvs(out: str, seed: int) -> list:
     return failed
 
 
-def differing(out: str, against: str) -> list:
-    """The paths of the files under `out`, relative to it, whose bytes
-    differ from those of the same path under `against` or that it
-    lacks."""
-    paths = []
-    for folder, _, names in os.walk(out):
-        for name in names:
-            path = os.path.relpath(os.path.join(folder, name), out)
-            other = os.path.join(against, path)
-            if not (os.path.isfile(other) and filecmp.cmp(
-                    os.path.join(out, path), other, shallow=False)):
-                paths.append(path)
-    return sorted(paths)
+def _files(root: str, seeds) -> set:
+    """The paths of the files under root/seed<seed>/ for each seed,
+    relative to `root`."""
+    return {os.path.relpath(os.path.join(folder, name), root)
+            for seed in seeds
+            for folder, _, names in os.walk(os.path.join(root, f"seed{seed}"))
+            for name in names}
+
+
+def differing(out: str, against: str, seeds) -> list:
+    """The paths, relative to `out` and `against`, of the files of
+    `seeds` whose bytes differ between the two or that only one has."""
+    return sorted(
+        path for path in _files(out, seeds) | _files(against, seeds)
+        if not all(os.path.isfile(os.path.join(root, path))
+                   for root in (out, against))
+        or not filecmp.cmp(os.path.join(out, path),
+                           os.path.join(against, path), shallow=False))
 
 
 def main(argv=None) -> int:
@@ -92,15 +97,16 @@ def main(argv=None) -> int:
     parser.add_argument("out", help="output directory (must not exist)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[42, 7, 977])
     parser.add_argument("--against", metavar="DIR",
-                        help="compare every written CSV byte for byte with "
-                        "the same path under DIR")
+                        help="compare the written seeds' CSVs byte for "
+                        "byte with those under DIR")
     args = parser.parse_args(argv)
     failed = []
     for seed in args.seeds:
         failed += write_csvs(os.path.join(args.out, f"seed{seed}"), seed)
     for argv in failed:
         print("exited non-zero:", " ".join(argv), file=sys.stderr)
-    differ = differing(args.out, args.against) if args.against else []
+    differ = (differing(args.out, args.against, args.seeds)
+              if args.against else [])
     for path in differ:
         print("differs:", path)
     return 1 if failed or differ else 0
