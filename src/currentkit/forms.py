@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .exterior import (CoVector, _contract_terms, _wedge_terms, basis_rank,
-                       comass, contract_rows, multi_indices)
+                       contract_rows, multi_indices)
 from .polynomial import Polynomial
 from .quadrature import _read_only, _whole_number
 
@@ -151,12 +151,8 @@ class FormField:
     @classmethod
     def from_polynomials(cls, ambient, degree, coeffs) -> "FormField":
         """`coeffs`: mapping multi-index tuple -> Polynomial (or number)."""
-        polys = [Polynomial.zero(ambient) for _ in range(comb(ambient, degree))]
-        for idx, p in coeffs.items():
-            if not isinstance(p, Polynomial):
-                p = Polynomial.constant(ambient, float(p))
-            polys[basis_rank(tuple(idx), ambient)] = p
-        return cls(degree, ambient, polys=polys)
+        return cls(degree, ambient, polys=_coefficient_polys(
+            coeffs, degree, ambient, ambient))
 
     @classmethod
     def from_callable(cls, ambient, degree, func) -> "FormField":
@@ -214,6 +210,26 @@ class FormField:
     def _check(self, other):
         if (self.degree, self.ambient) != (other.degree, other.ambient):
             raise ValueError("form degree/ambient mismatch")
+
+
+def _coefficient_polys(coeffs, degree: int, ambient: int,
+                       nvars: int) -> list:
+    """The coefficient polynomials in `nvars` variables of `coeffs`, a
+    mapping from multi-index to Polynomial or number; a bad key raises a
+    ValueError that names it."""
+    polys = [Polynomial.zero(nvars) for _ in range(comb(ambient, degree))]
+    for idx, p in coeffs.items():
+        key = tuple(idx)
+        if (len(key) != degree or list(key) != sorted(set(key))
+                or not all(0 <= i < ambient for i in key)):
+            raise ValueError(f"multi-index {idx!r} must be {degree} strictly "
+                             f"increasing axis indices below {ambient}")
+        if not isinstance(p, Polynomial):
+            p = Polynomial.constant(nvars, float(p))
+        if p.nvars != nvars:
+            raise ValueError(f"coefficient {idx!r} needs {nvars} variables")
+        polys[basis_rank(key, ambient)] = p
+    return polys
 
 
 def _sampled(func, pts: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -468,22 +484,20 @@ def lie_derivative_components(phi: FormField, v: VectorField) -> FormField:
 # seminorms
 # ----------------------------------------------------------------------
 
-def _comass_exact_degree(r: int, n: int) -> bool:
-    return r in (0, 1, n - 1, n)
+def _check_box(box: Box, ambient: int):
+    """A ValueError unless K is in R^ambient."""
+    if box.dim != ambient:
+        raise ValueError(f"a box in R^{box.dim} cannot sample a form or map "
+                         f"on R^{ambient}")
 
 
 def seminorm_comass(phi: FormField, box: Box) -> float:
-    """Grid estimate of the K-comass seminorm sup_K ||phi(x)||_0."""
-    pts = box.grid()
-    r, n = phi.degree, phi.ambient
-    if _comass_exact_degree(r, n):
-        coeffs = phi.coefficients_at(pts)
-        return float(np.max(np.linalg.norm(coeffs, axis=1)))
-    best = 0.0
-    for c in phi.coefficients_at(pts):
-        val, _ = comass(CoVector(r, n, c), restarts=20)
-        best = max(best, val)
-    return best
+    """Grid max of the Euclidean norm |phi(x)|: the K-comass seminorm at
+    degrees 0, 1, n-1 and n, an upper bound for it between (Federer
+    1.8.1)."""
+    _check_box(box, phi.ambient)
+    coeffs = phi.coefficients_at(box.grid())
+    return float(np.max(np.linalg.norm(coeffs, axis=1)))
 
 
 def seminorm_flat(phi: FormField, box: Box) -> float:
@@ -513,44 +527,34 @@ def _pair_norms(table: np.ndarray, i, j) -> np.ndarray:
     return np.sqrt(total)
 
 
-def form_lipschitz(phi: FormField, box: Box) -> float:
-    """Lipschitz constant estimate max ||phi(y)-phi(x)||_0 / |y-x|.
-
-    All grid pairs while the grid is small, over the box's pair table
-    (`Box.grid_pairs`), with the norms of the coefficient differences as
-    column sums (`_pair_norms`); random pair sampling beyond.
-    """
+def _pair_lipschitz(values_at, box: Box) -> tuple:
+    """(max |F(x) - F(y)| / |x - y|, pair count) for `values_at` mapping
+    points (m, n) to values (m, c): every pair of `Box.grid_pairs` up to
+    `_MAX_ALL_PAIR_POINTS` grid points, seeded uniform pairs beyond."""
     pts = box.grid()
-    r, n = phi.degree, phi.ambient
-    exact = _comass_exact_degree(r, n)
-    if len(pts) <= _MAX_ALL_PAIR_POINTS and exact:
+    if len(pts) <= _MAX_ALL_PAIR_POINTS:
         i, j, dist = box.grid_pairs()
-        num = _pair_norms(phi.coefficients_at(pts), i, j)
-        return float(np.max(num / dist, initial=0.0))
+        num = _pair_norms(values_at(pts), i, j)
+        return float(np.max(num / dist, initial=0.0)), len(i)
     rng = np.random.default_rng(0)
-    lo = np.asarray(box.lower)
-    hi = np.asarray(box.upper)
-    npairs = _SAMPLED_PAIRS if exact else 2000
-    best = 0.0
-    batch = 1000 if exact else 50
-    done = 0
-    while done < npairs:
-        k = min(batch, npairs - done)
-        xs = rng.uniform(lo, hi, size=(k, n))
-        ys = rng.uniform(lo, hi, size=(k, n))
+    lo, hi = np.asarray(box.lower), np.asarray(box.upper)
+    best, count = 0.0, 0
+    for _ in range(_SAMPLED_PAIRS // 1000):
+        xs = rng.uniform(lo, hi, size=(1000, box.dim))
+        ys = rng.uniform(lo, hi, size=(1000, box.dim))
         d = np.linalg.norm(xs - ys, axis=1)
         keep = d > 0.0
-        diff = phi.coefficients_at(xs[keep]) - phi.coefficients_at(ys[keep])
-        if exact:
-            ratios = np.linalg.norm(diff, axis=1) / d[keep]
-            if ratios.size:
-                best = max(best, float(np.max(ratios)))
-        else:
-            for c, dd in zip(diff, d[keep]):
-                val, _ = comass(CoVector(r, n, c), restarts=8)
-                best = max(best, val / dd)
-        done += k
-    return best
+        diff = values_at(xs[keep]) - values_at(ys[keep])
+        ratios = np.linalg.norm(diff, axis=1) / d[keep]
+        best = max(best, float(np.max(ratios, initial=0.0)))
+        count += len(ratios)
+    return best, count
+
+
+def form_lipschitz(phi: FormField, box: Box) -> float:
+    """Lipschitz estimate of phi's coefficients over K (`_pair_lipschitz`)."""
+    _check_box(box, phi.ambient)
+    return _pair_lipschitz(phi.coefficients_at, box)[0]
 
 
 def seminorm_sharp(phi: FormField, box: Box) -> float:
@@ -575,17 +579,7 @@ class TimePolynomialForm:
         self.ambient = ambient
         self.degree = degree
         self.ncomp = comb(ambient, degree)
-        polys = [Polynomial.zero(ambient + 1) for _ in range(self.ncomp)]
-        for idx, p in coeffs.items():
-            if not isinstance(p, Polynomial):
-                p = Polynomial.constant(ambient + 1, float(p))
-            if p.nvars != ambient + 1:
-                raise ValueError("coefficients must be polynomials in (t, x)")
-            if len(idx) != degree:
-                raise ValueError(f"multi-index {idx} has wrong length for "
-                                 f"degree {degree}")
-            polys[basis_rank(tuple(idx), ambient)] = p
-        self.polys = polys
+        self.polys = _coefficient_polys(coeffs, degree, ambient, ambient + 1)
 
     def at_time(self, t: float) -> FormField:
         return FormField(self.degree, self.ambient,

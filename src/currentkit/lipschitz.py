@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Chain, _edge_wedges, vertex_table
-from .forms import AffineMap, Box, _sampled
+from .forms import AffineMap, Box, _check_box, _pair_lipschitz, _sampled
 
 __all__ = [
     "LipMap",
@@ -16,9 +16,6 @@ __all__ = [
     "pushforward_chain",
     "make_map",
 ]
-
-_DEFAULT_PAIRS = 100_000
-
 
 @dataclass(frozen=True)
 class LipMap:
@@ -61,74 +58,18 @@ class LipMap:
                    name=name)
 
 
-def _halton(count: int, base: int) -> np.ndarray:
-    """The first `count` points of the van der Corput sequence in `base`,
-    one digit of all points per step: each point's sum takes the same
-    terms in the same order as a scalar digit loop, and a point whose
-    digits have run out adds 0.0, which leaves it as it is."""
-    k = np.arange(1, count + 1)
-    seq = np.zeros(count)
-    f = 1.0
-    while k.any():
-        f /= base
-        seq += f * (k % base)
-        k //= base
-    return seq
-
-
-def _sample_pairs(box: Box, n_pairs: int):
-    """Deterministic pairs: Halton-sequence global pairs plus all
-    grid-neighbor pairs, axis by axis."""
-    lo = np.asarray(box.lower)
-    hi = np.asarray(box.upper)
-    n = box.dim
-    primes = [2, 3, 5, 7, 11, 13][:n]
-    count = n_pairs
-    qr = np.stack([_halton(2 * count, p) for p in primes], axis=-1)
-    pts = lo + qr * (hi - lo)
-    xs, ys = pts[:count], pts[count:]
-    grid = box.grid()
-    res = box.resolution
-    # neighbor pairs along each axis of the raveled grid
-    lower, upper = [], []
-    for stride in (res ** k for k in range(n - 1, -1, -1)):
-        i = np.arange(len(grid) - stride)
-        i = i[(i // stride) % res != res - 1]
-        lower.append(i)
-        upper.append(i + stride)
-    lower = np.concatenate(lower)
-    if lower.size:
-        xs = np.vstack([xs, grid[lower]])
-        ys = np.vstack([ys, grid[np.concatenate(upper)]])
-    return xs, ys
-
-
-def _pair_ratios(f: LipMap, xs, ys):
-    # f is called once, on the distinct points by the vertex rule
-    table, ids = vertex_table(np.concatenate([xs, ys]))
-    images = f.values_at(table)[ids]
-    fx, fy = images[:len(xs)], images[len(xs):]
-    num = np.linalg.norm(fx - fy, axis=1)
-    den = np.linalg.norm(xs - ys, axis=1)
-    keep = den > 0.0
-    return num[keep] / den[keep]
-
-
-def lipschitz_constant(f: LipMap, box: Box, n_pairs: int = _DEFAULT_PAIRS):
-    """Sampled estimate of the K-Lipschitz constant.
-
-    The sample is a deterministic Halton set plus the grid-neighbor pairs.
-    Refined by Jacobian spectral norms on the grid when the Jacobian is
-    available.  Returns (estimate, sample_count).  No subcommand calls
-    it (`verify` takes the exact |A|_2 of its affine map); the tests'
-    oracles do.
-    """
-    xs, ys = _sample_pairs(box, n_pairs)
-    best = float(np.max(_pair_ratios(f, xs, ys)))
+def lipschitz_constant(f: LipMap, box: Box):
+    """Sampled estimate of the K-Lipschitz constant: the pair estimate of
+    `form_lipschitz` (`forms._pair_lipschitz`) on the images, raised to
+    the largest Jacobian spectral norm on the grid when f has a Jacobian.
+    Returns (estimate, pair count).  No subcommand calls it (`verify`
+    takes the exact |A|_2 of its affine map); the tests' oracles do."""
+    _check_box(box, f.ambient)
+    best, count = _pair_lipschitz(f.values_at, box)
     if f.jacobian is not None:
         best = max(best, float(np.max(np.linalg.norm(
             f.jacobians_at(box.grid()), 2, axis=(1, 2)))))
-    return best, len(xs)
+    return best, count
 
 
 def pushforward_chain(f: LipMap, T: Chain, levels: int = 0) -> Chain:
@@ -202,48 +143,51 @@ def _affine_frames(kind: str, ambient: int, values) -> tuple:
     return values[:, None, None] * np.eye(ambient), shifts
 
 
-def _affine_map(kind: str, ambient: int, value, name: str) -> LipMap:
-    """The affine map of `_affine_frames` at one value of its parameter."""
-    mats, shifts = _affine_frames(kind, ambient, [value])
-    return LipMap.affine(mats[0], shifts[0], name=name)
+# each `make_map` family's parameters, with their defaults (a
+# translation's offset is 0 in R^ambient)
+_MAP_DEFAULTS = {"identity": {}, "translation": {"offset": None},
+                 "rotation": {"angle": 0.0}, "shear": {"strength": 0.5},
+                 "scaling": {"factor": 2.0},
+                 "radial_stretch": {"strength": 0.25},
+                 "tent": {"center": 0.5, "width": 0.5, "amplitude": 0.3,
+                          "axis": 1}}
 
 
 def make_map(name: str, ambient: int = 2, **params) -> LipMap:
     """Named map families: translation, rotation, shear, scaling,
-    radial_stretch, tent."""
-    if name in ("identity", "translation"):
+    radial_stretch, tent, with the parameters of `_MAP_DEFAULTS`.  A
+    parameter that the family does not take raises a ValueError that
+    names it and lists those it takes."""
+    if name not in _MAP_DEFAULTS:
+        raise ValueError(f"unknown map family: {name}")
+    takes = list(_MAP_DEFAULTS[name])
+    for key in params:
+        if key not in takes:
+            raise ValueError(f"map family {name!r} has no parameter "
+                             f"{key!r}; it takes {takes}")
+    if name == "rotation" and ambient != 2:
+        raise ValueError("rotation family is planar")
+    if name == "shear" and ambient < 2:
+        raise ValueError("shear family needs at least 2 dimensions")
+    p = {**_MAP_DEFAULTS[name], **params}
+    if name in ("identity", "translation", "rotation", "shear", "scaling"):
         # the identity is the translation by 0
-        offset = (params.get("offset", np.zeros(ambient))
-                  if name == "translation" else np.zeros(ambient))
-        return _affine_map("translation", ambient, offset, name)
-    if name == "rotation":
-        theta = float(params.get("angle", 0.0))
-        if ambient != 2:
-            raise ValueError("rotation family is planar")
-        return _affine_map("rotation", ambient, theta, name)
-    if name == "shear":
-        if ambient < 2:
-            raise ValueError("shear family needs at least 2 dimensions")
-        return _affine_map("shear", ambient,
-                           float(params.get("strength", 0.5)), name)
-    if name == "scaling":
-        return _affine_map("scaling", ambient,
-                           float(params.get("factor", 2.0)), name)
+        kind = "translation" if name == "identity" else name
+        value = (params.get("offset", np.zeros(ambient))
+                 if kind == "translation" else float(p[takes[0]]))
+        mats, shifts = _affine_frames(kind, ambient, [value])
+        return LipMap.affine(mats[0], shifts[0], name=name)
     if name == "radial_stretch":
-        s = float(params.get("strength", 0.25))
+        s = float(p["strength"])
 
         def f(x, s=s):
             return x * (1.0 + s * np.sum(x * x, axis=1, keepdims=True))
 
         return LipMap(ambient, f, name="radial_stretch")
-    if name == "tent":
-        c = float(params.get("center", 0.5))
-        w = float(params.get("width", 0.5))
-        amp = float(params.get("amplitude", 0.3))
-        axis = int(params.get("axis", 1))
+    c, w, amp = (float(p[key]) for key in ("center", "width", "amplitude"))
+    axis = int(p["axis"])
 
-        def f(x, c=c, w=w, amp=np.array([amp]), axis=axis):
-            return _tent_lift(x, amp, c, w, axis)[0]
+    def f(x, c=c, w=w, amp=np.array([amp]), axis=axis):
+        return _tent_lift(x, amp, c, w, axis)[0]
 
-        return LipMap(ambient, f, name="tent")
-    raise ValueError(f"unknown map family: {name}")
+    return LipMap(ambient, f, name="tent")

@@ -101,14 +101,13 @@ def interval_product_evaluate(interval, T: Chain, omega: FormField,
     return integrate_interval(integrand, a, b, panels=panels)
 
 
-def strong_lip_distance(f: LipMap, g: LipMap, box: Box,
-                        n_pairs: int = 20_000) -> float:
+def strong_lip_distance(f: LipMap, g: LipMap, box: Box) -> float:
     """Strong-Lipschitz seminorm of f - g on K:
     max(sup |f-g|, Lip(f-g))."""
     diff = LipMap(f.ambient,
                   lambda x, a=f, b=g: a.values_at(x) - b.values_at(x))
     sup = max(float(np.linalg.norm(diff(x))) for x in box.grid())
-    lip, _ = lipschitz_constant(diff, box, n_pairs)
+    lip, _ = lipschitz_constant(diff, box)
     return max(sup, lip)
 
 
@@ -522,11 +521,13 @@ def preorder_network_simplex(tail, head, cost, cap, n_nodes):
         tree.rehang(stem[:out + 1], stem[out + 1:], grow, parent, e)
 
 
-def all_pairs_lipschitz(phi: FormField, pts) -> float:
-    """max ||phi(x_i) - phi(x_j)|| / |x_i - x_j| over the pairs of distinct
-    points, from (p, p) tables of coefficient differences and distances."""
-    coeffs = phi.coefficients_at(pts)
-    diff = coeffs[:, None, :] - coeffs[None, :, :]
+def all_pairs_lipschitz(values_at, pts) -> float:
+    """max |F(x_i) - F(x_j)| / |x_i - x_j| over the pairs of distinct
+    points, from (p, p) tables of value differences and distances, for
+    `values_at` mapping points (m, n) to values (m, c): a form's
+    `coefficients_at` or a map's `values_at`."""
+    values = values_at(pts)
+    diff = values[:, None, :] - values[None, :, :]
     num = np.linalg.norm(diff, axis=2)
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     mask = dist > 0

@@ -818,13 +818,15 @@ class TestDeterminism:
         assert all(p.suffix == ".csv" for p in (tmp_path / "out").rglob("*")
                    if p.is_file())
         # --against: a second run equals the first; a changed CSV, one
-        # the second run lacks and one only it writes are printed, and
-        # the exit code is 1; a seed not written is not compared
+        # the second run lacks and one only it writes are printed, then
+        # the counts, and the exit code is 1; a seed not written is not
+        # compared
         argv = [sys.executable, os.path.join(root, "tools", "cli_csvs.py"),
                 "--seeds", "42", "--against", str(tmp_path / "out")]
         done = subprocess.run(argv + [str(tmp_path / "same")], env=env,
                               capture_output=True, text=True, timeout=300)
-        assert (done.returncode, done.stdout) == (0, ""), done.stderr
+        assert (done.returncode, done.stdout) == (
+            0, "compared 18 files: 0 differ\n"), done.stderr
         seed = tmp_path / "out" / "seed42"
         with open(seed / "bundled" / "verify" / "verify.csv", "a") as fh:
             fh.write("\n")
@@ -841,7 +843,8 @@ class TestDeterminism:
                                        "verify.csv"),
             "differs: " + os.path.join("seed42", "flatgrid", "cells_2d_r8",
                                        "flatnorm", "flatnorm.csv"),
-            "differs: " + os.path.join("seed42", "refined", "extra.csv")]
+            "differs: " + os.path.join("seed42", "refined", "extra.csv"),
+            "compared 19 files: 3 differ"]
 
 
     def test_ab_pairs_tool_refuses_a_cached_checkout(self, tmp_path):

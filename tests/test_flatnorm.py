@@ -766,6 +766,21 @@ class TestOnePassLadder:
             (res in (1500, 38))
         self._check(*_ladder_case(n, n - 1, res, resolution=res))
 
+    def test_bounds_stay_below_the_mass_of_a_chain_in_r4(self):
+        # affine 2-forms on K = [0, 1]^4: |phi| is convex, so its grid max
+        # is its sup on K, and with comass <= |phi| every ratio
+        # T(phi) / s(phi) is at most M(T), T in K, at the middle degree too
+        rng = np.random.default_rng(4)
+        T = Chain(rng.uniform(0.0, 1.0, size=(6, 3, 4)), rng.normal(size=6))
+        family = [FormField.random_polynomial(4, 2, rng, max_degree=1)
+                  for _ in range(8)]
+        family.append(FormField.from_polynomials(4, 2, {(0, 1): 1.0,
+                                                        (2, 3): 1.0}))
+        flat, sharp = lower_bounds(T, family, Box.unit(4, resolution=2))
+        mass = mass_chain(T)
+        assert 0.0 < flat <= mass * (1 + 1e-12)
+        assert 0.0 < sharp <= mass * (1 + 1e-12)
+
     def test_no_positive_pairing_gives_zero(self):
         # the bounds are max(0, max of the ratios)
         T, family, box = _ladder_case(2, 1, 5)

@@ -3,6 +3,7 @@ and the seminorm family."""
 
 import dataclasses
 import json
+import re
 from math import comb
 from unittest import mock
 
@@ -12,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from currentkit import forms
-from currentkit.exterior import multi_indices
+from currentkit.exterior import CoVector, comass, multi_indices
 from currentkit.forms import (AffineMap, Box, FormField, TimePolynomialForm,
                               VectorField, contract, exterior_derivative,
                               form_lipschitz, lie_derivative,
                               lie_derivative_components, pullback,
                               seminorm_comass, seminorm_flat, seminorm_sharp,
                               time_slice_contract)
-from currentkit.lipschitz import LipMap
+from currentkit.lipschitz import LipMap, lipschitz_constant
 from currentkit.polynomial import Polynomial
 from oracles import (all_pairs_lipschitz, contract_at, derivative_at,
                      eval_many_by_term, pullback_at)
@@ -592,19 +593,62 @@ class TestSeminorms:
                 Box(lower, upper)
 
 
+    @pytest.mark.parametrize("r", range(5))
+    def test_middle_degree_comass_is_bounded_by_the_euclidean_norm(self, r):
+        # in R^4 the seminorm is the grid max of |phi(x)|: at least the
+        # comass at every grid point, and equal to it at r in {0, 1, 3, 4}
+        rng = np.random.default_rng(40 + r)
+        phi = FormField.random_polynomial(4, r, rng, max_degree=1)
+        box = Box.unit(4, resolution=2)
+        coeffs = phi.coefficients_at(box.grid())
+        norms = np.linalg.norm(coeffs, axis=1)
+        assert seminorm_comass(phi, box) == norms.max()
+        for c, euclid in zip(coeffs, norms):
+            value, _ = comass(CoVector(r, 4, c), restarts=10)
+            if r == 2:
+                assert euclid >= value - 1e-12
+            else:
+                assert value == pytest.approx(euclid, rel=1e-12)
+
+    def test_symplectic_form_reads_its_euclidean_norm(self):
+        # dx0^dx1 + dx2^dx3 has comass 1 and Euclidean norm sqrt 2; the
+        # seminorm reads the upper bound
+        phi = FormField.from_polynomials(4, 2, {(0, 1): 1.0, (2, 3): 1.0})
+        box = Box.unit(4, resolution=2)
+        assert comass(phi([0.5] * 4))[0] == pytest.approx(1.0)
+        assert seminorm_comass(phi, box) == pytest.approx(np.sqrt(2.0))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_box_must_be_in_the_forms_space(self, dim):
+        # a 2-D form on a box in R^1 or R^3 read a number (comass 1.0)
+        phi = FormField.from_polynomials(2, 1, {(0,): 1.0})
+        box = Box.unit(dim, resolution=3)
+        for seminorm in (seminorm_comass, seminorm_flat, seminorm_sharp,
+                         form_lipschitz):
+            with pytest.raises(ValueError, match=f"a box in R\\^{dim} "
+                               "cannot sample a form or map on R\\^2"):
+                seminorm(phi, box)
+        with pytest.raises(ValueError, match=f"a box in R\\^{dim}"):
+            lipschitz_constant(LipMap.identity(2), box)
+
+
 # every (ambient, degree, resolution) whose grid takes the all-pairs branch
-# every degree the all-pairs branch takes: in n = 4 degrees 1 and 3 have
-# four coefficient columns, and degree 2 takes the sampled comass
 ALL_PAIRS = [(n, r, res) for n in (1, 2, 3, 4) for r in range(n + 1)
              for res in (2, 3, 5, 8, 11, 16, 32)
-             if res ** n <= forms._MAX_ALL_PAIR_POINTS
-             and forms._comass_exact_degree(r, n)]
+             if res ** n <= forms._MAX_ALL_PAIR_POINTS]
+
+
+def _maps_without_jacobian(n):
+    return [LipMap(n, lambda x: np.sin(x) + 2.0 * x),
+            LipMap(n, lambda x: x * (1.0 + 0.3 * np.sum(x * x, axis=1,
+                                                         keepdims=True)))]
 
 
 class TestGridTables:
     """`Box` keeps its grid and the grid's pair table, read-only, and
-    `form_lipschitz` takes the same maximum over that table as over the
-    (p, p) all-pairs tables (`oracles.all_pairs_lipschitz`)."""
+    `form_lipschitz` and `lipschitz_constant` take the same maximum over
+    that table as over the (p, p) all-pairs tables
+    (`oracles.all_pairs_lipschitz`)."""
 
     @staticmethod
     def _box(n, res):
@@ -616,7 +660,18 @@ class TestGridTables:
         phi = FormField.random_polynomial(n, r, rng, max_degree=2)
         box = self._box(n, res)
         assert form_lipschitz(phi, box) == \
-            all_pairs_lipschitz(phi, box.grid())
+            all_pairs_lipschitz(phi.coefficients_at, box.grid())
+
+    @pytest.mark.parametrize("n, res", sorted({(n, res)
+                                               for n, _, res in ALL_PAIRS}))
+    def test_lipschitz_constant_equals_all_pairs(self, n, res):
+        # a map without a Jacobian: the estimate is the pair maximum alone,
+        # over every pair of the box's table
+        box = self._box(n, res)
+        for f in _maps_without_jacobian(n):
+            lip, count = lipschitz_constant(f, box)
+            assert lip == all_pairs_lipschitz(f.values_at, box.grid())
+            assert count == len(box.grid_pairs()[0]) == comb(res ** n, 2)
 
     @pytest.mark.parametrize("n, res", sorted({(n, res)
                                                for n, _, res in ALL_PAIRS}))
@@ -635,11 +690,12 @@ class TestGridTables:
         rng = np.random.default_rng(n)
         phi = FormField.random_polynomial(n, n - 1, rng, max_degree=2)
         box = self._box(n, res)
-        assert form_lipschitz(phi, box) == all_pairs_lipschitz(phi, box.grid())
+        assert form_lipschitz(phi, box) == all_pairs_lipschitz(
+            phi.coefficients_at, box.grid())
         assert len(box.grid()) == res ** n
         default = self._box(n, 9)
         assert form_lipschitz(phi, default) == \
-            all_pairs_lipschitz(phi, default.grid())
+            all_pairs_lipschitz(phi.coefficients_at, default.grid())
 
     def test_grid_is_built_once_per_resolution(self):
         # each box builds the grid and pair table of its resolution once
@@ -717,3 +773,19 @@ class TestTimeForms:
     def test_degree_mismatch_raises(self):
         with pytest.raises(ValueError):
             TimePolynomialForm(2, 1, {(0, 1): Polynomial.zero(3)})
+
+
+@pytest.mark.parametrize("degree, key", [
+    (2, (1, 0)), (2, (0, 5)), (2, (0, 0)), (1, (0, 1)), (1, (-1,)),
+    (2, (0,))])
+@pytest.mark.parametrize("build", [
+    lambda degree, key: FormField.from_polynomials(2, degree, {key: 1.0}),
+    lambda degree, key: TimePolynomialForm(2, degree, {key: 1.0})],
+    ids=["FormField.from_polynomials", "TimePolynomialForm"])
+def test_bad_multi_index_is_named(build, degree, key):
+    # unchecked, (1, 0) and (0, 5) were a bare KeyError, and (0, 1) of a
+    # 1-form set the dx0 coefficient
+    with pytest.raises(ValueError, match=re.escape(
+            f"multi-index {key!r} must be {degree} strictly increasing "
+            f"axis indices below 2")):
+        build(degree, key)

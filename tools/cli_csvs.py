@@ -19,8 +19,9 @@ alone.  The library is the `currentkit` on PYTHONPATH (this checkout's
 `src/` when there is none), so the same script writes the outputs of
 another checkout with PYTHONPATH=<checkout>/src.  `--against DIR`
 compares the CSVs of the seeds written with those under DIR, the OUT of
-an earlier run, byte for byte, and prints the paths that differ or that
-only one of the two has:
+an earlier run, byte for byte, prints the paths that differ or that
+only one of the two has, and then how many files it compared and how
+many differ:
 
     PYTHONPATH=src python3 tools/cli_csvs.py OUT --against PARENT_OUT
 
@@ -81,11 +82,13 @@ def _files(root: str, seeds) -> set:
             for name in names}
 
 
-def differing(out: str, against: str, seeds) -> list:
-    """The paths, relative to `out` and `against`, of the files of
-    `seeds` whose bytes differ between the two or that only one has."""
-    return sorted(
-        path for path in _files(out, seeds) | _files(against, seeds)
+def differing(out: str, against: str, seeds) -> tuple:
+    """(the number of files of `seeds` under either of `out` and
+    `against`, the sorted paths, relative to both, of those whose bytes
+    differ between the two or that only one has)."""
+    paths = _files(out, seeds) | _files(against, seeds)
+    return len(paths), sorted(
+        path for path in paths
         if not all(os.path.isfile(os.path.join(root, path))
                    for root in (out, against))
         or not filecmp.cmp(os.path.join(out, path),
@@ -105,10 +108,12 @@ def main(argv=None) -> int:
         failed += write_csvs(os.path.join(args.out, f"seed{seed}"), seed)
     for argv in failed:
         print("exited non-zero:", " ".join(argv), file=sys.stderr)
-    differ = (differing(args.out, args.against, args.seeds)
-              if args.against else [])
-    for path in differ:
-        print("differs:", path)
+    differ = []
+    if args.against:
+        compared, differ = differing(args.out, args.against, args.seeds)
+        for path in differ:
+            print("differs:", path)
+        print(f"compared {compared} files: {len(differ)} differ")
     return 1 if failed or differ else 0
 
 
