@@ -143,39 +143,79 @@ def _affine_frames(kind: str, ambient: int, values) -> tuple:
     return values[:, None, None] * np.eye(ambient), shifts
 
 
-# each `make_map` family's parameters, with their defaults (a
-# translation's offset is 0 in R^ambient)
-_MAP_DEFAULTS = {"identity": {}, "translation": {"offset": None},
-                 "rotation": {"angle": 0.0}, "shear": {"strength": 0.5},
-                 "scaling": {"factor": 2.0},
-                 "radial_stretch": {"strength": 0.25},
-                 "tent": {"center": 0.5, "width": 0.5, "amplitude": 0.3,
-                          "axis": 1}}
+# each kind of family parameter: what a value must be, and the test of
+# its numeric array a in n dimensions
+_KINDS = {
+    "number": ("a number", lambda a, n: a.shape == ()),
+    "positive": ("a positive number", lambda a, n: a.shape == () and a > 0),
+    "vector": ("{n} numbers", lambda a, n: a.shape == (n,)),
+    "axis": ("an axis in range({n})",
+             lambda a, n: a.shape == () and a in range(n)),
+}
+
+# the tent's parameters, as a `make_map` and a `make_motion` family
+_TENT = {"center": ("number", 0.5), "width": ("positive", 0.5),
+         "amplitude": ("number", 0.3), "axis": ("axis", 1)}
+
+# each `make_map` family's parameters, with their kinds and defaults; a
+# vector's default is a function of the ambient dimension
+_MAP_FAMILIES = {
+    "identity": {},
+    "translation": {"offset": ("vector", np.zeros)},
+    "rotation": {"angle": ("number", 0.0)},
+    "shear": {"strength": ("number", 0.5)},
+    "scaling": {"factor": ("number", 2.0)},
+    "radial_stretch": {"strength": ("number", 0.25)},
+    "tent": _TENT,
+}
 
 
-def make_map(name: str, ambient: int = 2, **params) -> LipMap:
-    """Named map families: translation, rotation, shear, scaling,
-    radial_stretch, tent, with the parameters of `_MAP_DEFAULTS`.  A
-    parameter that the family does not take raises a ValueError that
-    names it and lists those it takes."""
-    if name not in _MAP_DEFAULTS:
-        raise ValueError(f"unknown map family: {name}")
-    takes = list(_MAP_DEFAULTS[name])
+def _family_params(what: str, families: dict, name: str, params: dict,
+                   ambient: int) -> dict:
+    """The parameters in force of the `what` ("map" or "motion") family
+    `name` of `families`: `params` over the family's defaults.  A
+    ValueError unless `name` is a family, every item of `params` one of
+    its parameters and every parameter in force of its kind in `ambient`
+    dimensions, defaults too; and unless a rotation is planar and a shear
+    has a second axis."""
+    if name not in families:
+        raise ValueError(f"unknown {what} family: {name}")
+    takes = families[name]
     for key in params:
         if key not in takes:
-            raise ValueError(f"map family {name!r} has no parameter "
-                             f"{key!r}; it takes {takes}")
+            raise ValueError(f"{what} family {name!r} has no parameter "
+                             f"{key!r}; it takes {list(takes)}")
     if name == "rotation" and ambient != 2:
         raise ValueError("rotation family is planar")
     if name == "shear" and ambient < 2:
         raise ValueError("shear family needs at least 2 dimensions")
-    p = {**_MAP_DEFAULTS[name], **params}
+    out = {}
+    for key, (kind, default) in takes.items():
+        if key in params:
+            value = params[key]
+        else:
+            value = default(ambient) if callable(default) else default
+        text, test = _KINDS[kind]
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf" or not test(arr, ambient):
+            raise ValueError(f"{what} parameter {key!r} of family {name!r} "
+                             f"must be {text.format(n=ambient)}, got "
+                             f"{value!r}")
+        out[key] = value
+    return out
+
+
+def make_map(name: str, ambient: int = 2, **params) -> LipMap:
+    """Named map families: translation, rotation, shear, scaling,
+    radial_stretch, tent, with the parameters of `_MAP_FAMILIES`.  A
+    parameter that the family does not take, or one of the wrong kind,
+    raises a ValueError that names it (`_family_params`)."""
+    p = _family_params("map", _MAP_FAMILIES, name, params, ambient)
     if name in ("identity", "translation", "rotation", "shear", "scaling"):
-        # the identity is the translation by 0
+        # each takes one parameter; the identity is the translation by 0
         kind = "translation" if name == "identity" else name
-        value = (params.get("offset", np.zeros(ambient))
-                 if kind == "translation" else float(p[takes[0]]))
-        mats, shifts = _affine_frames(kind, ambient, [value])
+        values = list(p.values()) or [np.zeros(ambient)]
+        mats, shifts = _affine_frames(kind, ambient, values)
         return LipMap.affine(mats[0], shifts[0], name=name)
     if name == "radial_stretch":
         s = float(p["strength"])

@@ -13,8 +13,8 @@ from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
                      evaluate_copies, simplex_geometry)
 from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
                     exterior_derivative, seminorm_comass)
-from .lipschitz import (LipMap, _affine_frames, _tent, _tent_lift,
-                        pushforward_chain)
+from .lipschitz import (_TENT, LipMap, _affine_frames, _family_params,
+                        _tent, _tent_lift, pushforward_chain)
 from .polynomial import Polynomial
 from .quadrature import (gauss_nodes, gauss_quadrature, gauss_sum,
                          simplex_rule)
@@ -362,7 +362,7 @@ def transport_derivative_fd_ladder(m: Motion, T: Chain, psi: Cochain,
 
 def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
                        tau: float, levels: int = 0):
-    """Classical transport theorem for a full-dimensional chain.
+    """Classical transport theorem for a full-dimensional chain in R^n.
 
     `density` is a time-dependent 0-form; the transported property is
     density times the volume form.  Returns (lhs, volume_term, flux_term)
@@ -374,8 +374,6 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
     n = T.ambient
     if T.degree != n:
         raise ValueError("classical transport needs a full-dimensional chain")
-    if n != 2:
-        raise ValueError("flux normals implemented for the planar case")
     if density.degree != 0:
         raise ValueError("density must be a 0-form")
     vol_index = tuple(range(n))
@@ -395,7 +393,9 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
     if np.any(degenerate):
         raise ValueError("degenerate boundary face in classical_reynolds")
     tangents = tangents / lengths[:, None]
-    nu = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)  # outward, ccw
+    # the outward normal of a face of unit (n-1)-vector xi,
+    # nu_i = (-1)^i xi_{n-1-i}: nu ^ xi = e_0 ^ ... ^ e_{n-1}
+    nu = tangents[:, ::-1] * (-1.0) ** np.arange(n)
     pts, wts = simplex_rule(verts)
     pts = pts.reshape(-1, n)
     rho = density.at_time(tau).coefficients_at(pts)[:, 0]
@@ -430,56 +430,17 @@ def continuity_modulus(m: Motion, T: Chain, t: float, eps_list, family,
 # built-in motion families
 # ----------------------------------------------------------------------
 
-# each family's parameters and their kinds; make_motion and scenario
-# files take no others
-_PARAMETERS = {
+# each family's parameters, with their kinds and defaults, as
+# `lipschitz._MAP_FAMILIES` states a map family's; make_motion and
+# scenario files take no others
+_MOTION_FAMILIES = {
     "identity": {},
-    "translation": {"velocity": "vector"},
-    "rotation": {"rate": "number"},
+    "translation": {"velocity": ("vector", lambda n: 0.25 * np.eye(n)[0])},
+    "rotation": {"rate": ("number", 1.0)},
     "expansion": {},
-    "shear": {"rate": "number"},
-    "tent": {"center": "number", "width": "positive",
-             "amplitude": "number", "axis": "axis"},
+    "shear": {"rate": ("number", 0.5)},
+    "tent": _TENT,
 }
-
-# the parameters a family takes when a scenario leaves them out
-_DEFAULTS = {
-    "rotation": {"rate": 1.0},
-    "shear": {"rate": 0.5},
-    "tent": {"center": 0.5, "width": 0.5, "amplitude": 0.3, "axis": 1},
-}
-
-# each kind: what a value must be, and the test of its numeric array a
-# in n dimensions
-_KINDS = {
-    "number": ("a number", lambda a, n: a.shape == ()),
-    "positive": ("a positive number", lambda a, n: a.shape == () and a > 0),
-    "vector": ("{n} numbers", lambda a, n: a.shape == (n,)),
-    "axis": ("an axis in range({n})",
-             lambda a, n: a.shape == () and a in range(n)),
-}
-
-
-def _check_family(name: str, params: dict, ambient: int):
-    """A ValueError unless `name` is a motion family and every item of
-    `params` one of its parameters in `_PARAMETERS`, of its kind in
-    `ambient` dimensions; so must be the `_DEFAULTS` that `params`
-    leaves in force."""
-    if name not in _PARAMETERS:
-        raise ValueError(f"unknown motion family: {name}")
-    if name == "shear" and ambient < 2:
-        raise ValueError("shear family needs at least 2 dimensions")
-    kinds = _PARAMETERS[name]
-    for key, value in {**_DEFAULTS.get(name, {}), **params}.items():
-        if key not in kinds:
-            raise ValueError(f"motion family {name!r} has no parameter "
-                             f"{key!r}; it takes {list(kinds)}")
-        what, test = _KINDS[kinds[key]]
-        arr = np.asarray(value)
-        if arr.dtype.kind not in "iuf" or not test(arr, ambient):
-            raise ValueError(f"motion parameter {key!r} of family {name!r} "
-                             f"must be {what.format(n=ambient)}, got "
-                             f"{value!r}")
 
 
 def _affine_maps(kind: str, ambient: int, parameter):
@@ -501,8 +462,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
     shear, tent.  Each is the `make_map` family of the same kind at a
     parameter scaled by time, its maps stated for an array of times, with
     its exact Eulerian velocity."""
-    _check_family(name, params, ambient)
-    params = {**_DEFAULTS.get(name, {}), **params}
+    params = _family_params("motion", _MOTION_FAMILIES, name, params, ambient)
     iv = tuple(float(t) for t in interval)
 
     if name == "identity":
@@ -513,16 +473,13 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
             lambda t: zero, name)
 
     if name == "translation":
-        c = np.asarray(params.get("velocity", [0.25] + [0.0] * (ambient - 1)),
-                       dtype=float)
+        c = np.asarray(params["velocity"], dtype=float)
         vf = VectorField.constant(c)
         return Motion(iv, ambient, _affine_maps(
             "translation", ambient, lambda ts: ts[:, None] * c),
             lambda t: vf, name)
 
     if name == "rotation":
-        if ambient != 2:
-            raise ValueError("rotation family is planar")
         w = float(params["rate"])
         x0, x1 = (Polynomial.variable(i, 2) for i in (0, 1))
         vf = VectorField.from_polynomials([(-w) * x1, w * x0])

@@ -11,7 +11,7 @@ import numpy as np
 from .chains import (Chain, boundary, triangle_chain, unit_interval_chain,
                      unit_square_chain)
 from .forms import Box, TimePolynomialForm
-from .motion import Cochain, Motion, _check_family, make_motion
+from .motion import Cochain, Motion, make_motion
 from .polynomial import _REAL, Polynomial, _is_whole
 
 __all__ = ["ScenarioConfig", "load_config", "builtin_scenarios"]
@@ -84,9 +84,6 @@ class ScenarioConfig:
         if len(set(cfg.eps_ladder)) < len(cfg.eps_ladder):
             raise ValueError(f"scenario field 'eps_ladder' must not repeat "
                              f"a step, got {list(cfg.eps_ladder)}")
-        _check_family(cfg.motion.get("family"),
-                      {k: v for k, v in cfg.motion.items()
-                       if k not in ("family", "interval")}, cfg.ambient)
         for key, value in cfg.motion.items():
             if key != "family":
                 _finite(f"motion.{key}", value)
@@ -94,6 +91,12 @@ class ScenarioConfig:
         if np.shape(interval) != (2,) or not interval[0] < interval[1]:
             raise ValueError(f"scenario field 'motion.interval' must be two "
                              f"increasing numbers, got {interval!r}")
+        # the finite differences read the motion at each tau + eps, tau - eps
+        if not all(interval[0] <= cfg.tau + s * e <= interval[1]
+                   for e in cfg.eps_ladder for s in (1.0, -1.0)):
+            raise ValueError(f"scenario field 'tau' must lie in "
+                             f"'motion.interval' {list(interval)} by each "
+                             f"step of 'eps_ladder', got {cfg.tau!r}")
         _finite("chain.multiplier", cfg.chain.get("multiplier", 1.0))
         if cfg.box is not None:
             for key in ("lower", "upper"):
@@ -107,9 +110,9 @@ class ScenarioConfig:
                     "box.resolution", cfg.box["resolution"], 2)}
         if cfg.cochain is not None:
             _check_cochain(cfg.cochain, cfg.ambient)
-        # building the box, cochain and density checks the rest, so a file
-        # is checked whole whichever subcommand reads it
-        for key in ("box", "cochain", "density"):
+        # building the motion, box, cochain and density checks the rest,
+        # so a file is checked whole whichever subcommand reads it
+        for key in ("motion", "box", "cochain", "density"):
             if getattr(cfg, key) is not None:
                 try:
                     getattr(cfg, f"build_{key}")()
@@ -140,6 +143,8 @@ class ScenarioConfig:
 
     def build_motion(self) -> Motion:
         spec = dict(self.motion)
+        if "family" not in spec:
+            raise ValueError("motion spec needs a 'family'")
         family = spec.pop("family")
         interval = tuple(spec.pop("interval", (-1.0, 1.0)))
         return make_motion(family, ambient=self.ambient, interval=interval,

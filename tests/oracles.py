@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from currentkit import flatnorm, forms, motion
+from currentkit import flatnorm, forms, lipschitz, motion
 from currentkit.chains import (Boundary, Chain, _leaf_evaluate, boundary,
                                evaluate)
 from currentkit.exterior import multi_indices
@@ -691,12 +691,12 @@ def motion_map_by_make_map(name: str, ambient: int, t: float,
                            **params) -> LipMap:
     """kappa_t of the `make_motion` family `name`: the `make_map` family of
     its kind at the parameter scaled by t, with the family's defaults."""
-    params = {**motion._DEFAULTS.get(name, {}), **params}
+    params = lipschitz._family_params("motion", motion._MOTION_FAMILIES,
+                                      name, params, ambient)
     if name == "identity":
         return make_map("identity", ambient)
     if name == "translation":
-        c = np.asarray(params.get("velocity",
-                                  [0.25] + [0.0] * (ambient - 1)), float)
+        c = np.asarray(params["velocity"], float)
         return make_map("translation", ambient, offset=t * c)
     if name == "rotation":
         return make_map("rotation", angle=float(params["rate"]) * t)

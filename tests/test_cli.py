@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from currentkit import cli
-from currentkit.chains import (boundary, mass_chain, triangle_chain,
+from currentkit.chains import (Chain, boundary, mass_chain, triangle_chain,
                                unit_square_chain)
 from currentkit.cli import _build_parser, _pushforward_excess, main
 from currentkit.lipschitz import LipMap, pushforward_chain
@@ -121,16 +121,23 @@ class TestScenarioConfig:
         ({"motion": {"family": "rotation", "interval": [1, -1]}},
          "'motion.interval'"),
         ({"motion": ["rotation"]}, "'motion'"),
-        ({"chain": "square"}, "'chain'"), ({"box": [0, 1]}, "'box'")],
+        ({"chain": "square"}, "'chain'"), ({"box": [0, 1]}, "'box'"),
+        ({"ambient": 3, "cochain": {"degree": 3, "components": {}}},
+         "rotation family is planar"),
+        ({"tau": 0.995}, "'tau' must lie in 'motion.interval'"),
+        ({"motion": {"rate": 0.7}}, "'family'")],
         ids=["box_order", "box_pad", "cochain_arity", "density_arity",
              "key_range", "key_order", "interval", "motion_list",
-             "chain_string", "box_list"])
+             "chain_string", "box_list", "rotation_3d", "fd_step_outside",
+             "no_family"])
     def test_file_is_checked_whole_by_every_subcommand(self, tmp_path,
                                                        capsys, change,
                                                        field):
         # each exited 0 from some subcommand, "0,5" died in transport with
         # a KeyError traceback and exit 1, and a field that is not an
-        # object with an AttributeError traceback and exit 1
+        # object with an AttributeError traceback and exit 1; a 3-D
+        # rotation was rejected by verify alone, and tau + 0.01 outside
+        # the interval by transport alone
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "name": "x", "motion": {"family": "rotation", "rate": 0.7},
@@ -868,6 +875,35 @@ class TestDeterminism:
             assert message in done.stderr and done.stdout == ""
 
 
+    def test_ab_pairs_tool_prints_each_source_size(self, tmp_path):
+        # the runs compile the sources afresh, so peak_rss_mb moves with
+        # their length: the summary gives each side's size in bytes
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "BENCHMARK.json")) as fh:
+            names = [m["name"] for m in json.load(fh)["end_to_end"]]
+        report = {"correct": True, "failed": 0,
+                  "metrics": {name: {"value": 1.0} for name in names}}
+        sides = []
+        for label, sources in (("base", {"a.py": "x = 1\n"}),
+                               ("change", {"a.py": "x = 12\n",
+                                           "b.py": "y = 2\n",
+                                           "notes.txt": "skipped\n"})):
+            side = tmp_path / label
+            (side / "perfbench").mkdir(parents=True)
+            (side / "perfbench" / "run.py").write_text(
+                f"print({json.dumps(json.dumps(report))})\n")
+            (side / "src" / "currentkit").mkdir(parents=True)
+            for name, text in sources.items():
+                (side / "src" / "currentkit" / name).write_text(text)
+            sides.append(str(side))
+        done = subprocess.run(
+            [sys.executable, os.path.join(root, "tools", "ab_pairs.py"),
+             *sides, "--pairs", "1"],
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "src/currentkit bytes: base 6, change 13 (+7)" in \
+            done.stdout.splitlines()
+
     @pytest.mark.parametrize("argv, workloads", [
         ([], ["bundled"]),
         (["--workload", "bundled", "--workload", "refined"],
@@ -895,6 +931,28 @@ class TestTransport:
                           "transport_derivative")) <= 1e-12
         assert _value(rows, "expanding_box", "classical_lhs") == \
             pytest.approx(2.0, abs=1e-6)
+
+    def test_classical_identity_in_3d(self, tmp_path):
+        # the Kuhn tetrahedron under expansion: volume (1 + t)^3 / 6, so
+        # the transport derivative at tau = 0.3 is 1.3^2 / 2 = 0.845; the
+        # flux normals were planar only, an exit 2
+        chain_path = tmp_path / "tet.json"
+        Chain(np.array([[[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]]]),
+              [1.0]).save(chain_path)
+        constant = [{"exponents": [0, 0, 0, 0], "coefficient": 1.0}]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "kuhn", "ambient": 3, "tau": 0.3,
+            "chain": {"file": str(chain_path)},
+            "motion": {"family": "expansion", "interval": [-0.5, 1.0]},
+            "cochain": {"degree": 3, "components": {"0,1,2": constant}},
+            "density": constant}))
+        assert main(["transport", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        row, = [r for r in _read(tmp_path / "transport.csv")
+                if r["quantity"] == "classical_lhs"]
+        assert float(row["value"]) == pytest.approx(0.845, rel=1e-12)
+        assert float(row["rel_error"]) <= 1e-14
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from currentkit.chains import (Chain, Leaf, boundary, evaluate,
-                               unit_square_chain)
+                               unit_interval_chain, unit_square_chain)
 from currentkit.forms import (Box, FormField, TimePolynomialForm, VectorField,
                               lie_derivative)
 from currentkit.lipschitz import make_map, pushforward_chain
-from currentkit.motion import (Cochain, Motion, classical_reynolds,
-                               continuity_modulus, deformation_chain,
-                               homotopy_residual, make_motion,
-                               reynolds_operator, transport_derivative,
-                               transport_derivative_fd, velocity_field)
+from currentkit.motion import (_MOTION_FAMILIES, Cochain, Motion,
+                               classical_reynolds, continuity_modulus,
+                               deformation_chain, homotopy_residual,
+                               make_motion, reynolds_operator,
+                               transport_derivative, transport_derivative_fd,
+                               velocity_field)
 from currentkit.polynomial import Polynomial
 from oracles import (motion_map_by_make_map, transport_derivative_betounes,
                      transport_derivative_lagrangian_fd)
@@ -49,6 +50,16 @@ class TestMotionFamilies:
             make_motion("rotation", rta=0.7)
         with pytest.raises(ValueError, match="'rate'"):
             make_motion("expansion", rate=2.0)
+
+    @pytest.mark.parametrize("name", sorted(_MOTION_FAMILIES))
+    def test_every_family_is_its_make_map_family(self, name):
+        # each family's map at t, defaults included, is the `make_map`
+        # family of its kind at the time-scaled parameter, bit for bit
+        m = make_motion(name)
+        points = np.random.default_rng(0).uniform(-1.0, 1.0, (9, 2))
+        for t in (-0.6, 0.0, 0.35):
+            assert m.images([t], points)[0].tobytes() == \
+                motion_map_by_make_map(name, 2, t).values_at(points).tobytes()
 
     def test_expansion_velocity(self):
         m = make_motion("expansion", interval=(-0.5, 1.0))
@@ -247,6 +258,32 @@ class TestClassicalReynolds:
         density = TimePolynomialForm(2, 0, {(): _area_cochain().rep.polys[0]})
         classical_reynolds(m, SQ, density, 0.3, 4)
         assert sorted(calls) == [(len(SQ), 4), (len(BSQ), 4)]
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    @pytest.mark.parametrize("order, sign", [([0, 1, 2, 3], 1.0),
+                                             ([1, 0, 2, 3], -1.0)])
+    def test_expanding_tetrahedron(self, order, sign, tau):
+        # the flux normals in R^3: the Kuhn tetrahedron has volume
+        # (1 + t)^3 / 6 under expansion, all of whose rate is flux; the
+        # normals were planar only, a ValueError
+        kuhn = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]])
+        m = make_motion("expansion", 3, interval=(-0.5, 1.0))
+        density = TimePolynomialForm(3, 0, {(): Polynomial.constant(4, 1.0)})
+        lhs, vol, flux = classical_reynolds(
+            m, Chain(kuhn[None, order], [1.0]), density, tau)
+        assert lhs == pytest.approx(sign * (1 + tau) ** 2 / 2, abs=1e-15)
+        assert vol == 0.0
+        assert flux == pytest.approx(lhs, abs=1e-15)
+
+    def test_translated_segment(self):
+        # on a line the faces are the end points: density x on [0, 1]
+        # moved at speed 0.7 has rate 0.7 * (1 + 0.7 t) - 0.7 * 0.7 t
+        m = make_motion("translation", 1, velocity=[0.7])
+        x = Polynomial.variable(1, 2)
+        lhs, vol, flux = classical_reynolds(
+            m, unit_interval_chain(), TimePolynomialForm(1, 0, {(): x}), 0.0)
+        assert lhs == pytest.approx(0.7, abs=1e-15)
+        assert (vol, flux) == (0.0, pytest.approx(0.7, abs=1e-15))
 
     @pytest.mark.parametrize("scale", [1e-16, 1e8])
     def test_expanding_box_at_scale(self, scale):

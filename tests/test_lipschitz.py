@@ -161,6 +161,22 @@ class TestMapLibrary:
                 f"{takes}")):
             make_map(name, **params)
 
+    @pytest.mark.parametrize("name, ambient, params", [
+        ("translation", 3, {"offset": [1.0]}),
+        ("tent", 2, {"width": -0.5}), ("tent", 2, {"width": 0}),
+        ("tent", 2, {"axis": 5}), ("rotation", 2, {"angle": [1, 2]})],
+        ids=["short_offset", "negative_width", "zero_width", "axis_range",
+             "angle_list"])
+    def test_parameter_of_the_wrong_kind_is_named(self, name, ambient,
+                                                  params):
+        # the short offset moved every axis by 1, the negative width gave
+        # an inverted hat and the zero width non-finite images at first
+        # use; the axis ended in an IndexError and the list in a TypeError
+        key, = params
+        with pytest.raises(ValueError, match=re.escape(
+                f"map parameter {key!r} of family {name!r} must be")):
+            make_map(name, ambient, **params)
+
     def test_shear_needs_two_dimensions(self):
         # on a line the shear had no second axis: an IndexError
         with pytest.raises(ValueError, match="shear family needs at least 2"):

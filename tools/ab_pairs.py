@@ -15,7 +15,9 @@ failed operations is printed as such and counted as a loss.
 The runs get PYTHONDONTWRITEBYTECODE=1, and a checkout that has a
 src/currentkit/__pycache__ is refused: without written bytecode each
 set-up compiles the sources, so a stale cache in one checkout alone
-would lower that side's `setup_s`.
+would lower that side's `setup_s`.  Compiling also makes `peak_rss_mb`
+grow with the length of the sources, comments included, so the summary
+gives each side's src/currentkit size in bytes.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ def check_checkout(path: str) -> str:
         return (f"{path}: has src/currentkit/__pycache__, which would skew "
                 f"its setup_s; remove it first")
     return ""
+
+
+def source_bytes(checkout: str) -> int:
+    """The size in bytes of the .py files in `checkout`'s
+    src/currentkit."""
+    root = os.path.join(checkout, "src", "currentkit")
+    return sum(os.path.getsize(os.path.join(root, name))
+               for name in os.listdir(root) if name.endswith(".py"))
 
 
 def run_once(checkout: str, workload: str, seed: int,
@@ -142,6 +152,9 @@ def main(argv=None) -> int:
             first = "base" if order[0] == 0 else "change"
             print(f"pair {k + 1} {workload} ({first} first): {cells}{flags}",
                   flush=True)
+    base_size, change_size = (source_bytes(path) for path in checkouts)
+    print(f"src/currentkit bytes: base {base_size}, change {change_size} "
+          f"({change_size - base_size:+d})")
     for workload, pairs in runs.items():
         print(f"{workload}, seed {args.seed}, {len(pairs)} pairs:")
         print("\n".join(summary(pairs, metrics)))
