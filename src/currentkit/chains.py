@@ -286,6 +286,9 @@ class Chain:
     def from_json_obj(cls, obj) -> "Chain":
         """Chain from `to_json_obj`'s object.  A simplex may carry a
         "sign", +1 or -1, which multiplies its multiplicity."""
+        for key in ("degree", "ambient", "vertex_table", "simplices"):
+            if not isinstance(obj, dict) or key not in obj:
+                raise ValueError(f'the chain lacks "{key}"')
         degree, ambient = obj["degree"], obj["ambient"]
         if not (_is_int(degree, 0) and _is_int(ambient, 1)):
             raise ValueError('the chain\'s "degree" must be an integer >= 0 '

@@ -24,7 +24,7 @@ from .lipschitz import LipMap, pushforward_chain
 from .motion import (classical_reynolds, continuity_modulus,
                      homotopy_residuals, reynolds_operator,
                      transport_derivative, transport_derivative_fd_ladder)
-from .scenarios import builtin_scenarios, load_config
+from .scenarios import _HOMOTOPY_WINDOW, builtin_scenarios, load_config
 
 log = logging.getLogger("currentkit")
 
@@ -40,6 +40,9 @@ def _fmt(x) -> str:
         return f"{x:.12e}"
     return f"{x:.12g}"
 
+
+# the mark of a failing check's quantity, on which a run exits 1
+_FAIL = " [FAIL]"
 
 HEADER = ["scenario", "quantity", "value", "oracle", "abs_error",
           "rel_error", "level", "runtime"]
@@ -64,12 +67,14 @@ def _write_csv(path, rows):
     log.info("wrote %s (%d rows)", path, len(rows))
 
 
-def _timed(enabled):
-    return time.perf_counter() if enabled else None
-
-
-def _elapsed(t0):
-    return None if t0 is None else time.perf_counter() - t0
+def _stopwatch():
+    """A clock started now: a function of no arguments that returns the
+    seconds since, the runtime cell of a timed row, when CURRENTKIT_TIMINGS
+    is "1", and None otherwise."""
+    if os.environ.get("CURRENTKIT_TIMINGS") != "1":
+        return lambda: None
+    t0 = time.perf_counter()
+    return lambda: time.perf_counter() - t0
 
 
 def _fit_order(xs, ys):
@@ -94,11 +99,11 @@ def _pushforward_excess(T, mat, shift) -> float:
     return max(mass_chain(pushed) - bound - 1e-6, 0.0)
 
 
-def _form_checks(n, rng, timings):
+def _form_checks(n, rng):
     """The exterior identities on random polynomial data, which read only
     the ambient dimension n and the draws of `rng`: a list of (quantity,
     value, oracle, tol, runtime)."""
-    t0 = _timed(timings)
+    clock = _stopwatch()
     worst_dd = worst_cartan = 0.0
     for _ in range(10):
         r = int(rng.integers(0, n))
@@ -111,11 +116,11 @@ def _form_checks(n, rng, timings):
         diff = lie_derivative(phi, v) - lie_derivative_components(phi, v)
         worst_cartan = max(worst_cartan,
                            max(p.max_abs_coeff() for p in diff.polys))
-    return [("dd_zero_residual", worst_dd, 0.0, 0.0, _elapsed(t0)),
+    return [("dd_zero_residual", worst_dd, 0.0, 0.0, clock()),
             ("cartan_residual", worst_cartan, 0.0, 0.0, None)]
 
 
-def _chain_checks(T, n, rng, timings):
+def _chain_checks(T, n, rng):
     """The checks that read only the chain T, the ambient dimension n and
     the draws of `rng`, which continue those of `_form_checks`: a list of
     (quantity, value, oracle, tol, runtime)."""
@@ -127,48 +132,47 @@ def _chain_checks(T, n, rng, timings):
     # boundary adjointness and del o del = 0 on the scenario chain; one
     # Leaf, so that T's geometry is built once for all its evaluations
     leaf = Leaf(T)
-    t0 = _timed(timings)
+    clock = _stopwatch()
     if T.degree >= 1:
         phi = FormField.random_polynomial(n, T.degree - 1, rng, max_degree=3)
         resid = abs(evaluate(boundary(T), phi)
                     - evaluate(leaf, exterior_derivative(phi)))
-        check("adjointness_residual", resid, 0.0, 1e-8,
-              runtime=_elapsed(t0))
+        check("adjointness_residual", resid, 0.0, 1e-8, runtime=clock())
     if T.degree >= 2:
         check("boundary_squared_terms", len(boundary(boundary(T))), 0, 0)
 
     # Reynolds duality
-    t0 = _timed(timings)
+    clock = _stopwatch()
     worst = 0.0
     for _ in range(5):
         v = VectorField.random_polynomial(n, rng, max_degree=2)
         phi = FormField.random_polynomial(n, T.degree, rng, max_degree=2)
         worst = max(worst, abs(evaluate(reynolds_operator(v, leaf), phi)
                                - evaluate(leaf, lie_derivative(phi, v))))
-    check("reynolds_duality_residual", worst, 0.0, 1e-8,
-          runtime=_elapsed(t0))
+    check("reynolds_duality_residual", worst, 0.0, 1e-8, runtime=clock())
 
     # pushforward mass bound under a random affine map
-    t0 = _timed(timings)
+    clock = _stopwatch()
     mat = rng.standard_normal((n, n)) + n * np.eye(n)
     check("pushforward_mass_within_bound",
           _pushforward_excess(T, mat, rng.standard_normal(n)), 0.0, 0.0,
-          runtime=_elapsed(t0))
+          runtime=clock())
     return out
 
 
-def _motion_checks(cfg, T, rng, timings):
-    """The homotopy formula for the scenario motion, with the form drawn
-    from `rng`; no check for a tent, whose velocity is not smooth."""
+def _motion_checks(cfg, T, rng):
+    """The homotopy formula for the scenario motion on _HOMOTOPY_WINDOW,
+    with the form drawn from `rng`; none for a tent, whose velocity is
+    not smooth."""
     if cfg.motion.get("family") == "tent":
         return []
-    t0 = _timed(timings)
+    clock = _stopwatch()
     m = cfg.build_motion()
     phi = FormField.random_polynomial(cfg.ambient, T.degree, rng,
                                       max_degree=2)
-    resid, = homotopy_residuals(m, (0.0, 0.4), T, phi, [cfg.panels],
+    resid, = homotopy_residuals(m, _HOMOTOPY_WINDOW, T, phi, [cfg.panels],
                                 levels=cfg.levels)
-    return [("homotopy_residual", resid, 0.0, 1e-6, _elapsed(t0))]
+    return [("homotopy_residual", resid, 0.0, 1e-6, clock())]
 
 
 def _chain_key(cfg, T):
@@ -202,50 +206,44 @@ def cmd_verify(args, scenarios):
     # items of a chain key, and the chain checks the chain key, continuing
     # the form checks' draws: each runs once per key, and each scenario's
     # motion check draws from the state they leave, as it would alone
-    timings = os.environ.get("CURRENTKIT_TIMINGS") == "1"
-    memo, rows, failures = {}, [], 0
+    memo, rows = {}, []
     for cfg in scenarios:
         T = cfg.build_chain()
         key = _chain_key(cfg, T)
         form_rows, state = _shared(
-            memo, key[:2], lambda rng: _form_checks(cfg.ambient, rng, timings),
+            memo, key[:2], lambda rng: _form_checks(cfg.ambient, rng),
             np.random.PCG64(cfg.seed).state)
         chain_rows, state = _shared(
-            memo, key, lambda rng: _chain_checks(T, cfg.ambient, rng, timings),
-            state)
+            memo, key, lambda rng: _chain_checks(T, cfg.ambient, rng), state)
         checks = form_rows + chain_rows + _motion_checks(
-            cfg, T, _generator(state), timings)
+            cfg, T, _generator(state))
         for quantity, value, oracle, tol, runtime in checks:
             row = _row(cfg.name, quantity, value, oracle, runtime=runtime)
             error = abs(float(value) - float(oracle))
             allowed = tol * args.tolerance_scale
             if not error <= allowed:
-                row[1] += " [FAIL]"
-                failures += 1
+                row[1] += _FAIL
                 log.warning("FAIL %s / %s: value %.6g, oracle %.6g, "
                             "|value - oracle| %.6g > tol %g x "
                             "tolerance-scale %g = %.6g, margin %.6g",
                             cfg.name, row[1], value, oracle, error, tol,
                             args.tolerance_scale, allowed, allowed - error)
             rows.append(row)
-    _write_csv(os.path.join(args.out, "verify.csv"), rows)
-    return 1 if failures else 0
+    return rows
 
 
 # ----------------------------------------------------------------------
 # transport
 # ----------------------------------------------------------------------
 
-def _transport_rows(cfg, timings):
+def _transport_rows(cfg, T):
     rows = []
-    T = cfg.build_chain()
     m = cfg.build_motion()
     psi = cfg.build_cochain()
     tent = cfg.motion.get("family") == "tent"
-    t0 = _timed(timings)
+    clock = _stopwatch()
     an = transport_derivative(m, T, psi, cfg.tau, cfg.levels)
-    rows.append(_row(cfg.name, "transport_derivative", an,
-                     runtime=_elapsed(t0)))
+    rows.append(_row(cfg.name, "transport_derivative", an, runtime=clock()))
     errs = []
     fds = transport_derivative_fd_ladder(m, T, psi, cfg.tau, cfg.eps_ladder,
                                          cfg.levels, one_sided=tent)
@@ -260,25 +258,27 @@ def _transport_rows(cfg, timings):
     rows.append(_row(cfg.name, "fd_observed_order",
                      min(orders) if orders else float("inf")))
     if cfg.density is not None:
-        t0 = _timed(timings)
+        clock = _stopwatch()
         lhs, vol, flux = classical_reynolds(m, T, cfg.build_density(),
                                             cfg.tau, cfg.levels)
         rows.append(_row(cfg.name, "classical_lhs", lhs, vol + flux,
-                         runtime=_elapsed(t0)))
+                         runtime=clock()))
         rows.append(_row(cfg.name, "classical_volume_term", vol))
         rows.append(_row(cfg.name, "classical_flux_term", flux))
     return rows
 
 
 def cmd_transport(args, scenarios):
-    timings = os.environ.get("CURRENTKIT_TIMINGS") == "1"
-    usable = [c for c in scenarios if c.cochain is not None]
+    # a scenario without a cochain is skipped after its chain is built,
+    # so that its chain file is read and checked as by every subcommand
+    rows = []
     for cfg in scenarios:
+        T = cfg.build_chain()
         if cfg.cochain is None:
             log.warning("skipping %s: no cochain", cfg.name)
-    rows = [r for cfg in usable for r in _transport_rows(cfg, timings)]
-    _write_csv(os.path.join(args.out, "transport.csv"), rows)
-    return 0
+        else:
+            rows += _transport_rows(cfg, T)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +319,6 @@ def _flat_key(cfg, chain, box):
 
 def cmd_flatnorm(args, scenarios):
     rows = []
-    timings = os.environ.get("CURRENTKIT_TIMINGS") == "1"
     # scenarios with one `_flat_key` share the complex, the aligned chain,
     # its mass and its norm ladder, built at the first of them and dropped
     # after the last, so that one input's complex is kept at a time when
@@ -340,10 +339,9 @@ def cmd_flatnorm(args, scenarios):
             comp = freudenthal_complex(box.lower, box.upper, cfg.resolution)
             hosts[key] = comp, _align_chain(chain, comp)
         comp, T = hosts[key]
-        t0 = _timed(timings)
+        clock = _stopwatch()
         value, s_chain, r_chain, info = flat_norm_lp(T, comp)
-        rows.append(_row(cfg.name, "flat_norm", value,
-                         runtime=_elapsed(t0)))
+        rows.append(_row(cfg.name, "flat_norm", value, runtime=clock()))
         rows.append(_row(cfg.name, "mass_R", info["mass_R"]))
         rows.append(_row(cfg.name, "mass_S", info["mass_S"]))
         rows.append(_row(cfg.name, "lp_iterations", info["iterations"]))
@@ -358,8 +356,7 @@ def cmd_flatnorm(args, scenarios):
         rows.append(_row(cfg.name, "sharp_lower_bound", sharp))
         if last[key] == k:
             del hosts[key], ladders[key]
-    _write_csv(os.path.join(args.out, "flatnorm.csv"), rows)
-    return 0
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -385,9 +382,9 @@ def cmd_converge(args, scenarios):
                      _fit_order([2.0 ** -lv for lv in levels], resid)
                      if any(resid) else float("inf")))
     for cfg in scenarios:
+        Tc = cfg.build_chain()
         if cfg.cochain is None:
             continue
-        Tc = cfg.build_chain()
         m = cfg.build_motion()
         box = cfg.build_box()
         family = [FormField.random_polynomial(cfg.ambient, Tc.degree, rng,
@@ -404,67 +401,62 @@ def cmd_converge(args, scenarios):
                                           max_degree=3)
         panels = [2, 4, 8]
         # midpoint-rule time quadrature so the panel error is visible
-        hres = homotopy_residuals(m, (0.0, 0.4), Tc, phi, panels,
+        hres = homotopy_residuals(m, _HOMOTOPY_WINDOW, Tc, phi, panels,
                                   levels=cfg.levels, gauss_order=1)
         for p, r in zip(panels, hres):
             rows.append(_row(cfg.name, "homotopy_residual", r, 0.0, level=p))
         rows.append(_row(cfg.name, "homotopy_order",
                          _fit_order([1.0 / p for p in panels], hres)
                          if all(r > 1e-14 for r in hres) else float("inf")))
-    _write_csv(os.path.join(args.out, "converge.csv"), rows)
-    return 0
+    return rows
 
 
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
 
-def _tolerance_scale(text: str) -> float:
-    """The value of --tolerance-scale: a finite number >= 0.  At 0 only
-    the exact checks (tolerance 0) can pass."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (np.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}")
-    return value
+# each subcommand: a function of the options and scenarios to its rows
+_COMMANDS = {"verify": cmd_verify, "transport": cmd_transport,
+             "flatnorm": cmd_flatnorm, "converge": cmd_converge}
 
 
-def _workers(text: str) -> int:
-    """The value of --workers: a whole number >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a whole number: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a whole number >= 1, got {text!r}")
-    return value
+def _at_least(low, whole=False):
+    """The parser of an option's value: a finite number, whole when
+    `whole` is set, of at least `low`."""
+    def parse(text: str):
+        try:
+            value = int(text) if whole else float(text)
+        except ValueError:
+            value = float("nan")
+        if not low <= value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"must be a {'whole' if whole else 'finite'} number >= "
+                f"{low}, got {text!r}")
+        return value
+    return parse
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="currentkit",
         description="currents, flat norms, and transport experiments")
-    parser.add_argument("command",
-                        choices=["verify", "transport", "flatnorm",
-                                 "converge"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", help="scenario JSON file "
                         "(default: bundled scenario library)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--workers", type=_workers, default=1,
+    parser.add_argument("--workers", type=_at_least(1, whole=True), default=1,
                         help="accepted and has no effect: every command "
                         "runs in one thread")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--tolerance-scale", type=_tolerance_scale,
+    # at 0 only the exact checks (tolerance 0) can pass
+    parser.add_argument("--tolerance-scale", type=_at_least(0),
                         default=1.0)
     return parser
 
 
 def main(argv=None) -> int:
+    """Write one subcommand's rows to <command>.csv in --out.  Exits 1
+    when a row is marked _FAIL, and 2 on an error in the input or run."""
     args = _build_parser().parse_args(argv)
     level = os.environ.get("CURRENTKIT_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
@@ -474,18 +466,14 @@ def main(argv=None) -> int:
                      else builtin_scenarios())
         for cfg in scenarios:
             cfg.seed = cfg.seed if args.config else args.seed
+        os.makedirs(args.out, exist_ok=True)
+        rows = _COMMANDS[args.command](args, scenarios)
+        _write_csv(os.path.join(args.out, f"{args.command}.csv"), rows)
     except (OSError, ValueError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    try:
-        handler = {"verify": cmd_verify, "transport": cmd_transport,
-                   "flatnorm": cmd_flatnorm, "converge": cmd_converge}
-        return handler[args.command](args, scenarios)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 1 if any(row[1].endswith(_FAIL) for row in rows) else 0
 
 
 if __name__ == "__main__":

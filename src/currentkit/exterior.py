@@ -136,9 +136,7 @@ class CoVector(MultiVector):
 
     @classmethod
     def dx(cls, index: tuple[int, ...], ambient: int) -> "CoVector":
-        c = np.zeros(comb(ambient, len(index)))
-        c[basis_rank(tuple(index), ambient)] = 1.0
-        return cls(len(index), ambient, c)
+        return cls.basis(index, ambient)
 
 
 @lru_cache(maxsize=None)
@@ -218,19 +216,14 @@ def mass(xi: MultiVector) -> float:
 def frame_to_multivector(frame: np.ndarray) -> MultiVector:
     """Wedge of the columns of an n-by-r matrix (a simple r-vector)."""
     n, r = frame.shape
-    if r == 0:
-        return MultiVector(0, n, np.ones(1))
-    out = MultiVector.from_vector(frame[:, 0])
-    for j in range(1, r):
-        out = wedge(out, MultiVector.from_vector(frame[:, j]))
-    return out
+    return MultiVector(r, n, wedge_rows(frame.T[None])[0])
 
 
 def wedge_rows(rows: np.ndarray) -> np.ndarray:
     """Wedge of the rows of each matrix in a stack of shape (N, r, n), as
     coefficients of shape (N, C(n, r)).
 
-    Row i equals frame_to_multivector(rows[i].T).coefficients bit for bit:
+    Row i equals the chained `wedge` of the rows of matrix i bit for bit:
     the same terms are added in the same order, elementwise over N.
     """
     rows = np.asarray(rows, dtype=float)

@@ -146,9 +146,12 @@ def _affine_frames(kind: str, ambient: int, values) -> tuple:
 # each kind of family parameter: what a value must be, and the test of
 # its numeric array a in n dimensions
 _KINDS = {
-    "number": ("a number", lambda a, n: a.shape == ()),
-    "positive": ("a positive number", lambda a, n: a.shape == () and a > 0),
-    "vector": ("{n} numbers", lambda a, n: a.shape == (n,)),
+    "number": ("a finite number",
+               lambda a, n: a.shape == () and np.isfinite(a)),
+    "positive": ("a finite positive number",
+                 lambda a, n: a.shape == () and 0 < a < np.inf),
+    "vector": ("{n} finite numbers",
+               lambda a, n: a.shape == (n,) and np.all(np.isfinite(a))),
     "axis": ("an axis in range({n})",
              lambda a, n: a.shape == () and a in range(n)),
 }

@@ -461,9 +461,13 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
     """Named motion families: identity, translation, rotation, expansion,
     shear, tent.  Each is the `make_map` family of the same kind at a
     parameter scaled by time, its maps stated for an array of times, with
-    its exact Eulerian velocity."""
+    its exact Eulerian velocity.  A ValueError names a bad parameter or
+    `interval`."""
     params = _family_params("motion", _MOTION_FAMILIES, name, params, ambient)
     iv = tuple(float(t) for t in interval)
+    if not (len(iv) == 2 and -np.inf < iv[0] < iv[1] < np.inf):
+        raise ValueError(f"motion parameter 'interval' must be two finite "
+                         f"increasing numbers, got {interval!r}")
 
     if name == "identity":
         # the translation by 0, as `make_map` states it

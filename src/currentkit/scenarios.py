@@ -24,6 +24,9 @@ _BUILTIN_CHAINS = {
     "boundary_triangle": lambda: boundary(triangle_chain()),
 }
 
+# the time window of verify's and converge's homotopy checks
+_HOMOTOPY_WINDOW = (0.0, 0.4)
+
 
 @dataclass
 class ScenarioConfig:
@@ -88,9 +91,14 @@ class ScenarioConfig:
             if key != "family":
                 _finite(f"motion.{key}", value)
         interval = cfg.motion.get("interval", (-1.0, 1.0))
-        if np.shape(interval) != (2,) or not interval[0] < interval[1]:
+        # the times at which verify and converge read the motion
+        if np.shape(interval) != (2,) or not all(
+                interval[0] <= t <= interval[1]
+                for t in (*_HOMOTOPY_WINDOW, *cfg.eps_ladder)):
             raise ValueError(f"scenario field 'motion.interval' must be two "
-                             f"increasing numbers, got {interval!r}")
+                             f"numbers that contain {list(_HOMOTOPY_WINDOW)} "
+                             f"and each step of 'eps_ladder', got "
+                             f"{interval!r}")
         # the finite differences read the motion at each tau + eps, tau - eps
         if not all(interval[0] <= cfg.tau + s * e <= interval[1]
                    for e in cfg.eps_ladder for s in (1.0, -1.0)):

@@ -26,6 +26,17 @@ from currentkit.scenarios import (ScenarioConfig, builtin_scenarios,
 
 _WHOLE_DEGREE = "'cochain.degree' must be a whole number >= 0"
 
+# the chain files that cases of the checked-whole test name, written to its
+# working directory: a segment in 3-D, and a triangle without "degree"
+_CHAIN_FILES = {
+    "space.json": {"degree": 1, "ambient": 3,
+                   "vertex_table": [[0, 0, 0], [1, 1, 1]],
+                   "simplices": [{"vertices": [0, 1], "multiplicity": 1.0}]},
+    "no_degree.json": {"ambient": 2,
+                       "vertex_table": [[0, 0], [1, 0], [0, 1]],
+                       "simplices": [{"vertices": [0, 1, 2],
+                                      "multiplicity": 1.0}]}}
+
 
 def _read(path):
     with open(path) as fh:
@@ -125,19 +136,32 @@ class TestScenarioConfig:
         ({"ambient": 3, "cochain": {"degree": 3, "components": {}}},
          "rotation family is planar"),
         ({"tau": 0.995}, "'tau' must lie in 'motion.interval'"),
-        ({"motion": {"rate": 0.7}}, "'family'")],
+        ({"motion": {"rate": 0.7}}, "'family'"),
+        ({"chain": {"file": "missing.json"}}, "missing.json"),
+        ({"chain": {"file": "no_degree.json"}}, '"degree"'),
+        ({"chain": {"file": "space.json"}, "cochain": None}, "'ambient'"),
+        ({"motion": {"family": "rotation", "interval": [0.5, 1.0]},
+          "tau": 0.7}, "'motion.interval'")],
         ids=["box_order", "box_pad", "cochain_arity", "density_arity",
              "key_range", "key_order", "interval", "motion_list",
              "chain_string", "box_list", "rotation_3d", "fd_step_outside",
-             "no_family"])
+             "no_family", "chain_file_missing", "chain_file_no_degree",
+             "cochainless_3d_chain", "window_outside_interval"])
     def test_file_is_checked_whole_by_every_subcommand(self, tmp_path,
-                                                       capsys, change,
-                                                       field):
+                                                       capsys, monkeypatch,
+                                                       change, field):
         # each exited 0 from some subcommand, "0,5" died in transport with
         # a KeyError traceback and exit 1, and a field that is not an
         # object with an AttributeError traceback and exit 1; a 3-D
         # rotation was rejected by verify alone, and tau + 0.01 outside
-        # the interval by transport alone
+        # the interval by transport alone; a missing chain file ended every
+        # subcommand in a traceback and exit 1, and so did one without
+        # "degree", a 3-D chain of a scenario without a cochain passed
+        # transport and converge, and an interval without verify's window
+        # passed transport and flatnorm
+        monkeypatch.chdir(tmp_path)
+        for name, body in _CHAIN_FILES.items():
+            (tmp_path / name).write_text(json.dumps(body))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "name": "x", "motion": {"family": "rotation", "rate": 0.7},
@@ -519,6 +543,27 @@ class TestVerify:
         assert code == 1
         rows = _read(tmp_path / "verify.csv")
         assert any("[FAIL]" in r["quantity"] for r in rows)
+
+    def test_main_alone_writes_and_exits_on_the_fail_marks(self, tmp_path,
+                                                           monkeypatch):
+        # each subcommand returns its rows; main writes them, once a run,
+        # and exits 1 exactly when a written row is marked " [FAIL]"
+        written, write = [], cli._write_csv
+
+        def counted(path, rows):
+            written.append(path)
+            write(path, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", counted)
+        runs = [(["verify", "--tolerance-scale", "1e-30"], 1)] + [
+            ([command], 0)
+            for command in ("verify", "transport", "flatnorm", "converge")]
+        for k, (argv, code) in enumerate(runs, 1):
+            assert main(argv + ["--out", str(tmp_path)]) == code
+            assert len(written) == k
+            marked = [r for r in _read(written[-1])
+                      if r["quantity"].endswith(" [FAIL]")]
+            assert bool(marked) == (code == 1)
 
     def test_failed_check_logs_its_margin(self, tmp_path, caplog):
         passing, failing = tmp_path / "pass", tmp_path / "fail"

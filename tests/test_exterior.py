@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from currentkit.exterior import (CoVector, MultiVector, _wedge_terms,
                                  basis_rank, comass, contract_rows,
                                  frame_to_multivector, mass, multi_indices,
-                                 pair, sort_parity, wedge)
+                                 pair, sort_parity, wedge, wedge_rows)
 from oracles import perm_sign, wedge_terms
 
 
@@ -218,3 +218,21 @@ class TestFrames:
         gram = frame.T @ frame
         vol = np.sqrt(np.linalg.det(gram))
         assert mass(frame_to_multivector(frame)) == pytest.approx(vol)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_wedge_rows_is_the_chained_wedge_bit_for_bit(self, n):
+        # entries 0.0 and -0.0, whose terms `wedge` skips and `wedge_rows`
+        # adds, among random ones, at every r <= n
+        rng = np.random.default_rng(n)
+        for r in range(n + 1):
+            rows = rng.standard_normal((60, r, n))
+            rows[rng.random(rows.shape) < 0.25] = 0.0
+            rows[rng.random(rows.shape) < 0.25] = -0.0
+            for frame, got in zip(rows, wedge_rows(rows)):
+                want = (MultiVector.from_vector(frame[0]) if r
+                        else MultiVector(0, n, np.ones(1)))
+                for row in frame[1:]:
+                    want = wedge(want, MultiVector.from_vector(row))
+                assert got.tobytes() == want.coefficients.tobytes()
+                assert frame_to_multivector(frame.T).coefficients.tobytes() \
+                    == got.tobytes()

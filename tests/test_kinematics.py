@@ -1,6 +1,8 @@
 """Motions, velocity fields, the Reynolds operator, deformation
 chains, and the transport derivative."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,30 @@ class TestMotionFamilies:
             make_motion("rotation", rta=0.7)
         with pytest.raises(ValueError, match="'rate'"):
             make_motion("expansion", rate=2.0)
+
+    @pytest.mark.parametrize("name, params", [
+        ("rotation", {"rate": np.inf}), ("shear", {"rate": np.nan}),
+        ("tent", {"amplitude": np.nan}), ("tent", {"center": -np.inf}),
+        ("translation", {"velocity": [0.3, np.inf]})],
+        ids=["inf_rate", "nan_shear", "nan_amplitude", "inf_center",
+             "inf_velocity"])
+    def test_non_finite_parameter_is_named(self, name, params):
+        # each built, and failed at first use: the rotation with
+        # "non-finite coefficient -inf of (0, 1)", the tent with
+        # "non-finite map images"
+        key, = params
+        with pytest.raises(ValueError, match=re.escape(
+                f"motion parameter {key!r} of family {name!r} must be")):
+            make_motion(name, **params)
+
+    @pytest.mark.parametrize("interval", [
+        (1.0, -1.0), (0.5, 0.5), (0.0, np.inf), (np.nan, 1.0),
+        (0.0, 0.5, 1.0)])
+    def test_interval_is_two_finite_increasing_numbers(self, interval):
+        # (1, -1) built, and every time check then failed with "time 0.0
+        # outside the motion interval (1.0, -1.0)"
+        with pytest.raises(ValueError, match="motion parameter 'interval'"):
+            make_motion("rotation", interval=interval)
 
     @pytest.mark.parametrize("name", sorted(_MOTION_FAMILIES))
     def test_every_family_is_its_make_map_family(self, name):

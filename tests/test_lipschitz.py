@@ -164,14 +164,20 @@ class TestMapLibrary:
     @pytest.mark.parametrize("name, ambient, params", [
         ("translation", 3, {"offset": [1.0]}),
         ("tent", 2, {"width": -0.5}), ("tent", 2, {"width": 0}),
-        ("tent", 2, {"axis": 5}), ("rotation", 2, {"angle": [1, 2]})],
+        ("tent", 2, {"axis": 5}), ("rotation", 2, {"angle": [1, 2]}),
+        ("rotation", 2, {"angle": np.nan}), ("tent", 2, {"width": np.inf}),
+        ("tent", 2, {"amplitude": -np.inf}),
+        ("translation", 2, {"offset": [0.0, np.nan]})],
         ids=["short_offset", "negative_width", "zero_width", "axis_range",
-             "angle_list"])
+             "angle_list", "nan_angle", "inf_width", "inf_amplitude",
+             "nan_offset"])
     def test_parameter_of_the_wrong_kind_is_named(self, name, ambient,
                                                   params):
         # the short offset moved every axis by 1, the negative width gave
         # an inverted hat and the zero width non-finite images at first
-        # use; the axis ended in an IndexError and the list in a TypeError
+        # use; the axis ended in an IndexError and the list in a TypeError;
+        # a NaN or an infinity built, and failed at first use with
+        # "non-finite map images"
         key, = params
         with pytest.raises(ValueError, match=re.escape(
                 f"map parameter {key!r} of family {name!r} must be")):

@@ -392,7 +392,7 @@ class TestLeafGeometry:
         verts = cfg.build_chain().stacked()[0]
         seen = _rule_calls(monkeypatch)
         checks = cli._chain_checks(cfg.build_chain(), cfg.ambient,
-                                   np.random.default_rng(cfg.seed), False)
+                                   np.random.default_rng(cfg.seed))
         assert all(abs(value - oracle) <= tol
                    for _, value, oracle, tol, _ in checks)
         assert sum(v.shape == verts.shape and np.array_equal(v, verts)
