@@ -8,11 +8,11 @@ anything not listed here is internal.
 from .exterior import (CoVector, MultiVector, basis_rank, comass,
                        frame_to_multivector, mass, multi_indices, pair, wedge)
 from .polynomial import Polynomial
-from .forms import (AffineMap, Box, FormField, TimePolynomialForm,
-                    VectorField, contract, exterior_derivative,
-                    form_lipschitz, lie_derivative,
-                    lie_derivative_components, pullback, seminorm_comass,
-                    seminorm_flat, seminorm_sharp, time_slice_contract)
+from .forms import (AffineMap, Box, Cochain, FormField, VectorField,
+                    contract, exterior_derivative, form_lipschitz,
+                    lie_derivative, lie_derivative_components, pullback,
+                    seminorm_comass, seminorm_flat, seminorm_sharp,
+                    time_slice_contract)
 from .quadrature import (grundmann_moller, integrate_interval, simplex_rule,
                          subdivide_barycentric)
 from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge, boundary,
@@ -23,7 +23,7 @@ from .flatnorm import (dual_flat_lower_bound, flat_norm_lp, lower_bounds,
                        lp_solve, sharp_lower_bound)
 from .lipschitz import (LipMap, lipschitz_constant, make_map,
                         pushforward_chain)
-from .motion import (Cochain, Motion, classical_reynolds, continuity_modulus,
+from .motion import (Motion, classical_reynolds, continuity_modulus,
                      deformation_chain, homotopy_residual,
                      homotopy_residuals, make_motion, reynolds_operator,
                      transport_derivative, transport_derivative_fd,

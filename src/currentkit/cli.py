@@ -470,7 +470,6 @@ def main(argv=None) -> int:
         rows = _COMMANDS[args.command](args, scenarios)
         _write_csv(os.path.join(args.out, f"{args.command}.csv"), rows)
     except (OSError, ValueError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if any(row[1].endswith(_FAIL) for row in rows) else 0

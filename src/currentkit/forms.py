@@ -33,7 +33,7 @@ __all__ = [
     "seminorm_flat",
     "seminorm_sharp",
     "form_lipschitz",
-    "TimePolynomialForm",
+    "Cochain",
     "time_slice_contract",
 ]
 
@@ -568,27 +568,31 @@ def _sharp_given_comass(phi: FormField, sup: float, box: Box) -> float:
 
 
 # ----------------------------------------------------------------------
-# time-dependent polynomial forms
+# cochains: time-dependent polynomial forms
 # ----------------------------------------------------------------------
 
-class TimePolynomialForm:
-    """r-form on R^n whose coefficients are polynomials in (t, x_1..x_n)."""
+class Cochain:
+    """Sharp r-cochain on R^n, represented by the r-form whose coefficient
+    polynomials `polys` are in (t, x_1..x_n); it acts on a current by
+    evaluation against its form at a time.  A time-dependent density is
+    a 0-cochain."""
 
     def __init__(self, ambient, degree, coeffs):
         """`coeffs`: mapping spatial multi-index -> Polynomial in 1+n vars."""
         self.ambient = ambient
         self.degree = degree
-        self.ncomp = comb(ambient, degree)
         self.polys = _coefficient_polys(coeffs, degree, ambient, ambient + 1)
 
-    def at_time(self, t: float) -> FormField:
+    def form_at(self, t: float) -> FormField:
+        """The form at time t."""
         return FormField(self.degree, self.ambient,
                          polys=[p.substitute_first(t) for p in self.polys])
 
-    def time_derivative(self) -> "TimePolynomialForm":
-        out = TimePolynomialForm(self.ambient, self.degree, {})
-        out.polys = [p.diff(0) for p in self.polys]
-        return out
+    def dot_at(self, t: float) -> FormField:
+        """The form's time derivative at time t."""
+        return FormField(self.degree, self.ambient,
+                         polys=[p.diff(0).substitute_first(t)
+                                for p in self.polys])
 
 
 def time_slice_contract(omega: FormField, t: float) -> FormField:

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# unused `evaluate` stays motion.evaluate, which perfbench's tests read
 from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
                      _check_forms, _edge_wedges, boundary, evaluate,
                      evaluate_copies, simplex_geometry)
-from .forms import (Box, FormField, TimePolynomialForm, VectorField, contract,
+from .forms import (Box, Cochain, FormField, VectorField, contract,
                     exterior_derivative, seminorm_comass)
 from .lipschitz import (_TENT, LipMap, _affine_frames, _family_params,
                         _tent, _tent_lift, pushforward_chain)
@@ -21,7 +22,6 @@ from .quadrature import (gauss_nodes, gauss_quadrature, gauss_sum,
 
 __all__ = [
     "Motion",
-    "Cochain",
     "make_motion",
     "velocity_field",
     "reynolds_operator",
@@ -126,32 +126,6 @@ def _pushed_values(m: Motion, work: Chain, times, form_rows,
             _check_forms(forms, work.degree, work.ambient)
             values += evaluate_copies(geometry, work.mults, forms)
     return out
-
-
-# ----------------------------------------------------------------------
-# cochains
-# ----------------------------------------------------------------------
-
-class Cochain:
-    """Sharp r-cochain represented by a (time-dependent) form field.
-
-    Action on a current is evaluation against the representing form.
-    """
-
-    def __init__(self, rep: TimePolynomialForm, name: str = ""):
-        self.rep = rep
-        self.degree = rep.degree
-        self.ambient = rep.ambient
-        self.name = name
-
-    def form_at(self, t: float) -> FormField:
-        return self.rep.at_time(t)
-
-    def dot_at(self, t: float) -> FormField:
-        return self.rep.time_derivative().at_time(t)
-
-    def __call__(self, t: float, T) -> float:
-        return evaluate(T, self.form_at(t))
 
 
 # ----------------------------------------------------------------------
@@ -360,11 +334,11 @@ def transport_derivative_fd_ladder(m: Motion, T: Chain, psi: Cochain,
     return out
 
 
-def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
+def classical_reynolds(m: Motion, T: Chain, density: Cochain,
                        tau: float, levels: int = 0):
     """Classical transport theorem for a full-dimensional chain in R^n.
 
-    `density` is a time-dependent 0-form; the transported property is
+    `density` is a 0-cochain; the transported property is
     density times the volume form.  Returns (lhs, volume_term, flux_term)
     with lhs the transport derivative and the right side split into the
     local-rate volume integral and the boundary flux of density * (v . nu).
@@ -377,8 +351,7 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
     if density.degree != 0:
         raise ValueError("density must be a 0-form")
     vol_index = tuple(range(n))
-    psi = Cochain(TimePolynomialForm(
-        n, n, {vol_index: density.polys[0]}), name="density.volume")
+    psi = Cochain(n, n, {vol_index: density.polys[0]})
     # the volume term is the transport derivative's psi_dot term
     work = T.subdivided(levels)
     volume_term, lhs = _transport_terms(m, T, work, psi, tau, levels)
@@ -398,7 +371,7 @@ def classical_reynolds(m: Motion, T: Chain, density: TimePolynomialForm,
     nu = tangents[:, ::-1] * (-1.0) ** np.arange(n)
     pts, wts = simplex_rule(verts)
     pts = pts.reshape(-1, n)
-    rho = density.at_time(tau).coefficients_at(pts)[:, 0]
+    rho = density.form_at(tau).coefficients_at(pts)[:, 0]
     normal_v = np.matmul(np.repeat(nu, wts.shape[1], axis=0)[:, None, :],
                          velocity_field(m, tau).values_at(pts)[:, :, None])
     terms = (mults[:, None] * wts).ravel() * rho * normal_v[:, 0, 0]
@@ -508,19 +481,31 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
         return Motion(iv, ambient, _affine_maps(
             "shear", ambient, lambda ts: s * ts), lambda t: vf, name)
 
-    # tent: piecewise-linear vertical lift growing linearly in time;
-    # genuinely non-smooth Lipschitz motion
+    # tent: piecewise-linear lift along `axis`, growing linearly in time, a
+    # non-smooth Lipschitz motion; its velocity at y is amp times the hat at
+    # y's preimage: of y0 if axis != 0, and along axis 0 the hat whose peak
+    # has moved to c + s, s = t * amp, which holds while |s| < w
     c = float(params["center"])
     w = float(params["width"])
     amp = float(params["amplitude"])
     axis = int(params["axis"])
+    if axis == 0 and abs(amp) * max(abs(iv[0]), abs(iv[1])) >= w:
+        raise ValueError(f"motion parameter 'amplitude' of a tent along "
+                         f"axis 0 must keep |amplitude * t| below the width "
+                         f"{w} on the interval {iv}, got {amp}")
 
-    def field(ys):
+    def field(ys, s=0.0):
         out = np.zeros(ys.shape)
-        out[:, axis] = amp * _tent(ys[:, 0], c, w)
+        if axis:
+            out[:, axis] = amp * _tent(ys[:, 0], c, w)
+        else:
+            u = ys[:, 0] - c
+            out[:, 0] = amp * np.maximum(0.0, np.minimum(
+                (u + w) / (w + s), (w - u) / (w - s)))
         return out
 
     vf = VectorField(ambient, func=field)
     return Motion(iv, ambient,
                   lambda ts, x: _tent_lift(x, ts * amp, c, w, axis),
-                  lambda t: vf, name)
+                  lambda t: vf if axis else VectorField(
+                      ambient, func=lambda ys: field(ys, t * amp)), name)

@@ -4,14 +4,15 @@ cochains, plus the bundled scenario library used by the command line."""
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chains import (Chain, boundary, triangle_chain, unit_interval_chain,
                      unit_square_chain)
-from .forms import Box, TimePolynomialForm
-from .motion import Cochain, Motion, make_motion
+from .forms import Box, Cochain
+from .motion import Motion, make_motion
 from .polynomial import _REAL, Polynomial, _is_whole
 
 __all__ = ["ScenarioConfig", "load_config", "builtin_scenarios"]
@@ -139,7 +140,13 @@ class ScenarioConfig:
                 raise ValueError(f"unknown builtin chain: {name}")
             T = _BUILTIN_CHAINS[name]()
         elif "file" in spec:
-            T = Chain.load(spec["file"])
+            try:
+                T = Chain.load(spec["file"])
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"scenario {self.name!r}: chain file "
+                                 f"{spec['file']!r}: "
+                                 f"{getattr(exc, 'strerror', None) or exc}"
+                                 ) from None
         else:
             raise ValueError("chain spec needs 'builtin' or 'file'")
         if T.ambient != self.ambient:
@@ -172,14 +179,13 @@ class ScenarioConfig:
                                  f"increasing axis indices below "
                                  f"{self.ambient}, joined by commas")
             comps[idx] = Polynomial.from_json_obj(self.ambient + 1, body)
-        return Cochain(TimePolynomialForm(self.ambient, degree, comps),
-                       name=self.name)
+        return Cochain(self.ambient, degree, comps)
 
-    def build_density(self) -> TimePolynomialForm:
+    def build_density(self) -> Cochain:
         if self.density is None:
             raise ValueError(f"scenario {self.name} has no density")
         poly = Polynomial.from_json_obj(self.ambient + 1, self.density)
-        return TimePolynomialForm(self.ambient, 0, {(): poly})
+        return Cochain(self.ambient, 0, {(): poly})
 
     def build_box(self) -> Box:
         if self.box is None:
@@ -234,7 +240,8 @@ def _finite(name: str, value):
 
 def load_config(path) -> list:
     """Scenario list from a JSON file: either a single scenario object or
-    {"scenarios": [...]}. Raises ValueError with field diagnostics."""
+    {"scenarios": [...]}, a relative chain "file" read from the directory
+    of `path`. Raises ValueError with field diagnostics."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -245,9 +252,13 @@ def load_config(path) -> list:
     out = []
     for item in items:
         try:
-            out.append(ScenarioConfig.from_obj(item))
+            cfg = ScenarioConfig.from_obj(item)
         except (TypeError, ValueError, KeyError) as exc:
             raise ValueError(f"bad scenario in {path}: {exc}") from None
+        if isinstance(cfg.chain.get("file"), str):
+            cfg.chain = {**cfg.chain, "file": os.path.join(
+                os.path.dirname(path), cfg.chain["file"])}
+        out.append(cfg)
     return out
 
 

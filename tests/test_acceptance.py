@@ -13,15 +13,15 @@ from currentkit.chains import (Chain, boundary, evaluate, mass_chain,
 from currentkit.complexes import freudenthal_complex
 from currentkit.flatnorm import (dual_flat_lower_bound, flat_norm_lp,
                                  sharp_lower_bound)
-from currentkit.forms import (Box, FormField, TimePolynomialForm, VectorField,
+from currentkit.forms import (Box, Cochain, FormField, VectorField,
                               exterior_derivative, lie_derivative,
                               lie_derivative_components)
 from currentkit.lipschitz import (LipMap, lipschitz_constant,
                                   pushforward_chain)
-from currentkit.motion import (Cochain, classical_reynolds,
-                               continuity_modulus, homotopy_residual,
-                               make_motion, reynolds_operator,
-                               transport_derivative, transport_derivative_fd)
+from currentkit.motion import (classical_reynolds, continuity_modulus,
+                               homotopy_residual, make_motion,
+                               reynolds_operator, transport_derivative,
+                               transport_derivative_fd)
 from currentkit.polynomial import Polynomial
 
 
@@ -34,8 +34,8 @@ def _report(num, name, ok, detail=""):
 
 def _area_cochain():
     t, x, y = (Polynomial.variable(i, 3) for i in range(3))
-    return Cochain(TimePolynomialForm(
-        2, 2, {(0, 1): x * x + t * y + Polynomial.constant(3, 1.0)}))
+    return Cochain(2, 2, {(0, 1): x * x + t * y
+                          + Polynomial.constant(3, 1.0)})
 
 
 def test_criterion_01_exterior_identities():
@@ -209,7 +209,7 @@ def test_criterion_07_transport_theorem():
 
 def test_criterion_08_classical_reynolds():
     m = make_motion("expansion", interval=(-0.5, 1.0))
-    density = TimePolynomialForm(2, 0, {(): Polynomial.constant(3, 1.0)})
+    density = Cochain(2, 0, {(): Polynomial.constant(3, 1.0)})
     lhs, vol, flux = classical_reynolds(m, unit_square_chain(), density, 0.0)
     ok = abs(lhs - 2.0) <= 1e-6 and abs(lhs - (vol + flux)) <= 1e-6
     assert _report(8, "expanding box: derivative = 2, flux agreement", ok,

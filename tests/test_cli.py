@@ -141,12 +141,15 @@ class TestScenarioConfig:
         ({"chain": {"file": "no_degree.json"}}, '"degree"'),
         ({"chain": {"file": "space.json"}, "cochain": None}, "'ambient'"),
         ({"motion": {"family": "rotation", "interval": [0.5, 1.0]},
-          "tau": 0.7}, "'motion.interval'")],
+          "tau": 0.7}, "'motion.interval'"),
+        ({"motion": {"family": "tent", "axis": 0, "width": 0.25}},
+         "'motion': motion parameter 'amplitude'")],
         ids=["box_order", "box_pad", "cochain_arity", "density_arity",
              "key_range", "key_order", "interval", "motion_list",
              "chain_string", "box_list", "rotation_3d", "fd_step_outside",
              "no_family", "chain_file_missing", "chain_file_no_degree",
-             "cochainless_3d_chain", "window_outside_interval"])
+             "cochainless_3d_chain", "window_outside_interval",
+             "folding_axis_0_tent"])
     def test_file_is_checked_whole_by_every_subcommand(self, tmp_path,
                                                        capsys, monkeypatch,
                                                        change, field):
@@ -158,7 +161,8 @@ class TestScenarioConfig:
         # subcommand in a traceback and exit 1, and so did one without
         # "degree", a 3-D chain of a scenario without a cochain passed
         # transport and converge, and an interval without verify's window
-        # passed transport and flatnorm
+        # passed transport and flatnorm; a tent along axis 0 that folds x0
+        # over itself passed all four
         monkeypatch.chdir(tmp_path)
         for name, body in _CHAIN_FILES.items():
             (tmp_path / name).write_text(json.dumps(body))
@@ -381,6 +385,45 @@ class TestScenarioConfig:
         assert (f'simplex 1 of the chain lacks "{key}"'
                 in capsys.readouterr().err)
         assert not (tmp_path / "transport.csv").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "transport", "flatnorm",
+                                         "converge"])
+    def test_relative_chain_file_is_read_beside_its_config(
+            self, tmp_path, monkeypatch, capsys, command):
+        # a relative chain "file" was opened from the working directory, so
+        # a config beside its chain file exited 2 from any other directory
+        config_dir, elsewhere = tmp_path / "cfg", tmp_path / "elsewhere"
+        config_dir.mkdir()
+        elsewhere.mkdir()
+        boundary(unit_square_chain()).save(config_dir / "c.json")
+        path = config_dir / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "chain": {"file": "c.json"},
+            "motion": {"family": "rotation", "rate": 0.7},
+            "cochain": {"degree": 1, "components": {"0": [
+                {"exponents": [0, 0, 1], "coefficient": 1.0}]}}}))
+        monkeypatch.chdir(elsewhere)
+        assert main([command, "--config", str(path), "--out", "out"]) == 0
+        assert (elsewhere / "out" / f"{command}.csv").exists()
+        (config_dir / "c.json").unlink()
+        assert main([command, "--config", str(path), "--out", "out"]) == 2
+        resolved = os.path.join(str(config_dir), "c.json")
+        assert (f"error: scenario 'x': chain file {resolved!r}: No such "
+                f"file or directory") in capsys.readouterr().err
+
+    def test_an_error_is_one_line_on_stderr(self, tmp_path):
+        # each error was written twice, through the log and as "error: ..."
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        env.pop("CURRENTKIT_LOG", None)
+        missing = tmp_path / "missing.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "currentkit.cli", "verify", "--config",
+             str(missing), "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            f"error: [Errno 2] No such file or directory: '{missing}'"]
 
     @pytest.mark.parametrize("term, match", [
         ({"exponents": [0, 1.5, 0], "coefficient": 1.0},

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from currentkit import forms
 from currentkit.exterior import CoVector, comass, multi_indices
-from currentkit.forms import (AffineMap, Box, FormField, TimePolynomialForm,
+from currentkit.forms import (AffineMap, Box, Cochain, FormField,
                               VectorField, contract, exterior_derivative,
                               form_lipschitz, lie_derivative,
                               lie_derivative_components, pullback,
@@ -751,10 +751,10 @@ class TestTimeForms:
     def test_at_time_and_derivative(self):
         t = Polynomial.variable(0, 3)
         x = Polynomial.variable(1, 3)
-        omega = TimePolynomialForm(2, 1, {(0,): t * t * x})
-        frozen = omega.at_time(2.0)
+        omega = Cochain(2, 1, {(0,): t * t * x})
+        frozen = omega.form_at(2.0)
         assert frozen.polys[0]([3.0, 0.0]) == pytest.approx(12.0)
-        dot = omega.time_derivative().at_time(2.0)
+        dot = omega.dot_at(2.0)
         assert dot.polys[0]([3.0, 0.0]) == pytest.approx(12.0)
 
     def test_time_slice_contract(self):
@@ -772,7 +772,7 @@ class TestTimeForms:
 
     def test_degree_mismatch_raises(self):
         with pytest.raises(ValueError):
-            TimePolynomialForm(2, 1, {(0, 1): Polynomial.zero(3)})
+            Cochain(2, 1, {(0, 1): Polynomial.zero(3)})
 
 
 @pytest.mark.parametrize("degree, key", [
@@ -780,7 +780,7 @@ class TestTimeForms:
     (2, (0,))])
 @pytest.mark.parametrize("build", [
     lambda degree, key: FormField.from_polynomials(2, degree, {key: 1.0}),
-    lambda degree, key: TimePolynomialForm(2, degree, {key: 1.0})],
+    lambda degree, key: Cochain(2, degree, {key: 1.0})],
     ids=["FormField.from_polynomials", "TimePolynomialForm"])
 def test_bad_multi_index_is_named(build, degree, key):
     # unchecked, (1, 0) and (0, 5) were a bare KeyError, and (0, 1) of a

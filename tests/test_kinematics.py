@@ -8,10 +8,10 @@ import pytest
 
 from currentkit.chains import (Chain, Leaf, boundary, evaluate,
                                unit_interval_chain, unit_square_chain)
-from currentkit.forms import (Box, FormField, TimePolynomialForm, VectorField,
+from currentkit.forms import (Box, Cochain, FormField, VectorField,
                               lie_derivative)
 from currentkit.lipschitz import make_map, pushforward_chain
-from currentkit.motion import (_MOTION_FAMILIES, Cochain, Motion,
+from currentkit.motion import (_MOTION_FAMILIES, Motion,
                                classical_reynolds, continuity_modulus,
                                deformation_chain, homotopy_residual,
                                make_motion, reynolds_operator,
@@ -28,13 +28,13 @@ BSQ = boundary(SQ)
 def _area_cochain():
     # psi = (x^2 + t*y + 1) dx^dy
     t, x, y = (Polynomial.variable(i, 3) for i in range(3))
-    return Cochain(TimePolynomialForm(
-        2, 2, {(0, 1): x * x + t * y + Polynomial.constant(3, 1.0)}))
+    return Cochain(2, 2, {(0, 1): x * x + t * y
+                          + Polynomial.constant(3, 1.0)})
 
 
 def _line_cochain():
     t, x, y = (Polynomial.variable(i, 3) for i in range(3))
-    return Cochain(TimePolynomialForm(2, 1, {(0,): x * y + t, (1,): y * y}))
+    return Cochain(2, 1, {(0,): x * y + t, (1,): y * y})
 
 
 class TestMotionFamilies:
@@ -189,7 +189,7 @@ class TestTransportDerivative:
     def test_static_motion_vanishes_for_static_cochain(self):
         m = make_motion("identity")
         x = Polynomial.variable(1, 3)
-        psi = Cochain(TimePolynomialForm(2, 2, {(0, 1): x * x}))
+        psi = Cochain(2, 2, {(0, 1): x * x})
         assert transport_derivative(m, SQ, psi, 0.0) == pytest.approx(
             0.0, abs=1e-12)
 
@@ -204,10 +204,50 @@ class TestTransportDerivative:
         assert order > 0.9
 
 
+class TestAxisZeroTent:
+    """A tent that lifts along axis 0 moves x0 itself: its velocity is the
+    hat whose peak has moved to center + t * amplitude."""
+
+    @staticmethod
+    def _motion(amplitude=0.3, interval=(-0.8, 0.8)):
+        return make_motion("tent", center=0.5, width=0.25,
+                           amplitude=amplitude, axis=0, interval=interval)
+
+    @pytest.mark.parametrize("levels", [3, 5])
+    def test_transport_derivative_matches_central_fd(self, levels):
+        # the hat at the pushed point's y0 read 0.969631 and 0.968875
+        # against the FD's 0.955 at tau = 0.5
+        T = Chain(np.array([[[0.0, 0.0], [1.0, 1.0]]]), [1.0])
+        psi = _line_cochain()
+        m = self._motion()
+        an = transport_derivative(m, T, psi, 0.5, levels)
+        fd = transport_derivative_fd(m, T, psi, 0.5, 1e-4, levels)
+        assert abs(an - fd) <= 1e-9
+
+    def test_velocity_carries_material_points(self):
+        m = self._motion()
+        rng = np.random.default_rng(3)
+        h = 1e-6
+        for t in (-0.5, 0.0, 0.3, 0.75):
+            v = velocity_field(m, t)
+            now, ahead, behind = (m.map_at(s) for s in (t, t + h, t - h))
+            for x in rng.uniform(0.0, 1.0, size=(5, 2)):
+                np.testing.assert_allclose(v(now(x)),
+                                           (ahead(x) - behind(x)) / (2 * h),
+                                           atol=1e-8)
+
+    @pytest.mark.parametrize("amplitude, interval", [
+        (0.3, (-1.0, 1.0)), (-0.25, (-1.0, 0.5))])
+    def test_folding_lift_rejected(self, amplitude, interval):
+        # at |t * amplitude| >= width the lift folds x0 over itself
+        with pytest.raises(ValueError, match="parameter 'amplitude'"):
+            self._motion(amplitude, interval)
+
+
 class TestClassicalReynolds:
     def test_expanding_box(self):
         m = make_motion("expansion", interval=(-0.5, 1.0))
-        density = TimePolynomialForm(2, 0, {(): Polynomial.constant(3, 1.0)})
+        density = Cochain(2, 0, {(): Polynomial.constant(3, 1.0)})
         lhs, vol, flux = classical_reynolds(m, SQ, density, 0.0)
         assert lhs == pytest.approx(2.0, abs=1e-9)
         assert lhs == pytest.approx(vol + flux, abs=1e-9)
@@ -215,7 +255,7 @@ class TestClassicalReynolds:
     def test_time_varying_density_static_domain(self):
         m = make_motion("identity")
         t = Polynomial.variable(0, 3)
-        density = TimePolynomialForm(2, 0, {(): t})
+        density = Cochain(2, 0, {(): t})
         lhs, vol, flux = classical_reynolds(m, SQ, density, 0.5)
         assert lhs == pytest.approx(1.0, abs=1e-9)  # d/dt (t * area)
         assert vol == pytest.approx(1.0, abs=1e-9)
@@ -223,7 +263,7 @@ class TestClassicalReynolds:
 
     def test_wrong_degree_rejected(self):
         m = make_motion("identity")
-        density = TimePolynomialForm(2, 0, {(): Polynomial.constant(3, 1.0)})
+        density = Cochain(2, 0, {(): Polynomial.constant(3, 1.0)})
         with pytest.raises(ValueError):
             classical_reynolds(m, BSQ, density, 0.0)
 
@@ -242,15 +282,14 @@ class TestClassicalReynolds:
         t = Polynomial.variable(0, 3)
         rho = (Polynomial.random(3, 3, rng)
                + t * Polynomial.random(3, 2, rng) + t * 0.37)
-        density = TimePolynomialForm(2, 0, {(): rho})
-        rate = density.time_derivative().at_time(0.3)
+        density = Cochain(2, 0, {(): rho})
+        rate = density.dot_at(0.3)
         lhs, vol, _ = classical_reynolds(m, SQ, density, 0.3, levels)
         assert vol != 0.0
         assert vol == evaluate(m.push(SQ, 0.3, levels),
                                FormField.from_polynomials(
                                    2, 2, {(0, 1): rate.polys[0]}))
-        vol_cochain = Cochain(TimePolynomialForm(2, 2, {(0, 1):
-                                                        density.polys[0]}))
+        vol_cochain = Cochain(2, 2, {(0, 1): density.polys[0]})
         assert lhs == transport_derivative(m, SQ, vol_cochain, 0.3, levels)
 
     @pytest.mark.parametrize("levels, expected", [
@@ -266,7 +305,7 @@ class TestClassicalReynolds:
 
         monkeypatch.setattr(Motion, "push", pushed)
         m = make_motion("expansion", interval=(-0.5, 1.0))
-        density = TimePolynomialForm(2, 0, {(): _area_cochain().rep.polys[0]})
+        density = Cochain(2, 0, {(): _area_cochain().polys[0]})
         assert classical_reynolds(m, SQ, density, 0.3, levels) == expected
 
     def test_subdivides_the_chain_once(self, monkeypatch):
@@ -281,7 +320,7 @@ class TestClassicalReynolds:
 
         monkeypatch.setattr(Chain, "subdivided", counted)
         m = make_motion("expansion", interval=(-0.5, 1.0))
-        density = TimePolynomialForm(2, 0, {(): _area_cochain().rep.polys[0]})
+        density = Cochain(2, 0, {(): _area_cochain().polys[0]})
         classical_reynolds(m, SQ, density, 0.3, 4)
         assert sorted(calls) == [(len(SQ), 4), (len(BSQ), 4)]
 
@@ -294,7 +333,7 @@ class TestClassicalReynolds:
         # normals were planar only, a ValueError
         kuhn = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]])
         m = make_motion("expansion", 3, interval=(-0.5, 1.0))
-        density = TimePolynomialForm(3, 0, {(): Polynomial.constant(4, 1.0)})
+        density = Cochain(3, 0, {(): Polynomial.constant(4, 1.0)})
         lhs, vol, flux = classical_reynolds(
             m, Chain(kuhn[None, order], [1.0]), density, tau)
         assert lhs == pytest.approx(sign * (1 + tau) ** 2 / 2, abs=1e-15)
@@ -307,7 +346,7 @@ class TestClassicalReynolds:
         m = make_motion("translation", 1, velocity=[0.7])
         x = Polynomial.variable(1, 2)
         lhs, vol, flux = classical_reynolds(
-            m, unit_interval_chain(), TimePolynomialForm(1, 0, {(): x}), 0.0)
+            m, unit_interval_chain(), Cochain(1, 0, {(): x}), 0.0)
         assert lhs == pytest.approx(0.7, abs=1e-15)
         assert (vol, flux) == (0.0, pytest.approx(0.7, abs=1e-15))
 
@@ -315,7 +354,7 @@ class TestClassicalReynolds:
     def test_expanding_box_at_scale(self, scale):
         # no boundary face is too short or too long to carry its flux
         m = make_motion("expansion", interval=(-0.5, 1.0))
-        density = TimePolynomialForm(2, 0, {(): Polynomial.constant(3, 1.0)})
+        density = Cochain(2, 0, {(): Polynomial.constant(3, 1.0)})
         T = pushforward_chain(make_map("scaling", 2, factor=scale), SQ)
         lhs, vol, flux = classical_reynolds(m, T, density, 0.0)
         assert lhs == pytest.approx(2.0 * scale ** 2, rel=1e-12, abs=0.0)

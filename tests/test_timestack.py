@@ -15,9 +15,9 @@ from currentkit.chains import (Chain, Leaf, _leaf_evaluate, boundary,
                                unit_square_chain)
 from currentkit.exterior import multi_indices
 from currentkit.flatnorm import lower_bounds
-from currentkit.forms import Box, FormField, TimePolynomialForm, VectorField
+from currentkit.forms import Box, Cochain, FormField, VectorField
 from currentkit.lipschitz import LipMap, pushforward_chain
-from currentkit.motion import (Cochain, Motion, continuity_modulus,
+from currentkit.motion import (Motion, continuity_modulus,
                                deformation_chain, homotopy_residual,
                                homotopy_residuals, make_motion,
                                transport_derivative, transport_derivative_fd,
@@ -67,9 +67,9 @@ def _form(n: int, degree: int, seed: int) -> FormField:
 
 def _cochain(n: int, r: int) -> Cochain:
     rng = np.random.default_rng(n + r)
-    return Cochain(TimePolynomialForm(n, r, {
+    return Cochain(n, r, {
         idx: Polynomial.random(n + 1, 2, rng)
-        for idx in multi_indices(r, n)}))
+        for idx in multi_indices(r, n)})
 
 
 class TestBitIdentity:
