@@ -13,6 +13,7 @@ import numpy as np
 
 from .exterior import sort_parity, wedge_rows
 from .forms import FormField, VectorField, contract, exterior_derivative
+from .polynomial import _is_real
 from .quadrature import (_halving_indices, _read_only, _whole_number,
                          simplex_rule, simplex_volumes)
 
@@ -293,7 +294,11 @@ class Chain:
         if not (_is_int(degree, 0) and _is_int(ambient, 1)):
             raise ValueError('the chain\'s "degree" must be an integer >= 0 '
                              'and its "ambient" an integer >= 1')
-        table = np.asarray(obj["vertex_table"], dtype=float)
+        try:
+            table = np.asarray(obj["vertex_table"], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError('the chain\'s "vertex_table" must be a list of '
+                             'points') from None
         if table.size and (table.ndim != 2 or table.shape[1] != ambient):
             raise ValueError("the chain's vertex_table rows do not have "
                              "`ambient` coordinates")
@@ -301,10 +306,17 @@ class Chain:
             raise ValueError("non-finite entry in the chain's vertex_table")
         table = table.reshape(-1, ambient)
         records = obj["simplices"]
+        if not isinstance(records, list):
+            raise ValueError(f'the chain\'s "simplices" must be a list, got '
+                             f'{records!r}')
         for k, rec in enumerate(records):
             for key in ("vertices", "multiplicity"):
                 if not isinstance(rec, dict) or key not in rec:
                     raise ValueError(f'simplex {k} of the chain lacks "{key}"')
+            mult = rec["multiplicity"]
+            if not _is_real(mult):
+                raise ValueError(f'simplex {k} of the chain: "multiplicity" '
+                                 f'must be a number, got {mult!r}')
         rows = [rec["vertices"] for rec in records]
         width, size = degree + 1, len(table)
         for k, row in enumerate(rows):

@@ -215,8 +215,11 @@ class FormField:
 def _coefficient_polys(coeffs, degree: int, ambient: int,
                        nvars: int) -> list:
     """The coefficient polynomials in `nvars` variables of `coeffs`, a
-    mapping from multi-index to Polynomial or number; a bad key raises a
-    ValueError that names it."""
+    mapping from multi-index to Polynomial or number; a degree outside
+    0..ambient or a bad key raises a ValueError that names it."""
+    if not 0 <= degree <= ambient:
+        raise ValueError(f"degree {degree!r} must be between 0 and the "
+                         f"ambient dimension {ambient}")
     polys = [Polynomial.zero(nvars) for _ in range(comb(ambient, degree))]
     for idx, p in coeffs.items():
         key = tuple(idx)

@@ -181,7 +181,7 @@ def _family_params(what: str, families: dict, name: str, params: dict,
     its parameters and every parameter in force of its kind in `ambient`
     dimensions, defaults too; and unless a rotation is planar and a shear
     has a second axis."""
-    if name not in families:
+    if not isinstance(name, str) or name not in families:
         raise ValueError(f"unknown {what} family: {name}")
     takes = families[name]
     for key in params:

@@ -16,7 +16,7 @@ from .forms import (Box, Cochain, FormField, VectorField, contract,
                     exterior_derivative, seminorm_comass)
 from .lipschitz import (_TENT, LipMap, _affine_frames, _family_params,
                         _tent, _tent_lift, pushforward_chain)
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _is_real
 from .quadrature import (gauss_nodes, gauss_quadrature, gauss_sum,
                          simplex_rule)
 
@@ -437,10 +437,13 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
     its exact Eulerian velocity.  A ValueError names a bad parameter or
     `interval`."""
     params = _family_params("motion", _MOTION_FAMILIES, name, params, ambient)
-    iv = tuple(float(t) for t in interval)
-    if not (len(iv) == 2 and -np.inf < iv[0] < iv[1] < np.inf):
+    iv = tuple(interval) if isinstance(interval, (list, tuple,
+                                                   np.ndarray)) else ()
+    if not (len(iv) == 2 and all(map(_is_real, iv))
+            and -np.inf < iv[0] < iv[1] < np.inf):
         raise ValueError(f"motion parameter 'interval' must be two finite "
                          f"increasing numbers, got {interval!r}")
+    iv = (float(iv[0]), float(iv[1]))
 
     if name == "identity":
         # the translation by 0, as `make_map` states it

@@ -15,7 +15,12 @@ import numpy as np
 __all__ = ["Polynomial"]
 
 _DROP = 0.0  # coefficients exactly zero are dropped; no epsilon pruning
-_REAL = (int, float, np.integer, np.floating)  # the coefficient types
+
+
+def _is_real(value) -> bool:
+    """Whether `value` is an int or a float, numpy's too; never a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and type(value) is not bool)
 
 
 def _is_whole(value) -> bool:
@@ -56,7 +61,7 @@ def _checked_terms(nvars: int, pairs) -> dict:
         if not all(map(_is_whole, expo)) or min(expo, default=0) < 0:
             raise ValueError(f"exponents {expo!r} must be whole numbers "
                              f">= 0")
-        if type(c) is bool or not isinstance(c, _REAL):
+        if not _is_real(c):
             raise ValueError(f"coefficient {c!r} of {expo!r} is not a real "
                              f"number")
         try:

@@ -13,7 +13,7 @@ from .chains import (Chain, boundary, triangle_chain, unit_interval_chain,
                      unit_square_chain)
 from .forms import Box, Cochain
 from .motion import Motion, make_motion
-from .polynomial import _REAL, Polynomial, _is_whole
+from .polynomial import Polynomial, _is_real, _is_whole
 
 __all__ = ["ScenarioConfig", "load_config", "builtin_scenarios"]
 
@@ -55,6 +55,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ScenarioConfig":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a scenario must be an object, got {obj!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(obj) - known
         if isinstance(obj.get("box"), dict):
@@ -70,42 +72,27 @@ class ScenarioConfig:
             if not (isinstance(value, dict) or key == "box" and value is None):
                 raise ValueError(f"scenario field {key!r} must be an object, "
                                  f"got {value!r}")
+        for key in ("file", "builtin"):
+            if not isinstance(cfg.chain.get(key, ""), str):
+                raise ValueError(f"scenario field 'chain.{key}' must be a "
+                                 f"string, got {cfg.chain[key]!r}")
         for key, low in _WHOLE_FIELDS:
             setattr(cfg, key, _whole(key, getattr(cfg, key), low))
         _finite("tau", cfg.tau)
         if not isinstance(cfg.eps_ladder, (list, tuple)) or not all(
-                isinstance(e, _REAL) and type(e) is not bool
-                for e in cfg.eps_ladder):
+                map(_is_real, cfg.eps_ladder)):
             raise ValueError(f"scenario field 'eps_ladder' must be a list of "
                              f"numbers, got {cfg.eps_ladder!r}")
         if len(cfg.eps_ladder) < 2:
             raise ValueError(f"scenario field 'eps_ladder' must have at "
                              f"least two steps, got {list(cfg.eps_ladder)}")
-        _finite("eps_ladder", cfg.eps_ladder)
+        if not all(0.0 < e < np.inf for e in cfg.eps_ladder):
+            raise ValueError(f"scenario field 'eps_ladder' must be finite "
+                             f"steps > 0, got {list(cfg.eps_ladder)}")
         cfg.eps_ladder = tuple(float(e) for e in cfg.eps_ladder)
-        if not all(e > 0.0 for e in cfg.eps_ladder):
-            raise ValueError("scenario field 'eps_ladder' must be > 0")
         if len(set(cfg.eps_ladder)) < len(cfg.eps_ladder):
             raise ValueError(f"scenario field 'eps_ladder' must not repeat "
                              f"a step, got {list(cfg.eps_ladder)}")
-        for key, value in cfg.motion.items():
-            if key != "family":
-                _finite(f"motion.{key}", value)
-        interval = cfg.motion.get("interval", (-1.0, 1.0))
-        # the times at which verify and converge read the motion
-        if np.shape(interval) != (2,) or not all(
-                interval[0] <= t <= interval[1]
-                for t in (*_HOMOTOPY_WINDOW, *cfg.eps_ladder)):
-            raise ValueError(f"scenario field 'motion.interval' must be two "
-                             f"numbers that contain {list(_HOMOTOPY_WINDOW)} "
-                             f"and each step of 'eps_ladder', got "
-                             f"{interval!r}")
-        # the finite differences read the motion at each tau + eps, tau - eps
-        if not all(interval[0] <= cfg.tau + s * e <= interval[1]
-                   for e in cfg.eps_ladder for s in (1.0, -1.0)):
-            raise ValueError(f"scenario field 'tau' must lie in "
-                             f"'motion.interval' {list(interval)} by each "
-                             f"step of 'eps_ladder', got {cfg.tau!r}")
         _finite("chain.multiplier", cfg.chain.get("multiplier", 1.0))
         if cfg.box is not None:
             for key in ("lower", "upper"):
@@ -113,21 +100,33 @@ class ScenarioConfig:
                     raise ValueError(f"scenario field 'box.{key}' must be "
                                      f"{cfg.ambient} numbers, got "
                                      f"{cfg.box.get(key)!r}")
-                _finite(f"box.{key}", cfg.box[key])
             if "resolution" in cfg.box:
                 cfg.box = {**cfg.box, "resolution": _whole(
                     "box.resolution", cfg.box["resolution"], 2)}
         if cfg.cochain is not None:
-            _check_cochain(cfg.cochain, cfg.ambient)
+            _check_cochain(cfg.cochain)
         # building the motion, box, cochain and density checks the rest,
         # so a file is checked whole whichever subcommand reads it
+        built = {}
         for key in ("motion", "box", "cochain", "density"):
             if getattr(cfg, key) is not None:
                 try:
-                    getattr(cfg, f"build_{key}")()
+                    built[key] = getattr(cfg, f"build_{key}")()
                 except ValueError as exc:
                     raise ValueError(f"scenario field {key!r}: {exc}") \
                         from None
+        a, b = built["motion"].interval
+        # the times at which verify and converge read the motion
+        if not all(a <= t <= b for t in (*_HOMOTOPY_WINDOW, *cfg.eps_ladder)):
+            raise ValueError(f"scenario field 'motion.interval' must contain "
+                             f"{list(_HOMOTOPY_WINDOW)} and each step of "
+                             f"'eps_ladder', got {[a, b]}")
+        # the finite differences read the motion at each tau + eps, tau - eps
+        if not all(a <= cfg.tau + s * e <= b
+                   for e in cfg.eps_ladder for s in (1.0, -1.0)):
+            raise ValueError(f"scenario field 'tau' must lie in "
+                             f"'motion.interval' {[a, b]} by each "
+                             f"step of 'eps_ladder', got {cfg.tau!r}")
         return cfg
 
     # -- builders ------------------------------------------------------
@@ -160,26 +159,20 @@ class ScenarioConfig:
         spec = dict(self.motion)
         if "family" not in spec:
             raise ValueError("motion spec needs a 'family'")
-        family = spec.pop("family")
-        interval = tuple(spec.pop("interval", (-1.0, 1.0)))
-        return make_motion(family, ambient=self.ambient, interval=interval,
-                           **spec)
+        return make_motion(spec.pop("family"), ambient=self.ambient, **spec)
 
     def build_cochain(self) -> Cochain:
         if self.cochain is None:
             raise ValueError(f"scenario {self.name} has no cochain")
-        degree = int(self.cochain["degree"])
         comps = {}
         for key, body in self.cochain["components"].items():
-            idx = tuple(int(i) if i.isdecimal() else -1
-                        for i in key.split(",")) if key else ()
-            if (len(idx) != degree or list(idx) != sorted(set(idx))
-                    or not all(0 <= i < self.ambient for i in idx)):
-                raise ValueError(f"component key {key!r} must be {degree} "
-                                 f"increasing axis indices below "
-                                 f"{self.ambient}, joined by commas")
-            comps[idx] = Polynomial.from_json_obj(self.ambient + 1, body)
-        return Cochain(self.ambient, degree, comps)
+            parts = key.split(",") if key else []
+            if not all(part.isdecimal() for part in parts):
+                raise ValueError(f"component key {key!r} must be axis "
+                                 f"indices joined by commas")
+            comps[tuple(map(int, parts))] = Polynomial.from_json_obj(
+                self.ambient + 1, body)
+        return Cochain(self.ambient, int(self.cochain["degree"]), comps)
 
     def build_density(self) -> Cochain:
         if self.density is None:
@@ -209,33 +202,25 @@ def _whole(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _check_cochain(cochain, ambient: int):
+def _check_cochain(cochain):
     """A ValueError naming the key unless `cochain` is an object whose
-    "degree" is a whole number (by the rule of `_whole`) in 0..ambient and
-    whose "components" is an object."""
+    "degree" is a whole number (by the rule of `_whole`) and whose
+    "components" is an object."""
     if not isinstance(cochain, dict):
         raise ValueError(f"scenario field 'cochain' must be an object, got "
                          f"{cochain!r}")
-    degree = _whole("cochain.degree", cochain.get("degree"), 0)
-    if degree > ambient:
-        raise ValueError(f"scenario field 'cochain.degree' must be at most "
-                         f"the ambient dimension {ambient}, got {degree}")
+    _whole("cochain.degree", cochain.get("degree"), 0)
     if not isinstance(cochain.get("components"), dict):
         raise ValueError(f"scenario field 'cochain.components' must be an "
                          f"object, got {cochain.get('components')!r}")
 
 
 def _finite(name: str, value):
-    """A ValueError naming the field unless `value` is a finite number or
-    a list of finite numbers."""
-    try:
-        numbers = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"scenario field {name!r} must be a number or a "
-                         f"list of numbers, got {value!r}") from None
-    if not np.all(np.isfinite(numbers)):
-        raise ValueError(f"scenario field {name!r} must be finite, got "
-                         f"{value!r}")
+    """A ValueError naming the field unless `value` is a finite real
+    number, not a bool."""
+    if not (_is_real(value) and -np.inf < value < np.inf):
+        raise ValueError(f"scenario field {name!r} must be a finite number, "
+                         f"got {value!r}")
 
 
 def load_config(path) -> list:
@@ -247,15 +232,17 @@ def load_config(path) -> list:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config parse error in {path}: {exc}") from None
-    items = obj["scenarios"] if isinstance(obj, dict) and "scenarios" in obj \
-        else [obj]
+    items = obj.get("scenarios", [obj]) if isinstance(obj, dict) else [obj]
+    if not isinstance(items, list):
+        raise ValueError(f"bad scenario in {path}: 'scenarios' must be a list "
+                         f"of scenario objects, got {items!r}")
     out = []
     for item in items:
         try:
             cfg = ScenarioConfig.from_obj(item)
         except (TypeError, ValueError, KeyError) as exc:
             raise ValueError(f"bad scenario in {path}: {exc}") from None
-        if isinstance(cfg.chain.get("file"), str):
+        if "file" in cfg.chain:
             cfg.chain = {**cfg.chain, "file": os.path.join(
                 os.path.dirname(path), cfg.chain["file"])}
         out.append(cfg)

@@ -332,6 +332,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f'"{key}" .*an integer'):
             Chain.from_json_obj(obj)
 
+    @pytest.mark.parametrize("key, bad, match", [
+        ("simplices", {}, '"simplices" must be a list'),
+        ("simplices", 3, '"simplices" must be a list'),
+        ("vertex_table", {"a": [0, 0]}, '"vertex_table" must be a list of'),
+        ("multiplicity", {}, '"multiplicity" must be a number'),
+        ("multiplicity", [1], '"multiplicity" must be a number'),
+        ("multiplicity", "1", '"multiplicity" must be a number'),
+        ("multiplicity", True, '"multiplicity" must be a number')])
+    def test_simplices_vertex_table_and_multiplicity_are_checked(
+            self, key, bad, match):
+        # unchecked, a "simplices" that is not a list and a dict
+        # vertex_table or multiplicity were each a TypeError, and a "1" or
+        # true multiplicity was read as 1.0
+        obj = unit_square_chain().to_json_obj()
+        (obj["simplices"][0] if key == "multiplicity" else obj)[key] = bad
+        with pytest.raises(ValueError, match=match):
+            Chain.from_json_obj(obj)
+
     def test_empty_chain_round_trips(self):
         obj = Chain(np.zeros((0, 2, 3)), []).to_json_obj()
         assert obj["vertex_table"] == [] and obj["simplices"] == []

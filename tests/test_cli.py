@@ -38,6 +38,54 @@ _CHAIN_FILES = {
                                       "multiplicity": 1.0}]}}
 
 
+# the values that the loader sweep puts in place of each field
+_SWEEP_VALUES = [None, True, 0, 2, -1, 1.5, float("nan"), "x", [], [1], {},
+                 {"a": 1}]
+
+
+def _put(obj, path, value):
+    """A deep copy of `obj` with `value` at the key path `path`."""
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+def _sweep_cases():
+    """(what, scenario file, chain file): a valid scenario with its chain in
+    "c.json", then each of _SWEEP_VALUES in place of each field of the
+    scenario (its chain's "file" and "builtin" aside, which would open
+    descriptors of the test process were they not checked), of the chain
+    file and of its first simplex, and as the file shapes."""
+    term = {"exponents": [0, 2, 0], "coefficient": 1.0}
+    scenario = {
+        "name": "x", "ambient": 2,
+        "chain": {"file": "c.json", "multiplier": 1.0},
+        "motion": {"family": "rotation", "rate": 0.7, "interval": [-1, 1]},
+        "cochain": {"degree": 2, "components": {"0,1": [term]}},
+        "density": [term], "tau": 0.2, "eps_ladder": [0.01, 0.001],
+        "levels": 0, "panels": 2, "resolution": 2,
+        "box": {"lower": [0, 0], "upper": [1, 1], "resolution": 2},
+        "seed": 42}
+    chain = unit_square_chain().to_json_obj()
+    fields = [(key,) for key in scenario] + [
+        (key, sub) for key in ("chain", "motion", "cochain", "box")
+        for sub in scenario[key] if sub != "file"]
+    chain_fields = [(key,) for key in chain] + [
+        ("simplices", 0, key) for key in chain["simplices"][0]]
+    for value in _SWEEP_VALUES:
+        for field in fields:
+            yield (field, value), _put(scenario, field, value), chain
+        for field in chain_fields:
+            yield ("c.json", field, value), scenario, _put(chain, field, value)
+        yield ("file", value), value, chain
+        yield ("scenarios", value), {"scenarios": value}, chain
+        yield ("scenario", value), {"scenarios": [value]}, chain
+        yield ("c.json", value), scenario, value
+
+
 def _read(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -110,10 +158,15 @@ class TestScenarioConfig:
          '"chain": {"builtin": "square", "multiplier": NaN}'),
     ])
     def test_non_finite_field_rejected(self, tmp_path, field, body):
+        # `Box` checks its bounds and `make_motion` its parameters, and the
+        # error names the field and the parameter
+        owner = {"box.upper": "'box': box requires finite",
+                 "motion.rate": "'motion': motion parameter 'rate'",
+                 "motion.velocity": "'motion': motion parameter 'velocity'"}
         path = tmp_path / "cfg.json"
         path.write_text('{"name": "x", "cochain": {"degree": 2, '
                         '"components": {"0,1": []}}, ' + body + "}")
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=owner.get(field, field)):
             load_config(path)
         for command in ("verify", "flatnorm"):
             assert main([command, "--config", str(path),
@@ -127,10 +180,13 @@ class TestScenarioConfig:
             {"exponents": [0, 0], "coefficient": 1.0}]}}}, "'cochain'"),
         ({"density": [{"exponents": [0, 0], "coefficient": 1.0}]},
          "'density'"),
-        ({"cochain": {"degree": 2, "components": {"0,5": []}}}, "'0,5'"),
-        ({"cochain": {"degree": 2, "components": {"1,0": []}}}, "'1,0'"),
+        ({"cochain": {"degree": 2, "components": {"0,5": []}}},
+         "'cochain': multi-index (0, 5) must be 2 strictly increasing axis "
+         "indices below 2"),
+        ({"cochain": {"degree": 2, "components": {"1,0": []}}},
+         "'cochain': multi-index (1, 0)"),
         ({"motion": {"family": "rotation", "interval": [1, -1]}},
-         "'motion.interval'"),
+         "'motion': motion parameter 'interval'"),
         ({"motion": ["rotation"]}, "'motion'"),
         ({"chain": "square"}, "'chain'"), ({"box": [0, 1]}, "'box'"),
         ({"ambient": 3, "cochain": {"degree": 3, "components": {}}},
@@ -283,7 +339,9 @@ class TestScenarioConfig:
         path.write_text(json.dumps({
             "name": "x", "motion": {"family": "rotation",
                                     "interval": interval}}))
-        with pytest.raises(ValueError, match="'motion.interval'"):
+        with pytest.raises(ValueError, match="'motion': motion parameter "
+                                             "'interval' must be two finite "
+                                             "increasing numbers"):
             load_config(path)
         assert main(["verify", "--config", str(path),
                      "--out", str(tmp_path)]) == 2
@@ -486,7 +544,7 @@ class TestScenarioConfig:
         ({"degree": "2", "components": {}}, _WHOLE_DEGREE),
         ({"degree": -1, "components": {}}, _WHOLE_DEGREE),
         ({"degree": 3, "components": {}},
-         "'cochain.degree' must be at most the ambient dimension 2"),
+         "'cochain': degree 3 must be between 0 and the ambient dimension 2"),
         ({"degree": 2}, "'cochain.components' must be an object"),
         ({"degree": 2, "components": [[0, 1]]},
          "'cochain.components' must be an object"),
@@ -553,6 +611,83 @@ class TestScenarioConfig:
         bad.write_text("{not json")
         with pytest.raises(ValueError, match="parse error"):
             load_config(bad)
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"scenarios": 5}, "'scenarios' must be a list of scenario objects, "
+                           "got 5"),
+        ({"scenarios": {"name": "a"}}, "'scenarios' must be a list of "
+                                       "scenario objects, got {'name': 'a'}"),
+        ({"scenarios": "x"}, "'scenarios' must be a list of scenario "
+                             "objects, got 'x'"),
+        ({"scenarios": ["x"]}, "a scenario must be an object, got 'x'"),
+        ([{"name": "a"}], "a scenario must be an object, got [{'name': "
+                          "'a'}]")],
+        ids=["number", "object", "string", "string-entry", "top-level-list"])
+    def test_file_shape_is_checked(self, tmp_path, capsys, obj, message):
+        # a top-level list exited 2 with "unhashable type: 'dict'", and
+        # the others raised a TypeError or AttributeError out of main
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(obj))
+        assert main(["verify", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: bad scenario in {path}: {message}\n"
+
+    @pytest.mark.parametrize("chain", [
+        {"file": 0}, {"file": 2}, {"file": True}, {"builtin": ["square"]}],
+        ids=["file-0", "file-2", "file-true", "builtin-list"])
+    def test_chain_file_and_builtin_must_be_strings(self, tmp_path, capfd,
+                                                    chain):
+        # "file": 0 read the chain from stdin and closed it, 2 opened and
+        # closed stderr, true opened stdout, and a list builtin was a
+        # TypeError traceback with exit 1; the test's own descriptors are
+        # restored whatever main does to them
+        stdin = tmp_path / "stdin.json"
+        unit_square_chain().save(stdin)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "x", "chain": chain}))
+        saved = [os.dup(fd) for fd in (0, 1, 2)]
+        try:
+            with open(stdin) as fh:
+                os.dup2(fh.fileno(), 0)
+            codes = [main([command, "--config", str(path),
+                           "--out", str(tmp_path)])
+                     for command in ("verify", "transport", "flatnorm",
+                                     "converge")]
+            read = os.lseek(0, 0, os.SEEK_CUR)
+        finally:
+            for fd, copy in enumerate(saved):
+                os.dup2(copy, fd)
+                os.close(copy)
+        (key, value), = chain.items()
+        assert codes == [2] * 4 and read == 0
+        assert capfd.readouterr().err.splitlines() == [
+            f"error: bad scenario in {path}: scenario field 'chain.{key}' "
+            f"must be a string, got {value!r}"] * 4
+
+    def test_no_malformed_file_raises_out_of_main(self, tmp_path, capsys):
+        # a scenario or chain file with one field, or its shape, replaced by
+        # a value of another kind: 28 of the 384 (a "simplices" or
+        # "scenarios" that is not a list, a dict "vertex_table" or
+        # multiplicity, a list "chain.multiplier", a scenario that is not
+        # an object) raised a TypeError or AttributeError out of main
+        commands = ("verify", "transport", "flatnorm", "converge")
+        path, out = tmp_path / "cfg.json", str(tmp_path / "out")
+        wrong = []
+        for k, (what, scenario, chain) in enumerate(_sweep_cases()):
+            path.write_text(json.dumps(scenario))
+            (tmp_path / "c.json").write_text(json.dumps(chain))
+            try:
+                code = main([commands[k % 4], "--config", str(path),
+                             "--out", out])
+            except Exception as exc:
+                wrong.append((what, repr(exc)))
+                continue
+            err = capsys.readouterr().err.splitlines()
+            if code not in (0, 1, 2) or code == 2 and not (
+                    len(err) == 1 and err[0].startswith("error: ")):
+                wrong.append((what, code, err))
+        assert k > 300 and not wrong
 
 
 class TestVerify:

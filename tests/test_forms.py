@@ -789,3 +789,13 @@ def test_bad_multi_index_is_named(build, degree, key):
             f"multi-index {key!r} must be {degree} strictly increasing "
             f"axis indices below 2")):
         build(degree, key)
+
+
+@pytest.mark.parametrize("degree", [-1, 3])
+@pytest.mark.parametrize("build", [FormField.from_polynomials, Cochain],
+                         ids=["FormField.from_polynomials", "Cochain"])
+def test_degree_outside_zero_to_ambient_is_named(build, degree):
+    # unchecked, each built a form with no coefficients on R^2
+    with pytest.raises(ValueError, match=f"degree {degree} must be between "
+                                         f"0 and the ambient dimension 2"):
+        build(2, degree, {})
