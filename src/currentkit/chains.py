@@ -13,7 +13,7 @@ import numpy as np
 
 from .exterior import sort_parity, wedge_rows
 from .forms import FormField, VectorField, contract, exterior_derivative
-from .polynomial import _is_real
+from .polynomial import _is_finite, _is_real, _real_array
 from .quadrature import (_halving_indices, _read_only, _whole_number,
                          simplex_rule, simplex_volumes)
 
@@ -295,8 +295,8 @@ class Chain:
             raise ValueError('the chain\'s "degree" must be an integer >= 0 '
                              'and its "ambient" an integer >= 1')
         try:
-            table = np.asarray(obj["vertex_table"], dtype=float)
-        except (TypeError, ValueError):
+            table = _real_array(obj["vertex_table"])
+        except ValueError:
             raise ValueError('the chain\'s "vertex_table" must be a list of '
                              'points') from None
         if table.size and (table.ndim != 2 or table.shape[1] != ambient):
@@ -317,6 +317,9 @@ class Chain:
             if not _is_real(mult):
                 raise ValueError(f'simplex {k} of the chain: "multiplicity" '
                                  f'must be a number, got {mult!r}')
+            if not _is_finite(mult):
+                raise ValueError(f'simplex {k} of the chain: "multiplicity" '
+                                 f'must be finite, got {mult!r}')
         rows = [rec["vertices"] for rec in records]
         width, size = degree + 1, len(table)
         for k, row in enumerate(rows):

@@ -14,8 +14,9 @@ cases, read off the input alone:
   (n-1)-face has one or two cofaces, and two cofaces carry opposite signs
   under `top_orientations`.  A network simplex solves it, entering arcs
   from a candidate list of a numpy-priced block (`_CANDIDATES`; 1 is the
-  plain block rule), with the tree and potentials as Python lists, so a
-  pivot costs its cycle's length plus the size of the subtree it moves.
+  plain block rule), with the tree (held by thread) and potentials as
+  Python lists, so a pivot costs its cycle's length plus the size of the
+  subtree whose potentials it shifts.
   S is the tree's node potentials, so R = t - B S is exact for integral t.
 - Everything else (degrees 0 <= r <= n - 2, a face with three or more
   cofaces, incoherent orientations): `lp_solve`, Bland's primal simplex
@@ -195,8 +196,12 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     moves on.  So `_CANDIDATES` = 1 is the plain block rule.  The last
     blocking arc of the cycle from its apex leaves (Cunningham, Math.
     Prog. 1976): the tree stays strongly feasible, so no entering rule
-    cycles.  Tree and potentials are Python lists; moved potentials reach
-    numpy at the next major iteration, the last if no arc is eligible.
+    cycles.  Tree and potentials are Python lists, the tree held by
+    thread, subtree size and last successor as in LEMON (Kovacs, Optim.
+    Methods Softw. 2015): a pivot re-roots the moved subtree in the time
+    of its cycle and stem, and shifts its potentials along the thread.
+    Moved potentials reach numpy at the next major iteration, the last
+    if no arc is eligible.
     A residual within `_FLOW_TOL` of its arc's capacity is zero, and a
     reduced cost within `_COST_TOL` of the largest |cost|, so the path is
     the same at any capacity scale.  Returns the potentials pi, with
@@ -204,18 +209,25 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     and the number of pivots.
     """
     n_arcs, root = len(tail), n_nodes - 1
+    # the tree: each node's parent and the arc to it, the preorder thread
+    # (circular, from the root) and its reverse, and each node's subtree
+    # size and last node on the thread
     parent, arc = [root] * root + [-1], list(range(root)) + [-1]
-    depth = [1] * root + [0]
-    children = [set() for _ in range(root)] + [set(range(root))]
+    thread = list(range(1, n_nodes)) + [0]
+    rev_thread = [root] + list(range(root))
+    succ_num = [1] * root + [n_nodes]
+    last_succ = list(range(root)) + [root - 1]
     pi, pil, moved = np.zeros(n_nodes), [0.0] * n_nodes, []
-    # +1 at 0, -1 at cap, 0 in tree; float, so that pricing casts nothing
+    # +1 at 0, -1 at cap, 0 in tree; float, so that pricing casts nothing.
+    # `rate` is its list mirror for pricing in Python
     state = np.concatenate([np.zeros(root), np.ones(n_arcs - root)])
-    rate = state.item
+    rate = [0.0] * root + [1.0] * (n_arcs - root)
     flow = [0.0] * n_arcs
     capl, taill, headl = cap.tolist(), tail.tolist(), head.tolist()
     costl = cost.tolist()
     tol = [_FLOW_TOL * c for c in capl]
-    cost_tol = _COST_TOL * float(np.max(np.abs(cost), initial=0.0))
+    # a reduced cost below `floor` is negative
+    floor = -_COST_TOL * float(np.max(np.abs(cost), initial=0.0))
 
     width = max(_MIN_BLOCK, int(np.sqrt(n_arcs)))
     # each block's tail and head nodes, so one take gathers both ends
@@ -227,10 +239,10 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     candidates, minor = [], False
     while True:
         # minor iteration: the most violating candidate, priced as in numpy
-        e, best, rest = -1, -cost_tol, []
+        e, best, rest = -1, floor, []
         for a in candidates:
-            reduced = (costl[a] + pil[taill[a]] - pil[headl[a]]) * rate(a)
-            if reduced < -cost_tol:
+            reduced = (costl[a] + pil[taill[a]] - pil[headl[a]]) * rate[a]
+            if reduced < floor:
                 rest.append(a)
                 if reduced < best:
                     e, best = a, reduced
@@ -252,8 +264,8 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
                 reduced -= at[w:]
                 reduced *= bstate
                 j = int(reduced.argmin())
-                if reduced[j] < -cost_tol:
-                    top = np.flatnonzero(reduced < -cost_tol)
+                if reduced[j] < floor:
+                    top = np.flatnonzero(reduced < floor)
                     top = top[reduced[top].argsort(kind="stable")]
                     e, *candidates = (top[:_CANDIDATES] + lo).tolist()
                     break
@@ -264,19 +276,19 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
             raise RuntimeError(f"network simplex pivot limit reached: "
                                f"{pivots} pivots on {n_arcs} arcs")
         pivots += 1
-        # the cycle e, up from `second`, down to `first`: both ends climb
-        # to the join, the deeper first, with the ratio test on the way.
-        # Of equal blocking arcs the last from the join leaves: the first
-        # of `down` (nearest `first`), then e, then the last of `up`
-        raising = rate(e) > 0
+        # the cycle e, up from `second`, down to `first`: the end with the
+        # smaller subtree climbs until both meet at the join, with the
+        # ratio test on the way.  Of equal blocking arcs the last from the
+        # join leaves: the first of `down` (nearest `first`), then e, then
+        # the last of `up`
+        raising = rate[e] > 0
         first, second = ((taill[e], headl[e]) if raising
                          else (headl[e], taill[e]))
         down, up, along, against = [], [], [], []
         down_room = up_room = float("inf")
         u, v = first, second
-        du, dv = depth[u], depth[v]
         while u != v:
-            if du >= dv:
+            if succ_num[u] < succ_num[v]:
                 a = arc[u]
                 if taill[a] == u:
                     room = flow[a]
@@ -287,8 +299,8 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
                 if room < down_room:
                     down_room, down_out = room, len(down)
                 down.append(u)
-                u, du = parent[u], du - 1
-            if dv > du:
+                u = parent[u]
+            else:
                 a = arc[v]
                 if taill[a] == v:
                     room = capl[a] - flow[a]
@@ -299,44 +311,97 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
                 if room <= up_room:
                     up_room, up_out = room, len(up)
                 up.append(v)
-                v, dv = parent[v], dv - 1
+                v = parent[v]
+        join = u
         delta, stem = capl[e], None
         if down_room < delta:
-            delta, stem, out, hang = down_room, down, down_out, second
+            delta, stem, out, v_in = down_room, down, down_out, second
         if up_room <= delta:
-            delta, stem, out, hang = up_room, up, up_out, first
+            delta, stem, out, v_in = up_room, up, up_out, first
         if delta > 0.0:
             (along if raising else against).append(e)
-            for a, x in ([(a, flow[a] + delta) for a in along]
-                         + [(a, flow[a] - delta) for a in against]):
-                flow[a] = (0.0 if x <= tol[a] else capl[a]
-                           if capl[a] - x <= tol[a] else x)
+            # x - delta is x + (-delta), bit for bit
+            for arcs, step in ((along, delta), (against, -delta)):
+                for a in arcs:
+                    x = flow[a] + step
+                    flow[a] = (0.0 if x <= tol[a] else capl[a]
+                               if capl[a] - x <= tol[a] else x)
         if stem is None:  # e goes from one bound to the other
-            state[e] = -state[e]
+            rate[e] = -rate[e]
+            state[e] = rate[e]
             continue
-        leave = arc[stem[out]]
-        state[leave] = 1.0 if flow[leave] == 0.0 else -1.0
-        state[e] = 0.0
-        # the subtree below the leaving arc hangs from e by stem[0]: the
-        # stem's links reverse, and one walk resets depths and potentials
+        u_in, u_out = stem[0], stem[out]
+        leave = arc[u_out]
+        rate[leave] = 1.0 if flow[leave] == 0.0 else -1.0
+        state[leave] = rate[leave]
+        rate[e] = state[e] = 0.0
+        # the subtree of u_out hangs from v_in by e, re-rooted at u_in
+        # (LEMON's updateTreeStructure): after v_in the thread runs through
+        # u_in's subtree, then each next stem node's subtree without the
+        # part below it; `above` is stem node s's new parent and `last`
+        # the last node of its part
+        v_out = parent[u_out]
+        old_rev, old_last = rev_thread[u_out], last_succ[u_out]
+        size = succ_num[u_out]
+        resume = thread[old_last] if old_rev == v_in else thread[v_in]
+        s, above, last = u_in, v_in, last_succ[u_in]
+        after = thread[last]
+        thread[v_in] = u_in
+        dirty = [v_in]
+        while s != u_out:
+            next_s = parent[s]
+            thread[last] = next_s
+            dirty.append(last)
+            before = rev_thread[s]
+            thread[before], rev_thread[after] = after, before
+            parent[s], above, s = above, s, next_s
+            last = (rev_thread[above] if last_succ[s] == last_succ[above]
+                    else last_succ[s])
+            after = thread[last]
+        parent[u_out] = above
+        thread[last], rev_thread[resume] = resume, last
+        last_succ[u_out] = last
+        if old_rev != v_in:
+            thread[old_rev], rev_thread[after] = after, old_rev
+        for w in dirty:
+            rev_thread[thread[w]] = w
+        count, v = 0, u_out
+        while v != u_in:
+            p = parent[v]
+            arc[v] = arc[p]
+            count += succ_num[v] - succ_num[p]
+            succ_num[v], last_succ[p] = count, last
+            v = p
+        arc[u_in], succ_num[u_in] = e, size
+        # subtrees that ended at v_in now end with the moved one, and
+        # those up from v_out that ended with it end where it was cut out
+        limit = join if last_succ[join] == v_in else -1
+        new_last = last_succ[u_out]
+        v = v_in
+        while v != -1 and last_succ[v] == v_in:
+            last_succ[v], v = new_last, parent[v]
+        if join != old_rev and v_in != old_rev:
+            new_last = old_rev
+        if new_last != old_last:
+            v = v_out
+            while v != limit and last_succ[v] == old_last:
+                last_succ[v], v = new_last, parent[v]
+        v = v_in
+        while v != join:
+            succ_num[v] += size
+            v = parent[v]
+        v = v_out
+        while v != join:
+            succ_num[v] -= size
+            v = parent[v]
+        # the moved subtree's potentials shift to price e at zero
         gap = costl[e] + pil[taill[e]] - pil[headl[e]]
-        v = stem[out]
-        children[parent[v]].remove(v)
-        for below in reversed(stem[:out]):
-            parent[v], arc[v] = below, arc[below]
-            children[v].remove(below)
-            children[below].add(v)
-            v = below
-        parent[v], arc[v] = hang, e
-        children[hang].add(v)
-        shift = gap if v == headl[e] else -gap
-        nodes = [v]
-        for v in nodes:
-            depth[v] = depth[parent[v]] + 1
+        shift = gap if u_in == headl[e] else -gap
+        v = u_in
+        for _ in range(size):
             pil[v] += shift
-            if children[v]:
-                nodes.extend(children[v])
-        moved += nodes
+            moved.append(v)
+            v = thread[v]
 
 
 def _flat_norm_flow(t, plus, minus, vol_r, vol_s):

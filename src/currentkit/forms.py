@@ -16,7 +16,7 @@ import numpy as np
 
 from .exterior import (CoVector, _contract_terms, _wedge_terms, basis_rank,
                        contract_rows, multi_indices)
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _real_array
 from .quadrature import _read_only, _whole_number
 
 __all__ = [
@@ -52,8 +52,11 @@ class Box:
     resolution: int = 9
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
+        try:
+            lo, hi = _real_array(self.lower), _real_array(self.upper)
+        except ValueError:
+            raise ValueError(f"box lower and upper must be numbers, got "
+                             f"{self.lower!r} and {self.upper!r}") from None
         if lo.shape != hi.shape or not np.all(
                 np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
             raise ValueError("box requires finite lower < upper in each axis")

@@ -16,7 +16,7 @@ from .forms import (Box, Cochain, FormField, VectorField, contract,
                     exterior_derivative, seminorm_comass)
 from .lipschitz import (_TENT, LipMap, _affine_frames, _family_params,
                         _tent, _tent_lift, pushforward_chain)
-from .polynomial import Polynomial, _is_real
+from .polynomial import Polynomial, _is_finite, _is_real
 from .quadrature import (gauss_nodes, gauss_quadrature, gauss_sum,
                          simplex_rule)
 
@@ -440,7 +440,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
     iv = tuple(interval) if isinstance(interval, (list, tuple,
                                                    np.ndarray)) else ()
     if not (len(iv) == 2 and all(map(_is_real, iv))
-            and -np.inf < iv[0] < iv[1] < np.inf):
+            and all(map(_is_finite, iv)) and iv[0] < iv[1]):
         raise ValueError(f"motion parameter 'interval' must be two finite "
                          f"increasing numbers, got {interval!r}")
     iv = (float(iv[0]), float(iv[1]))

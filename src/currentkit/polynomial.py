@@ -17,17 +17,36 @@ __all__ = ["Polynomial"]
 _DROP = 0.0  # coefficients exactly zero are dropped; no epsilon pruning
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _is_real(value) -> bool:
     """Whether `value` is an int or a float, numpy's too; never a bool."""
     return (isinstance(value, (int, float, np.integer, np.floating))
             and type(value) is not bool)
 
 
+def _is_finite(value) -> bool:
+    """Whether `value`, a number by the rule of `_is_real`, is a finite
+    float: not NaN or infinite, nor an int beyond the float range."""
+    return -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _real_array(value) -> np.ndarray:
+    """`value` as a float array; a ValueError unless numpy reads it as
+    an array of ints or floats: so never one holding a string or an int
+    beyond the float range."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"not an array of numbers: {value!r}")
+    return np.asarray(array, dtype=float)
+
+
 def _is_whole(value) -> bool:
-    """Whether `value` is a whole number: an integer, or a float with no
-    fraction; never a bool."""
+    """Whether `value` is a whole number: an integer within the float
+    range, or a float with no fraction; never a bool."""
     if isinstance(value, (int, np.integer)):
-        return type(value) is not bool
+        return type(value) is not bool and _is_finite(value)
     return isinstance(value, float) and value.is_integer()
 
 

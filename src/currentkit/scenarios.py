@@ -13,7 +13,7 @@ from .chains import (Chain, boundary, triangle_chain, unit_interval_chain,
                      unit_square_chain)
 from .forms import Box, Cochain
 from .motion import Motion, make_motion
-from .polynomial import Polynomial, _is_real, _is_whole
+from .polynomial import Polynomial, _is_finite, _is_real, _is_whole
 
 __all__ = ["ScenarioConfig", "load_config", "builtin_scenarios"]
 
@@ -59,9 +59,10 @@ class ScenarioConfig:
             raise ValueError(f"a scenario must be an object, got {obj!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(obj) - known
-        if isinstance(obj.get("box"), dict):
-            extra |= {f"box.{key}" for key in obj["box"]} - {
-                "box.lower", "box.upper", "box.resolution"}
+        for key, subfields in _OBJECT_FIELDS.items():
+            if isinstance(obj.get(key), dict):
+                extra |= {f"{key}.{sub}" for sub in obj[key]
+                          if sub not in subfields}
         if extra:
             raise ValueError(f"unknown scenario fields: {sorted(extra)}")
         if "name" not in obj:
@@ -76,6 +77,9 @@ class ScenarioConfig:
             if not isinstance(cfg.chain.get(key, ""), str):
                 raise ValueError(f"scenario field 'chain.{key}' must be a "
                                  f"string, got {cfg.chain[key]!r}")
+        if ("file" in cfg.chain) == ("builtin" in cfg.chain):
+            raise ValueError(f"scenario field 'chain' must have one of "
+                             f"'builtin' and 'file', got {cfg.chain!r}")
         for key, low in _WHOLE_FIELDS:
             setattr(cfg, key, _whole(key, getattr(cfg, key), low))
         _finite("tau", cfg.tau)
@@ -86,7 +90,7 @@ class ScenarioConfig:
         if len(cfg.eps_ladder) < 2:
             raise ValueError(f"scenario field 'eps_ladder' must have at "
                              f"least two steps, got {list(cfg.eps_ladder)}")
-        if not all(0.0 < e < np.inf for e in cfg.eps_ladder):
+        if not all(e > 0.0 and _is_finite(e) for e in cfg.eps_ladder):
             raise ValueError(f"scenario field 'eps_ladder' must be finite "
                              f"steps > 0, got {list(cfg.eps_ladder)}")
         cfg.eps_ladder = tuple(float(e) for e in cfg.eps_ladder)
@@ -138,7 +142,7 @@ class ScenarioConfig:
             if name not in _BUILTIN_CHAINS:
                 raise ValueError(f"unknown builtin chain: {name}")
             T = _BUILTIN_CHAINS[name]()
-        elif "file" in spec:
+        else:
             try:
                 T = Chain.load(spec["file"])
             except (OSError, ValueError) as exc:
@@ -146,8 +150,6 @@ class ScenarioConfig:
                                  f"{spec['file']!r}: "
                                  f"{getattr(exc, 'strerror', None) or exc}"
                                  ) from None
-        else:
-            raise ValueError("chain spec needs 'builtin' or 'file'")
         if T.ambient != self.ambient:
             raise ValueError(f"scenario {self.name!r}: field 'ambient' is "
                              f"{self.ambient}, but its chain lies in "
@@ -187,6 +189,11 @@ class ScenarioConfig:
                    self.box.get("resolution", self.resolution))
 
 
+# the keys of the fields that are objects with fixed keys
+_OBJECT_FIELDS = {"box": ("lower", "upper", "resolution"),
+                  "chain": ("builtin", "file", "multiplier"),
+                  "cochain": ("degree", "components")}
+
 # the integer fields and their least values
 _WHOLE_FIELDS = (("levels", 0), ("panels", 1), ("resolution", 2),
                  ("ambient", 1), ("seed", 0))
@@ -217,8 +224,8 @@ def _check_cochain(cochain):
 
 def _finite(name: str, value):
     """A ValueError naming the field unless `value` is a finite real
-    number, not a bool."""
-    if not (_is_real(value) and -np.inf < value < np.inf):
+    number (by the rule of `polynomial._is_finite`), not a bool."""
+    if not (_is_real(value) and _is_finite(value)):
         raise ValueError(f"scenario field {name!r} must be a finite number, "
                          f"got {value!r}")
 

@@ -5,9 +5,9 @@ product-current evaluation, the strong-Lipschitz distance, kernel
 mollification, the per-point evaluators of the sampled contraction,
 exterior derivative and pullback, the tuple and dict loops that build
 permutation signs, the wedge sign table, the Kuhn children and the
-Freudenthal complex one simplex at a time, the network simplex on a numpy
-preorder tree, the all-pairs Lipschitz quotient, the norm ladder one
-bound at a time, deformation chains, the homotopy residual, the
+Freudenthal complex one simplex at a time, the network simplex on
+parent, depth and child-set lists, the all-pairs Lipschitz quotient, the
+norm ladder one bound at a time, deformation chains, the homotopy residual, the
 continuity modulus and the finite-difference transport derivative one
 time node at a time, the homotopy residual one panel count at a time,
 the transport derivative through `Motion.push`, the maps of the motion
@@ -358,167 +358,149 @@ def loop_boundary_matrix(simplices: dict, r: int) -> np.ndarray:
     return mat
 
 
-class PreorderTree:
-    """The spanning tree of a network simplex, rooted at node n - 1: each
-    node's parent and the arc to it, and a preorder in which the subtree
-    of node v is order[pos[v]:pos[v] + size[v]].  It starts as the star
-    of arcs v -> root, arc v for node v."""
-
-    def __init__(self, n: int):
-        root = n - 1
-        self.parent = [root] * root + [-1]
-        self.arc = list(range(root)) + [-1]
-        self.order = np.concatenate([[root], np.arange(root)])
-        self.pos = np.empty(n, dtype=np.intp)
-        self.pos[self.order] = np.arange(n)
-        self.size = [1] * root + [n]
-
-    def paths(self, u: int, v: int):
-        """The nodes from u and from v up to their lowest common ancestor,
-        which neither list holds: the first ancestor of u whose subtree
-        holds v."""
-        pos, size, parent = self.pos, self.size, self.parent
-        at = pos[v]
-        from_u = []
-        while not 0 <= at - pos[u] < size[u]:
-            from_u.append(u)
-            u = parent[u]
-        from_v = []
-        while v != u:
-            from_v.append(v)
-            v = parent[v]
-        return from_u, from_v
-
-    def subtree(self, v: int) -> np.ndarray:
-        lo = int(self.pos[v])
-        return self.order[lo:lo + self.size[v]]
-
-    def rehang(self, stem: list, shrink: list, grow: list, parent: int,
-               arc: int):
-        """Cut the subtree below stem[-1] and hang it by `arc` from
-        `parent`, rooted at stem[0].  `stem` is the path from stem[0] up
-        to stem[-1]; `shrink` the ancestors of stem[-1], and `grow`
-        `parent` and its ancestors, both up to the common ancestor of
-        stem[-1] and `parent`, which neither holds."""
-        order, pos, size = self.order, self.pos, self.size
-        lo = int(pos[stem[-1]])
-        moved = size[stem[-1]]
-        hi = lo + moved
-        # rerooted at stem[0], the subtree's preorder is stem[0]'s old
-        # subtree, then stem[1]'s old subtree without it, and so on
-        inner = pos[stem[0]]
-        pieces = [order[inner:inner + size[stem[0]]]]
-        for below, v in zip(stem, stem[1:]):
-            a = pos[v]
-            pieces += [order[a:inner], order[inner + size[below]:a + size[v]]]
-            inner = a
-        segment = np.concatenate(pieces)
-        for i in range(len(stem) - 1, 0, -1):
-            size[stem[i]] = moved - size[stem[i - 1]]
-            self.parent[stem[i]] = stem[i - 1]
-            self.arc[stem[i]] = self.arc[stem[i - 1]]
-        size[stem[0]] = moved
-        for v in shrink:
-            size[v] -= moved
-        for v in grow:
-            size[v] += moved
-        self.parent[stem[0]], self.arc[stem[0]] = parent, arc
-        # move the segment to just after its new parent
-        at = int(pos[parent])
-        if at < lo:
-            order[at + 1 + moved:hi] = order[at + 1:lo]
-            order[at + 1:at + 1 + moved] = segment
-            lo = at + 1
-        else:
-            order[lo:at + 1 - moved] = order[hi:at + 1]
-            order[at + 1 - moved:at + 1] = segment
-            hi = at + 1
-        pos[order[lo:hi]] = np.arange(lo, hi)
-
-
-def preorder_network_simplex(tail, head, cost, cap, n_nodes):
-    """The library's `flatnorm._network_simplex` as it was on a numpy
-    preorder tree (`PreorderTree`), whose `rehang` splices the moved
-    subtree's slice of the preorder per pivot.  Same pricing, leaving-arc
-    rule, flow snapping and potential updates, so the same pivot path and
-    the same potentials bit for bit: (pi, pivots)."""
-    n_arcs = len(tail)
-    tree = PreorderTree(n_nodes)
-    pi = np.zeros(n_nodes)
-    state = np.ones(n_arcs, dtype=np.int8)  # +1 at 0, -1 at cap, 0 in tree
-    state[:n_nodes - 1] = 0
+def depth_network_simplex(tail, head, cost, cap, n_nodes):
+    """The library's `flatnorm._network_simplex` as it was with the tree
+    held by parent, depth and child-set lists: the cycle's ends climb by
+    depth, and each pivot walks the moved subtree through the child sets
+    to reset its depths.  Same pricing (it reads `flatnorm._CANDIDATES`),
+    leaving-arc rule, flow snapping and potential updates, so the same
+    pivot path and the same potentials bit for bit: (pi, pivots)."""
+    n_arcs, root = len(tail), n_nodes - 1
+    parent, arc = [root] * root + [-1], list(range(root)) + [-1]
+    depth = [1] * root + [0]
+    children = [set() for _ in range(root)] + [set(range(root))]
+    pi, pil, moved = np.zeros(n_nodes), [0.0] * n_nodes, []
+    # +1 at 0, -1 at cap, 0 in tree; float, so that pricing casts nothing
+    state = np.concatenate([np.zeros(root), np.ones(n_arcs - root)])
+    rate = state.item
     flow = [0.0] * n_arcs
     capl, taill, headl = cap.tolist(), tail.tolist(), head.tolist()
+    costl = cost.tolist()
     tol = [flatnorm._FLOW_TOL * c for c in capl]
-    cost_tol = flatnorm._COST_TOL * float(np.max(np.abs(cost), initial=0.0))
+    cost_tol = flatnorm._COST_TOL * float(np.max(np.abs(cost),
+                                                 initial=0.0))
 
     width = max(flatnorm._MIN_BLOCK, int(np.sqrt(n_arcs)))
-    blocks = [(lo, tail[lo:lo + width], head[lo:lo + width],
-               cost[lo:lo + width], state[lo:lo + width])
-              for lo in range(0, n_arcs, width)]
+    # each block's tail and head nodes, so one take gathers both ends
+    blocks = [(lo, np.concatenate([tail[lo:hi], head[lo:hi]]), cost[lo:hi],
+               state[lo:hi], hi - lo)
+              for lo in range(0, n_arcs, width)
+              for hi in [min(lo + width, n_arcs)]]
     block = pivots = 0
+    candidates, minor = [], False
     while True:
-        for _ in blocks:
-            lo, btail, bhead, bcost, bstate = blocks[block]
-            reduced = bstate * (bcost + pi[btail] - pi[bhead])
-            j = int(reduced.argmin())
-            if reduced[j] < -cost_tol:
-                e = lo + j
-                break
-            block = (block + 1) % len(blocks)
+        # minor iteration: the most violating candidate, priced as in numpy
+        e, best, rest = -1, -cost_tol, []
+        for a in candidates:
+            reduced = (costl[a] + pil[taill[a]] - pil[headl[a]]) * rate(a)
+            if reduced < -cost_tol:
+                rest.append(a)
+                if reduced < best:
+                    e, best = a, reduced
+        if e >= 0:
+            rest.remove(e)
+            candidates, minor = rest, True
         else:
-            return pi, pivots
+            block, minor = (block + minor) % len(blocks), False
+            # the moved potentials reach numpy; all if over a quarter moved
+            if 4 * len(moved) > n_nodes:
+                pi[:] = pil
+            else:
+                pi[moved] = [pil[v] for v in moved]
+            moved = []
+            for _ in blocks:
+                lo, ends, bcost, bstate, w = blocks[block]
+                at = pi.take(ends)
+                reduced = bcost + at[:w]
+                reduced -= at[w:]
+                reduced *= bstate
+                j = int(reduced.argmin())
+                if reduced[j] < -cost_tol:
+                    top = np.flatnonzero(reduced < -cost_tol)
+                    top = top[reduced[top].argsort(kind="stable")]
+                    e, *candidates = (top[:flatnorm._CANDIDATES]
+                                      + lo).tolist()
+                    break
+                block = (block + 1) % len(blocks)
+            else:
+                return pi, pivots
         if pivots == flatnorm._MAX_PIVOTS_PER_ARC * n_arcs:
             raise RuntimeError(f"network simplex pivot limit reached: "
                                f"{pivots} pivots on {n_arcs} arcs")
         pivots += 1
-        # the cycle: e, then up from `second` to the join, then down from
-        # the join to `first`
-        raising = state[e] > 0
+        # the cycle e, up from `second`, down to `first`: both ends climb
+        # to the join, the deeper first, with the ratio test on the way.
+        # Of equal blocking arcs the last from the join leaves: the first
+        # of `down` (nearest `first`), then e, then the last of `up`
+        raising = rate(e) > 0
         first, second = ((taill[e], headl[e]) if raising
                          else (headl[e], taill[e]))
-        down, up = tree.paths(first, second)
-        arc = tree.arc
-        # ratio test; of equal blocking arcs the last from the join leaves:
-        # the first of `down` (nearest `first`), then e, then the last of
-        # `up`.  `ahead` where the cycle's flow runs along the arc
-        cycle = []
-        delta, out = capl[e], -1
-        for u in down:
-            a = arc[u]
-            ahead = taill[a] != u
-            room = capl[a] - flow[a] if ahead else flow[a]
-            if room < delta:
-                delta, out = room, len(cycle)
-            cycle.append((a, ahead))
-        for u in up:
-            a = arc[u]
-            ahead = taill[a] == u
-            room = capl[a] - flow[a] if ahead else flow[a]
-            if room <= delta:
-                delta, out = room, len(cycle)
-            cycle.append((a, ahead))
+        down, up, along, against = [], [], [], []
+        down_room = up_room = float("inf")
+        u, v = first, second
+        du, dv = depth[u], depth[v]
+        while u != v:
+            if du >= dv:
+                a = arc[u]
+                if taill[a] == u:
+                    room = flow[a]
+                    against.append(a)
+                else:
+                    room = capl[a] - flow[a]
+                    along.append(a)
+                if room < down_room:
+                    down_room, down_out = room, len(down)
+                down.append(u)
+                u, du = parent[u], du - 1
+            if dv > du:
+                a = arc[v]
+                if taill[a] == v:
+                    room = capl[a] - flow[a]
+                    along.append(a)
+                else:
+                    room = flow[a]
+                    against.append(a)
+                if room <= up_room:
+                    up_room, up_out = room, len(up)
+                up.append(v)
+                v, dv = parent[v], dv - 1
+        delta, stem = capl[e], None
+        if down_room < delta:
+            delta, stem, out, hang = down_room, down, down_out, second
+        if up_room <= delta:
+            delta, stem, out, hang = up_room, up, up_out, first
         if delta > 0.0:
-            cycle.append((e, raising))
-            for a, ahead in cycle:
-                x = flow[a] + delta if ahead else flow[a] - delta
+            (along if raising else against).append(e)
+            for a, x in ([(a, flow[a] + delta) for a in along]
+                         + [(a, flow[a] - delta) for a in against]):
                 flow[a] = (0.0 if x <= tol[a] else capl[a]
                            if capl[a] - x <= tol[a] else x)
-        if out < 0:  # e goes from one bound to the other
+        if stem is None:  # e goes from one bound to the other
             state[e] = -state[e]
             continue
-        leave = cycle[out][0]
-        state[leave] = 1 if flow[leave] == 0.0 else -1
-        state[e] = 0
-        # the subtree below the leaving arc hangs from e, rooted at the
-        # end of e inside it; its potentials shift to price e at zero
-        if out < len(down):
-            stem, grow, parent = down, up, second
-        else:
-            stem, grow, parent, out = up, down, first, out - len(down)
-        gap = cost[e] + pi[taill[e]] - pi[headl[e]]
-        pi[tree.subtree(stem[out])] += gap if stem[0] == headl[e] else -gap
-        tree.rehang(stem[:out + 1], stem[out + 1:], grow, parent, e)
+        leave = arc[stem[out]]
+        state[leave] = 1.0 if flow[leave] == 0.0 else -1.0
+        state[e] = 0.0
+        # the subtree below the leaving arc hangs from e by stem[0]: the
+        # stem's links reverse, and one walk resets depths and potentials
+        gap = costl[e] + pil[taill[e]] - pil[headl[e]]
+        v = stem[out]
+        children[parent[v]].remove(v)
+        for below in reversed(stem[:out]):
+            parent[v], arc[v] = below, arc[below]
+            children[v].remove(below)
+            children[below].add(v)
+            v = below
+        parent[v], arc[v] = hang, e
+        children[hang].add(v)
+        shift = gap if v == headl[e] else -gap
+        nodes = [v]
+        for v in nodes:
+            depth[v] = depth[parent[v]] + 1
+            pil[v] += shift
+            if children[v]:
+                nodes.extend(children[v])
+        moved += nodes
 
 
 def all_pairs_lipschitz(values_at, pts) -> float:

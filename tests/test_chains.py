@@ -339,12 +339,19 @@ class TestSerialization:
         ("multiplicity", {}, '"multiplicity" must be a number'),
         ("multiplicity", [1], '"multiplicity" must be a number'),
         ("multiplicity", "1", '"multiplicity" must be a number'),
-        ("multiplicity", True, '"multiplicity" must be a number')])
+        ("multiplicity", True, '"multiplicity" must be a number'),
+        ("multiplicity", -10 ** 400, '"multiplicity" must be finite'),
+        ("vertex_table", [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
+         '"vertex_table" must be a list of'),
+        ("vertex_table", [[0, 0], [1, 0], [0, 1], [1, 10 ** 400]],
+         '"vertex_table" must be a list of')])
     def test_simplices_vertex_table_and_multiplicity_are_checked(
             self, key, bad, match):
         # unchecked, a "simplices" that is not a list and a dict
-        # vertex_table or multiplicity were each a TypeError, and a "1" or
-        # true multiplicity was read as 1.0
+        # vertex_table or multiplicity were each a TypeError, a "1" or
+        # true multiplicity was read as 1.0, a vertex_table of strings was
+        # read as numbers, and an int beyond the float range was an
+        # OverflowError
         obj = unit_square_chain().to_json_obj()
         (obj["simplices"][0] if key == "multiplicity" else obj)[key] = bad
         with pytest.raises(ValueError, match=match):

@@ -35,12 +35,20 @@ _CHAIN_FILES = {
     "no_degree.json": {"ambient": 2,
                        "vertex_table": [[0, 0], [1, 0], [0, 1]],
                        "simplices": [{"vertices": [0, 1, 2],
-                                      "multiplicity": 1.0}]}}
+                                      "multiplicity": 1.0}]},
+    "huge.json": {"degree": 2, "ambient": 2,
+                  "vertex_table": [[0, 0], [1, 0], [0, 1]],
+                  "simplices": [{"vertices": [0, 1, 2],
+                                 "multiplicity": 10 ** 400}]},
+    "strings.json": {"degree": 2, "ambient": 2,
+                     "vertex_table": [["0", "0"], ["1", "0"], ["0", "1"]],
+                     "simplices": [{"vertices": [0, 1, 2],
+                                    "multiplicity": 1.0}]}}
 
 
 # the values that the loader sweep puts in place of each field
 _SWEEP_VALUES = [None, True, 0, 2, -1, 1.5, float("nan"), "x", [], [1], {},
-                 {"a": 1}]
+                 {"a": 1}, 10 ** 400, ["0", "1"]]
 
 
 def _put(obj, path, value):
@@ -199,13 +207,36 @@ class TestScenarioConfig:
         ({"motion": {"family": "rotation", "interval": [0.5, 1.0]},
           "tau": 0.7}, "'motion.interval'"),
         ({"motion": {"family": "tent", "axis": 0, "width": 0.25}},
-         "'motion': motion parameter 'amplitude'")],
+         "'motion': motion parameter 'amplitude'"),
+        ({"chain": {"builtin": "square", "multipler": 5}},
+         "unknown scenario fields: ['chain.multipler']"),
+        ({"cochain": {"degree": 2, "components": {}, "extra": 1}},
+         "unknown scenario fields: ['cochain.extra']"),
+        ({"chain": {"multiplier": 2}},
+         "'chain' must have one of 'builtin' and 'file'"),
+        ({"chain": {"builtin": "square", "file": "space.json"}},
+         "'chain' must have one of 'builtin' and 'file'"),
+        ({"tau": 10 ** 400}, "'tau' must be a finite number"),
+        ({"eps_ladder": [0.01, 10 ** 400]},
+         "'eps_ladder' must be finite steps > 0"),
+        ({"motion": {"family": "rotation", "interval": [-1, 10 ** 400]}},
+         "'motion': motion parameter 'interval'"),
+        ({"chain": {"builtin": "square", "multiplier": -10 ** 400}},
+         "'chain.multiplier' must be a finite number"),
+        ({"chain": {"file": "huge.json"}}, '"multiplicity" must be finite'),
+        ({"box": {"lower": ["0", "0"], "upper": [1, 1]}},
+         "'box': box lower and upper must be numbers"),
+        ({"chain": {"file": "strings.json"}},
+         '"vertex_table" must be a list of points')],
         ids=["box_order", "box_pad", "cochain_arity", "density_arity",
              "key_range", "key_order", "interval", "motion_list",
              "chain_string", "box_list", "rotation_3d", "fd_step_outside",
              "no_family", "chain_file_missing", "chain_file_no_degree",
              "cochainless_3d_chain", "window_outside_interval",
-             "folding_axis_0_tent"])
+             "folding_axis_0_tent", "chain_key", "cochain_key",
+             "chain_neither", "chain_both", "huge_tau", "huge_eps_step",
+             "huge_interval", "huge_multiplier", "huge_multiplicity",
+             "box_strings", "vertex_table_strings"])
     def test_file_is_checked_whole_by_every_subcommand(self, tmp_path,
                                                        capsys, monkeypatch,
                                                        change, field):
@@ -218,7 +249,11 @@ class TestScenarioConfig:
         # "degree", a 3-D chain of a scenario without a cochain passed
         # transport and converge, and an interval without verify's window
         # passed transport and flatnorm; a tent along axis 0 that folds x0
-        # over itself passed all four
+        # over itself passed all four; a misspelled chain or cochain key
+        # was ignored and a chain with both "builtin" and "file" read the
+        # builtin; an int beyond the float range was an OverflowError
+        # traceback with exit 1, and strings for the box bounds or the
+        # vertex table were read as numbers
         monkeypatch.chdir(tmp_path)
         for name, body in _CHAIN_FILES.items():
             (tmp_path / name).write_text(json.dumps(body))
@@ -351,10 +386,11 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("field,value", [
         ("levels", 2.5), ("levels", -3), ("levels", "2"), ("levels", True),
         ("panels", 0), ("resolution", 1), ("ambient", 0), ("ambient", 1.5),
-        ("seed", 1.5), ("seed", -1), ("seed", None)])
+        ("seed", 1.5), ("seed", -1), ("seed", None), ("levels", 10 ** 400)])
     def test_integer_field_rejected(self, tmp_path, capsys, field, value):
         # unchecked: a TypeError and exit 1, a negative level read as
-        # level 0, or no time panels and a failed homotopy check
+        # level 0, no time panels and a failed homotopy check, or a level
+        # beyond the float range subdividing until the process was killed
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"name": "x", field: value}))
         with pytest.raises(ValueError, match=f"'{field}' must be a whole "
@@ -667,10 +703,13 @@ class TestScenarioConfig:
 
     def test_no_malformed_file_raises_out_of_main(self, tmp_path, capsys):
         # a scenario or chain file with one field, or its shape, replaced by
-        # a value of another kind: 28 of the 384 (a "simplices" or
+        # a value of another kind: 28 of the first 384 (a "simplices" or
         # "scenarios" that is not a list, a dict "vertex_table" or
         # multiplicity, a list "chain.multiplier", a scenario that is not
-        # an object) raised a TypeError or AttributeError out of main
+        # an object) raised a TypeError or AttributeError out of main; an
+        # int beyond the float range raised an OverflowError out of main
+        # where a number was read, and as "levels" made transport
+        # subdivide until the process was killed
         commands = ("verify", "transport", "flatnorm", "converge")
         path, out = tmp_path / "cfg.json", str(tmp_path / "out")
         wrong = []
@@ -1076,6 +1115,22 @@ class TestDeterminism:
             "differs: " + os.path.join("seed42", "refined", "extra.csv"),
             "compared 19 files: 3 differ"]
 
+
+    def test_flat_rows_tool_gives_the_pinned_rows(self):
+        # tools/flat_rows.py: the pivots and F of the ROADMAP's cell-union
+        # rows, and a chain builder of the benchmark for every row
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "flat_rows", os.path.join(root, "tools", "flat_rows.py"))
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.row(2, 32, "cell_union_boundary")[:2] == (1853,
+                                                             0.2998046875)
+        assert tool.row(3, 8, "cell_union_boundary")[:2] == (
+            2625, 0.3007812500000004)
+        workloads = _load_perfbench("workloads")
+        assert all(hasattr(workloads, kind) for rows in tool.ROWS.values()
+                   for _, _, kind in rows)
 
     def test_ab_pairs_tool_refuses_a_cached_checkout(self, tmp_path):
         # tools/ab_pairs.py compiles each side's sources afresh: a

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from currentkit.chains import (Chain, boundary, evaluate, mass_chain,
                                unit_square_chain)
@@ -15,8 +17,8 @@ from currentkit.flatnorm import (dual_flat_lower_bound, flat_norm_lp,
 from currentkit.forms import Box, FormField
 from currentkit.polynomial import Polynomial
 from currentkit.scenarios import builtin_scenarios, load_config
-from oracles import (loop_boundary_matrix, loop_freudenthal,
-                     lower_bound_by_seminorm, preorder_network_simplex)
+from oracles import (depth_network_simplex, loop_boundary_matrix,
+                     loop_freudenthal, lower_bound_by_seminorm)
 from test_cli import _load_perfbench
 
 
@@ -607,29 +609,61 @@ LARGE_ROWS = [(2, 32, "cells"), (2, 32, "faces"), (3, 8, "cells"),
               (3, 8, "faces")]
 
 
+@st.composite
+def _circulations(draw):
+    """(tail, head, cost, cap, n_nodes) of a random small circulation that
+    is no dual graph: the arcs v -> root at cost 0 first, as
+    `_network_simplex` wants them, then arcs between any two nodes with
+    integer costs and capacities, most costs negative so that a draw
+    takes many pivots."""
+    n_nodes = draw(st.integers(2, 13))
+    root = n_nodes - 1
+    ends = st.tuples(st.integers(0, root), st.integers(0, root)).filter(
+        lambda pair: pair[0] != pair[1])
+    arcs = draw(st.lists(st.tuples(ends, st.integers(-9, 3),
+                                   st.integers(0, 9)), min_size=1,
+                         max_size=4 * n_nodes))
+    caps = draw(st.lists(st.integers(1, 9), min_size=root, max_size=root))
+    tail = np.array(list(range(root)) + [a for (a, _), _, _ in arcs])
+    head = np.array([root] * root + [b for (_, b), _, _ in arcs])
+    cost = np.array([0.0] * root + [float(c) for _, c, _ in arcs])
+    cap = np.array([float(c) for c in caps] + [float(c) for *_, c in arcs])
+    return tail, head, cost, cap, n_nodes
+
+
 class TestSamePivotPath:
-    """With a one-arc candidate list, the network simplex on parent/depth
-    lists pivots exactly as the block rule did on a numpy preorder tree
-    (`oracles.preorder_network_simplex`): the same pivot count and the
-    same potentials, bit for bit."""
+    """The network simplex on a thread-indexed tree pivots exactly as it
+    did on parent, depth and child-set lists
+    (`oracles.depth_network_simplex`), under the plain block rule
+    (`_CANDIDATES` = 1) and with the shipped candidate list: the same
+    pivot count and the same potentials, bit for bit."""
+
+    @staticmethod
+    def _same(solve, args):
+        (pi, pivots), (want_pi, want_pivots) = (solve(*args),
+                                                depth_network_simplex(*args))
+        assert pivots == want_pivots
+        assert np.array_equal(pi, want_pi)
+        return pi, pivots
 
     def _check(self, monkeypatch, T, comp, scale=1.0):
         # both solvers on the circulation `flat_norm_lp` builds for T, its
-        # capacities (the volumes) times `scale`
-        solve, got = flatnorm._network_simplex, []
+        # capacities (the volumes) times `scale`, at one candidate and at
+        # the shipped list
+        solve, counts = flatnorm._network_simplex, []
 
         def both(tail, head, cost, cap, n_nodes):
-            args = tail, head, cost, cap * scale, n_nodes
-            got.extend([solve(*args), preorder_network_simplex(*args)])
-            return got[0]
+            pi, pivots = self._same(solve, (tail, head, cost, cap * scale,
+                                            n_nodes))
+            counts.append(pivots)
+            return pi, pivots
 
-        with monkeypatch.context() as patch:
-            patch.setattr(flatnorm, "_CANDIDATES", 1)
-            patch.setattr(flatnorm, "_network_simplex", both)
-            flat_norm_lp(T, comp)
-        (pi, pivots), (want_pi, want_pivots) = got
-        assert pivots == want_pivots > 0
-        assert np.array_equal(pi, want_pi)
+        for size in [1, 32]:
+            with monkeypatch.context() as patch:
+                patch.setattr(flatnorm, "_CANDIDATES", size)
+                patch.setattr(flatnorm, "_network_simplex", both)
+                flat_norm_lp(T, comp)
+        assert len(counts) == 2 and min(counts) > 0
 
     @pytest.mark.parametrize("seed", [42, 977, 7])
     def test_flatgrid_chains(self, monkeypatch, tmp_path, seed):
@@ -645,6 +679,16 @@ class TestSamePivotPath:
     def test_scaled_volumes(self, monkeypatch, scale):
         comp = freudenthal_complex((0.0, 0.0), (1.0, 1.0), 16)
         self._check(monkeypatch, _random_codim1(comp, 11), comp, scale)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_circulations(), st.sampled_from([1, 32]))
+    def test_random_circulations(self, args, size):
+        # small trees reach the update's rare cases: e entering and the
+        # leaving arc hanging at the same node, and the node before the
+        # moved subtree on the thread being its new parent
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flatnorm, "_CANDIDATES", size)
+            self._same(flatnorm._network_simplex, args)
 
 
 class TestCandidateList:

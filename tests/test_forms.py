@@ -591,6 +591,13 @@ class TestSeminorms:
                              ((0.0, 0.0), (1.0, np.inf))):
             with pytest.raises(ValueError, match="finite lower < upper in each axis"):
                 Box(lower, upper)
+        # unchecked, strings were read as numbers and an int beyond the
+        # float range was an OverflowError
+        for lower, upper in ((("0", "0"), (1.0, 1.0)),
+                             ((0, 0), (1, 10 ** 400))):
+            with pytest.raises(ValueError,
+                               match="box lower and upper must be numbers"):
+                Box(lower, upper)
 
 
     @pytest.mark.parametrize("r", range(5))

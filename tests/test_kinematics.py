@@ -70,11 +70,12 @@ class TestMotionFamilies:
 
     @pytest.mark.parametrize("interval", [
         (1.0, -1.0), (0.5, 0.5), (0.0, np.inf), (np.nan, 1.0),
-        (0.0, 0.5, 1.0), 5, ["a", "b"], "ab", (False, True)])
+        (0.0, 0.5, 1.0), 5, ["a", "b"], "ab", (False, True), (0, 10 ** 400)])
     def test_interval_is_two_finite_increasing_numbers(self, interval):
         # (1, -1) built, and every time check then failed with "time 0.0
         # outside the motion interval (1.0, -1.0)"; 5 and ["a", "b"] were a
-        # TypeError and a ValueError of their own, and (False, True) built
+        # TypeError and a ValueError of their own, (False, True) built, and
+        # an int beyond the float range was an OverflowError
         with pytest.raises(ValueError, match="motion parameter 'interval'"):
             make_motion("rotation", interval=interval)
 
