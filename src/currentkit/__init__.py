@@ -21,8 +21,7 @@ from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge, boundary,
 from .complexes import SimplicialComplex, freudenthal_complex
 from .flatnorm import (dual_flat_lower_bound, flat_norm_lp, lower_bounds,
                        lp_solve, sharp_lower_bound)
-from .lipschitz import (LipMap, lipschitz_constant, make_map,
-                        pushforward_chain)
+from .lipschitz import LipMap, lipschitz_constant, pushforward_chain
 from .motion import (Motion, classical_reynolds, continuity_modulus,
                      deformation_chain, homotopy_residual,
                      homotopy_residuals, make_motion, reynolds_operator,

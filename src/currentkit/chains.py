@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import log2
 from typing import NamedTuple
 
 import numpy as np
@@ -14,8 +15,8 @@ import numpy as np
 from .exterior import sort_parity, wedge_rows
 from .forms import FormField, VectorField, contract, exterior_derivative
 from .polynomial import _is_finite, _is_real, _real_array
-from .quadrature import (_halving_indices, _read_only, _whole_number,
-                         simplex_rule, simplex_volumes)
+from .quadrature import (_check_size, _halving_indices, _read_only,
+                         _whole_number, simplex_rule, simplex_volumes)
 
 __all__ = [
     "Chain",
@@ -248,11 +249,14 @@ class Chain:
         the table is rebuilt once, at the end.  The children of a
         simplex are consecutive, in `subdivide_barycentric`'s order, each
         with its multiplicity times the child's orientation relative to
-        it.  A ValueError unless `levels` is a whole number >= 0."""
+        it.  A ValueError unless `levels` is a whole number >= 0 that
+        makes at most `_SIZE_CAP` simplices."""
         levels = _whole_number("levels", levels, 0)
         r = self.degree
-        if r == 0 or levels == 0:
+        if r == 0 or levels == 0 or not len(self):
             return self
+        _check_size("levels", levels, log2(len(self)) + r * levels,
+                    "simplices")
         edges, children, child_signs = _halving_indices(r)
         table, ids, mults = self.table, self.ids, self.mults
         for _ in range(levels):
@@ -331,8 +335,9 @@ class Chain:
                     f'vertex_table; got {row!r}')
         ids = np.array(rows, dtype=np.intp).reshape(-1, width)
         signs = [rec.get("sign", 1) for rec in records]
-        if any(sign not in (1, -1) for sign in signs):
-            raise ValueError('a simplex\'s "sign" must be +1 or -1')
+        if not all(_is_int(sign, -1, 2) and sign for sign in signs):
+            raise ValueError('a simplex\'s "sign" must be the integer +1 '
+                             'or -1')
         mults = np.array([rec["multiplicity"] for rec in records],
                          dtype=float) * np.array(signs, dtype=float)
         return cls(table[ids], mults)

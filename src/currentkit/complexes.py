@@ -7,12 +7,13 @@ is consistently orientable and reproducible at any resolution.
 from __future__ import annotations
 
 from functools import cached_property
+from math import factorial, log2
 
 import numpy as np
 
 from .chains import Chain, _lex_groups, face_rows, lex_ranks
 from .exterior import sort_parity
-from .quadrature import kuhn_simplices, simplex_volumes
+from .quadrature import _check_size, kuhn_simplices, simplex_volumes
 
 __all__ = ["SimplicialComplex", "freudenthal_complex"]
 
@@ -161,11 +162,15 @@ def freudenthal_complex(lower, upper, resolution: int) -> SimplicialComplex:
     """Kuhn triangulation of a box at `resolution` cells per axis.  Its
     vertices are the grid points in row-major order; a Kuhn path's
     vertices rise in that order, so each top simplex's orientation is the
-    parity of its path."""
+    parity of its path.  A ValueError, before anything is built, when
+    the n! * resolution^n top simplices would be more than
+    `_SIZE_CAP`."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n = lower.size
     m = resolution
+    _check_size("resolution", m, log2(factorial(n)) + n * log2(m),
+                "top simplices")
     axes = [np.linspace(lower[i], upper[i], m + 1) for i in range(n)]
     verts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     coords, signs = kuhn_simplices(n, m)

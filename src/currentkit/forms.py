@@ -10,14 +10,14 @@ contraction, the Lie derivative and the comass/flat/sharp seminorms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, log2
 
 import numpy as np
 
 from .exterior import (CoVector, _contract_terms, _wedge_terms, basis_rank,
                        contract_rows, multi_indices)
 from .polynomial import Polynomial, _real_array
-from .quadrature import _read_only, _whole_number
+from .quadrature import _check_size, _read_only, _whole_number
 
 __all__ = [
     "Box",
@@ -45,7 +45,8 @@ _FD_STEP = 1e-5  # central-difference step, relative to the point's scale
 @dataclass(frozen=True)
 class Box:
     """The compact box K = [lower, upper], on which the seminorms are
-    taken, carrying a uniform sample grid."""
+    taken, carrying a uniform sample grid of `resolution` points an axis,
+    at most `_SIZE_CAP` in all."""
 
     lower: tuple
     upper: tuple
@@ -60,7 +61,9 @@ class Box:
         if lo.shape != hi.shape or not np.all(
                 np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
             raise ValueError("box requires finite lower < upper in each axis")
-        _whole_number("grid resolution", self.resolution, 2)
+        resolution = _whole_number("grid resolution", self.resolution, 2)
+        _check_size("grid resolution", resolution,
+                    len(lo) * log2(resolution), "grid points")
         object.__setattr__(self, "lower", tuple(lo))
         object.__setattr__(self, "upper", tuple(hi))
         object.__setattr__(self, "_tables", {})  # grid and pair table

@@ -14,9 +14,8 @@ from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
                      evaluate_copies, simplex_geometry)
 from .forms import (Box, Cochain, FormField, VectorField, contract,
                     exterior_derivative, seminorm_comass)
-from .lipschitz import (_TENT, LipMap, _affine_frames, _family_params,
-                        _tent, _tent_lift, pushforward_chain)
-from .polynomial import Polynomial, _is_finite, _is_real
+from .lipschitz import LipMap, pushforward_chain
+from .polynomial import Polynomial, _is_finite, _is_real, _real_array
 from .quadrature import (gauss_nodes, gauss_quadrature, gauss_sum,
                          simplex_rule)
 
@@ -403,8 +402,65 @@ def continuity_modulus(m: Motion, T: Chain, t: float, eps_list, family,
 # built-in motion families
 # ----------------------------------------------------------------------
 
-# each family's parameters, with their kinds and defaults, as
-# `lipschitz._MAP_FAMILIES` states a map family's; make_motion and
+def _tent(u, center: float, width: float):
+    """The hat function of `center` and half-width `width`, elementwise."""
+    return np.maximum(0.0, 1.0 - np.abs(u - center) / width)
+
+
+def _tent_lift(x, amplitudes, center: float, width: float,
+               axis: int) -> np.ndarray:
+    """The tent map of each of the amplitudes (K,) at points x (m, n),
+    shape (K, m, n): x lifted along `axis` by the amplitude times the hat
+    of x[:, 0].  The lift is added through the (K * m, n) view of the
+    stack; `_family_params` keeps `axis` in range."""
+    lift = amplitudes[:, None] * _tent(x[:, 0], center, width)
+    out = np.repeat(x[None], len(amplitudes), axis=0)
+    out.reshape(-1, x.shape[1])[:, axis] += lift.ravel()
+    return out
+
+
+def _planar_rotation(theta) -> np.ndarray:
+    """The rotation matrix by the angle `theta`, or a stack of them by an
+    array of angles, shape (*theta.shape, 2, 2)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], axis=-1),
+                     np.stack([s, c], axis=-1)], axis=-2)
+
+
+def _affine_frames(kind: str, ambient: int, values) -> tuple:
+    """The matrices (K, n, n) and shifts (K, n) of an affine family at K
+    values of its parameter: the offsets (K, n) of a `translation`, the
+    angles (K,) of a `rotation`, the strengths (K,) of a `shear` and the
+    factors (K,) of an `expansion`."""
+    values = np.asarray(values, dtype=float)
+    eyes = np.broadcast_to(np.eye(ambient), (len(values), ambient, ambient))
+    shifts = np.zeros((len(values), ambient))
+    if kind == "translation":
+        return eyes, values
+    if kind == "rotation":
+        return _planar_rotation(values), shifts
+    if kind == "shear":
+        mats = eyes.copy()
+        mats[:, 0, 1] = values
+        return mats, shifts
+    return values[:, None, None] * np.eye(ambient), shifts
+
+
+# each kind of family parameter: what a value must be, and the test of
+# its array of numbers a (`polynomial._real_array`) in n dimensions
+_KINDS = {
+    "number": ("a finite number",
+               lambda a, n: a.shape == () and np.isfinite(a)),
+    "positive": ("a finite positive number",
+                 lambda a, n: a.shape == () and 0 < a < np.inf),
+    "vector": ("{n} finite numbers",
+               lambda a, n: a.shape == (n,) and np.all(np.isfinite(a))),
+    "axis": ("an axis in range({n})",
+             lambda a, n: a.shape == () and a in range(n)),
+}
+
+# each family's parameters, with their kinds and defaults; a vector's
+# default is a function of the ambient dimension.  make_motion and
 # scenario files take no others
 _MOTION_FAMILIES = {
     "identity": {},
@@ -412,8 +468,46 @@ _MOTION_FAMILIES = {
     "rotation": {"rate": ("number", 1.0)},
     "expansion": {},
     "shear": {"rate": ("number", 0.5)},
-    "tent": _TENT,
+    "tent": {"center": ("number", 0.5), "width": ("positive", 0.5),
+             "amplitude": ("number", 0.3), "axis": ("axis", 1)},
 }
+
+
+def _family_params(name: str, params: dict, ambient: int) -> dict:
+    """The parameters in force of the motion family `name`: `params` over
+    the family's defaults.  A ValueError unless `name` is a family of
+    `_MOTION_FAMILIES`, every item of `params` one of its parameters and
+    every parameter in force of its kind in `ambient` dimensions,
+    defaults too; and unless a rotation is planar and a shear has a
+    second axis."""
+    if not isinstance(name, str) or name not in _MOTION_FAMILIES:
+        raise ValueError(f"unknown motion family: {name}")
+    takes = _MOTION_FAMILIES[name]
+    for key in params:
+        if key not in takes:
+            raise ValueError(f"motion family {name!r} has no parameter "
+                             f"{key!r}; it takes {list(takes)}")
+    if name == "rotation" and ambient != 2:
+        raise ValueError("rotation family is planar")
+    if name == "shear" and ambient < 2:
+        raise ValueError("shear family needs at least 2 dimensions")
+    out = {}
+    for key, (kind, default) in takes.items():
+        if key in params:
+            value = params[key]
+        else:
+            value = default(ambient) if callable(default) else default
+        text, test = _KINDS[kind]
+        try:
+            ok = test(_real_array(value), ambient)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"motion parameter {key!r} of family {name!r} "
+                             f"must be {text.format(n=ambient)}, got "
+                             f"{value!r}")
+        out[key] = value
+    return out
 
 
 def _affine_maps(kind: str, ambient: int, parameter):
@@ -432,11 +526,12 @@ def _affine_maps(kind: str, ambient: int, parameter):
 def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
                 **params) -> Motion:
     """Named motion families: identity, translation, rotation, expansion,
-    shear, tent.  Each is the `make_map` family of the same kind at a
-    parameter scaled by time, its maps stated for an array of times, with
-    its exact Eulerian velocity.  A ValueError names a bad parameter or
-    `interval`."""
-    params = _family_params("motion", _MOTION_FAMILIES, name, params, ambient)
+    shear, tent, with the parameters of `_MOTION_FAMILIES`.  Each is an
+    affine map or the tent map at a parameter scaled by time, its maps
+    stated for an array of times, with its exact Eulerian velocity; a
+    named map is its family's `map_at(t)`.  A ValueError names a bad
+    parameter (`_family_params`) or `interval`."""
+    params = _family_params(name, params, ambient)
     iv = tuple(interval) if isinstance(interval, (list, tuple,
                                                    np.ndarray)) else ()
     if not (len(iv) == 2 and all(map(_is_real, iv))
@@ -446,7 +541,7 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
     iv = (float(iv[0]), float(iv[1]))
 
     if name == "identity":
-        # the translation by 0, as `make_map` states it
+        # the translation by 0
         zero = VectorField.constant(np.zeros(ambient))
         return Motion(iv, ambient, _affine_maps(
             "translation", ambient, lambda ts: np.zeros((len(ts), ambient))),
@@ -468,12 +563,17 @@ def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
 
     if name == "expansion":
         # kappa_t(x) = (1 + t) x; Eulerian velocity y / (1 + t)
+        if iv[0] < -1.0 < iv[1]:
+            raise ValueError(f"motion parameter 'interval' of an expansion "
+                             f"must not have -1 inside it, where the map "
+                             f"(1 + t) x is zero; got {iv}")
+
         def vfac(t, ambient=ambient):
             return VectorField.from_polynomials(
                 [Polynomial.variable(i, ambient) * (1.0 / (1.0 + t))
                  for i in range(ambient)])
         return Motion(iv, ambient, _affine_maps(
-            "scaling", ambient, lambda ts: 1.0 + ts), vfac, name)
+            "expansion", ambient, lambda ts: 1.0 + ts), vfac, name)
 
     if name == "shear":
         s = float(params["rate"])

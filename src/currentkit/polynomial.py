@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -34,10 +35,18 @@ def _is_finite(value) -> bool:
 
 def _real_array(value) -> np.ndarray:
     """`value` as a float array; a ValueError unless numpy reads it as
-    an array of ints or floats: so never one holding a string or an int
-    beyond the float range."""
+    an array of ints or floats and no entry is a bool: so never one
+    holding a string, a bool or an int beyond the float range.  numpy
+    reads a bool among numbers as a number, so the entries of anything
+    but an array are looked at one by one."""
     array = np.asarray(value)
-    if array.dtype.kind not in "iuf":
+    numbers = array.dtype.kind in "iuf"
+    if numbers and not isinstance(value, np.ndarray):
+        entries = [value]
+        for _ in range(array.ndim):
+            entries = chain.from_iterable(entries)
+        numbers = set(map(type, entries)).isdisjoint((bool, np.bool_))
+    if not numbers:
         raise ValueError(f"not an array of numbers: {value!r}")
     return np.asarray(array, dtype=float)
 

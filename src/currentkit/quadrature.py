@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, log2
 
 import numpy as np
 
@@ -104,6 +104,20 @@ def _whole_number(name: str, value, low: int) -> int:
         raise ValueError(f"{name} must be a whole number >= {low}, got "
                          f"{value!r}")
     return int(value)
+
+
+# the most simplices or grid points that one subdivision, complex or box
+# grid may build; a square at 7 levels of subdivision has 32 768
+_SIZE_CAP = 2 ** 22
+
+
+def _check_size(name: str, value, log2_count: float, what: str):
+    """A ValueError naming the parameter `name` when its `value` asks for
+    more than `_SIZE_CAP` `what`, 2^log2_count of them.  The count is
+    compared in logarithms, so that a huge `value` costs nothing."""
+    if log2_count > log2(_SIZE_CAP):
+        raise ValueError(f"{name} {value!r} asks for more than {_SIZE_CAP} "
+                         f"{what}")
 
 
 def gauss_nodes(a: float, b: float, panels: int, order: int):

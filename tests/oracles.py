@@ -11,8 +11,8 @@ norm ladder one bound at a time, deformation chains, the homotopy residual, the
 continuity modulus and the finite-difference transport derivative one
 time node at a time, the homotopy residual one panel count at a time,
 the transport derivative through `Motion.push`, the maps of the motion
-families as `make_map` maps one time at a time, and polynomial evaluation
-one term at a time from a filled array.
+families one time at a time from their formulas, a radial stretch, and
+polynomial evaluation one term at a time from a filled array.
 They are not part of the library's API."""
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from currentkit import flatnorm, forms, lipschitz, motion
+from currentkit import flatnorm, forms
 from currentkit.chains import (Boundary, Chain, _leaf_evaluate, boundary,
                                evaluate)
 from currentkit.exterior import multi_indices
@@ -29,7 +29,7 @@ from currentkit.forms import (AffineMap, Box, FormField, VectorField,
                               contract, exterior_derivative, lie_derivative,
                               pullback, seminorm_comass, seminorm_flat,
                               seminorm_sharp, time_slice_contract)
-from currentkit.lipschitz import LipMap, lipschitz_constant, make_map
+from currentkit.lipschitz import LipMap, lipschitz_constant
 from currentkit.motion import (Cochain, Deformation, Motion,
                                deformation_chain, velocity_field)
 from currentkit.polynomial import Polynomial
@@ -50,7 +50,7 @@ def transport_derivative_lagrangian_fd(kappa, T: Chain, psi: Cochain,
                                        tau: float, eps: float) -> float:
     """Lagrangian pipeline: FD of t -> T(kappa_t^# psi(t)), with `kappa`
     the exact map t -> kappa_t (a LipMap, such as
-    `motion_map_by_make_map` gives), using exact affine pullbacks of the
+    `motion_map_by_formula` gives), using exact affine pullbacks of the
     representing form."""
     def pulled(t):
         lm = kappa(t)
@@ -669,28 +669,48 @@ def transport_derivative_by_push(m: Motion, T: Chain, psi: Cochain,
     return total
 
 
-def motion_map_by_make_map(name: str, ambient: int, t: float,
-                           **params) -> LipMap:
-    """kappa_t of the `make_motion` family `name`: the `make_map` family of
-    its kind at the parameter scaled by t, with the family's defaults."""
-    params = lipschitz._family_params("motion", motion._MOTION_FAMILIES,
-                                      name, params, ambient)
+def motion_map_by_formula(name: str, ambient: int, t: float,
+                          **params) -> LipMap:
+    """kappa_t of the `make_motion` family `name`, written from its formula
+    with `params` over the family's defaults: the translation by
+    t * velocity, the rotation (cos, -sin; sin, cos) by the angle
+    rate * t, the expansion (1 + t) I, the shear I + rate * t e_0 e_1^T,
+    and the tent's lift of x along `axis` by amplitude * t times the hat
+    of x_0 at `center` of half-width `width`."""
     if name == "identity":
-        return make_map("identity", ambient)
+        return LipMap.affine(np.eye(ambient))
     if name == "translation":
-        c = np.asarray(params["velocity"], float)
-        return make_map("translation", ambient, offset=t * c)
+        velocity = params.get("velocity", 0.25 * np.eye(ambient)[0])
+        return LipMap.affine(np.eye(ambient), t * np.asarray(velocity, float))
     if name == "rotation":
-        return make_map("rotation", angle=float(params["rate"]) * t)
+        angle = params.get("rate", 1.0) * t
+        return LipMap.affine([[np.cos(angle), -np.sin(angle)],
+                              [np.sin(angle), np.cos(angle)]])
     if name == "expansion":
-        return make_map("scaling", ambient, factor=1.0 + t)
+        return LipMap.affine((1.0 + t) * np.eye(ambient))
     if name == "shear":
-        return make_map("shear", ambient,
-                        strength=float(params["rate"]) * t)
-    return make_map("tent", ambient, center=float(params["center"]),
-                    width=float(params["width"]),
-                    amplitude=t * float(params["amplitude"]),
-                    axis=int(params["axis"]))
+        mat = np.eye(ambient)
+        mat[0, 1] = params.get("rate", 0.5) * t
+        return LipMap.affine(mat)
+    tent = {"center": 0.5, "width": 0.5, "amplitude": 0.3, "axis": 1,
+            **params}
+
+    def lift(x):
+        hat = np.maximum(0.0, 1.0 - np.abs(x[:, 0] - tent["center"])
+                         / tent["width"])
+        out = x.copy()
+        out[:, tent["axis"]] += tent["amplitude"] * t * hat
+        return out
+
+    return LipMap(ambient, lift)
+
+
+def radial_stretch(ambient: int, strength: float) -> LipMap:
+    """The curved map x -> x (1 + strength |x|^2)."""
+    def f(x):
+        return x * (1.0 + strength * np.sum(x * x, axis=1, keepdims=True))
+
+    return LipMap(ambient, f)
 
 
 def eval_many_by_term(p: Polynomial, pts) -> np.ndarray:

@@ -16,11 +16,13 @@ from currentkit.complexes import SimplicialComplex, freudenthal_complex
 from currentkit.exterior import MultiVector, pair, wedge
 from currentkit.forms import (FormField, VectorField, contract,
                               exterior_derivative)
-from currentkit.lipschitz import LipMap, make_map, pushforward_chain
+from currentkit.lipschitz import LipMap, pushforward_chain
+from currentkit.motion import make_motion
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import (grundmann_moller, simplex_volumes,
                                    subdivide_barycentric)
-from oracles import evaluate_with_error, interval_product_evaluate, perm_sign
+from oracles import (evaluate_with_error, interval_product_evaluate, perm_sign,
+                     radial_stretch)
 
 
 def _tet():
@@ -271,7 +273,7 @@ class TestSubdivisionLevels:
             with pytest.raises(ValueError, match="^levels must be a whole "
                                                  "number >= 0"):
                 T.subdivided(levels)
-        f = make_map("rotation", angle=0.3)
+        f = make_motion("rotation", rate=0.3).map_at(1.0)
         with pytest.raises(ValueError, match="^levels must be a whole"):
             pushforward_chain(f, unit_square_chain(), levels=levels)
 
@@ -279,6 +281,22 @@ class TestSubdivisionLevels:
         T = unit_square_chain()
         assert T.subdivided(0) is T
         assert len(T.subdivided(np.int64(2))) == len(T.subdivided(2)) == 32
+
+    @pytest.mark.parametrize("levels", [11, 10 ** 6])
+    def test_levels_beyond_the_size_cap_rejected(self, levels):
+        # the square's 2 * 4^levels simplices: unchecked, 10 ** 6 levels
+        # would subdivide until memory runs out.  Levels 7 (32 768) is
+        # admitted, and an empty chain at any level is itself
+        T = unit_square_chain()
+        assert len(T.subdivided(7)) == 32768
+        empty = Chain(np.zeros((0, 3, 2)), [])
+        assert empty.subdivided(10 ** 6) is empty
+        with pytest.raises(ValueError, match=f"^levels {levels} asks for "
+                                             f"more than 4194304 simplices"):
+            T.subdivided(levels)
+        f = make_motion("rotation").map_at(0.5)
+        with pytest.raises(ValueError, match=f"^levels {levels} asks"):
+            pushforward_chain(f, T, levels=levels)
 
 
 class TestSerialization:
@@ -305,7 +323,7 @@ class TestSerialization:
         obj["simplices"][1]["multiplicity"] = 0.5
         T = Chain.from_json_obj(obj)
         assert T.mults.tolist() == [1.0, -0.5]
-        for bad in (2, 0, -2.5, "-1"):
+        for bad in (2, 0, -2.5, "-1", True, 1.0, -1.0):
             obj["simplices"][1]["sign"] = bad
             with pytest.raises(ValueError, match='"sign" must be'):
                 Chain.from_json_obj(obj)
@@ -344,14 +362,16 @@ class TestSerialization:
         ("vertex_table", [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]],
          '"vertex_table" must be a list of'),
         ("vertex_table", [[0, 0], [1, 0], [0, 1], [1, 10 ** 400]],
+         '"vertex_table" must be a list of'),
+        ("vertex_table", [[0, 0], [1, 0], [0, 1], [1, False]],
          '"vertex_table" must be a list of')])
     def test_simplices_vertex_table_and_multiplicity_are_checked(
             self, key, bad, match):
         # unchecked, a "simplices" that is not a list and a dict
         # vertex_table or multiplicity were each a TypeError, a "1" or
         # true multiplicity was read as 1.0, a vertex_table of strings was
-        # read as numbers, and an int beyond the float range was an
-        # OverflowError
+        # read as numbers, an int beyond the float range was an
+        # OverflowError, and a false in the vertex_table was read as 0
         obj = unit_square_chain().to_json_obj()
         (obj["simplices"][0] if key == "multiplicity" else obj)[key] = bad
         with pytest.raises(ValueError, match=match):
@@ -512,12 +532,12 @@ def _random_forms(rng, r, n):
 def _random_maps(rng, n):
     maps = [LipMap.affine(rng.normal(size=(n, n)) + 2.0 * np.eye(n),
                           rng.normal(size=n)),
-            make_map("rotation", 2, angle=0.7) if n == 2
-            else make_map("scaling", n, factor=1.5),
-            make_map("radial_stretch", n, strength=0.3)]
+            make_motion("rotation", rate=0.7).map_at(1.0) if n == 2
+            else LipMap.affine(1.5 * np.eye(n)),
+            radial_stretch(n, 0.3)]
     if n >= 2:
-        maps.append(make_map("tent", n, center=0.1, width=1.5,
-                             amplitude=0.4))
+        maps.append(make_motion("tent", n, center=0.1, width=1.5,
+                                amplitude=0.4).map_at(1.0))
     return maps
 
 
@@ -833,7 +853,8 @@ class TestArrayChains:
     def test_array_chains_build_no_simplices(self):
         # a chain is its four arrays; no operation stores another form
         T = unit_square_chain().subdivided(2)
-        pushed = pushforward_chain(make_map("tent", 2), T, levels=1)
+        pushed = pushforward_chain(make_motion("tent").map_at(1.0), T,
+                                   levels=1)
         area = FormField.from_polynomials(2, 2, {(0, 1): 1.0})
         evaluate(pushed, area)
         mass_chain(pushed)
@@ -1048,7 +1069,7 @@ def test_boundary_of_pushed_jittered_mesh(scale):
                              ).full_chain()
     maps = [LipMap.affine(rng.standard_normal((2, 2)) + 2.0 * np.eye(2),
                           scale * rng.standard_normal(2)),
-            make_map("radial_stretch", 2, strength=0.3 / scale ** 2)]
+            radial_stretch(2, 0.3 / scale ** 2)]
     for f in maps:
         for levels in (0, 2):
             pushed = pushforward_chain(f, mesh).subdivided(levels)

@@ -25,6 +25,7 @@ from currentkit.scenarios import (ScenarioConfig, builtin_scenarios,
 
 
 _WHOLE_DEGREE = "'cochain.degree' must be a whole number >= 0"
+_COMMANDS = ("verify", "transport", "flatnorm", "converge")
 
 # the chain files that cases of the checked-whole test name, written to its
 # working directory: a segment in 3-D, and a triangle without "degree"
@@ -48,7 +49,7 @@ _CHAIN_FILES = {
 
 # the values that the loader sweep puts in place of each field
 _SWEEP_VALUES = [None, True, 0, 2, -1, 1.5, float("nan"), "x", [], [1], {},
-                 {"a": 1}, 10 ** 400, ["0", "1"]]
+                 {"a": 1}, 10 ** 400, ["0", "1"], [False, 0.5]]
 
 
 def _put(obj, path, value):
@@ -267,6 +268,43 @@ class TestScenarioConfig:
             assert main([command, "--config", str(path),
                          "--out", str(tmp_path)]) == 2
             assert field in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("change, commands, message", [
+        ({"motion": {"family": "expansion", "interval": [-2, 1]}, "tau": -1},
+         _COMMANDS, "scenario field 'motion': motion parameter 'interval' "
+                    "of an expansion must not have -1 inside it"),
+        ({"levels": 10 ** 6}, ("verify", "transport", "converge"),
+         "levels 1000000 asks for more than 4194304 simplices"),
+        ({"resolution": 10 ** 6}, ("flatnorm", "converge"),
+         "grid resolution 1000000 asks for more than 4194304 grid points"),
+        ({"resolution": 10 ** 6,
+          "box": {"lower": [0, 0], "upper": [1, 1], "resolution": 2}},
+         ("flatnorm",),
+         "resolution 1000000 asks for more than 4194304 top simplices"),
+        ({"box": {"lower": [0, 0], "upper": [1, 1], "resolution": 10 ** 6}},
+         _COMMANDS, "scenario field 'box': grid resolution 1000000 asks")],
+        ids=["expansion_through_zero", "levels", "resolution",
+             "complex_resolution", "box_resolution"])
+    def test_refused_at_once_with_one_error_line(self, tmp_path, capsys,
+                                                 change, commands, message):
+        # transport on the expansion through the zero map died in a
+        # ZeroDivisionError traceback with exit 1, while the other three
+        # exited 0; unchecked, each size would subdivide or build a grid
+        # or complex until memory runs out.  Each subcommand that reads
+        # the field refuses it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "motion": {"family": "rotation", "rate": 0.7},
+            "cochain": {"degree": 2, "components": {"0,1": [
+                {"exponents": [0, 2, 0], "coefficient": 1.0}]}},
+            **change}))
+        for command in commands:
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert message in err[0]
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["transport", "converge"])

@@ -89,6 +89,17 @@ class TestComplex:
         assert comp.n_simplices(2) == 8
         assert comp.n_simplices(0) == 9
 
+    @pytest.mark.parametrize("dim, resolution", [(2, 1449), (3, 89),
+                                                 (2, 10 ** 6)])
+    def test_resolution_beyond_the_size_cap_rejected(self, dim, resolution):
+        # n! * resolution^n top simplices: 2 * 1449^2 and 6 * 89^3 are the
+        # first counts above 2^22; unchecked, 10 ** 6 would build until
+        # memory runs out
+        with pytest.raises(ValueError, match=f"^resolution {resolution} "
+                                             f"asks for more than 4194304 "
+                                             f"top simplices"):
+            freudenthal_complex((0.0,) * dim, (1.0,) * dim, resolution)
+
     def test_boundary_matrix_squares_to_zero(self):
         comp = freudenthal_complex((0, 0), (1, 1), 2)
         b2 = comp.boundary_matrix(2)

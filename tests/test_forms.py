@@ -576,6 +576,19 @@ class TestSeminorms:
         with pytest.raises(ValueError, match="grid resolution"):
             Box((0.0, 0.0), (1.0, 1.0), resolution=res)
 
+    @pytest.mark.parametrize("dim, resolution", [(2, 2049), (4, 46),
+                                                 (2, 10 ** 6)])
+    def test_resolution_beyond_the_size_cap_rejected(self, dim, resolution):
+        # resolution^dim grid points: 2049^2 and 46^4 are the first counts
+        # above 2^22; unchecked, 10 ** 6 built, and its grid would fill
+        # memory at first use.  2048^2 = 2^22 is admitted; the grid is
+        # built at first use
+        assert Box.unit(2, resolution=2048).resolution == 2048
+        with pytest.raises(ValueError, match=f"^grid resolution {resolution} "
+                                             f"asks for more than 4194304 "
+                                             f"grid points"):
+            Box.unit(dim, resolution=resolution)
+
     def test_box_is_the_compact_set_it_samples(self):
         # the grid spans [lower, upper]; there is no enclosing open box
         box = Box((0.5, -1.0), (2.0, 1.0), 3)
@@ -592,9 +605,12 @@ class TestSeminorms:
             with pytest.raises(ValueError, match="finite lower < upper in each axis"):
                 Box(lower, upper)
         # unchecked, strings were read as numbers and an int beyond the
-        # float range was an OverflowError
+        # float range was an OverflowError; a bool among numbers was read
+        # as 0 or 1
         for lower, upper in ((("0", "0"), (1.0, 1.0)),
-                             ((0, 0), (1, 10 ** 400))):
+                             ((0, 0), (1, 10 ** 400)),
+                             ((False, 0.5), (1, 1)),
+                             ((0, 0), [1, np.True_])):
             with pytest.raises(ValueError,
                                match="box lower and upper must be numbers"):
                 Box(lower, upper)

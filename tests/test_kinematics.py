@@ -10,7 +10,7 @@ from currentkit.chains import (Chain, Leaf, boundary, evaluate,
                                unit_interval_chain, unit_square_chain)
 from currentkit.forms import (Box, Cochain, FormField, VectorField,
                               lie_derivative)
-from currentkit.lipschitz import make_map, pushforward_chain
+from currentkit.lipschitz import LipMap, pushforward_chain
 from currentkit.motion import (_MOTION_FAMILIES, Motion,
                                classical_reynolds, continuity_modulus,
                                deformation_chain, homotopy_residual,
@@ -18,7 +18,7 @@ from currentkit.motion import (_MOTION_FAMILIES, Motion,
                                transport_derivative, transport_derivative_fd,
                                velocity_field)
 from currentkit.polynomial import Polynomial
-from oracles import (motion_map_by_make_map, transport_derivative_betounes,
+from oracles import (motion_map_by_formula, transport_derivative_betounes,
                      transport_derivative_lagrangian_fd)
 
 SQ = unit_square_chain()
@@ -80,14 +80,25 @@ class TestMotionFamilies:
             make_motion("rotation", interval=interval)
 
     @pytest.mark.parametrize("name", sorted(_MOTION_FAMILIES))
-    def test_every_family_is_its_make_map_family(self, name):
-        # each family's map at t, defaults included, is the `make_map`
-        # family of its kind at the time-scaled parameter, bit for bit
+    def test_every_family_is_its_formula(self, name):
+        # each family's map at t, defaults included, is kappa_t written
+        # from the family's formula, bit for bit
         m = make_motion(name)
         points = np.random.default_rng(0).uniform(-1.0, 1.0, (9, 2))
         for t in (-0.6, 0.0, 0.35):
             assert m.images([t], points)[0].tobytes() == \
-                motion_map_by_make_map(name, 2, t).values_at(points).tobytes()
+                motion_map_by_formula(name, 2, t).values_at(points).tobytes()
+
+    @pytest.mark.parametrize("interval", [(-2.0, 1.0), (-1.5, -0.5)])
+    def test_expansion_through_the_zero_map_rejected(self, interval):
+        # (1 + t) x is the zero map at t = -1, where the velocity
+        # y / (1 + t) divided by zero; -1 as an end point stays admitted
+        with pytest.raises(ValueError, match=re.escape(
+                f"motion parameter 'interval' of an expansion must not "
+                f"have -1 inside it, where the map (1 + t) x is zero; got "
+                f"{interval}")):
+            make_motion("expansion", interval=interval)
+        assert make_motion("expansion").interval == (-1.0, 1.0)
 
     def test_expansion_velocity(self):
         m = make_motion("expansion", interval=(-0.5, 1.0))
@@ -167,7 +178,7 @@ class TestTransportDerivative:
         an = transport_derivative(m, SQ, psi, 0.2)
         bet = transport_derivative_betounes(m, SQ, psi, 0.2)
         lag = transport_derivative_lagrangian_fd(
-            lambda t: motion_map_by_make_map("rotation", 2, t, rate=0.7),
+            lambda t: motion_map_by_formula("rotation", 2, t, rate=0.7),
             SQ, psi, 0.2, 1e-5)
         assert bet == pytest.approx(an, abs=1e-12)
         assert lag == pytest.approx(an, abs=1e-8)
@@ -357,7 +368,7 @@ class TestClassicalReynolds:
         # no boundary face is too short or too long to carry its flux
         m = make_motion("expansion", interval=(-0.5, 1.0))
         density = Cochain(2, 0, {(): Polynomial.constant(3, 1.0)})
-        T = pushforward_chain(make_map("scaling", 2, factor=scale), SQ)
+        T = pushforward_chain(LipMap.affine(scale * np.eye(2)), SQ)
         lhs, vol, flux = classical_reynolds(m, T, density, 0.0)
         assert lhs == pytest.approx(2.0 * scale ** 2, rel=1e-12, abs=0.0)
         assert vol == 0.0

@@ -9,9 +9,9 @@ from currentkit.chains import (Chain, boundary, evaluate, mass_chain,
                                triangle_chain, unit_square_chain)
 from currentkit.complexes import freudenthal_complex
 from currentkit.forms import Box, FormField, pullback
-from currentkit.lipschitz import (LipMap, lipschitz_constant, make_map,
-                                  pushforward_chain)
-from oracles import Mollifier, mollify, strong_lip_distance
+from currentkit.lipschitz import LipMap, lipschitz_constant, pushforward_chain
+from currentkit.motion import _MOTION_FAMILIES, make_motion
+from oracles import Mollifier, mollify, radial_stretch, strong_lip_distance
 
 BOX = Box.unit(2, resolution=5)
 
@@ -26,12 +26,13 @@ class TestConstants:
         assert count == 300
 
     def test_rotation_is_isometry(self):
-        f = make_map("rotation", angle=0.9)
+        f = make_motion("rotation", rate=0.9).map_at(1.0)
         lip, _ = lipschitz_constant(f, BOX)
         assert lip == pytest.approx(1.0, rel=1e-9)
 
     def test_tent_constant(self):
-        f = make_map("tent", center=0.5, width=0.5, amplitude=0.3)
+        f = make_motion("tent", center=0.5, width=0.5,
+                        amplitude=0.3).map_at(1.0)
         lip, _ = lipschitz_constant(f, BOX)
         # Jacobian is a unit shear with slope c = amplitude/width = 0.6;
         # its spectral norm is (c + sqrt(c^2 + 4)) / 2
@@ -43,13 +44,13 @@ class TestConstants:
         # only coincident pairs are left out, so a box of any size keeps
         # all C(25, 2) pairs of its grid
         box = Box((0, 0), (s, s), 5)
-        f = make_map("rotation", angle=0.3)
+        f = make_motion("rotation", rate=0.3).map_at(1.0)
         lip, count = lipschitz_constant(f, box)
         assert lip == pytest.approx(1.0, rel=1e-12) and count == 300
 
     def test_strong_distance_of_translates(self):
-        f = make_map("translation", offset=[0.2, 0.0])
-        g = make_map("identity")
+        f = make_motion("translation", velocity=[0.2, 0.0]).map_at(1.0)
+        g = make_motion("identity").map_at(1.0)
         d = strong_lip_distance(f, g, BOX)
         assert d == pytest.approx(0.2, rel=1e-9)
 
@@ -68,7 +69,7 @@ class TestMollification:
             np.testing.assert_allclose(sm(pt), f(pt), atol=1e-10)
 
     def test_convergence_as_rho_shrinks(self):
-        f = make_map("radial_stretch", strength=0.3)
+        f = radial_stretch(2, 0.3)
         dists = [strong_lip_distance(mollify(f, rho), f, BOX)
                  for rho in (0.2, 0.1, 0.05)]
         assert dists[0] >= dists[1] >= dists[2]
@@ -103,7 +104,7 @@ class TestPushforward:
         assert len(diff) == 0
 
     def test_subdivision_improves_curved_maps(self):
-        f = make_map("radial_stretch", strength=0.2)
+        f = radial_stretch(2, 0.2)
         T = triangle_chain()
         rng = np.random.default_rng(2)
         phi = FormField.random_polynomial(2, 2, rng, max_degree=1)
@@ -134,59 +135,66 @@ class TestPushforward:
 
 
 class TestMapLibrary:
-    @pytest.mark.parametrize("name", ["identity", "translation", "rotation",
-                                      "shear", "scaling", "radial_stretch",
-                                      "tent"])
+    """The named maps are the motion families at a time, their parameters
+    checked by `motion._family_params`."""
+
+    @pytest.mark.parametrize("name", sorted(_MOTION_FAMILIES))
     def test_families_evaluate(self, name):
-        f = make_map(name)
+        f = make_motion(name).map_at(0.5)
         out = f([0.25, 0.75])
         assert out.shape == (2,)
         assert np.all(np.isfinite(out))
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            make_map("escher")
+        with pytest.raises(ValueError, match="unknown motion family: escher"):
+            make_motion("escher")
 
     @pytest.mark.parametrize("name, params, takes", [
-        ("rotation", {"rate": 0.7}, "['angle']"),
-        ("translation", {"velocity": [1, 2]}, "['offset']"),
-        ("scaling", {"factr": 3.0}, "['factor']"),
+        ("rotation", {"angle": 0.7}, "['rate']"),
+        ("translation", {"offset": [1, 2]}, "['velocity']"),
+        ("tent", {"hight": 0.3}, "['center', 'width', 'amplitude', 'axis']"),
         ("identity", {"offset": [0.0, 0.0]}, "[]")])
     def test_unknown_parameter_is_named(self, name, params, takes):
-        # these ran with the family's default: angle 0, a zero offset and
-        # factor 2
         key, = params
         with pytest.raises(ValueError, match=re.escape(
-                f"map family {name!r} has no parameter {key!r}; it takes "
-                f"{takes}")):
-            make_map(name, **params)
+                f"motion family {name!r} has no parameter {key!r}; it "
+                f"takes {takes}")):
+            make_motion(name, **params)
 
     @pytest.mark.parametrize("name, ambient, params", [
-        ("translation", 3, {"offset": [1.0]}),
+        ("translation", 3, {"velocity": [1.0]}),
         ("tent", 2, {"width": -0.5}), ("tent", 2, {"width": 0}),
-        ("tent", 2, {"axis": 5}), ("rotation", 2, {"angle": [1, 2]}),
-        ("rotation", 2, {"angle": np.nan}), ("tent", 2, {"width": np.inf}),
+        ("tent", 2, {"axis": 5}), ("rotation", 2, {"rate": [1, 2]}),
+        ("rotation", 2, {"rate": np.nan}), ("tent", 2, {"width": np.inf}),
         ("tent", 2, {"amplitude": -np.inf}),
-        ("translation", 2, {"offset": [0.0, np.nan]})],
-        ids=["short_offset", "negative_width", "zero_width", "axis_range",
-             "angle_list", "nan_angle", "inf_width", "inf_amplitude",
-             "nan_offset"])
+        ("translation", 2, {"velocity": [0.0, np.nan]}),
+        ("translation", 2, {"velocity": [True, 0.5]}),
+        ("rotation", 2, {"rate": True}), ("tent", 2, {"axis": [1, [2]]})],
+        ids=["short_velocity", "negative_width", "zero_width", "axis_range",
+             "rate_list", "nan_rate", "inf_width", "inf_amplitude",
+             "nan_velocity", "bool_in_velocity", "bool_rate",
+             "ragged_axis"])
     def test_parameter_of_the_wrong_kind_is_named(self, name, ambient,
                                                   params):
-        # the short offset moved every axis by 1, the negative width gave
-        # an inverted hat and the zero width non-finite images at first
-        # use; the axis ended in an IndexError and the list in a TypeError;
-        # a NaN or an infinity built, and failed at first use with
-        # "non-finite map images"
+        # the short velocity moved every axis, the negative width gave an
+        # inverted hat and the zero width non-finite images at first use;
+        # the axis ended in an IndexError and the list in a TypeError; a
+        # NaN or an infinity built, and failed at first use with
+        # "non-finite map images"; the bool in a velocity read as 1, and
+        # the ragged axis raised numpy's own ValueError
         key, = params
         with pytest.raises(ValueError, match=re.escape(
-                f"map parameter {key!r} of family {name!r} must be")):
-            make_map(name, ambient, **params)
+                f"motion parameter {key!r} of family {name!r} must be")):
+            make_motion(name, ambient, **params)
 
     def test_shear_needs_two_dimensions(self):
         # on a line the shear had no second axis: an IndexError
         with pytest.raises(ValueError, match="shear family needs at least 2"):
-            make_map("shear", 1)
+            make_motion("shear", 1)
+
+    def test_rotation_is_planar(self):
+        with pytest.raises(ValueError, match="rotation family is planar"):
+            make_motion("rotation", 3)
 
     def test_pointwise_map_rejected(self):
         # a map of one point x reads the rows of a batch as x[0], x[1]
@@ -239,11 +247,11 @@ def _mesh(rng, n, scale=1.0):
 def _maps(rng, n):
     maps = [LipMap.affine(rng.normal(size=(n, n)) + 2.0 * np.eye(n),
                           rng.normal(size=n)),
-            make_map("radial_stretch", n, strength=0.3),
+            radial_stretch(n, 0.3),
             LipMap(n, lambda x: np.sin(x) + 2.0 * x)]
     if n >= 2:
-        maps.append(make_map("tent", n, center=0.4, width=0.5,
-                             amplitude=0.2))
+        maps.append(make_motion("tent", n, center=0.4, width=0.5,
+                                amplitude=0.2).map_at(1.0))
     return maps
 
 

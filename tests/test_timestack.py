@@ -27,7 +27,7 @@ from currentkit.quadrature import integrate_interval
 from currentkit.scenarios import builtin_scenarios
 from oracles import (continuity_modulus_by_node, deformation_by_node,
                      gauss_by_panel, homotopy_residual_by_node,
-                     homotopy_residual_by_rung, motion_map_by_make_map,
+                     homotopy_residual_by_rung, motion_map_by_formula,
                      transport_derivative_by_push,
                      transport_derivative_fd_by_node)
 
@@ -572,7 +572,7 @@ SCALES = [2.0 ** -26, 1e-8, 1.0, 1e4, 1e8]
 class TestStackedImages:
     """`Motion.images` of a built-in family: every time's images in one
     call, bit for bit those of `Motion.map_at` one time at a time and of
-    the family's `make_map` map, with the same errors."""
+    the family's formula, with the same errors."""
 
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("name, n", sorted({(name, n) for name, n, _
@@ -588,7 +588,7 @@ class TestStackedImages:
             assert images.shape == (len(times), count, n)
             by_time = np.stack([m.map_at(t).values_at(points)
                                 for t in times])
-            by_map = np.stack([motion_map_by_make_map(
+            by_map = np.stack([motion_map_by_formula(
                 name, n, t, **params).values_at(points) for t in times])
             assert images.tobytes() == by_time.tobytes() == \
                 by_map.tobytes()
