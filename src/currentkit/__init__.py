@@ -23,9 +23,9 @@ from .flatnorm import (dual_flat_lower_bound, flat_norm_lp, lower_bounds,
                        lp_solve, sharp_lower_bound)
 from .lipschitz import LipMap, lipschitz_constant, pushforward_chain
 from .motion import (Motion, classical_reynolds, continuity_modulus,
-                     deformation_chain, homotopy_residual,
-                     homotopy_residuals, make_motion, reynolds_operator,
-                     transport_derivative, transport_derivative_fd,
-                     transport_derivative_fd_ladder, velocity_field)
+                     homotopy_residual, homotopy_residuals, make_motion,
+                     reynolds_operator, transport_derivative,
+                     transport_derivative_fd, transport_derivative_fd_ladder,
+                     velocity_field)
 
 __version__ = "0.1.0"

@@ -1,13 +1,14 @@
 """Simplicial r-chains as currents, plus a composable current expression
 algebra (boundary, v wedge T, sums) evaluated against forms by quadrature.
-Pushforwards (`lipschitz.pushforward_chain`) and deformation chains
-(`motion.Deformation`) are built on it in their own modules."""
+Pushforwards (`lipschitz.pushforward_chain`) and the homotopy formula's
+deformations (`motion.homotopy_residuals`) are built on it in their own
+modules."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from math import log2
 from typing import NamedTuple
 
 import numpy as np
@@ -255,8 +256,9 @@ class Chain:
         r = self.degree
         if r == 0 or levels == 0 or not len(self):
             return self
-        _check_size("levels", levels, log2(len(self)) + r * levels,
-                    "simplices")
+        # N simplices, times 2^r a level
+        _check_size("levels", levels, itertools.chain(
+            [len(self)], (2 ** r for _ in range(levels))), "simplices")
         edges, children, child_signs = _halving_indices(r)
         table, ids, mults = self.table, self.ids, self.mults
         for _ in range(levels):
@@ -507,7 +509,7 @@ def evaluate(T: Current, phi: FormField, s_order: int = 2) -> float:
         return evaluate(T.inner, contract(phi, T.field), s_order)
     if isinstance(T, Sum):
         return sum(evaluate(p, phi, s_order) for p in T.parts)
-    if hasattr(T, "_evaluate"):
+    if isinstance(T, Leaf):
         return T._evaluate(phi, s_order)
     raise TypeError(f"not a current expression: {type(T)}")
 

@@ -7,13 +7,13 @@ is consistently orientable and reproducible at any resolution.
 from __future__ import annotations
 
 from functools import cached_property
-from math import factorial, log2
 
 import numpy as np
 
 from .chains import Chain, _lex_groups, face_rows, lex_ranks
 from .exterior import sort_parity
-from .quadrature import _check_size, kuhn_simplices, simplex_volumes
+from .quadrature import (_check_size, _whole_number, kuhn_simplices,
+                         simplex_volumes)
 
 __all__ = ["SimplicialComplex", "freudenthal_complex"]
 
@@ -158,19 +158,26 @@ def _lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return where[ranks[len(table):]]
 
 
+def _check_resolution(dim: int, resolution) -> int:
+    """`resolution` as an int: a ValueError naming it unless it is a whole
+    number >= 1 at which the `dim`-dimensional `freudenthal_complex` has
+    at most `_SIZE_CAP` top simplices, dim! * resolution^dim of them."""
+    m = _whole_number("resolution", resolution, 1)
+    _check_size("resolution", m, (k * m for k in range(1, dim + 1)),
+                "top simplices")
+    return m
+
+
 def freudenthal_complex(lower, upper, resolution: int) -> SimplicialComplex:
     """Kuhn triangulation of a box at `resolution` cells per axis.  Its
     vertices are the grid points in row-major order; a Kuhn path's
     vertices rise in that order, so each top simplex's orientation is the
-    parity of its path.  A ValueError, before anything is built, when
-    the n! * resolution^n top simplices would be more than
-    `_SIZE_CAP`."""
+    parity of its path.  A ValueError, before anything is built, unless
+    `_check_resolution` admits `resolution`."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n = lower.size
-    m = resolution
-    _check_size("resolution", m, log2(factorial(n)) + n * log2(m),
-                "top simplices")
+    m = _check_resolution(n, resolution)
     axes = [np.linspace(lower[i], upper[i], m + 1) for i in range(n)]
     verts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     coords, signs = kuhn_simplices(n, m)

@@ -10,7 +10,7 @@ contraction, the Lie derivative and the comass/flat/sharp seminorms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, log2
+from math import comb
 
 import numpy as np
 
@@ -62,8 +62,8 @@ class Box:
                 np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
             raise ValueError("box requires finite lower < upper in each axis")
         resolution = _whole_number("grid resolution", self.resolution, 2)
-        _check_size("grid resolution", resolution,
-                    len(lo) * log2(resolution), "grid points")
+        _check_size("grid resolution", resolution, [resolution] * len(lo),
+                    "grid points")
         object.__setattr__(self, "lower", tuple(lo))
         object.__setattr__(self, "upper", tuple(hi))
         object.__setattr__(self, "_tables", {})  # grid and pair table

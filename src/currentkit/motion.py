@@ -1,6 +1,6 @@
 """Motions as curves of Lipschitz embeddings: Eulerian velocity fields,
-deformation chains, the Reynolds operator, and the transport
-derivative with its finite-difference oracle."""
+the Reynolds operator, the homotopy formula's residual, and the
+transport derivative with its finite-difference oracle."""
 
 from __future__ import annotations
 
@@ -16,15 +16,13 @@ from .forms import (Box, Cochain, FormField, VectorField, contract,
                     exterior_derivative, seminorm_comass)
 from .lipschitz import LipMap, pushforward_chain
 from .polynomial import Polynomial, _is_finite, _is_real, _real_array
-from .quadrature import (gauss_nodes, gauss_quadrature, gauss_sum,
-                         simplex_rule)
+from .quadrature import gauss_nodes, gauss_sum, simplex_rule
 
 __all__ = [
     "Motion",
     "make_motion",
     "velocity_field",
     "reynolds_operator",
-    "deformation_chain",
     "homotopy_residual",
     "homotopy_residuals",
     "transport_derivative",
@@ -146,48 +144,6 @@ def reynolds_operator(v: VectorField, T: Current) -> Current:
     return Sum(parts)
 
 
-@dataclass
-class Deformation(Current):
-    """The (r+1)-current swept by a chain under a motion over [a, b],
-    evaluated as the time integral of (v_tau wedge kappa_tau# T) by
-    `quadrature.gauss_quadrature`.  All time nodes are evaluated as one
-    stack of pushes, in chunks of at most `_STACK_SIMPLICES` simplices;
-    phi -| v_tau is formed once per distinct velocity field.
-
-    `homotopy_residuals` forms this integrand itself, for the deformation
-    of T against d(phi) and of bnd(T) against phi, so that one stack of
-    pushes serves every panel count: a change to `_values` (or to how
-    `chains.Boundary` acts on phi) is made there too."""
-
-    motion: Motion
-    interval: tuple
-    chain: Chain
-    levels: int = 0
-    panels: int = 8
-    gauss_order: int = 5
-
-    def __post_init__(self):
-        a, b = self.interval
-        self.motion.check_time(a)
-        self.motion.check_time(b)
-        if self.chain.degree + 1 > self.chain.ambient:
-            raise ValueError("deformation chain overflows the ambient degree")
-        self.degree = self.chain.degree + 1
-        self.ambient = self.chain.ambient
-
-    def _evaluate(self, phi: FormField, s_order: int):
-        return gauss_quadrature(
-            lambda times: self._values(phi, times, s_order), *self.interval,
-            self.panels, self.gauss_order)
-
-    def _values(self, phi: FormField, times, s_order: int) -> list:
-        """The integrand evaluate(kappa_t# T, phi -| v_t) at every time."""
-        forms = _contracted(phi, [velocity_field(self.motion, t)
-                                  for t in times])
-        work = self.chain.subdivided(self.levels)
-        return _pushed_values(self.motion, work, times, [forms], s_order)[0]
-
-
 def _contracted(phi: FormField, fields) -> list:
     """phi -| v for each velocity field of `fields`, formed once per run
     of consecutive fields that are one object."""
@@ -198,17 +154,10 @@ def _contracted(phi: FormField, fields) -> list:
     return forms
 
 
-def deformation_chain(m: Motion, interval, T: Chain, levels: int = 0,
-                      panels: int = 8, gauss_order: int = 5) -> Current:
-    return Deformation(m, tuple(interval), T, levels, panels, gauss_order)
-
-
 def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
                       levels: int = 0, panels: int = 8,
                       gauss_order: int = 5) -> float:
-    """Residual of the homotopy formula
-    (kappa_b# T - kappa_a# T) = bnd(deformation) + deformation of bnd(T):
-    the one-rung case of `homotopy_residuals`."""
+    """The one-rung case of `homotopy_residuals`."""
     return homotopy_residuals(m, interval, T, phi, [panels], levels,
                               gauss_order)[0]
 
@@ -216,14 +165,18 @@ def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
 def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
                        panel_counts, levels: int = 0,
                        gauss_order: int = 5) -> list:
-    """The residual of the homotopy formula at each count of time panels
-    in `panel_counts`, from one stack of pushes: T's subdivision is pushed
-    once, at both ends and at every count's Gauss nodes, and bnd(T)'s
-    subdivision once at the same nodes.  d(phi), bnd(T), the subdivisions
-    and the velocity fields are formed once.  Each residual is summed as
-    one deformation chain per term sums it, so it has the bits of
-    `homotopy_residual` at its count alone.  All 0.0, without a push,
-    when the interval is empty."""
+    """The residual of the homotopy formula (Federer 4.1.9)
+    kappa_b# T - kappa_a# T = bnd h#([a,b] x T) + h#([a,b] x bnd T)
+    against phi on [a, b] = `interval`, at each count of time panels in
+    `panel_counts`.  The library's one deformation integrand:
+    h#([a,b] x S)(omega) is the time integral of (kappa_t# S)(omega -| v_t)
+    by composite Gauss-Legendre quadrature (`gauss_nodes`, `gauss_sum`),
+    and bnd h acts on phi through d(phi).  One stack of pushes serves
+    every count: T's subdivision is pushed once, at both ends and at every
+    count's Gauss nodes, and bnd(T)'s subdivision once at the same nodes;
+    d(phi), bnd(T), the subdivisions and the velocity fields are formed
+    once.  Each residual has the bits of `homotopy_residual` at its count
+    alone.  All 0.0, without a push, when the interval is empty."""
     a, b = interval
     work = T.subdivided(levels)
     m.check_time(b)
@@ -235,8 +188,7 @@ def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
     nodes = np.concatenate([rule[0] for rule in rules])
     fields = [velocity_field(m, t) for t in nodes]
     times, row = [b, a], [phi, phi]
-    # bnd(deformation) acts on phi through d(phi) -| v; this and the
-    # integrand on bnd(T) below are `Deformation._values`, stacked
+    # bnd h#([a,b] x T) acts on phi through d(phi) -| v
     sweeps = T.degree + 1 <= T.ambient
     if sweeps:
         times += list(nodes)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial, log2
+from math import factorial
 
 import numpy as np
 
@@ -111,13 +111,17 @@ def _whole_number(name: str, value, low: int) -> int:
 _SIZE_CAP = 2 ** 22
 
 
-def _check_size(name: str, value, log2_count: float, what: str):
+def _check_size(name: str, value, factors, what: str):
     """A ValueError naming the parameter `name` when its `value` asks for
-    more than `_SIZE_CAP` `what`, 2^log2_count of them.  The count is
-    compared in logarithms, so that a huge `value` costs nothing."""
-    if log2_count > log2(_SIZE_CAP):
-        raise ValueError(f"{name} {value!r} asks for more than {_SIZE_CAP} "
-                         f"{what}")
+    more than `_SIZE_CAP` `what`, the product of the whole numbers
+    `factors`.  The product is taken in integers and stops at the first
+    factor that passes the cap, so that a huge `value` costs nothing."""
+    count = 1
+    for factor in factors:
+        count *= factor
+        if count > _SIZE_CAP:
+            raise ValueError(f"{name} {value!r} asks for more than "
+                             f"{_SIZE_CAP} {what}")
 
 
 def gauss_nodes(a: float, b: float, panels: int, order: int):
@@ -152,25 +156,14 @@ def gauss_sum(values, rule) -> float:
     return total
 
 
-def gauss_quadrature(values_at, a: float, b: float, panels: int,
-                     order: int) -> float:
-    """Composite Gauss-Legendre quadrature on [a, b] of a function given
-    at all nodes at once: `gauss_sum` of `values_at` the nodes of
-    `gauss_nodes`.  0.0 when a == b, without a call; a ValueError unless
-    `panels` and `order` are whole numbers >= 1."""
-    rule = gauss_nodes(a, b, panels, order)
-    if a == b:
-        return 0.0
-    return gauss_sum(values_at(rule[0]), rule)
-
-
 def integrate_interval(f, a: float, b: float, panels: int = 4,
                        order: int = 5) -> float:
-    """Composite Gauss-Legendre quadrature of a scalar function, called
-    once per node by `gauss_quadrature`.  `motion.Deformation` takes the
-    same rule with its values at all nodes evaluated as one stack."""
-    return gauss_quadrature(lambda times: [f(t) for t in times], a, b,
-                            panels, order)
+    """Composite Gauss-Legendre quadrature of a scalar function on [a, b],
+    called once per node: `gauss_sum` over the nodes of `gauss_nodes`.
+    0.0 when a == b, without a call; a ValueError unless `panels` and
+    `order` are whole numbers >= 1."""
+    rule = gauss_nodes(a, b, panels, order)
+    return gauss_sum([f(t) for t in rule[0]], rule) if a != b else 0.0
 
 
 # ----------------------------------------------------------------------

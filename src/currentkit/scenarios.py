@@ -11,6 +11,7 @@ import numpy as np
 
 from .chains import (Chain, boundary, triangle_chain, unit_interval_chain,
                      unit_square_chain)
+from .complexes import _check_resolution
 from .forms import Box, Cochain
 from .motion import Motion, make_motion
 from .polynomial import Polynomial, _is_finite, _is_real, _is_whole
@@ -82,6 +83,11 @@ class ScenarioConfig:
                              f"'builtin' and 'file', got {cfg.chain!r}")
         for key, low in _WHOLE_FIELDS:
             setattr(cfg, key, _whole(key, getattr(cfg, key), low))
+        # the complex that flatnorm builds at `resolution`
+        try:
+            _check_resolution(cfg.ambient, cfg.resolution)
+        except ValueError as exc:
+            raise ValueError(f"scenario field 'resolution': {exc}") from None
         _finite("tau", cfg.tau)
         if not isinstance(cfg.eps_ladder, (list, tuple)) or not all(
                 map(_is_real, cfg.eps_ladder)):
@@ -110,7 +116,9 @@ class ScenarioConfig:
         if cfg.cochain is not None:
             _check_cochain(cfg.cochain)
         # building the motion, box, cochain and density checks the rest,
-        # so a file is checked whole whichever subcommand reads it
+        # so a file is checked whole whichever subcommand reads it.  The
+        # unit box that `build_box` makes when the file has none admits
+        # every `resolution` that the complex's check admits
         built = {}
         for key in ("motion", "box", "cochain", "density"):
             if getattr(cfg, key) is not None:

@@ -7,12 +7,13 @@ exterior derivative and pullback, the tuple and dict loops that build
 permutation signs, the wedge sign table, the Kuhn children and the
 Freudenthal complex one simplex at a time, the network simplex on
 parent, depth and child-set lists, the all-pairs Lipschitz quotient, the
-norm ladder one bound at a time, deformation chains, the homotopy residual, the
-continuity modulus and the finite-difference transport derivative one
-time node at a time, the homotopy residual one panel count at a time,
-the transport derivative through `Motion.push`, the maps of the motion
-families one time at a time from their formulas, a radial stretch, and
-polynomial evaluation one term at a time from a filled array.
+norm ladder one bound at a time, the homotopy formula's deformations,
+the homotopy residual (one panel count at a time), the continuity
+modulus and the finite-difference transport derivative one time node
+at a time, the transport derivative through `Motion.push`, the maps of
+the motion families one time at a time from their formulas, a radial
+stretch, and polynomial evaluation one term at a time from a filled
+array.
 They are not part of the library's API."""
 
 from dataclasses import dataclass
@@ -22,16 +23,14 @@ from math import comb
 import numpy as np
 
 from currentkit import flatnorm, forms
-from currentkit.chains import (Boundary, Chain, _leaf_evaluate, boundary,
-                               evaluate)
+from currentkit.chains import Chain, _leaf_evaluate, boundary, evaluate
 from currentkit.exterior import multi_indices
 from currentkit.forms import (AffineMap, Box, FormField, VectorField,
                               contract, exterior_derivative, lie_derivative,
                               pullback, seminorm_comass, seminorm_flat,
                               seminorm_sharp, time_slice_contract)
 from currentkit.lipschitz import LipMap, lipschitz_constant
-from currentkit.motion import (Cochain, Deformation, Motion,
-                               deformation_chain, velocity_field)
+from currentkit.motion import Cochain, Motion, velocity_field
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import integrate_interval
 
@@ -541,7 +540,7 @@ def lower_bound_by_seminorm(T, family, what: str, box: Box, **kw) -> float:
 
 
 # ----------------------------------------------------------------------
-# deformation chains, one time node at a time
+# the homotopy formula's deformations, one time node at a time
 # ----------------------------------------------------------------------
 
 def gauss_by_panel(f, a: float, b: float, panels: int, order: int):
@@ -559,62 +558,41 @@ def gauss_by_panel(f, a: float, b: float, panels: int, order: int):
     return total
 
 
-def deformation_by_node(deform: Deformation, phi: FormField,
-                        s_order: int = 2) -> float:
-    """A deformation chain against phi with one push, one contraction and
-    one evaluation per time node."""
-    a, b = deform.interval
-    work = deform.chain.subdivided(deform.levels)
+def deformation_by_node(m: Motion, interval, T: Chain, phi: FormField,
+                        levels: int = 0, panels: int = 8,
+                        gauss_order: int = 5) -> float:
+    """The deformation of T under m over `interval` against phi, the time
+    integral of (kappa_t# T)(phi -| v_t), with one push, one contraction
+    and one evaluation per time node."""
+    work = T.subdivided(levels)
 
     def integrand(tau):
-        pushed = deform.motion.push(work, tau)
-        v = velocity_field(deform.motion, tau)
-        return evaluate(pushed, contract(phi, v), s_order)
+        pushed = m.push(work, tau)
+        return evaluate(pushed, contract(phi, velocity_field(m, tau)))
 
-    return gauss_by_panel(integrand, a, b, deform.panels, deform.gauss_order)
+    return gauss_by_panel(integrand, *interval, panels, gauss_order)
 
 
 def homotopy_residual_by_node(m: Motion, interval, T: Chain,
                               phi: FormField, levels: int = 0,
                               panels: int = 8, gauss_order: int = 5):
-    """`motion.homotopy_residual` with one push per end and
-    `deformation_by_node` for the deformation chains."""
-    a, b = interval
-    work = T.subdivided(levels)
-    lhs = evaluate(m.push(work, b), phi) - evaluate(m.push(work, a), phi)
-    rhs = 0.0
-    if T.degree + 1 <= T.ambient:
-        rhs += deformation_by_node(
-            deformation_chain(m, interval, T, levels, panels, gauss_order),
-            exterior_derivative(phi))
-    if T.degree >= 1:
-        bt = boundary(T)
-        if len(bt):
-            rhs += deformation_by_node(deformation_chain(
-                m, interval, bt, levels, panels, gauss_order), phi)
-    return abs(lhs - rhs)
-
-
-def homotopy_residual_by_rung(m: Motion, interval, T: Chain,
-                              phi: FormField, levels: int = 0,
-                              panels: int = 8, gauss_order: int = 5):
     """The homotopy residual at one panel count as the formula reads:
-    |f#T_b(phi) - f#T_a(phi) - (bnd h)(phi) - h_bnd(T)(phi)|, the ends
-    pushed by `Motion.push` and the deformation chains h of T and h_bnd(T)
-    of its boundary evaluated as `Deformation`s, the right side summed
-    from 0.0."""
+    |kappa_b# T(phi) - kappa_a# T(phi) - h(d phi) - h_bnd(phi)|, the ends
+    pushed by `Motion.push`, the deformations h of T and h_bnd of its
+    boundary by `deformation_by_node`, and the right side summed from
+    0.0."""
     a, b = interval
     work = T.subdivided(levels)
     lhs = evaluate(m.push(work, b), phi) - evaluate(m.push(work, a), phi)
     rhs = 0.0
     if T.degree + 1 <= T.ambient:
-        rhs += evaluate(Boundary(Deformation(m, (a, b), T, levels, panels,
-                                             gauss_order)), phi)
+        rhs += deformation_by_node(m, interval, T, exterior_derivative(phi),
+                                   levels, panels, gauss_order)
     if T.degree >= 1:
         bt = boundary(T)
         if len(bt):
-            rhs += evaluate(Deformation(m, (a, b), bt, levels, panels,
-                                        gauss_order), phi)
+            rhs += deformation_by_node(m, interval, bt, phi, levels, panels,
+                                       gauss_order)
     return abs(lhs - rhs)
 
 

@@ -282,11 +282,13 @@ class TestSubdivisionLevels:
         assert T.subdivided(0) is T
         assert len(T.subdivided(np.int64(2))) == len(T.subdivided(2)) == 32
 
-    @pytest.mark.parametrize("levels", [11, 10 ** 6])
+    @pytest.mark.parametrize("levels", [
+        11, 10 ** 6, pytest.param(10 ** 400, id="10**400")])
     def test_levels_beyond_the_size_cap_rejected(self, levels):
         # the square's 2 * 4^levels simplices: unchecked, 10 ** 6 levels
-        # would subdivide until memory runs out.  Levels 7 (32 768) is
-        # admitted, and an empty chain at any level is itself
+        # would subdivide until memory runs out, and 10 ** 400 overflowed
+        # a float.  Levels 7 (32 768) is admitted, and an empty chain at
+        # any level is itself
         T = unit_square_chain()
         assert len(T.subdivided(7)) == 32768
         empty = Chain(np.zeros((0, 3, 2)), [])

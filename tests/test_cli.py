@@ -276,12 +276,14 @@ class TestScenarioConfig:
                     "of an expansion must not have -1 inside it"),
         ({"levels": 10 ** 6}, ("verify", "transport", "converge"),
          "levels 1000000 asks for more than 4194304 simplices"),
-        ({"resolution": 10 ** 6}, ("flatnorm", "converge"),
-         "grid resolution 1000000 asks for more than 4194304 grid points"),
+        ({"resolution": 10 ** 6}, _COMMANDS,
+         "scenario field 'resolution': resolution 1000000 asks for more "
+         "than 4194304 top simplices"),
         ({"resolution": 10 ** 6,
           "box": {"lower": [0, 0], "upper": [1, 1], "resolution": 2}},
-         ("flatnorm",),
-         "resolution 1000000 asks for more than 4194304 top simplices"),
+         _COMMANDS,
+         "scenario field 'resolution': resolution 1000000 asks for more "
+         "than 4194304 top simplices"),
         ({"box": {"lower": [0, 0], "upper": [1, 1], "resolution": 10 ** 6}},
          _COMMANDS, "scenario field 'box': grid resolution 1000000 asks")],
         ids=["expansion_through_zero", "levels", "resolution",
@@ -292,7 +294,9 @@ class TestScenarioConfig:
         # ZeroDivisionError traceback with exit 1, while the other three
         # exited 0; unchecked, each size would subdivide or build a grid
         # or complex until memory runs out.  Each subcommand that reads
-        # the field refuses it
+        # the field refuses it, and a `resolution` too large for the
+        # complex is refused by all four, with a box of the file's own or
+        # without, as one file is checked whole
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "name": "x", "motion": {"family": "rotation", "rate": 0.7},

@@ -90,15 +90,23 @@ class TestComplex:
         assert comp.n_simplices(0) == 9
 
     @pytest.mark.parametrize("dim, resolution", [(2, 1449), (3, 89),
-                                                 (2, 10 ** 6)])
+                                                 (2, 10 ** 6), (2, 0),
+                                                 (2, 2.5), (2, True)])
     def test_resolution_beyond_the_size_cap_rejected(self, dim, resolution):
         # n! * resolution^n top simplices: 2 * 1449^2 and 6 * 89^3 are the
         # first counts above 2^22; unchecked, 10 ** 6 would build until
-        # memory runs out
-        with pytest.raises(ValueError, match=f"^resolution {resolution} "
-                                             f"asks for more than 4194304 "
-                                             f"top simplices"):
+        # memory runs out.  A resolution that is not a size is refused
+        # first: 0 stopped in log2 ("math domain error"), 2.5 in a
+        # TypeError, and True built one cell
+        if type(resolution) is int and resolution > 1:
+            message = (f"^resolution {resolution} asks for more than "
+                       f"4194304 top simplices")
+        else:
+            message = (f"^resolution must be a whole number >= 1, got "
+                       f"{resolution!r}$")
+        with pytest.raises(ValueError, match=message):
             freudenthal_complex((0.0,) * dim, (1.0,) * dim, resolution)
+        assert freudenthal_complex((0, 0), (1, 1), 1).n_simplices(2) == 2
 
     def test_boundary_matrix_squares_to_zero(self):
         comp = freudenthal_complex((0, 0), (1, 1), 2)

@@ -1,5 +1,5 @@
-"""Motions, velocity fields, the Reynolds operator, deformation
-chains, and the transport derivative."""
+"""Motions, velocity fields, the Reynolds operator, the homotopy
+formula, and the transport derivative."""
 
 import re
 
@@ -13,8 +13,8 @@ from currentkit.forms import (Box, Cochain, FormField, VectorField,
 from currentkit.lipschitz import LipMap, pushforward_chain
 from currentkit.motion import (_MOTION_FAMILIES, Motion,
                                classical_reynolds, continuity_modulus,
-                               deformation_chain, homotopy_residual,
-                               make_motion, reynolds_operator,
+                               homotopy_residual, make_motion,
+                               reynolds_operator,
                                transport_derivative, transport_derivative_fd,
                                velocity_field)
 from currentkit.polynomial import Polynomial
@@ -165,10 +165,15 @@ class TestHomotopyFormula:
         assert min(orders) > 1.9
 
     def test_empty_interval(self):
+        # 0.0 without a push
         m = make_motion("rotation")
-        d = deformation_chain(m, (0.2, 0.2), BSQ)
-        phi = FormField.from_polynomials(2, 2, {(0, 1): 1.0})
-        assert evaluate(d, phi) == 0.0
+        pushed = []
+        counted = Motion(m.interval, m.ambient,
+                         lambda ts, x: pushed.append(ts) or m.maps(ts, x),
+                         m.velocity_factory)
+        phi = FormField.from_polynomials(2, 1, {(1,): 1.0})
+        assert homotopy_residual(counted, (0.2, 0.2), BSQ, phi) == 0.0
+        assert pushed == []
 
 
 class TestTransportDerivative:

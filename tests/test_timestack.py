@@ -1,10 +1,10 @@
 """Motions evaluated at all time nodes as one stack: the images of a
-motion family's maps at many times in one call, deformation chains,
-the homotopy residual, the continuity modulus and the finite-difference
-transport derivative equal, bit for bit, their one-node-at-a-time
-oracles, and raise the same errors; so do the ladders of homotopy
-residuals and finite differences, rung by rung.  The stacked pushes and Leaf
-evaluations build each simplex stack's geometry once."""
+motion family's maps at many times in one call, the homotopy residual,
+the continuity modulus and the finite-difference transport derivative
+equal, bit for bit, their one-node-at-a-time oracles, and raise the
+same errors; so do the ladders of homotopy residuals and finite
+differences, rung by rung.  The stacked pushes and Leaf evaluations
+build each simplex stack's geometry once."""
 
 import numpy as np
 import pytest
@@ -17,17 +17,15 @@ from currentkit.exterior import multi_indices
 from currentkit.flatnorm import lower_bounds
 from currentkit.forms import Box, Cochain, FormField, VectorField
 from currentkit.lipschitz import LipMap, pushforward_chain
-from currentkit.motion import (Motion, continuity_modulus,
-                               deformation_chain, homotopy_residual,
+from currentkit.motion import (Motion, continuity_modulus, homotopy_residual,
                                homotopy_residuals, make_motion,
                                transport_derivative, transport_derivative_fd,
                                transport_derivative_fd_ladder)
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import integrate_interval
 from currentkit.scenarios import builtin_scenarios
-from oracles import (continuity_modulus_by_node, deformation_by_node,
-                     gauss_by_panel, homotopy_residual_by_node,
-                     homotopy_residual_by_rung, motion_map_by_formula,
+from oracles import (continuity_modulus_by_node, gauss_by_panel,
+                     homotopy_residual_by_node, motion_map_by_formula,
                      transport_derivative_by_push,
                      transport_derivative_fd_by_node)
 
@@ -77,9 +75,6 @@ class TestBitIdentity:
     def test_families_and_degrees(self, name, n, r):
         m = _motion(name, n)
         T = _chain(n, r, 10 * n + r)
-        deform = deformation_chain(m, INTERVAL, T, levels=1, panels=2)
-        phi = _form(n, r + 1, n + r)
-        assert evaluate(deform, phi) == deformation_by_node(deform, phi)
         psi = _form(n, r, 7 * n + r)
         assert homotopy_residual(m, INTERVAL, T, psi, levels=1, panels=2) \
             == homotopy_residual_by_node(m, INTERVAL, T, psi, levels=1,
@@ -126,9 +121,6 @@ class TestBitIdentity:
     def test_levels_panels_and_orders(self, name, n, levels, panels, order):
         m = _motion(name, n)
         T = _chain(n, 1, levels, count=2)
-        deform = deformation_chain(m, INTERVAL, T, levels, panels, order)
-        phi = _form(n, 2, panels + order)
-        assert evaluate(deform, phi) == deformation_by_node(deform, phi)
         psi = _form(n, 1, levels)
         assert homotopy_residual(m, INTERVAL, T, psi, levels, panels, order) \
             == homotopy_residual_by_node(m, INTERVAL, T, psi, levels,
@@ -138,14 +130,14 @@ class TestBitIdentity:
     def test_chunks_do_not_change_bits(self, monkeypatch, budget):
         m = make_motion("rotation", rate=0.7)
         T = boundary(unit_square_chain())
-        deform = deformation_chain(m, INTERVAL, T, levels=6)
-        # 256 edges at 40 nodes: several chunks at the default budget
+        # 256 edges at both ends and 40 nodes: several chunks at the
+        # default budget
         assert 256 * 40 > 2 * motion._STACK_SIMPLICES
-        phi = _form(2, 2, 1)
-        expected = deformation_by_node(deform, phi)
+        psi = _form(2, 1, 1)
+        expected = homotopy_residual_by_node(m, INTERVAL, T, psi, levels=6)
         if budget is not None:
             monkeypatch.setattr(motion, "_STACK_SIMPLICES", budget)
-        assert evaluate(deform, phi) == expected
+        assert homotopy_residual(m, INTERVAL, T, psi, levels=6) == expected
         family = [_form(2, 1, s) for s in range(2)]
         box = Box.unit(2, resolution=3)
         eps = [0.1, 0.01]
@@ -191,22 +183,24 @@ def _message(call) -> str:
 class TestErrorParity:
     @pytest.mark.parametrize("fault", ["degenerate", "nan"])
     def test_faulty_map_at_one_node(self, fault):
+        # the ends are sound; the deformation meets the fault at MIDDLE
         m = _faulty_motion(fault)
-        deform = deformation_chain(m, (0.0, 1.0),
-                                   boundary(unit_square_chain()), panels=1)
-        phi = _form(2, 2, 0)
-        expected = _message(lambda: deformation_by_node(deform, phi))
-        assert _message(lambda: evaluate(deform, phi)) == expected
+        T, phi = boundary(unit_square_chain()), _form(2, 1, 0)
+        expected = _message(lambda: homotopy_residual_by_node(
+            m, (0.0, 1.0), T, phi, panels=1))
+        assert _message(lambda: homotopy_residual(
+            m, (0.0, 1.0), T, phi, panels=1)) == expected
         assert expected in ("degenerate image simplex in pushforward",
                             "non-finite map images")
 
     @pytest.mark.parametrize("degree", [0, 1])
     def test_form_degree_mismatch(self, degree):
         m = make_motion("rotation")
-        deform = deformation_chain(m, INTERVAL, boundary(unit_square_chain()))
-        phi = _form(2, degree, 0)
-        expected = _message(lambda: deformation_by_node(deform, phi))
-        assert _message(lambda: evaluate(deform, phi)) == expected
+        T, phi = unit_square_chain(), _form(2, degree, 0)
+        expected = _message(lambda: homotopy_residual_by_node(
+            m, INTERVAL, T, phi))
+        assert _message(lambda: homotopy_residual(m, INTERVAL, T,
+                                                  phi)) == expected
 
     def test_faulty_map_at_an_end(self):
         m = _faulty_motion("nan")
@@ -238,9 +232,8 @@ class TestCounts:
         assert homotopy_residual(m, (0.0, 0.4), T, phi, panels=8) < 1e-12
         with pytest.raises(ValueError, match="panels"):
             homotopy_residual(m, (0.0, 0.4), T, phi, panels=0)
-        with pytest.raises(ValueError, match="order"):
-            evaluate(deformation_chain(m, (0.0, 0.4), T, gauss_order=0),
-                     _form(2, 2, 0))
+        with pytest.raises(ValueError, match="^order must be a whole"):
+            homotopy_residual(m, (0.0, 0.4), T, phi, gauss_order=0)
 
 
 class TestStackedKernels:
@@ -447,8 +440,8 @@ def _stack_calls(monkeypatch) -> list:
 
 class TestLadders:
     """`homotopy_residuals` and `transport_derivative_fd_ladder` equal, rung
-    by rung and bit for bit, per-rung paths through `Deformation`,
-    `Motion.push` and `evaluate`."""
+    by rung and bit for bit, per-rung paths one time node at a time
+    through `Motion.push` and `evaluate`."""
 
     @pytest.mark.parametrize("order", [1, 5])
     @pytest.mark.parametrize("name, n, r", list(_ladder_cases()))
@@ -459,7 +452,7 @@ class TestLadders:
         counts = [1, 2, 4, 8]
         assert homotopy_residuals(m, INTERVAL, T, phi, counts, levels=1,
                                   gauss_order=order) == [
-            homotopy_residual_by_rung(m, INTERVAL, T, phi, 1, p, order)
+            homotopy_residual_by_node(m, INTERVAL, T, phi, 1, p, order)
             for p in counts]
 
     @pytest.mark.parametrize("one_sided", [True, False],
@@ -486,7 +479,7 @@ class TestLadders:
         T = _chain(n, r, levels, count=2)
         phi = _form(n, r, levels)
         assert homotopy_residuals(m, INTERVAL, T, phi, [2, 1], levels) == [
-            homotopy_residual_by_rung(m, INTERVAL, T, phi, levels, p)
+            homotopy_residual_by_node(m, INTERVAL, T, phi, levels, p)
             for p in (2, 1)]
         psi = _cochain(n, r)
         ladder = [1e-2, 1e-3]
@@ -506,7 +499,7 @@ class TestLadders:
         # 256 edges at both ends and 55 nodes: several chunks at the
         # default budget
         assert 256 * 57 > 2 * motion._STACK_SIMPLICES
-        expected = [homotopy_residual_by_rung(m, INTERVAL, T, phi, levels,
+        expected = [homotopy_residual_by_node(m, INTERVAL, T, phi, levels,
                                               p) for p in counts]
         psi, ladder = _cochain(2, 1), [0.1, 0.01, 0.001, 1e-4, 1e-5]
         expected_fd = [transport_derivative_fd_by_node(m, T, psi, 0.2, eps,
@@ -549,7 +542,7 @@ class TestLadders:
         # T at both ends and the 5 + 10 nodes, then bnd(T) at the nodes
         homotopy_residuals(m, INTERVAL, T, phi, [1, 2])
         assert sum(map(len, calls)) == 2 + 3 * 5 + 3 * 5
-        assert homotopy_residual_by_rung(m, (0.3, 0.3), T, phi) == 0.0
+        assert homotopy_residual_by_node(m, (0.3, 0.3), T, phi) == 0.0
         with pytest.raises(ValueError, match="outside the motion interval"):
             homotopy_residuals(m, (2.0, 2.0), T, phi, [1])
         with pytest.raises(ValueError, match="^levels must be a whole"):
