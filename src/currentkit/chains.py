@@ -490,10 +490,6 @@ def evaluate_copies(geometry: Geometry, mults: np.ndarray, forms) -> list:
     return np.cumsum(terms, axis=1)[:, -1].tolist()
 
 
-def _leaf_evaluate(chain: Chain, phi: FormField, s_order: int = 2) -> float:
-    return Leaf(chain)._evaluate(phi, s_order)
-
-
 def evaluate(T: Current, phi: FormField, s_order: int = 2) -> float:
     """Evaluate a current expression against a form.
 

@@ -17,7 +17,7 @@ import numpy as np
 from .exterior import (CoVector, _contract_terms, _wedge_terms, basis_rank,
                        contract_rows, multi_indices)
 from .polynomial import Polynomial, _real_array
-from .quadrature import _check_size, _read_only, _whole_number
+from .quadrature import _check_size, _read_only, _shown, _whole_number
 
 __all__ = [
     "Box",
@@ -53,11 +53,17 @@ class Box:
     resolution: int = 9
 
     def __post_init__(self):
+        def corners_error(what):
+            return ValueError(f"box lower and upper must be {what}, got "
+                              f"{_shown(self.lower)} and "
+                              f"{_shown(self.upper)}")
+
         try:
             lo, hi = _real_array(self.lower), _real_array(self.upper)
         except ValueError:
-            raise ValueError(f"box lower and upper must be numbers, got "
-                             f"{self.lower!r} and {self.upper!r}") from None
+            raise corners_error("numbers") from None
+        if lo.ndim != 1 or hi.ndim != 1 or not (lo.size and hi.size):
+            raise corners_error("one number per axis")
         if lo.shape != hi.shape or not np.all(
                 np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
             raise ValueError("box requires finite lower < upper in each axis")

@@ -16,7 +16,7 @@ from .forms import (Box, Cochain, FormField, VectorField, contract,
                     exterior_derivative, seminorm_comass)
 from .lipschitz import LipMap, pushforward_chain
 from .polynomial import Polynomial, _is_finite, _is_real, _real_array
-from .quadrature import gauss_nodes, gauss_sum, simplex_rule
+from .quadrature import _shown, gauss_nodes, gauss_sum, simplex_rule
 
 __all__ = [
     "Motion",
@@ -99,9 +99,8 @@ def velocity_field(m: Motion, t: float) -> VectorField:
 _STACK_SIMPLICES = 2048
 
 
-def _pushed_values(m: Motion, work: Chain, times, form_rows,
-                   s_order: int = 2) -> list:
-    """evaluate(m.push(work, t_k), row[k], s_order) for every time t_k and
+def _pushed_values(m: Motion, work: Chain, times, form_rows) -> list:
+    """evaluate(m.push(work, t_k), row[k]) for every time t_k and
     every row of forms, one form per time; a list per row.  The pushes
     are stacked, in chunks of at most `_STACK_SIMPLICES` simplices (at
     least one push a chunk).  A chunk's maps take the vertex table in
@@ -117,7 +116,7 @@ def _pushed_values(m: Motion, work: Chain, times, form_rows,
         images = m.images(times[lo:lo + step], work.table)
         geometry = simplex_geometry(
             images[:, work.ids].reshape(-1, work.degree + 1, work.ambient),
-            s_order, pushed=True)
+            pushed=True)
         for row, values in zip(form_rows, out):
             forms = row[lo:lo + step]
             _check_forms(forms, work.degree, work.ambient)
@@ -354,48 +353,116 @@ def continuity_modulus(m: Motion, T: Chain, t: float, eps_list, family,
 # built-in motion families
 # ----------------------------------------------------------------------
 
-def _tent(u, center: float, width: float):
-    """The hat function of `center` and half-width `width`, elementwise."""
-    return np.maximum(0.0, 1.0 - np.abs(u - center) / width)
+def _affine(n: int, frames, velocity) -> tuple:
+    """The maps and velocity factory of kappa_t(x) = A_t x + b_t in R^n
+    with (A (K, n, n), b (K, n)) = frames(times), one matmul of the stack,
+    and v_t(y) = L y + c with (L, c) = `velocity`, one field at every
+    time, or = velocity(t) when they depend on t."""
+    def maps(times, points):
+        mats, shifts = frames(times)
+        out = np.matmul(mats[:, None], points[None, :, :, None])[..., 0]
+        out += shifts[:, None]
+        return out
+
+    # component i: row i of L, then c_i, less the zeros `_of` drops
+    expos = [*map(tuple, np.eye(n, dtype=int).tolist()), (0,) * n]
+
+    def field(mat, shift):
+        return VectorField.from_polynomials(
+            [Polynomial._of(n, dict(zip(expos, [*row, c])))
+             for row, c in zip(np.asarray(mat).tolist(),
+                               np.asarray(shift).tolist())])
+
+    if callable(velocity):
+        return maps, lambda t: field(*velocity(t))
+    fixed = field(*velocity)
+    return maps, lambda t: fixed
 
 
-def _tent_lift(x, amplitudes, center: float, width: float,
-               axis: int) -> np.ndarray:
-    """The tent map of each of the amplitudes (K,) at points x (m, n),
-    shape (K, m, n): x lifted along `axis` by the amplitude times the hat
-    of x[:, 0].  The lift is added through the (K * m, n) view of the
-    stack; `_family_params` keeps `axis` in range."""
-    lift = amplitudes[:, None] * _tent(x[:, 0], center, width)
-    out = np.repeat(x[None], len(amplitudes), axis=0)
-    out.reshape(-1, x.shape[1])[:, axis] += lift.ravel()
-    return out
+def _translation(n: int, interval, velocity):
+    c = np.asarray(velocity, dtype=float)
+    return _affine(n, lambda ts: (np.broadcast_to(np.eye(n), (len(ts), n, n)),
+                                  ts[:, None] * c), (np.zeros((n, n)), c))
 
 
-def _planar_rotation(theta) -> np.ndarray:
-    """The rotation matrix by the angle `theta`, or a stack of them by an
-    array of angles, shape (*theta.shape, 2, 2)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([c, -s], axis=-1),
-                     np.stack([s, c], axis=-1)], axis=-2)
+def _rotation(n: int, interval, rate):
+    if n != 2:
+        raise ValueError("rotation family is planar")
+    w = float(rate)
+
+    def frames(ts):
+        c, s = np.cos(w * ts), np.sin(w * ts)
+        return (np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2),
+                np.zeros((len(ts), 2)))
+
+    return _affine(n, frames, ([[0.0, -w], [w, 0.0]], np.zeros(2)))
 
 
-def _affine_frames(kind: str, ambient: int, values) -> tuple:
-    """The matrices (K, n, n) and shifts (K, n) of an affine family at K
-    values of its parameter: the offsets (K, n) of a `translation`, the
-    angles (K,) of a `rotation`, the strengths (K,) of a `shear` and the
-    factors (K,) of an `expansion`."""
-    values = np.asarray(values, dtype=float)
-    eyes = np.broadcast_to(np.eye(ambient), (len(values), ambient, ambient))
-    shifts = np.zeros((len(values), ambient))
-    if kind == "translation":
-        return eyes, values
-    if kind == "rotation":
-        return _planar_rotation(values), shifts
-    if kind == "shear":
-        mats = eyes.copy()
-        mats[:, 0, 1] = values
-        return mats, shifts
-    return values[:, None, None] * np.eye(ambient), shifts
+def _expansion(n: int, interval):
+    # kappa_t(x) = (1 + t) x; Eulerian velocity y / (1 + t)
+    if interval[0] < -1.0 < interval[1]:
+        raise ValueError(f"motion parameter 'interval' of an expansion "
+                         f"must not have -1 inside it, where the map "
+                         f"(1 + t) x is zero; got {interval}")
+
+    def velocity(t):
+        if t == -1.0:
+            raise ValueError("an expansion has no velocity at t = -1, "
+                             "where the map (1 + t) x is zero")
+        return np.eye(n) * (1.0 / (1.0 + t)), np.zeros(n)
+
+    return _affine(n, lambda ts: ((1.0 + ts)[:, None, None] * np.eye(n),
+                                  np.zeros((len(ts), n))), velocity)
+
+
+def _shear(n: int, interval, rate):
+    if n < 2:
+        raise ValueError("shear family needs at least 2 dimensions")
+    s = float(rate)
+    mat = s * np.outer(*np.eye(n)[:2])  # s e_0 e_1^T
+
+    def frames(ts):
+        mats = np.repeat(np.eye(n)[None], len(ts), axis=0)
+        mats[:, 0, 1] = s * ts
+        return mats, np.zeros((len(ts), n))
+
+    return _affine(n, frames, (mat, np.zeros(n)))
+
+
+def _tent_motion(n: int, interval, center, width, amplitude, axis):
+    # x lifted along `axis` by amp * t times the hat of x_0, a non-smooth
+    # Lipschitz motion; its velocity at y is amp times the hat at y's
+    # preimage: of y0 if axis != 0, and along axis 0 the hat whose peak
+    # has moved to c + s, s = t * amp, which holds while |s| < w
+    c, w, amp, axis = float(center), float(width), float(amplitude), int(axis)
+    if axis == 0 and abs(amp) * max(abs(interval[0]), abs(interval[1])) >= w:
+        raise ValueError(f"motion parameter 'amplitude' of a tent along "
+                         f"axis 0 must keep |amplitude * t| below the width "
+                         f"{w} on the interval {interval}, got {amp}")
+
+    def hat(u):
+        return np.maximum(0.0, 1.0 - np.abs(u - c) / w)
+
+    def maps(ts, x):
+        # the lift is added through the (K * m, n) view of the stack
+        lift = (ts * amp)[:, None] * hat(x[:, 0])
+        out = np.repeat(x[None], len(ts), axis=0)
+        out.reshape(-1, n)[:, axis] += lift.ravel()
+        return out
+
+    def field(ys, s=0.0):
+        out = np.zeros(ys.shape)
+        if axis:
+            out[:, axis] = amp * hat(ys[:, 0])
+        else:
+            u = ys[:, 0] - c
+            out[:, 0] = amp * np.maximum(0.0, np.minimum(
+                (u + w) / (w + s), (w - u) / (w - s)))
+        return out
+
+    vf = VectorField(n, func=field)
+    return maps, lambda t: vf if axis else VectorField(
+        n, func=lambda ys: field(ys, t * amp))
 
 
 # each kind of family parameter: what a value must be, and the test of
@@ -411,17 +478,22 @@ _KINDS = {
              lambda a, n: a.shape == () and a in range(n)),
 }
 
-# each family's parameters, with their kinds and defaults; a vector's
-# default is a function of the ambient dimension.  make_motion and
-# scenario files take no others
+# each family: its parameters, with their kinds and defaults (a vector's
+# default is a function of the ambient dimension), which make_motion and
+# scenario files take and no others; and its statement, which takes the
+# ambient dimension, the interval and the parameters in force, keeps the
+# family's rules, and gives its maps and velocity factory
 _MOTION_FAMILIES = {
-    "identity": {},
-    "translation": {"velocity": ("vector", lambda n: 0.25 * np.eye(n)[0])},
-    "rotation": {"rate": ("number", 1.0)},
-    "expansion": {},
-    "shear": {"rate": ("number", 0.5)},
-    "tent": {"center": ("number", 0.5), "width": ("positive", 0.5),
-             "amplitude": ("number", 0.3), "axis": ("axis", 1)},
+    "identity": ({}, lambda n, interval: _translation(n, interval,
+                                                      np.zeros(n))),
+    "translation": ({"velocity": ("vector", lambda n: 0.25 * np.eye(n)[0])},
+                    _translation),
+    "rotation": ({"rate": ("number", 1.0)}, _rotation),
+    "expansion": ({}, _expansion),
+    "shear": ({"rate": ("number", 0.5)}, _shear),
+    "tent": ({"center": ("number", 0.5), "width": ("positive", 0.5),
+              "amplitude": ("number", 0.3), "axis": ("axis", 1)},
+             _tent_motion),
 }
 
 
@@ -430,19 +502,14 @@ def _family_params(name: str, params: dict, ambient: int) -> dict:
     the family's defaults.  A ValueError unless `name` is a family of
     `_MOTION_FAMILIES`, every item of `params` one of its parameters and
     every parameter in force of its kind in `ambient` dimensions,
-    defaults too; and unless a rotation is planar and a shear has a
-    second axis."""
+    defaults too."""
     if not isinstance(name, str) or name not in _MOTION_FAMILIES:
         raise ValueError(f"unknown motion family: {name}")
-    takes = _MOTION_FAMILIES[name]
+    takes = _MOTION_FAMILIES[name][0]
     for key in params:
         if key not in takes:
             raise ValueError(f"motion family {name!r} has no parameter "
                              f"{key!r}; it takes {list(takes)}")
-    if name == "rotation" and ambient != 2:
-        raise ValueError("rotation family is planar")
-    if name == "shear" and ambient < 2:
-        raise ValueError("shear family needs at least 2 dimensions")
     out = {}
     for key, (kind, default) in takes.items():
         if key in params:
@@ -457,110 +524,24 @@ def _family_params(name: str, params: dict, ambient: int) -> dict:
         if not ok:
             raise ValueError(f"motion parameter {key!r} of family {name!r} "
                              f"must be {text.format(n=ambient)}, got "
-                             f"{value!r}")
+                             f"{_shown(value)}")
         out[key] = value
     return out
 
 
-def _affine_maps(kind: str, ambient: int, parameter):
-    """The maps of the affine family kappa_t(x) = A_t x + b_t, with (A, b)
-    the `_affine_frames` of `kind` at parameter(times): one matmul of the
-    stack, each point's the product that `AffineMap` forms at one time."""
-    def maps(times, points):
-        mats, shifts = _affine_frames(kind, ambient, parameter(times))
-        out = np.matmul(mats[:, None], points[None, :, :, None])[..., 0]
-        out += shifts[:, None]
-        return out
-
-    return maps
-
-
 def make_motion(name: str, ambient: int = 2, interval=(-1.0, 1.0),
                 **params) -> Motion:
-    """Named motion families: identity, translation, rotation, expansion,
-    shear, tent, with the parameters of `_MOTION_FAMILIES`.  Each is an
-    affine map or the tent map at a parameter scaled by time, its maps
-    stated for an array of times, with its exact Eulerian velocity; a
-    named map is its family's `map_at(t)`.  A ValueError names a bad
-    parameter (`_family_params`) or `interval`."""
+    """The motion family `name` of `_MOTION_FAMILIES` over `interval`, as
+    its entry there states it; a named map is its family's `map_at(t)`.
+    A ValueError names a bad parameter (`_family_params`), `interval`, or
+    a rule of the family."""
     params = _family_params(name, params, ambient)
     iv = tuple(interval) if isinstance(interval, (list, tuple,
                                                    np.ndarray)) else ()
     if not (len(iv) == 2 and all(map(_is_real, iv))
             and all(map(_is_finite, iv)) and iv[0] < iv[1]):
         raise ValueError(f"motion parameter 'interval' must be two finite "
-                         f"increasing numbers, got {interval!r}")
+                         f"increasing numbers, got {_shown(interval)}")
     iv = (float(iv[0]), float(iv[1]))
-
-    if name == "identity":
-        # the translation by 0
-        zero = VectorField.constant(np.zeros(ambient))
-        return Motion(iv, ambient, _affine_maps(
-            "translation", ambient, lambda ts: np.zeros((len(ts), ambient))),
-            lambda t: zero, name)
-
-    if name == "translation":
-        c = np.asarray(params["velocity"], dtype=float)
-        vf = VectorField.constant(c)
-        return Motion(iv, ambient, _affine_maps(
-            "translation", ambient, lambda ts: ts[:, None] * c),
-            lambda t: vf, name)
-
-    if name == "rotation":
-        w = float(params["rate"])
-        x0, x1 = (Polynomial.variable(i, 2) for i in (0, 1))
-        vf = VectorField.from_polynomials([(-w) * x1, w * x0])
-        return Motion(iv, 2, _affine_maps("rotation", 2, lambda ts: w * ts),
-                      lambda t: vf, name)
-
-    if name == "expansion":
-        # kappa_t(x) = (1 + t) x; Eulerian velocity y / (1 + t)
-        if iv[0] < -1.0 < iv[1]:
-            raise ValueError(f"motion parameter 'interval' of an expansion "
-                             f"must not have -1 inside it, where the map "
-                             f"(1 + t) x is zero; got {iv}")
-
-        def vfac(t, ambient=ambient):
-            return VectorField.from_polynomials(
-                [Polynomial.variable(i, ambient) * (1.0 / (1.0 + t))
-                 for i in range(ambient)])
-        return Motion(iv, ambient, _affine_maps(
-            "expansion", ambient, lambda ts: 1.0 + ts), vfac, name)
-
-    if name == "shear":
-        s = float(params["rate"])
-        x1 = Polynomial.variable(1, ambient)
-        comps = [Polynomial.zero(ambient) for _ in range(ambient)]
-        comps[0] = s * x1
-        vf = VectorField.from_polynomials(comps)
-        return Motion(iv, ambient, _affine_maps(
-            "shear", ambient, lambda ts: s * ts), lambda t: vf, name)
-
-    # tent: piecewise-linear lift along `axis`, growing linearly in time, a
-    # non-smooth Lipschitz motion; its velocity at y is amp times the hat at
-    # y's preimage: of y0 if axis != 0, and along axis 0 the hat whose peak
-    # has moved to c + s, s = t * amp, which holds while |s| < w
-    c = float(params["center"])
-    w = float(params["width"])
-    amp = float(params["amplitude"])
-    axis = int(params["axis"])
-    if axis == 0 and abs(amp) * max(abs(iv[0]), abs(iv[1])) >= w:
-        raise ValueError(f"motion parameter 'amplitude' of a tent along "
-                         f"axis 0 must keep |amplitude * t| below the width "
-                         f"{w} on the interval {iv}, got {amp}")
-
-    def field(ys, s=0.0):
-        out = np.zeros(ys.shape)
-        if axis:
-            out[:, axis] = amp * _tent(ys[:, 0], c, w)
-        else:
-            u = ys[:, 0] - c
-            out[:, 0] = amp * np.maximum(0.0, np.minimum(
-                (u + w) / (w + s), (w - u) / (w - s)))
-        return out
-
-    vf = VectorField(ambient, func=field)
-    return Motion(iv, ambient,
-                  lambda ts, x: _tent_lift(x, ts * amp, c, w, axis),
-                  lambda t: vf if axis else VectorField(
-                      ambient, func=lambda ys: field(ys, t * amp)), name)
+    maps, velocity = _MOTION_FAMILIES[name][1](ambient, iv, **params)
+    return Motion(iv, ambient, maps, velocity, name)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, log10
 
 import numpy as np
 
@@ -96,13 +96,31 @@ def _leggauss(order: int):
     return _read_only(*np.polynomial.legendre.leggauss(order))
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, but an int of more digits than
+    Python writes out (`sys.get_int_max_str_digits()`), alone or inside a
+    list, tuple or array, by its count of digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        pass
+    if isinstance(value, int):
+        size = abs(value)
+        # log10 is off by at most one next to a power of ten
+        digits = int(log10(size)) + 1
+        digits += (size >= 10 ** digits) - (size < 10 ** (digits - 1))
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+    inner = ", ".join(map(_shown, value))
+    return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+
+
 def _whole_number(name: str, value, low: int) -> int:
     """`value` as an int; a ValueError naming `name` unless it is an
     integer (a Python or numpy integer, not a bool) of at least `low`."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < low):
         raise ValueError(f"{name} must be a whole number >= {low}, got "
-                         f"{value!r}")
+                         f"{_shown(value)}")
     return int(value)
 
 
@@ -120,7 +138,7 @@ def _check_size(name: str, value, factors, what: str):
     for factor in factors:
         count *= factor
         if count > _SIZE_CAP:
-            raise ValueError(f"{name} {value!r} asks for more than "
+            raise ValueError(f"{name} {_shown(value)} asks for more than "
                              f"{_SIZE_CAP} {what}")
 
 

@@ -11,9 +11,9 @@ norm ladder one bound at a time, the homotopy formula's deformations,
 the homotopy residual (one panel count at a time), the continuity
 modulus and the finite-difference transport derivative one time node
 at a time, the transport derivative through `Motion.push`, the maps of
-the motion families one time at a time from their formulas, a radial
-stretch, and polynomial evaluation one term at a time from a filled
-array.
+the motion families one time at a time and the velocities of the affine
+ones from their formulas, a radial stretch, and polynomial evaluation
+one term at a time from a filled array.
 They are not part of the library's API."""
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from currentkit import flatnorm, forms
-from currentkit.chains import Chain, _leaf_evaluate, boundary, evaluate
+from currentkit.chains import Chain, boundary, evaluate
 from currentkit.exterior import multi_indices
 from currentkit.forms import (AffineMap, Box, FormField, VectorField,
                               contract, exterior_derivative, lie_derivative,
@@ -95,7 +95,7 @@ def interval_product_evaluate(interval, T: Chain, omega: FormField,
         return 0.0
 
     def integrand(t):
-        return _leaf_evaluate(T, time_slice_contract(omega, t), s_order)
+        return evaluate(T, time_slice_contract(omega, t), s_order)
 
     return integrate_interval(integrand, a, b, panels=panels)
 
@@ -681,6 +681,30 @@ def motion_map_by_formula(name: str, ambient: int, t: float,
         return out
 
     return LipMap(ambient, lift)
+
+
+def velocity_by_formula(name: str, ambient: int, t: float,
+                        **params) -> VectorField:
+    """v_t of the affine `make_motion` family `name`, written from its
+    formula with `params` over the family's defaults: 0 for the identity,
+    the constant velocity of the translation, (-rate y, rate x) for the
+    rotation, y / (1 + t) for the expansion and rate * y_1 e_0 for the
+    shear."""
+    x = [Polynomial.variable(i, ambient) for i in range(ambient)]
+    comps = [Polynomial.zero(ambient) for _ in range(ambient)]
+    if name == "translation":
+        velocity = params.get("velocity", 0.25 * np.eye(ambient)[0])
+        comps = [Polynomial.constant(ambient, c) for c in velocity]
+    elif name == "rotation":
+        rate = params.get("rate", 1.0)
+        comps = [-rate * x[1], rate * x[0]]
+    elif name == "expansion":
+        comps = [xi * (1.0 / (1.0 + t)) for xi in x]
+    elif name == "shear":
+        comps[0] = params.get("rate", 0.5) * x[1]
+    elif name != "identity":
+        raise ValueError(f"no affine motion family {name!r}")
+    return VectorField.from_polynomials(comps)
 
 
 def radial_stretch(ambient: int, strength: float) -> LipMap:

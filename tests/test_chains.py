@@ -283,21 +283,25 @@ class TestSubdivisionLevels:
         assert len(T.subdivided(np.int64(2))) == len(T.subdivided(2)) == 32
 
     @pytest.mark.parametrize("levels", [
-        11, 10 ** 6, pytest.param(10 ** 400, id="10**400")])
+        11, 10 ** 6, pytest.param(10 ** 400, id="10**400"),
+        pytest.param(10 ** 5000, id="10**5000")])
     def test_levels_beyond_the_size_cap_rejected(self, levels):
         # the square's 2 * 4^levels simplices: unchecked, 10 ** 6 levels
         # would subdivide until memory runs out, and 10 ** 400 overflowed
         # a float.  Levels 7 (32 768) is admitted, and an empty chain at
-        # any level is itself
+        # any level is itself.  An int of more than 4300 digits is named
+        # by its digit count: written out, it raised Python's own
+        # "Exceeds the limit (4300 digits)", which names no parameter
+        shown = levels if levels < 10 ** 4300 else "an int of 5001 digits"
         T = unit_square_chain()
         assert len(T.subdivided(7)) == 32768
         empty = Chain(np.zeros((0, 3, 2)), [])
         assert empty.subdivided(10 ** 6) is empty
-        with pytest.raises(ValueError, match=f"^levels {levels} asks for "
+        with pytest.raises(ValueError, match=f"^levels {shown} asks for "
                                              f"more than 4194304 simplices"):
             T.subdivided(levels)
         f = make_motion("rotation").map_at(0.5)
-        with pytest.raises(ValueError, match=f"^levels {levels} asks"):
+        with pytest.raises(ValueError, match=f"^levels {shown} asks"):
             pushforward_chain(f, T, levels=levels)
 
 

@@ -89,16 +89,21 @@ class TestComplex:
         assert comp.n_simplices(2) == 8
         assert comp.n_simplices(0) == 9
 
-    @pytest.mark.parametrize("dim, resolution", [(2, 1449), (3, 89),
-                                                 (2, 10 ** 6), (2, 0),
-                                                 (2, 2.5), (2, True)])
+    @pytest.mark.parametrize("dim, resolution", [
+        (2, 1449), (3, 89), (2, 10 ** 6), (2, 0), (2, 2.5), (2, True),
+        pytest.param(2, 10 ** 5000, id="2-10**5000")])
     def test_resolution_beyond_the_size_cap_rejected(self, dim, resolution):
         # n! * resolution^n top simplices: 2 * 1449^2 and 6 * 89^3 are the
         # first counts above 2^22; unchecked, 10 ** 6 would build until
         # memory runs out.  A resolution that is not a size is refused
         # first: 0 stopped in log2 ("math domain error"), 2.5 in a
-        # TypeError, and True built one cell
-        if type(resolution) is int and resolution > 1:
+        # TypeError, and True built one cell.  An int of more than 4300
+        # digits is named by its digit count: written out, it raised
+        # Python's own "Exceeds the limit (4300 digits)"
+        if type(resolution) is int and resolution > 10 ** 4300:
+            message = (f"^resolution an int of 5001 digits asks for more "
+                       f"than 4194304 top simplices")
+        elif type(resolution) is int and resolution > 1:
             message = (f"^resolution {resolution} asks for more than "
                        f"4194304 top simplices")
         else:

@@ -576,18 +576,38 @@ class TestSeminorms:
         with pytest.raises(ValueError, match="grid resolution"):
             Box((0.0, 0.0), (1.0, 1.0), resolution=res)
 
-    @pytest.mark.parametrize("dim, resolution", [(2, 2049), (4, 46),
-                                                 (2, 10 ** 6)])
+    @pytest.mark.parametrize("dim, resolution", [
+        (2, 2049), (4, 46), (2, 10 ** 6),
+        pytest.param(2, 10 ** 5000, id="2-10**5000")])
     def test_resolution_beyond_the_size_cap_rejected(self, dim, resolution):
         # resolution^dim grid points: 2049^2 and 46^4 are the first counts
         # above 2^22; unchecked, 10 ** 6 built, and its grid would fill
         # memory at first use.  2048^2 = 2^22 is admitted; the grid is
-        # built at first use
+        # built at first use.  An int of more than 4300 digits is named by
+        # its digit count: written out, it raised Python's own "Exceeds
+        # the limit (4300 digits)"
+        shown = (resolution if resolution < 10 ** 4300
+                 else "an int of 5001 digits")
         assert Box.unit(2, resolution=2048).resolution == 2048
-        with pytest.raises(ValueError, match=f"^grid resolution {resolution} "
+        with pytest.raises(ValueError, match=f"^grid resolution {shown} "
                                              f"asks for more than 4194304 "
                                              f"grid points"):
             Box.unit(dim, resolution=resolution)
+        with pytest.raises(ValueError, match=f"^grid resolution {shown} "):
+            Box((0.0,) * dim, (1.0,) * dim, resolution)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (0.0, 1.0), ([], []), ([[0, 0]], [[1, 1]])],
+        ids=["scalars", "empty", "nested"])
+    def test_corners_are_one_number_per_axis(self, lower, upper):
+        # the scalars raised a TypeError ("len() of unsized object"), the
+        # empty corners built a box whose grid() failed in numpy ("need at
+        # least one array to stack"), and the nested ones a box whose
+        # corners held arrays
+        with pytest.raises(ValueError, match=re.escape(
+                f"box lower and upper must be one number per axis, got "
+                f"{lower!r} and {upper!r}")):
+            Box(lower, upper, 3)
 
     def test_box_is_the_compact_set_it_samples(self):
         # the grid spans [lower, upper]; there is no enclosing open box

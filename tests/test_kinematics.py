@@ -19,7 +19,7 @@ from currentkit.motion import (_MOTION_FAMILIES, Motion,
                                velocity_field)
 from currentkit.polynomial import Polynomial
 from oracles import (motion_map_by_formula, transport_derivative_betounes,
-                     transport_derivative_lagrangian_fd)
+                     transport_derivative_lagrangian_fd, velocity_by_formula)
 
 SQ = unit_square_chain()
 BSQ = boundary(SQ)
@@ -70,12 +70,14 @@ class TestMotionFamilies:
 
     @pytest.mark.parametrize("interval", [
         (1.0, -1.0), (0.5, 0.5), (0.0, np.inf), (np.nan, 1.0),
-        (0.0, 0.5, 1.0), 5, ["a", "b"], "ab", (False, True), (0, 10 ** 400)])
+        (0.0, 0.5, 1.0), 5, ["a", "b"], "ab", (False, True), (0, 10 ** 400),
+        (0, 10 ** 5000)])
     def test_interval_is_two_finite_increasing_numbers(self, interval):
         # (1, -1) built, and every time check then failed with "time 0.0
         # outside the motion interval (1.0, -1.0)"; 5 and ["a", "b"] were a
-        # TypeError and a ValueError of their own, (False, True) built, and
-        # an int beyond the float range was an OverflowError
+        # TypeError and a ValueError of their own, (False, True) built, an
+        # int beyond the float range was an OverflowError, and one of more
+        # than 4300 digits Python's own "Exceeds the limit (4300 digits)"
         with pytest.raises(ValueError, match="motion parameter 'interval'"):
             make_motion("rotation", interval=interval)
 
@@ -88,6 +90,45 @@ class TestMotionFamilies:
         for t in (-0.6, 0.0, 0.35):
             assert m.images([t], points)[0].tobytes() == \
                 motion_map_by_formula(name, 2, t).values_at(points).tobytes()
+
+    @pytest.mark.parametrize("name, ambient", [
+        (name, ambient) for name in sorted(set(_MOTION_FAMILIES) - {"tent"})
+        for ambient in (2, 3) if ambient == 2 or name != "rotation"])
+    def test_every_affine_velocity_is_its_formula(self, name, ambient):
+        # each affine family's velocity at t is the polynomial field
+        # written from the family's formula: the same terms in the same
+        # order, bit for bit; the rotation is planar
+        m = make_motion(name, ambient)
+        for t in (-0.6, 0.0, 0.35):
+            got = velocity_field(m, t).components
+            want = velocity_by_formula(name, ambient, t).components
+            assert [list(p.terms.items()) for p in got] == \
+                [list(p.terms.items()) for p in want]
+
+    @pytest.mark.parametrize("name, params, one_field", [
+        ("identity", {}, True), ("translation", {}, True),
+        ("rotation", {}, True), ("shear", {}, True),
+        ("tent", {"axis": 1}, True), ("expansion", {}, False),
+        ("tent", {"axis": 0}, False)])
+    def test_velocity_is_one_field_unless_it_moves_with_t(self, name, params,
+                                                           one_field):
+        # a velocity that does not depend on t is one object at every time,
+        # so that the evaluators share work across its runs; the
+        # expansion's and the axis-0 tent's are new at each time
+        m = make_motion(name, **params)
+        fields = [velocity_field(m, t) for t in (-0.6, 0.0, 0.35)]
+        ids = {id(v) for v in fields}
+        assert len(ids) == (1 if one_field else len(fields))
+
+    def test_expansion_has_no_velocity_at_the_zero_map(self):
+        # -1 is an end point of the default interval; there the velocity
+        # y / (1 + t) divided by zero, a ZeroDivisionError
+        m = make_motion("expansion")
+        with pytest.raises(ValueError, match=re.escape(
+                "an expansion has no velocity at t = -1, where the map "
+                "(1 + t) x is zero")):
+            velocity_field(m, -1.0)
+        assert velocity_field(m, -0.5)([1.0, 2.0]).tolist() == [2.0, 4.0]
 
     @pytest.mark.parametrize("interval", [(-2.0, 1.0), (-1.5, -0.5)])
     def test_expansion_through_the_zero_map_rejected(self, interval):

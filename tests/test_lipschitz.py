@@ -169,19 +169,21 @@ class TestMapLibrary:
         ("tent", 2, {"amplitude": -np.inf}),
         ("translation", 2, {"velocity": [0.0, np.nan]}),
         ("translation", 2, {"velocity": [True, 0.5]}),
-        ("rotation", 2, {"rate": True}), ("tent", 2, {"axis": [1, [2]]})],
+        ("rotation", 2, {"rate": True}), ("tent", 2, {"axis": [1, [2]]}),
+        ("tent", 2, {"amplitude": 10 ** 5000})],
         ids=["short_velocity", "negative_width", "zero_width", "axis_range",
              "rate_list", "nan_rate", "inf_width", "inf_amplitude",
              "nan_velocity", "bool_in_velocity", "bool_rate",
-             "ragged_axis"])
+             "ragged_axis", "amplitude_of_5001_digits"])
     def test_parameter_of_the_wrong_kind_is_named(self, name, ambient,
                                                   params):
         # the short velocity moved every axis, the negative width gave an
         # inverted hat and the zero width non-finite images at first use;
         # the axis ended in an IndexError and the list in a TypeError; a
         # NaN or an infinity built, and failed at first use with
-        # "non-finite map images"; the bool in a velocity read as 1, and
-        # the ragged axis raised numpy's own ValueError
+        # "non-finite map images"; the bool in a velocity read as 1, the
+        # ragged axis raised numpy's own ValueError, and an int of 5001
+        # digits Python's own "Exceeds the limit (4300 digits)"
         key, = params
         with pytest.raises(ValueError, match=re.escape(
                 f"motion parameter {key!r} of family {name!r} must be")):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from currentkit import chains, cli, motion
-from currentkit.chains import (Chain, Leaf, _leaf_evaluate, boundary,
-                               evaluate, evaluate_copies, simplex_geometry,
+from currentkit.chains import (Chain, Leaf, boundary, evaluate,
+                               evaluate_copies, simplex_geometry,
                                unit_square_chain)
 from currentkit.exterior import multi_indices
 from currentkit.flatnorm import lower_bounds
@@ -359,7 +359,6 @@ class TestLeafGeometry:
             phi, s_order = forms[k % 3], (0, 2)[k // 6]
             got = evaluate(leaf, phi, s_order)
             assert got.hex() == evaluate(T, phi, s_order).hex()
-            assert got.hex() == _leaf_evaluate(T, phi, s_order).hex()
         assert sorted(leaf._geometry[1]) == [0, 2]
 
     def test_rebinding_the_chain_starts_afresh(self):
@@ -430,9 +429,9 @@ def _stack_calls(monkeypatch) -> list:
     seen = []
     pushed = motion._pushed_values
 
-    def counted(m, work, times, rows, s_order=2):
+    def counted(m, work, times, rows):
         seen.append(list(times))
-        return pushed(m, work, times, rows, s_order)
+        return pushed(m, work, times, rows)
 
     monkeypatch.setattr(motion, "_pushed_values", counted)
     return seen
