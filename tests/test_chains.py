@@ -1,19 +1,23 @@
 """Simplicial chains as currents: evaluation, boundary, mass, the current
 expression algebra, and serialization."""
 
+import gc
 import json
+import weakref
 from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
 import pytest
 
+from currentkit import chains
 from currentkit.chains import (Boundary, Chain, Leaf, Sum, VWedge,
-                               _unit_tangents, boundary, evaluate, mass_chain,
-                               triangle_chain, unit_interval_chain,
-                               unit_square_chain)
+                               _edge_wedges, _unit_tangents, boundary,
+                               evaluate, evaluate_copies, mass_chain,
+                               simplex_geometry, triangle_chain,
+                               unit_interval_chain, unit_square_chain)
 from currentkit.complexes import SimplicialComplex, freudenthal_complex
-from currentkit.exterior import MultiVector, pair, wedge
+from currentkit.exterior import MultiVector, pair, wedge, wedge_rows
 from currentkit.forms import (FormField, VectorField, contract,
                               exterior_derivative)
 from currentkit.lipschitz import LipMap, pushforward_chain
@@ -21,8 +25,9 @@ from currentkit.motion import make_motion
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import (grundmann_moller, simplex_volumes,
                                    subdivide_barycentric)
-from oracles import (evaluate_with_error, interval_product_evaluate, perm_sign,
-                     radial_stretch)
+from oracles import (evaluate_copies_by_matmul, evaluate_with_error,
+                     interval_product_evaluate, perm_sign, radial_stretch,
+                     wedge_norms_by_matmul)
 
 
 def _tet():
@@ -303,6 +308,60 @@ class TestSubdivisionLevels:
         f = make_motion("rotation").map_at(0.5)
         with pytest.raises(ValueError, match=f"^levels {shown} asks"):
             pushforward_chain(f, T, levels=levels)
+
+
+class TestDerivedChains:
+    """`boundary` and `Chain.subdivided` build their chain once per chain
+    object, in a weak side table: not on the chain, not shared with an
+    equal chain, and gone with the chain."""
+
+    def test_repeat_calls_return_the_same_object(self):
+        T = unit_square_chain()
+        assert boundary(T) is boundary(T) is boundary(Leaf(T))
+        assert T.subdivided(3) is T.subdivided(3)
+        assert T.subdivided(np.int64(3)) is T.subdivided(3)
+        assert T.subdivided(2) is not T.subdivided(3)
+        bt = boundary(T)
+        assert bt.subdivided(2) is bt.subdivided(2)
+        assert boundary(bt) is boundary(bt)
+        for chain in (T, bt, T.subdivided(3)):
+            assert set(vars(chain)) == {"table", "ids", "mults"}
+
+    def test_a_chain_on_the_same_arrays_shares_no_entry(self):
+        T = unit_square_chain()
+        twin = Chain._of(T.table, T.ids, T.mults)
+        for got, own in ((boundary(twin), boundary(T)),
+                         (twin.subdivided(2), T.subdivided(2))):
+            assert got is not own
+            _assert_same_chain(got, _pairs(own))
+
+    def test_entries_go_with_their_chain(self):
+        gc.collect()
+        before = len(chains._DERIVED)
+        T = unit_square_chain()
+        derived = [weakref.ref(boundary(T)), weakref.ref(T.subdivided(2))]
+        key = weakref.ref(T)
+        assert len(chains._DERIVED) == before + 1
+        del T
+        gc.collect()
+        assert key() is None and len(chains._DERIVED) == before
+        assert all(ref() is None for ref in derived)
+
+    def test_checks_run_on_every_call(self):
+        # a level of 1 is cached before True, which equals it as a key
+        T = unit_square_chain()
+        T.subdivided(1)
+        point = Chain([[[0.5, 0.5]]], [1.0])
+        for _ in range(2):
+            for levels in (-1, True, 1.5):
+                with pytest.raises(ValueError, match="^levels must be a "
+                                                     "whole number >= 0"):
+                    T.subdivided(levels)
+            with pytest.raises(ValueError, match="^levels 11 asks for more "
+                                                 "than 4194304 simplices"):
+                T.subdivided(11)
+            with pytest.raises(ValueError, match="boundary undefined"):
+                boundary(point)
 
 
 class TestSerialization:
@@ -736,6 +795,38 @@ def _with_permuted_copy(rng, T):
 
 
 _MERGE_SHAPES = [(r, n) for r in range(1, 4) for n in range(r, 4)]
+_ALL_SHAPES = [(r, n) for n in range(1, 4) for r in range(n + 1)]
+_KERNEL_SCALES = [1e-8, 1.0, 1e8]
+
+
+class TestGeometryKernelBits:
+    """The wedge norm and the coefficient-tangent product, an elementwise
+    product at one component, equal the stacked one-element matmuls they
+    replace bit for bit, at any coordinate scale."""
+
+    @pytest.mark.parametrize("scale", _KERNEL_SCALES)
+    @pytest.mark.parametrize("r,n", _ALL_SHAPES)
+    def test_wedge_norms(self, r, n, scale):
+        rng = np.random.default_rng(10 * r + n)
+        verts = rng.normal(size=(200, r + 1, n)) * scale
+        _, norms, _ = _edge_wedges(verts)
+        want = wedge_norms_by_matmul(wedge_rows(verts[:, 1:] - verts[:, :1]))
+        assert np.array_equal(norms, want)
+
+    @pytest.mark.parametrize("scale", _KERNEL_SCALES)
+    @pytest.mark.parametrize("r,n", _ALL_SHAPES)
+    def test_evaluate_copies(self, r, n, scale):
+        # three copies of 40 simplices; the zero form meets negative
+        # tangents, where an elementwise product is -0.0
+        rng = np.random.default_rng(100 + 10 * r + n)
+        verts = rng.normal(size=(3, 40, r + 1, n)) * scale
+        mults = rng.normal(size=40)
+        forms = [FormField.random_polynomial(n, r, rng, max_degree=3)
+                 for _ in range(2)] + [FormField.from_polynomials(n, r, {})]
+        geometry = simplex_geometry(verts.reshape(-1, r + 1, n))
+        assert np.array_equal(
+            evaluate_copies(geometry, mults, forms),
+            evaluate_copies_by_matmul(geometry, mults, forms))
 _SCALES = [1e-8, 1e-3, 1.0, 1e3, 1e7]
 
 

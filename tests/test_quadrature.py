@@ -13,7 +13,8 @@ from currentkit.quadrature import (_halving_indices, _kuhn_children,
                                    grundmann_moller, integrate_interval,
                                    simplex_rule, simplex_volumes,
                                    subdivide_barycentric)
-from oracles import adaptive_interval, kuhn_children
+from oracles import (adaptive_interval, gram_volumes_by_view,
+                     kuhn_children)
 
 
 def _monomial_integral_unit_simplex(exps):
@@ -104,6 +105,18 @@ class TestSimplexVolume:
     def test_tetrahedron(self):
         v = np.vstack([np.zeros(3), np.eye(3)])
         assert simplex_volumes(v[None])[0] == pytest.approx(1.0 / 6.0)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("r,n", [(r, n) for n in range(1, 4)
+                                     for r in range(n + 1)])
+    def test_gram_product_keeps_the_view_bits(self, r, n, scale):
+        # the Gram product on a contiguous copy of the transposed edges
+        # equals the one on their view, which shares the edges' buffer
+        rng = np.random.default_rng(10 * r + n)
+        verts = (rng.normal(size=(500, r + 1, n))
+                 + 5.0 * rng.normal(size=n)) * scale
+        assert np.array_equal(simplex_volumes(verts),
+                              gram_volumes_by_view(verts))
 
 
 class TestIntervalQuadrature:
