@@ -10,7 +10,6 @@ import itertools
 import json
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +39,8 @@ _DEGENERACY_TOL = 1e-13
 _CANCEL_TOL = 1e-12
 
 # the chains derived from a chain, kept off it and keyed by the chain
-# object: its boundary under "boundary" and its subdivision under each
-# level; an entry goes when its chain goes
+# object: its boundary under "boundary" and the last subdivision asked,
+# as (levels, chain), under "subdivided"; an entry goes when its chain goes
 _DERIVED = weakref.WeakKeyDictionary()
 
 
@@ -57,11 +56,7 @@ def _edge_wedges(vertices: np.ndarray):
     has the empty wedge 1 and is never degenerate."""
     edges = vertices[:, 1:] - vertices[:, :1]
     xi = wedge_rows(edges)
-    # one component: its square is the one product a matmul would take
-    if xi.shape[1] == 1:
-        norms = np.sqrt(xi[:, 0] * xi[:, 0])
-    else:
-        norms = np.sqrt(np.matmul(xi[:, None, :], xi[:, :, None]))[:, 0, 0]
+    norms = np.sqrt(np.matmul(xi[:, None, :], xi[:, :, None]))[:, 0, 0]
     lengths = np.prod(np.linalg.norm(edges, axis=2), axis=1)
     return xi, norms, norms <= _DEGENERACY_TOL * lengths
 
@@ -106,18 +101,12 @@ def _lex_groups(rows: np.ndarray):
     return ranks, order[new]
 
 
-@lru_cache(maxsize=None)
-def _face_positions(r: int) -> np.ndarray:
-    """Row i lists the positions 0..r without i: (r+1, r), read-only."""
-    drop = [[j for j in range(r + 1) if j != i] for i in range(r + 1)]
-    return _read_only(np.array(drop, dtype=np.intp))[0]
-
-
 def face_rows(ids: np.ndarray) -> np.ndarray:
     """The faces of index rows (N, r+1), r >= 1, face i without entry i:
     shape (N * (r+1), r), row by row and, within a row, by i."""
     r = ids.shape[1] - 1
-    return ids[:, _face_positions(r)].reshape(-1, r)
+    drop = [[j for j in range(r + 1) if j != i] for i in range(r + 1)]
+    return ids[:, drop].reshape(-1, r)
 
 
 def lex_ranks(rows: np.ndarray) -> np.ndarray:
@@ -160,9 +149,9 @@ class Chain:
     Coordinates are compared only where a table is built (`vertex_table`);
     boundary, simplify and subdivision work on ids, and every other form
     (`stacked`, JSON) is derived; `degree` and `ambient` are read off the
-    arrays.  The chains derived from a chain, its boundary and its
-    subdivisions, live in a weak side table keyed by the chain object,
-    not on the chain, and go with it.
+    arrays.  The chains derived from a chain, its boundary and its last
+    subdivision asked, live in a weak side table keyed by the chain
+    object, not on the chain, and go with it.
     Mass equals the multiplicity-weighted volume; exact when the
     simplices have disjoint interiors, otherwise only an upper bound.
     """
@@ -271,7 +260,9 @@ class Chain:
         with its multiplicity times the child's orientation relative to
         it.  A ValueError unless `levels` is a whole number >= 0 that
         makes at most `_SIZE_CAP` simplices.  A repeat call on the same
-        chain object at the same level returns the same object."""
+        chain object at the same level returns the same object; the chain
+        keeps only its last subdivision asked, so a call at another level
+        releases the one before."""
         levels = _whole_number("levels", levels, 0)
         r = self.degree
         if r == 0 or levels == 0 or not len(self):
@@ -280,8 +271,10 @@ class Chain:
         _check_size("levels", levels, itertools.chain(
             [len(self)], (2 ** r for _ in range(levels))), "simplices")
         memo = _DERIVED.setdefault(self, {})
-        if levels in memo:
-            return memo[levels]
+        if memo.get("subdivided", (None,))[0] == levels:
+            return memo["subdivided"][1]
+        # the level held before goes before this one is built
+        memo.pop("subdivided", None)
         edges, children, child_signs = _halving_indices(r)
         table, ids, mults = self.table, self.ids, self.mults
         for _ in range(levels):
@@ -296,8 +289,9 @@ class Chain:
                                  axis=1)[:, children].reshape(-1, r + 1)
             mults = (mults[:, None] * child_signs).ravel()
         table, canonical = vertex_table(table)
-        memo[levels] = Chain._of(table, canonical[ids], mults)
-        return memo[levels]
+        work = Chain._of(table, canonical[ids], mults)
+        memo["subdivided"] = (levels, work)
+        return work
 
     # -- serialization ------------------------------------------------
     def to_json_obj(self):
@@ -505,13 +499,8 @@ def evaluate_copies(geometry: Geometry, mults: np.ndarray, forms) -> list:
         forms[lo].coefficients_at(pts[lo:hi].reshape(-1, n))
         for lo, hi in zip([0, *runs], [*runs, count])])
     flat, quad = geometry.weights.shape
-    # one component: one product per point, as the matmul takes it; a
-    # -0.0 it gives adds to the weighted sum's +0.0 start as 0.0 does
-    if geometry.tangents.shape[1] == 1:
-        at_points = coeffs.reshape(flat, quad) * geometry.tangents
-    else:
-        at_points = np.matmul(coeffs.reshape(flat, quad, -1),
-                              geometry.tangents[:, :, None])
+    at_points = np.matmul(coeffs.reshape(flat, quad, -1),
+                          geometry.tangents[:, :, None])
     values = np.matmul(at_points.reshape(flat, 1, -1),
                        geometry.weights[:, :, None])[:, 0, 0]
     terms = np.concatenate([np.zeros((count, 1)),

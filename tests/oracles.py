@@ -13,9 +13,8 @@ modulus and the finite-difference transport derivative one time node
 at a time, the transport derivative through `Motion.push`, the maps of
 the motion families one time at a time and the velocities of the affine
 ones from their formulas, a radial stretch, polynomial evaluation
-one term at a time from a filled array, and the geometry kernels' stacked
-matmuls: the Gram product on the transposed view of the edges, and the
-wedge norm and coefficient-tangent product at every component count.
+one term at a time from a filled array, and `simplex_volumes` with the
+Gram product on the transposed view of the edges.
 They are not part of the library's API."""
 
 from dataclasses import dataclass
@@ -741,27 +740,3 @@ def gram_volumes_by_view(vertices) -> np.ndarray:
     edges = v[:, 1:] - v[:, :1]
     det = np.linalg.det(np.matmul(edges, edges.transpose(0, 2, 1)))
     return np.sqrt(np.where(det < 0.0, 0.0, det)) / factorial(r)
-
-
-def wedge_norms_by_matmul(xi) -> np.ndarray:
-    """Norms of wedge rows (N, C(n, r)), one stacked matmul of each row
-    with itself, one-component rows included."""
-    return np.sqrt(np.matmul(xi[:, None, :], xi[:, :, None]))[:, 0, 0]
-
-
-def evaluate_copies_by_matmul(geometry, mults, forms) -> list:
-    """`chains.evaluate_copies` with the coefficient-tangent product one
-    stacked matmul at every component count, one form call per copy."""
-    count, size = len(forms), len(mults)
-    n = geometry.points.shape[2]
-    pts = geometry.points.reshape(count, -1, n)
-    coeffs = np.concatenate([phi.coefficients_at(p)
-                             for phi, p in zip(forms, pts)])
-    flat, quad = geometry.weights.shape
-    at_points = np.matmul(coeffs.reshape(flat, quad, -1),
-                          geometry.tangents[:, :, None])
-    values = np.matmul(at_points.reshape(flat, 1, -1),
-                       geometry.weights[:, :, None])[:, 0, 0]
-    terms = np.concatenate([np.zeros((count, 1)),
-                            mults * values.reshape(count, size)], axis=1)
-    return np.cumsum(terms, axis=1)[:, -1].tolist()

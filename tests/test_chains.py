@@ -12,12 +12,11 @@ import pytest
 
 from currentkit import chains
 from currentkit.chains import (Boundary, Chain, Leaf, Sum, VWedge,
-                               _edge_wedges, _unit_tangents, boundary,
-                               evaluate, evaluate_copies, mass_chain,
-                               simplex_geometry, triangle_chain,
-                               unit_interval_chain, unit_square_chain)
+                               _unit_tangents, boundary, evaluate, mass_chain,
+                               triangle_chain, unit_interval_chain,
+                               unit_square_chain)
 from currentkit.complexes import SimplicialComplex, freudenthal_complex
-from currentkit.exterior import MultiVector, pair, wedge, wedge_rows
+from currentkit.exterior import MultiVector, pair, wedge
 from currentkit.forms import (FormField, VectorField, contract,
                               exterior_derivative)
 from currentkit.lipschitz import LipMap, pushforward_chain
@@ -25,9 +24,8 @@ from currentkit.motion import make_motion
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import (grundmann_moller, simplex_volumes,
                                    subdivide_barycentric)
-from oracles import (evaluate_copies_by_matmul, evaluate_with_error,
-                     interval_product_evaluate, perm_sign, radial_stretch,
-                     wedge_norms_by_matmul)
+from oracles import (evaluate_with_error, interval_product_evaluate, perm_sign,
+                     radial_stretch)
 
 
 def _tet():
@@ -313,7 +311,7 @@ class TestSubdivisionLevels:
 class TestDerivedChains:
     """`boundary` and `Chain.subdivided` build their chain once per chain
     object, in a weak side table: not on the chain, not shared with an
-    equal chain, and gone with the chain."""
+    equal chain, one subdivision at a time, and gone with the chain."""
 
     def test_repeat_calls_return_the_same_object(self):
         T = unit_square_chain()
@@ -347,8 +345,19 @@ class TestDerivedChains:
         assert key() is None and len(chains._DERIVED) == before
         assert all(ref() is None for ref in derived)
 
+    def test_another_level_releases_the_last(self):
+        T = unit_square_chain()
+        bt = boundary(T)
+        last = weakref.ref(T.subdivided(1))
+        gc.collect()
+        assert last() is not None
+        work = T.subdivided(2)
+        gc.collect()
+        assert last() is None
+        assert T.subdivided(2) is work and boundary(T) is bt
+
     def test_checks_run_on_every_call(self):
-        # a level of 1 is cached before True, which equals it as a key
+        # a level of 1 is held before True, which equals it
         T = unit_square_chain()
         T.subdivided(1)
         point = Chain([[[0.5, 0.5]]], [1.0])
@@ -795,38 +804,6 @@ def _with_permuted_copy(rng, T):
 
 
 _MERGE_SHAPES = [(r, n) for r in range(1, 4) for n in range(r, 4)]
-_ALL_SHAPES = [(r, n) for n in range(1, 4) for r in range(n + 1)]
-_KERNEL_SCALES = [1e-8, 1.0, 1e8]
-
-
-class TestGeometryKernelBits:
-    """The wedge norm and the coefficient-tangent product, an elementwise
-    product at one component, equal the stacked one-element matmuls they
-    replace bit for bit, at any coordinate scale."""
-
-    @pytest.mark.parametrize("scale", _KERNEL_SCALES)
-    @pytest.mark.parametrize("r,n", _ALL_SHAPES)
-    def test_wedge_norms(self, r, n, scale):
-        rng = np.random.default_rng(10 * r + n)
-        verts = rng.normal(size=(200, r + 1, n)) * scale
-        _, norms, _ = _edge_wedges(verts)
-        want = wedge_norms_by_matmul(wedge_rows(verts[:, 1:] - verts[:, :1]))
-        assert np.array_equal(norms, want)
-
-    @pytest.mark.parametrize("scale", _KERNEL_SCALES)
-    @pytest.mark.parametrize("r,n", _ALL_SHAPES)
-    def test_evaluate_copies(self, r, n, scale):
-        # three copies of 40 simplices; the zero form meets negative
-        # tangents, where an elementwise product is -0.0
-        rng = np.random.default_rng(100 + 10 * r + n)
-        verts = rng.normal(size=(3, 40, r + 1, n)) * scale
-        mults = rng.normal(size=40)
-        forms = [FormField.random_polynomial(n, r, rng, max_degree=3)
-                 for _ in range(2)] + [FormField.from_polynomials(n, r, {})]
-        geometry = simplex_geometry(verts.reshape(-1, r + 1, n))
-        assert np.array_equal(
-            evaluate_copies(geometry, mults, forms),
-            evaluate_copies_by_matmul(geometry, mults, forms))
 _SCALES = [1e-8, 1e-3, 1.0, 1e3, 1e7]
 
 
