@@ -11,8 +11,7 @@ from .polynomial import Polynomial
 from .forms import (AffineMap, Box, Cochain, FormField, VectorField,
                     contract, exterior_derivative, form_lipschitz,
                     lie_derivative, lie_derivative_components, pullback,
-                    seminorm_comass, seminorm_flat, seminorm_sharp,
-                    time_slice_contract)
+                    seminorm_comass, seminorm_flat, seminorm_sharp)
 from .quadrature import (grundmann_moller, integrate_interval, simplex_rule,
                          subdivide_barycentric)
 from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge, boundary,
@@ -20,7 +19,7 @@ from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge, boundary,
                      unit_interval_chain, unit_square_chain)
 from .complexes import SimplicialComplex, freudenthal_complex
 from .flatnorm import (dual_flat_lower_bound, flat_norm_lp, lower_bounds,
-                       lp_solve, sharp_lower_bound)
+                       sharp_lower_bound)
 from .lipschitz import LipMap, lipschitz_constant, pushforward_chain
 from .motion import (Motion, classical_reynolds, continuity_modulus,
                      homotopy_residual, homotopy_residuals, make_motion,

@@ -443,6 +443,8 @@ class Sum(Current):
     parts: list
 
     def __post_init__(self):
+        if not self.parts:
+            raise ValueError("an empty sum of currents has no degree")
         degs = {(p.degree, p.ambient) for p in self.parts}
         if len(degs) != 1:
             raise ValueError("sum of currents with mixed degrees")

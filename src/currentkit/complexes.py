@@ -12,7 +12,7 @@ import numpy as np
 
 from .chains import Chain, _lex_groups, face_rows, lex_ranks
 from .exterior import sort_parity
-from .quadrature import (_check_size, _whole_number, kuhn_simplices,
+from .quadrature import (_check_size, _shown, _whole_number, kuhn_simplices,
                          simplex_volumes)
 
 __all__ = ["SimplicialComplex", "freudenthal_complex"]
@@ -173,9 +173,19 @@ def freudenthal_complex(lower, upper, resolution: int) -> SimplicialComplex:
     vertices are the grid points in row-major order; a Kuhn path's
     vertices rise in that order, so each top simplex's orientation is the
     parity of its path.  A ValueError, before anything is built, unless
-    `_check_resolution` admits `resolution`."""
+    the bounds are finite, one number per axis with lower < upper on each,
+    and `_check_resolution` admits `resolution`."""
+    shown = f"{_shown(lower)} and {_shown(upper)}"
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    if lower.ndim != 1 or lower.shape != upper.shape or not lower.size:
+        raise ValueError(f"complex bounds must be one number per axis, as "
+                         f"many in each, got {shown}")
+    if not np.all(np.isfinite(lower) & np.isfinite(upper)):
+        raise ValueError(f"complex bounds must be finite, got {shown}")
+    if not np.all(lower < upper):
+        raise ValueError(f"complex bounds must have lower < upper on every "
+                         f"axis, got {shown}")
     n = lower.size
     m = _check_resolution(n, resolution)
     axes = [np.linspace(lower[i], upper[i], m + 1) for i in range(n)]

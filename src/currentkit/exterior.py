@@ -240,73 +240,82 @@ def wedge_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ascent_from(omega: CoVector, frame: np.ndarray):
-    """Projected gradient ascent of <omega, wedge(columns)> on the Stiefel
-    manifold of orthonormal r-frames; projection by QR.  At most 200
-    steps; it stops at a gradient norm below 1e-8."""
-    n, r = frame.shape
-    q = np.linalg.qr(frame)[0]
-    val = pair(omega, frame_to_multivector(q))
-    if val < 0:
-        q[:, 0] = -q[:, 0]
-        val = -val
-    step = 0.5
-    for _ in range(200):
-        grad = np.empty((n, r))
-        for j in range(r):
-            cols = [q[:, k] for k in range(r)]
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = 1.0
-                cols[j] = e
-                grad[i, j] = pair(omega, frame_to_multivector(
-                    np.column_stack(cols)))
-        gnorm = np.linalg.norm(grad)
-        if gnorm < 1e-8:
-            break
-        improved = False
-        while step > 1e-12:
-            cand = np.linalg.qr(q + step * grad / max(gnorm, 1e-300))[0]
-            cval = pair(omega, frame_to_multivector(cand))
-            if cval < 0:
-                cand[:, 0] = -cand[:, 0]
-                cval = -cval
-            if cval > val + 1e-16:
-                q, val = cand, cval
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        step = min(step * 2.0, 1.0)
-    return val, q
+@lru_cache(maxsize=None)
+def _complement_table(n: int):
+    """The Hodge star between 2-indices and (n-2)-indices of R^n: for each
+    2-index mu in order, the rank of its complement lam and the parity of
+    (lam, mu), read-only.  The star maps simple unit vectors onto simple
+    unit vectors, and its inverse reads the same table."""
+    pairs = multi_indices(2, n)
+    rest = [tuple(k for k in range(n) if k not in mu) for mu in pairs]
+    ranks = np.array([_rank_table(n - 2, n)[lam] for lam in rest])
+    signs = sort_parity(np.hstack([np.array(rest), np.array(pairs)]))[1]
+    ranks.flags.writeable = signs.flags.writeable = False
+    return ranks, signs
 
 
-def comass(omega: CoVector, restarts: int = 100, seed: int = 0):
-    """Comass of a covector: sup of the pairing over simple unit r-vectors.
+def _skew(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """The skew matrices A (m, n, n) of 2-covector coefficient rows
+    (m, C(n, 2)), with <omega, u ^ v> = u^T A v."""
+    i, j = np.array(multi_indices(2, n)).T
+    a = np.zeros((len(coeffs), n, n))
+    a[:, i, j] = coeffs
+    a[:, j, i] = -coeffs
+    return a
 
-    Exact (Euclidean norm) for r in {0, 1, n-1, n}; projected gradient
-    ascent over orthonormal r-frames with random restarts otherwise, on
-    omega scaled by a power of two to max|coefficient| in [1, 2), so the
-    ascent's absolute tolerances read the same at any scale.
-    Returns (value, witness) where witness is a maximizing simple r-vector.
+
+def _as_two_covectors(coeffs: np.ndarray, r: int, n: int) -> np.ndarray:
+    """2-covector rows of equal comass: the rows themselves at r = 2, their
+    complements omega~_ij = sgn(lam, i, j) omega_lam at r = n-2."""
+    if r == 2:
+        return coeffs
+    ranks, signs = _complement_table(n)
+    return signs * coeffs[:, ranks]
+
+
+def _comass_rows(coeffs: np.ndarray, r: int, n: int) -> np.ndarray:
+    """The comass of each row of r-covector coefficients (m, C(n, r)),
+    shape (m,).
+
+    - r in {0, 1, n-1, n}: every r-vector is simple, and the comass is
+      the Euclidean norm.
+    - r = 2: the normal form sum_k lambda_k e^(2k-1) ^ e^(2k) gives
+      max |lambda_k|, the largest singular value of the skew matrix.
+    - r = n-2: the same on the complement covector, since the Hodge star
+      maps simple unit (n-2)-vectors onto simple unit 2-vectors.
+    - 3 <= r <= n-3 (n >= 6): the Euclidean norm, an upper bound for the
+      comass (Federer 1.8.1), not the comass.
     """
+    if r in (0, 1, n - 1, n) or r not in (2, n - 2):
+        return np.linalg.norm(coeffs, axis=1)
+    two = _as_two_covectors(coeffs, r, n)
+    return np.linalg.svd(_skew(two, n), compute_uv=False)[:, 0]
+
+
+def comass(omega: CoVector):
+    """Comass of a covector: sup of the pairing over simple unit r-vectors,
+    by `_comass_rows`.  Returns (value, witness), with witness a simple unit
+    r-vector that attains it: omega over its norm at r in {0, 1, n-1, n},
+    u ^ v from the skew matrix's top singular pair at r = 2, and its Hodge
+    star at r = n-2.  A ValueError at 3 <= r <= n-3, where
+    `_comass_rows` has only an upper bound."""
     r, n = omega.degree, omega.ambient
-    if r in (0, 1, n - 1, n):
-        val = float(np.linalg.norm(omega.coefficients))
-        if val == 0.0:
-            return 0.0, MultiVector.zero(r, n)
-        # every r-vector in R^n is simple for these r
-        return val, MultiVector(r, n, omega.coefficients / val)
-    if not np.any(omega.coefficients):
+    if 3 <= r <= n - 3:
+        raise ValueError(f"no exact comass of a {r}-covector in R^{n}: at "
+                         f"3 <= r <= n-3 only the Euclidean upper bound is "
+                         f"known")
+    coeffs = omega.coefficients
+    val = float(_comass_rows(coeffs[None], r, n)[0])
+    if val == 0.0:
         return 0.0, MultiVector.zero(r, n)
-    k = binary_exponent(omega.coefficients)
-    unit = CoVector(r, n, np.ldexp(omega.coefficients, -k))
-    rng = np.random.default_rng(seed)
-    best_val, best_q = -np.inf, None
-    for _ in range(restarts):
-        frame = rng.standard_normal((n, r))
-        val, q = _ascent_from(unit, frame)
-        if val > best_val:
-            best_val, best_q = val, q
-    return float(np.ldexp(best_val, k)), frame_to_multivector(best_q)
+    if r in (0, 1, n - 1, n):
+        return val, MultiVector(r, n, coeffs / val)
+    u, _, vt = np.linalg.svd(_skew(_as_two_covectors(coeffs[None], r, n),
+                                   n)[0])
+    eta = wedge_rows(np.stack([u[:, 0], vt[0]])[None])[0]
+    if r == 2:
+        return val, MultiVector(2, n, eta)
+    ranks, signs = _complement_table(n)
+    xi = np.empty_like(eta)
+    xi[ranks] = signs * eta
+    return val, MultiVector(r, n, xi)

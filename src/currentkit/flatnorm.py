@@ -47,7 +47,6 @@ from .forms import (Box, _flat_given_comass, _sharp_given_comass,
                     seminorm_comass)
 
 __all__ = [
-    "lp_solve",
     "flat_norm_lp",
     "lower_bounds",
     "dual_flat_lower_bound",

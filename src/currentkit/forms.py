@@ -14,8 +14,8 @@ from math import comb
 
 import numpy as np
 
-from .exterior import (CoVector, _contract_terms, _wedge_terms, basis_rank,
-                       contract_rows, multi_indices)
+from .exterior import (CoVector, _comass_rows, _contract_terms, _wedge_terms,
+                       basis_rank, contract_rows, multi_indices)
 from .polynomial import Polynomial, _real_array
 from .quadrature import _check_size, _read_only, _shown, _whole_number
 
@@ -34,7 +34,6 @@ __all__ = [
     "seminorm_sharp",
     "form_lipschitz",
     "Cochain",
-    "time_slice_contract",
 ]
 
 _MAX_ALL_PAIR_POINTS = 1500
@@ -507,12 +506,12 @@ def _check_box(box: Box, ambient: int):
 
 
 def seminorm_comass(phi: FormField, box: Box) -> float:
-    """Grid max of the Euclidean norm |phi(x)|: the K-comass seminorm at
-    degrees 0, 1, n-1 and n, an upper bound for it between (Federer
-    1.8.1)."""
+    """Grid max of the comass of phi(x) by `exterior._comass_rows`: the
+    K-comass seminorm sampled on the grid, with the Euclidean upper bound
+    in its place at 3 <= r <= n-3."""
     _check_box(box, phi.ambient)
     coeffs = phi.coefficients_at(box.grid())
-    return float(np.max(np.linalg.norm(coeffs, axis=1)))
+    return float(np.max(_comass_rows(coeffs, phi.degree, phi.ambient)))
 
 
 def seminorm_flat(phi: FormField, box: Box) -> float:
@@ -609,24 +608,3 @@ class Cochain:
                          polys=[p.diff(0).substitute_first(t)
                                 for p in self.polys])
 
-
-def time_slice_contract(omega: FormField, t: float) -> FormField:
-    """For omega of degree r+1 on R x R^n (slot 0 is time), return the
-    spatial r-form (omega(t, .) -| e_t).
-
-    The (r+1)-indices that begin with time are the first C(n, r) in
-    lexicographic order, and their spatial tails are the r-indices of R^n
-    in order; e_t in the front slot gives each of them the sign +1, and
-    every other term has no dt and vanishes.  So the slice keeps the first
-    C(n, r) coefficients, at time t.  No subcommand calls it: the tests'
-    product-current oracle is built on it."""
-    if omega.degree < 1:
-        raise ValueError("cannot contract a 0-form")
-    n, r = omega.ambient - 1, omega.degree - 1
-    keep = comb(n, r)
-    if omega.is_polynomial:
-        return FormField(r, n, polys=[p.substitute_first(t)
-                                      for p in omega.polys[:keep]])
-    return FormField.from_callable(
-        n, r, lambda x, omega=omega, t=t: omega.coefficients_at(
-            np.column_stack([np.full(len(x), t), x]))[:, :keep])

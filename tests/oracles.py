@@ -1,8 +1,9 @@
 """Reference computations the tests compare the library against: an
 independent transport-derivative pipeline, a Lagrangian FD pipeline, a
 Richardson error estimate, interval quadrature with an error estimate, the
-product-current evaluation, the strong-Lipschitz distance, kernel
-mollification, the per-point evaluators of the sampled contraction,
+time-slice contraction and the product-current evaluation built on it,
+the strong-Lipschitz distance, kernel mollification, the per-point
+evaluators of the sampled contraction,
 exterior derivative and pullback, the tuple and dict loops that build
 permutation signs, the wedge sign table, the Kuhn children and the
 Freudenthal complex one simplex at a time, the network simplex on
@@ -29,7 +30,7 @@ from currentkit.exterior import multi_indices
 from currentkit.forms import (AffineMap, Box, FormField, VectorField,
                               contract, exterior_derivative, lie_derivative,
                               pullback, seminorm_comass, seminorm_flat,
-                              seminorm_sharp, time_slice_contract)
+                              seminorm_sharp)
 from currentkit.lipschitz import LipMap, lipschitz_constant
 from currentkit.motion import Cochain, Motion, velocity_field
 from currentkit.polynomial import Polynomial
@@ -83,6 +84,27 @@ def adaptive_interval(f, a: float, b: float, tol: float = 1e-9,
             return cur, err
         prev = cur
     return prev, abs(cur - prev) if panels > 2 else 0.0
+
+
+def time_slice_contract(omega: FormField, t: float) -> FormField:
+    """For omega of degree r+1 on R x R^n (slot 0 is time), return the
+    spatial r-form (omega(t, .) -| e_t).
+
+    The (r+1)-indices that begin with time are the first C(n, r) in
+    lexicographic order, and their spatial tails are the r-indices of R^n
+    in order; e_t in the front slot gives each of them the sign +1, and
+    every other term has no dt and vanishes.  So the slice keeps the first
+    C(n, r) coefficients, at time t."""
+    if omega.degree < 1:
+        raise ValueError("cannot contract a 0-form")
+    n, r = omega.ambient - 1, omega.degree - 1
+    keep = comb(n, r)
+    if omega.is_polynomial:
+        return FormField(r, n, polys=[p.substitute_first(t)
+                                      for p in omega.polys[:keep]])
+    return FormField.from_callable(
+        n, r, lambda x, omega=omega, t=t: omega.coefficients_at(
+            np.column_stack([np.full(len(x), t), x]))[:, :keep])
 
 
 def interval_product_evaluate(interval, T: Chain, omega: FormField,

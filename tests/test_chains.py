@@ -229,8 +229,13 @@ class TestCurrentAlgebra:
 
     def test_mixed_degree_sum_raises(self):
         sq = unit_square_chain()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mixed degrees"):
             Sum([Leaf(sq), Boundary(Leaf(sq))])
+
+    def test_empty_sum_raises(self):
+        with pytest.raises(ValueError,
+                           match="^an empty sum of currents has no degree$"):
+            Sum([])
 
 
 class TestFiniteInput:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from currentkit.exterior import (CoVector, MultiVector, _wedge_terms,
-                                 basis_rank, comass, contract_rows,
+from currentkit.exterior import (CoVector, MultiVector, _comass_rows,
+                                 _skew, _wedge_terms, basis_rank, comass,
+                                 contract_rows,
                                  frame_to_multivector, mass, multi_indices,
                                  pair, sort_parity, wedge, wedge_rows)
 from oracles import perm_sign, wedge_terms
@@ -167,22 +168,22 @@ class TestMassComass:
     def test_comass_simple_form_middle_degree(self):
         # dx0^dx1 in R^4 is simple: comass 1
         omega = CoVector.dx((0, 1), 4)
-        value, witness = comass(omega, restarts=20, seed=0)
-        assert value == pytest.approx(1.0, abs=1e-7)
-        assert pair(omega, witness) == pytest.approx(value, abs=1e-7)
+        value, witness = comass(omega)
+        assert value == pytest.approx(1.0, rel=1e-15)
+        assert pair(omega, witness) == pytest.approx(value, rel=1e-15)
 
     def test_comass_nonsimple_form(self):
         # dx0^dx1 + dx2^dx3 in R^4: comass 1, mass sqrt(2)
         omega = (CoVector.dx((0, 1), 4) + CoVector.dx((2, 3), 4))
-        value, _ = comass(omega, restarts=40, seed=0)
-        assert value == pytest.approx(1.0, abs=1e-6)
+        value, _ = comass(omega)
+        assert value == 1.0
         assert mass(omega) == pytest.approx(np.sqrt(2.0))
 
     def test_comass_witness_attains(self):
         rng = np.random.default_rng(9)
         omega = _rand_cov(2, 4, rng)
-        value, witness = comass(omega, restarts=40, seed=3)
-        assert pair(omega, witness) == pytest.approx(value, rel=1e-6)
+        value, witness = comass(omega)
+        assert pair(omega, witness) == pytest.approx(value, rel=1e-12)
         assert value <= mass(omega) + 1e-9
 
     def test_comass_degree_zero(self):
@@ -195,15 +196,51 @@ class TestMassComass:
         # coefficients are far below 1e-8; the witness stays a unit
         # simple 2-vector
         omega = _rand_cov(2, 4, np.random.default_rng(5))
-        unit, _ = comass(omega, restarts=10)
+        unit, _ = comass(omega)
         for s in (1e-13, 1e-11, 1e-9, 1e-8, 1e-3, 1e4, 1e8):
-            value, witness = comass(omega * s, restarts=10)
+            value, witness = comass(omega * s)
             assert value == pytest.approx(s * unit, rel=1e-12)
             assert mass(witness) == pytest.approx(1.0, abs=1e-12)
             assert pair(omega * s, witness) == pytest.approx(value,
                                                              rel=1e-12)
         zero, witness = comass(omega * 0.0)
         assert zero == 0.0 and not np.any(witness.coefficients)
+
+    @pytest.mark.parametrize("n, r", [(4, 2), (5, 2), (5, 3), (6, 2),
+                                      (6, 4)])
+    def test_comass_is_exact(self, n, r):
+        # for 50 random covectors: the witness is a unit simple r-vector
+        # that attains the value, and no sampled orthonormal frame beats it
+        rng = np.random.default_rng(10 * n + r)
+        frames = np.linalg.qr(rng.standard_normal((400, n, r)))[0]
+        simple = wedge_rows(np.swapaxes(frames, 1, 2))
+        basis = np.eye(n)
+        for _ in range(50):
+            omega = _rand_cov(r, n, rng)
+            value, witness = comass(omega)
+            assert pair(omega, witness) == pytest.approx(value, rel=1e-12)
+            # v -> v ^ xi has singular values 1 (n-r times) and 0 (r times)
+            # exactly when xi is a unit simple r-vector
+            wedges = np.array([wedge(MultiVector.from_vector(e),
+                                     witness).coefficients for e in basis])
+            np.testing.assert_allclose(
+                np.linalg.svd(wedges, compute_uv=False),
+                [1.0] * (n - r) + [0.0] * r, rtol=0, atol=1e-12)
+            assert np.max(np.abs(simple @ omega.coefficients)) <= value * (
+                1.0 + 1e-12)
+            if r == 2:
+                top = np.max(np.abs(np.linalg.eigvals(
+                    _skew(omega.coefficients[None], n)[0]).imag))
+                assert value == pytest.approx(top, rel=1e-12)
+
+    @pytest.mark.parametrize("n, r", [(6, 3), (7, 3), (7, 4)])
+    def test_comass_raises_between_the_closed_forms(self, n, r):
+        # at 3 <= r <= n-3 no witness attains the Euclidean upper bound
+        omega = _rand_cov(r, n, np.random.default_rng(n + r))
+        with pytest.raises(ValueError, match=f"{r}-covector in R\\^{n}"):
+            comass(omega)
+        rows = _comass_rows(omega.coefficients[None], r, n)
+        assert rows[0] == np.linalg.norm(omega.coefficients)
 
 
 class TestFrames:

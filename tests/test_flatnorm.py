@@ -1,5 +1,6 @@
 """LP solver, simplicial complexes, the flat norm and the norm ladder."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -112,6 +113,27 @@ class TestComplex:
         with pytest.raises(ValueError, match=message):
             freudenthal_complex((0.0,) * dim, (1.0,) * dim, resolution)
         assert freudenthal_complex((0, 0), (1, 1), 1).n_simplices(2) == 2
+
+    def test_reversed_bounds_rejected(self):
+        # unchecked, [1, 0] to [0, 1] built a complex whose full chain
+        # read dx^dy as -1, and equal bounds gave NaN lattice steps
+        for lower, upper in (([1, 0], [0, 1]), ([0, 0], [0, 1])):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"lower < upper on every axis, got {lower!r} and "
+                    f"{upper!r}")):
+                freudenthal_complex(lower, upper, 2)
+
+    def test_non_finite_bounds_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "bounds must be finite, got (0.0, nan) and (1.0, 1.0)")):
+            freudenthal_complex((0.0, np.nan), (1.0, 1.0), 2)
+
+    def test_bounds_of_unequal_length_rejected(self):
+        # unchecked, numpy's broadcast message
+        with pytest.raises(ValueError, match=re.escape(
+                "one number per axis, as many in each, got (0, 0) and "
+                "(1, 1, 1)")):
+            freudenthal_complex((0, 0), (1, 1, 1), 2)
 
     def test_boundary_matrix_squares_to_zero(self):
         comp = freudenthal_complex((0, 0), (1, 1), 2)
