@@ -67,6 +67,15 @@ def binary_exponent(values) -> int:
     return int(np.frexp(top)[1]) - 1 if top else 0
 
 
+def _euclidean(values: np.ndarray, axis=None):
+    """np.linalg.norm(values, axis=axis), taken on values * 2**-k for k =
+    `binary_exponent(values)` and scaled back by 2**k, so that no square
+    underflows or overflows at any scale.  Where every square is a normal
+    float with or without the scaling, the bits are np.linalg.norm's."""
+    k = binary_exponent(values)
+    return np.ldexp(np.linalg.norm(np.ldexp(values, -k), axis=axis), k)
+
+
 @dataclass(frozen=True)
 class MultiVector:
     """Degree-r exterior vector over R^n with dense coefficients."""
@@ -128,7 +137,7 @@ class MultiVector:
             )
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
+        return float(_euclidean(self.coefficients))
 
 
 class CoVector(MultiVector):
@@ -209,7 +218,9 @@ def pair(omega: CoVector, xi: MultiVector) -> float:
 
 
 def mass(xi: MultiVector) -> float:
-    """Euclidean norm of the coefficient vector."""
+    """The Euclidean norm |xi| of the coefficient vector.  That is the
+    mass of Federer 1.8.1 only for simple xi, which every chain's tangent
+    is: for e0^e1 + e2^e3 in R^4 it reads sqrt(2), where the mass is 2."""
     return xi.norm()
 
 
@@ -278,7 +289,7 @@ def _comass_rows(coeffs: np.ndarray, r: int, n: int) -> np.ndarray:
     shape (m,).
 
     - r in {0, 1, n-1, n}: every r-vector is simple, and the comass is
-      the Euclidean norm.
+      the Euclidean norm (`_euclidean`, at any scale).
     - r = 2: the normal form sum_k lambda_k e^(2k-1) ^ e^(2k) gives
       max |lambda_k|, the largest singular value of the skew matrix.
     - r = n-2: the same on the complement covector, since the Hodge star
@@ -287,7 +298,7 @@ def _comass_rows(coeffs: np.ndarray, r: int, n: int) -> np.ndarray:
       comass (Federer 1.8.1), not the comass.
     """
     if r in (0, 1, n - 1, n) or r not in (2, n - 2):
-        return np.linalg.norm(coeffs, axis=1)
+        return _euclidean(coeffs, axis=1)
     two = _as_two_covectors(coeffs, r, n)
     return np.linalg.svd(_skew(two, n), compute_uv=False)[:, 0]
 

@@ -28,10 +28,9 @@ Every case reports value = M(R) + M(S).
 
 The norm ladder bounds the flat and sharp norms of any current from below
 by max(0, max over a test family of T(phi) / s(phi)), with s the sampled
-flat or sharp seminorm (`forms.seminorm_flat`, `forms.seminorm_sharp`).
-`lower_bounds` gives both rungs from one pass over the family: each form
-is evaluated on T once and its comass seminorm, which both seminorms
-share, is computed once.
+flat or sharp seminorm.  Each seminorm has one definition,
+`forms.seminorm_flat` and `forms.seminorm_sharp`, and every rung reads
+it.  `lower_bounds` gives both rungs with each form evaluated on T once.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ import numpy as np
 from .chains import Chain, Current, Leaf, evaluate, face_rows
 from .complexes import SimplicialComplex, _lookup
 from .exterior import binary_exponent
-from .forms import (Box, _flat_given_comass, _sharp_given_comass,
-                    seminorm_comass)
+from .forms import Box, seminorm_flat, seminorm_sharp
 
 __all__ = [
     "flat_norm_lp",
@@ -489,36 +487,29 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
             complex_.simplex_chain(r, r_coeff), info)
 
 
-def _ladder(T: Current, family, box: Box, kinds) -> list:
-    """For each seminorm s named in `kinds` ("flat", "sharp"), max(0, max
-    over phi in the family of T(phi) / s(phi)), in one pass over the
-    family: each form is evaluated on T once, all of them before any
-    seminorm and on one Leaf, which builds a chain's geometry once; and
-    each form's comass seminorm, which both seminorms take the max with,
-    is computed once.  An empty family, and a form with a vanishing
-    seminorm, raise a ValueError."""
+def _pairings(T: Current, family) -> list:
+    """T(phi) for each form of the family, all on one Leaf, which builds a
+    chain's geometry once.  An empty family raises a ValueError."""
     if not family:
         raise ValueError("empty test family")
     leaf = Leaf(T) if isinstance(T, Chain) else T
-    values = [evaluate(leaf, phi) for phi in family]
-    best = [0.0] * len(kinds)
-    for phi, value in zip(family, values):
-        sup = seminorm_comass(phi, box)
-        denoms = []
-        for kind in kinds:
-            denom = (_flat_given_comass(phi, sup, box) if kind == "flat"
-                     else _sharp_given_comass(phi, sup, box))
-            if denom <= 0.0:
-                raise ValueError(f"test form with vanishing {kind} seminorm")
-            denoms.append(denom)
-        best = [max(b, value / denom) for b, denom in zip(best, denoms)]
-    return best
+    return [evaluate(leaf, phi) for phi in family]
+
+
+def _ratio(value: float, denom: float, name: str) -> float:
+    """value / denom, with a ValueError for a vanishing `name` seminorm."""
+    if denom <= 0.0:
+        raise ValueError(f"test form with vanishing {name} seminorm")
+    return value / denom
 
 
 def lower_bounds(T: Current, family, box: Box) -> tuple:
     """(`dual_flat_lower_bound`, `sharp_lower_bound`) of T on the same
-    family and grid, from one pass over the family."""
-    flat, sharp = _ladder(T, family, box, ("flat", "sharp"))
+    family and grid, with each form evaluated on T once."""
+    flat = sharp = 0.0
+    for phi, value in zip(family, _pairings(T, family)):
+        flat = max(flat, _ratio(value, seminorm_flat(phi, box), "flat"))
+        sharp = max(sharp, _ratio(value, seminorm_sharp(phi, box), "sharp"))
     return flat, sharp
 
 
@@ -527,8 +518,11 @@ def dual_flat_lower_bound(T: Current, family, box: Box) -> float:
     whose T(phi) are all <= 0 gives 0: an estimate of a lower bound for
     the K-flat norm of T, not a certified one.  F_K is a sup sampled on
     the box grid, which can fall short of the true sup, so the ratio can
-    exceed the bound it estimates."""
-    flat, = _ladder(T, family, box, ("flat",))
+    exceed the bound it estimates.  An empty family, and a form with
+    F_K(phi) = 0, raise a ValueError."""
+    flat = 0.0
+    for phi, value in zip(family, _pairings(T, family)):
+        flat = max(flat, _ratio(value, seminorm_flat(phi, box), "flat"))
     return flat
 
 
@@ -539,5 +533,7 @@ def sharp_lower_bound(T: Current, family, box: Box) -> float:
     the sampled ones, so it can exceed the flat estimate on the same
     family and grid: a 0-form's grid difference quotients can all fall
     below its largest gradient at a grid point."""
-    sharp, = _ladder(T, family, box, ("sharp",))
+    sharp = 0.0
+    for phi, value in zip(family, _pairings(T, family)):
+        sharp = max(sharp, _ratio(value, seminorm_sharp(phi, box), "sharp"))
     return sharp

@@ -516,11 +516,7 @@ def seminorm_comass(phi: FormField, box: Box) -> float:
 
 def seminorm_flat(phi: FormField, box: Box) -> float:
     """max of the comass seminorms of phi and d(phi)."""
-    return _flat_given_comass(phi, seminorm_comass(phi, box), box)
-
-
-def _flat_given_comass(phi: FormField, sup: float, box: Box) -> float:
-    """`seminorm_flat` of phi, whose comass seminorm is `sup`."""
+    sup = seminorm_comass(phi, box)
     if phi.degree < phi.ambient:
         return max(sup, seminorm_comass(exterior_derivative(phi), box))
     return sup
@@ -573,12 +569,8 @@ def form_lipschitz(phi: FormField, box: Box) -> float:
 
 def seminorm_sharp(phi: FormField, box: Box) -> float:
     """max of the sup-comass and (r+1) times the Lipschitz constant."""
-    return _sharp_given_comass(phi, seminorm_comass(phi, box), box)
-
-
-def _sharp_given_comass(phi: FormField, sup: float, box: Box) -> float:
-    """`seminorm_sharp` of phi, whose comass seminorm is `sup`."""
-    return max(sup, (phi.degree + 1) * form_lipschitz(phi, box))
+    return max(seminorm_comass(phi, box),
+               (phi.degree + 1) * form_lipschitz(phi, box))
 
 
 # ----------------------------------------------------------------------

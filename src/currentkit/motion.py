@@ -216,11 +216,11 @@ def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
 # the transport derivative and its oracles
 # ----------------------------------------------------------------------
 
-def _transport_terms(m: Motion, T: Chain, work: Chain, psi: Cochain,
-                     tau: float, levels: int):
+def _transport_terms(m: Motion, T: Chain, psi: Cochain, tau: float,
+                     levels: int):
     """(psi_dot(kappa_tau# T), the transport derivative), the second
-    summed from the first as `transport_derivative` states it, on `work`
-    = T.subdivided(levels).  bnd(T) and its subdivision are formed once
+    summed from the first as `transport_derivative` states it, on
+    T.subdivided(levels).  bnd(T) and each subdivision are formed once
     per chain object (`boundary`, `Chain.subdivided`)."""
     m.check_time(tau)
     v = velocity_field(m, tau)
@@ -229,7 +229,7 @@ def _transport_terms(m: Motion, T: Chain, work: Chain, psi: Cochain,
     # bnd(v wedge pushed) acts on phi through d(phi) -| v
     if T.degree + 1 <= T.ambient:
         forms.append([contract(exterior_derivative(phi), v)])
-    values = _pushed_values(m, work, [tau], forms)
+    values = _pushed_values(m, T.subdivided(levels), [tau], forms)
     total = values[0][0]
     if len(values) > 1:
         total += values[1][0]
@@ -249,8 +249,7 @@ def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
     The wedge term vanishes identically when T has top degree.  Both
     terms on kappa_tau# T come from one push (`_pushed_values`), and so
     does the term on the pushed boundary."""
-    return _transport_terms(m, T, T.subdivided(levels), psi, tau,
-                            levels)[1]
+    return _transport_terms(m, T, psi, tau, levels)[1]
 
 
 def transport_derivative_fd(m: Motion, T: Chain, psi: Cochain, tau: float,
@@ -307,13 +306,12 @@ def classical_reynolds(m: Motion, T: Chain, density: Cochain,
     vol_index = tuple(range(n))
     psi = Cochain(n, n, {vol_index: density.polys[0]})
     # the volume term is the transport derivative's psi_dot term
-    work = T.subdivided(levels)
-    volume_term, lhs = _transport_terms(m, T, work, psi, tau, levels)
+    volume_term, lhs = _transport_terms(m, T, psi, tau, levels)
 
     # the faces of T's subdivision, mapped as one table; all faces and
     # points at once, the terms summed face by face, point by point, from
     # 0.0
-    faces = boundary(work)
+    faces = boundary(T.subdivided(levels))
     verts = m.images([tau], faces.table)[0][faces.ids]
     mults = faces.mults
     tangents, lengths, degenerate = _edge_wedges(verts)
@@ -482,7 +480,7 @@ _KINDS = {
              lambda a, n: a.shape == () and a in range(n)),
 }
 
-# each family: its parameters, with their kinds and defaults (a vector's
+# each family: its parameters, each with its kind and default (a vector's
 # default is a function of the ambient dimension), which make_motion and
 # scenario files take and no others; and its statement, which takes the
 # ambient dimension, the interval and the parameters in force, keeps the

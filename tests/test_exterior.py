@@ -173,7 +173,8 @@ class TestMassComass:
         assert pair(omega, witness) == pytest.approx(value, rel=1e-15)
 
     def test_comass_nonsimple_form(self):
-        # dx0^dx1 + dx2^dx3 in R^4: comass 1, mass sqrt(2)
+        # dx0^dx1 + dx2^dx3 in R^4: comass 1, Euclidean norm sqrt(2); the
+        # mass of the non-simple e0^e1 + e2^e3 is 2, and `mass` reads sqrt(2)
         omega = (CoVector.dx((0, 1), 4) + CoVector.dx((2, 3), 4))
         value, _ = comass(omega)
         assert value == 1.0
@@ -192,19 +193,23 @@ class TestMassComass:
         assert value == pytest.approx(4.0)
 
     def test_comass_is_scale_free(self):
-        # comass(s omega) = s comass(omega) at any s, including where the
-        # coefficients are far below 1e-8; the witness stays a unit
-        # simple 2-vector
-        omega = _rand_cov(2, 4, np.random.default_rng(5))
-        unit, _ = comass(omega)
-        for s in (1e-13, 1e-11, 1e-9, 1e-8, 1e-3, 1e4, 1e8):
-            value, witness = comass(omega * s)
-            assert value == pytest.approx(s * unit, rel=1e-12)
-            assert mass(witness) == pytest.approx(1.0, abs=1e-12)
-            assert pair(omega * s, witness) == pytest.approx(value,
-                                                             rel=1e-12)
-        zero, witness = comass(omega * 0.0)
-        assert zero == 0.0 and not np.any(witness.coefficients)
+        # comass(s omega) = s comass(omega) and |s omega| = s |omega| at any
+        # s, including where every square under- or overflows; the witness
+        # stays a unit simple r-vector
+        for n, r in ((4, 2), (3, 1), (3, 2), (2, 0)):
+            omega = _rand_cov(r, n, np.random.default_rng(5))
+            unit, _ = comass(omega)
+            for s in (1e-200, 1e-13, 1e-11, 1e-9, 1e-8, 1e-3, 1e4, 1e8,
+                      1e200):
+                value, witness = comass(omega * s)
+                assert value == pytest.approx(s * unit, rel=1e-12)
+                assert mass(omega * s) == pytest.approx(s * mass(omega),
+                                                        rel=1e-12)
+                assert mass(witness) == pytest.approx(1.0, abs=1e-12)
+                assert pair(omega * s, witness) == pytest.approx(value,
+                                                                 rel=1e-12)
+            zero, witness = comass(omega * 0.0)
+            assert zero == 0.0 and not np.any(witness.coefficients)
 
     @pytest.mark.parametrize("n, r", [(4, 2), (5, 2), (5, 3), (6, 2),
                                       (6, 4)])

@@ -827,10 +827,11 @@ def _ladder_case(n, r, seed, scale=1.0, resolution=4):
 
 
 class TestOnePassLadder:
-    """`lower_bounds` takes both rungs of the norm ladder in one pass over
-    the family, and `dual_flat_lower_bound` and `sharp_lower_bound` go
-    through the same loop: each equals, bit for bit, its own pass with the
-    whole seminorm per form (`oracles.lower_bound_by_seminorm`)."""
+    """`lower_bounds` takes both rungs of the norm ladder with each form
+    evaluated on T once, and `dual_flat_lower_bound` and
+    `sharp_lower_bound` take one rung each, all from `forms.seminorm_flat`
+    and `forms.seminorm_sharp`: each equals, bit for bit, its own pass
+    with the whole seminorm per form (`oracles.lower_bound_by_seminorm`)."""
 
     @staticmethod
     def _check(T, family, box):
@@ -907,12 +908,32 @@ class TestOnePassLadder:
                                                  "sharp seminorm$"):
                 bound(T, bump, box)
 
+    @pytest.mark.parametrize("name, bound, index",
+                             [("seminorm_flat", dual_flat_lower_bound, 0),
+                              ("seminorm_sharp", sharp_lower_bound, 1)])
+    def test_each_rung_reads_its_seminorm(self, monkeypatch, name, bound,
+                                          index):
+        # a seminorm read as twice its value halves its rung exactly, in
+        # `lower_bounds` and in the one-rung function, and leaves the other
+        # rung as it was
+        T, family, box = _ladder_case(2, 1, 5)
+        before = lower_bounds(T, family, box)
+        assert before[index] > 0.0
+        true = getattr(flatnorm, name)
+        monkeypatch.setattr(flatnorm, name,
+                            lambda phi, box: 2.0 * true(phi, box))
+        after = lower_bounds(T, family, box)
+        assert after[index] == before[index] / 2.0
+        assert after[1 - index] == before[1 - index]
+        assert bound(T, family, box) == before[index] / 2.0
+
     def test_flatnorm_command_takes_each_form_once(self, monkeypatch,
                                                    tmp_path):
-        # per test form: one evaluation on T, one comass seminorm of the
-        # form and one of its exterior derivative, below top degree; one
-        # ladder per distinct chain, since the bundled scenarios share
-        # the seed, box and resolution
+        # per test form: one evaluation on T; the comass seminorm of the
+        # form once in each seminorm, and of its exterior derivative once
+        # in the flat one, below top degree; one ladder per distinct
+        # chain, since the bundled scenarios share the seed, box and
+        # resolution
         calls = Counter()
 
         def counted(name, fn):
@@ -923,9 +944,8 @@ class TestOnePassLadder:
 
         monkeypatch.setattr(flatnorm, "evaluate",
                             counted("evaluate", flatnorm.evaluate))
-        comass = counted("comass", forms.seminorm_comass)
-        monkeypatch.setattr(flatnorm, "seminorm_comass", comass)
-        monkeypatch.setattr(forms, "seminorm_comass", comass)
+        monkeypatch.setattr(forms, "seminorm_comass",
+                            counted("comass", forms.seminorm_comass))
         monkeypatch.setattr(forms, "exterior_derivative",
                             counted("d", forms.exterior_derivative))
         assert main(["flatnorm", "--out", str(tmp_path)]) == 0
@@ -935,5 +955,5 @@ class TestOnePassLadder:
         assert len(degrees) == 2
         below_top = sum(r < n for r, n in degrees)
         assert calls == {"evaluate": 4 * len(degrees),
-                         "comass": 4 * (len(degrees) + below_top),
+                         "comass": 4 * (2 * len(degrees) + below_top),
                          "d": 4 * below_top}

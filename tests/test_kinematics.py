@@ -370,18 +370,21 @@ class TestClassicalReynolds:
     def test_subdivides_the_chain_once(self, monkeypatch):
         # the flux faces are the boundary of the subdivision that the
         # transport derivative pushes: T and its boundary are subdivided
-        # once each
-        calls, subdivided = [], Chain.subdivided
+        # once each.  A repeat call returns the subdivision already built,
+        # so each distinct chain returned is one build
+        built, subdivided = {}, Chain.subdivided
 
         def counted(chain, levels=1):
-            calls.append((len(chain), levels))
-            return subdivided(chain, levels)
+            work = subdivided(chain, levels)
+            built[id(work)] = (work, (len(chain), levels))
+            return work
 
         monkeypatch.setattr(Chain, "subdivided", counted)
         m = make_motion("expansion", interval=(-0.5, 1.0))
         density = Cochain(2, 0, {(): _area_cochain().polys[0]})
         classical_reynolds(m, SQ, density, 0.3, 4)
-        assert sorted(calls) == [(len(SQ), 4), (len(BSQ), 4)]
+        assert sorted(key for _, key in built.values()) == [(len(SQ), 4),
+                                                            (len(BSQ), 4)]
 
     @pytest.mark.parametrize("tau", [0.0, 0.3])
     @pytest.mark.parametrize("order, sign", [([0, 1, 2, 3], 1.0),
