@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +38,10 @@ __all__ = [
 _DEGENERACY_TOL = 1e-13
 _CANCEL_TOL = 1e-12
 
-# the chains derived from a chain, kept off it and keyed by the chain
-# object: its boundary under "boundary" and the last subdivision asked,
-# as (levels, chain), under "subdivided"; an entry goes when its chain goes
+# what is derived from a chain, kept off it and keyed by the chain object:
+# its boundary under "boundary", the last subdivision asked, as (levels,
+# chain), under "subdivided", and its quadrature geometry at order s under
+# ("geometry", s); an entry goes when its chain goes
 _DERIVED = weakref.WeakKeyDictionary()
 
 
@@ -138,7 +139,18 @@ def vertex_table(points: np.ndarray):
     return points[first], ids
 
 
-class Chain:
+class Current:
+    """A current: a `Chain`, or an expression built on chains; evaluation
+    is linear in the form."""
+
+    degree: int
+    ambient: int
+
+    def __call__(self, phi: FormField) -> float:
+        return evaluate(self, phi)
+
+
+class Chain(Current):
     """Simplicial r-chain with real multiplicities.
 
     A chain is three read-only arrays: `table`, its distinct vertices
@@ -149,9 +161,11 @@ class Chain:
     Coordinates are compared only where a table is built (`vertex_table`);
     boundary, simplify and subdivision work on ids, and every other form
     (`stacked`, JSON) is derived; `degree` and `ambient` are read off the
-    arrays.  The chains derived from a chain, its boundary and its last
-    subdivision asked, live in a weak side table keyed by the chain
-    object, not on the chain, and go with it.
+    arrays.  A chain is a `Current`: T(phi), `evaluate` and the
+    expressions `Boundary`, `VWedge` and `Sum` take it as it stands.  What
+    is derived from a chain, its boundary, its last subdivision asked and
+    its quadrature geometry per order, lives in a weak side table keyed
+    by the chain object, not on the chain, and goes with it.
     Mass equals the multiplicity-weighted volume; exact when the
     simplices have disjoint interiors, otherwise only an upper bound.
     """
@@ -376,43 +390,17 @@ class Chain:
 # current expression algebra
 # ----------------------------------------------------------------------
 
-class Current:
-    """Abstract current expression; evaluation is linear in the form."""
-
-    degree: int
-    ambient: int
-
-    def __call__(self, phi: FormField) -> float:
-        return evaluate(self, phi)
-
-
 @dataclass
 class Leaf(Current):
-    """A chain as a current expression.  After its first evaluation at an
-    `s_order` the Leaf keeps its chain's geometry (`simplex_geometry`) at
-    that order, for the chain object it was built from: evaluating one
-    Leaf against many forms builds the geometry once, and rebinding
-    `chain` starts afresh."""
+    """A chain wrapped as a current expression, which `evaluate` and
+    `boundary` read as the chain itself.  A chain is a `Current`, so no
+    expression needs one; its degree and ambient dimension are read from
+    `chain` when asked."""
 
     chain: Chain
-    _geometry: tuple = field(default=(None, None), init=False, repr=False,
-                             compare=False)
 
-    def __post_init__(self):
-        self.degree = self.chain.degree
-        self.ambient = self.chain.ambient
-
-    def _evaluate(self, phi: FormField, s_order: int) -> float:
-        chain, memo = self._geometry
-        if chain is not self.chain:
-            chain, memo = self.chain, {}
-            self._geometry = chain, memo
-        _check_forms([phi], chain.degree, chain.ambient)
-        if not len(chain):
-            return 0.0
-        if s_order not in memo:
-            memo[s_order] = simplex_geometry(chain.stacked()[0], s_order)
-        return evaluate_copies(memo[s_order], chain.mults, [phi])[0]
+    degree = property(lambda self: self.chain.degree)
+    ambient = property(lambda self: self.chain.ambient)
 
 
 @dataclass
@@ -513,21 +501,30 @@ def evaluate_copies(geometry: Geometry, mults: np.ndarray, forms) -> list:
 def evaluate(T: Current, phi: FormField, s_order: int = 2) -> float:
     """Evaluate a current expression against a form.
 
-    Leaf nodes evaluate their chain by quadrature; Boundary nodes
+    A chain (or a Leaf's) checks the form, then the order, a whole number
+    >= 0; an empty chain reads 0.0, any other `evaluate_copies` on its
+    geometry at that order, kept in its side table.  Boundary nodes
     evaluate the inner current on d(phi); VWedge nodes on phi -| v,
-    matching the defining dualities.
-    """
-    if isinstance(T, Chain):
-        T = Leaf(T)
+    matching the defining dualities."""
+    if isinstance(T, Leaf):
+        T = T.chain
     if isinstance(T, Boundary):
         return evaluate(T.inner, exterior_derivative(phi), s_order)
     if isinstance(T, VWedge):
         return evaluate(T.inner, contract(phi, T.field), s_order)
     if isinstance(T, Sum):
         return sum(evaluate(p, phi, s_order) for p in T.parts)
-    if isinstance(T, Leaf):
-        return T._evaluate(phi, s_order)
-    raise TypeError(f"not a current expression: {type(T)}")
+    if not isinstance(T, Chain):
+        raise TypeError(f"not a current expression: {type(T)}")
+    _check_forms([phi], T.degree, T.ambient)
+    s_order = _whole_number("quadrature order", s_order, 0)
+    if not len(T):
+        return 0.0
+    memo = _DERIVED.setdefault(T, {})
+    key = ("geometry", s_order)
+    if key not in memo:
+        memo[key] = simplex_geometry(T.stacked()[0], s_order)
+    return evaluate_copies(memo[key], T.mults, [phi])[0]
 
 
 def boundary(T: Chain) -> Chain:

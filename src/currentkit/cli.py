@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .chains import Leaf, boundary, evaluate, mass_chain, triangle_chain
+from .chains import boundary, evaluate, mass_chain, triangle_chain
 from .complexes import freudenthal_complex
 from .flatnorm import flat_norm_lp, lower_bounds
 from .forms import (FormField, VectorField, exterior_derivative,
@@ -129,14 +129,13 @@ def _chain_checks(T, n, rng):
     def check(quantity, value, oracle, tol, runtime=None):
         out.append((quantity, value, oracle, tol, runtime))
 
-    # boundary adjointness and del o del = 0 on the scenario chain; one
-    # Leaf, so that T's geometry is built once for all its evaluations
-    leaf = Leaf(T)
+    # boundary adjointness and del o del = 0 on the scenario chain; T's
+    # geometry is built once, in its side table, for all its evaluations
     clock = _stopwatch()
     if T.degree >= 1:
         phi = FormField.random_polynomial(n, T.degree - 1, rng, max_degree=3)
         resid = abs(evaluate(boundary(T), phi)
-                    - evaluate(leaf, exterior_derivative(phi)))
+                    - evaluate(T, exterior_derivative(phi)))
         check("adjointness_residual", resid, 0.0, 1e-8, runtime=clock())
     if T.degree >= 2:
         check("boundary_squared_terms", len(boundary(boundary(T))), 0, 0)
@@ -147,8 +146,8 @@ def _chain_checks(T, n, rng):
     for _ in range(5):
         v = VectorField.random_polynomial(n, rng, max_degree=2)
         phi = FormField.random_polynomial(n, T.degree, rng, max_degree=2)
-        worst = max(worst, abs(evaluate(reynolds_operator(v, leaf), phi)
-                               - evaluate(leaf, lie_derivative(phi, v))))
+        worst = max(worst, abs(evaluate(reynolds_operator(v, T), phi)
+                               - evaluate(T, lie_derivative(phi, v))))
     check("reynolds_duality_residual", worst, 0.0, 1e-8, runtime=clock())
 
     # pushforward mass bound under a random affine map

@@ -39,7 +39,7 @@ import mmap
 
 import numpy as np
 
-from .chains import Chain, Current, Leaf, evaluate, face_rows
+from .chains import Chain, Current, evaluate, face_rows
 from .complexes import SimplicialComplex, _lookup
 from .exterior import binary_exponent
 from .forms import Box, seminorm_flat, seminorm_sharp
@@ -487,30 +487,31 @@ def flat_norm_lp(T: Chain, complex_: SimplicialComplex):
             complex_.simplex_chain(r, r_coeff), info)
 
 
-def _pairings(T: Current, family) -> list:
-    """T(phi) for each form of the family, all on one Leaf, which builds a
-    chain's geometry once.  An empty family raises a ValueError."""
+def _rungs(T: Current, family, box: Box, rungs) -> list:
+    """max(0, max over the family of T(phi) / s(phi)) for each seminorm s
+    named in `rungs`, "flat" or "sharp".  Every form is evaluated on T
+    first, once (a chain builds its geometry once, in its side table);
+    then the seminorms are read form by form, and within a form rung by
+    rung.  An empty family, and a vanishing seminorm, raise a
+    ValueError."""
     if not family:
         raise ValueError("empty test family")
-    leaf = Leaf(T) if isinstance(T, Chain) else T
-    return [evaluate(leaf, phi) for phi in family]
-
-
-def _ratio(value: float, denom: float, name: str) -> float:
-    """value / denom, with a ValueError for a vanishing `name` seminorm."""
-    if denom <= 0.0:
-        raise ValueError(f"test form with vanishing {name} seminorm")
-    return value / denom
+    values = [evaluate(T, phi) for phi in family]
+    best = [0.0] * len(rungs)
+    for phi, value in zip(family, values):
+        for k, name in enumerate(rungs):
+            seminorm = seminorm_flat if name == "flat" else seminorm_sharp
+            denom = seminorm(phi, box)
+            if denom <= 0.0:
+                raise ValueError(f"test form with vanishing {name} seminorm")
+            best[k] = max(best[k], value / denom)
+    return best
 
 
 def lower_bounds(T: Current, family, box: Box) -> tuple:
     """(`dual_flat_lower_bound`, `sharp_lower_bound`) of T on the same
     family and grid, with each form evaluated on T once."""
-    flat = sharp = 0.0
-    for phi, value in zip(family, _pairings(T, family)):
-        flat = max(flat, _ratio(value, seminorm_flat(phi, box), "flat"))
-        sharp = max(sharp, _ratio(value, seminorm_sharp(phi, box), "sharp"))
-    return flat, sharp
+    return tuple(_rungs(T, family, box, ("flat", "sharp")))
 
 
 def dual_flat_lower_bound(T: Current, family, box: Box) -> float:
@@ -520,10 +521,7 @@ def dual_flat_lower_bound(T: Current, family, box: Box) -> float:
     the box grid, which can fall short of the true sup, so the ratio can
     exceed the bound it estimates.  An empty family, and a form with
     F_K(phi) = 0, raise a ValueError."""
-    flat = 0.0
-    for phi, value in zip(family, _pairings(T, family)):
-        flat = max(flat, _ratio(value, seminorm_flat(phi, box), "flat"))
-    return flat
+    return _rungs(T, family, box, ("flat",))[0]
 
 
 def sharp_lower_bound(T: Current, family, box: Box) -> float:
@@ -533,7 +531,4 @@ def sharp_lower_bound(T: Current, family, box: Box) -> float:
     the sampled ones, so it can exceed the flat estimate on the same
     family and grid: a 0-form's grid difference quotients can all fall
     below its largest gradient at a grid point."""
-    sharp = 0.0
-    for phi, value in zip(family, _pairings(T, family)):
-        sharp = max(sharp, _ratio(value, seminorm_sharp(phi, box), "sharp"))
-    return sharp
+    return _rungs(T, family, box, ("sharp",))[0]

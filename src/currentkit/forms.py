@@ -14,8 +14,9 @@ from math import comb
 
 import numpy as np
 
-from .exterior import (CoVector, _comass_rows, _contract_terms, _wedge_terms,
-                       basis_rank, contract_rows, multi_indices)
+from .exterior import (CoVector, _comass_rows, _contract_terms, _euclidean,
+                       _wedge_terms, basis_rank, binary_exponent,
+                       contract_rows, multi_indices)
 from .polynomial import Polynomial, _real_array
 from .quadrature import _check_size, _read_only, _shown, _whole_number
 
@@ -525,16 +526,20 @@ def seminorm_flat(phi: FormField, box: Box) -> float:
 def _pair_norms(table: np.ndarray, i, j) -> np.ndarray:
     """|table[i] - table[j]| for each pair, one column of `table` at a
     time: the columns' squared differences summed left to right, then the
-    square root.  Below 8 columns that is the order np.linalg.norm(...,
-    axis=1) sums in, so the norms are the same bit for bit, with 1-D
-    gathers in place of (pairs, columns) ones."""
+    square root.  The table is taken times 2**-k, k =
+    `binary_exponent(table)`, and the norms times 2**k, so no square
+    underflows or overflows at any scale of the table; a difference far
+    below its largest entry still can.  Below 8 columns, where every
+    square is a normal float, the norms are np.linalg.norm(..., axis=1)'s
+    bit for bit."""
+    k = binary_exponent(table)
     total = np.zeros(len(i))
-    for col in np.ascontiguousarray(table.T):
+    for col in np.ldexp(table.T, -k, order="C"):
         d = col[i]
         d -= col[j]
         d *= d
         total += d
-    return np.sqrt(total)
+    return np.ldexp(np.sqrt(total, out=total), k, out=total)
 
 
 def _pair_lipschitz(values_at, box: Box) -> tuple:
@@ -552,10 +557,10 @@ def _pair_lipschitz(values_at, box: Box) -> tuple:
     for _ in range(_SAMPLED_PAIRS // 1000):
         xs = rng.uniform(lo, hi, size=(1000, box.dim))
         ys = rng.uniform(lo, hi, size=(1000, box.dim))
-        d = np.linalg.norm(xs - ys, axis=1)
+        d = _euclidean(xs - ys, axis=1)
         keep = d > 0.0
         diff = values_at(xs[keep]) - values_at(ys[keep])
-        ratios = np.linalg.norm(diff, axis=1) / d[keep]
+        ratios = _euclidean(diff, axis=1) / d[keep]
         best = max(best, float(np.max(ratios, initial=0.0)))
         count += len(ratios)
     return best, count

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # unused `evaluate` stays motion.evaluate, which perfbench's tests read
-from .chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
+from .chains import (Boundary, Chain, Current, Sum, VWedge,
                      _check_forms, _edge_wedges, boundary, evaluate,
                      evaluate_copies, simplex_geometry)
 from .forms import (Box, Cochain, FormField, VectorField, contract,
@@ -131,8 +131,6 @@ def _pushed_values(m: Motion, work: Chain, times, form_rows) -> list:
 def reynolds_operator(v: VectorField, T: Current) -> Current:
     """R_v(T) = v wedge bnd(T) + bnd(v wedge T), the dual of the Lie
     derivative: evaluate(R_v(T), phi) = evaluate(T, L_v phi)."""
-    if isinstance(T, Chain):
-        T = Leaf(T)
     parts = []
     if T.degree >= 1:
         parts.append(VWedge(v, Boundary(T)))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from currentkit import chains
-from currentkit.chains import (Boundary, Chain, Leaf, Sum, VWedge,
+from currentkit.chains import (Boundary, Chain, Current, Leaf, Sum, VWedge,
                                _unit_tangents, boundary, evaluate, mass_chain,
                                triangle_chain, unit_interval_chain,
                                unit_square_chain)
@@ -20,7 +20,7 @@ from currentkit.exterior import MultiVector, pair, wedge
 from currentkit.forms import (FormField, VectorField, contract,
                               exterior_derivative)
 from currentkit.lipschitz import LipMap, pushforward_chain
-from currentkit.motion import make_motion
+from currentkit.motion import make_motion, reynolds_operator
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import (grundmann_moller, simplex_volumes,
                                    subdivide_barycentric)
@@ -237,6 +237,25 @@ class TestCurrentAlgebra:
                            match="^an empty sum of currents has no degree$"):
             Sum([])
 
+    def test_a_chain_is_a_current(self):
+        # a chain enters every expression as it stands, each reading the
+        # same bits as on the chain's Leaf
+        rng = np.random.default_rng(5)
+        T = Chain(rng.uniform(size=(4, 2, 2)), rng.normal(size=4))
+        neg = -T
+        v = VectorField.random_polynomial(2, rng, max_degree=2)
+        phis = [FormField.random_polynomial(2, r, rng, max_degree=2)
+                for r in range(3)]
+        assert isinstance(T, Current)
+        assert T(phis[1]).hex() == Leaf(T)(phis[1]).hex()
+        for bare, leaf in [
+                (Boundary(T), Boundary(Leaf(T))),
+                (VWedge(v, T), VWedge(v, Leaf(T))),
+                (Sum([T, neg]), Sum([Leaf(T), Leaf(neg)])),
+                (reynolds_operator(v, T), reynolds_operator(v, Leaf(T)))]:
+            phi = phis[bare.degree]
+            assert evaluate(bare, phi).hex() == evaluate(leaf, phi).hex()
+
 
 class TestFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -328,6 +347,7 @@ class TestDerivedChains:
         assert bt.subdivided(2) is bt.subdivided(2)
         assert boundary(bt) is boundary(bt)
         for chain in (T, bt, T.subdivided(3)):
+            evaluate(chain, FormField.from_polynomials(2, chain.degree, {}))
             assert set(vars(chain)) == {"table", "ids", "mults"}
 
     def test_a_chain_on_the_same_arrays_shares_no_entry(self):
@@ -349,6 +369,61 @@ class TestDerivedChains:
         gc.collect()
         assert key() is None and len(chains._DERIVED) == before
         assert all(ref() is None for ref in derived)
+
+    def test_one_geometry_per_chain_and_order(self, monkeypatch):
+        # evaluate, without a Leaf, builds a chain object's geometry once
+        # per order, whatever the form and however the order is written
+        seen = []
+        rule = chains.simplex_rule
+        monkeypatch.setattr(chains, "simplex_rule",
+                            lambda v, s=2: seen.append(s) or rule(v, s))
+        T = unit_square_chain()
+        rng = np.random.default_rng(6)
+        forms = [FormField.random_polynomial(2, 2, rng, max_degree=2)
+                 for _ in range(3)]
+        for s_order in (2, 0, 2, np.int64(2), 0):
+            for phi in forms:
+                evaluate(T, phi, s_order)
+        assert [T(phi) for phi in forms] == [evaluate(T, phi)
+                                             for phi in forms]
+        assert seen == [2, 0]
+        assert set(chains._DERIVED[T]) == {("geometry", 0), ("geometry", 2)}
+        evaluate(Chain._of(T.table, T.ids, T.mults), forms[0])
+        assert seen == [2, 0, 2]
+
+    def test_geometry_goes_with_its_chain(self):
+        # T's geometry, and that of its boundary, which T's entry holds
+        gc.collect()
+        before = len(chains._DERIVED)
+        T = unit_square_chain()
+        rng = np.random.default_rng(7)
+        evaluate(T, FormField.random_polynomial(2, 2, rng))
+        evaluate(boundary(T), FormField.random_polynomial(2, 1, rng))
+        held = [weakref.ref(chains._DERIVED[chain]["geometry", 2].points)
+                for chain in (T, boundary(T))]
+        assert len(chains._DERIVED) == before + 2
+        del T
+        gc.collect()
+        assert len(chains._DERIVED) == before
+        assert all(ref() is None for ref in held)
+
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_order_is_checked_on_every_call(self, bad):
+        # a fresh chain, an empty one and a Leaf raise for an order of 2.0
+        # or True, and so do they where the geometry at orders 1 and 2,
+        # which those equal, is held
+        x = Polynomial.variable(0, 2)
+        phi = FormField.from_polynomials(2, 2, {(0, 1): x})
+        T = unit_square_chain()
+        empty = Chain(np.zeros((0, 3, 2)), [])
+        for _ in range(2):
+            for current in (T, empty, Leaf(T)):
+                with pytest.raises(ValueError, match="^quadrature order must "
+                                                     "be a whole number >= 0"):
+                    evaluate(current, phi, bad)
+            assert evaluate(T, phi, 1) == pytest.approx(0.5, abs=1e-15)
+            assert evaluate(T, phi, 2) == pytest.approx(0.5, abs=1e-15)
+        assert set(chains._DERIVED[T]) == {("geometry", 1), ("geometry", 2)}
 
     def test_another_level_releases_the_last(self):
         T = unit_square_chain()

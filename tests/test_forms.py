@@ -738,6 +738,25 @@ class TestGridTables:
         assert np.array_equal(dist, np.linalg.norm(pts[i] - pts[j], axis=1))
         assert len(i) == len(pts) * (len(pts) - 1) // 2
 
+    @pytest.mark.parametrize("res", [5, 39])
+    def test_lipschitz_constant_at_any_scale(self, res):
+        # s (x dx + y dy) has Lipschitz constant s and sharp seminorm 2 s,
+        # and x on a box of side 1e-170 has constant 1: no square of a
+        # difference leaves the float range, with every grid pair and,
+        # on 39^2 points, with sampled pairs
+        assert (res ** 2 > forms._MAX_ALL_PAIR_POINTS) == (res == 39)
+        x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        box = Box.unit(2, res)
+        for s in (1e-200, 1.0, 1e200):
+            phi = FormField.from_polynomials(2, 1, {(0,): x * s,
+                                                    (1,): y * s})
+            assert form_lipschitz(phi, box) == pytest.approx(s, rel=1e-12)
+            assert seminorm_sharp(phi, box) == pytest.approx(2 * s,
+                                                             rel=1e-12)
+        tiny = Box((0.0, 0.0), (1e-170, 1e-170), res)
+        x_form = FormField.from_polynomials(2, 0, {(): x})
+        assert form_lipschitz(x_form, tiny) == pytest.approx(1.0, rel=1e-12)
+
     @pytest.mark.parametrize("n, res", [(1, 30), (2, 7), (3, 4)])
     def test_resolution_override(self, n, res):
         # another grid than the default one comes from a box built at

@@ -3,7 +3,7 @@ motion family's maps at many times in one call, the homotopy residual,
 the continuity modulus and the finite-difference transport derivative
 equal, bit for bit, their one-node-at-a-time oracles, and raise the
 same errors; so do the ladders of homotopy residuals and finite
-differences, rung by rung.  The stacked pushes and Leaf evaluations
+differences, rung by rung.  The stacked pushes and chain evaluations
 build each simplex stack's geometry once."""
 
 import numpy as np
@@ -348,9 +348,12 @@ class TestTableFreePushes:
 
 
 class TestLeafGeometry:
-    """A Leaf keeps its chain's geometry per `s_order`."""
+    """A chain keeps its geometry per `s_order` in its side table, and a
+    Leaf reads its chain's."""
 
     def test_one_leaf_equals_fresh_evaluations(self):
+        # each value equals that of a chain object on the same arrays,
+        # which builds its geometry afresh
         T = _chain(3, 2, 4, count=5)
         leaf = Leaf(T)
         forms = [_form(3, 2, s) for s in range(3)]
@@ -358,8 +361,10 @@ class TestLeafGeometry:
         for k in order:
             phi, s_order = forms[k % 3], (0, 2)[k // 6]
             got = evaluate(leaf, phi, s_order)
-            assert got.hex() == evaluate(T, phi, s_order).hex()
-        assert sorted(leaf._geometry[1]) == [0, 2]
+            fresh = Chain._of(T.table, T.ids, T.mults)
+            assert got.hex() == evaluate(fresh, phi, s_order).hex()
+        assert sorted(chains._DERIVED[T]) == [("geometry", 0),
+                                              ("geometry", 2)]
 
     def test_rebinding_the_chain_starts_afresh(self):
         T, other = _chain(2, 1, 1), _chain(2, 1, 2)
@@ -369,6 +374,9 @@ class TestLeafGeometry:
         leaf.chain = other
         assert evaluate(leaf, phi).hex() == evaluate(other, phi).hex()
         assert evaluate(leaf, phi) != evaluate(T, phi)
+        # the degree and ambient dimension are the chain's, too
+        leaf.chain = _chain(3, 2, 3)
+        assert (leaf.degree, leaf.ambient) == (2, 3)
 
     def test_empty_chain_builds_no_geometry(self, monkeypatch):
         seen = _rule_calls(monkeypatch)
@@ -391,12 +399,15 @@ class TestLeafGeometry:
                    for v in seen) == 1
 
     def test_ladder_builds_the_chain_geometry_once(self, monkeypatch):
+        # the geometry is counted from a fresh chain object, whose side
+        # table holds none yet
         T = unit_square_chain().subdivided(1)
         family = [_form(2, 2, s) for s in range(4)]
         box = Box.unit(2, resolution=3)
         expected = lower_bounds(T, family, box)
         seen = _rule_calls(monkeypatch)
-        assert lower_bounds(T, family, box) == expected
+        fresh = Chain._of(T.table, T.ids, T.mults)
+        assert lower_bounds(fresh, family, box) == expected
         assert len(seen) == 1
 
 
