@@ -16,7 +16,7 @@ import numpy as np
 
 from .exterior import sort_parity, wedge_rows
 from .forms import FormField, VectorField, contract, exterior_derivative
-from .polynomial import _is_finite, _is_real, _real_array
+from .polynomial import _is_finite, _real_array, _real_type
 from .quadrature import (_check_size, _halving_indices, _read_only,
                          _whole_number, simplex_rule, simplex_volumes)
 
@@ -43,6 +43,9 @@ _CANCEL_TOL = 1e-12
 # chain), under "subdivided", and its quadrature geometry at order s under
 # ("geometry", s); an entry goes when its chain goes
 _DERIVED = weakref.WeakKeyDictionary()
+
+# the keys a simplex record of a chain file may have
+_SIMPLEX_KEYS = frozenset(("vertices", "multiplicity", "sign"))
 
 
 def _edge_wedges(vertices: np.ndarray):
@@ -85,6 +88,15 @@ def _is_int(value, low: int, high: int = None) -> bool:
     low <= value, and value < high when `high` is given."""
     return (type(value) is int and value >= low
             and (high is None or value < high))
+
+
+def _first_breaking(keys: list, rule) -> int:
+    """The index of the first of `keys` for which `rule(key)` is false,
+    len(keys) if none; `rule` is asked once per distinct key."""
+    broken = {key for key in set(keys) if not rule(key)}
+    if not broken:
+        return len(keys)
+    return next(i for i, key in enumerate(keys) if key in broken)
 
 
 def _lex_groups(rows: np.ndarray):
@@ -323,8 +335,16 @@ class Chain(Current):
 
     @classmethod
     def from_json_obj(cls, obj) -> "Chain":
-        """Chain from `to_json_obj`'s object.  A simplex may carry a
-        "sign", +1 or -1, which multiplies its multiplicity."""
+        """Chain from `to_json_obj`'s object.  A simplex record has
+        "vertices" and "multiplicity" and may carry a "sign", +1 or -1,
+        which multiplies its multiplicity; any other key is refused.
+
+        The records are checked all at once, rule by rule: first that
+        each is an object with both keys, no other but "sign", and a
+        finite number as multiplicity; then that each "vertices" is
+        degree + 1 integers in range of the vertex_table; then the signs.
+        A ValueError names the first record that breaks a rule of the
+        first group broken, and in it the first rule."""
         for key in ("degree", "ambient", "vertex_table", "simplices"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f'the chain lacks "{key}"')
@@ -347,34 +367,57 @@ class Chain(Current):
         if not isinstance(records, list):
             raise ValueError(f'the chain\'s "simplices" must be a list, got '
                              f'{records!r}')
-        for k, rec in enumerate(records):
-            for key in ("vertices", "multiplicity"):
-                if not isinstance(rec, dict) or key not in rec:
-                    raise ValueError(f'simplex {k} of the chain lacks "{key}"')
-            mult = rec["multiplicity"]
-            if not _is_real(mult):
-                raise ValueError(f'simplex {k} of the chain: "multiplicity" '
-                                 f'must be a number, got {mult!r}')
-            if not _is_finite(mult):
-                raise ValueError(f'simplex {k} of the chain: "multiplicity" '
-                                 f'must be finite, got {mult!r}')
-        rows = [rec["vertices"] for rec in records]
-        width, size = degree + 1, len(table)
-        for k, row in enumerate(rows):
-            if not (isinstance(row, (list, tuple)) and len(row) == width
-                    and all(_is_int(i, 0, size) for i in row)):
-                raise ValueError(
-                    f'simplex {k} of the chain: "vertices" must be {width} '
-                    f'integers in range({size}), the rows of its '
-                    f'vertex_table; got {row!r}')
-        ids = np.array(rows, dtype=np.intp).reshape(-1, width)
-        signs = [rec.get("sign", 1) for rec in records]
-        if not all(_is_int(sign, -1, 2) and sign for sign in signs):
+        n, width, size = len(records), degree + 1, len(table)
+        fields = [rec if isinstance(rec, dict) else {} for rec in records]
+        mults = [rec.get("multiplicity") for rec in fields]
+        # each rule is read for all records at once, and asked once per
+        # key order, type or value; `firsts` is the first record to break
+        # each, in the order of the messages below.  Finiteness is read
+        # only on the records before the first to break another rule,
+        # which are numbers
+        orders = list(map(tuple, fields))
+        firsts = [_first_breaking(orders, lambda keys: "vertices" in keys),
+                  _first_breaking(orders,
+                                  lambda keys: "multiplicity" in keys),
+                  _first_breaking(orders, _SIMPLEX_KEYS.issuperset),
+                  _first_breaking(list(map(type, mults)), _real_type)]
+        firsts.append(_first_breaking(mults[:min(firsts)], _is_finite))
+        k = min(firsts)
+        if k < n:
+            mult = mults[k]
+            extra = next((key for key in fields[k]
+                          if key not in _SIMPLEX_KEYS), None)
+            raise ValueError(f"simplex {k} of the chain" + (
+                ' lacks "vertices"',
+                ' lacks "multiplicity"',
+                f': unknown key "{extra}"; a simplex has "vertices", '
+                f'"multiplicity" and optionally "sign"',
+                f': "multiplicity" must be a number, got {mult!r}',
+                f': "multiplicity" must be finite, got {mult!r}'
+            )[firsts.index(k)])
+        # then each "vertices": a list or tuple of `width` ints, each in
+        # range(size); `k` is the first record to break a rule
+        rows = [rec["vertices"] for rec in fields]
+        k = _first_breaking(list(map(type, rows)),
+                            lambda kind: issubclass(kind, (list, tuple)))
+        k = _first_breaking(list(map(len, rows[:k])),
+                            lambda length: length == width)
+        flat = list(itertools.chain.from_iterable(rows[:k]))
+        at = _first_breaking(list(map(type, flat)), lambda kind: kind is int)
+        at = _first_breaking(flat[:at], lambda i: 0 <= i < size)
+        k = at // width
+        if k < n:
+            raise ValueError(
+                f'simplex {k} of the chain: "vertices" must be {width} '
+                f'integers in range({size}), the rows of its vertex_table; '
+                f'got {rows[k]!r}')
+        signs = [rec.get("sign", 1) for rec in fields]
+        if not (set(map(type, signs)) <= {int} and set(signs) <= {1, -1}):
             raise ValueError('a simplex\'s "sign" must be the integer +1 '
                              'or -1')
-        mults = np.array([rec["multiplicity"] for rec in records],
-                         dtype=float) * np.array(signs, dtype=float)
-        return cls(table[ids], mults)
+        ids = np.array(flat, dtype=np.intp).reshape(-1, width)
+        return cls(table[ids], np.array(mults, dtype=float)
+                   * np.array(signs, dtype=float))
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -6,14 +6,15 @@ is consistently orientable and reproducible at any resolution.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 import numpy as np
 
-from .chains import Chain, _lex_groups, face_rows, lex_ranks
+from .chains import Chain, _lex_groups, face_rows, lex_ranks, vertex_table
 from .exterior import sort_parity
-from .quadrature import (_check_size, _shown, _whole_number, kuhn_simplices,
-                         simplex_volumes)
+from .quadrature import (_check_size, _read_only, _shown, _whole_number,
+                         kuhn_simplices, simplex_volumes)
 
 __all__ = ["SimplicialComplex", "freudenthal_complex"]
 
@@ -33,6 +34,14 @@ class SimplicialComplex:
     reads only the arrays, the benchmark's workload writer the views.  A
     complex whose vertices are a box's grid, row-major, carries the grid
     as `lattice`, (lower corner, cell widths, cells per axis).
+
+    Three more tables are built once and kept: `top_faces`, the row in
+    `ids[dim - 1]` of each face of each top simplex, face i without
+    vertex i, as `face_rows` lists them (empty at dim 0); the vertices
+    as one chain vertex table (`vertex_table`), on which `simplex_chain`
+    builds its chains; and the vector of each chain `chain_vector` has
+    placed, keyed weakly by the chain object, so the entry goes with the
+    chain.
     """
 
     def __init__(self, vertices: np.ndarray, top_simplices, top_orientations,
@@ -55,10 +64,15 @@ class SimplicialComplex:
                 or np.any(np.abs(self.top_orientations) != 1)):
             raise ValueError(f"top_orientations needs one sign, +1 or -1, "
                              f"per top simplex ({len(tops)})")
-        self.ids = [tops]
+        self.ids, self.top_faces = [tops], np.zeros(0, dtype=np.intp)
         for r in range(self.dim, 0, -1):
             faces = face_rows(self.ids[0])
-            self.ids.insert(0, faces[_lex_groups(faces)[1]])
+            ranks, first = _lex_groups(faces)
+            self.ids.insert(0, faces[first])
+            if r == self.dim:
+                self.top_faces = ranks
+        self._table, self._table_ids = vertex_table(self.vertices)
+        self._vectors = weakref.WeakKeyDictionary()
 
     @cached_property
     def simplices(self) -> dict:
@@ -101,8 +115,17 @@ class SimplicialComplex:
 
     def simplex_chain(self, r: int, coeffs) -> Chain:
         """Chain from a coefficient vector over the r-simplices, each in
-        its sorted vertex order; zero coefficients drop."""
-        return Chain(self.vertices[self._ids(r)], coeffs)
+        its sorted vertex order; zero coefficients drop.  It equals
+        `Chain(vertices[ids[r]], coeffs)`, built on the complex's vertex
+        table, which is sorted once: of vertices equal by the vertex rule
+        the table keeps the complex's first."""
+        ids = self._ids(r)
+        mults = np.array(coeffs, dtype=float)
+        if r < 0 or mults.shape != ids.shape[:1]:
+            raise ValueError(f"simplex_chain needs a degree >= 0 and one "
+                             f"coefficient per simplex of it, got degree "
+                             f"{r} and coefficients of shape {mults.shape}")
+        return Chain._of(self._table, self._table_ids[ids], mults)
 
     def _vertex_positions(self, points: np.ndarray) -> np.ndarray:
         """The complex vertex of each row of `points` (m, n), -1 where
@@ -124,12 +147,21 @@ class SimplicialComplex:
 
     def chain_vector(self, T: Chain) -> np.ndarray:
         """Coefficients of a chain over the complex's r-skeleton, summed in
-        chain order.
+        chain order, as a read-only array.  The complex keeps it for as
+        long as the chain object lives, so a second call reads it.
 
-        Raises if any vertex (by `_vertex_positions`) or simplex of the
-        chain is not one of the complex.
+        A ValueError, before any lookup, unless the chain lies in the
+        dimension of the complex's vertices; and if any vertex (by
+        `_vertex_positions`) or simplex of the chain is not one of the
+        complex.
         """
-        r = T.degree
+        vector = self._vectors.get(T)
+        if vector is not None:
+            return vector
+        r, n = T.degree, self.vertices.shape[1]
+        if T.ambient != n:
+            raise ValueError(f"the chain lies in R^{T.ambient} and the "
+                             f"complex in R^{n}")
         where = self._vertex_positions(T.table)
         if np.any(where < 0):
             row = T.table[np.argmax(where < 0)]
@@ -141,8 +173,10 @@ class SimplicialComplex:
         if np.any(rows < 0):
             missing = tuple(ordered[np.argmax(rows < 0)].tolist())
             raise ValueError(f"simplex {missing} not in complex")
-        return np.bincount(rows, weights=parity * T.mults,
-                           minlength=self.n_simplices(r))
+        vector = np.bincount(rows, weights=parity * T.mults,
+                             minlength=self.n_simplices(r))
+        self._vectors[T] = _read_only(vector)[0]
+        return vector
 
     def full_chain(self) -> Chain:
         """The positively oriented full-dimensional chain of the complex."""

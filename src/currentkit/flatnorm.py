@@ -15,8 +15,11 @@ cases, read off the input alone:
   under `top_orientations`.  A network simplex solves it, entering arcs
   from a candidate list of a numpy-priced block (`_CANDIDATES`; 1 is the
   plain block rule), with the tree (held by thread) and potentials as
-  Python lists, so a pivot costs its cycle's length plus the size of the
-  subtree whose potentials it shifts.
+  Python lists.  A pivot walks its cycle once for the ratio test, which
+  keeps each side's blocking node and builds no list, and once more to
+  move the flows if they move (a degenerate pivot moves none); so it
+  costs its cycle's length plus the size of the subtree whose
+  potentials it shifts.
   S is the tree's node potentials, so R = t - B S is exact for integral t.
 - Everything else (degrees 0 <= r <= n - 2, a face with three or more
   cofaces, incoherent orientations): `lp_solve`, Bland's primal simplex
@@ -39,8 +42,8 @@ import mmap
 
 import numpy as np
 
-from .chains import Chain, Current, evaluate, face_rows
-from .complexes import SimplicialComplex, _lookup
+from .chains import Chain, Current, evaluate
+from .complexes import SimplicialComplex
 from .exterior import binary_exponent
 from .forms import Box, seminorm_flat, seminorm_sharp
 
@@ -161,8 +164,7 @@ def _dual_graph(complex_: SimplicialComplex, r: int):
     n = complex_.dim
     if r != n - 1:
         return None
-    tops = complex_.ids[n]
-    rows = _lookup(complex_.ids[r], face_rows(tops))
+    tops, rows = complex_.ids[n], complex_.top_faces
     owner = np.repeat(np.arange(len(tops)), n + 1)
     positive = (np.tile((-1) ** np.arange(n + 1), len(tops))
                 * complex_.top_orientations[owner]) > 0
@@ -193,7 +195,10 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     moves on.  So `_CANDIDATES` = 1 is the plain block rule.  The last
     blocking arc of the cycle from its apex leaves (Cunningham, Math.
     Prog. 1976): the tree stays strongly feasible, so no entering rule
-    cycles.  Tree and potentials are Python lists, the tree held by
+    cycles.  The ratio test climbs the cycle from both ends to the apex
+    and keeps only each side's blocking node and room; a second climb
+    moves the flows, only when they move by more than 0, and builds no
+    list either.  Tree and potentials are Python lists, the tree held by
     thread, subtree size and last successor as in LEMON (Kovacs, Optim.
     Methods Softw. 2015): a pivot re-roots the moved subtree in the time
     of its cycle and stem, and shifts its potentials along the thread.
@@ -275,59 +280,53 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
         pivots += 1
         # the cycle e, up from `second`, down to `first`: the end with the
         # smaller subtree climbs until both meet at the join, with the
-        # ratio test on the way.  Of equal blocking arcs the last from the
-        # join leaves: the first of `down` (nearest `first`), then e, then
-        # the last of `up`
+        # ratio test on the way, which keeps each side's blocking node and
+        # room.  Of equal blocking arcs the last from the join leaves: the
+        # one nearest `first` on the way down (strict <), then e, then the
+        # one nearest the join on the way up (<=)
         raising = rate[e] > 0
         first, second = ((taill[e], headl[e]) if raising
                          else (headl[e], taill[e]))
-        down, up, along, against = [], [], [], []
         down_room = up_room = float("inf")
         u, v = first, second
         while u != v:
             if succ_num[u] < succ_num[v]:
                 a = arc[u]
-                if taill[a] == u:
-                    room = flow[a]
-                    against.append(a)
-                else:
-                    room = capl[a] - flow[a]
-                    along.append(a)
+                room = flow[a] if taill[a] == u else capl[a] - flow[a]
                 if room < down_room:
-                    down_room, down_out = room, len(down)
-                down.append(u)
+                    down_room, down_out = room, u
                 u = parent[u]
             else:
                 a = arc[v]
-                if taill[a] == v:
-                    room = capl[a] - flow[a]
-                    along.append(a)
-                else:
-                    room = flow[a]
-                    against.append(a)
+                room = capl[a] - flow[a] if taill[a] == v else flow[a]
                 if room <= up_room:
-                    up_room, up_out = room, len(up)
-                up.append(v)
+                    up_room, up_out = room, v
                 v = parent[v]
         join = u
-        delta, stem = capl[e], None
+        delta, u_in = capl[e], -1
         if down_room < delta:
-            delta, stem, out, v_in = down_room, down, down_out, second
+            delta, u_in, u_out, v_in = down_room, first, down_out, second
         if up_room <= delta:
-            delta, stem, out, v_in = up_room, up, up_out, first
+            delta, u_in, u_out, v_in = up_room, second, up_out, first
         if delta > 0.0:
-            (along if raising else against).append(e)
-            # x - delta is x + (-delta), bit for bit
-            for arcs, step in ((along, delta), (against, -delta)):
-                for a in arcs:
-                    x = flow[a] + step
+            # a second walk moves the flows: +delta along the cycle, and
+            # x - delta is x + (-delta), bit for bit.  An arc up from
+            # `second` by its tail runs along it, one up from `first`
+            # against it
+            x = flow[e] + (delta if raising else -delta)
+            flow[e] = (0.0 if x <= tol[e] else capl[e]
+                       if capl[e] - x <= tol[e] else x)
+            for v, step in ((first, -delta), (second, delta)):
+                while v != join:
+                    a = arc[v]
+                    x = flow[a] + (step if taill[a] == v else -step)
                     flow[a] = (0.0 if x <= tol[a] else capl[a]
                                if capl[a] - x <= tol[a] else x)
-        if stem is None:  # e goes from one bound to the other
+                    v = parent[v]
+        if u_in < 0:  # e goes from one bound to the other
             rate[e] = -rate[e]
             state[e] = rate[e]
             continue
-        u_in, u_out = stem[0], stem[out]
         leave = arc[u_out]
         rate[leave] = 1.0 if flow[leave] == 0.0 else -1.0
         state[leave] = rate[leave]

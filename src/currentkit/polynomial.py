@@ -23,8 +23,14 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 def _is_real(value) -> bool:
     """Whether `value` is an int or a float, numpy's too; never a bool."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and type(value) is not bool)
+    return _real_type(type(value))
+
+
+def _real_type(kind: type) -> bool:
+    """Whether values of type `kind` are numbers by the rule of
+    `_is_real`."""
+    return (issubclass(kind, (int, float, np.integer, np.floating))
+            and kind is not bool)
 
 
 def _is_finite(value) -> bool:

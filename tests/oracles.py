@@ -14,8 +14,9 @@ modulus and the finite-difference transport derivative one time node
 at a time, the transport derivative through `Motion.push`, the maps of
 the motion families one time at a time and the velocities of the affine
 ones from their formulas, a radial stretch, polynomial evaluation
-one term at a time from a filled array, and `simplex_volumes` with the
-Gram product on the transposed view of the edges.
+one term at a time from a filled array, `simplex_volumes` with the
+Gram product on the transposed view of the edges, and a chain file
+read one simplex record at a time.
 They are not part of the library's API."""
 
 from dataclasses import dataclass
@@ -33,7 +34,8 @@ from currentkit.forms import (AffineMap, Box, FormField, VectorField,
                               seminorm_sharp)
 from currentkit.lipschitz import LipMap, lipschitz_constant
 from currentkit.motion import Cochain, Motion, velocity_field
-from currentkit.polynomial import Polynomial
+from currentkit.polynomial import (Polynomial, _is_finite, _is_real,
+                                   _real_array)
 from currentkit.quadrature import integrate_interval
 
 
@@ -762,3 +764,43 @@ def gram_volumes_by_view(vertices) -> np.ndarray:
     edges = v[:, 1:] - v[:, :1]
     det = np.linalg.det(np.matmul(edges, edges.transpose(0, 2, 1)))
     return np.sqrt(np.where(det < 0.0, 0.0, det)) / factorial(r)
+
+
+def chain_from_records(obj) -> Chain:
+    """`Chain.from_json_obj` checking one simplex record at a time: each
+    record's keys and multiplicity, then each record's vertices, then the
+    signs.  Other keys of a record are not looked at."""
+    def is_int(value, low, high=None):
+        return (type(value) is int and value >= low
+                and (high is None or value < high))
+
+    degree, ambient = obj["degree"], obj["ambient"]
+    table = _real_array(obj["vertex_table"]).reshape(-1, ambient)
+    records = obj["simplices"]
+    for k, rec in enumerate(records):
+        for key in ("vertices", "multiplicity"):
+            if not isinstance(rec, dict) or key not in rec:
+                raise ValueError(f'simplex {k} of the chain lacks "{key}"')
+        mult = rec["multiplicity"]
+        if not _is_real(mult):
+            raise ValueError(f'simplex {k} of the chain: "multiplicity" '
+                             f'must be a number, got {mult!r}')
+        if not _is_finite(mult):
+            raise ValueError(f'simplex {k} of the chain: "multiplicity" '
+                             f'must be finite, got {mult!r}')
+    rows = [rec["vertices"] for rec in records]
+    width, size = degree + 1, len(table)
+    for k, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and len(row) == width
+                and all(is_int(i, 0, size) for i in row)):
+            raise ValueError(
+                f'simplex {k} of the chain: "vertices" must be {width} '
+                f'integers in range({size}), the rows of its vertex_table; '
+                f'got {row!r}')
+    ids = np.array(rows, dtype=np.intp).reshape(-1, width)
+    signs = [rec.get("sign", 1) for rec in records]
+    if not all(is_int(sign, -1, 2) and sign for sign in signs):
+        raise ValueError('a simplex\'s "sign" must be the integer +1 or -1')
+    mults = np.array([rec["multiplicity"] for rec in records],
+                     dtype=float) * np.array(signs, dtype=float)
+    return Chain(table[ids], mults)

@@ -24,8 +24,8 @@ from currentkit.motion import make_motion, reynolds_operator
 from currentkit.polynomial import Polynomial
 from currentkit.quadrature import (grundmann_moller, simplex_volumes,
                                    subdivide_barycentric)
-from oracles import (evaluate_with_error, interval_product_evaluate, perm_sign,
-                     radial_stretch)
+from oracles import (chain_from_records, evaluate_with_error,
+                     interval_product_evaluate, perm_sign, radial_stretch)
 
 
 def _tet():
@@ -530,6 +530,89 @@ class TestSerialization:
         (obj["simplices"][0] if key == "multiplicity" else obj)[key] = bad
         with pytest.raises(ValueError, match=match):
             Chain.from_json_obj(obj)
+
+    def test_unknown_simplex_key_refused(self):
+        # unchecked, a misspelt "sgn" was ignored and the simplex kept its
+        # multiplicity's sign
+        obj = unit_square_chain().to_json_obj()
+        obj["simplices"][1]["sgn"] = -1
+        with pytest.raises(ValueError, match='^simplex 1 of the chain: '
+                                             'unknown key "sgn"; '):
+            Chain.from_json_obj(obj)
+        # the records' rules in order: a record's missing key before its
+        # unknown one, and an earlier record before a later one
+        del obj["simplices"][1]["multiplicity"]
+        with pytest.raises(ValueError, match='^simplex 1 of the chain lacks '
+                                             '"multiplicity"$'):
+            Chain.from_json_obj(obj)
+        obj["simplices"][0]["multiplicity"] = "1"
+        with pytest.raises(ValueError, match='^simplex 0 of the chain: '
+                                             '"multiplicity" must be a num'):
+            Chain.from_json_obj(obj)
+
+    @staticmethod
+    def _random_file(rng) -> dict:
+        """A valid chain object: repeated and unused table rows, repeated
+        indices within a simplex, lists and tuples of indices, int, float,
+        zero and numpy multiplicities, and signs given or not."""
+        degree = int(rng.integers(0, 3))
+        ambient = int(rng.integers(max(degree, 1), 4))
+        size = int(rng.integers(1, 9))
+        table = (rng.integers(-2, 3, (size, ambient)) * 0.5).tolist()
+        records = []
+        for _ in range(int(rng.integers(0, 25))):
+            row = rng.integers(0, size, degree + 1).tolist()
+            mult = [1, -2, 0, 0.25, -1.5, np.float64(3.0), np.int64(-1)][
+                int(rng.integers(0, 7))]
+            rec = {"vertices": tuple(row) if rng.random() < 0.2 else row,
+                   "multiplicity": mult}
+            if rng.random() < 0.4:
+                rec["sign"] = int(rng.choice([-1, 1]))
+            records.append(rec)
+        return {"degree": degree, "ambient": ambient, "vertex_table": table,
+                "simplices": records}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_all_records_check_equals_the_record_loop(self, seed):
+        # on valid files the same arrays, bit for bit; on files with one
+        # to three broken fields, the same first error
+        rng = np.random.default_rng(seed)
+        bad_records = [3, None, [1], {}, {"vertices": [0]}]
+        bad_fields = {
+            "vertices": [[0] * 4, "ab", [True], [-1], [10 ** 30], [1.0],
+                         [[0]], 7, None],
+            "multiplicity": ["1", True, None, [1], float("nan"),
+                             float("inf"), -10 ** 400],
+            "sign": [0, 2, -2, True, 1.0, "1", [1], None]}
+        for _ in range(100):
+            obj = self._random_file(rng)
+            records = obj["simplices"]
+            for _ in range(int(rng.integers(0, 4)) if records else 0):
+                k = int(rng.integers(0, len(records)))
+                field = str(rng.choice(["record", *bad_fields, "drop"]))
+                if field == "record":
+                    records[k] = bad_records[int(rng.integers(0, 5))]
+                elif not isinstance(records[k], dict):
+                    continue
+                elif field == "drop":
+                    records[k].pop(str(rng.choice(["vertices",
+                                                   "multiplicity"])), None)
+                else:
+                    choices = bad_fields[field]
+                    records[k][field] = choices[int(rng.integers(
+                        0, len(choices)))]
+            try:
+                want = chain_from_records(obj)
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    Chain.from_json_obj(obj)
+                assert str(got.value) == str(err)
+                continue
+            got = Chain.from_json_obj(obj)
+            for a, b in zip((got.table, got.ids, got.mults),
+                            (want.table, want.ids, want.mults)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
     def test_empty_chain_round_trips(self):
         obj = Chain(np.zeros((0, 2, 3)), []).to_json_obj()

@@ -522,6 +522,26 @@ class TestScenarioConfig:
                 in capsys.readouterr().err)
         assert not (tmp_path / "transport.csv").exists()
 
+    def test_unknown_chain_key_exit_2(self, tmp_path, capsys):
+        # unchecked, the misspelt "sgn" was ignored: the run exited 0 and
+        # reported a transport derivative of -0.2 where "sign" gives
+        # -0.642666666667
+        chain = boundary(unit_square_chain()).to_json_obj()
+        chain["simplices"][0]["sgn"] = -1
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(json.dumps(chain))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "name": "x", "chain": {"file": str(chain_path)},
+            "motion": {"family": "shear", "rate": 0.4},
+            "cochain": {"degree": 1, "components": {"0": [
+                {"exponents": [0, 0, 1], "coefficient": 1.0}]}}}))
+        assert main(["transport", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert ('simplex 0 of the chain: unknown key "sgn"'
+                in capsys.readouterr().err)
+        assert not (tmp_path / "transport.csv").exists()
+
     @pytest.mark.parametrize("command", ["verify", "transport", "flatnorm",
                                          "converge"])
     def test_relative_chain_file_is_read_beside_its_config(

@@ -1,6 +1,8 @@
 """LP solver, simplicial complexes, the flat norm and the norm ladder."""
 
+import gc
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from currentkit.chains import (Chain, boundary, evaluate, mass_chain,
+from currentkit.chains import (Chain, boundary, evaluate, face_rows,
+                               mass_chain, unit_interval_chain,
                                unit_square_chain)
-from currentkit.complexes import SimplicialComplex, freudenthal_complex
+from currentkit.complexes import (SimplicialComplex, _lookup,
+                                  freudenthal_complex)
 from currentkit import flatnorm, forms
 from currentkit.cli import main
 from currentkit.flatnorm import (dual_flat_lower_bound, flat_norm_lp,
@@ -224,6 +228,105 @@ class TestComplex:
         assert comp.volumes(3).shape == (0,)
         empty = comp.simplex_chain(3, np.zeros(0))
         assert (len(empty), empty.degree, empty.ambient) == (0, 3, 2)
+
+
+def _unsorted(comp, seed):
+    """`comp`'s top simplices, each row's vertices shuffled, as a complex
+    without a lattice."""
+    tops = np.random.default_rng(seed).permuted(comp.ids[comp.dim], axis=1)
+    return SimplicialComplex(comp.vertices, tops, comp.top_orientations)
+
+
+def _tables_inputs():
+    """Freudenthal complexes in 1-D to 3-D, complexes built from unsorted
+    top rows, and one with a repeated vertex: the square's corner (0, 0)
+    twice, each copy in one of its two triangles."""
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                       [0.0, 0.0]])
+    return ([freudenthal_complex((0.0,) * n, (1.0,) * n, res)
+             for n, res in ((1, 3), (2, 1), (2, 4), (3, 1), (3, 3))]
+            + [_unsorted(freudenthal_complex((0.0,) * n, (1.0,) * n, 3), n)
+               for n in (2, 3)]
+            + [SimplicialComplex(square, [(0, 1, 2), (4, 3, 2)], [1, 1])])
+
+
+class TestComplexTables:
+    """The tables a complex builds once: the face index of its top
+    simplices, its chain vertex table and the vectors of the chains it
+    has placed."""
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_top_faces_are_the_face_lookup(self, k):
+        comp = _tables_inputs()[k]
+        n = comp.dim
+        want = _lookup(comp.ids[n - 1], face_rows(comp.ids[n]))
+        assert comp.top_faces.dtype == want.dtype
+        assert np.array_equal(comp.top_faces, want)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_simplex_chain_equals_the_chain_constructor(self, k):
+        comp = _tables_inputs()[k]
+        rng = np.random.default_rng(k)
+        for r in range(comp.dim + 2):
+            count = comp.n_simplices(r)
+            coeffs = rng.integers(-2, 3, count) * 0.5
+            got = comp.simplex_chain(r, coeffs)
+            want = Chain(comp.vertices[comp._ids(r)], coeffs)
+            for a, b in zip((got.table, got.ids, got.mults),
+                            (want.table, want.ids, want.mults)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        for r, count in ((-1, 0), (1, comp.n_simplices(1) + 1)):
+            with pytest.raises(ValueError, match="one coefficient per"):
+                comp.simplex_chain(r, np.ones(count))
+
+    def test_chain_vector_is_kept_read_only_and_goes_with_its_chain(self):
+        comp = freudenthal_complex((0.0, 0.0), (1.0, 1.0), 4)
+        T = boundary(unit_square_chain()).subdivided(2)
+        vector = comp.chain_vector(T)
+        assert comp.chain_vector(T) is vector
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 5.0
+        assert np.array_equal(comp.chain_vector(Chain(*T.stacked())),
+                              vector)
+        ref = weakref.ref(T)
+        del T
+        gc.collect()
+        assert ref() is None and len(comp._vectors) == 0
+
+    def test_flat_norm_reads_the_placed_vector(self, monkeypatch):
+        # the command line places a chain by `chain_vector` to align it,
+        # then solves its LP: the LP finds the vector the complex kept
+        comp = freudenthal_complex((0.0, 0.0), (1.0, 1.0), 4)
+        T = boundary(unit_square_chain()).subdivided(2)
+        want = flat_norm_lp(Chain(*T.stacked()), comp)
+        comp.chain_vector(T)
+
+        def refuse(points):
+            raise AssertionError("placed twice")
+
+        monkeypatch.setattr(comp, "_vertex_positions", refuse)
+        got = flat_norm_lp(T, comp)
+        assert got[0] == want[0] and got[3] == want[3]
+
+    @pytest.mark.parametrize("ambient", [1, 3])
+    @pytest.mark.parametrize("lattice", [True, False])
+    def test_chain_of_another_dimension_refused(self, ambient, lattice):
+        # unchecked, the segment [0, 0.25] of R^1 was broadcast onto the
+        # lattice as the diagonal edge (0, 0)-(0.25, 0.25), of flat norm
+        # sqrt(2)/4 for a chain of mass 0.25; R^3 was numpy's broadcast
+        # error, and without a lattice numpy's concatenate error
+        comp = freudenthal_complex((0, 0), (1, 1), 4)
+        if not lattice:
+            comp = SimplicialComplex(comp.vertices, comp.ids[2],
+                                     comp.top_orientations)
+        T = Chain(unit_interval_chain(ambient).stacked()[0] * 0.25, [1.0])
+        message = "^" + re.escape(f"the chain lies in R^{ambient} and the "
+                                  f"complex in R^2") + "$"
+        with pytest.raises(ValueError, match=message):
+            comp.chain_vector(T)
+        with pytest.raises(ValueError, match=message):
+            flat_norm_lp(T, comp)
 
 
 class TestFlatNorm:
