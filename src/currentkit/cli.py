@@ -286,15 +286,18 @@ def cmd_transport(args, scenarios):
 
 def _align_chain(T, comp):
     """Subdivide T, at most 5 levels, until its simplices live on the
-    complex."""
+    complex; if none does, a ValueError with the complex's resolution and
+    `chain_vector`'s reason at level 0."""
+    reason = None
     for lv in range(6):
         work = T.subdivided(lv)
         try:
             comp.chain_vector(work)
             return work
-        except ValueError:
-            continue
-    raise ValueError("chain cannot be aligned with the hosting complex")
+        except ValueError as exc:
+            reason = reason or exc
+    raise ValueError(f"chain cannot be aligned with the hosting complex "
+                     f"at resolution {comp.lattice[2]}: {reason}")
 
 
 def _affine_test_family(ambient, degree, rng, size):

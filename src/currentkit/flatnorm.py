@@ -14,11 +14,12 @@ cases, read off the input alone:
   (n-1)-face has one or two cofaces, and two cofaces carry opposite signs
   under `top_orientations`.  A network simplex solves it, entering arcs
   from a candidate list of a numpy-priced block (`_CANDIDATES`; 1 is the
-  plain block rule), with the tree (held by thread) and potentials as
-  Python lists.  A pivot walks its cycle once for the ratio test, which
-  keeps each side's blocking node and builds no list, and once more to
-  move the flows if they move (a degenerate pivot moves none); so it
-  costs its cycle's length plus the size of the subtree whose
+  plain block rule), with the tree (held by thread) as Python lists and
+  the potentials as one Python `array`, which numpy prices through a
+  view of its buffer.  A pivot walks its cycle once for the ratio test,
+  which keeps each side's blocking node and builds no list, and once
+  more to move the flows if they move (a degenerate pivot moves none);
+  so it costs its cycle's length plus the size of the subtree whose
   potentials it shifts.
   S is the tree's node potentials, so R = t - B S is exact for integral t.
 - Everything else (degrees 0 <= r <= n - 2, a face with three or more
@@ -39,6 +40,7 @@ it.  `lower_bounds` gives both rungs with each form evaluated on T once.
 from __future__ import annotations
 
 import mmap
+from array import array
 
 import numpy as np
 
@@ -198,12 +200,12 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     cycles.  The ratio test climbs the cycle from both ends to the apex
     and keeps only each side's blocking node and room; a second climb
     moves the flows, only when they move by more than 0, and builds no
-    list either.  Tree and potentials are Python lists, the tree held by
-    thread, subtree size and last successor as in LEMON (Kovacs, Optim.
-    Methods Softw. 2015): a pivot re-roots the moved subtree in the time
-    of its cycle and stem, and shifts its potentials along the thread.
-    Moved potentials reach numpy at the next major iteration, the last
-    if no arc is eligible.
+    list either.  The tree is Python lists, held by thread, subtree size
+    and last successor as in LEMON (Kovacs, Optim. Methods Softw. 2015):
+    a pivot re-roots the moved subtree in the time of its cycle and stem,
+    and shifts its potentials along the thread.  The potentials are one
+    table, an `array` whose buffer numpy prices through a view, so a
+    block prices every shift made before it and nothing is copied.
     A residual within `_FLOW_TOL` of its arc's capacity is zero, and a
     reduced cost within `_COST_TOL` of the largest |cost|, so the path is
     the same at any capacity scale.  Returns the potentials pi, with
@@ -219,7 +221,9 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     rev_thread = [root] + list(range(root))
     succ_num = [1] * root + [n_nodes]
     last_succ = list(range(root)) + [root - 1]
-    pi, pil, moved = np.zeros(n_nodes), [0.0] * n_nodes, []
+    # pivots shift `pil`; pricing reads its buffer through `pi`
+    pil = array("d", [0.0]) * n_nodes
+    pi = np.frombuffer(pil)
     # +1 at 0, -1 at cap, 0 in tree; float, so that pricing casts nothing.
     # `rate` is its list mirror for pricing in Python
     state = np.concatenate([np.zeros(root), np.ones(n_arcs - root)])
@@ -253,12 +257,6 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
             candidates, minor = rest, True
         else:
             block, minor = (block + minor) % len(blocks), False
-            # the moved potentials reach numpy; all if over a quarter moved
-            if 4 * len(moved) > n_nodes:
-                pi[:] = pil
-            else:
-                pi[moved] = [pil[v] for v in moved]
-            moved = []
             for _ in blocks:
                 lo, ends, bcost, bstate, w = blocks[block]
                 at = pi.take(ends)
@@ -396,7 +394,6 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
         v = u_in
         for _ in range(size):
             pil[v] += shift
-            moved.append(v)
             v = thread[v]
 
 

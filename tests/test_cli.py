@@ -1178,21 +1178,28 @@ class TestDeterminism:
             "compared 19 files: 3 differ"]
 
 
-    def test_flat_rows_tool_gives_the_pinned_rows(self):
-        # tools/flat_rows.py: the pivots and F of the ROADMAP's cell-union
-        # rows, and a chain builder of the benchmark for every row
+    def test_flat_rows_tool_gives_the_pinned_rows(self, monkeypatch,
+                                                  capsys):
+        # tools/flat_rows.py: the pivots and F, bit for bit, of the
+        # ROADMAP's four large rows, a chain builder of the benchmark for
+        # every row, and a table row with its seconds per pivot in us
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         spec = importlib.util.spec_from_file_location(
             "flat_rows", os.path.join(root, "tools", "flat_rows.py"))
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
-        assert tool.row(2, 32, "cell_union_boundary")[:2] == (1853,
-                                                             0.2998046875)
-        assert tool.row(3, 8, "cell_union_boundary")[:2] == (
-            2625, 0.3007812500000004)
+        assert [tool.row(*row)[:2] for row in tool.ROWS["large"]] == [
+            (1853, 0.2998046875), (8558, 20.438305903824947),
+            (2625, 0.3007812500000004), (18953, 15.385924245530607)]
         workloads = _load_perfbench("workloads")
         assert all(hasattr(workloads, kind) for rows in tool.ROWS.values()
                    for _, _, kind in rows)
+        monkeypatch.setattr(tool, "row", lambda *row: (2000, 0.5, 0.03))
+        assert tool.main(["--rows", "xlarge"]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "| input | pivots | F | seconds | µs/pivot |",
+            "|---|---|---|---|---|",
+            "| 2-D res 64, `random_faces` | 2000 | 0.5 | 0.03 | 15.0 |"]
 
     def test_ab_pairs_tool_refuses_a_cached_checkout(self, tmp_path):
         # tools/ab_pairs.py compiles each side's sources afresh: a
@@ -1405,6 +1412,34 @@ class TestFlatnorm:
         assert main(["flatnorm", "--config", str(config), "--out",
                      str(tmp_path / "out")]) == 0
         assert len(built) == 2 and seen == alive
+
+    def test_triangle_off_the_grid_exit_2_with_reason(self, tmp_path,
+                                                      capsys):
+        # the builtin triangle's hypotenuse crosses the Kuhn cells: the
+        # message named neither the simplex nor the resolution
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "tri",
+                                    "chain": {"builtin": "triangle"}}))
+        assert main(["flatnorm", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert ("error: chain cannot be aligned with the hosting complex at "
+                "resolution 4: simplex (0, 4, 20) not in complex"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "flatnorm.csv").exists()
+
+    def test_vertex_off_the_lattice_exit_2_with_reason(self, tmp_path,
+                                                       capsys):
+        chain_path = tmp_path / "chain.json"
+        Chain(np.array([[[0.1, 0.3], [0.5, 0.5]]]), [1.0]).save(chain_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "seg", "resolution": 2,
+                                    "chain": {"file": str(chain_path)}}))
+        assert main(["flatnorm", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert ("error: chain cannot be aligned with the hosting complex at "
+                "resolution 2: vertex [0.1 0.3] not in complex"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "flatnorm.csv").exists()
 
     def test_zero_test_form_is_redrawn(self, tmp_path):
         # seed 0 draws an identically zero affine test form for the ladder

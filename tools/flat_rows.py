@@ -9,8 +9,9 @@ xlarge` the `random_faces` rows at twice the resolution (2-D res 64,
 3-D res 12).  Each chain comes from `perfbench.workloads` with a new
 `np.random.default_rng([42, 1])`, on the unit-box Freudenthal complex of
 its resolution.  For each row it prints, as a Markdown table, the
-solver's pivots, the flat norm F and the CPU seconds of the one
-`flat_norm_lp` call; building the complex and the chain is not timed.
+solver's pivots, the flat norm F, the CPU seconds of the one
+`flat_norm_lp` call and those seconds per pivot, in µs; building the
+complex and the chain is not timed.
 The library is the `currentkit` on PYTHONPATH (this checkout's `src/`
 when there is none).
 """
@@ -52,12 +53,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rows", choices=sorted(ROWS), default="large")
     args = parser.parse_args(argv)
-    print("| input | pivots | F | seconds |")
-    print("|---|---|---|---|")
+    print("| input | pivots | F | seconds | µs/pivot |")
+    print("|---|---|---|---|---|")
     for dim, res, kind in ROWS[args.rows]:
         pivots, value, seconds = row(dim, res, kind)
         print(f"| {dim}-D res {res}, `{kind}` | {pivots} | {value!r} | "
-              f"{seconds:.2f} |", flush=True)
+              f"{seconds:.2f} | {1e6 * seconds / pivots:.1f} |", flush=True)
     return 0
 
 
