@@ -344,7 +344,10 @@ class Chain(Current):
         finite number as multiplicity; then that each "vertices" is
         degree + 1 integers in range of the vertex_table; then the signs.
         A ValueError names the first record that breaks a rule of the
-        first group broken, and in it the first rule."""
+        first group broken, and in it the first rule.
+
+        The chain's table holds the rows that simplices of nonzero
+        multiplicity use; of rows with equal points, the one used first."""
         for key in ("degree", "ambient", "vertex_table", "simplices"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f'the chain lacks "{key}"')
@@ -416,8 +419,16 @@ class Chain(Current):
             raise ValueError('a simplex\'s "sign" must be the integer +1 '
                              'or -1')
         ids = np.array(flat, dtype=np.intp).reshape(-1, width)
-        return cls(table[ids], np.array(mults, dtype=float)
-                   * np.array(signs, dtype=float))
+        mults = np.array(mults, dtype=float) * np.array(signs, dtype=float)
+        ids, mults = ids[mults != 0.0], mults[mults != 0.0]
+        # the rows in order of first use, so that of rows with equal points
+        # (0.0 and -0.0) `vertex_table` keeps the one a simplex uses first,
+        # as it does on the stacked simplices; `_of` drops the unused rows
+        first_use = np.full(size, ids.size)
+        np.minimum.at(first_use, ids.ravel(), np.arange(ids.size))
+        order = first_use.argsort()
+        table, index = vertex_table(table[order])
+        return cls._of(table, index[order.argsort()][ids], mults)
 
     def save(self, path):
         with open(path, "w") as fh:

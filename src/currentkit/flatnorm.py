@@ -14,13 +14,13 @@ cases, read off the input alone:
   (n-1)-face has one or two cofaces, and two cofaces carry opposite signs
   under `top_orientations`.  A network simplex solves it, entering arcs
   from a candidate list of a numpy-priced block (`_CANDIDATES`; 1 is the
-  plain block rule), with the tree (held by thread) as Python lists and
-  the potentials as one Python `array`, which numpy prices through a
-  view of its buffer.  A pivot walks its cycle once for the ratio test,
-  which keeps each side's blocking node and builds no list, and once
-  more to move the flows if they move (a degenerate pivot moves none);
-  so it costs its cycle's length plus the size of the subtree whose
-  potentials it shifts.
+  plain block rule), with the tree (held by thread) as Python lists, and
+  the potentials and the arc states each as one Python `array`, which
+  numpy prices through a view of its buffer.  A pivot walks its cycle
+  once for the ratio test, which keeps each side's blocking node and
+  builds no list, and once more to move the flows if they move (a
+  degenerate pivot moves none); so it costs its cycle's length plus the
+  size of the subtree whose potentials it shifts.
   S is the tree's node potentials, so R = t - B S is exact for integral t.
 - Everything else (degrees 0 <= r <= n - 2, a face with three or more
   cofaces, incoherent orientations): `lp_solve`, Bland's primal simplex
@@ -39,7 +39,6 @@ it.  `lower_bounds` gives both rungs with each form evaluated on T once.
 
 from __future__ import annotations
 
-import mmap
 from array import array
 
 import numpy as np
@@ -59,7 +58,6 @@ __all__ = [
 _FEAS_TOL = 1e-8
 _PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 200_000  # dense simplex: a run past this is an error
-_BLOCK_ELEMENTS = 1 << 16  # entries per band of a pivot's block update
 _FLOW_TOL = 1e-12  # network simplex: zero residual, relative to capacity
 _COST_TOL = 1e-12  # network simplex: zero reduced cost, relative to max|cost|
 _MIN_BLOCK = 256   # network simplex: fewest arcs priced at once
@@ -67,32 +65,17 @@ _CANDIDATES = 32   # network simplex: arcs kept from a priced block
 _MAX_PIVOTS_PER_ARC = 100  # network simplex: a run past this is an error
 
 
-def _zeros(shape):
-    """Zero float array on an anonymous memory map of its own.  Freeing
-    it returns its pages to the system at once, so the peak memory of a
-    sequence of LPs is that of the largest one, not a matter of which
-    freed heap blocks a later, larger tableau happens to fit into."""
-    size = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(8 * size, 1))
-    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
-
-
 def _pivot(tableau, row, col):
     """Gauss-Jordan step on (row, col).  Only the rows with a nonzero in
     the pivot column and the columns with a nonzero in the pivot row
-    change, so the update is a block of that size.  It is applied in
-    bands of rows of at most `_BLOCK_ELEMENTS` entries, so its temporaries
-    stay small however much the tableau has filled in."""
+    change, so the update is one subtraction of an outer product on that
+    block."""
     prow = tableau[row]
     prow /= prow[col]
     rows = np.flatnonzero(tableau[:, col])
     rows = rows[rows != row]
     cols = np.flatnonzero(prow)
-    pcols = prow[cols]
-    step = max(1, _BLOCK_ELEMENTS // max(len(cols), 1))
-    for start in range(0, len(rows), step):
-        band = rows[start:start + step]
-        tableau[np.ix_(band, cols)] -= np.outer(tableau[band, col], pcols)
+    tableau[np.ix_(rows, cols)] -= np.outer(tableau[rows, col], prow[cols])
 
 
 def lp_solve(c, a, b, basis):
@@ -107,7 +90,7 @@ def lp_solve(c, a, b, basis):
     run past `_MAX_PIVOTS` pivots.
     """
     m, n = a.shape
-    tableau = _zeros((m + 1, n + 1))
+    tableau = np.zeros((m + 1, n + 1))
     tableau[:m, :n] = a
     tableau[:m, -1] = b
     basis = list(basis)
@@ -203,9 +186,10 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     list either.  The tree is Python lists, held by thread, subtree size
     and last successor as in LEMON (Kovacs, Optim. Methods Softw. 2015):
     a pivot re-roots the moved subtree in the time of its cycle and stem,
-    and shifts its potentials along the thread.  The potentials are one
-    table, an `array` whose buffer numpy prices through a view, so a
-    block prices every shift made before it and nothing is copied.
+    and shifts its potentials along the thread.  The potentials and the
+    arc states are one table each, an `array` whose buffer numpy prices
+    through a view, so a block prices every shift and state change made
+    before it and nothing is copied.
     A residual within `_FLOW_TOL` of its arc's capacity is zero, and a
     reduced cost within `_COST_TOL` of the largest |cost|, so the path is
     the same at any capacity scale.  Returns the potentials pi, with
@@ -224,10 +208,11 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
     # pivots shift `pil`; pricing reads its buffer through `pi`
     pil = array("d", [0.0]) * n_nodes
     pi = np.frombuffer(pil)
-    # +1 at 0, -1 at cap, 0 in tree; float, so that pricing casts nothing.
-    # `rate` is its list mirror for pricing in Python
-    state = np.concatenate([np.zeros(root), np.ones(n_arcs - root)])
-    rate = [0.0] * root + [1.0] * (n_arcs - root)
+    # each arc's state, +1 at 0, -1 at cap, 0 in tree; float, so that
+    # pricing casts nothing.  Pivots write `rate`; pricing reads its buffer
+    # through `state`
+    rate = array("d", [0.0] * root + [1.0] * (n_arcs - root))
+    state = np.frombuffer(rate)
     flow = [0.0] * n_arcs
     capl, taill, headl = cap.tolist(), tail.tolist(), head.tolist()
     costl = cost.tolist()
@@ -323,12 +308,10 @@ def _network_simplex(tail, head, cost, cap, n_nodes):
                     v = parent[v]
         if u_in < 0:  # e goes from one bound to the other
             rate[e] = -rate[e]
-            state[e] = rate[e]
             continue
         leave = arc[u_out]
         rate[leave] = 1.0 if flow[leave] == 0.0 else -1.0
-        state[leave] = rate[leave]
-        rate[e] = state[e] = 0.0
+        rate[e] = 0.0
         # the subtree of u_out hangs from v_in by e, re-rooted at u_in
         # (LEMON's updateTreeStructure): after v_in the thread runs through
         # u_in's subtree, then each next stem node's subtree without the
@@ -431,7 +414,7 @@ def _flat_norm_dense(t, complex_, r, vol_r, vol_s):
     c = np.concatenate([vol_r, vol_r, vol_s, vol_s])
     kc, kt = binary_exponent(c), binary_exponent(t)
     sign = np.where(t < 0, -1.0, 1.0)
-    a = _zeros((n_r, 2 * n_r + 2 * n_s))
+    a = np.zeros((n_r, 2 * n_r + 2 * n_s))
     diag = np.arange(n_r)
     a[diag, diag] = sign
     a[diag, n_r + diag] = -sign

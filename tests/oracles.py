@@ -769,7 +769,8 @@ def gram_volumes_by_view(vertices) -> np.ndarray:
 def chain_from_records(obj) -> Chain:
     """`Chain.from_json_obj` checking one simplex record at a time: each
     record's keys and multiplicity, then each record's vertices, then the
-    signs.  Other keys of a record are not looked at."""
+    signs.  Other keys of a record are not looked at.  The chain is built
+    from the stacked simplices, by `Chain`."""
     def is_int(value, low, high=None):
         return (type(value) is int and value >= low
                 and (high is None or value < high))

@@ -26,6 +26,7 @@ from currentkit.quadrature import (grundmann_moller, simplex_volumes,
                                    subdivide_barycentric)
 from oracles import (chain_from_records, evaluate_with_error,
                      interval_product_evaluate, perm_sign, radial_stretch)
+from test_cli import _load_perfbench
 
 
 def _tet():
@@ -608,17 +609,50 @@ class TestSerialization:
                     Chain.from_json_obj(obj)
                 assert str(got.value) == str(err)
                 continue
-            got = Chain.from_json_obj(obj)
-            for a, b in zip((got.table, got.ids, got.mults),
-                            (want.table, want.ids, want.mults)):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            self._assert_same_arrays(Chain.from_json_obj(obj), want)
 
     def test_empty_chain_round_trips(self):
         obj = Chain(np.zeros((0, 2, 3)), []).to_json_obj()
         assert obj["vertex_table"] == [] and obj["simplices"] == []
         back = Chain.from_json_obj(obj)
         assert (back.degree, back.ambient, len(back)) == (1, 3, 0)
+
+    @staticmethod
+    def _assert_same_arrays(got, want):
+        for a, b in zip((got.table, got.ids, got.mults),
+                        (want.table, want.ids, want.mults)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("first, zero",
+                             [(2, None), (0, None), (0, 2), (2, 0)])
+    def test_a_point_listed_twice_keeps_the_row_used_first(self, first, zero):
+        # (0.0, 1.0) and (-0.0, 1.0) are one vertex; the table keeps the
+        # row of the simplex that uses it first, not the first row of the
+        # file, and a zero multiplicity uses no row
+        rows = [first, 2 - first]
+        obj = {"degree": 1, "ambient": 2,
+               "vertex_table": [[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]],
+               "simplices": [{"vertices": [1, rows[0]], "multiplicity": 1},
+                             {"vertices": [rows[1], 1], "multiplicity": 1}]}
+        if zero is not None:
+            obj["simplices"].insert(0, {"vertices": [zero, 1],
+                                        "multiplicity": 0})
+        T = Chain.from_json_obj(obj)
+        assert T.table.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert np.signbit(T.table[0, 0]) == (first == 2)
+        self._assert_same_arrays(T, chain_from_records(obj))
+
+    @pytest.mark.parametrize("seed", [42, 31337])
+    def test_flatgrid_files_build_the_stacked_chain(self, tmp_path, seed):
+        workloads = _load_perfbench("workloads")
+        workloads.write_flatgrid(seed, str(tmp_path))
+        paths = sorted(tmp_path.glob("*_chain.json"))
+        assert len(paths) == 6
+        for path in paths:
+            obj = json.loads(path.read_text())
+            self._assert_same_arrays(Chain.from_json_obj(obj),
+                                     chain_from_records(obj))
 
 
 class TestIntervalProduct:

@@ -503,7 +503,9 @@ class TestPivotPath:
     resolution-8 Freudenthal square.  Value and pivot count are pinned, so
     a change to the pivoting that alters the path shows here; so is the
     network simplex's pivot count on the same inputs, under the plain
-    block rule (`_CANDIDATES` = 1) and with the shipped candidate list."""
+    block rule (`_CANDIDATES` = 1) and with the shipped candidate list.
+    Two larger rows at degrees below n - 1 pin the dense path of
+    `flat_norm_lp`."""
 
     CASES = [(_cell_union_boundary, 8, 0.46093750000000017, 390),
              (_signed_edge_chain, 9, 10.05989132004283, 403)]
@@ -517,20 +519,6 @@ class TestPivotPath:
         x, got = lp_solve(c, a, b, basis)
         assert got == pivots
         assert c @ x == pytest.approx(value, rel=1e-13)
-
-    @pytest.mark.parametrize("make, seed, value, pivots", CASES)
-    def test_banded_update_keeps_the_path(self, make, seed, value, pivots,
-                                          monkeypatch):
-        # one row per band against one band for the whole block: the
-        # pivot path and the optimum agree bit for bit
-        comp = freudenthal_complex((0, 0), (1, 1), 8)
-        lp = _dense_lp(comp, make(comp, seed))
-        monkeypatch.setattr(flatnorm, "_BLOCK_ELEMENTS", 1 << 30)
-        whole, whole_pivots = lp_solve(*lp)
-        monkeypatch.setattr(flatnorm, "_BLOCK_ELEMENTS", 1)
-        banded, banded_pivots = lp_solve(*lp)
-        assert banded_pivots == whole_pivots == pivots
-        assert np.array_equal(banded, whole)
 
     @pytest.mark.parametrize("make, seed, value, pivots",
                              [(*case[:3], n)
@@ -562,6 +550,22 @@ class TestPivotPath:
                                method="highs")
         assert res.status == 0
         assert value == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("dim, res, r, value, pivots", [
+        (2, 16, 0, 8.403490257669732, 4282),
+        (3, 3, 1, 19.258312041223995, 2079)])
+    def test_dense_rows(self, dim, res, r, value, pivots):
+        # `random_faces`' rule at degree r <= n - 2: +-1 on 30% of the
+        # r-simplices, from the rng of the flat-norm rows; pivots and F
+        # are pinned bit for bit
+        comp = freudenthal_complex([0.0] * dim, [1.0] * dim, res)
+        rng = np.random.default_rng([42, 1])
+        n = comp.n_simplices(r)
+        coeffs = np.zeros(n)
+        picked = rng.choice(n, round(0.3 * n), replace=False)
+        coeffs[picked] = rng.choice([-1.0, 1.0], picked.size)
+        got, _, _, info = flat_norm_lp(comp.simplex_chain(r, coeffs), comp)
+        assert (info["iterations"], got) == (pivots, value)
 
 
 def _random_codim1(comp, seed):

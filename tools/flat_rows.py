@@ -8,10 +8,10 @@ res 8, each with `cell_union_boundary` and `random_faces`); `--rows
 xlarge` the `random_faces` rows at twice the resolution (2-D res 64,
 3-D res 12).  Each chain comes from `perfbench.workloads` with a new
 `np.random.default_rng([42, 1])`, on the unit-box Freudenthal complex of
-its resolution.  For each row it prints, as a Markdown table, the
-solver's pivots, the flat norm F, the CPU seconds of the one
-`flat_norm_lp` call and those seconds per pivot, in µs; building the
-complex and the chain is not timed.
+its resolution.  Each row is solved three times; it prints, as a
+Markdown table, the solver's pivots, the flat norm F, the median CPU
+seconds of the three `flat_norm_lp` calls and those seconds per pivot,
+in µs; building the complex and the chain is not timed.
 The library is the `currentkit` on PYTHONPATH (this checkout's `src/`
 when there is none).
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 
@@ -56,7 +57,9 @@ def main(argv=None) -> int:
     print("| input | pivots | F | seconds | µs/pivot |")
     print("|---|---|---|---|---|")
     for dim, res, kind in ROWS[args.rows]:
-        pivots, value, seconds = row(dim, res, kind)
+        runs = [row(dim, res, kind) for _ in range(3)]
+        pivots, value, _ = runs[0]
+        seconds = statistics.median(run[2] for run in runs)
         print(f"| {dim}-D res {res}, `{kind}` | {pivots} | {value!r} | "
               f"{seconds:.2f} | {1e6 * seconds / pivots:.1f} |", flush=True)
     return 0
