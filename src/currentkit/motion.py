@@ -151,6 +151,30 @@ def _contracted(phi: FormField, fields) -> list:
     return forms
 
 
+def _reynolds_values(m: Motion, T: Chain, phi: FormField, nodes,
+                     levels: int, ends) -> tuple:
+    """(the values of `ends`, the terms of R_v): the library's one
+    Reynolds term on the pushed chain.  T's subdivision is pushed once,
+    at each (time, form) of `ends` and, below top degree, at `nodes`
+    against d(phi) -| v_t (bnd(v wedge kappa_t# T)); bnd(T)'s once, at
+    `nodes` against phi -| v_t (v wedge kappa_t# bnd T).  A term is one
+    value per node; one that vanishes identically is left out."""
+    fields = [velocity_field(m, t) for t in nodes]
+    times, row = [t for t, _ in ends], [form for _, form in ends]
+    sweeps = T.degree + 1 <= T.ambient
+    if sweeps:
+        times += list(nodes)
+        row += _contracted(exterior_derivative(phi), fields)
+    values, = _pushed_values(m, T.subdivided(levels), times, [row])
+    terms = [values[len(ends):]] if sweeps else []
+    if T.degree >= 1:
+        bt = boundary(T)
+        if len(bt):
+            terms += _pushed_values(m, bt.subdivided(levels), nodes,
+                                    [_contracted(phi, fields)])
+    return values[:len(ends)], terms
+
+
 def homotopy_residual(m: Motion, interval, T: Chain, phi: FormField,
                       levels: int = 0, panels: int = 8,
                       gauss_order: int = 5) -> float:
@@ -165,18 +189,14 @@ def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
     """The residual of the homotopy formula (Federer 4.1.9)
     kappa_b# T - kappa_a# T = bnd h#([a,b] x T) + h#([a,b] x bnd T)
     against phi on [a, b] = `interval`, at each count of time panels in
-    `panel_counts`.  The library's one deformation integrand:
-    h#([a,b] x S)(omega) is the time integral of (kappa_t# S)(omega -| v_t)
-    by composite Gauss-Legendre quadrature (`gauss_nodes`, `gauss_sum`),
-    and bnd h acts on phi through d(phi).  One stack of pushes serves
-    every count: T's subdivision is pushed once, at both ends and at every
-    count's Gauss nodes, and bnd(T)'s subdivision once at the same nodes;
-    d(phi) and the velocity fields are formed once, and bnd(T) and the
-    subdivisions once per chain object (`boundary`, `Chain.subdivided`).
-    Each residual has the bits of `homotopy_residual` at its count
-    alone.  All 0.0, without a push, when the interval is empty."""
+    `panel_counts`: h#([a,b] x S)(omega) is the time integral of
+    (kappa_t# S)(omega -| v_t) by composite Gauss-Legendre quadrature
+    (`gauss_nodes`, `gauss_sum`) of the Reynolds terms at every count's
+    nodes, pushed with both ends in one stack (`_reynolds_values`).  Each
+    residual has the bits of `homotopy_residual` at its count alone.
+    All 0.0, without a push, when the interval is empty."""
     a, b = interval
-    work = T.subdivided(levels)
+    T.subdivided(levels)  # checks `levels`, also on an empty interval
     m.check_time(b)
     m.check_time(a)
     rules = [gauss_nodes(a, b, panels, gauss_order)
@@ -184,21 +204,9 @@ def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
     if a == b or not rules:
         return [0.0] * len(rules)
     nodes = np.concatenate([rule[0] for rule in rules])
-    fields = [velocity_field(m, t) for t in nodes]
-    times, row = [b, a], [phi, phi]
-    # bnd h#([a,b] x T) acts on phi through d(phi) -| v
-    sweeps = T.degree + 1 <= T.ambient
-    if sweeps:
-        times += list(nodes)
-        row += _contracted(exterior_derivative(phi), fields)
-    values, = _pushed_values(m, work, times, [row])
-    lhs = values[0] - values[1]
-    integrands = [values[2:]] if sweeps else []
-    if T.degree >= 1:
-        bt = boundary(T)
-        if len(bt):
-            integrands += _pushed_values(m, bt.subdivided(levels), nodes,
-                                         [_contracted(phi, fields)])
+    (at_b, at_a), integrands = _reynolds_values(m, T, phi, nodes, levels,
+                                                [(b, phi), (a, phi)])
+    lhs = at_b - at_a
     out, lo = [], 0
     for rule in rules:
         hi = lo + len(rule[0])
@@ -217,26 +225,15 @@ def homotopy_residuals(m: Motion, interval, T: Chain, phi: FormField,
 def _transport_terms(m: Motion, T: Chain, psi: Cochain, tau: float,
                      levels: int):
     """(psi_dot(kappa_tau# T), the transport derivative), the second
-    summed from the first as `transport_derivative` states it, on
-    T.subdivided(levels).  bnd(T) and each subdivision are formed once
-    per chain object (`boundary`, `Chain.subdivided`)."""
+    summed from the first and the Reynolds terms at tau
+    (`_reynolds_values`), on T.subdivided(levels)."""
     m.check_time(tau)
-    v = velocity_field(m, tau)
-    phi = psi.form_at(tau)
-    forms = [[psi.dot_at(tau)]]
-    # bnd(v wedge pushed) acts on phi through d(phi) -| v
-    if T.degree + 1 <= T.ambient:
-        forms.append([contract(exterior_derivative(phi), v)])
-    values = _pushed_values(m, T.subdivided(levels), [tau], forms)
-    total = values[0][0]
-    if len(values) > 1:
-        total += values[1][0]
-    if T.degree >= 1:
-        bt = boundary(T)
-        if len(bt):
-            total += _pushed_values(m, bt.subdivided(levels), [tau],
-                                    [[contract(phi, v)]])[0][0]
-    return values[0][0], total
+    (dot,), terms = _reynolds_values(m, T, psi.form_at(tau), [tau], levels,
+                                     [(tau, psi.dot_at(tau))])
+    total = dot
+    for term in terms:
+        total += term[0]
+    return dot, total
 
 
 def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
@@ -244,9 +241,7 @@ def transport_derivative(m: Motion, T: Chain, psi: Cochain, tau: float,
     """d/dt of psi(t)(kappa_t# T) at tau:
     psi_dot(kappa_tau# T) + psi(bnd(v wedge kappa_tau# T)
                                 + v wedge kappa_tau#(bnd T)).
-    The wedge term vanishes identically when T has top degree.  Both
-    terms on kappa_tau# T come from one push (`_pushed_values`), and so
-    does the term on the pushed boundary."""
+    The wedge term vanishes identically when T has top degree."""
     return _transport_terms(m, T, psi, tau, levels)[1]
 
 

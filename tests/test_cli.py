@@ -1449,6 +1449,37 @@ class TestFlatnorm:
                    for r in rows if r["quantity"].endswith("lower_bound"))
 
 
+class TestScenarioWithoutCochain:
+    """A valid scenario without a cochain runs to the end: transport and
+    converge give it no rows, and transport says that it skips it."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({
+            "name": "bare", "motion": {"family": "rotation", "rate": 0.7}}))
+        return path
+
+    def test_transport_writes_the_header_alone(self, tmp_path, config,
+                                               caplog):
+        with caplog.at_level(logging.WARNING, logger="currentkit"):
+            assert main(["transport", "--config", str(config),
+                         "--out", str(tmp_path)]) == 0
+        assert "skipping bare: no cochain" in [
+            rec.getMessage() for rec in caplog.records]
+        assert (tmp_path / "transport.csv").read_text().splitlines() == [
+            ",".join(cli.HEADER)]
+
+    def test_converge_writes_the_adjointness_rows_alone(self, tmp_path,
+                                                        config):
+        assert main(["converge", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+        rows = _read(tmp_path / "converge.csv")
+        assert [(r["scenario"], r["quantity"]) for r in rows] == [
+            ("adjointness", "residual")] * 4 + [
+            ("adjointness", "observed_order")]
+
+
 class TestConverge:
     def test_fitted_orders(self, tmp_path):
         assert main(["converge", "--out", str(tmp_path)]) == 0

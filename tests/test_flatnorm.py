@@ -843,6 +843,26 @@ class TestSamePivotPath:
             patch.setattr(flatnorm, "_CANDIDATES", size)
             self._same(flatnorm._network_simplex, args)
 
+    def test_real_costs_at_zero_tolerance(self, monkeypatch):
+        # with real costs and no tolerance, round-off leaves some tree
+        # arcs' reduced costs below `floor`, so the entering arc's state
+        # (`rate[e] = 0.0`) decides the path; the oracle reads the patched
+        # `_COST_TOL` too
+        monkeypatch.setattr(flatnorm, "_COST_TOL", 0.0)
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n_nodes = int(rng.integers(3, 14))
+            root, count = n_nodes - 1, int(rng.integers(1, 4 * n_nodes + 1))
+            tail = rng.integers(0, n_nodes, count)
+            head = (tail + rng.integers(1, n_nodes, count)) % n_nodes
+            self._same(flatnorm._network_simplex, (
+                np.concatenate([np.arange(root), tail]),
+                np.concatenate([np.full(root, root), head]),
+                np.concatenate([np.zeros(root),
+                                rng.uniform(-9.0, 3.0, count)]),
+                np.concatenate([rng.uniform(1.0, 9.0, root),
+                                rng.uniform(0.1, 9.0, count)]), n_nodes))
+
 
 class TestCandidateList:
     """The optimum does not depend on the candidate list: one arc (the

@@ -280,6 +280,13 @@ class TestPointMaps:
                     assert _bits(v) == _bits(image)
                 assert _bits(got.mults) == _bits(work.mults)
 
+    def test_empty_chain_is_returned_without_a_map_call(self):
+        def never(x):
+            raise AssertionError("the map was called")
+
+        empty = Chain(np.zeros((0, 2, 2)), [])
+        assert pushforward_chain(LipMap(2, never), empty, levels=2) is empty
+
     def test_general_map_is_called_once_on_the_vertex_table(self):
         calls = []
 

@@ -532,6 +532,18 @@ class TestLadders:
                  for t in motion.gauss_nodes(*INTERVAL, p, 5)[0]]
         assert seen == [[INTERVAL[1], INTERVAL[0]] + nodes, nodes]
 
+    @pytest.mark.parametrize("r, stacks", [(2, [[0.2], [0.2]]),
+                                           (1, [[0.2, 0.2], [0.2]]),
+                                           (0, [[0.2, 0.2]])],
+                             ids=["top_degree", "below_top", "points"])
+    def test_transport_derivative_stacks(self, monkeypatch, r, stacks):
+        # T at tau against psi_dot and, below top degree, at tau again
+        # against d(phi) -| v in the same stack; then bnd(T) at tau
+        m = make_motion("shear", ambient=2)
+        seen = _stack_calls(monkeypatch)
+        transport_derivative(m, _chain(2, r, 3), _cochain(2, r), 0.2)
+        assert seen == stacks
+
     @pytest.mark.parametrize("one_sided, pushed", [(True, 4), (False, 6)])
     def test_each_distinct_time_pushed_once(self, one_sided, pushed):
         # a hand-built motion gets every distinct time in one `maps` call
